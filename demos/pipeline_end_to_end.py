@@ -6,10 +6,10 @@ The full chain: a 2-counter machine's language is pad-coded (factor
 S = (3(card(sigma)+2))^3), compiled to a single counter over the block
 coding, unioned with the coding-defect acceptor, and wrapped in a filler
 cadence that hides every silent move.  At paper-faithful parameters the
-chain refuses to build with an honest size estimate (here stage 1's
-S = 1728 overruns the state cap; the eight-prime middle stage would be
-astronomically worse); the desk variant runs the same code paths at
-Q = 6.
+chain refuses to build with an honest size estimate: the eight-prime
+middle stage passes the state cap whatever stage 1 would produce, so the
+refusal comes before stage 1 runs.  The desk variant runs the same code
+paths at Q = 6.
 """
 
 from omegacount.constructions import (compose_pipeline, lift_run_pipeline,

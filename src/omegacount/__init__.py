@@ -2,7 +2,7 @@
 
 from .errors import (ArityError, BuildScaleError, FormatError, FreshLetterError,
                      MachineError, UnderflowError)
-from .machines import (BuchiAutomaton, Configuration, CounterMachine,
+from .machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                        MullerAutomaton, Run, RunStep, RunViolation, Transition,
                        buchi_visit_count, intersect_det_buchi, is_real_time,
                        lambda_burst_bound, lift_run_intersection, lift_run_union,

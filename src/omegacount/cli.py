@@ -1,9 +1,10 @@
 """Command line front end.
 
-Subcommands mirror the library: `build` runs one constructor, re-validates
-the result, and writes the automaton file; `lift` turns a source run into a
-certificate run on the coded word; `word encode`, `run check`, `explore`,
-`lasso-member`, and `bench queue-bounds` cover word coding, run validation,
+Subcommands mirror the library: `build` runs one constructor, checks the
+target's shape claims, and writes the automaton file; `lift` builds the
+stage's automaton once and turns a source run into a certificate run on
+it; `word encode`, `run check`, `explore`, `lasso-member`, and
+`bench queue-bounds` cover word coding, run validation,
 prefix reachability, lasso membership, and the queue cost table.  Exit code
 0 means success, 1 a negative verdict from a check, 2 a usage or input
 error.
@@ -18,8 +19,7 @@ import sys
 from .engine import bounded_explore, exact_prefix_reach, nba_lasso_member
 from .errors import FormatError
 from .fileio import dump_automaton, dump_run, load_automaton, load_run, load_word
-from .machines import (BuchiAutomaton, CounterMachine, MachineError,
-                       is_real_time, validate_run)
+from .machines import BuchiAutomaton, MachineError, is_real_time, validate_run
 from .storage import (add_rear_bound, front_bound, queue_add_rear,
                       queue_empty, queue_front, queue_remove_front)
 from .constructions import (build_h_complement, build_phi_wrapper,
@@ -57,8 +57,8 @@ def _buchi(path: str) -> BuchiAutomaton:
     return aut
 
 
-# re-validation before writing: rebuild the dataclasses so every structural
-# check runs again, then the per-target shape claims
+# shape claims checked before writing: (counters, real-time).  The structural
+# checks already ran when the builder constructed its CounterMachine.
 _SHAPE = {
     "theta-acceptor": (2, None),
     "realtime8": (8, True),
@@ -70,10 +70,8 @@ _SHAPE = {
 }
 
 
-def _revalidate(target: str, b: BuchiAutomaton) -> None:
+def _check_shape(target: str, b: BuchiAutomaton) -> None:
     m = b.machine
-    rebuilt = CounterMachine(m.k, m.alphabet, m.states, m.initial, m.transitions)
-    BuchiAutomaton(machine=rebuilt, accepting=b.accepting)
     want_k, want_rt = _SHAPE[target]
     if want_k is not None and m.k != want_k:
         raise MachineError(f"{target} output has k={m.k}, expected {want_k}")
@@ -112,7 +110,7 @@ def _cmd_build(args) -> int:
             raise MachineError("wadge-sum needs --input, --input2 and --input3")
         b = wadge_sum(_buchi(args.input), _buchi(args.input2), _buchi(args.input3),
                       frozenset(_letters(args.plus)), frozenset(_letters(args.minus)))
-    _revalidate(target, b)
+    _check_shape(target, b)
     _emit(dump_automaton(b), args.output)
     return 0
 
@@ -120,16 +118,16 @@ def _cmd_build(args) -> int:
 def _cmd_lift(args) -> int:
     run = load_run(_read(args.run))
     if args.stage == "theta":
-        cert = lift_run_theta(_buchi(args.input), run,
-                              prefix_len=args.prefix_len, s_override=args.S)
+        _, b8 = build_realtime8(_buchi(args.input), S_override=args.S)
+        cert = lift_run_theta(b8, run, prefix_len=args.prefix_len)
     elif args.stage == "script-l":
-        cert = lift_run_script_L(_buchi(args.input), _primes(args.primes), run,
-                                 prefix_len=args.prefix_len)
+        bl = build_script_L(_buchi(args.input), _primes(args.primes))
+        cert = lift_run_script_L(bl, run, prefix_len=args.prefix_len)
     elif args.stage == "phi":
         if args.S is None:
             raise MachineError("lift --stage phi needs --S (the filler count)")
-        cert = lift_run_phi(_buchi(args.input), args.S, run,
-                            prefix_len=args.prefix_len)
+        w = build_phi_wrapper(_buchi(args.input), args.S)
+        cert = lift_run_phi(w, run, prefix_len=args.prefix_len)
     else:  # pipeline
         out = compose_pipeline(_buchi(args.input),
                                primes=_primes(args.primes) if args.primes else None,

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 
 from ..errors import BuildScaleError, FreshLetterError
-from ..machines import (BuchiAutomaton, Configuration, CounterMachine,
-                        MachineError, Run, RunStep, Transition,
+from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
+                        MachineError, Run, Transition, Walker,
                         lambda_burst_bound, validate_run)
 from .certificates import BlockSpan, RunCertificate
 
@@ -25,7 +25,9 @@ def _wrap(q: str, f: int, p: int) -> str:
 
 
 def build_phi_wrapper(b: BuchiAutomaton, filler_count: int,
-                      filler: str = "F") -> BuchiAutomaton:
+                      filler: str = "F") -> Built:
+    """Wrapper of b; its table maps each state to (b's state, filler
+    position, pulse bit)."""
     m = b.machine
     if filler in m.alphabet:
         raise FreshLetterError(f"filler letter {filler!r} is already in the alphabet")
@@ -45,12 +47,15 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int,
     guard_combos = list(itertools.product((0, 1), repeat=m.k))
     zeros = (0,) * m.k
     trans: list[Transition] = []
-    states: list[str] = []
+    table: dict[str, tuple[str, int, int]] = {}
+    accepting: list[str] = []
     for q in sorted(m.states):
         for f in range(filler_count + 1):
             for p in (0, 1):
                 here = _wrap(q, f, p)
-                states.append(here)
+                table[here] = (q, f, p)
+                if p:
+                    accepting.append(here)
                 if f < filler_count:
                     for t in lam:
                         if t.source != q:
@@ -71,23 +76,24 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int,
                             here, t.input, t.guard,
                             _wrap(t.destination, 0, pulse), t.delta))
     machine = CounterMachine(k=m.k, alphabet=m.alphabet | {filler},
-                             states=frozenset(states),
+                             states=frozenset(table),
                              initial=_wrap(m.initial, 0, 0),
                              transitions=tuple(trans))
-    accepting = frozenset(s for s in states if s.rsplit("&", 1)[1] == "1")
-    return BuchiAutomaton(machine, accepting)
+    return Built(machine, frozenset(accepting), source=b,
+                 params={"filler_count": filler_count, "filler": filler},
+                 table=table)
 
 
-def lift_run_phi(b: BuchiAutomaton, filler_count: int, run: Run,
-                 prefix_len: int | None = None,
-                 filler: str = "F",
+def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
                  blocks: tuple[BlockSpan, ...] | None = None) -> RunCertificate:
-    """Lift a run of the wrapped machine to the wrapper: lambda steps are
-    consumed as filler as they occur, the window is topped up with idles,
-    then the letter is read.  Blocks span one filler window plus its letter;
+    """Lift a run of the machine w wraps to w: lambda steps are consumed as
+    filler as they occur, the window is topped up with idles, then the
+    letter is read.  Blocks span one filler window plus its letter;
     passing `blocks` (spans over the source run's steps) translates those
     spans to wrapper step indices instead.
     """
+    b, table = w.source, w.table
+    filler_count, filler = w.params["filler_count"], w.params["filler"]
     m = b.machine
     word = [s.consumed for s in run.steps if s.consumed is not None]
     bad = validate_run(m, word, run)
@@ -96,71 +102,50 @@ def lift_run_phi(b: BuchiAutomaton, filler_count: int, run: Run,
     if run.start.state != m.initial or any(run.start.counters):
         raise MachineError("lift needs a run from the initial configuration")
 
-    wrapper = build_phi_wrapper(b, filler_count, filler)
-    index_of = {}
-    for i, t in enumerate(wrapper.machine.transitions):
-        index_of.setdefault(t, i)
     zeros = (0,) * m.k
+    walker = Walker(w.machine, Configuration(w.machine.initial, run.start.counters))
+    q, f = m.initial, 0
 
-    steps: list[RunStep] = []
+    def to(token: str, delta: tuple[int, ...], dest: tuple[str, int, int]) -> None:
+        nonlocal q, f
+        walker.to(token, lambda u: u.delta == delta and table[u.destination] == dest)
+        q, f = dest[0], dest[1]
+
     spans: list[BlockSpan] = []
-    cur_q, cur_f, cur_p = m.initial, 0, 0
-    counters = run.start.counters
     block_start = 0
-    block_index = 1
-
-    def emit(token, guard, dest_q, dest_f, dest_p, delta):
-        nonlocal cur_q, cur_f, cur_p, counters
-        want = Transition(_wrap(cur_q, cur_f, cur_p), token, guard,
-                          _wrap(dest_q, dest_f, dest_p), delta)
-        idx = index_of.get(want)
-        if idx is None:
-            raise MachineError(f"wrapper is missing {want}")
-        counters = tuple(c + d for c, d in zip(counters, delta))
-        cur_q, cur_f, cur_p = dest_q, dest_f, dest_p
-        steps.append(RunStep(token, idx, Configuration(_wrap(cur_q, cur_f, cur_p), counters)))
-
-    def idle_to_window_end():
-        while cur_f < filler_count:
-            g = tuple(1 if c > 0 else 0 for c in counters)
-            emit(filler, g, cur_q, cur_f + 1, 0, zeros)
-
     # marks[j] = wrapper step count before source step j was processed
     marks: list[int] = []
     for st in run.steps:
-        marks.append(len(steps))
+        marks.append(len(walker.steps))
         t = m.transitions[st.transition_index]
         pulse = 1 if t.destination in b.accepting else 0
         if st.consumed is None:
-            if cur_f >= filler_count:
+            if f >= filler_count:
                 raise MachineError("lambda burst exceeds the filler window")
-            emit(filler, t.guard, t.destination, cur_f + 1, pulse, t.delta)
+            to(filler, t.delta, (t.destination, f + 1, pulse))
         else:
-            idle_to_window_end()
-            emit(st.consumed, t.guard, t.destination, 0, pulse, t.delta)
-            spans.append(BlockSpan(block_index, block_start, len(steps)))
-            block_index += 1
-            block_start = len(steps)
-    marks.append(len(steps))
+            while f < filler_count:
+                to(filler, zeros, (q, f + 1, 0))
+            to(st.consumed, t.delta, (t.destination, 0, pulse))
+            spans.append(BlockSpan(len(spans) + 1, block_start, len(walker.steps)))
+            block_start = len(walker.steps)
+    marks.append(len(walker.steps))
 
-    needed = len(steps)
+    needed = len(walker.steps)
     if prefix_len is not None and prefix_len != needed:
         if prefix_len < needed:
             raise MachineError(
                 f"prefix too short to host the lift: need {needed} letters")
         extra = prefix_len - needed
-        room = filler_count - cur_f
+        room = filler_count - f
         if extra > room:
             raise MachineError(
-                f"run pins {block_index - 1} blocks; prefix of {prefix_len} "
+                f"run pins {len(spans)} blocks; prefix of {prefix_len} "
                 f"letters passes the next letter point at {needed + room}")
         for _ in range(extra):
-            g = tuple(1 if c > 0 else 0 for c in counters)
-            emit(filler, g, cur_q, cur_f + 1, 0, zeros)
+            to(filler, zeros, (q, f + 1, 0))
 
     if blocks is not None:
         spans = [BlockSpan(bs.index, marks[bs.start], marks[bs.end])
                  for bs in blocks]
-    wrapped = Run(Configuration(_wrap(m.initial, 0, 0), run.start.counters),
-                  tuple(steps))
-    return RunCertificate(wrapped, "phi", tuple(spans))
+    return RunCertificate(walker.run(), "phi", tuple(spans))

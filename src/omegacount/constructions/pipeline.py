@@ -6,9 +6,12 @@ stage 2 takes the union of its block-coded 1-counter form with the coding
 defect acceptor, stage 3 hides the remaining lambda bursts behind a filler
 cadence.  With the default eight primes the block lengths make stage 2's
 control astronomically large, so that call fails with the honest size
-estimate; desk-scale work passes primes=(2, 3) and skip_realtime8=True to
-run stages 2-3 on a 2-counter input directly, which exercises the same
-code paths at tractable block sizes.
+estimate, before stage 1 runs; desk-scale work passes primes=(2, 3) and
+skip_realtime8=True to run stages 2-3 on a 2-counter input directly, which
+exercises the same code paths at tractable block sizes.
+
+Each stage's automaton is the record its builder returned, linked to what
+it was built from, so the lift walks the chain back through those links.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ArityError, BuildScaleError, FreshLetterError
-from ..machines import (BuchiAutomaton, Configuration, MachineError, Run,
-                        RunStep, lift_run_union, union)
+from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
+                        Run, RunStep, lift_run_union, union)
 from ..words import FIRST_EIGHT_PRIMES, HCoding, PhiCoding, ThetaCoding
 from .certificates import RunCertificate
 from .complement import build_h_complement
 from .phi import build_phi_wrapper, lift_run_phi
 from .realtime8 import build_realtime8, lift_run_theta
-from .script_l import build_script_L, lift_run_script_L
+from .script_l import (_refuse_primes_over_cap, build_script_L,
+                       lift_run_script_L)
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,7 +40,7 @@ class PipelineOutput:
     with the untouched input.
     """
 
-    automaton: BuchiAutomaton
+    automaton: Built
     word_transform: tuple
     provenance: tuple
 
@@ -74,6 +78,9 @@ def compose_pipeline(a: BuchiAutomaton,
     clash = sorted(set(reserved) & a.machine.alphabet)
     if clash:
         raise FreshLetterError(f"input alphabet already uses {clash}")
+
+    # stage 2's size floor depends on the primes alone: refuse before stage 1
+    _staged("script-l", lambda: _refuse_primes_over_cap(primes))
 
     provenance: list[tuple] = [("input", {}, a)]
     transform: list = []
@@ -128,28 +135,15 @@ def lift_run_pipeline(out: PipelineOutput, run: Run,
     """Compose the stage lifts: the input run becomes a validated run of
     the final one-counter wrapper, block-annotated by the coded blocks of
     the middle stage.  prefix_len counts letters of the outermost coding."""
-    a = out.stage("input")[2]
-    primes = out.stage("script-l")[1]["primes"]
-    b_main = out.stage("script-l")[2]
-    b_defect = out.stage("h-complement")[2]
-    filler_count = out.stage("phi-wrapper")[1]["filler_count"]
+    a = out.provenance[0][2]
+    b_main, b_defect = out.automaton.source.source
+    if b_main.source is not a:  # stage 1 compiled a to a realtime8 record
+        run = lift_run_theta(b_main.source, run).run
 
-    src = run
-    try:
-        r8 = out.stage("realtime8")
-    except KeyError:
-        r8 = None
-    coded_from = a
-    if r8 is not None:
-        cert0 = lift_run_theta(a, run, s_override=r8[1]["S"])
-        src = cert0.run
-        coded_from = r8[2]
-
-    cert1 = lift_run_script_L(coded_from, primes, src)
+    cert1 = lift_run_script_L(b_main, run)
     u_run = _from_union_initial(b_main, b_defect,
                                 lift_run_union(b_main, b_defect, cert1.run, "left"),
                                 "left")
-    b_union = out.stage("union")[2]
-    cert2 = lift_run_phi(b_union, filler_count, u_run,
-                         prefix_len=prefix_len, blocks=cert1.blocks)
+    cert2 = lift_run_phi(out.automaton, u_run, prefix_len=prefix_len,
+                         blocks=cert1.blocks)
     return RunCertificate(run=cert2.run, stage="pipeline", blocks=cert2.blocks)

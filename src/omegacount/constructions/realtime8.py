@@ -19,8 +19,8 @@ front letter arms the flag, passing an accepting control state fires it.
 from __future__ import annotations
 
 from ..errors import ArityError, BuildScaleError, MachineError
-from ..machines import (BuchiAutomaton, Configuration, CounterMachine, Run,
-                        RunStep, Transition, validate_run)
+from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
+                        Run, Transition, Walker, validate_run)
 from .certificates import BlockSpan, RunCertificate
 from .theta import build_theta_acceptor
 
@@ -195,7 +195,7 @@ def _after(status: str, g: int, d: int) -> str:
     return "?" if d < 0 else "P"
 
 
-def _build(a: BuchiAutomaton, s_eff: int, pad: str):
+def _build(a: BuchiAutomaton, s_eff: int, pad: str) -> Built:
     m_a = a.machine
     sigma = sorted(m_a.alphabet)
     k = len(sigma) + 2
@@ -269,52 +269,41 @@ def _build(a: BuchiAutomaton, s_eff: int, pad: str):
                                 sname, letter, te.guard + g4 + at.guard,
                                 intern(dst), te.delta + _ZERO4 + at.delta))
 
+    table = {n: t for t, n in names.items()}
+    del names, order  # only the name -> tuple direction outlives the build
     machine = CounterMachine(8, frozenset(sigma) | {pad},
-                             frozenset(names.values()), "r0", tuple(trans))
-    accepting = frozenset(n for t, n in names.items()
+                             frozenset(table), "r0", tuple(trans))
+    accepting = frozenset(n for n, t in table.items()
                           if t[5] == 2 and t[2] in a.accepting)
-    info = {"names": names,
-            "tuples": {n: t for t, n in names.items()},
-            "codes": codes, "k": k, "theta": theta}
-    return BuchiAutomaton(machine=machine, accepting=accepting), info
+    return Built(machine, accepting, source=a,
+                 params={"S": s_eff, "pad": pad}, table=table)
 
 
-def _realtime8_with_info(a: BuchiAutomaton, s_override: int | None, pad: str):
+def build_realtime8(a: BuchiAutomaton, S_override: int | None = None,
+                    pad: str = "E") -> tuple[int, Built]:
+    """Compile a 2-counter machine into an 8-counter real-time acceptor of
+    its pad-coded language.  Returns (S, acceptor) with S the pad growth
+    factor actually built in.  S_override shrinks S for desk-scale work;
+    it must still clear the queue schedule bound 8k^2.  The acceptor's
+    table maps each state to its (theta state, queue node, simulated
+    state, counter 6 status, counter 7 status, flag) tuple."""
     if a.machine.k != 2:
         raise ArityError(f"simulated machine must have 2 counters, has {a.machine.k}")
     if not a.machine.alphabet:
         raise MachineError("the simulated machine needs at least one letter")
     k = len(a.machine.alphabet) + 2
     s_eff = realtime8_pad_factor(len(a.machine.alphabet)) \
-        if s_override is None else s_override
+        if S_override is None else S_override
     if s_eff < 8 * k * k:
         raise MachineError(
             f"pad factor {s_eff} cannot host the queue schedule; need >= {8 * k * k}")
-    b, info = _build(a, s_eff, pad)
-    return s_eff, b, info
+    return s_eff, _build(a, s_eff, pad)
 
 
-def build_realtime8(a: BuchiAutomaton, S_override: int | None = None,
-                    pad: str = "E") -> tuple[int, BuchiAutomaton]:
-    """Compile a 2-counter machine into an 8-counter real-time acceptor of
-    its pad-coded language.  Returns (S, acceptor) with S the pad growth
-    factor actually built in.  S_override shrinks S for desk-scale work;
-    it must still clear the queue schedule bound 8k^2."""
-    s_eff, b, _ = _realtime8_with_info(a, S_override, pad)
-    return s_eff, b
-
-
-def _matching(m8: CounterMachine, state: str, letter: str,
-              counters: list[int]) -> list[tuple[int, Transition]]:
-    return [(i, t) for i, t in m8.outgoing(state, letter)
-            if all((g == 1) == (c > 0) for g, c in zip(t.guard, counters))]
-
-
-def lift_run_theta(a: BuchiAutomaton, run: Run, prefix_len: int | None = None,
-                   s_override: int | None = None, pad: str = "E",
+def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
                    letters=None) -> RunCertificate:
-    """Lift a finite run of the 2-counter machine to a validated run of its
-    8-counter compilation over the pad-coded prefix.
+    """Lift a finite run of the 2-counter machine b8 was built from to a
+    validated run of b8 over the pad-coded prefix.
 
     Block i carries the i-th coded input letter; the simulated steps
     consume those letters with the queue's delay.  Letters for blocks past
@@ -322,6 +311,8 @@ def lift_run_theta(a: BuchiAutomaton, run: Run, prefix_len: int | None = None,
     letter of a 1-letter alphabet).  prefix_len may extend the walk past
     the pinned blocks up to the next simulated choice point.
     """
+    a, table = b8.source, b8.table
+    s_eff, pad = b8.params["S"], b8.params["pad"]
     m_a = a.machine
     word = [s.consumed for s in run.steps if s.consumed is not None]
     bad = validate_run(m_a, word, run)
@@ -330,9 +321,6 @@ def lift_run_theta(a: BuchiAutomaton, run: Run, prefix_len: int | None = None,
     if run.start.state != m_a.initial or any(run.start.counters):
         raise MachineError("lift needs a run from the initial configuration")
 
-    s_eff, b8, info = _realtime8_with_info(a, s_override, pad)
-    m8 = b8.machine
-    tuples = info["tuples"]
     sigma = sorted(m_a.alphabet)
     extra = list(letters) if letters is not None else []
     for x in extra:
@@ -350,51 +338,40 @@ def lift_run_theta(a: BuchiAutomaton, run: Run, prefix_len: int | None = None,
         raise MachineError(
             f"block {i} needs a letter beyond the run's word; pass letters=...")
 
-    counters = [0] * 8
-    cur = m8.initial
-    steps: list[RunStep] = []
+    def simulating(at: Transition):
+        """Accepts every step but a simulated one that does not take `at`.
+        The simulated step is the only move out of the front transfer
+        (node FTR) into another node."""
+        kind = "IDLE" if at.input is None else "RPOP"
 
-    def feed(letter: str, a_step: Transition | None) -> None:
-        nonlocal cur
-        cands = _matching(m8, cur, letter, counters)
-        if len(cands) > 1 and a_step is not None:
-            want_kind = "IDLE" if a_step.input is None else "RPOP"
-            cands = [(i, t) for i, t in cands
-                     if t.guard[6:8] == a_step.guard
-                     and t.delta[6:8] == a_step.delta
-                     and tuples[t.destination][1][0] == want_kind
-                     and tuples[t.destination][2] == a_step.destination]
-        if len(cands) > 1 and a_step is None:
-            raise MachineError(
-                f"prefix passes the next simulated choice point at {len(steps)} letters")
-        if not cands:
-            raise MachineError(f"coded walk stuck at letter {len(steps)} on {letter!r}")
-        idx, t = cands[0]
-        for j, d in enumerate(t.delta):
-            counters[j] += d
-        cur = t.destination
-        steps.append(RunStep(letter, idx, Configuration(cur, tuple(counters))))
+        def want(t: Transition) -> bool:
+            src, dst = table[t.source], table[t.destination]
+            if src[1][0] != "FTR" or dst[1][0] == "FTR":
+                return True
+            return (t.guard[6:] == at.guard and t.delta[6:] == at.delta
+                    and dst[1][0] == kind and dst[2] == at.destination)
+        return want
 
+    walker = Walker(b8.machine, Configuration(b8.machine.initial, (0,) * 8))
     spans = []
     blocks = len(run.steps)
     for i in range(1, blocks + 1):
-        start = len(steps)
-        a_step = m_a.transitions[run.steps[i - 1].transition_index]
-        feed(block_letter(i), a_step)
+        start = len(walker.steps)
+        want = simulating(m_a.transitions[run.steps[i - 1].transition_index])
+        walker.to(block_letter(i), want)
         for _ in range(s_eff ** i):
-            feed(pad, a_step)
-        spans.append(BlockSpan(i, start, len(steps)))
+            walker.to(pad, want)
+        spans.append(BlockSpan(i, start, len(walker.steps)))
 
-    needed = len(steps)
+    needed = len(walker.steps)
     if prefix_len is not None:
         if prefix_len < needed:
             raise MachineError(
                 f"prefix too short to host the lift: need {needed} letters")
         if prefix_len > needed:
-            ext = prefix_len - needed
-            feed(block_letter(blocks + 1), None)
-            for _ in range(ext - 1):
-                feed(pad, None)
+            # past the pinned blocks only an unambiguous walk is a lift
+            walker.to(block_letter(blocks + 1))
+            for _ in range(prefix_len - needed - 1):
+                walker.to(pad)
 
-    lifted = Run(Configuration(m8.initial, (0,) * 8), tuple(steps))
-    return RunCertificate(run=lifted, stage="theta", blocks=tuple(spans))
+    return RunCertificate(run=walker.run(), stage="theta", blocks=tuple(spans))

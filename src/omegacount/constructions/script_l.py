@@ -23,46 +23,25 @@ import itertools
 import math
 
 from ..errors import ArityError, BuildScaleError, FreshLetterError
-from ..machines import (BuchiAutomaton, Configuration, CounterMachine,
-                        MachineError, Run, RunStep, Transition,
-                        intersect_det_buchi, is_real_time,
-                        lift_run_intersection, validate_run)
+from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
+                        MachineError, Run, RunStep, Transition, Walker,
+                        intersect_det_buchi, is_real_time, validate_run)
 from ..words import HCoding
 from .certificates import BlockSpan, RunCertificate
 
 STATE_CAP = 250_000
+# states of build_script_l_guard, whatever the alphabet
+_GUARD_STATES = 5
 
 
 def _dots(values) -> str:
     return ".".join(str(v) for v in values)
 
 
-def _v_state(q: str, res: tuple[int, ...]) -> str:
-    return f"v&{q}&{_dots(res)}"
-
-
-def _x_state(q: str, delta: tuple[int, ...]) -> str:
-    return f"x&{q}&{_dots(delta)}"
-
-
-def _w_state(q: str, ratio: tuple[int, int], g: int) -> str:
-    return f"w&{q}&{ratio[0]}.{ratio[1]}&{g}"
-
-
-def _wl_state(q: str, ratio: tuple[int, int], l: int) -> str:
-    return f"wl&{q}&{ratio[0]}.{ratio[1]}&{l}"
-
-
-def _z_state(q: str) -> str:
-    return f"z&{q}"
-
-
-def _a_state(q: str) -> str:
-    return f"a&{q}"
-
-
-def _u1_state(c: int) -> str:
-    return f"u1&{c}"
+def _name(state: tuple) -> str:
+    """File name of a raw state such as ("v", q, res): its fields joined by
+    "&", vector fields by "."."""
+    return "&".join(_dots(x) if isinstance(x, tuple) else str(x) for x in state)
 
 
 def _ratio(primes: tuple[int, ...], delta: tuple[int, ...]) -> tuple[int, int]:
@@ -107,6 +86,7 @@ def build_script_l_guard(sigma: frozenset[str] | set[str],
 
 
 def _estimate_states(a: BuchiAutomaton, primes: tuple[int, ...]) -> int:
+    """Upper bound on the states of the built product."""
     q = math.prod(primes)
     n_states = len(a.machine.states)
     # u1 chain + v residue grid + guess/z/a states + ratio programs
@@ -114,40 +94,50 @@ def _estimate_states(a: BuchiAutomaton, primes: tuple[int, ...]) -> int:
     for t in a.machine.transitions:
         mul, div = _ratio(primes, t.delta)
         est += 1 + mul + div
-    return est
+    # the product pairs each raw state with every guard state at two flags
+    return est * _GUARD_STATES * 2
+
+
+def _refuse_primes_over_cap(primes: tuple[int, ...]) -> None:
+    """Refuse primes whose block coding passes the cap for any source
+    machine: init, the u1 chain, one v residue row and one z/a pair are
+    built whatever the source, so (2Q + 3) raw states bound it from below."""
+    least = (2 * math.prod(primes) + 3) * _GUARD_STATES * 2
+    if least > STATE_CAP:
+        raise BuildScaleError(
+            "construction would exceed the state cap", least, STATE_CAP)
 
 
 def _build_raw(a: BuchiAutomaton, primes: tuple[int, ...],
-               coding: HCoding) -> BuchiAutomaton:
+               coding: HCoding) -> Built:
     m = a.machine
     big_q = coding.q
     mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     ones = tuple(1 % p for p in primes)
     trans: list[Transition] = []
-    states: set[str] = {"init"}
+    table: dict[str, tuple] = {}
 
     def emit(src, inp, g, dst, d):
-        states.add(src)
-        states.add(dst)
-        trans.append(Transition(src, inp, (g,), dst, (d,)))
+        src_name, dst_name = _name(src), _name(dst)
+        table[src_name], table[dst_name] = src, dst
+        trans.append(Transition(src_name, inp, (g,), dst_name, (d,)))
 
-    emit("init", mark_a, 0, _u1_state(0), 0)
+    emit(("init",), mark_a, 0, ("u1", 0), 0)
     for c in range(big_q - 1):
-        emit(_u1_state(c), zero, 0, _u1_state(c + 1), 0)
-    emit(_u1_state(big_q - 1), zero, 0, _v_state(m.initial, ones), 1)
+        emit(("u1", c), zero, 0, ("u1", c + 1), 0)
+    emit(("u1", big_q - 1), zero, 0, ("v", m.initial, ones), 1)
 
     combos = list(itertools.product(*(range(p) for p in primes)))
     for q in sorted(m.states):
         for res in combos:
-            here = _v_state(q, res)
             nxt = tuple((r + 1) % p for r, p in zip(res, primes))
-            emit(here, zero, 1, _v_state(q, nxt), 1)
+            emit(("v", q, res), zero, 1, ("v", q, nxt), 1)
         # guesses: any source transition whose guard matches the residues
         for res in combos:
-            here = _v_state(q, res)
             for t in m.transitions:
                 if t.source == q and _consistent(t.guard, res):
-                    emit(here, t.input, 1, _x_state(t.destination, t.delta), 0)
+                    emit(("v", q, res), t.input, 1,
+                         ("x", t.destination, t.delta), 0)
 
     seen: set[tuple[str, tuple[int, ...]]] = set()
     for t in m.transitions:
@@ -155,42 +145,43 @@ def _build_raw(a: BuchiAutomaton, primes: tuple[int, ...],
         if key in seen:
             continue
         seen.add(key)
+        q = t.destination
         ratio = _ratio(primes, t.delta)
         mul, div = ratio
-        xq = _x_state(*key)
-        emit(xq, mark_b, 1, _w_state(t.destination, ratio, 0), 0)
-        boundary = _w_state(t.destination, ratio, 0)
-        after_first = _wl_state(t.destination, ratio, 1) if div >= 2 \
-            else _w_state(t.destination, ratio, 1 % mul)
+        boundary = ("w", q, ratio, 0)
+        emit(("x", *key), mark_b, 1, boundary, 0)
+        after_first = ("wl", q, ratio, 1) if div >= 2 \
+            else ("w", q, ratio, 1 % mul)
         emit(boundary, zero, 1, after_first, -1)
         for l in range(1, div):
-            dst = _wl_state(t.destination, ratio, l + 1) if l + 1 < div \
-                else _w_state(t.destination, ratio, 1 % mul)
-            emit(_wl_state(t.destination, ratio, l), None, 1, dst, -1)
+            dst = ("wl", q, ratio, l + 1) if l + 1 < div \
+                else ("w", q, ratio, 1 % mul)
+            emit(("wl", q, ratio, l), None, 1, dst, -1)
         for g in range(1, mul):
             for gv in (0, 1):
-                emit(_w_state(t.destination, ratio, g), zero, gv,
-                     _w_state(t.destination, ratio, (g + 1) % mul), 0)
-        emit(boundary, zero, 0, _z_state(t.destination), 1)
-        emit(boundary, mark_a, 0, _a_state(t.destination), 0)
+                emit(("w", q, ratio, g), zero, gv,
+                     ("w", q, ratio, (g + 1) % mul), 0)
+        emit(boundary, zero, 0, ("z", q), 1)
+        emit(boundary, mark_a, 0, ("a", q), 0)
 
     for q in sorted(m.states):
-        emit(_z_state(q), zero, 1, _z_state(q), 1)
-        emit(_z_state(q), mark_a, 1, _a_state(q), 0)
-        emit(_a_state(q), zero, 1, _a_state(q), -1)
-        emit(_a_state(q), zero, 0, _v_state(q, ones), 1)
+        emit(("z", q), zero, 1, ("z", q), 1)
+        emit(("z", q), mark_a, 1, ("a", q), 0)
+        emit(("a", q), zero, 1, ("a", q), -1)
+        emit(("a", q), zero, 0, ("v", q, ones), 1)
 
-    accepting = frozenset(_x_state(t.destination, t.delta)
+    accepting = frozenset(_name(("x", t.destination, t.delta))
                           for t in m.transitions
                           if t.destination in a.accepting)
     full = m.alphabet | {mark_a, mark_b, zero}
-    machine = CounterMachine(k=1, alphabet=full, states=frozenset(states),
+    machine = CounterMachine(k=1, alphabet=full, states=frozenset(table),
                              initial="init", transitions=tuple(trans))
-    return BuchiAutomaton(machine, accepting)
+    return Built(machine, accepting, table=table)
 
 
-def _parts(a: BuchiAutomaton, primes: tuple[int, ...]
-           ) -> tuple[BuchiAutomaton, BuchiAutomaton, BuchiAutomaton]:
+def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
+    """One-counter acceptor of the block-coded run language of `a`.  Its
+    table maps each state to (raw state tuple, guard state, flag)."""
     primes = tuple(primes)
     coding = HCoding(primes=primes)
     m = a.machine
@@ -206,12 +197,10 @@ def _parts(a: BuchiAutomaton, primes: tuple[int, ...]
     raw = _build_raw(a, primes, coding)
     guard = build_script_l_guard(m.alphabet, coding.marker_a,
                                  coding.marker_b, coding.zero)
-    return raw, guard, intersect_det_buchi(raw, guard)
-
-
-def build_script_L(a: BuchiAutomaton,
-                   primes: tuple[int, ...]) -> BuchiAutomaton:
-    return _parts(a, primes)[2]
+    prod = intersect_det_buchi(raw, guard)
+    table = {n: (raw.table[q], s, flag) for n, (q, s, flag) in prod.table.items()}
+    return Built(prod.machine, prod.accepting, source=a,
+                 params={"primes": primes}, table=table)
 
 
 def covered_prefix_length(primes: tuple[int, ...], blocks: int) -> int:
@@ -221,27 +210,6 @@ def covered_prefix_length(primes: tuple[int, ...], blocks: int) -> int:
     for i in range(1, blocks + 1):
         total += 3 + big_q ** i + big_q ** (i + 1)
     return total
-
-
-class _RawWalker:
-    """Replays the deterministic block schedule on the raw machine."""
-
-    def __init__(self, machine: CounterMachine, start: Configuration):
-        self.machine = machine
-        self.cfg = start
-        self.steps: list[RunStep] = []
-
-    def to(self, token: str | None, dest: str) -> None:
-        cands = [(i, t) for i, t in self.machine.outgoing(self.cfg.state, token)
-                 if t.destination == dest and t.matches(self.cfg.counters)]
-        if len(cands) != 1:
-            raise MachineError(
-                f"schedule broke at {self.cfg.state!r} on {token!r} "
-                f"toward {dest!r}: {len(cands)} candidates")
-        i, t = cands[0]
-        counters = tuple(c + d for c, d in zip(self.cfg.counters, t.delta))
-        self.cfg = Configuration(dest, counters)
-        self.steps.append(RunStep(token, i, self.cfg))
 
 
 def _block_table(a: BuchiAutomaton, primes: tuple[int, ...],
@@ -267,12 +235,11 @@ def _block_table(a: BuchiAutomaton, primes: tuple[int, ...],
     return table
 
 
-def lift_run_script_L(a: BuchiAutomaton, primes: tuple[int, ...], run: Run,
+def lift_run_script_L(bl: Built, run: Run,
                       prefix_len: int | None = None) -> RunCertificate:
-    """Lift a source run (from its initial configuration) to the built
-    acceptor, covering one coded block per source step."""
-    primes = tuple(primes)
-    raw, guard, prod = _parts(a, primes)
+    """Lift a run of the machine bl was built from (from its initial
+    configuration) to bl, covering one coded block per source step."""
+    a, primes, table = bl.source, bl.params["primes"], bl.table
     m = a.machine
     word = [s.consumed for s in run.steps]
     bad = validate_run(m, word, run)
@@ -285,52 +252,54 @@ def lift_run_script_L(a: BuchiAutomaton, primes: tuple[int, ...], run: Run,
     blocks = _block_table(a, primes, run)
     needed = covered_prefix_length(primes, len(blocks))
     ones = tuple(1 % p for p in primes)
-    walker = _RawWalker(raw.machine, Configuration("init", (0,)))
-    spans: list[BlockSpan] = []
     coding = HCoding(primes=primes)
     zero, mark_a, mark_b = coding.zero, coding.marker_a, coding.marker_b
+    # the guard component is deterministic, so naming the raw destination
+    # singles out the product transition
+    walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)))
 
+    def to(token: str | None, state: tuple) -> None:
+        walker.to(token, lambda t: table[t.destination][0] == state)
+
+    spans: list[BlockSpan] = []
     state_q = m.initial
     for i, blk in enumerate(blocks, start=1):
         start_idx = len(walker.steps)
         if i == 1:
-            walker.to(mark_a, _u1_state(0))
+            to(mark_a, ("u1", 0))
             for c in range(big_q - 1):
-                walker.to(zero, _u1_state(c + 1))
-            walker.to(zero, _v_state(state_q, ones))
+                to(zero, ("u1", c + 1))
         else:
-            walker.to(mark_a, _a_state(state_q))
+            to(mark_a, ("a", state_q))
             for _ in range(blk["u"]):
-                walker.to(zero, _a_state(state_q))
-            walker.to(zero, _v_state(state_q, ones))
+                to(zero, ("a", state_q))
+        to(zero, ("v", state_q, ones))
         res = ones
         for _ in range(blk["v"] - 1):
             res = tuple((r + 1) % p for r, p in zip(res, primes))
-            walker.to(zero, _v_state(state_q, res))
+            to(zero, ("v", state_q, res))
         t = blk["t"]
-        ratio = (blk["mul"], blk["div"])
-        walker.to(blk["letter"], _x_state(t.destination, t.delta))
+        mul, div = blk["mul"], blk["div"]
+        ratio = (mul, div)
+        to(blk["letter"], ("x", t.destination, t.delta))
         state_q = t.destination
-        walker.to(mark_b, _w_state(state_q, ratio, 0))
-        mul, div = ratio
+        to(mark_b, ("w", state_q, ratio, 0))
         for n in range(blk["w"]):
             g = n % mul
             if g == 0:
-                nxt = _wl_state(state_q, ratio, 1) if div >= 2 \
-                    else _w_state(state_q, ratio, 1 % mul)
-                walker.to(zero, nxt)
+                nxt = ("wl", state_q, ratio, 1) if div >= 2 \
+                    else ("w", state_q, ratio, 1 % mul)
+                to(zero, nxt)
                 for l in range(1, div):
-                    dst = _wl_state(state_q, ratio, l + 1) if l + 1 < div \
-                        else _w_state(state_q, ratio, 1 % mul)
-                    walker.to(None, dst)
+                    dst = ("wl", state_q, ratio, l + 1) if l + 1 < div \
+                        else ("w", state_q, ratio, 1 % mul)
+                    to(None, dst)
             else:
-                walker.to(zero, _w_state(state_q, ratio, (g + 1) % mul))
-        walker.to(zero, _z_state(state_q))
-        for _ in range(blk["z"] - 1):
-            walker.to(zero, _z_state(state_q))
+                to(zero, ("w", state_q, ratio, (g + 1) % mul))
+        for _ in range(blk["z"]):
+            to(zero, ("z", state_q))
         spans.append(BlockSpan(i, start_idx, len(walker.steps)))
 
-    consumed = needed
     if prefix_len is not None and prefix_len != needed:
         if prefix_len < needed:
             raise MachineError(
@@ -343,47 +312,38 @@ def lift_run_script_L(a: BuchiAutomaton, primes: tuple[int, ...], run: Run,
             raise MachineError(
                 f"run pins {len(blocks)} blocks; prefix of {prefix_len} "
                 f"letters passes the next guess point at {needed + room}")
-        walker.to(mark_a, _a_state(state_q))
+        to(mark_a, ("a", state_q))
         extra -= 1
         drained = 0
         while extra > 0 and drained < u_next:
-            walker.to(zero, _a_state(state_q))
+            to(zero, ("a", state_q))
             drained += 1
             extra -= 1
         if extra > 0:
-            walker.to(zero, _v_state(state_q, ones))
+            to(zero, ("v", state_q, ones))
             extra -= 1
             res = ones
             while extra > 0:
                 res = tuple((r + 1) % p for r, p in zip(res, primes))
-                walker.to(zero, _v_state(state_q, res))
+                to(zero, ("v", state_q, res))
                 extra -= 1
-        consumed = prefix_len
 
     if not blocks:
         # deterministic control prefix: opening marker plus Q-1 zeros
-        walker.to(mark_a, _u1_state(0))
+        to(mark_a, ("u1", 0))
         for c in range(big_q - 1):
-            walker.to(zero, _u1_state(c + 1))
+            to(zero, ("u1", c + 1))
 
-    raw_run = Run(Configuration("init", (0,)), tuple(walker.steps))
-    lifted = lift_run_intersection(raw, guard, raw_run)
-    return RunCertificate(lifted, "script-l", tuple(spans))
+    return RunCertificate(walker.run(), "script-l", tuple(spans))
 
 
-def _split_product(name: str) -> str:
-    return name.rsplit("&", 2)[0]
-
-
-def project_run_script_L(a: BuchiAutomaton, primes: tuple[int, ...],
-                         cert: RunCertificate) -> Run:
+def project_run_script_L(bl: Built, cert: RunCertificate) -> Run:
     """Recover the source run from a lifted certificate by reading the guess
-    steps back off the product state names."""
-    primes = tuple(primes)
+    steps back off bl's state table."""
+    a, table = bl.source, bl.table
     m = a.machine
-    raw, guard, prod = _parts(a, primes)
     word = [s.consumed for s in cert.run.steps if s.consumed is not None]
-    bad = validate_run(prod.machine, word, cert.run)
+    bad = validate_run(bl.machine, word, cert.run)
     if bad is not None:
         raise MachineError(f"certificate invalid: {bad}")
 
@@ -392,17 +352,12 @@ def project_run_script_L(a: BuchiAutomaton, primes: tuple[int, ...],
     prev = cert.run.start.state
     for st in cert.run.steps:
         if st.consumed in m.alphabet:
-            src_name = _split_product(prev)
-            dst_name = _split_product(st.result.state)
-            if not (src_name.startswith("v&") and dst_name.startswith("x&")):
+            src, dst = table[prev][0], table[st.result.state][0]
+            if src[0] != "v" or dst[0] != "x":
                 raise MachineError(
                     f"letter {st.consumed!r} consumed outside a guess step")
-            res = tuple(int(r) for r in
-                        src_name[src_name.rfind("&") + 1:].split("."))
-            q = src_name[2:src_name.rfind("&")]
-            delta = tuple(int(d) for d in
-                          dst_name[dst_name.rfind("&") + 1:].split("."))
-            q2 = dst_name[2:dst_name.rfind("&")]
+            _, q, res = src
+            _, q2, delta = dst
             g = tuple(1 if r == 0 else 0 for r in res)
             want = Transition(q, st.consumed, g, q2, delta)
             idx = next((i for i, t in enumerate(m.transitions) if t == want),

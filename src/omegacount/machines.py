@@ -10,12 +10,17 @@ consumed token, the index of the transition used, and the resulting
 configuration.  validate_run replays them against the transition relation.
 A run is not required to begin at the machine's initial state; lifts of
 sub-runs into product or union machines rely on that.
+
+Builders whose runs can be lifted return a Built: the automaton itself plus
+what it was built from, the build parameters, and the structured tuple each
+state name stands for.  Lifts walk that record with a Walker and never build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import ArityError, MachineError
 
@@ -137,6 +142,18 @@ class BuchiAutomaton:
             raise MachineError("accepting set must be a subset of states")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Built(BuchiAutomaton):
+    """A builder's output: the automaton, what it was built from (`source`),
+    the parameters the build fixed (`params`), and for each state name the
+    structured tuple it was made from (`table`).  Equality and repr are
+    those of the automaton."""
+
+    source: object = field(default=None, repr=False)
+    params: dict = field(default_factory=dict, repr=False)
+    table: dict = field(default_factory=dict, repr=False)
+
+
 @dataclass(frozen=True, slots=True)
 class MullerAutomaton:
     machine: CounterMachine
@@ -175,6 +192,35 @@ def step(machine: CounterMachine, config: Configuration,
             new = tuple(c + d for c, d in zip(config.counters, t.delta))
             out.append((i, Configuration(t.destination, new)))
     return out
+
+
+class Walker:
+    """Replays a schedule on a machine: each `to` takes the one transition
+    out of the current configuration on `token` whose guard holds and that
+    satisfies `want`, and records the step."""
+
+    def __init__(self, machine: CounterMachine, start: Configuration):
+        self.machine = machine
+        self.start = start
+        self.cfg = start
+        self.steps: list[RunStep] = []
+
+    def to(self, token: str | None, want=None) -> None:
+        counters = self.cfg.counters
+        # a guard matches exactly when it equals the counters' sign pattern
+        signs = tuple(c > 0 for c in counters)
+        cands = [(i, t) for i, t in self.machine.outgoing(self.cfg.state, token)
+                 if t.guard == signs and (want is None or want(t))]
+        if len(cands) != 1:
+            raise MachineError(
+                f"walk broke at {self.cfg.state!r} on {token!r} after "
+                f"{len(self.steps)} steps: {len(cands)} candidate transitions")
+        i, t = cands[0]
+        self.cfg = Configuration(t.destination, tuple(map(add, counters, t.delta)))
+        self.steps.append(RunStep(token, i, self.cfg))
+
+    def run(self) -> Run:
+        return Run(self.start, tuple(self.steps))
 
 
 def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | str,
@@ -311,7 +357,7 @@ def _tag(side: str, state: str) -> str:
 _UNION_INITIAL = "u0"
 
 
-def union(b1: BuchiAutomaton, b2: BuchiAutomaton) -> BuchiAutomaton:
+def union(b1: BuchiAutomaton, b2: BuchiAutomaton) -> Built:
     """Disjoint union behind a fresh (non-accepting) initial state.
 
     Transition layout: b1's transitions tagged L, then b2's tagged R, then
@@ -339,7 +385,7 @@ def union(b1: BuchiAutomaton, b2: BuchiAutomaton) -> BuchiAutomaton:
             trans.append(Transition(_UNION_INITIAL, t.input, t.guard, _tag("R", t.destination), t.delta))
     machine = CounterMachine(m1.k, m1.alphabet, frozenset(states), _UNION_INITIAL, tuple(trans))
     accepting = {_tag("L", s) for s in b1.accepting} | {_tag("R", s) for s in b2.accepting}
-    return BuchiAutomaton(machine, frozenset(accepting))
+    return Built(machine, frozenset(accepting), source=(b1, b2))
 
 
 def lift_run_union(b1: BuchiAutomaton, b2: BuchiAutomaton, run: Run, side: str) -> Run:
@@ -387,7 +433,7 @@ def _det_table(d: BuchiAutomaton) -> dict[tuple[str, str], tuple[int, Transition
     return table
 
 
-def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> BuchiAutomaton:
+def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> Built:
     """Two-flag Buchi product of b with a deterministic complete guard d.
 
     States (q, s, flag).  Flag 1 waits for an accepting b-state, flag 2 for
@@ -400,68 +446,51 @@ def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> BuchiAutomaton:
         raise MachineError("intersection requires equal alphabets")
     dtable = _det_table(d)
 
-    def next_flag(q: str, s: str, flag: int) -> int:
-        if flag == 1:
-            return 2 if q in b.accepting else 1
-        return 1 if s in d.accepting else 2
-
-    states = set()
+    table = {_pair(q, s, flag): (q, s, flag)
+             for q in mb.states for s in md.states for flag in (1, 2)}
     trans: list[Transition] = []
-    for q in mb.states:
-        for s in md.states:
-            for flag in (1, 2):
-                states.add(_pair(q, s, flag))
     # sorted: transition order must not depend on set iteration order,
     # run files reference transitions by index
     for t in mb.transitions:
         for s in sorted(md.states):
             for flag in (1, 2):
-                nf = next_flag(t.source, s, flag)
-                if t.input is None:
-                    dst = _pair(t.destination, s, nf)
-                else:
-                    _, dt = dtable[(s, t.input)]
-                    dst = _pair(t.destination, dt.destination, nf)
-                trans.append(Transition(_pair(t.source, s, flag), t.input, t.guard, dst, t.delta))
-    machine = CounterMachine(mb.k, mb.alphabet, frozenset(states),
+                nf = _next_flag(b, d, t.source, s, flag)
+                s2 = s if t.input is None else dtable[(s, t.input)][1].destination
+                trans.append(Transition(_pair(t.source, s, flag), t.input, t.guard,
+                                        _pair(t.destination, s2, nf), t.delta))
+    machine = CounterMachine(mb.k, mb.alphabet, frozenset(table),
                              _pair(mb.initial, md.initial, 1), tuple(trans))
     accepting = frozenset(_pair(q, s, 2) for q in mb.states for s in d.accepting)
-    return BuchiAutomaton(machine, accepting)
+    return Built(machine, accepting, source=(b, d), table=table)
 
 
-def lift_run_intersection(b: BuchiAutomaton, d: BuchiAutomaton, run: Run) -> Run:
-    """Combine a b-run with the unique d-run on the same word.
+def _next_flag(b: BuchiAutomaton, d: BuchiAutomaton, q: str, s: str, flag: int) -> int:
+    if flag == 1:
+        return 2 if q in b.accepting else 1
+    return 1 if s in d.accepting else 2
 
-    The guard component starts at d's initial state (the word is consumed
-    from its beginning even when the b-run starts off-initial).
+
+def lift_run_intersection(prod: Built, run: Run) -> Run:
+    """Combine a run of prod's left factor with the unique run of its guard
+    on the same word.
+
+    The guard component starts at the guard's initial state (the word is
+    consumed from its beginning even when the run starts off-initial).
     """
-    dtable = _det_table(d)
+    b, d = prod.source
     mb, md = b.machine, d.machine
-    # frozenset iteration order makes positional index math fragile, so
-    # resolve product transition indices by content instead
-    prod = intersect_det_buchi(b, d)
-    by_content: dict[tuple[str, str | None, tuple[int, ...], str, tuple[int, ...]], int] = {}
-    for i, t in enumerate(prod.machine.transitions):
-        by_content.setdefault((t.source, t.input, t.guard, t.destination, t.delta), i)
-
-    s = md.initial
-    flag = 1
-    q = run.start.state
-    start = Configuration(_pair(q, s, flag), run.start.counters)
-    steps = []
+    s, flag = md.initial, 1
+    walker = Walker(prod.machine,
+                    Configuration(_pair(run.start.state, s, flag), run.start.counters))
     for st in run.steps:
         t = mb.transitions[st.transition_index]
-        nf = 2 if flag == 1 and q in b.accepting else (1 if flag == 2 and s in d.accepting else flag)
-        if st.consumed is None:
-            s2 = s
-        else:
-            s2 = dtable[(s, st.consumed)][1].destination
-        src = _pair(q, s, flag)
-        dst = _pair(st.result.state, s2, nf)
-        idx = by_content[(src, st.consumed, t.guard, dst, t.delta)]
-        steps.append(RunStep(st.consumed, idx, Configuration(dst, st.result.counters)))
-        q, s, flag = st.result.state, s2, nf
-    return Run(start, tuple(steps))
+        flag = _next_flag(b, d, t.source, s, flag)
+        if st.consumed is not None:
+            s = md.outgoing(s, st.consumed)[0][1].destination
+        dst = (t.destination, s, flag)
+        walker.to(st.consumed,
+                  lambda u: u.delta == t.delta and prod.table[u.destination] == dst)
+    return walker.run()
 
 
 # Muller to Buchi: guess a table entry, remember the visited subset

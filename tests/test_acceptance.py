@@ -193,7 +193,7 @@ def test_criterion_5_block_coding():
             run = run_of(a, word)
             assert any(st.result.state in a.accepting for st in run.steps)
             needed = covered_prefix_length(PRIMES, len(word))
-            cert = lift_run_script_L(a, PRIMES, run, prefix_len=needed + 1)
+            cert = lift_run_script_L(b, run, prefix_len=needed + 1)
             coded = [st.consumed for st in cert.run.steps
                      if st.consumed is not None]
             assert validate_run(b.machine, coded, cert.run) is None
@@ -209,7 +209,7 @@ def test_criterion_5_block_coding():
                     assert blk.u_len == math.prod(PRIMES) - 1
                 else:
                     assert blk.u_len == dec.blocks[i - 1].z_len
-            assert project_run_script_L(a, PRIMES, cert) == run
+            assert project_run_script_L(b, cert) == run
             certs += 1
     assert certs == 60
     print(f"criterion 5 PASS: {certs} certificates, block equations exact, "
@@ -273,8 +273,8 @@ def test_criterion_7_phi_wrapper():
         assert is_real_time(w.machine)
         for _ in range(7 if name != "m3" else 6):
             word = _accepting_words(name, rng)[:3]
-            cert = lift_run_script_L(a, PRIMES, run_of(a, word))
-            wrapped = lift_run_phi(bl, 5, cert.run, blocks=cert.blocks)
+            cert = lift_run_script_L(bl, run_of(a, word))
+            wrapped = lift_run_phi(w, cert.run, blocks=cert.blocks)
             coded = [st.consumed for st in wrapped.run.steps]
             assert None not in coded
             assert validate_run(w.machine, coded, wrapped.run) is None
@@ -324,7 +324,7 @@ def test_criterion_9_realtime8_constants():
     assert b8.machine.k == 8
     assert is_real_time(b8.machine)
     run = run_of(a, ["a"])
-    cert = lift_run_theta(a, run, prefix_len=732)
+    cert = lift_run_theta(b8, run, prefix_len=732)
     coded = [st.consumed for st in cert.run.steps]
     assert len(coded) == 732
     assert coded == theta_prefix(LassoWord((), ("a",), {"a"}), 729, 732)

@@ -190,7 +190,7 @@ def test_lift_run_intersection_validates_in_product():
     prod = intersect_det_buchi(b, d)
     word = ["a", "b", "a", "b", "a"]
     src = run_of(b, word)
-    lifted = lift_run_intersection(b, d, src)
+    lifted = lift_run_intersection(prod, src)
     assert validate_run(prod.machine, word, lifted) is None
     assert lifted.start.state == "n&n&1"
 

@@ -82,7 +82,7 @@ def test_lift_hides_lambda_steps():
     b = lam2_machine()
     w = build_phi_wrapper(b, 2)
     run = lam2_run(2)
-    cert = lift_run_phi(b, 2, run)
+    cert = lift_run_phi(w, run)
     coded = [s.consumed for s in cert.run.steps]
     assert None not in coded
     assert validate_run(w.machine, coded, cert.run) is None
@@ -96,7 +96,7 @@ def test_lift_real_time_source():
     b = m1_aomega()
     w = build_phi_wrapper(b, 3)
     run = run_of(b, ["a", "a"])
-    cert = lift_run_phi(b, 3, run)
+    cert = lift_run_phi(w, run)
     coded = [s.consumed for s in cert.run.steps]
     assert coded == ["F", "F", "F", "a", "F", "F", "F", "a"]
     assert validate_run(w.machine, coded, cert.run) is None
@@ -107,22 +107,24 @@ def test_lift_real_time_source():
 
 def test_prefix_extension_limits():
     b = m1_aomega()
+    w = build_phi_wrapper(b, 3)
     run = run_of(b, ["a"])
-    cert = lift_run_phi(b, 3, run, prefix_len=6)
+    cert = lift_run_phi(w, run, prefix_len=6)
     assert len(cert.run.steps) == 6
     with pytest.raises(MachineError):
-        lift_run_phi(b, 3, run, prefix_len=3)
+        lift_run_phi(w, run, prefix_len=3)
     # a 4th extra filler would overrun the window before the next letter
     with pytest.raises(MachineError):
-        lift_run_phi(b, 3, run, prefix_len=8)
+        lift_run_phi(w, run, prefix_len=8)
 
 
 def test_lift_rejects_shifted_start():
     b = m1_aomega()
+    w = build_phi_wrapper(b, 3)
     run = run_of(b, ["a"])
     shifted = Run(Configuration("p", (1, 0)), run.steps)
     with pytest.raises(MachineError):
-        lift_run_phi(b, 3, shifted)
+        lift_run_phi(w, shifted)
 
 
 def test_block_translation():
@@ -130,7 +132,7 @@ def test_block_translation():
     run = lam2_run(2)
     from omegacount.constructions import BlockSpan
     spans = (BlockSpan(1, 0, 3), BlockSpan(2, 3, 6))
-    cert = lift_run_phi(b, 2, run, blocks=spans)
+    cert = lift_run_phi(build_phi_wrapper(b, 2), run, blocks=spans)
     # letter + both silent hops of each round land in one wrapper block
     assert [(s.start, s.end) for s in cert.blocks] == [(0, 5), (5, 8)]
     assert cert.block_visits(build_phi_wrapper(b, 2).accepting) == {1: 1, 2: 1}
@@ -143,8 +145,8 @@ def test_wraps_block_acceptor_with_visits_preserved():
     assert lambda_burst_bound(bl.machine) <= 5
     w = build_phi_wrapper(bl, 5)
     assert is_real_time(w.machine)
-    cert = lift_run_script_L(a, primes, run_of(a, ["a", "b", "a", "a"]))
-    wrapped = lift_run_phi(bl, 5, cert.run, blocks=cert.blocks)
+    cert = lift_run_script_L(bl, run_of(a, ["a", "b", "a", "a"]))
+    wrapped = lift_run_phi(w, cert.run, blocks=cert.blocks)
     coded = [s.consumed for s in wrapped.run.steps]
     assert validate_run(w.machine, coded, wrapped.run) is None
     assert wrapped.block_visits(w.accepting) == cert.block_visits(bl.accepting)

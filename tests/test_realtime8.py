@@ -65,7 +65,7 @@ def test_lift_two_blocks():
     a = m1_aomega()
     s, b = build_realtime8(a, S_override=S_SMALL)
     run = run_of(a, ["a", "a"])
-    cert = lift_run_theta(a, run, s_override=S_SMALL)
+    cert = lift_run_theta(b, run)
     coded = [st.consumed for st in cert.run.steps]
     assert validate_run(b.machine, coded, cert.run) is None
     assert coded == theta_prefix(LassoWord((), ("a",), {"a"}), S_SMALL,
@@ -80,12 +80,12 @@ def test_lift_prefix_extension_into_next_block():
     s, b = build_realtime8(a, S_override=S_SMALL)
     run = run_of(a, ["a"])
     needed = 1 + S_SMALL
-    cert = lift_run_theta(a, run, prefix_len=needed + 3, s_override=S_SMALL)
+    cert = lift_run_theta(b, run, prefix_len=needed + 3)
     coded = [st.consumed for st in cert.run.steps]
     assert len(coded) == needed + 3
     assert validate_run(b.machine, coded, cert.run) is None
     with pytest.raises(MachineError):
-        lift_run_theta(a, run, prefix_len=needed - 1, s_override=S_SMALL)
+        lift_run_theta(b, run, prefix_len=needed - 1)
 
 
 def test_lift_two_letter_alphabet():
@@ -94,23 +94,23 @@ def test_lift_two_letter_alphabet():
     s, b = build_realtime8(a, S_override=s_small)
     assert b.machine.k == 8 and is_real_time(b.machine)
     run = run_of(a, ["a"])
-    cert = lift_run_theta(a, run, s_override=s_small)
+    cert = lift_run_theta(b, run)
     coded = [st.consumed for st in cert.run.steps]
     assert validate_run(b.machine, coded, cert.run) is None
     # blocks past the run's word need their letters spelled out
     with pytest.raises(MachineError):
-        lift_run_theta(a, run, prefix_len=len(coded) + 2, s_override=s_small)
-    ext = lift_run_theta(a, run, prefix_len=len(coded) + 2,
-                         s_override=s_small, letters=["a"])
+        lift_run_theta(b, run, prefix_len=len(coded) + 2)
+    ext = lift_run_theta(b, run, prefix_len=len(coded) + 2, letters=["a"])
     coded2 = [st.consumed for st in ext.run.steps]
     assert validate_run(b.machine, coded2, ext.run) is None
 
 
 def test_lift_rejects_bad_sources():
     a = m1_aomega()
+    _, b = build_realtime8(a, S_override=S_SMALL)
     good = run_of(a, ["a"])
     shifted = Run(Configuration("p", (1, 0)), good.steps)
     with pytest.raises(MachineError):
-        lift_run_theta(a, shifted, s_override=S_SMALL)
+        lift_run_theta(b, shifted)
     with pytest.raises(MachineError):
-        lift_run_theta(a, good, s_override=S_SMALL, letters=["z"])
+        lift_run_theta(b, good, letters=["z"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omegacount.constructions.script_l as script_l
 from omegacount.constructions import (build_script_L, build_script_l_guard,
                                       covered_prefix_length,
                                       lift_run_script_L, project_run_script_L)
@@ -19,7 +20,8 @@ from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
 from omegacount.words import LassoWord, h_block_decompose, h_prefix, \
     h_shape_check
 
-from conftest import m1_aomega, m2_two_counters, m2_word, run_of
+from conftest import (m1_aomega, m2_two_counters, m2_word, m3_alternator,
+                      run_of)
 
 PRIMES = (2, 3)
 
@@ -75,7 +77,7 @@ def lift_and_check(a: BuchiAutomaton, word) -> tuple:
     """Lift a greedy run and validate the certificate against the product."""
     b = build_script_L(a, PRIMES)
     run = run_of(a, word)
-    cert = lift_run_script_L(a, PRIMES, run)
+    cert = lift_run_script_L(b, run)
     coded = [s.consumed for s in cert.run.steps if s.consumed is not None]
     assert validate_run(b.machine, coded, cert.run) is None
     assert cert.run.start.state == b.machine.initial
@@ -97,10 +99,11 @@ def test_lift_m1_three_blocks():
 
 def test_lift_word_is_block_shaped():
     a = m1_aomega()
+    b = build_script_L(a, PRIMES)
     run = run_of(a, ["a", "a"])
     needed = covered_prefix_length(PRIMES, 2)
     # one extra letter: the next opening marker, which seals block 2
-    cert = lift_run_script_L(a, PRIMES, run, prefix_len=needed + 1)
+    cert = lift_run_script_L(b, run, prefix_len=needed + 1)
     coded = [s.consumed for s in cert.run.steps if s.consumed is not None]
     assert h_shape_check(coded, {"a"}, PRIMES) is None
     # doubling counter 0 means exponent choice (1, 0) every block
@@ -120,8 +123,9 @@ def test_lift_matches_canonical_coding():
         transitions=(Transition("p", "c", (0, 0), "p", (1, 1)),
                      Transition("p", "c", (1, 1), "p", (1, 1))))
     a = BuchiAutomaton(m, frozenset({"p"}))
+    b = build_script_L(a, PRIMES)
     run = run_of(a, ["c", "c"])
-    cert = lift_run_script_L(a, PRIMES, run)
+    cert = lift_run_script_L(b, run)
     coded = [s.consumed for s in cert.run.steps if s.consumed is not None]
     want = h_prefix(LassoWord((), ("c",), {"c"}), PRIMES, len(coded))
     assert coded == want
@@ -132,9 +136,9 @@ def test_block_equations_m2():
     word = ["a", "a", "b", "b"]
     run = run_of(a, word)
     needed = covered_prefix_length(PRIMES, len(word))
-    cert = lift_run_script_L(a, PRIMES, run, prefix_len=needed + 1)
-    coded = [s.consumed for s in cert.run.steps if s.consumed is not None]
     b = build_script_L(a, PRIMES)
+    cert = lift_run_script_L(b, run, prefix_len=needed + 1)
+    coded = [s.consumed for s in cert.run.steps if s.consumed is not None]
     assert validate_run(b.machine, coded, cert.run) is None
     # per-step ratios: x6, x6, /3, /3
     dec = h_block_decompose(coded, PRIMES,
@@ -154,24 +158,27 @@ def test_block_equations_m2():
 
 def test_project_roundtrip_m1():
     a = m1_aomega()
+    b = build_script_L(a, PRIMES)
     run = run_of(a, ["a", "a", "a"])
-    cert = lift_run_script_L(a, PRIMES, run)
-    assert project_run_script_L(a, PRIMES, cert) == run
+    cert = lift_run_script_L(b, run)
+    assert project_run_script_L(b, cert) == run
 
 
 def test_project_roundtrip_m2():
     a = m2_two_counters()
+    b = build_script_L(a, PRIMES)
     run = run_of(a, ["a", "b", "a", "a"])
-    cert = lift_run_script_L(a, PRIMES, run)
-    assert project_run_script_L(a, PRIMES, cert) == run
+    cert = lift_run_script_L(b, run)
+    assert project_run_script_L(b, cert) == run
 
 
 def test_prefix_extension():
     a = m1_aomega()
+    bl = build_script_L(a, PRIMES)
     run = run_of(a, ["a", "a"])
     needed = covered_prefix_length(PRIMES, 2)
     for extra in (1, 3, 10):
-        cert = lift_run_script_L(a, PRIMES, run, prefix_len=needed + extra)
+        cert = lift_run_script_L(bl, run, prefix_len=needed + extra)
         coded = [s.consumed for s in cert.run.steps
                  if s.consumed is not None]
         assert len(coded) == needed + extra
@@ -180,23 +187,24 @@ def test_prefix_extension():
         # extension letters never open a new span
         assert cert.blocks[-1].end <= len(cert.run.steps)
     with pytest.raises(MachineError):
-        lift_run_script_L(a, PRIMES, run, prefix_len=needed - 1)
+        lift_run_script_L(bl, run, prefix_len=needed - 1)
     # past the next guess point the run would need another source step
     room = 1 + 212 + 4
     with pytest.raises(MachineError):
-        lift_run_script_L(a, PRIMES, run, prefix_len=needed + room + 1)
+        lift_run_script_L(bl, run, prefix_len=needed + room + 1)
 
 
 def test_lift_rejects_bad_sources():
     a = m1_aomega()
+    b = build_script_L(a, PRIMES)
     good = run_of(a, ["a"])
     shifted = Run(Configuration("p", (1, 0)), good.steps)
     with pytest.raises(MachineError):
-        lift_run_script_L(a, PRIMES, shifted)
+        lift_run_script_L(b, shifted)
     broken = Run(good.start,
                  (RunStep("a", 0, Configuration("p", (2, 2))),))
     with pytest.raises(MachineError):
-        lift_run_script_L(a, PRIMES, broken)
+        lift_run_script_L(b, broken)
 
 
 def test_marker_clash_rejected():
@@ -231,6 +239,31 @@ def test_eight_primes_overflow_cap():
     assert exc.value.estimated_states > exc.value.cap
 
 
+@pytest.mark.parametrize("make", [m1_aomega, m2_two_counters, m3_alternator])
+def test_estimate_bounds_the_built_product(make):
+    a = make()
+    built = build_script_L(a, PRIMES)
+    assert script_l._estimate_states(a, PRIMES) >= len(built.machine.states)
+
+
+def test_product_over_cap_refused_before_raw_build(monkeypatch):
+    # six primes: the raw machine's estimate fits under the cap, the
+    # product with the guard does not
+    primes6 = (2, 3, 5, 7, 11, 13)
+    m = CounterMachine(
+        k=6, alphabet=frozenset({"a"}), states=("p",), initial="p",
+        transitions=(Transition("p", "a", (0,) * 6, "p", (0,) * 6),))
+
+    def raw_build(*args):
+        raise AssertionError("raw machine built past the cap check")
+    monkeypatch.setattr(script_l, "_build_raw", raw_build)
+    with pytest.raises(BuildScaleError) as exc:
+        build_script_L(BuchiAutomaton(m, frozenset({"p"})), primes6)
+    est = exc.value.estimated_states
+    assert est > exc.value.cap
+    assert est // (2 * script_l._GUARD_STATES) <= script_l.STATE_CAP
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_lift_project_identity_on_seeded_runs(seed):
@@ -239,8 +272,8 @@ def test_lift_project_identity_on_seeded_runs(seed):
     word = m2_word(rng, 1)[:4]
     b = build_script_L(a, PRIMES)
     run = run_of(a, word)
-    cert = lift_run_script_L(a, PRIMES, run)
+    cert = lift_run_script_L(b, run)
     coded = [s.consumed for s in cert.run.steps if s.consumed is not None]
     assert validate_run(b.machine, coded, cert.run) is None
     assert h_shape_check(coded, {"a", "b"}, PRIMES) is None
-    assert project_run_script_L(a, PRIMES, cert) == run
+    assert project_run_script_L(b, cert) == run
