@@ -252,7 +252,8 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--plus", default="", help="plus switch letters (wadge-sum)")
     b.add_argument("--minus", default="", help="minus switch letters (wadge-sum)")
     b.add_argument("--skip-stage1", action="store_true",
-                   help="pipeline: feed the input to stage 2 directly")
+                   help="pipeline: feed the input to stage 2 directly "
+                   "(stage 1 is always refused)")
     b.add_argument("-o", "--output")
     b.set_defaults(fn=_cmd_build)
 

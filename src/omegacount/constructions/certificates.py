@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..machines import Run, buchi_visit_count
+from ..errors import MachineError
+from ..machines import CounterMachine, Run, buchi_visit_count, validate_run
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,3 +39,15 @@ class RunCertificate:
 
     def visits(self, accepting) -> int:
         return buchi_visit_count(self.run, accepting)
+
+
+def source_word(machine: CounterMachine, run: Run) -> list[str]:
+    """The word a lift's source run reads, once the run is checked valid
+    on `machine` and starting from its initial configuration."""
+    word = [s.consumed for s in run.steps if s.consumed is not None]
+    bad = validate_run(machine, word, run)
+    if bad is not None:
+        raise MachineError(f"source run invalid: {bad}")
+    if run.start.state != machine.initial or any(run.start.counters):
+        raise MachineError("lift needs a run from the initial configuration")
+    return word

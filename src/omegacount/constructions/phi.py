@@ -14,8 +14,8 @@ import itertools
 from ..errors import BuildScaleError, FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, Transition, Walker,
-                        lambda_burst_bound, validate_run)
-from .certificates import BlockSpan, RunCertificate
+                        lambda_burst_bound)
+from .certificates import BlockSpan, RunCertificate, source_word
 
 STATE_CAP = 250_000
 
@@ -95,12 +95,7 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
     b, table = w.source, w.table
     filler_count, filler = w.params["filler_count"], w.params["filler"]
     m = b.machine
-    word = [s.consumed for s in run.steps if s.consumed is not None]
-    bad = validate_run(m, word, run)
-    if bad is not None:
-        raise MachineError(f"source run invalid: {bad}")
-    if run.start.state != m.initial or any(run.start.counters):
-        raise MachineError("lift needs a run from the initial configuration")
+    source_word(m, run)
 
     zeros = (0,) * m.k
     walker = Walker(w.machine, Configuration(w.machine.initial, run.start.counters))

@@ -1,32 +1,31 @@
 """End-to-end chain: pad-code the input language, compile to one counter,
 wrap the lambda moves away.
 
-Stage 1 compiles a 2-counter machine to the 8-counter pad-coded acceptor,
-stage 2 takes the union of its block-coded 1-counter form with the coding
-defect acceptor, stage 3 hides the remaining lambda bursts behind a filler
-cadence.  With the default eight primes the block lengths make stage 2's
-control astronomically large, so that call fails with the honest size
-estimate, before stage 1 runs; desk-scale work passes primes=(2, 3) and
-skip_realtime8=True to run stages 2-3 on a 2-counter input directly, which
-exercises the same code paths at tractable block sizes.
+Stage 1 would compile a 2-counter machine to the 8-counter pad-coded
+acceptor; stage 2 takes the union of its block-coded 1-counter form with
+the coding defect acceptor; stage 3 hides the remaining lambda bursts
+behind a filler cadence.  Stage 1's 8-counter output needs eight distinct
+primes in stage 2, whose block lengths make stage 2's control
+astronomically large, so compose_pipeline refuses any call that would run
+stage 1, before building anything.  Desk-scale work passes primes=(2, 3)
+and skip_realtime8=True to run stages 2-3 on a 2-counter input directly.
 
 Each stage's automaton is the record its builder returned, linked to what
-it was built from, so the lift walks the chain back through those links.
+it was built from, so the lift walks the chain back through those links;
+the script-L lift replays the block coding of the run's word.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import ArityError, BuildScaleError, FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
                         Run, RunStep, lift_run_union, union)
-from ..words import FIRST_EIGHT_PRIMES, HCoding, PhiCoding, ThetaCoding
+from ..words import FIRST_EIGHT_PRIMES, HCoding, PhiCoding
 from .certificates import RunCertificate
 from .complement import build_h_complement
 from .phi import build_phi_wrapper, lift_run_phi
-from .realtime8 import build_realtime8, lift_run_theta
 from .script_l import (_refuse_primes_over_cap, build_script_L,
                        lift_run_script_L)
 
@@ -66,46 +65,41 @@ def _staged(name: str, fn):
 def compose_pipeline(a: BuchiAutomaton,
                      primes: tuple[int, ...] | None = None,
                      skip_realtime8: bool = False) -> PipelineOutput:
-    """Chain the three builders over a 2-counter input machine.
+    """Chain the builders over a 2-counter input machine.
 
     skip_realtime8 feeds the input to stage 2 directly (its counter count
-    must then match len(primes)); otherwise stage 1 runs first and stage 2
-    sees the 8-counter machine.
+    must then match len(primes)).  False always refuses: stage 1's output
+    has 8 counters, so any other prime count is an ArityError, and eight
+    distinct primes pass the script-L state cap.
     """
     primes = FIRST_EIGHT_PRIMES if primes is None else tuple(primes)
-    q = math.prod(primes)
     reserved = ["A", "B", "0", "F"] + ([] if skip_realtime8 else ["E"])
     clash = sorted(set(reserved) & a.machine.alphabet)
     if clash:
         raise FreshLetterError(f"input alphabet already uses {clash}")
-
-    # stage 2's size floor depends on the primes alone: refuse before stage 1
+    if not skip_realtime8 and len(primes) != 8:
+        raise ArityError(f"stage script-l: stage 1 outputs 8 counters "
+                         f"but {len(primes)} primes given")
+    coding = HCoding(primes)
+    q = coding.q
+    # stage 2's size floor depends on the primes alone
     _staged("script-l", lambda: _refuse_primes_over_cap(primes))
 
     provenance: list[tuple] = [("input", {}, a)]
-    transform: list = []
-    if skip_realtime8:
-        a_coded = a
-    else:
-        s_val, a_coded = _staged("realtime8", lambda: build_realtime8(a))
-        provenance.append(("realtime8", {"S": s_val}, a_coded))
-        transform.append(ThetaCoding(s_val))
-
-    b_main = _staged("script-l", lambda: build_script_L(a_coded, primes))
+    b_main = _staged("script-l", lambda: build_script_L(a, primes))
     provenance.append(("script-l", {"primes": primes}, b_main))
     b_defect = _staged("h-complement", lambda: build_h_complement(
-        a_coded.machine.alphabet, primes))
+        a.machine.alphabet, primes))
     provenance.append(("h-complement", {"primes": primes}, b_defect))
-    transform.append(HCoding(primes))
 
     b_union = _staged("union", lambda: union(b_main, b_defect))
     provenance.append(("union", {}, b_union))
 
     out = _staged("phi-wrapper", lambda: build_phi_wrapper(b_union, q - 1))
     provenance.append(("phi-wrapper", {"filler_count": q - 1}, out))
-    transform.append(PhiCoding(q - 1))
 
-    return PipelineOutput(automaton=out, word_transform=tuple(transform),
+    return PipelineOutput(automaton=out,
+                          word_transform=(coding, PhiCoding(q - 1)),
                           provenance=tuple(provenance))
 
 
@@ -135,11 +129,7 @@ def lift_run_pipeline(out: PipelineOutput, run: Run,
     """Compose the stage lifts: the input run becomes a validated run of
     the final one-counter wrapper, block-annotated by the coded blocks of
     the middle stage.  prefix_len counts letters of the outermost coding."""
-    a = out.provenance[0][2]
     b_main, b_defect = out.automaton.source.source
-    if b_main.source is not a:  # stage 1 compiled a to a realtime8 record
-        run = lift_run_theta(b_main.source, run).run
-
     cert1 = lift_run_script_L(b_main, run)
     u_run = _from_union_initial(b_main, b_defect,
                                 lift_run_union(b_main, b_defect, cert1.run, "left"),

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from ..errors import ArityError, BuildScaleError, MachineError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
-                        Run, Transition, Walker, validate_run)
-from .certificates import BlockSpan, RunCertificate
+                        Run, Transition, Walker)
+from .certificates import BlockSpan, RunCertificate, source_word
 from .theta import build_theta_acceptor
 
 STATE_CAP = 400_000
@@ -314,12 +314,7 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
     a, table = b8.source, b8.table
     s_eff, pad = b8.params["S"], b8.params["pad"]
     m_a = a.machine
-    word = [s.consumed for s in run.steps if s.consumed is not None]
-    bad = validate_run(m_a, word, run)
-    if bad is not None:
-        raise MachineError(f"source run invalid: {bad}")
-    if run.start.state != m_a.initial or any(run.start.counters):
-        raise MachineError("lift needs a run from the initial configuration")
+    word = source_word(m_a, run)
 
     sigma = sorted(m_a.alphabet)
     extra = list(letters) if letters is not None else []

@@ -26,8 +26,8 @@ from ..errors import ArityError, BuildScaleError, FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, RunStep, Transition, Walker,
                         intersect_det_buchi, is_real_time, validate_run)
-from ..words import HCoding
-from .certificates import BlockSpan, RunCertificate
+from ..words import HCoding, h_letters
+from .certificates import BlockSpan, RunCertificate, source_word
 
 STATE_CAP = 250_000
 # states of build_script_l_guard, whatever the alphabet
@@ -200,141 +200,65 @@ def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
     prod = intersect_det_buchi(raw, guard)
     table = {n: (raw.table[q], s, flag) for n, (q, s, flag) in prod.table.items()}
     return Built(prod.machine, prod.accepting, source=a,
-                 params={"primes": primes}, table=table)
+                 params={"coding": coding}, table=table)
 
 
 def covered_prefix_length(primes: tuple[int, ...], blocks: int) -> int:
     """Letters of coded prefix a lift over this many complete blocks needs."""
-    big_q = math.prod(primes)
-    total = 0
-    for i in range(1, blocks + 1):
-        total += 3 + big_q ** i + big_q ** (i + 1)
-    return total
-
-
-def _block_table(a: BuchiAutomaton, primes: tuple[int, ...],
-                 run: Run) -> list[dict]:
-    """Per-block lengths and the pinned transition, from the source run."""
-    big_q = math.prod(primes)
-    table = []
-    v = 1
-    for i, st in enumerate(run.steps, start=1):
-        t = a.machine.transitions[st.transition_index]
-        mul, div = _ratio(primes, t.delta)
-        if v % div != 0:
-            raise MachineError(
-                f"block {i}: run length {v} not divisible by {div}")
-        w = v * mul // div
-        z = big_q ** (i + 1) - w
-        if z <= 0:
-            raise MachineError(f"block {i}: ratio outgrew the pad budget")
-        u = big_q - 1 if i == 1 else table[-1]["z"]
-        table.append({"u": u, "v": v, "w": w, "z": z, "t": t,
-                      "letter": st.consumed, "mul": mul, "div": div})
-        v = w
-    return table
+    q = math.prod(primes)
+    return sum(3 + q ** i + q ** (i + 1) for i in range(1, blocks + 1))
 
 
 def lift_run_script_L(bl: Built, run: Run,
                       prefix_len: int | None = None) -> RunCertificate:
     """Lift a run of the machine bl was built from (from its initial
-    configuration) to bl, covering one coded block per source step."""
-    a, primes, table = bl.source, bl.params["primes"], bl.table
+    configuration) to bl by replaying the coded word of the run's letters,
+    one coded block per source step.  Only the guess at each source letter
+    is pinned, to the run's transition; every other step, and each lambda
+    step, is the only one the counter allows.  prefix_len may extend the
+    walk with the next block's marker and zeros, up to its guess point."""
+    a, coding, table = bl.source, bl.params["coding"], bl.table
     m = a.machine
-    word = [s.consumed for s in run.steps]
-    bad = validate_run(m, word, run)
-    if bad is not None:
-        raise MachineError(f"source run invalid: {bad}")
-    if run.start.state != m.initial or any(run.start.counters):
-        raise MachineError("lift needs a run from the initial configuration")
-
-    big_q = math.prod(primes)
-    blocks = _block_table(a, primes, run)
-    needed = covered_prefix_length(primes, len(blocks))
-    ones = tuple(1 % p for p in primes)
-    coding = HCoding(primes=primes)
-    zero, mark_a, mark_b = coding.zero, coding.marker_a, coding.marker_b
-    # the guard component is deterministic, so naming the raw destination
-    # singles out the product transition
-    walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)))
-
-    def to(token: str | None, state: tuple) -> None:
-        walker.to(token, lambda t: table[t.destination][0] == state)
-
-    spans: list[BlockSpan] = []
-    state_q = m.initial
-    for i, blk in enumerate(blocks, start=1):
-        start_idx = len(walker.steps)
-        if i == 1:
-            to(mark_a, ("u1", 0))
-            for c in range(big_q - 1):
-                to(zero, ("u1", c + 1))
-        else:
-            to(mark_a, ("a", state_q))
-            for _ in range(blk["u"]):
-                to(zero, ("a", state_q))
-        to(zero, ("v", state_q, ones))
-        res = ones
-        for _ in range(blk["v"] - 1):
-            res = tuple((r + 1) % p for r, p in zip(res, primes))
-            to(zero, ("v", state_q, res))
-        t = blk["t"]
-        mul, div = blk["mul"], blk["div"]
-        ratio = (mul, div)
-        to(blk["letter"], ("x", t.destination, t.delta))
-        state_q = t.destination
-        to(mark_b, ("w", state_q, ratio, 0))
-        for n in range(blk["w"]):
-            g = n % mul
-            if g == 0:
-                nxt = ("wl", state_q, ratio, 1) if div >= 2 \
-                    else ("w", state_q, ratio, 1 % mul)
-                to(zero, nxt)
-                for l in range(1, div):
-                    dst = ("wl", state_q, ratio, l + 1) if l + 1 < div \
-                        else ("w", state_q, ratio, 1 % mul)
-                    to(None, dst)
-            else:
-                to(zero, ("w", state_q, ratio, (g + 1) % mul))
-        for _ in range(blk["z"]):
-            to(zero, ("z", state_q))
-        spans.append(BlockSpan(i, start_idx, len(walker.steps)))
-
-    if prefix_len is not None and prefix_len != needed:
-        if prefix_len < needed:
-            raise MachineError(
-                f"prefix too short to host the lift: need {needed} letters")
-        extra = prefix_len - needed
-        u_next = blocks[-1]["z"] if blocks else None
-        v_next = blocks[-1]["w"] if blocks else None
-        room = 1 + (u_next + v_next if blocks else 0)
-        if not blocks or extra > room:
-            raise MachineError(
-                f"run pins {len(blocks)} blocks; prefix of {prefix_len} "
-                f"letters passes the next guess point at {needed + room}")
-        to(mark_a, ("a", state_q))
-        extra -= 1
-        drained = 0
-        while extra > 0 and drained < u_next:
-            to(zero, ("a", state_q))
-            drained += 1
-            extra -= 1
-        if extra > 0:
-            to(zero, ("v", state_q, ones))
-            extra -= 1
-            res = ones
-            while extra > 0:
-                res = tuple((r + 1) % p for r, p in zip(res, primes))
-                to(zero, ("v", state_q, res))
-                extra -= 1
-
-    if not blocks:
+    word = source_word(m, run)
+    big_q = coding.q
+    needed = covered_prefix_length(coding.primes, len(word))
+    n = needed if prefix_len is None else prefix_len
+    if n < needed:
+        raise MachineError(
+            f"prefix too short to host the lift: need {needed} letters")
+    room = 1 + big_q ** (len(word) + 1) if word else 1
+    if n > needed and (not word or n - needed > room):
+        raise MachineError(
+            f"run pins {len(word)} blocks; prefix of {n} "
+            f"letters passes the next guess point at {needed + room}")
+    if not word:
         # deterministic control prefix: opening marker plus Q-1 zeros
-        to(mark_a, ("u1", 0))
-        for c in range(big_q - 1):
-            to(zero, ("u1", c + 1))
+        n = big_q
 
-    return RunCertificate(walker.run(), "script-l", tuple(spans))
+    # past the run's last block: the next block's marker, then its zeros
+    letters = itertools.chain(h_letters(iter(word), coding),
+                              [coding.marker_a], itertools.repeat(coding.zero))
+    steps = iter(run.steps)
+    walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)))
+    lam = {t.source for t in bl.machine.transitions if t.input is None}
+    opened: list[int] = []
+    for tok in itertools.islice(letters, n):
+        if tok == coding.marker_a:
+            opened.append(len(walker.steps))
+        if tok in m.alphabet:
+            t = m.transitions[next(steps).transition_index]
+            # the guard component is deterministic, so naming the raw
+            # destination singles out the product transition
+            guess = ("x", t.destination, t.delta)
+            walker.to(tok, lambda u: table[u.destination][0] == guess)
+        else:
+            walker.to(tok)
+        while walker.cfg.state in lam:
+            walker.to(None)
+    opened.append(len(walker.steps))
+    spans = tuple(BlockSpan(i, opened[i - 1], opened[i])
+                  for i in range(1, len(word) + 1))
+    return RunCertificate(walker.run(), "script-l", spans)
 
 
 def project_run_script_L(bl: Built, cert: RunCertificate) -> Run:

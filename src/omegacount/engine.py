@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MachineError
-from .machines import BuchiAutomaton, Configuration, is_real_time, step
+from .machines import (BuchiAutomaton, Configuration, Run, Walker,
+                       is_real_time, step)
 from .words import LassoWord, lasso_prefix
 
 DEFAULT_VISITED_CAP = 10 ** 7
@@ -150,20 +151,14 @@ def bounded_explore(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...],
     return ExploreEvidence(tuple(frontiers), exhausted)
 
 
-def deterministic_run(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...]) -> "Run":
+def deterministic_run(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...]) -> Run:
     """Walk a prefix through a machine that is deterministic on it: exactly
     one transition may be enabled per letter.  Raises on 0 or >1 choices."""
-    from .machines import Run, RunStep
     m = b.machine
-    cfg = Configuration(m.initial, (0,) * m.k)
-    steps = []
-    for i, a in enumerate(prefix):
-        succ = step(m, cfg, a)
-        if len(succ) != 1:
-            raise ValueError(f"position {i}: {len(succ)} enabled transitions on {a!r} at {cfg.state}")
-        idx, cfg = succ[0]
-        steps.append(RunStep(a, idx, cfg))
-    return Run(Configuration(m.initial, (0,) * m.k), tuple(steps))
+    walker = Walker(m, Configuration(m.initial, (0,) * m.k))
+    for a in prefix:
+        walker.to(a)
+    return walker.run()
 
 
 def nba_lasso_member(b: BuchiAutomaton, w: LassoWord) -> bool:

@@ -448,6 +448,9 @@ def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> Built:
 
     table = {_pair(q, s, flag): (q, s, flag)
              for q in mb.states for s in md.states for flag in (1, 2)}
+    if len(table) < len(mb.states) * len(md.states) * 2:
+        raise MachineError("product state names collide: a state name of "
+                           "one factor contains '&'")
     trans: list[Transition] = []
     # sorted: transition order must not depend on set iteration order,
     # run files reference transitions by index

@@ -2,14 +2,9 @@
 block spans it produced when the digests were recorded.  A moved digest
 means some step picked a different transition index, even if the new
 certificate still validates.
-
-The lifts used to rebuild their automaton from the source machine and the
-build parameters; they now take the record the builder returned.  `_lift`
-accepts either calling convention, so the same digests check both.
 """
 
 import hashlib
-import inspect
 
 import pytest
 
@@ -24,24 +19,11 @@ from conftest import m1_aomega, m2_two_counters, m3_alternator, run_of
 
 PRIMES = (2, 3)
 S = 128
-_REBUILDS = "s_override" in inspect.signature(lift_run_theta).parameters
 
 
 def digest(cert) -> str:
     spans = "".join(f"block {b.index} {b.start} {b.end}\n" for b in cert.blocks)
     return hashlib.sha256((spans + dump_run(cert.run)).encode()).hexdigest()
-
-
-def _lift(kind, a, built, run, **kw):
-    if not _REBUILDS:
-        lift = {"theta": lift_run_theta, "script-l": lift_run_script_L,
-                "phi": lift_run_phi}[kind]
-        return lift(built, run, **kw)
-    if kind == "theta":
-        return lift_run_theta(a, run, s_override=S, **kw)
-    if kind == "script-l":
-        return lift_run_script_L(a, PRIMES, run, **kw)
-    return lift_run_phi(a, 5, run, **kw)
 
 
 def theta_cases():
@@ -55,7 +37,7 @@ def theta_cases():
                  {"prefix_len": 1 + S + 2, "letters": ["a"]})])):
         _, b8 = build_realtime8(a, S_override=S)
         for name, word, kw in cases:
-            yield name, _lift("theta", a, b8, run_of(a, word), **kw)
+            yield name, lift_run_theta(b8, run_of(a, word), **kw)
 
 
 def script_l_cases():
@@ -65,11 +47,11 @@ def script_l_cases():
         bl = build_script_L(a, PRIMES)
         run = run_of(a, word)
         needed = covered_prefix_length(PRIMES, len(word))
-        cert = _lift("script-l", a, bl, run)
+        cert = lift_run_script_L(bl, run)
         yield name, cert
-        yield f"{name} +9", _lift("script-l", a, bl, run, prefix_len=needed + 9)
+        yield f"{name} +9", lift_run_script_L(bl, run, prefix_len=needed + 9)
         w = build_phi_wrapper(bl, 5)
-        yield f"{name} phi", _lift("phi", bl, w, cert.run, blocks=cert.blocks)
+        yield f"{name} phi", lift_run_phi(w, cert.run, blocks=cert.blocks)
 
 
 def pipeline_cases():

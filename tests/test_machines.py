@@ -185,6 +185,18 @@ def test_intersect_requires_deterministic_complete_guard():
         intersect_det_buchi(infinitely_many("a"), incomplete)
 
 
+def test_intersect_refuses_colliding_state_names():
+    # ("x&y", "z", f) and ("x", "y&z", f) would both be named "x&y&z&f"
+    b = _k0([Transition("x", "a", (), "x&y", ()),
+             Transition("x&y", "a", (), "x", ())],
+            ("x", "x&y"), "x", ("x",), ("a",))
+    d = _k0([Transition("z", "a", (), "y&z", ()),
+             Transition("y&z", "a", (), "z", ())],
+            ("z", "y&z"), "z", ("z",), ("a",))
+    with pytest.raises(MachineError):
+        intersect_det_buchi(b, d)
+
+
 def test_lift_run_intersection_validates_in_product():
     b, d = infinitely_many("a"), infinitely_many("b")
     prod = intersect_det_buchi(b, d)

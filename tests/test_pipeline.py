@@ -48,6 +48,13 @@ def test_prime_count_must_match_counters():
     assert str(exc.value).startswith("stage script-l:")
 
 
+def test_stage1_refused_before_any_build():
+    # stage 1 outputs 8 counters, so two primes can never fit stage 2
+    with pytest.raises(ArityError) as exc:
+        compose_pipeline(m2_two_counters(), primes=PRIMES)
+    assert str(exc.value).startswith("stage script-l:")
+
+
 def test_reserved_letters_rejected():
     m = CounterMachine(
         k=2, alphabet=frozenset({"F"}), states=("p",), initial="p",

@@ -177,7 +177,9 @@ def test_prefix_extension():
     bl = build_script_L(a, PRIMES)
     run = run_of(a, ["a", "a"])
     needed = covered_prefix_length(PRIMES, 2)
-    for extra in (1, 3, 10):
+    # the next marker plus the next block's Q^3 zeros: up to its guess point
+    room = 1 + 212 + 4
+    for extra in (1, 3, 10, room):
         cert = lift_run_script_L(bl, run, prefix_len=needed + extra)
         coded = [s.consumed for s in cert.run.steps
                  if s.consumed is not None]
@@ -189,7 +191,6 @@ def test_prefix_extension():
     with pytest.raises(MachineError):
         lift_run_script_L(bl, run, prefix_len=needed - 1)
     # past the next guess point the run would need another source step
-    room = 1 + 212 + 4
     with pytest.raises(MachineError):
         lift_run_script_L(bl, run, prefix_len=needed + room + 1)
 
@@ -268,12 +269,14 @@ def test_product_over_cap_refused_before_raw_build(monkeypatch):
 @given(st.integers(0, 10_000))
 def test_lift_project_identity_on_seeded_runs(seed):
     rng = random.Random(seed)
-    a = m2_two_counters()
-    word = m2_word(rng, 1)[:4]
-    b = build_script_L(a, PRIMES)
-    run = run_of(a, word)
-    cert = lift_run_script_L(b, run)
-    coded = [s.consumed for s in cert.run.steps if s.consumed is not None]
-    assert validate_run(b.machine, coded, cert.run) is None
-    assert h_shape_check(coded, {"a", "b"}, PRIMES) is None
-    assert project_run_script_L(b, cert) == run
+    for a, word in ((m2_two_counters(), m2_word(rng, 1)[:4]),
+                    (m3_alternator(), ["a", "b", "a", "b"][:rng.randint(1, 4)])):
+        b = build_script_L(a, PRIMES)
+        run = run_of(a, word)
+        cert = lift_run_script_L(b, run)
+        coded = [s.consumed for s in cert.run.steps if s.consumed is not None]
+        assert validate_run(b.machine, coded, cert.run) is None
+        assert h_shape_check(coded, {"a", "b"}, PRIMES) is None
+        lasso = LassoWord((), tuple(word), frozenset({"a", "b"}))
+        assert coded == h_prefix(lasso, PRIMES, len(coded))
+        assert project_run_script_L(b, cert) == run
