@@ -4,6 +4,9 @@
 writers emit a canonical form (sorted sets, transitions in index order, one
 space between tokens, trailing newline) so save(load(f)) is byte-identical
 for canonical files.  Transition order in a file defines transitionIndex.
+The loaders stream the text line by line, so no line's tokens outlive its
+parse, and check each distinct guard, delta or counter spelling once; the
+writer spells each distinct guard and delta once.
 
 Automaton:  kcounters / alphabet / states / initial / accepting-or-table /
             trans <src> <letter|-> <guardbits> <dst> <d1> ... <dk>
@@ -17,6 +20,7 @@ Run:        start <state> <c1> ... <ck>
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import FormatError
@@ -26,13 +30,12 @@ from .words import (CodingSpec, HCoding, LassoWord, PhiCoding, ThetaCoding,
                     coded_prefix, lasso_prefix)
 
 
-def _lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
+def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line with a token, comments cut off."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((no, body.split()))
-    return out
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield no, toks
 
 
 def _int(tok: str, no: int, what: str) -> int:
@@ -40,6 +43,26 @@ def _int(tok: str, no: int, what: str) -> int:
         return int(tok)
     except ValueError:
         raise FormatError(f"{what}: expected an integer, got {tok!r}", no) from None
+
+
+def _guard(guardbits: str, k: int, no: int) -> tuple[int, ...]:
+    if k == 0:
+        if guardbits != "-":
+            raise FormatError('guardbits must be "-" when k = 0', no)
+        return ()
+    if len(guardbits) != k or any(c not in "01" for c in guardbits):
+        raise FormatError(f"guardbits must be {k} chars over 0/1", no)
+    return tuple(int(c) for c in guardbits)
+
+
+def _delta(toks: tuple[str, ...], no: int) -> tuple[int, ...]:
+    delta = []
+    for tok in toks:
+        d = _int(tok, no, "delta")
+        if d not in (-1, 0, 1):
+            raise FormatError(f"delta {tok!r} outside -1/0/+1", no)
+        delta.append(d)
+    return tuple(delta)
 
 
 def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
@@ -50,17 +73,46 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
     accepting: list[str] | None = None
     table: list[list[str]] = []
     trans: list[Transition] = []
+    # each distinct spelling is parsed and checked once; k cannot change
+    # after the first trans line, so guardbits alone key the guard
+    guards: dict[str, tuple[int, ...]] = {}
+    deltas: dict[tuple[str, ...], tuple[int, ...]] = {}
     for no, toks in _lines(text):
         head, rest = toks[0], toks[1:]
-        if head == "kcounters":
+        if head == "trans":  # nearly every line, so tested first
+            if k is None:
+                raise FormatError("trans before kcounters", no)
+            if len(rest) != 4 + k:
+                raise FormatError(f"trans needs {4 + k} fields for k={k}, got {len(rest)}", no)
+            if k < 0:
+                raise FormatError("k must be a natural number", no)
+            src, letter, guardbits, dst = rest[0], rest[1], rest[2], rest[3]
+            guard = guards.get(guardbits)
+            if guard is None:
+                guard = guards[guardbits] = _guard(guardbits, k, no)
+            dtoks = tuple(rest[4:])
+            delta = deltas.get(dtoks)
+            if delta is None:
+                delta = deltas[dtoks] = _delta(dtoks, no)
+            trans.append(Transition(src, None if letter == LAMBDA_TOKEN else letter,
+                                    guard, dst, delta))
+        elif head == "kcounters":
+            if k is not None:
+                raise FormatError("duplicate kcounters line", no)
             if len(rest) != 1:
                 raise FormatError("kcounters takes one value", no)
             k = _int(rest[0], no, "kcounters")
         elif head == "alphabet":
+            if alphabet is not None:
+                raise FormatError("duplicate alphabet line", no)
             alphabet = rest
         elif head == "states":
+            if states is not None:
+                raise FormatError("duplicate states line", no)
             states = rest
         elif head == "initial":
+            if initial is not None:
+                raise FormatError("duplicate initial line", no)
             if len(rest) != 1:
                 raise FormatError("initial takes one state id", no)
             initial = rest[0]
@@ -70,29 +122,6 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
             accepting = rest
         elif head == "table":
             table.append(rest)
-        elif head == "trans":
-            if k is None:
-                raise FormatError("trans before kcounters", no)
-            need = 4 + k
-            if len(rest) != need:
-                raise FormatError(f"trans needs {need} fields for k={k}, got {len(rest)}", no)
-            src, letter, guardbits, dst = rest[0], rest[1], rest[2], rest[3]
-            input = None if letter == LAMBDA_TOKEN else letter
-            if k == 0:
-                if guardbits != "-":
-                    raise FormatError('guardbits must be "-" when k = 0', no)
-                guard: tuple[int, ...] = ()
-            else:
-                if len(guardbits) != k or any(c not in "01" for c in guardbits):
-                    raise FormatError(f"guardbits must be {k} chars over 0/1", no)
-                guard = tuple(int(c) for c in guardbits)
-            delta = []
-            for tok in rest[4:]:
-                d = _int(tok, no, "delta")
-                if d not in (-1, 0, 1):
-                    raise FormatError(f"delta {tok!r} outside -1/0/+1", no)
-                delta.append(d)
-            trans.append(Transition(src, input, guard, dst, tuple(delta)))
         else:
             raise FormatError(f"unknown directive {head!r}", no)
     if k is None or states is None or initial is None:
@@ -127,11 +156,20 @@ def dump_automaton(aut: BuchiAutomaton | MullerAutomaton) -> str:
     else:
         for entry in aut.table:
             lines.append(_join("table", sorted(entry)))
+    # each distinct guard and delta is spelled once
+    guards: dict[tuple[int, ...], str] = {}
+    deltas: dict[tuple[int, ...], str] = {}
     for t in m.transitions:
-        guardbits = "-" if m.k == 0 else "".join(str(g) for g in t.guard)
+        # tuple() keys a guard or delta given as a list; a tuple passes as is
+        guard, delta = tuple(t.guard), tuple(t.delta)
+        guardbits = guards.get(guard)
+        if guardbits is None:
+            guardbits = guards[guard] = "-" if m.k == 0 else "".join(str(g) for g in guard)
+        tail = deltas.get(delta)
+        if tail is None:
+            tail = deltas[delta] = "".join(" " + str(d) for d in delta)
         letter = LAMBDA_TOKEN if t.input is None else t.input
-        toks = [t.source, letter, guardbits, t.destination] + [str(d) for d in t.delta]
-        lines.append(_join("trans", toks))
+        lines.append(f"trans {t.source} {letter} {guardbits} {t.destination}{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -218,23 +256,28 @@ def dump_word(spec: WordSpec) -> str:
 def load_run(text: str) -> Run:
     start = None
     steps: list[RunStep] = []
+    # each distinct spelling of a counter vector is parsed once
+    counters: dict[tuple[str, ...], tuple[int, ...]] = {}
     for no, toks in _lines(text):
         head, rest = toks[0], toks[1:]
-        if head == "start":
-            if start is not None:
-                raise FormatError("duplicate start line", no)
-            if not rest:
-                raise FormatError("start needs a state", no)
-            start = Configuration(rest[0], tuple(_int(t, no, "counter") for t in rest[1:]))
-        elif head == "step":
+        if head == "step":  # nearly every line, so tested first
             if start is None:
                 raise FormatError("step before start", no)
             if len(rest) < 3:
                 raise FormatError("step needs letter, index, state, counters", no)
             letter = None if rest[0] == LAMBDA_TOKEN else rest[0]
             idx = _int(rest[1], no, "transition index")
-            cfg = Configuration(rest[2], tuple(_int(t, no, "counter") for t in rest[3:]))
-            steps.append(RunStep(letter, idx, cfg))
+            ctoks = tuple(rest[3:])
+            vec = counters.get(ctoks)
+            if vec is None:
+                vec = counters[ctoks] = tuple(_int(t, no, "counter") for t in ctoks)
+            steps.append(RunStep(letter, idx, Configuration(rest[2], vec)))
+        elif head == "start":
+            if start is not None:
+                raise FormatError("duplicate start line", no)
+            if not rest:
+                raise FormatError("start needs a state", no)
+            start = Configuration(rest[0], tuple(_int(t, no, "counter") for t in rest[1:]))
         else:
             raise FormatError(f"unknown directive {head!r}", no)
     if start is None:

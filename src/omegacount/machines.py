@@ -33,7 +33,8 @@ def _check_token(tok: str, what: str) -> None:
         raise MachineError(f"{what} must be a nonempty string, got {tok!r}")
     if tok == LAMBDA_TOKEN:
         raise MachineError(f"{what} {tok!r} is reserved for the lambda input")
-    if any(c.isspace() for c in tok) or "#" in tok:
+    # split() cuts at exactly the characters for which isspace() holds
+    if tok.split() != [tok] or "#" in tok:
         raise MachineError(f"{what} {tok!r} not serializable (whitespace or '#')")
 
 
@@ -53,6 +54,21 @@ class Transition:
 
     def matches(self, counters: tuple[int, ...]) -> bool:
         return all((c > 0) == (g == 1) for g, c in zip(self.guard, counters))
+
+
+def _check_shape(i: int, t: Transition, k: int) -> None:
+    if len(t.guard) != k or len(t.delta) != k:
+        raise MachineError(f"transition {i}: guard/delta arity != k={k}")
+    for g in t.guard:
+        if g not in (0, 1):
+            raise MachineError(f"transition {i}: guard values must be 0 or 1")
+    for d in t.delta:
+        if d not in (-1, 0, 1):
+            raise MachineError(f"transition {i}: delta values must be -1, 0 or +1")
+    # zero-test consistency: a counter tested zero cannot decrease
+    for g, d in zip(t.guard, t.delta):
+        if g == 0 and d == -1:
+            raise MachineError(f"transition {i}: delta -1 under a zero guard")
 
 
 @dataclass
@@ -80,27 +96,26 @@ class CounterMachine:
             _check_token(a, "letter")
         if self.initial not in self.states:
             raise MachineError(f"initial state {self.initial!r} not in states")
-        for i, t in enumerate(self.transitions):
-            if t.source not in self.states:
-                raise MachineError(f"transition {i}: unknown source {t.source!r}")
-            if t.destination not in self.states:
-                raise MachineError(f"transition {i}: unknown destination {t.destination!r}")
-            if t.input is not None and t.input not in self.alphabet:
-                raise MachineError(f"transition {i}: input {t.input!r} not in alphabet")
-            if len(t.guard) != self.k or len(t.delta) != self.k:
-                raise MachineError(f"transition {i}: guard/delta arity != k={self.k}")
-            for g in t.guard:
-                if g not in (0, 1):
-                    raise MachineError(f"transition {i}: guard values must be 0 or 1")
-            for d in t.delta:
-                if d not in (-1, 0, 1):
-                    raise MachineError(f"transition {i}: delta values must be -1, 0 or +1")
-            # zero-test consistency: a counter tested zero cannot decrease
-            for g, d in zip(t.guard, t.delta):
-                if g == 0 and d == -1:
-                    raise MachineError(f"transition {i}: delta -1 under a zero guard")
+        states, alphabet = self.states, self.alphabet
+        shapes = set()
         self._adj = {}
         for i, t in enumerate(self.transitions):
+            if t.source not in states:
+                raise MachineError(f"transition {i}: unknown source {t.source!r}")
+            if t.destination not in states:
+                raise MachineError(f"transition {i}: unknown destination {t.destination!r}")
+            if t.input is not None and t.input not in alphabet:
+                raise MachineError(f"transition {i}: input {t.input!r} not in alphabet")
+            # guard and delta are checked once per distinct (guard, delta)
+            shape = (t.guard, t.delta)
+            try:
+                fresh = shape not in shapes
+            except TypeError:  # a list guard or delta is accepted but unhashable
+                _check_shape(i, t, self.k)
+                fresh = False
+            if fresh:
+                _check_shape(i, t, self.k)
+                shapes.add(shape)
             self._adj.setdefault((t.source, t.input), []).append((i, t))
 
     def outgoing(self, state: str, input: str | None) -> list[tuple[int, Transition]]:

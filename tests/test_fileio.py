@@ -66,6 +66,26 @@ def test_automaton_format_errors_carry_line_numbers():
         load_automaton("alphabet a\nstates p\ninitial p\naccepting p\n")
 
 
+@pytest.mark.parametrize("directive", ["kcounters 2", "alphabet a b", "states p q",
+                                       "initial p", "accepting q"])
+def test_automaton_refuses_a_repeated_directive(directive):
+    text = dump_automaton(m2_two_counters())
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(directive.split()[0]))
+    lines.insert(at + 1, directive)
+    with pytest.raises(FormatError, match=f"duplicate {directive.split()[0]} line") as e:
+        load_automaton("\n".join(lines) + "\n")
+    assert e.value.line == at + 2
+
+
+def test_automaton_refuses_trans_under_negative_kcounters():
+    # three fields make a whole trans line for k = -1
+    text = "kcounters -1\nstates p\ninitial p\naccepting p\ntrans p a p\n"
+    with pytest.raises(FormatError, match="k must be a natural number") as e:
+        load_automaton(text)
+    assert e.value.line == 5
+
+
 def test_word_roundtrip_plain_and_coded():
     w = WordSpec(LassoWord(("c",), ("a", "b"), frozenset({"a", "b", "c"})),
                  (), None)
