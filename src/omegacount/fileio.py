@@ -10,6 +10,7 @@ writer spells each distinct guard and delta once.
 
 Automaton:  kcounters / alphabet / states / initial / accepting-or-table /
             trans <src> <letter|-> <guardbits> <dst> <d1> ... <dk>
+            (each directive but `table` and `trans` at most once)
             (guardbits over {0,1}, 1 = positive required; "-" when k = 0)
 Word:       zero or more `coded theta:<S> | h:<p1,...> | phi:<L>` lines,
             outermost coding first, then `lasso <spoke> | <cycle>`, then an

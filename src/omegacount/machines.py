@@ -56,7 +56,7 @@ class Transition:
         return all((c > 0) == (g == 1) for g, c in zip(self.guard, counters))
 
 
-def _check_shape(i: int, t: Transition, k: int) -> None:
+def _check_guard_delta(i: int, t: Transition, k: int) -> None:
     if len(t.guard) != k or len(t.delta) != k:
         raise MachineError(f"transition {i}: guard/delta arity != k={k}")
     for g in t.guard:
@@ -106,15 +106,11 @@ class CounterMachine:
                 raise MachineError(f"transition {i}: unknown destination {t.destination!r}")
             if t.input is not None and t.input not in alphabet:
                 raise MachineError(f"transition {i}: input {t.input!r} not in alphabet")
-            # guard and delta are checked once per distinct (guard, delta)
-            shape = (t.guard, t.delta)
-            try:
-                fresh = shape not in shapes
-            except TypeError:  # a list guard or delta is accepted but unhashable
-                _check_shape(i, t, self.k)
-                fresh = False
-            if fresh:
-                _check_shape(i, t, self.k)
+            # guard and delta are checked once per distinct (guard, delta);
+            # tuple() keys list guards too and returns a tuple unchanged
+            shape = (tuple(t.guard), tuple(t.delta))
+            if shape not in shapes:
+                _check_guard_delta(i, t, self.k)
                 shapes.add(shape)
             self._adj.setdefault((t.source, t.input), []).append((i, t))
 
