@@ -12,23 +12,11 @@ need no counters; D3 and D4 guess the offending run and check it with one.
 
 from __future__ import annotations
 
-from ..errors import FreshLetterError
 from ..machines import (BuchiAutomaton, CounterMachine, Transition,
                         pad_counters, union)
-from ..words import HCoding
+from ..words import HCoding, coded_alphabet
 
 BAD = "bad"
-
-
-def _markers(coding: HCoding) -> tuple[str, str, str]:
-    return coding.marker_a, coding.marker_b, coding.zero
-
-
-def _check_alphabet(sigma: frozenset[str], coding: HCoding) -> None:
-    clash = sigma & set(_markers(coding))
-    if clash:
-        raise FreshLetterError(
-            f"marker letters {sorted(clash)} collide with the alphabet")
 
 
 def _sink(state: str, letters, k: int) -> list[Transition]:
@@ -43,10 +31,9 @@ def build_d1(sigma: frozenset[str] | set[str],
     """Accepts words whose opening letters deviate from A.0^Q.letter.B."""
     sigma = frozenset(sigma)
     coding = HCoding(primes=tuple(primes))
-    _check_alphabet(sigma, coding)
-    mark_a, mark_b, zero = _markers(coding)
+    full = coded_alphabet(coding, sigma)
+    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     q = coding.q
-    full = sigma | {mark_a, mark_b, zero}
     trans: list[Transition] = []
 
     def tmpl(i: int) -> str:
@@ -77,9 +64,8 @@ def build_d2(sigma: frozenset[str] | set[str],
     that stall in an endless zero run."""
     sigma = frozenset(sigma)
     coding = HCoding(primes=tuple(primes))
-    _check_alphabet(sigma, coding)
-    mark_a, mark_b, zero = _markers(coding)
-    full = sigma | {mark_a, mark_b, zero}
+    full = coded_alphabet(coding, sigma)
+    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     trans: list[Transition] = []
 
     def expect(state: str, table: dict[str, str]) -> None:
@@ -114,9 +100,8 @@ def build_d3(sigma: frozenset[str] | set[str],
     sink is entered only on the closing letter."""
     sigma = frozenset(sigma)
     coding = HCoding(primes=tuple(primes))
-    _check_alphabet(sigma, coding)
-    mark_a, mark_b, zero = _markers(coding)
-    full = sigma | {mark_a, mark_b, zero}
+    full = coded_alphabet(coding, sigma)
+    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     trans: list[Transition] = []
 
     for a in sorted(full):
@@ -150,10 +135,9 @@ def build_d4(sigma: frozenset[str] | set[str],
     per group of Q zeros; the sink is entered only on the closing A."""
     sigma = frozenset(sigma)
     coding = HCoding(primes=tuple(primes))
-    _check_alphabet(sigma, coding)
-    mark_a, mark_b, zero = _markers(coding)
+    full = coded_alphabet(coding, sigma)
+    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     q = coding.q
-    full = sigma | {mark_a, mark_b, zero}
     trans: list[Transition] = []
 
     def grp(j: int) -> str:

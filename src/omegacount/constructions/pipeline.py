@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..errors import ArityError, BuildScaleError, FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
                         Run, RunStep, lift_run_union, union)
-from ..words import FIRST_EIGHT_PRIMES, HCoding, PhiCoding
+from ..words import FIRST_EIGHT_PRIMES, HCoding, PhiCoding, coded_alphabet
 from .certificates import RunCertificate
 from .complement import build_h_complement
 from .phi import build_phi_wrapper, lift_run_phi
@@ -70,18 +70,19 @@ def compose_pipeline(a: BuchiAutomaton,
     skip_realtime8 feeds the input to stage 2 directly (its counter count
     must then match len(primes)).  False always refuses: stage 1's output
     has 8 counters, so any other prime count is an ArityError, and eight
-    distinct primes pass the script-L state cap.
+    distinct primes pass the script-L state cap.  A letter that the
+    returned coding chain adds (h's markers and zero, phi's filler) may not
+    be in the input alphabet.
     """
     primes = FIRST_EIGHT_PRIMES if primes is None else tuple(primes)
-    reserved = ["A", "B", "0", "F"] + ([] if skip_realtime8 else ["E"])
-    clash = sorted(set(reserved) & a.machine.alphabet)
-    if clash:
-        raise FreshLetterError(f"input alphabet already uses {clash}")
+    coding = HCoding(primes)
+    q = coding.q
+    phi = PhiCoding(q - 1)
+    # coded_alphabet refuses a coding letter that the alphabet already has
+    coded_alphabet(phi, coded_alphabet(coding, a.machine.alphabet))
     if not skip_realtime8 and len(primes) != 8:
         raise ArityError(f"stage script-l: stage 1 outputs 8 counters "
                          f"but {len(primes)} primes given")
-    coding = HCoding(primes)
-    q = coding.q
     # stage 2's size floor depends on the primes alone
     _staged("script-l", lambda: _refuse_primes_over_cap(primes))
 
@@ -99,7 +100,7 @@ def compose_pipeline(a: BuchiAutomaton,
     provenance.append(("phi-wrapper", {"filler_count": q - 1}, out))
 
     return PipelineOutput(automaton=out,
-                          word_transform=(coding, PhiCoding(q - 1)),
+                          word_transform=(coding, phi),
                           provenance=tuple(provenance))
 
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from ..errors import ArityError, BuildScaleError, FreshLetterError
+from ..errors import ArityError, BuildScaleError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, RunStep, Transition, Walker,
                         intersect_det_buchi, is_real_time, validate_run)
-from ..words import HCoding, h_letters
+from ..words import HCoding, coded_alphabet, h_letters
 from .certificates import BlockSpan, RunCertificate, source_word
 
 STATE_CAP = 250_000
@@ -53,13 +53,6 @@ def _ratio(primes: tuple[int, ...], delta: tuple[int, ...]) -> tuple[int, int]:
 def _consistent(guard: tuple[int, ...], res: tuple[int, ...]) -> bool:
     # positive valuation of the run length <=> divisible <=> residue zero
     return all((g == 1) == (r == 0) for g, r in zip(guard, res))
-
-
-def _check_markers(alphabet: frozenset[str], coding: HCoding) -> None:
-    clash = alphabet & {coding.marker_a, coding.marker_b, coding.zero}
-    if clash:
-        raise FreshLetterError(
-            f"marker letters {sorted(clash)} collide with the alphabet")
 
 
 def build_script_l_guard(sigma: frozenset[str] | set[str],
@@ -108,10 +101,10 @@ def _refuse_primes_over_cap(primes: tuple[int, ...]) -> None:
             "construction would exceed the state cap", least, STATE_CAP)
 
 
-def _build_raw(a: BuchiAutomaton, primes: tuple[int, ...],
-               coding: HCoding) -> Built:
+def _build_raw(a: BuchiAutomaton, coding: HCoding,
+               full: frozenset[str]) -> Built:
     m = a.machine
-    big_q = coding.q
+    primes, big_q = coding.primes, coding.q
     mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     ones = tuple(1 % p for p in primes)
     trans: list[Transition] = []
@@ -173,7 +166,6 @@ def _build_raw(a: BuchiAutomaton, primes: tuple[int, ...],
     accepting = frozenset(_name(("x", t.destination, t.delta))
                           for t in m.transitions
                           if t.destination in a.accepting)
-    full = m.alphabet | {mark_a, mark_b, zero}
     machine = CounterMachine(k=1, alphabet=full, states=frozenset(table),
                              initial="init", transitions=tuple(trans))
     return Built(machine, accepting, table=table)
@@ -189,12 +181,12 @@ def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
         raise ArityError(f"machine has k={m.k} but {len(primes)} primes given")
     if not is_real_time(m):
         raise MachineError("block protocol needs a real-time source machine")
-    _check_markers(m.alphabet, coding)
+    full = coded_alphabet(coding, m.alphabet)
     est = _estimate_states(a, primes)
     if est > STATE_CAP:
         raise BuildScaleError(
             "construction would exceed the state cap", est, STATE_CAP)
-    raw = _build_raw(a, primes, coding)
+    raw = _build_raw(a, coding, full)
     guard = build_script_l_guard(m.alphabet, coding.marker_a,
                                  coding.marker_b, coding.zero)
     prod = intersect_det_buchi(raw, guard)

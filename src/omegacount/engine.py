@@ -167,89 +167,56 @@ def nba_lasso_member(b: BuchiAutomaton, w: LassoWord) -> bool:
     Product graph: (state, word position), positions wrapping into the
     cycle.  Accepting iff some reachable strongly connected component
     contains an accepting state and an internal letter edge (a cycle made
-    only of lambda edges consumes no input, so it never accepts)."""
+    only of lambda edges consumes no input, so it never accepts).  One
+    iterative Tarjan search from the start node computes each node's
+    successors once and judges each component as it closes."""
     m = b.machine
     if m.k != 0:
         raise MachineError("lasso membership is exact only for k = 0")
-    sp, cy = len(w.spoke), len(w.cycle)
+    sp = len(w.spoke)
     letters = list(w.spoke) + list(w.cycle)
-
-    def succ(node):
-        q, pos = node
-        out = []
-        a = letters[pos]
-        nxt = pos + 1 if pos + 1 < sp + cy else sp
-        for _, nc in step(m, Configuration(q, ()), a):
-            out.append(((nc.state, nxt), True))
-        for _, nc in step(m, Configuration(q, ()), None):
-            out.append(((nc.state, pos), False))
-        return out
-
-    root = (m.initial, 0)
-    # reachable node set
-    seen = {root}
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        for n2, _ in succ(n):
-            if n2 not in seen:
-                seen.add(n2)
-                stack.append(n2)
-    # iterative Tarjan over the reachable subgraph
     index: dict = {}
     low: dict = {}
+    by_letter: dict = {}  # node -> its letter successors
+    stack: list = []
     on_stack: set = set()
-    scc_of: dict = {}
-    tarjan_stack: list = []
-    counter = [0]
-    scc_id = [0]
-    for start_node in seen:
-        if start_node in index:
-            continue
-        work = [(start_node, iter(succ(start_node)))]
-        index[start_node] = low[start_node] = counter[0]
-        counter[0] += 1
-        tarjan_stack.append(start_node)
-        on_stack.add(start_node)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for n2, _ in it:
-                if n2 not in index:
-                    index[n2] = low[n2] = counter[0]
-                    counter[0] += 1
-                    tarjan_stack.append(n2)
-                    on_stack.add(n2)
-                    work.append((n2, iter(succ(n2))))
-                    advanced = True
-                    break
-                elif n2 in on_stack:
-                    low[node] = min(low[node], index[n2])
-            if not advanced:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    while True:
-                        n2 = tarjan_stack.pop()
-                        on_stack.discard(n2)
-                        scc_of[n2] = scc_id[0]
-                        if n2 == node:
-                            break
-                    scc_id[0] += 1
-    # an SCC is viable if it has an internal letter edge; accept if such an
-    # SCC also holds an accepting state
-    viable = set()
-    for n in seen:
-        for n2, is_letter in succ(n):
-            # n2 in the same SCC means a cycle through this letter edge
-            # exists (a singleton SCC only qualifies via a self-loop)
-            if is_letter and scc_of[n] == scc_of[n2]:
-                viable.add(scc_of[n])
-    for (q, _pos) in seen:
-        if q in b.accepting and scc_of[(q, _pos)] in viable:
-            return True
+    work: list = []
+
+    def enter(node) -> None:
+        q, pos = node
+        cfg = Configuration(q, ())
+        nxt = pos + 1 if pos + 1 < len(letters) else sp
+        moved = by_letter[node] = [(nc.state, nxt)
+                                   for _, nc in step(m, cfg, letters[pos])]
+        lam = [(nc.state, pos) for _, nc in step(m, cfg, None)]
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(moved + lam)))
+
+    enter((m.initial, 0))
+    while work:
+        node, it = work[-1]
+        for n2 in it:
+            if n2 not in index:
+                enter(n2)
+                break
+            if n2 in on_stack:
+                low[node] = min(low[node], index[n2])
+        else:
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = set()
+                while node not in comp:
+                    comp.add(stack.pop())
+                on_stack -= comp
+                # a singleton has an internal letter edge only on a self-loop
+                if (any(q in b.accepting for q, _ in comp)
+                        and any(n2 in comp for n in comp for n2 in by_letter[n])):
+                    return True
     return False
 
 

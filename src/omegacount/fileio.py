@@ -157,7 +157,8 @@ def dump_automaton(aut: BuchiAutomaton | MullerAutomaton) -> str:
     else:
         for entry in aut.table:
             lines.append(_join("table", sorted(entry)))
-    # each distinct guard and delta is spelled once
+    # each distinct guard and delta is spelled once, through int so that
+    # values the constructor accepts as equal (True, 1.0) spell as 1
     guards: dict[tuple[int, ...], str] = {}
     deltas: dict[tuple[int, ...], str] = {}
     for t in m.transitions:
@@ -165,10 +166,10 @@ def dump_automaton(aut: BuchiAutomaton | MullerAutomaton) -> str:
         guard, delta = tuple(t.guard), tuple(t.delta)
         guardbits = guards.get(guard)
         if guardbits is None:
-            guardbits = guards[guard] = "-" if m.k == 0 else "".join(str(g) for g in guard)
+            guardbits = guards[guard] = "-" if m.k == 0 else "".join(str(int(g)) for g in guard)
         tail = deltas.get(delta)
         if tail is None:
-            tail = deltas[delta] = "".join(" " + str(d) for d in delta)
+            tail = deltas[delta] = "".join(" " + str(int(d)) for d in delta)
         letter = LAMBDA_TOKEN if t.input is None else t.input
         lines.append(f"trans {t.source} {letter} {guardbits} {t.destination}{tail}")
     return "\n".join(lines) + "\n"

@@ -287,42 +287,29 @@ def lambda_burst_bound(machine: CounterMachine) -> int | float:
     """Longest chain of consecutive lambda-transitions in the transition
     graph, counters ignored (over-approximation); math.inf on a lambda cycle.
     """
-    lam = {}
+    succ: dict[str, list[str]] = {}
+    indeg: dict[str, int] = {}
     for t in machine.transitions:
         if t.input is None:
-            lam.setdefault(t.source, []).append(t.destination)
-    if not lam:
-        return 0
-    depth: dict[str, int | float] = {}
-    ON_STACK = -1
-    for root in lam:
-        if root in depth:
-            continue
-        # iterative DFS: chains can be as long as a coding block
-        stack = [(root, iter(lam.get(root, ())))]
-        depth[root] = ON_STACK
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                d = depth.get(nxt)
-                if d == ON_STACK:
-                    return math.inf
-                if d is None:
-                    depth[nxt] = ON_STACK
-                    stack.append((nxt, iter(lam.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                best = 0
-                for nxt in lam.get(node, ()):
-                    d = depth[nxt]
-                    if d is math.inf:
-                        return math.inf
-                    best = max(best, d + 1)
-                depth[node] = best if node in lam else 0
-    return max(d for d in depth.values())
+            succ.setdefault(t.source, []).append(t.destination)
+            indeg[t.destination] = indeg.get(t.destination, 0) + 1
+    # Kahn peel: a state is peeled once every lambda edge into it is (a
+    # self-loop never is), and the longest chain ending at it is known then
+    depth = dict.fromkeys(succ.keys() | indeg.keys(), 0)
+    ready = [q for q in depth if q not in indeg]
+    peeled = 0
+    while ready:
+        q = ready.pop()
+        peeled += 1
+        for d in succ.get(q, ()):
+            depth[d] = max(depth[d], depth[q] + 1)
+            indeg[d] -= 1
+            if not indeg[d]:
+                ready.append(d)
+    # states left unpeeled lie on or behind a lambda cycle
+    if peeled < len(depth):
+        return math.inf
+    return max(depth.values(), default=0)
 
 
 def buchi_visit_count(run: Run, accepting: frozenset[str] | set[str]) -> int:
@@ -516,7 +503,8 @@ def muller_to_buchi(m: MullerAutomaton) -> BuchiAutomaton:
     Copy mode mirrors the machine.  On any transition whose destination lies
     in table entry F_i the run may commit to F_i; committed mode only allows
     destinations inside F_i and accumulates them, resetting (through an
-    accepting state) whenever the accumulated subset completes F_i.
+    accepting state) whenever the accumulated subset completes F_i.  Only
+    committed (state, subset) pairs reachable from a commit are built.
     Real-time inputs give real-time outputs: every added transition consumes
     exactly what its underlying transition consumes.
     """
@@ -525,66 +513,45 @@ def muller_to_buchi(m: MullerAutomaton) -> BuchiAutomaton:
     def copy_state(q: str) -> str:
         return f"c&{q}"
 
-    def mem_state(q: str, fi: int, mask: frozenset[str]) -> str:
-        return f"m&{q}&{fi}&" + ",".join(sorted(mask))
-
     states = {copy_state(q) for q in mm.states}
-    trans: list[Transition] = []
-    for t in mm.transitions:
-        trans.append(Transition(copy_state(t.source), t.input, t.guard,
-                                copy_state(t.destination), t.delta))
+    trans = [Transition(copy_state(t.source), t.input, t.guard,
+                        copy_state(t.destination), t.delta)
+             for t in mm.transitions]
     accepting: set[str] = set()
+    leaving: dict[str, list[Transition]] = {}
+    for t in mm.transitions:
+        leaving.setdefault(t.source, []).append(t)
 
-    # enumerate committed states reachable through the subset dynamics
     for fi, entry in enumerate(m.table):
-        masks: set[frozenset[str]] = set()
-        seed: set[frozenset[str]] = set()
+        # committed (state, mask) pair -> its name; each pair is expanded once
+        names: dict[tuple[str, frozenset[str]], str] = {}
+        todo: list[tuple[str, frozenset[str]]] = []
+
+        def enter(q: str, mask: frozenset[str]) -> str:
+            nm = mask | {q}
+            if nm == entry:
+                nm = frozenset()
+            name = names.get((q, nm))
+            if name is None:
+                name = names[(q, nm)] = f"m&{q}&{fi}&" + ",".join(sorted(nm))
+                todo.append((q, nm))
+                if not nm:
+                    accepting.add(name)
+            return name
+
         for t in mm.transitions:
             if t.destination in entry:
-                nm = frozenset({t.destination}) if frozenset({t.destination}) != entry else frozenset()
-                seed.add(nm)
                 trans.append(Transition(copy_state(t.source), t.input, t.guard,
-                                        mem_state(t.destination, fi, nm), t.delta))
-                states.add(mem_state(t.destination, fi, nm))
-                if nm == frozenset():
-                    accepting.add(mem_state(t.destination, fi, nm))
-        frontier = set(seed)
-        masks.update(seed)
-        while frontier:
-            nxt: set[frozenset[str]] = set()
-            for mask in frontier:
-                for t in mm.transitions:
-                    if t.destination not in entry:
-                        continue
-                    nm = mask | {t.destination}
-                    if nm == entry:
-                        nm = frozenset()
-                    if nm not in masks:
-                        nxt.add(nm)
-            masks.update(nxt)
-            frontier = nxt
-        for mask in sorted(masks, key=lambda fs: tuple(sorted(fs))):
-            for t in mm.transitions:
-                if t.source not in entry or t.destination not in entry:
-                    continue
-                src = mem_state(t.source, fi, mask)
-                nm = mask | {t.destination}
-                if nm == entry:
-                    nm = frozenset()
-                dst = mem_state(t.destination, fi, nm)
-                states.add(src)
-                states.add(dst)
-                if nm == frozenset():
-                    accepting.add(dst)
-                trans.append(Transition(src, t.input, t.guard, dst, t.delta))
-    # deduplicate transitions introduced by overlapping mask enumeration
-    seen = set()
-    unique: list[Transition] = []
-    for t in trans:
-        key = (t.source, t.input, t.guard, t.destination, t.delta)
-        if key not in seen:
-            seen.add(key)
-            unique.append(t)
+                                        enter(t.destination, frozenset()),
+                                        t.delta))
+        while todo:
+            q, mask = todo.pop()
+            src = names[(q, mask)]
+            for t in leaving.get(q, ()):
+                if t.destination in entry:
+                    trans.append(Transition(src, t.input, t.guard,
+                                            enter(t.destination, mask), t.delta))
+        states.update(names.values())
     machine = CounterMachine(mm.k, mm.alphabet, frozenset(states),
-                             copy_state(mm.initial), tuple(unique))
+                             copy_state(mm.initial), tuple(trans))
     return BuchiAutomaton(machine, frozenset(accepting))

@@ -49,6 +49,23 @@ def test_automaton_lambda_transitions_roundtrip():
     assert back.machine.transitions[0].input is None
 
 
+def test_automaton_bool_and_float_values_roundtrip():
+    # the constructor accepts True/False and 1.0/-1.0 as guard and delta
+    # values; the file spells them as the integers they equal
+    m = CounterMachine(k=2, alphabet=frozenset({"a"}), states=("p",),
+                       initial="p",
+                       transitions=(Transition("p", "a", (True, False), "p", (-1.0, 1.0)),
+                                    Transition("p", None, (False, True), "p", (1.0, -1.0)),
+                                    Transition("p", "a", (1, 0), "p", (-1, 1))))
+    b = BuchiAutomaton(m, frozenset({"p"}))
+    text = dump_automaton(b)
+    assert "trans p a 10 p -1 1\n" in text
+    assert "trans p - 01 p 1 -1\n" in text
+    back = load_automaton(text)
+    assert back == b
+    assert dump_automaton(back) == text
+
+
 def test_automaton_comments_and_blank_lines_ignored():
     text = dump_automaton(m2_two_counters())
     noisy = "# header\n\n" + text.replace("initial", "# note\ninitial", 1)

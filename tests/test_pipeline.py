@@ -67,10 +67,17 @@ def test_reserved_letters_rejected():
         transitions=(Transition("p", "c", (0, 0), "p", (0, 0)),
                      Transition("p", "E", (0, 0), "p", (0, 0)),))
     b2 = BuchiAutomaton(m2, frozenset({"p"}))
-    with pytest.raises(FreshLetterError):
+    # E is no letter of the returned chain: stage 1's refusal comes first
+    with pytest.raises(BuildScaleError):
         compose_pipeline(b2)
-    # E is free when stage 1 is skipped
     compose_pipeline(b2, primes=PRIMES, skip_realtime8=True)
+    for letter in ("A", "B", "0"):
+        m3 = CounterMachine(
+            k=2, alphabet=frozenset({letter}), states=("p",), initial="p",
+            transitions=(Transition("p", letter, (0, 0), "p", (0, 0)),))
+        with pytest.raises(FreshLetterError):
+            compose_pipeline(BuchiAutomaton(m3, frozenset({"p"})),
+                             primes=PRIMES, skip_realtime8=True)
 
 
 def test_lift_end_to_end():
