@@ -17,8 +17,8 @@ from .storage import (CountedQueue, EncodedStack, add_rear_bound,
                       add_rear_itemized_bound, front_bound, queue_add_rear,
                       queue_empty, queue_front, queue_remove_front, stack_decode,
                       stack_encode, stack_pop, stack_push, stack_top)
-from .engine import (ExploreEvidence, PrefixReach, Witness, bounded_explore,
-                     d34_witness_scan, exact_prefix_reach, nba_lasso_member)
+from .engine import (PrefixReach, Witness, bounded_explore, d34_witness_scan,
+                     exact_prefix_reach, nba_lasso_member)
 from .fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                      load_automaton, load_run, load_word)
 

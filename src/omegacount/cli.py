@@ -138,12 +138,19 @@ def _cmd_lift(args) -> int:
     return 0
 
 
-def _cmd_word_encode(args) -> int:
+def _word_prefix(args, missing: str) -> list[str]:
+    """The first --n letters of the word file, or as many as its prefix
+    directive gives; `missing` is the error when neither is there."""
     spec = load_word(_read(args.word))
     n = args.n if args.n is not None else spec.prefix
     if n is None:
-        raise MachineError("word encode needs --n or a prefix directive in the file")
-    _emit(" ".join(spec.prefix_letters(n)) + "\n", args.output)
+        raise MachineError(missing)
+    return spec.prefix_letters(n)
+
+
+def _cmd_word_encode(args) -> int:
+    word = _word_prefix(args, "word encode needs --n or a prefix directive in the file")
+    _emit(" ".join(word) + "\n", args.output)
     return 0
 
 
@@ -151,11 +158,7 @@ def _cmd_run_check(args) -> int:
     b = _buchi(args.input)
     run = load_run(_read(args.run))
     if args.word:
-        spec = load_word(_read(args.word))
-        n = args.n if args.n is not None else spec.prefix
-        if n is None:
-            raise MachineError("--word needs --n or a prefix directive")
-        word = spec.prefix_letters(n)
+        word = _word_prefix(args, "--word needs --n or a prefix directive")
     else:
         word = [s.consumed for s in run.steps if s.consumed is not None]
     bad = validate_run(b.machine, word, run)
@@ -169,26 +172,16 @@ def _cmd_run_check(args) -> int:
 
 def _cmd_explore(args) -> int:
     b = _buchi(args.input)
-    spec = load_word(_read(args.word))
-    n = args.n if args.n is not None else spec.prefix
-    if n is None:
-        raise MachineError("explore needs --n or a prefix directive")
-    word = spec.prefix_letters(n)
-    if args.lambda_budget is not None:
-        ev = bounded_explore(b, word, args.lambda_budget)
-        sizes = ev.sizes()
-        tag = "exhausted" if ev.exhausted else "capped"
-        print(f"letters {n} final {sizes[-1]} configurations "
-              f"max-visits {ev.max_visits() if sizes[-1] else '-'} {tag}")
-        return 0 if sizes[-1] else 1
-    r = exact_prefix_reach(b, word)
-    sizes = r.sizes()
+    word = _word_prefix(args, "explore needs --n or a prefix directive")
+    r = (exact_prefix_reach(b, word) if args.lambda_budget is None
+         else bounded_explore(b, word, args.lambda_budget))
+    final = r.sizes()[-1]
     empty = r.first_empty_position()
-    print(f"letters {n} final {sizes[-1]} configurations "
-          f"max-visits {r.max_visits(len(sizes) - 1) if sizes[-1] else '-'} "
+    print(f"letters {len(word)} final {final} configurations "
+          f"max-visits {r.max_visits() if final else '-'} "
           f"first-empty {'-' if empty is None else empty}"
           f"{' (capped)' if r.capped else ''}")
-    return 0 if sizes[-1] else 1
+    return 0 if final else 1
 
 
 def _cmd_lasso_member(args) -> int:

@@ -56,18 +56,19 @@ def _consistent(guard: tuple[int, ...], res: tuple[int, ...]) -> bool:
 
 
 def build_script_l_guard(sigma: frozenset[str] | set[str],
-                         marker_a: str = "A", marker_b: str = "B",
-                         zero: str = "0") -> BuchiAutomaton:
+                         coding: HCoding) -> BuchiAutomaton:
     """Deterministic complete acceptor for never leaving the cyclic pattern
-    A.0*.letter.B.0*; every state except the rejecting sink is accepting, so
-    the product stays accepting once per block."""
+    A.0*.letter.B.0* of `coding`'s markers; every state except the rejecting
+    sink is accepting, so the product stays accepting once per block.
+    Raises FreshLetterError when a coding letter is in sigma."""
     sigma = frozenset(sigma)
-    full = sigma | {marker_a, marker_b, zero}
+    full = coded_alphabet(coding, sigma)
+    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     table = {
-        "S0": {marker_a: "SA"},
+        "S0": {mark_a: "SA"},
         "SA": {zero: "SA", **{a: "SS" for a in sigma}},
-        "SS": {marker_b: "SB"},
-        "SB": {zero: "SB", marker_a: "SA"},
+        "SS": {mark_b: "SB"},
+        "SB": {zero: "SB", mark_a: "SA"},
         "sink": {},
     }
     trans = [Transition(src, a, (), row.get(a, "sink"), ())
@@ -187,8 +188,7 @@ def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
         raise BuildScaleError(
             "construction would exceed the state cap", est, STATE_CAP)
     raw = _build_raw(a, coding, full)
-    guard = build_script_l_guard(m.alphabet, coding.marker_a,
-                                 coding.marker_b, coding.zero)
+    guard = build_script_l_guard(m.alphabet, coding)
     prod = intersect_det_buchi(raw, guard)
     table = {n: (raw.table[q], s, flag) for n, (q, s, flag) in prod.table.items()}
     return Built(prod.machine, prod.accepting, source=a,

@@ -11,8 +11,11 @@ coded word visits one per block.
 
 from __future__ import annotations
 
+from ..engine import deterministic_run
 from ..errors import FreshLetterError
 from ..machines import BuchiAutomaton, CounterMachine, Transition
+from ..words import theta_prefix
+from .certificates import BlockSpan, RunCertificate
 
 INIT = "init"
 LAND_A = "landA"
@@ -88,10 +91,6 @@ def theta_certificate(w, S: int, blocks: int, pad: str = "E"):
     source letter closing it, so each span ends on a boundary state and
     carries exactly one accepting visit.
     """
-    from ..engine import deterministic_run
-    from ..words import theta_prefix
-    from .certificates import BlockSpan, RunCertificate
-
     if blocks < 1:
         raise ValueError("need at least one block")
     b = build_theta_acceptor(w.alphabet, S, pad)

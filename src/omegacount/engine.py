@@ -3,6 +3,8 @@
 Positive evidence on non-periodic coded words is always a certificate or an
 exact prefix closure; negative evidence is prefix-exact and tail-open,
 except on 0-counter machines where lasso membership is decided exactly.
+Prefix evidence comes from one frontier search, `bounded_explore`, whose
+visited cap counts configurations summed over the frontiers.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MachineError
-from .machines import (BuchiAutomaton, Configuration, Run, Walker,
-                       is_real_time, step)
+from .machines import (BuchiAutomaton, Configuration, CounterMachine, Run,
+                       Walker, is_real_time, step)
 from .words import LassoWord, lasso_prefix
 
 DEFAULT_VISITED_CAP = 10 ** 7
@@ -19,9 +21,11 @@ DEFAULT_VISITED_CAP = 10 ** 7
 
 @dataclass(frozen=True)
 class PrefixReach:
-    """frontiers[i]: configurations reachable after i letters, mapped to the
-    maximum accepting-visit count (start included) over runs reaching them.
-    Real-time machines only, so the closure is exact."""
+    """frontiers[i]: configurations reachable after i letters, each mapped to
+    the maximum accepting-visit count (start included) over runs reaching
+    it.  capped means the configurations summed over the frontiers passed
+    the visited cap and the search stopped there; otherwise every frontier
+    is exact for the lambda budget searched."""
 
     frontiers: tuple[dict, ...]
     capped: bool
@@ -29,7 +33,7 @@ class PrefixReach:
     def sizes(self) -> list[int]:
         return [len(f) for f in self.frontiers]
 
-    def max_visits(self, pos: int) -> int | None:
+    def max_visits(self, pos: int = -1) -> int | None:
         f = self.frontiers[pos]
         return max(f.values()) if f else None
 
@@ -40,31 +44,58 @@ class PrefixReach:
         return None
 
 
-def exact_prefix_reach(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...],
-                       visited_cap: int = DEFAULT_VISITED_CAP) -> PrefixReach:
-    m = b.machine
-    if not is_real_time(m):
-        raise MachineError("exact_prefix_reach needs a real-time machine; use bounded_explore")
+def _advance(m: CounterMachine, accepting: frozenset, cur: dict,
+             token: str | None) -> dict:
+    """Configurations one `token` step (a letter, or None for lambda) from
+    the frontier `cur`, each with its best visit count."""
+    nxt: dict[Configuration, int] = {}
+    for cfg, visits in cur.items():
+        for _, nc in step(m, cfg, token):
+            nv = visits + (1 if nc.state in accepting else 0)
+            old = nxt.get(nc)
+            if old is None or nv > old:
+                nxt[nc] = nv
+    return nxt
+
+
+def bounded_explore(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...],
+                    lambda_budget: int,
+                    visited_cap: int = DEFAULT_VISITED_CAP) -> PrefixReach:
+    """Explore runs that take at most lambda_budget lambda-steps between
+    consecutive letters (also before the first and after the last)."""
+    if lambda_budget < 0:
+        raise ValueError(f"lambda budget must be >= 0, got {lambda_budget}")
+    m, accepting = b.machine, b.accepting
+
+    def close(level: dict) -> dict:
+        # level j holds what exactly j lambda-steps reach, so the levels
+        # form a DAG and one pass per level gives exact best counts; the
+        # step count is dropped once every level is merged
+        if not lambda_budget:
+            return level
+        out = dict(level)
+        for _ in range(lambda_budget):
+            level = _advance(m, accepting, level, None)
+            if not level:
+                break
+            for cfg, visits in level.items():
+                old = out.get(cfg)
+                if old is None or visits > old:
+                    out[cfg] = visits
+        return out
+
     start = Configuration(m.initial, (0,) * m.k)
-    cur = {start: 1 if m.initial in b.accepting else 0}
-    frontiers = [dict(cur)]
+    cur = close({start: 1 if m.initial in accepting else 0})
+    frontiers = [cur]
     total = len(cur)
     capped = False
     for a in prefix:
-        nxt: dict[Configuration, int] = {}
-        for cfg, visits in cur.items():
-            for _, nc in step(m, cfg, a):
-                nv = visits + (1 if nc.state in b.accepting else 0)
-                old = nxt.get(nc)
-                if old is None or nv > old:
-                    nxt[nc] = nv
-        total += len(nxt)
+        cur = close(_advance(m, accepting, cur, a))
+        total += len(cur)
+        frontiers.append(cur)
         if total > visited_cap:
             capped = True
-            frontiers.append(nxt)
             break
-        frontiers.append(nxt)
-        cur = nxt
         if not cur:
             break
     # pad with empty frontiers for stable indexing when the search died early
@@ -73,82 +104,13 @@ def exact_prefix_reach(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...],
     return PrefixReach(tuple(frontiers), capped)
 
 
-@dataclass(frozen=True)
-class ExploreEvidence:
-    """Budgeted closure: frontiers[i] maps (configuration, lambda-steps used
-    since the last letter) to max accepting visits.  exhausted means the
-    closure completed under the visited cap, making negative results exact
-    for the stated budget."""
-
-    frontiers: tuple[dict, ...]
-    exhausted: bool
-
-    def configs_at(self, pos: int) -> set[Configuration]:
-        return {cfg for (cfg, _l) in self.frontiers[pos]}
-
-    def max_visits(self, pos: int | None = None) -> int | None:
-        f = self.frontiers[-1 if pos is None else pos]
-        return max(f.values()) if f else None
-
-    def sizes(self) -> list[int]:
-        return [len(f) for f in self.frontiers]
-
-
-def bounded_explore(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...],
-                    lambda_budget: int,
-                    visited_cap: int = DEFAULT_VISITED_CAP) -> ExploreEvidence:
-    """Explore runs that take at most lambda_budget lambda-steps between
-    consecutive letters (also before the first and after the last)."""
-    m = b.machine
-
-    def visit(state: str) -> int:
-        return 1 if state in b.accepting else 0
-
-    def close(level0: dict) -> dict:
-        # lambda-closure: lam strictly increases, so levels form a DAG and a
-        # single pass per level computes exact max visits
-        out = dict(level0)
-        level = level0
-        for lam in range(1, lambda_budget + 1):
-            nxt_level: dict = {}
-            for (cfg, l), visits in level.items():
-                for _, nc in step(m, cfg, None):
-                    key = (nc, lam)
-                    nv = visits + visit(nc.state)
-                    old = out.get(key)
-                    if old is None or nv > old:
-                        nxt_level[key] = max(nv, nxt_level.get(key, nv))
-                        out[key] = max(nv, out.get(key, nv))
-            if not nxt_level:
-                break
-            level = nxt_level
-        return out
-
-    start = Configuration(m.initial, (0,) * m.k)
-    cur = close({(start, 0): visit(m.initial)})
-    frontiers = [cur]
-    total = len(cur)
-    exhausted = True
-    for a in prefix:
-        base: dict = {}
-        for (cfg, _l), visits in cur.items():
-            for _, nc in step(m, cfg, a):
-                nv = visits + visit(nc.state)
-                key = (nc, 0)
-                old = base.get(key)
-                if old is None or nv > old:
-                    base[key] = nv
-        cur = close(base)
-        total += len(cur)
-        frontiers.append(cur)
-        if total > visited_cap:
-            exhausted = False
-            break
-        if not cur:
-            break
-    while len(frontiers) < len(prefix) + 1 and exhausted:
-        frontiers.append({})
-    return ExploreEvidence(tuple(frontiers), exhausted)
+def exact_prefix_reach(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...],
+                       visited_cap: int = DEFAULT_VISITED_CAP) -> PrefixReach:
+    """bounded_explore without lambda-steps, for real-time machines, where
+    the closure is exact."""
+    if not is_real_time(b.machine):
+        raise MachineError("exact_prefix_reach needs a real-time machine; use bounded_explore")
+    return bounded_explore(b, prefix, 0, visited_cap)
 
 
 def deterministic_run(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...]) -> Run:

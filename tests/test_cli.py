@@ -92,6 +92,29 @@ def test_explore_exit_codes(files, capsys):
     assert "final 0 configurations" in out
 
 
+def test_explore_lambda_budget(files, capsys):
+    # accepting q reads a and may idle on a lambda self-loop
+    aut = files["dir"] / "loop.aut"
+    aut.write_text("\n".join([
+        "kcounters 0", "alphabet a b", "states q", "initial q",
+        "accepting q", "trans q - - q", "trans q a - q", ""]))
+    word = files["dir"] / "ab.word"
+    word.write_text("lasso a | b\n")
+    run = ["explore", "--input", str(aut), "--word"]
+    assert main(run + [str(files["aword"]), "--n", "2",
+                       "--lambda-budget", "3"]) == 0
+    # one configuration, not one per lambda-step count
+    assert capsys.readouterr().out == (
+        "letters 2 final 1 configurations max-visits 12 first-empty -\n")
+    assert main(run + [str(word), "--n", "2", "--lambda-budget", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "letters 2 final 0 configurations max-visits - first-empty 2\n")
+    assert main(run + [str(word), "--n", "2", "--lambda-budget", "-1"]) == 2
+    assert "lambda budget" in capsys.readouterr().err
+    # without a budget the machine must be real-time
+    assert main(run + [str(word), "--n", "2"]) == 2
+
+
 def test_lasso_member_exit_codes(files, capsys):
     aut = files["dir"] / "infb.aut"
     text = "\n".join([

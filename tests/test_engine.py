@@ -62,9 +62,39 @@ def test_bounded_explore_uses_lambda_budget():
     dead = bounded_explore(b, ["a"], lambda_budget=0)
     assert dead.sizes()[-1] == 0
     live = bounded_explore(b, ["a"], lambda_budget=1)
-    assert Configuration("q", ()) in live.configs_at(1)
-    assert live.exhausted
+    assert Configuration("q", ()) in live.frontiers[1]
+    assert not live.capped
     assert live.max_visits() == 2  # lambda entry plus the read
+
+
+def _lambda_loop():
+    # accepting q reads a and may idle on a lambda self-loop
+    m = CounterMachine(k=0, alphabet=frozenset({"a"}), states=("q",),
+                       initial="q",
+                       transitions=(Transition("q", None, (), "q", ()),
+                                    Transition("q", "a", (), "q", ())))
+    return BuchiAutomaton(m, frozenset({"q"}))
+
+
+def test_bounded_explore_counts_configurations_not_lambda_steps():
+    r = bounded_explore(_lambda_loop(), ["a", "a"], lambda_budget=3)
+    # one configuration per position, however many lambda-steps reach it
+    assert r.sizes() == [1, 1, 1]
+    assert r.frontiers[2] == {Configuration("q", ()): 12}
+    assert r.max_visits() == 12  # 1 at the start, 3 per closure (x3), 1 per letter (x2)
+    assert not r.capped
+
+
+def test_bounded_explore_caps_on_configurations():
+    # three configurations in all: one per position
+    b = _lambda_loop()
+    assert not bounded_explore(b, ["a", "a"], 3, visited_cap=3).capped
+    assert bounded_explore(b, ["a", "a"], 3, visited_cap=2).capped
+
+
+def test_bounded_explore_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        bounded_explore(_lambda_loop(), ["a"], lambda_budget=-1)
 
 
 def test_deterministic_run_walks_and_rejects_choice():
