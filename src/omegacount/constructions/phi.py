@@ -103,7 +103,8 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
 
     def to(token: str, delta: tuple[int, ...], dest: tuple[str, int, int]) -> None:
         nonlocal q, f
-        walker.to(token, lambda u: u.delta == delta and table[u.destination] == dest)
+        walker.to(token, lambda u: u.delta == delta and table[u.destination] == dest,
+                  (delta, dest))
         q, f = dest[0], dest[1]
 
     spans: list[BlockSpan] = []

@@ -352,10 +352,12 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
     blocks = len(run.steps)
     for i in range(1, blocks + 1):
         start = len(walker.steps)
-        want = simulating(m_a.transitions[run.steps[i - 1].transition_index])
-        walker.to(block_letter(i), want)
+        # simulating(at) depends on `at` alone, so its index names it
+        at = run.steps[i - 1].transition_index
+        want = simulating(m_a.transitions[at])
+        walker.to(block_letter(i), want, at)
         for _ in range(s_eff ** i):
-            walker.to(pad, want)
+            walker.to(pad, want, at)
         spans.append(BlockSpan(i, start, len(walker.steps)))
 
     needed = len(walker.steps)

@@ -242,7 +242,7 @@ def lift_run_script_L(bl: Built, run: Run,
             # the guard component is deterministic, so naming the raw
             # destination singles out the product transition
             guess = ("x", t.destination, t.delta)
-            walker.to(tok, lambda u: table[u.destination][0] == guess)
+            walker.to(tok, lambda u: table[u.destination][0] == guess, guess)
         else:
             walker.to(tok)
         while walker.cfg.state in lam:

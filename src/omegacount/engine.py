@@ -75,9 +75,12 @@ def bounded_explore(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...],
             return level
         out = dict(level)
         for _ in range(lambda_budget):
-            level = _advance(m, accepting, level, None)
-            if not level:
+            nxt = _advance(m, accepting, level, None)
+            # an empty level stays empty and a repeated one repeats forever,
+            # so no later level can add anything
+            if not nxt or nxt == level:
                 break
+            level = nxt
             for cfg, visits in level.items():
                 old = out.get(cfg)
                 if old is None or visits > old:

@@ -14,6 +14,8 @@ sub-runs into product or union machines rely on that.
 Builders whose runs can be lifted return a Built: the automaton itself plus
 what it was built from, the build parameters, and the structured tuple each
 state name stands for.  Lifts walk that record with a Walker and never build.
+A Walker resolves each choice once per (state, token, sign pattern, key) and
+replays it after that, so a key must name the predicate it is passed with.
 """
 
 from __future__ import annotations
@@ -208,25 +210,39 @@ def step(machine: CounterMachine, config: Configuration,
 class Walker:
     """Replays a schedule on a machine: each `to` takes the one transition
     out of the current configuration on `token` whose guard holds and that
-    satisfies `want`, and records the step."""
+    satisfies `want`, and records the step.
+
+    The candidates depend only on the state, the token and the counters'
+    sign pattern, so a choice is resolved once per (state, token, sign
+    pattern, key) and replayed from then on.  That is sound only if `key`
+    names `want`: two calls with the same key must pass predicates that
+    give the same verdicts.  A step without `want` is keyed by None.
+    """
 
     def __init__(self, machine: CounterMachine, start: Configuration):
         self.machine = machine
         self.start = start
         self.cfg = start
         self.steps: list[RunStep] = []
+        self._chosen: dict[tuple, tuple[int, Transition]] = {}
 
-    def to(self, token: str | None, want=None) -> None:
-        counters = self.cfg.counters
+    def to(self, token: str | None, want=None, key=None) -> None:
+        if (want is None) != (key is None):
+            raise TypeError("Walker.to: a key must name a want, and a want needs a key")
+        state, counters = self.cfg.state, self.cfg.counters
         # a guard matches exactly when it equals the counters' sign pattern
-        signs = tuple(c > 0 for c in counters)
-        cands = [(i, t) for i, t in self.machine.outgoing(self.cfg.state, token)
-                 if t.guard == signs and (want is None or want(t))]
-        if len(cands) != 1:
-            raise MachineError(
-                f"walk broke at {self.cfg.state!r} on {token!r} after "
-                f"{len(self.steps)} steps: {len(cands)} candidate transitions")
-        i, t = cands[0]
+        signs = tuple([c > 0 for c in counters])
+        choice = (state, token, signs, key)
+        chosen = self._chosen.get(choice)
+        if chosen is None:
+            cands = [(i, t) for i, t in self.machine.outgoing(state, token)
+                     if t.guard == signs and (want is None or want(t))]
+            if len(cands) != 1:
+                raise MachineError(
+                    f"walk broke at {state!r} on {token!r} after "
+                    f"{len(self.steps)} steps: {len(cands)} candidate transitions")
+            chosen = self._chosen[choice] = cands[0]
+        i, t = chosen
         self.cfg = Configuration(t.destination, tuple(map(add, counters, t.delta)))
         self.steps.append(RunStep(token, i, self.cfg))
 
@@ -250,32 +266,42 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
         return RunViolation(-1, "negative-counter", "start configuration")
     if run.start.state not in machine.states:
         return RunViolation(-1, "source", f"unknown state {run.start.state!r}")
-    cur = run.start
+    transitions = machine.transitions
+    n_trans, n_word = len(transitions), len(word)
+    # the current configuration is natural (the start was checked, and each
+    # result is checked before it becomes current), so bool(c) is c > 0
+    state, counters = run.start.state, run.start.counters
     pos = 0
     for i, s in enumerate(run.steps):
-        if not (0 <= s.transition_index < len(machine.transitions)):
-            return RunViolation(i, "index", f"transition index {s.transition_index} out of range")
-        t = machine.transitions[s.transition_index]
-        if t.source != cur.state:
-            return RunViolation(i, "source", f"transition {s.transition_index} leaves {t.source!r}, run is at {cur.state!r}")
-        if s.consumed != t.input:
-            return RunViolation(i, "input", f"recorded {s.consumed!r}, transition reads {t.input!r}")
-        if not t.matches(cur.counters):
-            return RunViolation(i, "guard", f"guard {t.guard} vs counters {cur.counters}")
-        if any(c < 0 for c in s.result.counters):
-            return RunViolation(i, "negative-counter", f"result {s.result.counters}")
-        expected = tuple(c + d for c, d in zip(cur.counters, t.delta))
-        if s.result.state != t.destination:
-            return RunViolation(i, "destination", f"recorded {s.result.state!r}, transition enters {t.destination!r}")
-        if s.result.counters != expected:
-            return RunViolation(i, "delta", f"recorded {s.result.counters}, expected {expected}")
-        if s.consumed is not None:
-            if pos >= len(word) or word[pos] != s.consumed:
-                return RunViolation(i, "projection", f"letter {s.consumed!r} at word position {pos}")
+        idx = s.transition_index
+        if not (0 <= idx < n_trans):
+            return RunViolation(i, "index", f"transition index {idx} out of range")
+        t = transitions[idx]
+        if t.source != state:
+            return RunViolation(i, "source", f"transition {idx} leaves {t.source!r}, run is at {state!r}")
+        consumed = s.consumed
+        if consumed != t.input:
+            return RunViolation(i, "input", f"recorded {consumed!r}, transition reads {t.input!r}")
+        # equal to the sign pattern implies matches; anything else (a list
+        # guard, or a real mismatch) is settled by matches itself
+        if t.guard != tuple(map(bool, counters)) and not t.matches(counters):
+            return RunViolation(i, "guard", f"guard {t.guard} vs counters {counters}")
+        result = s.result
+        got = result.counters
+        if got and min(got) < 0:
+            return RunViolation(i, "negative-counter", f"result {got}")
+        expected = tuple(map(add, counters, t.delta))
+        if result.state != t.destination:
+            return RunViolation(i, "destination", f"recorded {result.state!r}, transition enters {t.destination!r}")
+        if got != expected:
+            return RunViolation(i, "delta", f"recorded {got}, expected {expected}")
+        if consumed is not None:
+            if pos >= n_word or word[pos] != consumed:
+                return RunViolation(i, "projection", f"letter {consumed!r} at word position {pos}")
             pos += 1
-        cur = s.result
-    if pos != len(word):
-        return RunViolation(len(run.steps), "projection", f"run consumed {pos} of {len(word)} letters")
+        state, counters = result.state, got
+    if pos != n_word:
+        return RunViolation(len(run.steps), "projection", f"run consumed {pos} of {n_word} letters")
     return None
 
 
@@ -396,12 +422,18 @@ def lift_run_union(b1: BuchiAutomaton, b2: BuchiAutomaton, run: Run, side: str) 
         raise ValueError("side must be 'left' or 'right'")
     tag = "L" if side == "left" else "R"
     offset = 0 if side == "left" else len(b1.machine.transitions)
-    start = Configuration(_tag(tag, run.start.state), run.start.counters)
-    steps = tuple(
-        RunStep(s.consumed, s.transition_index + offset,
-                Configuration(_tag(tag, s.result.state), s.result.counters))
-        for s in run.steps)
-    return Run(start, steps)
+    # a run revisits few states: tag each one once
+    tagged: dict[str, str] = {}
+
+    def retag(cfg: Configuration) -> Configuration:
+        name = tagged.get(cfg.state)
+        if name is None:
+            name = tagged[cfg.state] = _tag(tag, cfg.state)
+        return Configuration(name, cfg.counters)
+
+    steps = tuple(RunStep(s.consumed, s.transition_index + offset, retag(s.result))
+                  for s in run.steps)
+    return Run(retag(run.start), steps)
 
 
 # intersection with a deterministic complete 0-counter automaton
@@ -490,7 +522,8 @@ def lift_run_intersection(prod: Built, run: Run) -> Run:
             s = md.outgoing(s, st.consumed)[0][1].destination
         dst = (t.destination, s, flag)
         walker.to(st.consumed,
-                  lambda u: u.delta == t.delta and prod.table[u.destination] == dst)
+                  lambda u: u.delta == t.delta and prod.table[u.destination] == dst,
+                  (t.delta, dst))
     return walker.run()
 
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegacount import engine
 from omegacount.engine import (bounded_explore, d34_witness_scan,
                                deterministic_run, exact_prefix_reach,
                                nba_lasso_member)
@@ -83,6 +84,24 @@ def test_bounded_explore_counts_configurations_not_lambda_steps():
     assert r.frontiers[2] == {Configuration("q", ()): 12}
     assert r.max_visits() == 12  # 1 at the start, 3 per closure (x3), 1 per letter (x2)
     assert not r.capped
+
+
+def test_bounded_explore_stops_when_a_lambda_level_repeats(monkeypatch):
+    # q made non-accepting: the first lambda level equals the level it
+    # came from, so the closure stops there
+    b = BuchiAutomaton(_lambda_loop().machine, frozenset())
+    calls = []
+    advance = engine._advance
+    monkeypatch.setattr(engine, "_advance",
+                        lambda *args: calls.append(args[3]) or advance(*args))
+    r = bounded_explore(b, ["a"] * 50, lambda_budget=1000)
+    assert r.sizes() == [1] * 51 and r.max_visits() == 0
+    # one letter step per letter, one lambda step per closure
+    assert calls.count("a") == 50 and calls.count(None) == 51
+    # levels that keep growing (accepting q) still run the whole budget
+    calls.clear()
+    assert bounded_explore(_lambda_loop(), ["a", "a"], 3).max_visits() == 12
+    assert calls.count(None) == 9
 
 
 def test_bounded_explore_caps_on_configurations():

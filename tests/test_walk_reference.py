@@ -1,0 +1,239 @@
+"""Differential tests of the walker and the run check.
+
+`machines.Walker` resolves each choice once per (state, token, sign pattern,
+key) and replays it; `machines.validate_run` checks each step with
+tuple-level operations.  Both are held to the versions they replaced
+(`reference_walk.py`) on seeded random machines with up to two counters,
+duplicate transitions, list guards and guard or delta values spelled True
+or 1.0: the same steps or the same walk error on random keyed and unkeyed
+schedules, and the same verdict on valid runs and on corruptions of them
+that reach every violation the check reports.
+"""
+
+import random
+import re
+
+import pytest
+
+import reference_walk as ref
+from omegacount.errors import MachineError
+from omegacount.machines import (Configuration, CounterMachine, Run, RunStep,
+                                 Transition, Walker, step, validate_run)
+
+SIGMA = ("a", "b")
+INPUTS = SIGMA + (None,)
+STATES = ("s0", "s1", "s2")
+
+# named predicates: the name is the key that stands for the predicate
+WANTS = {
+    "to s0": lambda u: u.destination == "s0",
+    "to s1": lambda u: u.destination == "s1",
+    "climbs": lambda u: any(d > 0 for d in u.delta),
+    "still": lambda u: not any(u.delta),
+}
+
+
+def _value(rng: random.Random, v: int):
+    # the constructor accepts True and 1.0 wherever it accepts 1
+    if rng.random() < 0.2:
+        return rng.choice({0: (False, 0.0), 1: (True, 1.0), -1: (-1,)}[v])
+    return v
+
+
+def _machine(rng: random.Random) -> CounterMachine:
+    k = rng.randint(0, 2)
+    states = STATES[:rng.randint(1, 3)]
+    trans = []
+    for _ in range(rng.randint(1, 10)):
+        bits = [rng.randint(0, 1) for _ in range(k)]
+        guard = [_value(rng, b) for b in bits]
+        delta = tuple(_value(rng, rng.choice((0, 1) if b == 0 else (-1, 0, 1)))
+                      for b in bits)
+        t = Transition(rng.choice(states), rng.choice(INPUTS),
+                       guard if rng.random() < 0.15 else tuple(guard),
+                       rng.choice(states), delta)
+        trans.append(t)
+        if rng.random() < 0.2:
+            trans.append(t)
+    return CounterMachine(k=k, alphabet=frozenset(SIGMA), states=states,
+                          initial="s0", transitions=tuple(trans))
+
+
+def _start(rng: random.Random, m: CounterMachine) -> Configuration:
+    return Configuration(rng.choice(sorted(m.states)),
+                         tuple(rng.randint(0, 2) for _ in range(m.k)))
+
+
+def test_walker_matches_the_reference():
+    rng = random.Random(5)
+    broke = {}
+    replayed = 0
+    for _ in range(1500):
+        m = _machine(rng)
+        start = _start(rng, m)
+        got, want = Walker(m, start), ref.Walker(m, start)
+        chosen = set()
+        for _ in range(rng.randint(1, 40)):
+            # mostly tokens the state reads, so walks get somewhere
+            live = [x for x in INPUTS if m.outgoing(want.cfg.state, x)]
+            token = rng.choice(live if live and rng.random() < 0.8 else INPUTS)
+            key = None if rng.random() < 0.5 else rng.choice(tuple(WANTS))
+            pred = WANTS.get(key)
+            choice = (want.cfg.state, token,
+                      tuple(c > 0 for c in want.cfg.counters), key)
+            try:
+                want.to(token, pred)
+            except MachineError as exc:
+                with pytest.raises(MachineError) as err:
+                    got.to(token, pred, key)
+                assert str(err.value) == str(exc), (m, start)
+                n = int(re.search(r"(\d+) candidate", str(exc)).group(1))
+                broke[n] = broke.get(n, 0) + 1
+                # a failed choice leaves both walkers where they were
+                continue
+            got.to(token, pred, key)
+            assert got.cfg == want.cfg, (m, start)
+            replayed += choice in chosen
+            chosen.add(choice)
+        assert got.run() == want.run()
+    # the schedules hit both refusals and replay many remembered choices
+    assert broke.get(0, 0) > 1000 and broke.get(2, 0) > 1000, broke
+    assert replayed > 2000, replayed
+
+
+def test_walker_replays_a_choice_it_resolved():
+    # the second lap through s0 reuses the first lap's choice; the error
+    # text still counts the steps taken so far
+    m = CounterMachine(k=1, alphabet=frozenset(SIGMA), states=("s0", "s1"),
+                       initial="s0",
+                       transitions=(Transition("s0", "a", (1,), "s1", (1,)),
+                                    Transition("s0", "a", (1,), "s0", (1,)),
+                                    Transition("s1", "b", (1,), "s0", (-1,))))
+    w = Walker(m, Configuration("s0", (1,)))
+    for _ in range(3):
+        w.to("a", WANTS["to s1"], "to s1")
+        w.to("b")
+    assert [s.transition_index for s in w.steps] == [0, 2] * 3
+    with pytest.raises(MachineError, match="after 6 steps: 2 candidate"):
+        w.to("a")
+
+
+def test_walker_refuses_an_unnamed_want():
+    m = CounterMachine(k=0, alphabet=frozenset(SIGMA), states=("s0",),
+                       initial="s0",
+                       transitions=(Transition("s0", "a", (), "s0", ()),))
+    w = Walker(m, Configuration("s0", ()))
+    with pytest.raises(TypeError, match="key"):
+        w.to("a", WANTS["to s0"])
+    with pytest.raises(TypeError, match="key"):
+        w.to("a", key="to s0")
+    assert w.steps == []
+    w.to("a", WANTS["to s0"], "to s0")
+    assert len(w.steps) == 1
+
+
+def _valid_run(rng: random.Random, m: CounterMachine) -> Run:
+    # step() compares guards the way Transition.matches does, so these
+    # runs take list guards too, which the walker never matches
+    cfg = start = _start(rng, m)
+    steps = []
+    for _ in range(rng.randint(0, 12)):
+        succ = [(tok, i, nc) for tok in INPUTS for i, nc in step(m, cfg, tok)]
+        if not succ:
+            break
+        tok, i, cfg = rng.choice(succ)
+        steps.append(RunStep(tok, i, cfg))
+    return Run(start, tuple(steps))
+
+
+def _with_step(run: Run, j: int, **change) -> Run:
+    s = run.steps[j]
+    fields = {"consumed": s.consumed, "transition_index": s.transition_index,
+              "state": s.result.state, "counters": s.result.counters, **change}
+    new = RunStep(fields["consumed"], fields["transition_index"],
+                  Configuration(fields["state"], fields["counters"]))
+    return Run(run.start, run.steps[:j] + (new,) + run.steps[j + 1:])
+
+
+def _bump(counters: tuple, j: int, to) -> tuple:
+    return counters[:j] + (to,) + counters[j + 1:]
+
+
+def _corruptions(rng: random.Random, m: CounterMachine, run: Run, word: list):
+    """(word, run) pairs with seeded defects: one defect each, then a few
+    pairs with several defects in the same step."""
+    n, k, start = len(run.steps), m.k, run.start
+    yield word, Run(Configuration(start.state, start.counters + (0,)), run.steps)
+    yield word, Run(Configuration("nowhere", start.counters), run.steps)
+    if k:
+        yield word, Run(Configuration(start.state, _bump(start.counters, rng.randrange(k), -1)),
+                        run.steps)
+    yield word + [rng.choice(SIGMA)], run
+    if word:
+        pos = rng.randrange(len(word))
+        yield word[:pos] + ["b" if word[pos] == "a" else "a"] + word[pos + 1:], run
+        yield word[:-1], run
+    if not n:
+        return
+    j = rng.randrange(n)
+    s = run.steps[j]
+    before = run.steps[j - 1].result if j else start
+    t = m.transitions[s.transition_index]
+    yield word, _with_step(run, j, transition_index=rng.choice(
+        (-1, len(m.transitions), len(m.transitions) + 3)))
+    others = [i for i, u in enumerate(m.transitions) if u.source != before.state]
+    if others:
+        yield word, _with_step(run, j, transition_index=rng.choice(others))
+    yield word, _with_step(run, j, consumed=rng.choice(
+        [x for x in INPUTS + ("c",) if x != s.consumed]))
+    blocked = [i for i, u in m.outgoing(before.state, s.consumed)
+               if not u.matches(before.counters)]
+    if blocked:
+        yield word, _with_step(run, j, transition_index=rng.choice(blocked))
+    yield word, _with_step(run, j, state=rng.choice(
+        [q for q in STATES + ("nowhere",) if q != t.destination]))
+    if k:
+        c = rng.randrange(k)
+        yield word, _with_step(run, j, counters=_bump(s.result.counters, c, -1))
+        yield word, _with_step(run, j, counters=_bump(
+            s.result.counters, c, s.result.counters[c] + rng.choice((-1, 1, 2))))
+    yield word, _with_step(run, j, counters=s.result.counters + (0,))
+    # the order of the checks decides which of these defects is reported
+    leaving = [i for i, u in enumerate(m.transitions) if u.source == before.state]
+    for _ in range(4):
+        change = {}
+        if rng.random() < 0.7:
+            change["transition_index"] = rng.choice(leaving)
+        if rng.random() < 0.5:
+            change["consumed"] = rng.choice(INPUTS)
+        if rng.random() < 0.5:
+            change["state"] = rng.choice(STATES)
+        if rng.random() < 0.6:
+            change["counters"] = tuple(c + rng.choice((-3, -1, 0, 1))
+                                       for c in s.result.counters)
+        yield word, _with_step(run, j, **change)
+
+
+def test_validate_run_matches_the_reference():
+    rng = random.Random(9)
+    seen = set()
+    for _ in range(1200):
+        m = _machine(rng)
+        run = _valid_run(rng, m)
+        word = [s.consumed for s in run.steps if s.consumed is not None]
+        assert validate_run(m, word, run) is None
+        assert ref.validate_run(m, word, run) is None
+        assert validate_run(m, "".join(word), run) is None
+        for w, bad in _corruptions(rng, m, run, word):
+            got = validate_run(m, w, bad)
+            assert got == ref.validate_run(m, w, bad), (m, w, bad)
+            if got is not None:
+                where = ("start" if got.step == -1 else
+                         "end" if got.step == len(bad.steps) else "step")
+                seen.add((got.reason, where))
+    assert seen == {
+        ("arity", "start"), ("negative-counter", "start"), ("source", "start"),
+        ("index", "step"), ("source", "step"), ("input", "step"),
+        ("guard", "step"), ("negative-counter", "step"),
+        ("destination", "step"), ("delta", "step"),
+        ("projection", "step"), ("projection", "end")}, seen
