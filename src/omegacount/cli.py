@@ -86,8 +86,8 @@ def _cmd_build(args) -> int:
             raise MachineError("theta-acceptor needs --sigma and --S")
         b = build_theta_acceptor(frozenset(_letters(args.sigma)), args.S)
     elif target == "realtime8":
-        s, b = build_realtime8(_buchi(args.input), S_override=args.S)
-        print(f"S {s}", file=sys.stderr)
+        b = build_realtime8(_buchi(args.input), S_override=args.S)
+        print(f"S {b.params['S']}", file=sys.stderr)
     elif target == "script-l":
         b = build_script_L(_buchi(args.input), _primes(args.primes))
     elif target == "h-complement":
@@ -118,7 +118,7 @@ def _cmd_build(args) -> int:
 def _cmd_lift(args) -> int:
     run = load_run(_read(args.run))
     if args.stage == "theta":
-        _, b8 = build_realtime8(_buchi(args.input), S_override=args.S)
+        b8 = build_realtime8(_buchi(args.input), S_override=args.S)
         cert = lift_run_theta(b8, run, prefix_len=args.prefix_len)
     elif args.stage == "script-l":
         bl = build_script_L(_buchi(args.input), _primes(args.primes))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..machines import (BuchiAutomaton, CounterMachine, Transition,
                         pad_counters, union)
-from ..words import HCoding, coded_alphabet
+from ..words import A, B, ZERO, HCoding, coded_alphabet
 
 BAD = "bad"
 
@@ -32,7 +32,6 @@ def build_d1(sigma: frozenset[str] | set[str],
     sigma = frozenset(sigma)
     coding = HCoding(primes=tuple(primes))
     full = coded_alphabet(coding, sigma)
-    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     q = coding.q
     trans: list[Transition] = []
 
@@ -44,11 +43,11 @@ def build_d1(sigma: frozenset[str] | set[str],
             dst = nxt if a in good else BAD
             trans.append(Transition(state, a, (), dst, ()))
 
-    expect(tmpl(0), {mark_a}, tmpl(1))
+    expect(tmpl(0), {A}, tmpl(1))
     for i in range(1, q + 1):
-        expect(tmpl(i), {zero}, tmpl(i + 1))
+        expect(tmpl(i), {ZERO}, tmpl(i + 1))
     expect(tmpl(q + 1), set(sigma), tmpl(q + 2))
-    expect(tmpl(q + 2), {mark_b}, "done")
+    expect(tmpl(q + 2), {B}, "done")
     trans += _sink("done", full, 0)
     trans += _sink(BAD, full, 0)
 
@@ -63,9 +62,7 @@ def build_d2(sigma: frozenset[str] | set[str],
     """Accepts breaks of the cyclic pattern (A.0^+.letter.B.0^+)^w and words
     that stall in an endless zero run."""
     sigma = frozenset(sigma)
-    coding = HCoding(primes=tuple(primes))
-    full = coded_alphabet(coding, sigma)
-    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
+    full = coded_alphabet(HCoding(tuple(primes)), sigma)
     trans: list[Transition] = []
 
     def expect(state: str, table: dict[str, str]) -> None:
@@ -74,16 +71,16 @@ def build_d2(sigma: frozenset[str] | set[str],
             trans.append(Transition(state, a, (), dst, ()))
 
     sig = {a: "rS" for a in sigma}
-    expect("start", {mark_a: "rA0"})
-    expect("rA0", {zero: "rA1"})
-    expect("rA1", {zero: "rA1", **sig})
-    expect("rS", {mark_b: "rB0"})
-    expect("rB0", {zero: "rB1"})
-    expect("rB1", {zero: "rB1", mark_a: "rA0"})
+    expect("start", {A: "rA0"})
+    expect("rA0", {ZERO: "rA1"})
+    expect("rA1", {ZERO: "rA1", **sig})
+    expect("rS", {B: "rB0"})
+    expect("rB0", {ZERO: "rB1"})
+    expect("rB1", {ZERO: "rB1", A: "rA0"})
     # a zero run may secretly never end; guess so and survive only on zeros
     for st in ("rA0", "rA1", "rB0", "rB1"):
-        trans.append(Transition(st, zero, (), "stall", ()))
-    trans.append(Transition("stall", zero, (), "stall", ()))
+        trans.append(Transition(st, ZERO, (), "stall", ()))
+    trans.append(Transition("stall", ZERO, (), "stall", ()))
     trans += _sink(BAD, full, 0)
 
     states = frozenset(["start", "rA0", "rA1", "rS", "rB0", "rB1",
@@ -99,27 +96,25 @@ def build_d3(sigma: frozenset[str] | set[str],
     n, m >= 1 and n != m.  One counter holds the first run's length; the
     sink is entered only on the closing letter."""
     sigma = frozenset(sigma)
-    coding = HCoding(primes=tuple(primes))
-    full = coded_alphabet(coding, sigma)
-    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
+    full = coded_alphabet(HCoding(tuple(primes)), sigma)
     trans: list[Transition] = []
 
     for a in sorted(full):
         trans.append(Transition("w0", a, (0,), "w0", (0,)))
-    trans.append(Transition("w0", mark_b, (0,), "cnt", (0,)))
+    trans.append(Transition("w0", B, (0,), "cnt", (0,)))
     # count the guessed B-run; the A move needs at least one zero behind it
-    trans.append(Transition("cnt", zero, (0,), "cnt", (1,)))
-    trans.append(Transition("cnt", zero, (1,), "cnt", (1,)))
-    trans.append(Transition("cnt", mark_a, (1,), "dr0", (0,)))
+    trans.append(Transition("cnt", ZERO, (0,), "cnt", (1,)))
+    trans.append(Transition("cnt", ZERO, (1,), "cnt", (1,)))
+    trans.append(Transition("cnt", A, (1,), "dr0", (0,)))
     # drain against the A-run; dr0 forces the second run to be nonempty
-    trans.append(Transition("dr0", zero, (1,), "dr", (-1,)))
-    trans.append(Transition("dr", zero, (1,), "dr", (-1,)))
-    trans.append(Transition("dr", zero, (0,), "ov", (0,)))
+    trans.append(Transition("dr0", ZERO, (1,), "dr", (-1,)))
+    trans.append(Transition("dr", ZERO, (1,), "dr", (-1,)))
+    trans.append(Transition("dr", ZERO, (0,), "ov", (0,)))
     for a in sorted(sigma):
         # closing letter seals the mismatch; equal lengths leave no move
         trans.append(Transition("dr", a, (1,), BAD, (0,)))
         trans.append(Transition("ov", a, (0,), BAD, (0,)))
-    trans.append(Transition("ov", zero, (0,), "ov", (0,)))
+    trans.append(Transition("ov", ZERO, (0,), "ov", (0,)))
     trans += _sink(BAD, full, 1)
 
     states = frozenset(["w0", "cnt", "dr0", "dr", "ov", BAD])
@@ -136,7 +131,6 @@ def build_d4(sigma: frozenset[str] | set[str],
     sigma = frozenset(sigma)
     coding = HCoding(primes=tuple(primes))
     full = coded_alphabet(coding, sigma)
-    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     q = coding.q
     trans: list[Transition] = []
 
@@ -145,26 +139,26 @@ def build_d4(sigma: frozenset[str] | set[str],
 
     for a in sorted(full):
         trans.append(Transition("v0", a, (0,), "v0", (0,)))
-    trans.append(Transition("v0", mark_a, (0,), "acnt0", (0,)))
+    trans.append(Transition("v0", A, (0,), "acnt0", (0,)))
     # acnt0 has a single move so the counted run is nonempty
-    trans.append(Transition("acnt0", zero, (0,), "acnt", (1,)))
-    trans.append(Transition("acnt", zero, (1,), "acnt", (1,)))
+    trans.append(Transition("acnt0", ZERO, (0,), "acnt", (1,)))
+    trans.append(Transition("acnt", ZERO, (1,), "acnt", (1,)))
     for a in sorted(sigma):
         trans.append(Transition("acnt", a, (1,), "bexp", (0,)))
-    trans.append(Transition("bexp", mark_b, (1,), "b0", (0,)))
+    trans.append(Transition("bexp", B, (1,), "b0", (0,)))
     # each full group of Q zeros costs one unit; b0 forces a nonempty run
-    trans.append(Transition("b0", zero, (1,), grp(1 % q), (-1,)))
-    trans.append(Transition(grp(0), zero, (1,), grp(1 % q), (-1,)))
-    trans.append(Transition(grp(0), zero, (0,), "ovr", (0,)))
+    trans.append(Transition("b0", ZERO, (1,), grp(1 % q), (-1,)))
+    trans.append(Transition(grp(0), ZERO, (1,), grp(1 % q), (-1,)))
+    trans.append(Transition(grp(0), ZERO, (0,), "ovr", (0,)))
     # the closing marker seals the ratio defect; an exact Q:1 block dies
-    trans.append(Transition(grp(0), mark_a, (1,), BAD, (0,)))
+    trans.append(Transition(grp(0), A, (1,), BAD, (0,)))
     for j in range(1, q):
         for g in (0, 1):
-            trans.append(Transition(grp(j), zero, (g,), grp((j + 1) % q),
+            trans.append(Transition(grp(j), ZERO, (g,), grp((j + 1) % q),
                                     (0,)))
-            trans.append(Transition(grp(j), mark_a, (g,), BAD, (0,)))
-    trans.append(Transition("ovr", zero, (0,), "ovr", (0,)))
-    trans.append(Transition("ovr", mark_a, (0,), BAD, (0,)))
+            trans.append(Transition(grp(j), A, (g,), BAD, (0,)))
+    trans.append(Transition("ovr", ZERO, (0,), "ovr", (0,)))
+    trans.append(Transition("ovr", A, (0,), BAD, (0,)))
     trans += _sink(BAD, full, 1)
 
     states = frozenset(["v0", "acnt0", "acnt", "bexp", "b0", "ovr", BAD]

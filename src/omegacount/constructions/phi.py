@@ -1,6 +1,6 @@
 """Real-time wrapper that hides lambda moves behind a fixed filler cadence.
 
-Every letter of the wrapped machine is preceded by exactly L filler letters;
+Every letter of the wrapped machine is preceded by exactly L filler letters F;
 lambda moves are re-read as filler, surplus filler idles in place.  States
 carry the filler position and a pulse bit that is set exactly when the step
 entered an accepting state of the wrapped machine, so accepting visit counts
@@ -15,6 +15,7 @@ from ..errors import BuildScaleError, FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, Transition, Walker,
                         lambda_burst_bound)
+from ..words import F
 from .certificates import BlockSpan, RunCertificate, source_word
 
 STATE_CAP = 250_000
@@ -24,13 +25,14 @@ def _wrap(q: str, f: int, p: int) -> str:
     return f"{q}&{f}&{p}"
 
 
-def build_phi_wrapper(b: BuchiAutomaton, filler_count: int,
-                      filler: str = "F") -> Built:
+def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
     """Wrapper of b; its table maps each state to (b's state, filler
     position, pulse bit)."""
     m = b.machine
-    if filler in m.alphabet:
-        raise FreshLetterError(f"filler letter {filler!r} is already in the alphabet")
+    # checked here, not by coded_alphabet: filler_count 0 is legal, while
+    # PhiCoding(0) is not
+    if F in m.alphabet:
+        raise FreshLetterError(f"filler letter {F!r} is already in the alphabet")
     if filler_count < 0:
         raise MachineError("filler count must be nonnegative")
     burst = lambda_burst_bound(m)
@@ -62,11 +64,11 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int,
                             continue
                         pulse = 1 if t.destination in b.accepting else 0
                         trans.append(Transition(
-                            here, filler, t.guard,
+                            here, F, t.guard,
                             _wrap(t.destination, f + 1, pulse), t.delta))
                     for g in guard_combos:
                         trans.append(Transition(
-                            here, filler, g, _wrap(q, f + 1, 0), zeros))
+                            here, F, g, _wrap(q, f + 1, 0), zeros))
                 else:
                     for t in letters:
                         if t.source != q:
@@ -75,12 +77,12 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int,
                         trans.append(Transition(
                             here, t.input, t.guard,
                             _wrap(t.destination, 0, pulse), t.delta))
-    machine = CounterMachine(k=m.k, alphabet=m.alphabet | {filler},
+    machine = CounterMachine(k=m.k, alphabet=m.alphabet | {F},
                              states=frozenset(table),
                              initial=_wrap(m.initial, 0, 0),
                              transitions=tuple(trans))
     return Built(machine, frozenset(accepting), source=b,
-                 params={"filler_count": filler_count, "filler": filler},
+                 params={"filler_count": filler_count},
                  table=table)
 
 
@@ -93,7 +95,7 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
     spans to wrapper step indices instead.
     """
     b, table = w.source, w.table
-    filler_count, filler = w.params["filler_count"], w.params["filler"]
+    filler_count = w.params["filler_count"]
     m = b.machine
     source_word(m, run)
 
@@ -118,10 +120,10 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
         if st.consumed is None:
             if f >= filler_count:
                 raise MachineError("lambda burst exceeds the filler window")
-            to(filler, t.delta, (t.destination, f + 1, pulse))
+            to(F, t.delta, (t.destination, f + 1, pulse))
         else:
             while f < filler_count:
-                to(filler, zeros, (q, f + 1, 0))
+                to(F, zeros, (q, f + 1, 0))
             to(st.consumed, t.delta, (t.destination, 0, pulse))
             spans.append(BlockSpan(len(spans) + 1, block_start, len(walker.steps)))
             block_start = len(walker.steps)
@@ -139,7 +141,7 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
                 f"run pins {len(spans)} blocks; prefix of {prefix_len} "
                 f"letters passes the next letter point at {needed + room}")
         for _ in range(extra):
-            to(filler, zeros, (q, f + 1, 0))
+            to(F, zeros, (q, f + 1, 0))
 
     if blocks is not None:
         spans = [BlockSpan(bs.index, marks[bs.start], marks[bs.end])

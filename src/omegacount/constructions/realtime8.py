@@ -1,9 +1,9 @@
 """Eight-counter real-time simulation of two-counter machines on padded input.
 
-The input is sigma-letters separated by pad runs whose lengths grow by a
-factor S per block.  Counter roles: two replay the alternating pad-length
-check, four hold the queue of not-yet-consumed letters as a pair of base-k
-digit stacks (k = card(sigma) + 2, letter codes 2..k-1, bottom marker 1;
+The input is sigma-letters separated by runs of the pad letter E whose
+lengths grow by a factor S per block.  Counter roles: two replay the
+alternating pad-length check, four hold the queue of not-yet-consumed
+letters as a pair of base-k digit stacks (k = card(sigma) + 2, letter codes 2..k-1, bottom marker 1;
 each stack keeps a mirror side for transfers), and two mirror the simulated
 machine's counters.  Every block performs one rear add, one front transfer
 and exactly one simulated step, then idles through the surplus pad letters.
@@ -21,6 +21,7 @@ from __future__ import annotations
 from ..errors import ArityError, BuildScaleError, MachineError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         Run, Transition, Walker)
+from ..words import E
 from .certificates import BlockSpan, RunCertificate, source_word
 from .theta import build_theta_acceptor
 
@@ -195,12 +196,12 @@ def _after(status: str, g: int, d: int) -> str:
     return "?" if d < 0 else "P"
 
 
-def _build(a: BuchiAutomaton, s_eff: int, pad: str) -> Built:
+def _build(a: BuchiAutomaton, s_eff: int) -> Built:
     m_a = a.machine
     sigma = sorted(m_a.alphabet)
     k = len(sigma) + 2
     codes = {x: 2 + i for i, x in enumerate(sigma)}
-    theta = build_theta_acceptor(m_a.alphabet, s_eff, pad).machine
+    theta = build_theta_acceptor(m_a.alphabet, s_eff).machine
 
     init = (theta.initial, ("PRE",), m_a.initial, "Z", "Z", 1)
     names: dict[tuple, str] = {init: "r0"}
@@ -227,11 +228,11 @@ def _build(a: BuchiAutomaton, s_eff: int, pad: str) -> Built:
         sname = names[src]
         # an accepting visit re-arms the letter-consumption demand
         f1 = 1 if (fl == 2 and qa in a.accepting) else fl
-        for letter in [*sigma, pad]:
+        for letter in [*sigma, E]:
             tedges = theta.outgoing(ts, letter)
             if not tedges:
                 continue
-            entries = _pad_entries(node, k) if letter == pad \
+            entries = _pad_entries(node, k) if letter == E \
                 else _sigma_entries(node, codes[letter])
             for _, te in tedges:
                 for entry in entries:
@@ -271,18 +272,17 @@ def _build(a: BuchiAutomaton, s_eff: int, pad: str) -> Built:
 
     table = {n: t for t, n in names.items()}
     del names, order  # only the name -> tuple direction outlives the build
-    machine = CounterMachine(8, frozenset(sigma) | {pad},
+    machine = CounterMachine(8, frozenset(sigma) | {E},
                              frozenset(table), "r0", tuple(trans))
     accepting = frozenset(n for n, t in table.items()
                           if t[5] == 2 and t[2] in a.accepting)
     return Built(machine, accepting, source=a,
-                 params={"S": s_eff, "pad": pad}, table=table)
+                 params={"S": s_eff}, table=table)
 
 
-def build_realtime8(a: BuchiAutomaton, S_override: int | None = None,
-                    pad: str = "E") -> tuple[int, Built]:
+def build_realtime8(a: BuchiAutomaton, S_override: int | None = None) -> Built:
     """Compile a 2-counter machine into an 8-counter real-time acceptor of
-    its pad-coded language.  Returns (S, acceptor) with S the pad growth
+    its pad-coded language.  params["S"] of the result is the pad growth
     factor actually built in.  S_override shrinks S for desk-scale work;
     it must still clear the queue schedule bound 8k^2.  The acceptor's
     table maps each state to its (theta state, queue node, simulated
@@ -297,7 +297,7 @@ def build_realtime8(a: BuchiAutomaton, S_override: int | None = None,
     if s_eff < 8 * k * k:
         raise MachineError(
             f"pad factor {s_eff} cannot host the queue schedule; need >= {8 * k * k}")
-    return s_eff, _build(a, s_eff, pad)
+    return _build(a, s_eff)
 
 
 def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
@@ -312,7 +312,7 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
     the pinned blocks up to the next simulated choice point.
     """
     a, table = b8.source, b8.table
-    s_eff, pad = b8.params["S"], b8.params["pad"]
+    s_eff = b8.params["S"]
     m_a = a.machine
     word = source_word(m_a, run)
 
@@ -357,7 +357,7 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
         want = simulating(m_a.transitions[at])
         walker.to(block_letter(i), want, at)
         for _ in range(s_eff ** i):
-            walker.to(pad, want, at)
+            walker.to(E, want, at)
         spans.append(BlockSpan(i, start, len(walker.steps)))
 
     needed = len(walker.steps)
@@ -369,6 +369,6 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
             # past the pinned blocks only an unambiguous walk is a lift
             walker.to(block_letter(blocks + 1))
             for _ in range(prefix_len - needed - 1):
-                walker.to(pad)
+                walker.to(E)
 
     return RunCertificate(run=walker.run(), stage="theta", blocks=tuple(spans))

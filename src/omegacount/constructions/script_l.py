@@ -26,7 +26,7 @@ from ..errors import ArityError, BuildScaleError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, RunStep, Transition, Walker,
                         intersect_det_buchi, is_real_time, validate_run)
-from ..words import HCoding, coded_alphabet, h_letters
+from ..words import A, B, ZERO, HCoding, coded_alphabet, h_letters
 from .certificates import BlockSpan, RunCertificate, source_word
 
 STATE_CAP = 250_000
@@ -58,17 +58,16 @@ def _consistent(guard: tuple[int, ...], res: tuple[int, ...]) -> bool:
 def build_script_l_guard(sigma: frozenset[str] | set[str],
                          coding: HCoding) -> BuchiAutomaton:
     """Deterministic complete acceptor for never leaving the cyclic pattern
-    A.0*.letter.B.0* of `coding`'s markers; every state except the rejecting
-    sink is accepting, so the product stays accepting once per block.
-    Raises FreshLetterError when a coding letter is in sigma."""
+    A.0*.letter.B.0*; every state except the rejecting sink is accepting,
+    so the product stays accepting once per block.  Raises
+    FreshLetterError when a coding letter is in sigma."""
     sigma = frozenset(sigma)
     full = coded_alphabet(coding, sigma)
-    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     table = {
-        "S0": {mark_a: "SA"},
-        "SA": {zero: "SA", **{a: "SS" for a in sigma}},
-        "SS": {mark_b: "SB"},
-        "SB": {zero: "SB", mark_a: "SA"},
+        "S0": {A: "SA"},
+        "SA": {ZERO: "SA", **{a: "SS" for a in sigma}},
+        "SS": {B: "SB"},
+        "SB": {ZERO: "SB", A: "SA"},
         "sink": {},
     }
     trans = [Transition(src, a, (), row.get(a, "sink"), ())
@@ -106,7 +105,6 @@ def _build_raw(a: BuchiAutomaton, coding: HCoding,
                full: frozenset[str]) -> Built:
     m = a.machine
     primes, big_q = coding.primes, coding.q
-    mark_a, mark_b, zero = coding.marker_a, coding.marker_b, coding.zero
     ones = tuple(1 % p for p in primes)
     trans: list[Transition] = []
     table: dict[str, tuple] = {}
@@ -116,16 +114,16 @@ def _build_raw(a: BuchiAutomaton, coding: HCoding,
         table[src_name], table[dst_name] = src, dst
         trans.append(Transition(src_name, inp, (g,), dst_name, (d,)))
 
-    emit(("init",), mark_a, 0, ("u1", 0), 0)
+    emit(("init",), A, 0, ("u1", 0), 0)
     for c in range(big_q - 1):
-        emit(("u1", c), zero, 0, ("u1", c + 1), 0)
-    emit(("u1", big_q - 1), zero, 0, ("v", m.initial, ones), 1)
+        emit(("u1", c), ZERO, 0, ("u1", c + 1), 0)
+    emit(("u1", big_q - 1), ZERO, 0, ("v", m.initial, ones), 1)
 
     combos = list(itertools.product(*(range(p) for p in primes)))
     for q in sorted(m.states):
         for res in combos:
             nxt = tuple((r + 1) % p for r, p in zip(res, primes))
-            emit(("v", q, res), zero, 1, ("v", q, nxt), 1)
+            emit(("v", q, res), ZERO, 1, ("v", q, nxt), 1)
         # guesses: any source transition whose guard matches the residues
         for res in combos:
             for t in m.transitions:
@@ -143,26 +141,26 @@ def _build_raw(a: BuchiAutomaton, coding: HCoding,
         ratio = _ratio(primes, t.delta)
         mul, div = ratio
         boundary = ("w", q, ratio, 0)
-        emit(("x", *key), mark_b, 1, boundary, 0)
+        emit(("x", *key), B, 1, boundary, 0)
         after_first = ("wl", q, ratio, 1) if div >= 2 \
             else ("w", q, ratio, 1 % mul)
-        emit(boundary, zero, 1, after_first, -1)
+        emit(boundary, ZERO, 1, after_first, -1)
         for l in range(1, div):
             dst = ("wl", q, ratio, l + 1) if l + 1 < div \
                 else ("w", q, ratio, 1 % mul)
             emit(("wl", q, ratio, l), None, 1, dst, -1)
         for g in range(1, mul):
             for gv in (0, 1):
-                emit(("w", q, ratio, g), zero, gv,
+                emit(("w", q, ratio, g), ZERO, gv,
                      ("w", q, ratio, (g + 1) % mul), 0)
-        emit(boundary, zero, 0, ("z", q), 1)
-        emit(boundary, mark_a, 0, ("a", q), 0)
+        emit(boundary, ZERO, 0, ("z", q), 1)
+        emit(boundary, A, 0, ("a", q), 0)
 
     for q in sorted(m.states):
-        emit(("z", q), zero, 1, ("z", q), 1)
-        emit(("z", q), mark_a, 1, ("a", q), 0)
-        emit(("a", q), zero, 1, ("a", q), -1)
-        emit(("a", q), zero, 0, ("v", q, ones), 1)
+        emit(("z", q), ZERO, 1, ("z", q), 1)
+        emit(("z", q), A, 1, ("a", q), 0)
+        emit(("a", q), ZERO, 1, ("a", q), -1)
+        emit(("a", q), ZERO, 0, ("v", q, ones), 1)
 
     accepting = frozenset(_name(("x", t.destination, t.delta))
                           for t in m.transitions
@@ -229,13 +227,13 @@ def lift_run_script_L(bl: Built, run: Run,
 
     # past the run's last block: the next block's marker, then its zeros
     letters = itertools.chain(h_letters(iter(word), coding),
-                              [coding.marker_a], itertools.repeat(coding.zero))
+                              [A], itertools.repeat(ZERO))
     steps = iter(run.steps)
     walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)))
     lam = {t.source for t in bl.machine.transitions if t.input is None}
     opened: list[int] = []
     for tok in itertools.islice(letters, n):
-        if tok == coding.marker_a:
+        if tok == A:
             opened.append(len(walker.steps))
         if tok in m.alphabet:
             t = m.transitions[next(steps).transition_index]

@@ -1,20 +1,19 @@
 """Two-counter acceptor for the blockwise-padded coding.
 
-The coded word interleaves source letters with pad runs whose lengths are
-S, S^2, S^3, ...  Block 1 is counted in the control.  From then on the two
-counters alternate roles: one holds the previous block length and is drained
-once per group of S pad letters, the other fills by one per pad letter, so a
-drain that reaches zero exactly at a group boundary certifies the next pad
-run is S times longer.  Boundary states form the accepting set; a genuine
-coded word visits one per block.
+The coded word interleaves source letters with runs of the pad letter E
+whose lengths are S, S^2, S^3, ...  Block 1 is counted in the control.
+From then on the two counters alternate roles: one holds the previous block
+length and is drained once per group of S pad letters, the other fills by
+one per pad letter, so a drain that reaches zero exactly at a group
+boundary certifies the next pad run is S times longer.  Boundary states
+form the accepting set; a genuine coded word visits one per block.
 """
 
 from __future__ import annotations
 
 from ..engine import deterministic_run
-from ..errors import FreshLetterError
 from ..machines import BuchiAutomaton, CounterMachine, Transition
-from ..words import theta_prefix
+from ..words import E, ThetaCoding, coded_alphabet, theta_prefix
 from .certificates import BlockSpan, RunCertificate
 
 INIT = "init"
@@ -30,46 +29,43 @@ def _phase(side: str, p: int) -> str:
     return f"{side}&{p}"
 
 
-def build_theta_acceptor(sigma: frozenset[str] | set[str], S: int,
-                         pad: str = "E") -> BuchiAutomaton:
-    """Acceptor over sigma plus the pad letter for pad factor S >= 1."""
+def build_theta_acceptor(sigma: frozenset[str] | set[str],
+                         S: int) -> BuchiAutomaton:
+    """Acceptor over sigma plus the pad letter E for pad factor S >= 1."""
     sigma = frozenset(sigma)
-    if S < 1:
-        raise ValueError(f"pad factor must be >= 1, got {S}")
+    full = coded_alphabet(ThetaCoding(S), sigma)
     if not sigma:
         raise ValueError("empty source alphabet")
-    if pad in sigma:
-        raise FreshLetterError(f"pad letter {pad!r} collides with the alphabet")
     letters = sorted(sigma)
     trans: list[Transition] = []
 
     for a in letters:
         trans.append(Transition(INIT, a, (0, 0), _block1(0), (0, 0)))
     # block 1 counted in control; counter 0 accumulates its length
-    trans.append(Transition(_block1(0), pad, (0, 0), _block1(1), (1, 0)))
+    trans.append(Transition(_block1(0), E, (0, 0), _block1(1), (1, 0)))
     for i in range(1, S):
-        trans.append(Transition(_block1(i), pad, (1, 0), _block1(i + 1), (1, 0)))
+        trans.append(Transition(_block1(i), E, (1, 0), _block1(i + 1), (1, 0)))
     for a in letters:
         trans.append(Transition(_block1(S), a, (1, 0), LAND_A, (0, 0)))
 
     # phase A: drain counter 0 once per group of S, fill counter 1 per letter
     nxt = _phase("A", 1 % S)
-    trans.append(Transition(LAND_A, pad, (1, 0), nxt, (-1, 1)))
-    trans.append(Transition(_phase("A", 0), pad, (1, 1), nxt, (-1, 1)))
+    trans.append(Transition(LAND_A, E, (1, 0), nxt, (-1, 1)))
+    trans.append(Transition(_phase("A", 0), E, (1, 1), nxt, (-1, 1)))
     for p in range(1, S):
         for g0 in (0, 1):
-            trans.append(Transition(_phase("A", p), pad, (g0, 1),
+            trans.append(Transition(_phase("A", p), E, (g0, 1),
                                     _phase("A", (p + 1) % S), (0, 1)))
     for a in letters:
         trans.append(Transition(_phase("A", 0), a, (0, 1), LAND_B, (0, 0)))
 
     # phase B: mirrored
     nxt = _phase("B", 1 % S)
-    trans.append(Transition(LAND_B, pad, (0, 1), nxt, (1, -1)))
-    trans.append(Transition(_phase("B", 0), pad, (1, 1), nxt, (1, -1)))
+    trans.append(Transition(LAND_B, E, (0, 1), nxt, (1, -1)))
+    trans.append(Transition(_phase("B", 0), E, (1, 1), nxt, (1, -1)))
     for p in range(1, S):
         for g1 in (0, 1):
-            trans.append(Transition(_phase("B", p), pad, (1, g1),
+            trans.append(Transition(_phase("B", p), E, (1, g1),
                                     _phase("B", (p + 1) % S), (1, 0)))
     for a in letters:
         trans.append(Transition(_phase("B", 0), a, (1, 0), LAND_A, (0, 0)))
@@ -79,12 +75,12 @@ def build_theta_acceptor(sigma: frozenset[str] | set[str], S: int,
     states += [_phase("A", p) for p in range(S)]
     states += [_phase("B", p) for p in range(S)]
     m = CounterMachine(k=2, states=frozenset(states),
-                       alphabet=sigma | {pad}, initial=INIT,
+                       alphabet=full, initial=INIT,
                        transitions=tuple(trans))
     return BuchiAutomaton(machine=m, accepting=frozenset({LAND_A, LAND_B}))
 
 
-def theta_certificate(w, S: int, blocks: int, pad: str = "E"):
+def theta_certificate(w, S: int, blocks: int):
     """Deterministic accepting-run certificate over the coded prefix of w.
 
     Covers `blocks` complete pad blocks; block i spans its pad run plus the
@@ -93,9 +89,9 @@ def theta_certificate(w, S: int, blocks: int, pad: str = "E"):
     """
     if blocks < 1:
         raise ValueError("need at least one block")
-    b = build_theta_acceptor(w.alphabet, S, pad)
+    b = build_theta_acceptor(w.alphabet, S)
     n = 1 + sum(S ** i + 1 for i in range(1, blocks + 1))
-    run = deterministic_run(b, theta_prefix(w, S, n, pad))
+    run = deterministic_run(b, theta_prefix(w, S, n))
     spans = []
     start = 1
     for i in range(1, blocks + 1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import MachineError
 from .machines import (BuchiAutomaton, Configuration, CounterMachine, Run,
                        Walker, is_real_time, step)
-from .words import LassoWord, lasso_prefix
+from .words import A, B, ZERO, LassoWord, lasso_prefix
 
 DEFAULT_VISITED_CAP = 10 ** 7
 
@@ -194,11 +194,11 @@ class Witness:
     end: int       # 1-based position of the closing letter
 
 
-def d34_witness_scan(w: LassoWord, Q: int, span: int | None = None,
-                     marker_a: str = "A", marker_b: str = "B",
-                     zero: str = "0") -> Witness | None:
+def d34_witness_scan(w: LassoWord, Q: int,
+                     span: int | None = None) -> Witness | None:
     """First D3 (B.0^n.A.0^m.sigma, n != m) or D4 (A.0^n.sigma.B.0^m.A,
-    m != Q n) segment, earliest completion first.
+    m != Q n) segment, earliest completion first.  A, B and 0 are the h
+    letters of `words`; any other letter stands for sigma.
 
     With span=None the scan covers 3|spoke| + 5|cycle| + 8 letters, enough
     to host any witness: the first witness starts before |spoke| + |cycle|
@@ -208,32 +208,32 @@ def d34_witness_scan(w: LassoWord, Q: int, span: int | None = None,
     if span is None:
         span = 3 * len(w.spoke) + 5 * len(w.cycle) + 8
     y = lasso_prefix(w, span)
-    reserved = {marker_a, marker_b, zero}
+    reserved = {A, B, ZERO}
 
     def run_of_zeros(i: int) -> tuple[int, int]:
         n = 0
-        while i < len(y) and y[i] == zero:
+        while i < len(y) and y[i] == ZERO:
             n += 1
             i += 1
         return n, i
 
     best: Witness | None = None
     for p in range(len(y)):
-        if y[p] == marker_b:
+        if y[p] == B:
             n, i = run_of_zeros(p + 1)
-            if n >= 1 and i < len(y) and y[i] == marker_a:
+            if n >= 1 and i < len(y) and y[i] == A:
                 m, i2 = run_of_zeros(i + 1)
                 if m >= 1 and i2 < len(y) and y[i2] not in reserved:
                     if n != m:
                         cand = Witness("D3", p + 1, n, m, i2 + 1)
                         if best is None or cand.end < best.end:
                             best = cand
-        elif y[p] == marker_a:
+        elif y[p] == A:
             n, i = run_of_zeros(p + 1)
             if n >= 1 and i < len(y) and y[i] not in reserved:
-                if i + 1 < len(y) and y[i + 1] == marker_b:
+                if i + 1 < len(y) and y[i + 1] == B:
                     m, i2 = run_of_zeros(i + 2)
-                    if m >= 1 and i2 < len(y) and y[i2] == marker_a:
+                    if m >= 1 and i2 < len(y) and y[i2] == A:
                         if m != Q * n:
                             cand = Witness("D4", p + 1, n, m, i2 + 1)
                             if best is None or cand.end < best.end:

@@ -5,8 +5,8 @@ writers emit a canonical form (sorted sets, transitions in index order, one
 space between tokens, trailing newline) so save(load(f)) is byte-identical
 for canonical files.  Transition order in a file defines transitionIndex.
 The loaders stream the text line by line, so no line's tokens outlive its
-parse, and check each distinct guard, delta or counter spelling once; the
-writer spells each distinct guard and delta once.
+parse; the automaton loader checks each distinct guard or delta spelling
+once, and the writer spells each distinct guard and delta once.
 
 Automaton:  kcounters / alphabet / states / initial / accepting-or-table /
             trans <src> <letter|-> <guardbits> <dst> <d1> ... <dk>
@@ -258,8 +258,6 @@ def dump_word(spec: WordSpec) -> str:
 def load_run(text: str) -> Run:
     start = None
     steps: list[RunStep] = []
-    # each distinct spelling of a counter vector is parsed once
-    counters: dict[tuple[str, ...], tuple[int, ...]] = {}
     for no, toks in _lines(text):
         head, rest = toks[0], toks[1:]
         if head == "step":  # nearly every line, so tested first
@@ -268,11 +266,14 @@ def load_run(text: str) -> Run:
             if len(rest) < 3:
                 raise FormatError("step needs letter, index, state, counters", no)
             letter = None if rest[0] == LAMBDA_TOKEN else rest[0]
-            idx = _int(rest[1], no, "transition index")
-            ctoks = tuple(rest[3:])
-            vec = counters.get(ctoks)
-            if vec is None:
-                vec = counters[ctoks] = tuple(_int(t, no, "counter") for t in ctoks)
+            try:
+                idx, vec = int(rest[1]), tuple(map(int, rest[3:]))
+            except ValueError:
+                # _int raises on the first bad token with its message
+                _int(rest[1], no, "transition index")
+                for tok in rest[3:]:
+                    _int(tok, no, "counter")
+                raise
             steps.append(RunStep(letter, idx, Configuration(rest[2], vec)))
         elif head == "start":
             if start is not None:

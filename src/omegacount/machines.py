@@ -230,13 +230,12 @@ class Walker:
         if (want is None) != (key is None):
             raise TypeError("Walker.to: a key must name a want, and a want needs a key")
         state, counters = self.cfg.state, self.cfg.counters
-        # a guard matches exactly when it equals the counters' sign pattern
-        signs = tuple([c > 0 for c in counters])
-        choice = (state, token, signs, key)
+        # whether a guard holds depends only on the counters' sign pattern
+        choice = (state, token, tuple([c > 0 for c in counters]), key)
         chosen = self._chosen.get(choice)
         if chosen is None:
             cands = [(i, t) for i, t in self.machine.outgoing(state, token)
-                     if t.guard == signs and (want is None or want(t))]
+                     if t.matches(counters) and (want is None or want(t))]
             if len(cands) != 1:
                 raise MachineError(
                     f"walk broke at {state!r} on {token!r} after "

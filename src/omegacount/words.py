@@ -4,6 +4,10 @@ Words are lassos spoke.cycle^omega.  Coded images (theta, h, phi) have
 block lengths growing geometrically, so they are never materialized as
 lassos; they are exposed as prefix generators.  All positions reported by
 the shape checker are 1-based, matching the usual w(1).w(2)... indexing.
+
+Each coding adds fixed fresh letters, defined here once for every builder
+and lift: theta's pad E, h's markers A and B and its zero 0 (ZERO), phi's
+filler F.
 """
 
 from __future__ import annotations
@@ -16,11 +20,7 @@ from .errors import FreshLetterError
 
 FIRST_EIGHT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
-DEFAULT_THETA_PAD = "E"
-DEFAULT_PHI_PAD = "F"
-DEFAULT_MARKER_A = "A"
-DEFAULT_MARKER_B = "B"
-DEFAULT_ZERO = "0"
+E, A, B, ZERO, F = "E", "A", "B", "0", "F"
 
 
 def _is_prime(n: int) -> bool:
@@ -61,7 +61,6 @@ class LassoWord:
 @dataclass(frozen=True, slots=True)
 class ThetaCoding:
     S: int
-    pad: str = DEFAULT_THETA_PAD
 
     def __post_init__(self):
         if self.S < 1:
@@ -71,9 +70,6 @@ class ThetaCoding:
 @dataclass(frozen=True, slots=True)
 class HCoding:
     primes: tuple[int, ...]
-    marker_a: str = DEFAULT_MARKER_A
-    marker_b: str = DEFAULT_MARKER_B
-    zero: str = DEFAULT_ZERO
 
     def __post_init__(self):
         object.__setattr__(self, "primes", tuple(self.primes))
@@ -84,8 +80,6 @@ class HCoding:
         for p in self.primes:
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        if len({self.marker_a, self.marker_b, self.zero}) != 3:
-            raise ValueError("h marker letters must be pairwise distinct")
 
     @property
     def q(self) -> int:
@@ -98,7 +92,6 @@ class HCoding:
 @dataclass(frozen=True, slots=True)
 class PhiCoding:
     L: int
-    pad: str = DEFAULT_PHI_PAD
 
     def __post_init__(self):
         if self.L < 1:
@@ -110,10 +103,10 @@ CodingSpec = ThetaCoding | HCoding | PhiCoding
 
 def coding_fresh_letters(spec: CodingSpec) -> tuple[str, ...]:
     if isinstance(spec, ThetaCoding):
-        return (spec.pad,)
+        return (E,)
     if isinstance(spec, HCoding):
-        return (spec.marker_a, spec.marker_b, spec.zero)
-    return (spec.pad,)
+        return (A, B, ZERO)
+    return (F,)
 
 
 def _check_fresh(spec: CodingSpec, alphabet: frozenset[str]) -> None:
@@ -127,13 +120,13 @@ def coded_alphabet(spec: CodingSpec, alphabet: frozenset[str]) -> frozenset[str]
     return alphabet | set(coding_fresh_letters(spec))
 
 
-def theta_letters(src: Iterator[str], S: int, pad: str = DEFAULT_THETA_PAD) -> Iterator[str]:
+def theta_letters(src: Iterator[str], S: int) -> Iterator[str]:
     """x(1).E^S.x(2).E^{S^2}.x(3)... letter by letter."""
     block = S
     for a in src:
         yield a
         for _ in range(block):
-            yield pad
+            yield E
         block *= S
 
 
@@ -142,21 +135,21 @@ def h_letters(src: Iterator[str], coding: HCoding) -> Iterator[str]:
     q = coding.q
     left = q
     for a in src:
-        yield coding.marker_a
+        yield A
         for _ in range(left):
-            yield coding.zero
+            yield ZERO
         yield a
-        yield coding.marker_b
+        yield B
         left *= q
         for _ in range(left):
-            yield coding.zero
+            yield ZERO
 
 
-def phi_letters(src: Iterator[str], L: int, pad: str = DEFAULT_PHI_PAD) -> Iterator[str]:
+def phi_letters(src: Iterator[str], L: int) -> Iterator[str]:
     """F^L.y(1).F^L.y(2)... letter by letter."""
     for a in src:
         for _ in range(L):
-            yield pad
+            yield F
         yield a
 
 
@@ -168,9 +161,9 @@ def lasso_prefix(w: LassoWord, n: int) -> list[str]:
     return _take(w.letters(), n)
 
 
-def theta_prefix(x: LassoWord, S: int, n: int, pad: str = DEFAULT_THETA_PAD) -> list[str]:
-    _check_fresh(ThetaCoding(S, pad), x.alphabet)
-    return _take(theta_letters(x.letters(), S, pad), n)
+def theta_prefix(x: LassoWord, S: int, n: int) -> list[str]:
+    _check_fresh(ThetaCoding(S), x.alphabet)
+    return _take(theta_letters(x.letters(), S), n)
 
 
 def theta_positions(S: int, upto: int) -> list[int]:
@@ -191,27 +184,15 @@ def theta_extract(y: list[str] | tuple[str, ...], S: int) -> list[str]:
     return [y[p - 1] for p in theta_positions(S, len(y))]
 
 
-def h_prefix(x: LassoWord, primes: Iterable[int], n: int,
-             coding: HCoding | None = None) -> list[str]:
-    if coding is None:
-        coding = HCoding(tuple(primes))
+def h_prefix(x: LassoWord, primes: Iterable[int], n: int) -> list[str]:
+    coding = HCoding(tuple(primes))
     _check_fresh(coding, x.alphabet)
     return _take(h_letters(x.letters(), coding), n)
 
 
-def phi_prefix(y: LassoWord | Iterable[str], L: int, n: int,
-               pad: str = DEFAULT_PHI_PAD) -> list[str]:
-    """y may be a lasso (infinite) or a finite prefix source; a finite
-    source must supply enough letters to cover n."""
-    if isinstance(y, LassoWord):
-        _check_fresh(PhiCoding(L, pad), y.alphabet)
-        src = y.letters()
-    else:
-        src = iter(y)
-    out = _take(phi_letters(src, L, pad), n)
-    if len(out) < n:
-        raise ValueError(f"prefix source exhausted: got {len(out)} of {n} letters")
-    return out
+def phi_prefix(y: LassoWord, L: int, n: int) -> list[str]:
+    _check_fresh(PhiCoding(L), y.alphabet)
+    return _take(phi_letters(y.letters(), L), n)
 
 
 def coded_prefix(x: LassoWord, chain: Iterable[CodingSpec], n: int) -> list[str]:
@@ -221,11 +202,11 @@ def coded_prefix(x: LassoWord, chain: Iterable[CodingSpec], n: int) -> list[str]
     for spec in chain:
         _check_fresh(spec, alphabet)
         if isinstance(spec, ThetaCoding):
-            src = theta_letters(src, spec.S, spec.pad)
+            src = theta_letters(src, spec.S)
         elif isinstance(spec, HCoding):
             src = h_letters(src, spec)
         else:
-            src = phi_letters(src, spec.L, spec.pad)
+            src = phi_letters(src, spec.L)
         alphabet = alphabet | set(coding_fresh_letters(spec))
     return _take(src, n)
 
@@ -250,8 +231,7 @@ class HShapeViolation:
 
 
 def h_shape_check(y: list[str] | tuple[str, ...], sigma: Iterable[str],
-                  primes: Iterable[int],
-                  coding: HCoding | None = None) -> HShapeViolation | None:
+                  primes: Iterable[int]) -> HShapeViolation | None:
     """First definite D1-D4 witness in the prefix, or None.
 
     None means: no witness COMPLETES inside the prefix.  Stalled pattern
@@ -260,18 +240,15 @@ def h_shape_check(y: list[str] | tuple[str, ...], sigma: Iterable[str],
     report None; full D2 semantics lives in the complement automaton.
     Letters outside sigma and the marker set count as pattern breaks (D2).
     """
-    if coding is None:
-        coding = HCoding(tuple(primes))
+    q = HCoding(tuple(primes)).q
     sigma = frozenset(sigma)
-    A, B, Z = coding.marker_a, coding.marker_b, coding.zero
-    q = coding.q
 
     # block 1 template A.0^Q.sigma.B: any deviation is a definite D1
     for j, a in enumerate(y[:q + 3], start=1):
         if j == 1:
             want_ok = a == A
         elif j <= q + 1:
-            want_ok = a == Z
+            want_ok = a == ZERO
         elif j == q + 2:
             want_ok = a in sigma
         else:
@@ -289,7 +266,7 @@ def h_shape_check(y: list[str] | tuple[str, ...], sigma: Iterable[str],
     run = 0
     for j, a in enumerate(itertools.islice(y, q + 3, None), start=q + 4):
         if state == "b_run":
-            if a == Z:
+            if a == ZERO:
                 run += 1
             elif a == A:
                 if run == 0:
@@ -302,7 +279,7 @@ def h_shape_check(y: list[str] | tuple[str, ...], sigma: Iterable[str],
             else:
                 return HShapeViolation("D2", j)
         elif state == "a_run":
-            if a == Z:
+            if a == ZERO:
                 run += 1
             elif a in sigma:
                 if run == 0:
@@ -337,8 +314,7 @@ class BlockDecomposition:
 
 
 def h_block_decompose(y: list[str] | tuple[str, ...], primes: Iterable[int],
-                      j_choices: list[tuple[int, ...]],
-                      coding: HCoding | None = None) -> BlockDecomposition:
+                      j_choices: list[tuple[int, ...]]) -> BlockDecomposition:
     """Split each block's 0-runs as u.v and w.z under the given exponent
     choices: |w_i| = |v_i| * prod p_t^{j_t}, |u_1| = Q-1, |u_{i+1}| = |z_i|.
 
@@ -348,10 +324,9 @@ def h_block_decompose(y: list[str] | tuple[str, ...], primes: Iterable[int],
     last complete block is `trailing`.  Infeasible choices (w would not be
     a positive integer, or would overflow the closing 0-run) raise.
     """
-    if coding is None:
-        coding = HCoding(tuple(primes))
-    sigma = _infer_sigma(y, coding)
-    bad = h_shape_check(y, sigma, coding.primes, coding)
+    coding = HCoding(tuple(primes))
+    sigma = frozenset(y) - {A, B, ZERO}
+    bad = h_shape_check(y, sigma, coding.primes)
     if bad is not None:
         raise ValueError(f"prefix is not h-shaped: {bad.cls} at position {bad.position}")
     q = coding.q
@@ -362,19 +337,19 @@ def h_block_decompose(y: list[str] | tuple[str, ...], primes: Iterable[int],
     pos = 0
     n = len(y)
     while True:
-        if pos >= n or y[pos] != coding.marker_a:
+        if pos >= n or y[pos] != A:
             break
         p2 = pos + 1
-        while p2 < n and y[p2] == coding.zero:
+        while p2 < n and y[p2] == ZERO:
             p2 += 1
         if p2 >= n or y[p2] not in sigma:
             break
         a_run = p2 - (pos + 1)
         x = y[p2]
-        if p2 + 1 >= n or y[p2 + 1] != coding.marker_b:
+        if p2 + 1 >= n or y[p2 + 1] != B:
             break
         p3 = p2 + 2
-        while p3 < n and y[p3] == coding.zero:
+        while p3 < n and y[p3] == ZERO:
             p3 += 1
         if p3 >= n:   # closing 0-run still open, block incomplete
             break
@@ -412,8 +387,3 @@ def h_block_decompose(y: list[str] | tuple[str, ...], primes: Iterable[int],
         u_len = z_len
         covered = end
     return BlockDecomposition(tuple(blocks), len(y) - covered)
-
-
-def _infer_sigma(y, coding: HCoding) -> frozenset[str]:
-    reserved = {coding.marker_a, coding.marker_b, coding.zero}
-    return frozenset(a for a in y if a not in reserved)

@@ -5,7 +5,10 @@ the Walker resolved each choice once per walk and validate_run moved to
 tuple-level checks: every `to` searches the candidates afresh and calls
 `want` on each, and validate_run walks a `Configuration` per step with
 generator expressions.  They must keep behaving as they do here; the
-faster versions are tested against them.
+faster versions are tested against them.  One fix is carried into the
+reference: a candidate's guard is tested with `Transition.matches`, as
+`step` and validate_run test it, so a list guard can be taken (the old
+walker compared the guard with a tuple and never took one).
 """
 
 from __future__ import annotations
@@ -30,10 +33,8 @@ class Walker:
 
     def to(self, token: str | None, want=None) -> None:
         counters = self.cfg.counters
-        # a guard matches exactly when it equals the counters' sign pattern
-        signs = tuple(c > 0 for c in counters)
         cands = [(i, t) for i, t in self.machine.outgoing(self.cfg.state, token)
-                 if t.guard == signs and (want is None or want(t))]
+                 if t.matches(counters) and (want is None or want(t))]
         if len(cands) != 1:
             raise MachineError(
                 f"walk broke at {self.cfg.state!r} on {token!r} after "

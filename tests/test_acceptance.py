@@ -319,8 +319,8 @@ def test_criterion_9_realtime8_constants():
     assert realtime8_pad_factor(2) == 1728 == (3 * (2 + 2)) ** 3
     t0 = time.time()
     a = m1_aomega()
-    s, b8 = build_realtime8(a)
-    assert s == 729
+    b8 = build_realtime8(a)
+    assert b8.params["S"] == 729
     assert b8.machine.k == 8
     assert is_real_time(b8.machine)
     run = run_of(a, ["a"])

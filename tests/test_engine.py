@@ -8,7 +8,7 @@ from omegacount.engine import (bounded_explore, d34_witness_scan,
                                deterministic_run, exact_prefix_reach,
                                nba_lasso_member)
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
-                                 MachineError, Transition, validate_run)
+                                 MachineError, Transition, step, validate_run)
 from omegacount.words import LassoWord
 from conftest import lasso_member_oracle, m1_aomega, m2_two_counters
 
@@ -127,6 +127,24 @@ def test_deterministic_run_walks_and_rejects_choice():
                                     Transition("p", "a", (), "q", ())))
     with pytest.raises(ValueError):
         deterministic_run(BuchiAutomaton(m, frozenset()), ["a"])
+
+
+def test_deterministic_run_takes_list_guards():
+    # the constructor accepts list guards and deltas, as step() does
+    m = CounterMachine(1, frozenset("ab"), frozenset("pq"), "p",
+                       (Transition("p", "a", [0], "p", [1]),
+                        Transition("p", "a", [1], "p", [1]),
+                        Transition("p", "b", [1], "q", [-1]),
+                        Transition("q", "b", [1], "q", [-1]),
+                        Transition("q", "a", [0], "p", [0])))
+    word = list("aaabbba")
+    run = deterministic_run(BuchiAutomaton(m, frozenset()), word)
+    cfg, want = Configuration("p", (0,)), []
+    for a in word:
+        (i, cfg), = step(m, cfg, a)
+        want.append((a, i, cfg))
+    assert [(s.consumed, s.transition_index, s.result) for s in run.steps] == want
+    assert validate_run(m, word, run) is None
 
 
 def test_nba_lasso_member_requires_k0():

@@ -239,7 +239,7 @@ def _muller():
 
 
 CANONICAL = {
-    "realtime8 m1 S=72": lambda: build_realtime8(m1_aomega(), S_override=72)[1],
+    "realtime8 m1 S=72": lambda: build_realtime8(m1_aomega(), S_override=72),
     "pipeline m2": lambda: compose_pipeline(m2_two_counters(), primes=(2, 3),
                                             skip_realtime8=True).automaton,
     "D1 k=0": lambda: build_d1(frozenset("ab"), (2, 3)),

@@ -35,7 +35,7 @@ def theta_cases():
             (m2_two_counters(), [
                 ("m2 a +2 letters", ["a"],
                  {"prefix_len": 1 + S + 2, "letters": ["a"]})])):
-        _, b8 = build_realtime8(a, S_override=S)
+        b8 = build_realtime8(a, S_override=S)
         for name, word, kw in cases:
             yield name, lift_run_theta(b8, run_of(a, word), **kw)
 

@@ -71,9 +71,12 @@ def test_lambda_cycle_never_fits():
 
 
 def test_filler_letter_must_be_fresh():
-    b = m1_aomega()
+    m = CounterMachine(
+        k=1, alphabet=frozenset({"F"}), states=("p",), initial="p",
+        transitions=(Transition("p", "F", (0,), "p", (0,)),))
     with pytest.raises(FreshLetterError):
-        build_phi_wrapper(b, 2, filler="a")
+        build_phi_wrapper(BuchiAutomaton(m, frozenset({"p"})), 2)
+    b = m1_aomega()
     with pytest.raises(MachineError):
         build_phi_wrapper(b, -1)
 

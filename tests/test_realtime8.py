@@ -25,8 +25,8 @@ def test_pad_factor_formula():
 
 
 def test_build_shape_small_override():
-    s, b = build_realtime8(m1_aomega(), S_override=S_SMALL)
-    assert s == S_SMALL
+    b = build_realtime8(m1_aomega(), S_override=S_SMALL)
+    assert b.params["S"] == S_SMALL
     assert b.machine.k == 8
     assert is_real_time(b.machine)
     assert b.machine.alphabet == {"a", "E"}
@@ -63,7 +63,7 @@ def test_state_cap_enforced(monkeypatch):
 
 def test_lift_two_blocks():
     a = m1_aomega()
-    s, b = build_realtime8(a, S_override=S_SMALL)
+    b = build_realtime8(a, S_override=S_SMALL)
     run = run_of(a, ["a", "a"])
     cert = lift_run_theta(b, run)
     coded = [st.consumed for st in cert.run.steps]
@@ -77,7 +77,7 @@ def test_lift_two_blocks():
 
 def test_lift_prefix_extension_into_next_block():
     a = m1_aomega()
-    s, b = build_realtime8(a, S_override=S_SMALL)
+    b = build_realtime8(a, S_override=S_SMALL)
     run = run_of(a, ["a"])
     needed = 1 + S_SMALL
     cert = lift_run_theta(b, run, prefix_len=needed + 3)
@@ -91,7 +91,7 @@ def test_lift_prefix_extension_into_next_block():
 def test_lift_two_letter_alphabet():
     a = m2_two_counters()
     s_small = 8 * 4 * 4
-    s, b = build_realtime8(a, S_override=s_small)
+    b = build_realtime8(a, S_override=s_small)
     assert b.machine.k == 8 and is_real_time(b.machine)
     run = run_of(a, ["a"])
     cert = lift_run_theta(b, run)
@@ -107,7 +107,7 @@ def test_lift_two_letter_alphabet():
 
 def test_lift_rejects_bad_sources():
     a = m1_aomega()
-    _, b = build_realtime8(a, S_override=S_SMALL)
+    b = build_realtime8(a, S_override=S_SMALL)
     good = run_of(a, ["a"])
     shifted = Run(Configuration("p", (1, 0)), good.steps)
     with pytest.raises(MachineError):

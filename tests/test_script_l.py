@@ -43,8 +43,6 @@ def test_guard_refuses_coding_letters_in_sigma():
     # a sigma letter equal to the zero would be read as a plain letter
     with pytest.raises(FreshLetterError):
         build_script_l_guard({"a", "0"}, HCoding(PRIMES))
-    g = build_script_l_guard({"a"}, HCoding(PRIMES, "C", "D", "1"))
-    assert g.machine.alphabet == {"a", "C", "D", "1"}
 
 
 def test_guard_classifies_patterns():

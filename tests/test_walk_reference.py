@@ -133,8 +133,8 @@ def test_walker_refuses_an_unnamed_want():
 
 
 def _valid_run(rng: random.Random, m: CounterMachine) -> Run:
-    # step() compares guards the way Transition.matches does, so these
-    # runs take list guards too, which the walker never matches
+    # step() compares guards with Transition.matches, so these runs take
+    # list guards too
     cfg = start = _start(rng, m)
     steps = []
     for _ in range(rng.randint(0, 12)):
