@@ -26,7 +26,7 @@ from ..errors import ArityError, BuildScaleError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, RunStep, Transition, Walker,
                         intersect_det_buchi, is_real_time, validate_run)
-from ..words import A, B, ZERO, HCoding, coded_alphabet, h_letters
+from ..words import A, B, ZERO, HCoding, _check_letters, coded_alphabet, h_letters
 from .certificates import BlockSpan, RunCertificate, source_word
 
 STATE_CAP = 250_000
@@ -55,14 +55,14 @@ def _consistent(guard: tuple[int, ...], res: tuple[int, ...]) -> bool:
     return all((g == 1) == (r == 0) for g, r in zip(guard, res))
 
 
-def build_script_l_guard(sigma: frozenset[str] | set[str],
-                         coding: HCoding) -> BuchiAutomaton:
+def build_script_l_guard(sigma: frozenset[str] | set[str]) -> BuchiAutomaton:
     """Deterministic complete acceptor for never leaving the cyclic pattern
     A.0*.letter.B.0*; every state except the rejecting sink is accepting,
-    so the product stays accepting once per block.  Raises
-    FreshLetterError when a coding letter is in sigma."""
+    so the product stays accepting once per block.  The same for every
+    prime tuple.  Raises FreshLetterError when an h letter is in sigma."""
     sigma = frozenset(sigma)
-    full = coded_alphabet(coding, sigma)
+    _check_letters((A, B, ZERO), sigma)
+    full = sigma | {A, B, ZERO}
     table = {
         "S0": {A: "SA"},
         "SA": {ZERO: "SA", **{a: "SS" for a in sigma}},
@@ -186,7 +186,7 @@ def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
         raise BuildScaleError(
             "construction would exceed the state cap", est, STATE_CAP)
     raw = _build_raw(a, coding, full)
-    guard = build_script_l_guard(m.alphabet, coding)
+    guard = build_script_l_guard(m.alphabet)
     prod = intersect_det_buchi(raw, guard)
     table = {n: (raw.table[q], s, flag) for n, (q, s, flag) in prod.table.items()}
     return Built(prod.machine, prod.accepting, source=a,

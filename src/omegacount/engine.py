@@ -5,15 +5,24 @@ exact prefix closure; negative evidence is prefix-exact and tail-open,
 except on 0-counter machines where lasso membership is decided exactly.
 Prefix evidence comes from one frontier search, `bounded_explore`, whose
 visited cap counts configurations summed over the frontiers.
+
+Both searches take their successors from `machines.enabled`, which resolves
+the choices once per (state, token, sign pattern) on the machine.  That is
+sound because a guard depends only on which counters are positive, so every
+configuration with the same state and sign pattern has the same enabled
+transitions; a miss goes through `step`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import MachineError
+# step is not called here, but engine.step stays bound for code that reads
+# the kernel from this module
 from .machines import (BuchiAutomaton, Configuration, CounterMachine, Run,
-                       Walker, is_real_time, step)
+                       Walker, enabled, is_real_time, step)
 from .words import A, B, ZERO, LassoWord, lasso_prefix
 
 DEFAULT_VISITED_CAP = 10 ** 7
@@ -50,8 +59,10 @@ def _advance(m: CounterMachine, accepting: frozenset, cur: dict,
     the frontier `cur`, each with its best visit count."""
     nxt: dict[Configuration, int] = {}
     for cfg, visits in cur.items():
-        for _, nc in step(m, cfg, token):
-            nv = visits + (1 if nc.state in accepting else 0)
+        counters = cfg.counters
+        for _, dest, delta in enabled(m, cfg.state, token, counters):
+            nc = Configuration(dest, tuple(map(add, counters, delta)))
+            nv = visits + (1 if dest in accepting else 0)
             old = nxt.get(nc)
             if old is None or nv > old:
                 nxt[nc] = nv
@@ -138,6 +149,7 @@ def nba_lasso_member(b: BuchiAutomaton, w: LassoWord) -> bool:
     m = b.machine
     if m.k != 0:
         raise MachineError("lasso membership is exact only for k = 0")
+    real_time = is_real_time(m)
     sp = len(w.spoke)
     letters = list(w.spoke) + list(w.cycle)
     index: dict = {}
@@ -149,11 +161,11 @@ def nba_lasso_member(b: BuchiAutomaton, w: LassoWord) -> bool:
 
     def enter(node) -> None:
         q, pos = node
-        cfg = Configuration(q, ())
         nxt = pos + 1 if pos + 1 < len(letters) else sp
-        moved = by_letter[node] = [(nc.state, nxt)
-                                   for _, nc in step(m, cfg, letters[pos])]
-        lam = [(nc.state, pos) for _, nc in step(m, cfg, None)]
+        moved = by_letter[node] = [(dest, nxt)
+                                   for _, dest, _ in enabled(m, q, letters[pos], ())]
+        lam = [] if real_time else [(dest, pos)
+                                    for _, dest, _ in enabled(m, q, None, ())]
         index[node] = low[node] = len(index)
         stack.append(node)
         on_stack.add(node)

@@ -11,6 +11,11 @@ configuration.  validate_run replays them against the transition relation.
 A run is not required to begin at the machine's initial state; lifts of
 sub-runs into product or union machines rely on that.
 
+`step` is the one kernel that matches guards.  A guard depends only on which
+counters are positive, so `enabled` keeps step's choices on the machine per
+(state, token, sign pattern), asking `step` on a miss; the engine's searches
+and the Walker read them from there.
+
 Builders whose runs can be lifted return a Built: the automaton itself plus
 what it was built from, the build parameters, and the structured tuple each
 state name stands for.  Lifts walk that record with a Walker and never build.
@@ -83,6 +88,9 @@ class CounterMachine:
     initial: str
     transitions: tuple[Transition, ...]
     _adj: dict = field(default=None, repr=False, compare=False)
+    # step's choices per (state, token, sign pattern), filled by `enabled`
+    _enabled: dict = field(default=None, init=False, repr=False, compare=False)
+    _real_time: bool = field(default=True, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.alphabet = frozenset(self.alphabet)
@@ -101,12 +109,16 @@ class CounterMachine:
         states, alphabet = self.states, self.alphabet
         shapes = set()
         self._adj = {}
+        self._enabled = {}
+        real_time = True
         for i, t in enumerate(self.transitions):
             if t.source not in states:
                 raise MachineError(f"transition {i}: unknown source {t.source!r}")
             if t.destination not in states:
                 raise MachineError(f"transition {i}: unknown destination {t.destination!r}")
-            if t.input is not None and t.input not in alphabet:
+            if t.input is None:
+                real_time = False
+            elif t.input not in alphabet:
                 raise MachineError(f"transition {i}: input {t.input!r} not in alphabet")
             # guard and delta are checked once per distinct (guard, delta);
             # tuple() keys list guards too and returns a tuple unchanged
@@ -115,6 +127,7 @@ class CounterMachine:
                 _check_guard_delta(i, t, self.k)
                 shapes.add(shape)
             self._adj.setdefault((t.source, t.input), []).append((i, t))
+        self._real_time = real_time
 
     def outgoing(self, state: str, input: str | None) -> list[tuple[int, Transition]]:
         """Indexed transitions with this exact (source, input) pair."""
@@ -207,14 +220,32 @@ def step(machine: CounterMachine, config: Configuration,
     return out
 
 
+def enabled(machine: CounterMachine, state: str, token: str | None,
+            counters: tuple[int, ...]) -> tuple[tuple[int, str, tuple[int, ...]], ...]:
+    """The (index, destination, delta) of each transition `step` takes from
+    (state, counters) on `token`, in `step`'s order.
+
+    Whether a guard holds depends only on which counters are positive, so
+    the answer is kept on the machine per (state, token, sign pattern); a
+    miss asks `step` itself, whose arity check still applies."""
+    key = (state, token, tuple([c > 0 for c in counters]))
+    choices = machine._enabled.get(key)
+    if choices is None:
+        transitions = machine.transitions
+        choices = machine._enabled[key] = tuple(
+            (i, nc.state, transitions[i].delta)
+            for i, nc in step(machine, Configuration(state, counters), token))
+    return choices
+
+
 class Walker:
     """Replays a schedule on a machine: each `to` takes the one transition
     out of the current configuration on `token` whose guard holds and that
     satisfies `want`, and records the step.
 
-    The candidates depend only on the state, the token and the counters'
-    sign pattern, so a choice is resolved once per (state, token, sign
-    pattern, key) and replayed from then on.  That is sound only if `key`
+    The candidates are the machine's `enabled` entry for the state, the
+    token and the counters' sign pattern, so a choice is resolved once per
+    (state, token, sign pattern, key) and replayed from then on.  That is sound only if `key`
     names `want`: two calls with the same key must pass predicates that
     give the same verdicts.  A step without `want` is keyed by None.
     """
@@ -234,8 +265,10 @@ class Walker:
         choice = (state, token, tuple([c > 0 for c in counters]), key)
         chosen = self._chosen.get(choice)
         if chosen is None:
-            cands = [(i, t) for i, t in self.machine.outgoing(state, token)
-                     if t.matches(counters) and (want is None or want(t))]
+            transitions = self.machine.transitions
+            cands = [(i, transitions[i])
+                     for i, _, _ in enabled(self.machine, state, token, counters)
+                     if want is None or want(transitions[i])]
             if len(cands) != 1:
                 raise MachineError(
                     f"walk broke at {state!r} on {token!r} after "
@@ -305,7 +338,8 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
 
 
 def is_real_time(machine: CounterMachine) -> bool:
-    return all(t.input is not None for t in machine.transitions)
+    """No lambda transitions (recorded when the machine was built)."""
+    return machine._real_time
 
 
 def lambda_burst_bound(machine: CounterMachine) -> int | float:

@@ -109,10 +109,14 @@ def coding_fresh_letters(spec: CodingSpec) -> tuple[str, ...]:
     return (F,)
 
 
-def _check_fresh(spec: CodingSpec, alphabet: frozenset[str]) -> None:
-    for tok in coding_fresh_letters(spec):
+def _check_letters(letters: tuple[str, ...], alphabet: frozenset[str]) -> None:
+    for tok in letters:
         if tok in alphabet:
             raise FreshLetterError(f"coding letter {tok!r} collides with the base alphabet")
+
+
+def _check_fresh(spec: CodingSpec, alphabet: frozenset[str]) -> None:
+    _check_letters(coding_fresh_letters(spec), alphabet)
 
 
 def coded_alphabet(spec: CodingSpec, alphabet: frozenset[str]) -> frozenset[str]:

@@ -5,6 +5,9 @@ to the multi-pass version they replaced (`reference_graph.py`) on seeded
 random machines with lambda edges: equal lasso verdicts, equal burst bounds
 (self-loops and math.inf included), and Muller-to-Buchi outputs that agree
 on random lassos while the one-pass output has at most as many states.
+Lasso verdicts are asked several times of each machine object, so they run
+on the machine's warm memo of `step`'s choices, and a share of the machines
+is real-time, where the search never asks for lambda successors.
 """
 
 import math
@@ -13,16 +16,19 @@ import random
 import reference_graph as ref
 from omegacount.engine import nba_lasso_member
 from omegacount.machines import (BuchiAutomaton, CounterMachine, MullerAutomaton,
-                                 Transition, lambda_burst_bound, muller_to_buchi)
+                                 Transition, is_real_time, lambda_burst_bound,
+                                 muller_to_buchi)
 from omegacount.words import LassoWord
 
 SIGMA = ("a", "b")
 
 
-def _k0_machine(rng: random.Random, n: int, density: float) -> CounterMachine:
+def _k0_machine(rng: random.Random, n: int, density: float,
+                lambdas: bool = True) -> CounterMachine:
     states = [f"s{i}" for i in range(n)]
+    inputs = SIGMA + ((None,) if lambdas else ())
     trans = [Transition(p, a, (), q, ())
-             for p in states for a in SIGMA + (None,) for q in states
+             for p in states for a in inputs for q in states
              if rng.random() < density]
     return CounterMachine(k=0, alphabet=frozenset(SIGMA), states=states,
                           initial="s0", transitions=tuple(trans))
@@ -53,19 +59,39 @@ def test_lambda_only_cycle_never_accepts():
     assert nba_lasso_member(BuchiAutomaton(m2, frozenset({"p"})), w) is True
 
 
+def test_lambda_edge_into_the_accepting_cycle():
+    # only a lambda edge reaches the accepting loop on r, so a search that
+    # skipped lambda successors here would reject
+    m = CounterMachine(k=0, alphabet=frozenset(SIGMA), states=("p", "r"),
+                       initial="p",
+                       transitions=(Transition("p", "a", (), "p", ()),
+                                    Transition("p", None, (), "r", ()),
+                                    Transition("r", "a", (), "r", ())))
+    b = BuchiAutomaton(m, frozenset({"r"}))
+    w = LassoWord(("a",), ("a",), frozenset(SIGMA))
+    assert not is_real_time(m)
+    assert nba_lasso_member(b, w) is True
+    assert ref.nba_lasso_member(b, w) is True
+
+
 def test_lasso_verdicts_match_the_reference():
     rng = random.Random(5)
-    accepted = 0
-    for _ in range(4000):
-        m = _k0_machine(rng, rng.randint(1, 4), rng.choice((0.1, 0.2, 0.35)))
+    accepted = real_time = 0
+    for _ in range(1000):
+        lambdas = rng.random() < 0.6
+        m = _k0_machine(rng, rng.randint(1, 4), rng.choice((0.1, 0.2, 0.35)),
+                        lambdas)
         acc = frozenset(s for s in sorted(m.states) if rng.random() < 0.4)
         b = BuchiAutomaton(m, acc)
-        w = _lasso(rng)
-        want = ref.nba_lasso_member(b, w)
-        assert nba_lasso_member(b, w) is want, (m, acc, w)
-        accepted += want
-    # both verdicts occur often enough to mean something
+        real_time += is_real_time(m)
+        for _ in range(4):
+            w = _lasso(rng)
+            want = ref.nba_lasso_member(b, w)
+            assert nba_lasso_member(b, w) is want, (m, acc, w)
+            accepted += want
+    # both verdicts occur often enough to mean something, on both kinds
     assert 400 < accepted < 3600
+    assert 300 < real_time < 700
 
 
 def test_burst_bound_edge_cases():

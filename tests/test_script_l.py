@@ -17,7 +17,7 @@ from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  MachineError, Run, RunStep, Transition,
                                  is_real_time, lambda_burst_bound,
                                  validate_run)
-from omegacount.words import HCoding, LassoWord, h_block_decompose, \
+from omegacount.words import LassoWord, h_block_decompose, \
     h_prefix, h_shape_check
 
 from conftest import (m1_aomega, m2_two_counters, m2_word, m3_alternator,
@@ -27,7 +27,7 @@ PRIMES = (2, 3)
 
 
 def test_guard_deterministic_complete():
-    g = build_script_l_guard({"a", "b"}, HCoding(PRIMES))
+    g = build_script_l_guard({"a", "b"})
     m = g.machine
     assert m.k == 0
     full = {"a", "b", "A", "B", "0"}
@@ -41,12 +41,13 @@ def test_guard_deterministic_complete():
 
 def test_guard_refuses_coding_letters_in_sigma():
     # a sigma letter equal to the zero would be read as a plain letter
-    with pytest.raises(FreshLetterError):
-        build_script_l_guard({"a", "0"}, HCoding(PRIMES))
+    with pytest.raises(FreshLetterError,
+                       match="coding letter '0' collides with the base alphabet"):
+        build_script_l_guard({"a", "0"})
 
 
 def test_guard_classifies_patterns():
-    g = build_script_l_guard({"a"}, HCoding(PRIMES))
+    g = build_script_l_guard({"a"})
     ok = deterministic_run(g, list("A00a B000 A0a B0 A".replace(" ", "")))
     assert ok.steps[-1].result.state != "sink"
     # letter repeated inside a block breaks the pattern for good

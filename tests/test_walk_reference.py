@@ -68,34 +68,36 @@ def test_walker_matches_the_reference():
     rng = random.Random(5)
     broke = {}
     replayed = 0
-    for _ in range(1500):
+    for _ in range(500):
         m = _machine(rng)
-        start = _start(rng, m)
-        got, want = Walker(m, start), ref.Walker(m, start)
-        chosen = set()
-        for _ in range(rng.randint(1, 40)):
-            # mostly tokens the state reads, so walks get somewhere
-            live = [x for x in INPUTS if m.outgoing(want.cfg.state, x)]
-            token = rng.choice(live if live and rng.random() < 0.8 else INPUTS)
-            key = None if rng.random() < 0.5 else rng.choice(tuple(WANTS))
-            pred = WANTS.get(key)
-            choice = (want.cfg.state, token,
-                      tuple(c > 0 for c in want.cfg.counters), key)
-            try:
-                want.to(token, pred)
-            except MachineError as exc:
-                with pytest.raises(MachineError) as err:
-                    got.to(token, pred, key)
-                assert str(err.value) == str(exc), (m, start)
-                n = int(re.search(r"(\d+) candidate", str(exc)).group(1))
-                broke[n] = broke.get(n, 0) + 1
-                # a failed choice leaves both walkers where they were
-                continue
-            got.to(token, pred, key)
-            assert got.cfg == want.cfg, (m, start)
-            replayed += choice in chosen
-            chosen.add(choice)
-        assert got.run() == want.run()
+        # later walks of a machine read its memo of step's choices warm
+        for _ in range(3):
+            start = _start(rng, m)
+            got, want = Walker(m, start), ref.Walker(m, start)
+            chosen = set()
+            for _ in range(rng.randint(1, 40)):
+                # mostly tokens the state reads, so walks get somewhere
+                live = [x for x in INPUTS if m.outgoing(want.cfg.state, x)]
+                token = rng.choice(live if live and rng.random() < 0.8 else INPUTS)
+                key = None if rng.random() < 0.5 else rng.choice(tuple(WANTS))
+                pred = WANTS.get(key)
+                choice = (want.cfg.state, token,
+                          tuple(c > 0 for c in want.cfg.counters), key)
+                try:
+                    want.to(token, pred)
+                except MachineError as exc:
+                    with pytest.raises(MachineError) as err:
+                        got.to(token, pred, key)
+                    assert str(err.value) == str(exc), (m, start)
+                    n = int(re.search(r"(\d+) candidate", str(exc)).group(1))
+                    broke[n] = broke.get(n, 0) + 1
+                    # a failed choice leaves both walkers where they were
+                    continue
+                got.to(token, pred, key)
+                assert got.cfg == want.cfg, (m, start)
+                replayed += choice in chosen
+                chosen.add(choice)
+            assert got.run() == want.run()
     # the schedules hit both refusals and replay many remembered choices
     assert broke.get(0, 0) > 1000 and broke.get(2, 0) > 1000, broke
     assert replayed > 2000, replayed
