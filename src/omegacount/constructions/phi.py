@@ -12,9 +12,8 @@ from __future__ import annotations
 import itertools
 
 from ..errors import BuildScaleError, FreshLetterError
-from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
-                        MachineError, Run, Transition, Walker,
-                        lambda_burst_bound)
+from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
+                        Run, Walker, _leaving, _reach, lambda_burst_bound)
 from ..words import F
 from .certificates import BlockSpan, RunCertificate, source_word
 
@@ -27,7 +26,8 @@ def _wrap(q: str, f: int, p: int) -> str:
 
 def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
     """Wrapper of b; its table maps each state to (b's state, filler
-    position, pulse bit)."""
+    position, pulse bit).  Only the triples that (b's initial, 0, 0)
+    reaches are built, by the shared worklist `_reach`."""
     m = b.machine
     # checked here, not by coded_alphabet: filler_count 0 is legal, while
     # PhiCoding(0) is not
@@ -44,46 +44,28 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
         raise BuildScaleError("wrapper would exceed the state cap",
                               est, STATE_CAP)
 
-    lam = [t for t in m.transitions if t.input is None]
-    letters = [t for t in m.transitions if t.input is not None]
+    leaving = _leaving(m)
     guard_combos = list(itertools.product((0, 1), repeat=m.k))
     zeros = (0,) * m.k
-    trans: list[Transition] = []
-    table: dict[str, tuple[str, int, int]] = {}
-    accepting: list[str] = []
-    for q in sorted(m.states):
-        for f in range(filler_count + 1):
-            for p in (0, 1):
-                here = _wrap(q, f, p)
-                table[here] = (q, f, p)
-                if p:
-                    accepting.append(here)
-                if f < filler_count:
-                    for t in lam:
-                        if t.source != q:
-                            continue
-                        pulse = 1 if t.destination in b.accepting else 0
-                        trans.append(Transition(
-                            here, F, t.guard,
-                            _wrap(t.destination, f + 1, pulse), t.delta))
-                    for g in guard_combos:
-                        trans.append(Transition(
-                            here, F, g, _wrap(q, f + 1, 0), zeros))
-                else:
-                    for t in letters:
-                        if t.source != q:
-                            continue
-                        pulse = 1 if t.destination in b.accepting else 0
-                        trans.append(Transition(
-                            here, t.input, t.guard,
-                            _wrap(t.destination, 0, pulse), t.delta))
-    machine = CounterMachine(k=m.k, alphabet=m.alphabet | {F},
-                             states=frozenset(table),
-                             initial=_wrap(m.initial, 0, 0),
-                             transitions=tuple(trans))
-    return Built(machine, frozenset(accepting), source=b,
-                 params={"filler_count": filler_count},
-                 table=table)
+
+    def moves(src: tuple[str, int, int]):
+        q, f, _ = src
+        for t in leaving.get(q, ()):
+            pulse = 1 if t.destination in b.accepting else 0
+            if f < filler_count and t.input is None:
+                # inside the window a lambda move reads filler
+                yield F, t.guard, (t.destination, f + 1, pulse), t.delta
+            elif f == filler_count and t.input is not None:
+                yield t.input, t.guard, (t.destination, 0, pulse), t.delta
+        if f < filler_count:
+            for g in guard_combos:
+                yield F, g, (q, f + 1, 0), zeros
+
+    machine, table = _reach(m.k, m.alphabet | {F}, (m.initial, 0, 0), moves,
+                            lambda state: _wrap(*state))
+    accepting = frozenset(n for n, (_, _, p) in table.items() if p)
+    return Built(machine, accepting, source=b,
+                 params={"filler_count": filler_count}, table=table)
 
 
 def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,

@@ -10,7 +10,8 @@ and exactly one simulated step, then idles through the surplus pad letters.
 The per-block work is at most (2k)^(m+2) + 2k^(m+2) + 1 for queue size m,
 which stays under the pad budget S^i of block i whenever S >= 8k^2.
 
-States are tuples discovered by reachability and renamed r0, r1, ...  A
+States are tuples reached from the initial one by the shared worklist
+`_reach`, named r0, r1, ... in the order they are reached.  A
 flag coordinate folds the two fairness demands (some letter is consumed,
 the simulated control is accepting) into one Buchi set: consuming the
 front letter arms the flag, passing an accepting control state fires it.
@@ -18,9 +19,11 @@ front letter arms the flag, passing an accepting control state fires it.
 
 from __future__ import annotations
 
-from ..errors import ArityError, BuildScaleError, MachineError
-from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
-                        Run, Transition, Walker)
+import itertools
+
+from ..errors import ArityError, MachineError
+from ..machines import (BuchiAutomaton, Built, Configuration, Run, Transition,
+                        Walker, _leaving, _reach)
 from ..words import E
 from .certificates import BlockSpan, RunCertificate, source_word
 from .theta import build_theta_acceptor
@@ -202,30 +205,10 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
     k = len(sigma) + 2
     codes = {x: 2 + i for i, x in enumerate(sigma)}
     theta = build_theta_acceptor(m_a.alphabet, s_eff).machine
+    leaving = _leaving(m_a)
 
-    init = (theta.initial, ("PRE",), m_a.initial, "Z", "Z", 1)
-    names: dict[tuple, str] = {init: "r0"}
-    order = [init]
-    trans: list[Transition] = []
-
-    def intern(dst: tuple) -> str:
-        got = names.get(dst)
-        if got is None:
-            if len(names) >= STATE_CAP:
-                raise BuildScaleError(
-                    f"eight-counter product passed {STATE_CAP} states",
-                    len(names) + 1, STATE_CAP)
-            got = f"r{len(names)}"
-            names[dst] = got
-            order.append(dst)
-        return got
-
-    head = 0
-    while head < len(order):
-        src = order[head]
-        head += 1
+    def moves(src: tuple):
         ts, node, qa, s6, s7, fl = src
-        sname = names[src]
         # an accepting visit re-arms the letter-consumption demand
         f1 = 1 if (fl == 2 and qa in a.accepting) else fl
         for letter in [*sigma, E]:
@@ -244,15 +227,12 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
                                 dst = (te.destination, node2, qa,
                                        "P" if b6 else "Z",
                                        "P" if b7 else "Z", f2)
-                                trans.append(Transition(
-                                    sname, letter, te.guard + g4 + (b6, b7),
-                                    intern(dst), te.delta + d4 + (0, 0)))
+                                yield (letter, te.guard + g4 + (b6, b7), dst,
+                                       te.delta + d4 + (0, 0))
                     else:
                         _, front, g4 = entry
                         ms, ss = node[1], node[2]
-                        for at in m_a.transitions:
-                            if at.source != qa:
-                                continue
+                        for at in leaving.get(qa, ()):
                             if at.guard[0] not in _ALLOWED[s6]:
                                 continue
                             if at.guard[1] not in _ALLOWED[s7]:
@@ -266,14 +246,14 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
                             dst = (te.destination, node2, at.destination,
                                    _after(s6, at.guard[0], at.delta[0]),
                                    _after(s7, at.guard[1], at.delta[1]), f1)
-                            trans.append(Transition(
-                                sname, letter, te.guard + g4 + at.guard,
-                                intern(dst), te.delta + _ZERO4 + at.delta))
+                            yield (letter, te.guard + g4 + at.guard, dst,
+                                   te.delta + _ZERO4 + at.delta)
 
-    table = {n: t for t, n in names.items()}
-    del names, order  # only the name -> tuple direction outlives the build
-    machine = CounterMachine(8, frozenset(sigma) | {E},
-                             frozenset(table), "r0", tuple(trans))
+    numbers = itertools.count()
+    machine, table = _reach(
+        8, frozenset(sigma) | {E},
+        (theta.initial, ("PRE",), m_a.initial, "Z", "Z", 1), moves,
+        lambda _: f"r{next(numbers)}", STATE_CAP, "eight-counter product")
     accepting = frozenset(n for n, t in table.items()
                           if t[5] == 2 and t[2] in a.accepting)
     return Built(machine, accepting, source=a,

@@ -8,13 +8,18 @@ None here, "-" in files) consumes no letter.
 Runs are explicit certificates: a start configuration plus, per step, the
 consumed token, the index of the transition used, and the resulting
 configuration.  validate_run replays them against the transition relation.
-A run is not required to begin at the machine's initial state; lifts of
-sub-runs into product or union machines rely on that.
+A run is not required to begin at the machine's initial state;
+lift_run_union lifts such sub-runs.  Products and wrappers hold only the
+states their initial state reaches, so lift_run_intersection lifts runs
+from b's initial state alone.
 
 `step` is the one kernel that matches guards.  A guard depends only on which
 counters are positive, so `enabled` keeps step's choices on the machine per
 (state, token, sign pattern), asking `step` on a miss; the engine's searches
 and the Walker read them from there.
+
+Every product and wrapper is built by one worklist, `_reach`, which names
+each state tuple when it is first reached from the initial one.
 
 Builders whose runs can be lifted return a Built: the automaton itself plus
 what it was built from, the build parameters, and the structured tuple each
@@ -29,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from operator import add
 
-from .errors import ArityError, MachineError
+from .errors import ArityError, BuildScaleError, MachineError
 
 # reserved spelling of the lambda input in text files; never a letter
 LAMBDA_TOKEN = "-"
@@ -87,7 +92,7 @@ class CounterMachine:
     states: frozenset[str]
     initial: str
     transitions: tuple[Transition, ...]
-    _adj: dict = field(default=None, repr=False, compare=False)
+    _adj: dict = field(default=None, init=False, repr=False, compare=False)
     # step's choices per (state, token, sign pattern), filled by `enabled`
     _enabled: dict = field(default=None, init=False, repr=False, compare=False)
     _real_time: bool = field(default=True, init=False, repr=False, compare=False)
@@ -404,6 +409,53 @@ def pad_run(run: Run, new_k: int) -> Run:
     return Run(start, steps)
 
 
+# products and wrappers: one worklist over the reachable state tuples
+
+
+def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None,
+           over_cap: str = "product") -> tuple[CounterMachine, dict[str, tuple]]:
+    """The machine of the state tuples `initial` reaches, and its name ->
+    tuple table.
+
+    States are expanded breadth first.  moves(state) yields (input, guard,
+    destination tuple, delta) per edge, in a fixed order: run files cite
+    transitions by index, so the order must not depend on set iteration.
+    name(state) names a tuple when it is first reached; two tuples with one
+    name are a MachineError, and reaching more than `cap` states is a
+    BuildScaleError.
+    """
+    first = name(initial)
+    names, table, order = {initial: first}, {first: initial}, [initial]
+    trans: list[Transition] = []
+    # order grows while it is walked: each state is expanded once
+    for src in order:
+        sname = names[src]
+        for inp, guard, dst, delta in moves(src):
+            dname = names.get(dst)
+            if dname is None:
+                if cap is not None and len(order) >= cap:
+                    raise BuildScaleError(f"{over_cap} passed {cap} states",
+                                          len(order) + 1, cap)
+                dname = names[dst] = name(dst)
+                if dname in table:
+                    raise MachineError("product state names collide: a state "
+                                       "name of one factor contains '&'")
+                table[dname] = dst
+                order.append(dst)
+            trans.append(Transition(sname, inp, guard, dname, delta))
+    del names, order  # only the name -> tuple direction outlives the build
+    machine = CounterMachine(k, alphabet, frozenset(table), first, tuple(trans))
+    return machine, table
+
+
+def _leaving(machine: CounterMachine) -> dict[str, list[Transition]]:
+    """Each state's outgoing transitions, in index order."""
+    out: dict[str, list[Transition]] = {}
+    for t in machine.transitions:
+        out.setdefault(t.source, []).append(t)
+    return out
+
+
 # union: fresh initial state branching into disjoint tagged copies
 
 
@@ -499,34 +551,31 @@ def _det_table(d: BuchiAutomaton) -> dict[tuple[str, str], tuple[int, Transition
 def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> Built:
     """Two-flag Buchi product of b with a deterministic complete guard d.
 
-    States (q, s, flag).  Flag 1 waits for an accepting b-state, flag 2 for
-    an accepting d-state; the update looks at the SOURCE pair, so acceptance
-    is read off the flag-2 states whose guard component is accepting.
-    b's lambda-transitions leave the guard component in place.
+    States (q, s, flag), built by `_reach` from (b's initial, d's initial, 1):
+    only the triples that initial triple reaches are states.  Flag 1 waits
+    for an accepting b-state, flag 2 for an accepting d-state; the update
+    looks at the SOURCE pair, so acceptance is read off the flag-2 states
+    whose guard component is accepting.  b's lambda-transitions leave the
+    guard component in place.  Each state's transitions follow b's
+    transition order.
     """
     mb, md = b.machine, d.machine
     if mb.alphabet != md.alphabet:
         raise MachineError("intersection requires equal alphabets")
     dtable = _det_table(d)
+    leaving = _leaving(mb)
 
-    table = {_pair(q, s, flag): (q, s, flag)
-             for q in mb.states for s in md.states for flag in (1, 2)}
-    if len(table) < len(mb.states) * len(md.states) * 2:
-        raise MachineError("product state names collide: a state name of "
-                           "one factor contains '&'")
-    trans: list[Transition] = []
-    # sorted: transition order must not depend on set iteration order,
-    # run files reference transitions by index
-    for t in mb.transitions:
-        for s in sorted(md.states):
-            for flag in (1, 2):
-                nf = _next_flag(b, d, t.source, s, flag)
-                s2 = s if t.input is None else dtable[(s, t.input)][1].destination
-                trans.append(Transition(_pair(t.source, s, flag), t.input, t.guard,
-                                        _pair(t.destination, s2, nf), t.delta))
-    machine = CounterMachine(mb.k, mb.alphabet, frozenset(table),
-                             _pair(mb.initial, md.initial, 1), tuple(trans))
-    accepting = frozenset(_pair(q, s, 2) for q in mb.states for s in d.accepting)
+    def moves(src: tuple[str, str, int]):
+        q, s, flag = src
+        nf = _next_flag(b, d, q, s, flag)
+        for t in leaving.get(q, ()):
+            s2 = s if t.input is None else dtable[(s, t.input)][1].destination
+            yield t.input, t.guard, (t.destination, s2, nf), t.delta
+
+    machine, table = _reach(mb.k, mb.alphabet, (mb.initial, md.initial, 1),
+                            moves, lambda state: _pair(*state))
+    accepting = frozenset(n for n, (_, s, flag) in table.items()
+                          if flag == 2 and s in d.accepting)
     return Built(machine, accepting, source=(b, d), table=table)
 
 
@@ -540,11 +589,14 @@ def lift_run_intersection(prod: Built, run: Run) -> Run:
     """Combine a run of prod's left factor with the unique run of its guard
     on the same word.
 
-    The guard component starts at the guard's initial state (the word is
-    consumed from its beginning even when the run starts off-initial).
+    The run must start at b's initial state: prod holds only the states its
+    initial state reaches, so an off-initial start has no image there.
     """
     b, d = prod.source
     mb, md = b.machine, d.machine
+    if run.start.state != mb.initial:
+        raise MachineError(f"run starts at {run.start.state!r}, not at the "
+                           f"initial state {mb.initial!r} of the product's left factor")
     s, flag = md.initial, 1
     walker = Walker(prod.machine,
                     Configuration(_pair(run.start.state, s, flag), run.start.counters))
@@ -570,54 +622,38 @@ def muller_to_buchi(m: MullerAutomaton) -> BuchiAutomaton:
     in table entry F_i the run may commit to F_i; committed mode only allows
     destinations inside F_i and accumulates them, resetting (through an
     accepting state) whenever the accumulated subset completes F_i.  Only
-    committed (state, subset) pairs reachable from a commit are built.
+    the copy states and committed (state, entry, subset) triples that the
+    initial copy state reaches are built, by `_reach`.
     Real-time inputs give real-time outputs: every added transition consumes
     exactly what its underlying transition consumes.
     """
     mm = m.machine
+    leaving = _leaving(mm)
 
-    def copy_state(q: str) -> str:
-        return f"c&{q}"
+    def enter(q: str, fi: int, mask: frozenset[str]) -> tuple:
+        nm = mask | {q}
+        return ("m", q, fi, frozenset() if nm == m.table[fi] else nm)
 
-    states = {copy_state(q) for q in mm.states}
-    trans = [Transition(copy_state(t.source), t.input, t.guard,
-                        copy_state(t.destination), t.delta)
-             for t in mm.transitions]
-    accepting: set[str] = set()
-    leaving: dict[str, list[Transition]] = {}
-    for t in mm.transitions:
-        leaving.setdefault(t.source, []).append(t)
+    def moves(src: tuple):
+        out = leaving.get(src[1], ())
+        if src[0] == "c":
+            for t in out:
+                yield t.input, t.guard, ("c", t.destination), t.delta
+            commits = [(fi, frozenset()) for fi in range(len(m.table))]
+        else:
+            commits = [src[2:]]
+        for fi, mask in commits:
+            for t in out:
+                if t.destination in m.table[fi]:
+                    yield t.input, t.guard, enter(t.destination, fi, mask), t.delta
 
-    for fi, entry in enumerate(m.table):
-        # committed (state, mask) pair -> its name; each pair is expanded once
-        names: dict[tuple[str, frozenset[str]], str] = {}
-        todo: list[tuple[str, frozenset[str]]] = []
+    def name(state: tuple) -> str:
+        if state[0] == "c":
+            return f"c&{state[1]}"
+        _, q, fi, mask = state
+        return f"m&{q}&{fi}&" + ",".join(sorted(mask))
 
-        def enter(q: str, mask: frozenset[str]) -> str:
-            nm = mask | {q}
-            if nm == entry:
-                nm = frozenset()
-            name = names.get((q, nm))
-            if name is None:
-                name = names[(q, nm)] = f"m&{q}&{fi}&" + ",".join(sorted(nm))
-                todo.append((q, nm))
-                if not nm:
-                    accepting.add(name)
-            return name
-
-        for t in mm.transitions:
-            if t.destination in entry:
-                trans.append(Transition(copy_state(t.source), t.input, t.guard,
-                                        enter(t.destination, frozenset()),
-                                        t.delta))
-        while todo:
-            q, mask = todo.pop()
-            src = names[(q, mask)]
-            for t in leaving.get(q, ()):
-                if t.destination in entry:
-                    trans.append(Transition(src, t.input, t.guard,
-                                            enter(t.destination, mask), t.delta))
-        states.update(names.values())
-    machine = CounterMachine(mm.k, mm.alphabet, frozenset(states),
-                             copy_state(mm.initial), tuple(trans))
-    return BuchiAutomaton(machine, frozenset(accepting))
+    machine, table = _reach(mm.k, mm.alphabet, ("c", mm.initial), moves, name)
+    accepting = frozenset(n for n, state in table.items()
+                          if state[0] == "m" and not state[3])
+    return BuchiAutomaton(machine, accepting)

@@ -2,8 +2,14 @@
 block spans it produced when the digests were recorded.  A moved digest
 means some step picked a different transition index, even if the new
 certificate still validates.
+
+Each lift also has a trace digest that leaves the transition indices out:
+the block spans plus, per step, the consumed letter, the result state and
+its counters.  A rebuilt automaton that renumbers its transitions moves the
+first digest but must keep the trace.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -24,6 +30,14 @@ S = 128
 def digest(cert) -> str:
     spans = "".join(f"block {b.index} {b.start} {b.end}\n" for b in cert.blocks)
     return hashlib.sha256((spans + dump_run(cert.run)).encode()).hexdigest()
+
+
+def trace_digest(cert) -> str:
+    spans = "".join(f"block {b.index} {b.start} {b.end}\n" for b in cert.blocks)
+    steps = "".join(
+        " ".join([s.consumed or "-", s.result.state, *map(str, s.result.counters)]) + "\n"
+        for s in cert.run.steps)
+    return hashlib.sha256((spans + steps).encode()).hexdigest()
 
 
 def theta_cases():
@@ -74,38 +88,90 @@ GOLDEN = {
     "theta: m2 a +2 letters":
         "cf1167ac55768b54a2c0dbd075465f7a53b89c972718b9f6ea659e1ce310eec3",
     "script_l: m1":
-        "9f2aa2053df17feadd0bac0f4991216a3a8d6cb27538789e028d39e50c09c517",
+        "59edac54ee986e52c831c4b8b773218fe71a973659c72457a8f8b24ebf0269c6",
     "script_l: m1 +9":
-        "706cd3018e34f5d74899a124de73509dd7a8c6784fa3848233775a52d9353946",
+        "a1c59820cbee7d5469b22a0b03290c0e39f5edd2c6e4e0baee75b8b58e9db00a",
     "script_l: m1 phi":
-        "d2991cbf27eaf1254228ba5d5deaf167a12d1a9b314ea4ed5f18146e9f15cedd",
+        "506e3d66dbdb1c0317921a18a28504f233da8065d28b1cfe2f8d2992cd0fd5a1",
     "script_l: m2":
-        "fab39a481f34971d80ff177afc12b8be019b3f9756402f26d9c0bfd180497e8d",
+        "a7aa3e689927579f48c57b3b78e5ce5516fb0584dd9a848e32098b8afda746aa",
     "script_l: m2 +9":
-        "f346e03d4fb883e1bffab396094cda7009b29d1711c9f3475790a1ffbc5a7311",
+        "54131cba2f2610f8165a026773ff37d670e48a701be0507a69639a739f001519",
     "script_l: m2 phi":
-        "3bf5b695880335db99091d57bdb16d75950f57f2b60759a4a8cbbdedec4266e7",
+        "5ac76791d3c718786679517918b2ade38be22958b6d001cd35c6e8915cd00577",
     "script_l: m3":
-        "affcc0d2f770a4808507c212db794d2936213349599781ca10258d6c3abdd0af",
+        "c7ea56e35b14707072108f8bbaa1c10009481f0900272a941c41695efc357488",
     "script_l: m3 +9":
-        "4e1b8bff7de50d860fb435ae1e3cefc7304cab32264b49df3e16e4dbff45f00f",
+        "a83b91a6016682852da24e00bbc95665506713dc2339a3a3d049f7cc7d35f77c",
     "script_l: m3 phi":
-        "05001fbf84f84fffeabacb82c11b6cfb13e14654c84198c535ea12583a6bbe93",
+        "39a6fcbd992e761d9b60c257a3ca1cbbcf9687c3d6eb2676f391a4b8b518fa31",
     "pipeline: m2 ab":
-        "5427dfeb93087eaa413d8ef418f3630a4c7dbdb17220cb08db7282816a64225c",
+        "cbc9e281ebb5fb5f137db2ded1f4e393aefab325045c4a51348e875a78d0a95d",
     "pipeline: m2 abb":
-        "8877dfc8ce5514723745afaa84b265a89d9b1ba4e30eacd176d2d7fb0f8dc5d3",
+        "1a69da7f6a04a85f8e297fae5ce56c19663ee304a9e5bf1dc021c02024f86572",
     "pipeline: m2 aabb":
-        "a2f54a41af84886865273e052bcbb5c8150bb9b8898296556c794309ae2a1c91",
+        "d394c9adbc2e87fbca2a3ba640588d2ce9e3a1733bf44f791943b484870f3f20",
     "pipeline: m3 ab":
-        "7ec0f35a11433061d7361e98056284603f40836b4aa748c6a831089886fe0ba1",
+        "d7afd87d3adef6ce63698060f462bee3759d0ae59346cd2edce1f503f813a43b",
     "pipeline: m3 aba":
-        "cbebb8a628faa4427427e0e654c8f6c453c64f14044dcefa68b4e5c7c96b5581",
+        "e138c0cbf00f55658760545bd79049ffbff4d03e3c25a0bc0797366761c6cc49",
 }
+
+
+TRACES = {
+    "theta: m1 a":
+        "a7227f9a964b1226068ad2ec7476a31342dc95b2ac6fc3394f9f60efa7aa5d2d",
+    "theta: m1 aa":
+        "ebcefd0ef19d85c46bc8bdc78f8f7638db16ed82d38aa7009ff44905e0e5489f",
+    "theta: m1 a +5":
+        "5a780ec7af61d0887287d4942e3c18ca6f48c7a83c0fb2bb6eda6529fb3a5eb2",
+    "theta: m2 a +2 letters":
+        "03e297a356179fe0291fd2d6d0377320a14630f8298afc4273354051b96dddb9",
+    "script_l: m1":
+        "431184ede345a151418ba33a15acb5f606ca72004b79e05af71f0f332fdb42b8",
+    "script_l: m1 +9":
+        "8fbf10c084481c953008038acaddb60580f46eca46b5c0af34117d47733d23c3",
+    "script_l: m1 phi":
+        "6769d31bcdf4043a91ff4d092e4d2f3405426af9ba12018a3658b94bbdcbc441",
+    "script_l: m2":
+        "1968922eddc6347855624b72ec4c47d4e8546d47344c86b7b0c0f40737483d51",
+    "script_l: m2 +9":
+        "0c1435bb2c7df0236bfc3a313faea4c005a104c63b53d3663060dfc404b15773",
+    "script_l: m2 phi":
+        "498ed947e5bcf53eeb215a3b18b35080ebe27850d52ec2e9ed46a6cfab1103d4",
+    "script_l: m3":
+        "27ed3a7766ea69a7494c8246ada0b8e5474e1a903b59e60836630c8d987af716",
+    "script_l: m3 +9":
+        "a0b116b834b63703eac97259a1db7ead25bfbcde2ecc4fc468ace8980d4878a4",
+    "script_l: m3 phi":
+        "be8aace85cc067c102e14fb369c31ad3655b21a2d49b64796ba3d14ca1d0e764",
+    "pipeline: m2 ab":
+        "c215b21e2f961c257c3065df5abc82d81b7a265cee80adef2bf460d1c0d96d11",
+    "pipeline: m2 abb":
+        "076434d112f7a3b43daaad1cb0fa12be012acb9c12ef5f63a46f043f29fe3b7b",
+    "pipeline: m2 aabb":
+        "b4f09342b1c111046e738611d4125ab898c08751b2df633d05663d1f1b625c11",
+    "pipeline: m3 ab":
+        "c33990dc36bc0884a0a69457d3853d977d5d70ddc36222989622bcfdc7eeb476",
+    "pipeline: m3 aba":
+        "831c22108495f12ba78852333ce9c0daf4fe8c3bbe5ab11729505ae10fbecb7b",
+}
+
+
+@functools.cache
+def lifted(cases) -> dict:
+    return dict(cases())
 
 
 @pytest.mark.parametrize("cases", [theta_cases, script_l_cases, pipeline_cases])
 def test_lift_digests_are_pinned(cases):
-    got = {name: digest(cert) for name, cert in cases()}
+    got = {name: digest(cert) for name, cert in lifted(cases).items()}
     want = {name: GOLDEN[f"{cases.__name__[:-6]}: {name}"] for name in got}
+    assert got == want
+
+
+@pytest.mark.parametrize("cases", [theta_cases, script_l_cases, pipeline_cases])
+def test_lift_traces_are_pinned(cases):
+    got = {name: trace_digest(cert) for name, cert in lifted(cases).items()}
+    want = {name: TRACES[f"{cases.__name__[:-6]}: {name}"] for name in got}
     assert got == want

@@ -40,6 +40,11 @@ def test_machine_validation_rejects_malformed_parts():
         _b([Transition("p", "a", (0,), "p", (2,))])    # delta out of range
 
 
+def test_adjacency_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        CounterMachine(0, {"a"}, {"p"}, "p", (), {"junk": 1})
+
+
 def test_step_filters_by_guard():
     b = _b([Transition("p", "a", (0,), "p", (1,)),
             Transition("p", "a", (1,), "p", (-1,))])
@@ -186,14 +191,16 @@ def test_intersect_requires_deterministic_complete_guard():
 
 
 def test_intersect_refuses_colliding_state_names():
-    # ("x&y", "z", f) and ("x", "y&z", f) would both be named "x&y&z&f"
+    # ("x&y", "z", 2) and ("x", "y&z", 2) are both reached, and both would
+    # be named "x&y&z&2"
     b = _k0([Transition("x", "a", (), "x&y", ()),
-             Transition("x&y", "a", (), "x", ())],
+             Transition("x&y", "a", (), "x", ()),
+             Transition("x", "a", (), "x", ())],
             ("x", "x&y"), "x", ("x",), ("a",))
     d = _k0([Transition("z", "a", (), "y&z", ()),
              Transition("y&z", "a", (), "z", ())],
             ("z", "y&z"), "z", ("z",), ("a",))
-    with pytest.raises(MachineError):
+    with pytest.raises(MachineError, match="collide"):
         intersect_det_buchi(b, d)
 
 
@@ -205,6 +212,14 @@ def test_lift_run_intersection_validates_in_product():
     lifted = lift_run_intersection(prod, src)
     assert validate_run(prod.machine, word, lifted) is None
     assert lifted.start.state == "n&n&1"
+
+
+def test_lift_run_intersection_refuses_an_off_initial_start():
+    b, d = infinitely_many("a"), infinitely_many("b")
+    prod = intersect_det_buchi(b, d)
+    off = Run(Configuration("y", ()), (RunStep("a", 2, Configuration("y", ())),))
+    with pytest.raises(MachineError, match="not at the initial state 'n'"):
+        lift_run_intersection(prod, off)
 
 
 def test_muller_to_buchi_agrees_on_lassos():

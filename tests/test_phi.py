@@ -47,7 +47,10 @@ def test_wrapper_shape():
     assert w.machine.k == 2
     assert w.machine.alphabet == {"a", "F"}
     assert w.machine.initial == "p&0&0"
-    assert len(w.machine.states) == len(b.machine.states) * 4 * 2
+    # only the reachable states: (p, f, 0) for f = 0..3, and (p, 0, 1)
+    # after each letter
+    assert w.table == {f"p&{f}&{p}": ("p", f, p)
+                       for f, p in ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1))}
     assert all(s.endswith("&1") for s in w.accepting)
 
 
