@@ -82,31 +82,36 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
     source_word(m, run)
 
     zeros = (0,) * m.k
-    walker = Walker(w.machine, Configuration(w.machine.initial, run.start.counters))
-    q, f = m.initial, 0
 
-    def to(token: str, delta: tuple[int, ...], dest: tuple[str, int, int]) -> None:
-        nonlocal q, f
-        walker.to(token, lambda u: u.delta == delta and table[u.destination] == dest,
-                  (delta, dest))
-        q, f = dest[0], dest[1]
+    def want(index: int, u) -> bool:
+        # index -1 is an idle filler step; otherwise the source transition
+        # fixes the delta and the destination (b's state, position, pulse)
+        q, f, _ = table[u.source]
+        if index < 0:
+            return u.delta == zeros and table[u.destination] == (q, f + 1, 0)
+        t = m.transitions[index]
+        pulse = 1 if t.destination in b.accepting else 0
+        dest = (t.destination, 0 if t.input is not None else f + 1, pulse)
+        return u.delta == t.delta and table[u.destination] == dest
 
+    walker = Walker(w.machine, Configuration(w.machine.initial, run.start.counters),
+                    want)
+    f = 0
     spans: list[BlockSpan] = []
     block_start = 0
     # marks[j] = wrapper step count before source step j was processed
     marks: list[int] = []
     for st in run.steps:
         marks.append(len(walker.steps))
-        t = m.transitions[st.transition_index]
-        pulse = 1 if t.destination in b.accepting else 0
         if st.consumed is None:
             if f >= filler_count:
                 raise MachineError("lambda burst exceeds the filler window")
-            to(F, t.delta, (t.destination, f + 1, pulse))
+            walker.to(F, st.transition_index)
+            f += 1
         else:
-            while f < filler_count:
-                to(F, zeros, (q, f + 1, 0))
-            to(st.consumed, t.delta, (t.destination, 0, pulse))
+            walker.idle(F, -1, filler_count - f)
+            walker.to(st.consumed, st.transition_index)
+            f = 0
             spans.append(BlockSpan(len(spans) + 1, block_start, len(walker.steps)))
             block_start = len(walker.steps)
     marks.append(len(walker.steps))
@@ -122,8 +127,7 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
             raise MachineError(
                 f"run pins {len(spans)} blocks; prefix of {prefix_len} "
                 f"letters passes the next letter point at {needed + room}")
-        for _ in range(extra):
-            to(F, zeros, (q, f + 1, 0))
+        walker.idle(F, -1, extra)
 
     if blocks is not None:
         spans = [BlockSpan(bs.index, marks[bs.start], marks[bs.end])

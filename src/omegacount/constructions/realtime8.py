@@ -313,31 +313,27 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
         raise MachineError(
             f"block {i} needs a letter beyond the run's word; pass letters=...")
 
-    def simulating(at: Transition):
-        """Accepts every step but a simulated one that does not take `at`.
-        The simulated step is the only move out of the front transfer
-        (node FTR) into another node."""
+    def want(at_index: int, t: Transition) -> bool:
+        """Accepts every step but a simulated one that does not take the
+        source transition `at_index`.  The simulated step is the only move
+        out of the front transfer (node FTR) into another node."""
+        src, dst = table[t.source], table[t.destination]
+        if src[1][0] != "FTR" or dst[1][0] == "FTR":
+            return True
+        at = m_a.transitions[at_index]
         kind = "IDLE" if at.input is None else "RPOP"
+        return (t.guard[6:] == at.guard and t.delta[6:] == at.delta
+                and dst[1][0] == kind and dst[2] == at.destination)
 
-        def want(t: Transition) -> bool:
-            src, dst = table[t.source], table[t.destination]
-            if src[1][0] != "FTR" or dst[1][0] == "FTR":
-                return True
-            return (t.guard[6:] == at.guard and t.delta[6:] == at.delta
-                    and dst[1][0] == kind and dst[2] == at.destination)
-        return want
-
-    walker = Walker(b8.machine, Configuration(b8.machine.initial, (0,) * 8))
+    walker = Walker(b8.machine, Configuration(b8.machine.initial, (0,) * 8), want)
     spans = []
     blocks = len(run.steps)
     for i in range(1, blocks + 1):
         start = len(walker.steps)
-        # simulating(at) depends on `at` alone, so its index names it
         at = run.steps[i - 1].transition_index
-        want = simulating(m_a.transitions[at])
-        walker.to(block_letter(i), want, at)
+        walker.to(block_letter(i), at)
         for _ in range(s_eff ** i):
-            walker.to(E, want, at)
+            walker.to(E, at)
         spans.append(BlockSpan(i, start, len(walker.steps)))
 
     needed = len(walker.steps)

@@ -229,7 +229,10 @@ def lift_run_script_L(bl: Built, run: Run,
     letters = itertools.chain(h_letters(iter(word), coding),
                               [A], itertools.repeat(ZERO))
     steps = iter(run.steps)
-    walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)))
+    # the guard component is deterministic, so naming the raw destination
+    # of a guess singles out the product transition
+    walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)),
+                    lambda guess, u: table[u.destination][0] == guess)
     lam = {t.source for t in bl.machine.transitions if t.input is None}
     opened: list[int] = []
     for tok in itertools.islice(letters, n):
@@ -237,10 +240,7 @@ def lift_run_script_L(bl: Built, run: Run,
             opened.append(len(walker.steps))
         if tok in m.alphabet:
             t = m.transitions[next(steps).transition_index]
-            # the guard component is deterministic, so naming the raw
-            # destination singles out the product transition
-            guess = ("x", t.destination, t.delta)
-            walker.to(tok, lambda u: table[u.destination][0] == guess, guess)
+            walker.to(tok, ("x", t.destination, t.delta))
         else:
             walker.to(tok)
         while walker.cfg.state in lam:

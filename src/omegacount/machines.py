@@ -8,10 +8,12 @@ None here, "-" in files) consumes no letter.
 Runs are explicit certificates: a start configuration plus, per step, the
 consumed token, the index of the transition used, and the resulting
 configuration.  validate_run replays them against the transition relation.
-A run is not required to begin at the machine's initial state;
-lift_run_union lifts such sub-runs.  Products and wrappers hold only the
-states their initial state reaches, so lift_run_intersection lifts runs
-from b's initial state alone.
+Configuration and RunStep are plain slotted records, treated as immutable and
+compared and hashed by their fields: a lift writes millions of them, and a
+frozen record costs several times as much to build.  A run is not required
+to begin at the machine's initial state; lift_run_union lifts such sub-runs.
+Products and wrappers hold only the states their initial state reaches, so
+lift_run_intersection lifts runs from b's initial state alone.
 
 `step` is the one kernel that matches guards.  A guard depends only on which
 counters are positive, so `enabled` keeps step's choices on the machine per
@@ -24,8 +26,11 @@ each state tuple when it is first reached from the initial one.
 Builders whose runs can be lifted return a Built: the automaton itself plus
 what it was built from, the build parameters, and the structured tuple each
 state name stands for.  Lifts walk that record with a Walker and never build.
-A Walker resolves each choice once per (state, token, sign pattern, key) and
-replays it after that, so a key must name the predicate it is passed with.
+A Walker takes one predicate per walk, `want(key, transition)`, and each step
+passes a cheap key (a transition index, a guess).  It resolves each choice
+once per (state, token, sign pattern, key) and replays it after that; an idle
+segment whose transitions move no counter is replayed whole, with one record
+pair per step and no lookup.
 """
 
 from __future__ import annotations
@@ -139,18 +144,25 @@ class CounterMachine:
         return self._adj.get((state, input), [])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Configuration:
     """Global state (q, c1..ck).  Counters should be naturals; negative
     entries are representable so corrupt certificates can be loaded and
-    rejected by validate_run rather than at parse time."""
+    rejected by validate_run rather than at parse time.
+
+    A plain slotted record, cheaper to build than a frozen one: it is
+    treated as immutable, and no code assigns a field after construction.
+    Equality and hash are by fields, so configurations serve as dict keys."""
 
     state: str
     counters: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RunStep:
+    """One step of a run; a plain slotted record like Configuration,
+    treated as immutable and compared and hashed by its fields."""
+
     consumed: str | None
     transition_index: int
     result: Configuration
@@ -245,43 +257,80 @@ def enabled(machine: CounterMachine, state: str, token: str | None,
 
 class Walker:
     """Replays a schedule on a machine: each `to` takes the one transition
-    out of the current configuration on `token` whose guard holds and that
-    satisfies `want`, and records the step.
+    out of the current configuration on `token` whose guard holds and, when
+    a key is given, for which `want(key, transition)` holds, and records the
+    step.
 
-    The candidates are the machine's `enabled` entry for the state, the
-    token and the counters' sign pattern, so a choice is resolved once per
-    (state, token, sign pattern, key) and replayed from then on.  That is sound only if `key`
-    names `want`: two calls with the same key must pass predicates that
-    give the same verdicts.  A step without `want` is keyed by None.
+    The walk takes its one predicate `want` when it is made; each step names
+    what it asks for by a cheap key (a transition index, a guess), and a step
+    without a key takes any enabled transition.  A key passed to a walker
+    without `want` is a TypeError.  The candidates are the machine's
+    `enabled` entry for the state, the token and the counters' sign pattern,
+    so a choice is resolved once per (state, token, sign pattern, key) and
+    replayed from then on: `want` must give one verdict per (key, transition).
+
+    `idle(token, key, n)` is n calls of `to(token, key)`.  When none of the
+    transitions it takes moves a counter, the sign pattern cannot change, so
+    the segment of (index, destination) pairs is kept per (state, token,
+    sign pattern, key, n) and replayed whole over the same counters.
     """
 
-    def __init__(self, machine: CounterMachine, start: Configuration):
+    def __init__(self, machine: CounterMachine, start: Configuration, want=None):
         self.machine = machine
         self.start = start
         self.cfg = start
         self.steps: list[RunStep] = []
-        self._chosen: dict[tuple, tuple[int, Transition]] = {}
+        self._want = want
+        self._chosen: dict[tuple, tuple[int, str, tuple[int, ...]]] = {}
+        self._segments: dict[tuple, list[tuple[int, str]]] = {}
 
-    def to(self, token: str | None, want=None, key=None) -> None:
-        if (want is None) != (key is None):
-            raise TypeError("Walker.to: a key must name a want, and a want needs a key")
-        state, counters = self.cfg.state, self.cfg.counters
+    def _check_key(self, key) -> None:
+        if key is not None and self._want is None:
+            raise TypeError("Walker: a key needs the walk's want")
+
+    def to(self, token: str | None, key=None) -> None:
+        cfg = self.cfg
+        state, counters = cfg.state, cfg.counters
         # whether a guard holds depends only on the counters' sign pattern
         choice = (state, token, tuple([c > 0 for c in counters]), key)
         chosen = self._chosen.get(choice)
         if chosen is None:
-            transitions = self.machine.transitions
-            cands = [(i, transitions[i])
-                     for i, _, _ in enabled(self.machine, state, token, counters)
-                     if want is None or want(transitions[i])]
+            self._check_key(key)
+            transitions, want = self.machine.transitions, self._want
+            cands = [c for c in enabled(self.machine, state, token, counters)
+                     if key is None or want(key, transitions[c[0]])]
             if len(cands) != 1:
                 raise MachineError(
                     f"walk broke at {state!r} on {token!r} after "
                     f"{len(self.steps)} steps: {len(cands)} candidate transitions")
             chosen = self._chosen[choice] = cands[0]
-        i, t = chosen
-        self.cfg = Configuration(t.destination, tuple(map(add, counters, t.delta)))
-        self.steps.append(RunStep(token, i, self.cfg))
+        i, destination, delta = chosen
+        self.cfg = cfg = Configuration(destination, tuple(map(add, counters, delta)))
+        self.steps.append(RunStep(token, i, cfg))
+
+    def idle(self, token: str | None, key, n: int) -> None:
+        self._check_key(key)
+        cfg, steps = self.cfg, self.steps
+        counters = cfg.counters
+        where = (cfg.state, token, tuple([c > 0 for c in counters]), key, n)
+        segment = self._segments.get(where)
+        if segment is not None:
+            steps += [RunStep(token, i, Configuration(destination, counters))
+                      for i, destination in segment]
+            if segment:
+                self.cfg = steps[-1].result
+            return
+        first = len(steps)
+        for _ in range(n):
+            self.to(token, key)
+        # a 0.0 delta leaves the counters equal but makes them floats for
+        # good; the walk above did so already, and the memo is this walk's,
+        # so a replay over the counters as they stand stays exact
+        transitions = self.machine.transitions
+        taken = steps[first:]
+        if not any(any(transitions[s.transition_index].delta) for s in taken):
+            self._segments[where] = [(s.transition_index, s.result.state)
+                                     for s in taken]
 
     def run(self) -> Run:
         return Run(self.start, tuple(self.steps))
@@ -310,33 +359,32 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
     state, counters = run.start.state, run.start.counters
     pos = 0
     for i, s in enumerate(run.steps):
-        idx = s.transition_index
+        # each step's fields are read once
+        consumed, idx, result = s.consumed, s.transition_index, s.result
+        got_state, got = result.state, result.counters
         if not (0 <= idx < n_trans):
             return RunViolation(i, "index", f"transition index {idx} out of range")
         t = transitions[idx]
         if t.source != state:
             return RunViolation(i, "source", f"transition {idx} leaves {t.source!r}, run is at {state!r}")
-        consumed = s.consumed
         if consumed != t.input:
             return RunViolation(i, "input", f"recorded {consumed!r}, transition reads {t.input!r}")
         # equal to the sign pattern implies matches; anything else (a list
         # guard, or a real mismatch) is settled by matches itself
         if t.guard != tuple(map(bool, counters)) and not t.matches(counters):
             return RunViolation(i, "guard", f"guard {t.guard} vs counters {counters}")
-        result = s.result
-        got = result.counters
         if got and min(got) < 0:
             return RunViolation(i, "negative-counter", f"result {got}")
         expected = tuple(map(add, counters, t.delta))
-        if result.state != t.destination:
-            return RunViolation(i, "destination", f"recorded {result.state!r}, transition enters {t.destination!r}")
+        if got_state != t.destination:
+            return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {t.destination!r}")
         if got != expected:
             return RunViolation(i, "delta", f"recorded {got}, expected {expected}")
         if consumed is not None:
             if pos >= n_word or word[pos] != consumed:
                 return RunViolation(i, "projection", f"letter {consumed!r} at word position {pos}")
             pos += 1
-        state, counters = result.state, got
+        state, counters = got_state, got
     if pos != n_word:
         return RunViolation(len(run.steps), "projection", f"run consumed {pos} of {n_word} letters")
     return None
@@ -597,18 +645,20 @@ def lift_run_intersection(prod: Built, run: Run) -> Run:
     if run.start.state != mb.initial:
         raise MachineError(f"run starts at {run.start.state!r}, not at the "
                            f"initial state {mb.initial!r} of the product's left factor")
-    s, flag = md.initial, 1
+
+    def want(index: int, u: Transition) -> bool:
+        # the product state u leaves holds the guard component and the flag
+        t = mb.transitions[index]
+        _, s, flag = prod.table[u.source]
+        s2 = s if u.input is None else md.outgoing(s, u.input)[0][1].destination
+        return (u.delta == t.delta and prod.table[u.destination]
+                == (t.destination, s2, _next_flag(b, d, t.source, s, flag)))
+
     walker = Walker(prod.machine,
-                    Configuration(_pair(run.start.state, s, flag), run.start.counters))
+                    Configuration(_pair(run.start.state, md.initial, 1), run.start.counters),
+                    want)
     for st in run.steps:
-        t = mb.transitions[st.transition_index]
-        flag = _next_flag(b, d, t.source, s, flag)
-        if st.consumed is not None:
-            s = md.outgoing(s, st.consumed)[0][1].destination
-        dst = (t.destination, s, flag)
-        walker.to(st.consumed,
-                  lambda u: u.delta == t.delta and prod.table[u.destination] == dst,
-                  (t.delta, dst))
+        walker.to(st.consumed, st.transition_index)
     return walker.run()
 
 

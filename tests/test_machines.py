@@ -45,6 +45,25 @@ def test_adjacency_is_not_a_constructor_argument():
         CounterMachine(0, {"a"}, {"p"}, "p", (), {"junk": 1})
 
 
+def test_run_records_compare_and_hash_by_fields():
+    # built positionally, as perfbench/bench_gen.py builds them
+    a, b = Configuration("p", (1, 0)), Configuration("p", (1, 0))
+    s1, s2 = RunStep("a", 3, a), RunStep("a", 3, b)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert s1 == s2 and hash(s1) == hash(s2)
+    assert a != Configuration("p", (0, 1)) and a != Configuration("q", (1, 0))
+    assert s1 != RunStep(None, 3, a) and s1 != RunStep("a", 4, a)
+    assert s1 != RunStep("a", 3, Configuration("q", (1, 0)))
+    assert {a: 1}[b] == 1 and len({a, b, Configuration("p", (2, 0))}) == 2
+    assert {s1: 1}[s2] == 1 and len({s1, s2}) == 1
+    assert Run(a, (s1,)) == Run(b, (s2,))
+    assert hash(Run(a, (s1,))) == hash(Run(b, (s2,)))
+    assert repr(a) == "Configuration(state='p', counters=(1, 0))"
+    assert repr(s1) == ("RunStep(consumed='a', transition_index=3, "
+                        "result=Configuration(state='p', counters=(1, 0)))")
+    assert (s1.consumed, s1.transition_index, s1.result) == ("a", 3, a)
+
+
 def test_step_filters_by_guard():
     b = _b([Transition("p", "a", (0,), "p", (1,)),
             Transition("p", "a", (1,), "p", (-1,))])

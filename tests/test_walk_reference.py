@@ -1,13 +1,15 @@
 """Differential tests of the walker and the run check.
 
-`machines.Walker` resolves each choice once per (state, token, sign pattern,
-key) and replays it; `machines.validate_run` checks each step with
-tuple-level operations.  Both are held to the versions they replaced
-(`reference_walk.py`) on seeded random machines with up to two counters,
-duplicate transitions, list guards and guard or delta values spelled True
-or 1.0: the same steps or the same walk error on random keyed and unkeyed
-schedules, and the same verdict on valid runs and on corruptions of them
-that reach every violation the check reports.
+`machines.Walker` takes one predicate per walk, resolves each choice once
+per (state, token, sign pattern, key) and replays it, and replays idle
+segments whole; `machines.validate_run` checks each step with tuple-level
+operations.  Both are held to the versions they replaced
+(`reference_walk.py`, whose walker takes a predicate per step) on seeded
+random machines with up to two counters, duplicate transitions, list guards
+and guard or delta values spelled True, False, 1.0 or 0.0: the same steps or
+the same walk error on random keyed and unkeyed schedules, `idle(token, key,
+n)` equal to n reference steps, and the same verdict on valid runs and on
+corruptions of them that reach every violation the check reports.
 """
 
 import random
@@ -64,6 +66,10 @@ def _start(rng: random.Random, m: CounterMachine) -> Configuration:
                          tuple(rng.randint(0, 2) for _ in range(m.k)))
 
 
+def _walker(m: CounterMachine, start: Configuration) -> Walker:
+    return Walker(m, start, lambda key, u: WANTS[key](u))
+
+
 def test_walker_matches_the_reference():
     rng = random.Random(5)
     broke = {}
@@ -73,7 +79,7 @@ def test_walker_matches_the_reference():
         # later walks of a machine read its memo of step's choices warm
         for _ in range(3):
             start = _start(rng, m)
-            got, want = Walker(m, start), ref.Walker(m, start)
+            got, want = _walker(m, start), ref.Walker(m, start)
             chosen = set()
             for _ in range(rng.randint(1, 40)):
                 # mostly tokens the state reads, so walks get somewhere
@@ -87,13 +93,13 @@ def test_walker_matches_the_reference():
                     want.to(token, pred)
                 except MachineError as exc:
                     with pytest.raises(MachineError) as err:
-                        got.to(token, pred, key)
+                        got.to(token, key)
                     assert str(err.value) == str(exc), (m, start)
                     n = int(re.search(r"(\d+) candidate", str(exc)).group(1))
                     broke[n] = broke.get(n, 0) + 1
                     # a failed choice leaves both walkers where they were
                     continue
-                got.to(token, pred, key)
+                got.to(token, key)
                 assert got.cfg == want.cfg, (m, start)
                 replayed += choice in chosen
                 chosen.add(choice)
@@ -111,27 +117,105 @@ def test_walker_replays_a_choice_it_resolved():
                        transitions=(Transition("s0", "a", (1,), "s1", (1,)),
                                     Transition("s0", "a", (1,), "s0", (1,)),
                                     Transition("s1", "b", (1,), "s0", (-1,))))
-    w = Walker(m, Configuration("s0", (1,)))
+    w = _walker(m, Configuration("s0", (1,)))
     for _ in range(3):
-        w.to("a", WANTS["to s1"], "to s1")
+        w.to("a", "to s1")
         w.to("b")
     assert [s.transition_index for s in w.steps] == [0, 2] * 3
     with pytest.raises(MachineError, match="after 6 steps: 2 candidate"):
         w.to("a")
 
 
-def test_walker_refuses_an_unnamed_want():
+def test_walker_refuses_a_key_without_a_want():
     m = CounterMachine(k=0, alphabet=frozenset(SIGMA), states=("s0",),
                        initial="s0",
                        transitions=(Transition("s0", "a", (), "s0", ()),))
     w = Walker(m, Configuration("s0", ()))
     with pytest.raises(TypeError, match="key"):
-        w.to("a", WANTS["to s0"])
+        w.to("a", "to s0")
+    # even an empty idle segment checks its key
     with pytest.raises(TypeError, match="key"):
-        w.to("a", key="to s0")
+        w.idle("a", "to s0", 0)
     assert w.steps == []
-    w.to("a", WANTS["to s0"], "to s0")
-    assert len(w.steps) == 1
+    w.to("a")
+    w.idle("a", None, 2)
+    assert len(w.steps) == 3
+    w = _walker(m, Configuration("s0", ()))
+    w.to("a", "to s0")
+    w.idle("a", "to s0", 2)
+    assert len(w.steps) == 3
+
+
+def _zeros_respelled(rng: random.Random, m: CounterMachine) -> CounterMachine:
+    """m with the zero deltas of some transitions spelled False or 0.0."""
+    trans = []
+    for t in m.transitions:
+        if rng.random() < 0.5:
+            zero = rng.choice((False, 0.0))
+            t = Transition(t.source, t.input, t.guard, t.destination,
+                           tuple(zero if d == 0 else d for d in t.delta))
+        trans.append(t)
+    return CounterMachine(k=m.k, alphabet=m.alphabet, states=m.states,
+                          initial=m.initial, transitions=tuple(trans))
+
+
+def test_idle_matches_reference_steps():
+    """Walker.idle(token, key, n) against n reference steps, step for step
+    and by repr: segments that move a counter are walked every time, and
+    segments that move none are replayed, also at other counter values and
+    with zero deltas spelled False or 0.0."""
+    rng = random.Random(17)
+    seen = dict.fromkeys(("empty", "refused mid-segment", "moving again",
+                          "replayed elsewhere", "replayed False delta",
+                          "replayed 0.0 delta"), 0)
+    for _ in range(600):
+        m = _zeros_respelled(rng, _machine(rng))
+        # (state, token, signs, key, n) -> counters and deltas of the
+        # segment walked there first, for the coverage counts
+        walked = {}
+        for _ in range(3):
+            start = _start(rng, m)
+            got, want = _walker(m, start), ref.Walker(m, start)
+            walked.clear()
+            for _ in range(rng.randint(1, 40)):
+                live = [x for x in INPUTS if m.outgoing(want.cfg.state, x)]
+                token = rng.choice(live if live and rng.random() < 0.8 else INPUTS)
+                key = None if rng.random() < 0.3 else rng.choice(tuple(WANTS))
+                pred = WANTS.get(key)
+                n = rng.choice((0, 1, 2, 3, 5))
+                counters = want.cfg.counters
+                where = (want.cfg.state, token,
+                         tuple(c > 0 for c in counters), key, n)
+                first = len(want.steps)
+                try:
+                    for _ in range(n):
+                        want.to(token, pred)
+                except MachineError as exc:
+                    with pytest.raises(MachineError) as err:
+                        got.idle(token, key, n)
+                    assert str(err.value) == str(exc), (m, start)
+                    seen["refused mid-segment"] += 0 < len(want.steps) - first
+                else:
+                    got.idle(token, key, n)
+                    seen["empty"] += n == 0
+                    if where not in walked:
+                        walked[where] = (counters, [
+                            d for s in want.steps[first:]
+                            for d in m.transitions[s.transition_index].delta])
+                    else:
+                        before, deltas = walked[where]
+                        if any(deltas):
+                            seen["moving again"] += 1
+                        else:
+                            seen["replayed elsewhere"] += before != counters
+                            seen["replayed False delta"] += any(
+                                d is False for d in deltas)
+                            seen["replayed 0.0 delta"] += any(
+                                type(d) is float for d in deltas)
+                assert repr(got.steps) == repr(want.steps), (m, start)
+                assert got.cfg == want.cfg
+            assert got.run() == want.run()
+    assert all(v > 10 for v in seen.values()), seen
 
 
 def _valid_run(rng: random.Random, m: CounterMachine) -> Run:
