@@ -11,7 +11,9 @@ The per-block work is at most (2k)^(m+2) + 2k^(m+2) + 1 for queue size m,
 which stays under the pad budget S^i of block i whenever S >= 8k^2.
 
 States are tuples reached from the initial one by the shared worklist
-`_reach`, named r0, r1, ... in the order they are reached.  A
+`_reach`, named r0, r1, ... in the order they are reached.  The queue
+node's edges on a letter are worked out once per build and shared by every
+state that holds that node.  A
 flag coordinate folds the two fairness demands (some letter is consumed,
 the simulated control is accepting) into one Buchi set: consuming the
 front letter arms the flag, passing an accepting control state fires it.
@@ -206,6 +208,9 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
     codes = {x: 2 + i for i, x in enumerate(sigma)}
     theta = build_theta_acceptor(m_a.alphabet, s_eff).machine
     leaving = _leaving(m_a)
+    # a queue node's edges depend on the node and the letter alone, and a
+    # few hundred nodes recur across tens of thousands of states
+    entries_of: dict[tuple, list] = {}
 
     def moves(src: tuple):
         ts, node, qa, s6, s7, fl = src
@@ -215,8 +220,10 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
             tedges = theta.outgoing(ts, letter)
             if not tedges:
                 continue
-            entries = _pad_entries(node, k) if letter == E \
-                else _sigma_entries(node, codes[letter])
+            entries = entries_of.get((node, letter))
+            if entries is None:
+                entries = entries_of[node, letter] = _pad_entries(node, k) \
+                    if letter == E else _sigma_entries(node, codes[letter])
             for _, te in tedges:
                 for entry in entries:
                     if entry[0] == "plain":

@@ -5,15 +5,24 @@ Every transition carries a total guard (each coordinate tests zero or
 positive) and a delta vector over {-1, 0, +1}.  The lambda input (spelled
 None here, "-" in files) consumes no letter.
 
+A machine is checked when it is made, over all its parts at once: one
+join for the state and letter tokens, set inclusions for the sources,
+destinations and inputs, one check per distinct (guard, delta).  Only when
+one of these fails does the check run again token by token and transition
+by transition, to raise the first error with its transition index.  The
+(source, input) index behind `outgoing` is built on the first call, so a
+machine that is only built, dumped or replayed never pays for it.
+
 Runs are explicit certificates: a start configuration plus, per step, the
 consumed token, the index of the transition used, and the resulting
 configuration.  validate_run replays them against the transition relation.
-Configuration and RunStep are plain slotted records, treated as immutable and
-compared and hashed by their fields: a lift writes millions of them, and a
-frozen record costs several times as much to build.  A run is not required
-to begin at the machine's initial state; lift_run_union lifts such sub-runs.
-Products and wrappers hold only the states their initial state reaches, so
-lift_run_intersection lifts runs from b's initial state alone.
+Transition, Configuration and RunStep are plain slotted records, treated as
+immutable and compared and hashed by their fields: a build makes a record
+per edge and a lift one per step, and a frozen record costs several times
+as much to build.  A run is not required to begin at the machine's initial
+state; lift_run_union lifts such sub-runs.  Products and wrappers hold only
+the states their initial state reaches, so lift_run_intersection lifts runs
+from b's initial state alone.
 
 `step` is the one kernel that matches guards.  A guard depends only on which
 counters are positive, so `enabled` keeps step's choices on the machine per
@@ -55,12 +64,27 @@ def _check_token(tok: str, what: str) -> None:
         raise MachineError(f"{what} {tok!r} not serializable (whitespace or '#')")
 
 
-@dataclass(frozen=True, slots=True)
+def _tokens_ok(toks: list) -> bool:
+    """Whether _check_token passes every token, tested on all at once.
+
+    A token that is empty or has whitespace anywhere changes how the
+    newline-joined text splits; one that is not a str fails the join."""
+    if not all(isinstance(tok, str) for tok in toks):
+        return False
+    text = "\n".join(toks)
+    return text.split() == toks and "#" not in text and LAMBDA_TOKEN not in toks
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class Transition:
     """One edge: (source, input, guard, destination, delta).
 
     input None means lambda.  guard coordinates: 0 = counter must equal 0,
     1 = counter must be positive.  delta coordinates in {-1, 0, +1}.
+
+    A plain slotted record like Configuration, cheaper to build than a
+    frozen one: it is treated as immutable, and no code assigns a field
+    after construction.  Equality and hash are by fields.
     """
 
     source: str
@@ -73,30 +97,38 @@ class Transition:
         return all((c > 0) == (g == 1) for g, c in zip(self.guard, counters))
 
 
-def _check_guard_delta(i: int, t: Transition, k: int) -> None:
-    if len(t.guard) != k or len(t.delta) != k:
+def _check_guard_delta(i: int, guard, delta, k: int) -> None:
+    if len(guard) != k or len(delta) != k:
         raise MachineError(f"transition {i}: guard/delta arity != k={k}")
-    for g in t.guard:
+    for g in guard:
         if g not in (0, 1):
             raise MachineError(f"transition {i}: guard values must be 0 or 1")
-    for d in t.delta:
+    for d in delta:
         if d not in (-1, 0, 1):
             raise MachineError(f"transition {i}: delta values must be -1, 0 or +1")
     # zero-test consistency: a counter tested zero cannot decrease
-    for g, d in zip(t.guard, t.delta):
+    for g, d in zip(guard, delta):
         if g == 0 and d == -1:
             raise MachineError(f"transition {i}: delta -1 under a zero guard")
 
 
 @dataclass
 class CounterMachine:
-    """Immutable after construction; validation happens in __post_init__."""
+    """Immutable after construction; validation happens in __post_init__.
+
+    The checks run over the whole machine at once: the tokens by one join,
+    sources, destinations and inputs as sets, guard and delta once per
+    distinct (guard, delta).  When one of them fails, the checks run again
+    token by token and transition by transition, which raise the first
+    error in that order.  The (source, input) index behind `outgoing` is
+    built on its first call."""
 
     k: int
     alphabet: frozenset[str]
     states: frozenset[str]
     initial: str
     transitions: tuple[Transition, ...]
+    # (source, input) -> indexed transitions, built by the first `outgoing`
     _adj: dict = field(default=None, init=False, repr=False, compare=False)
     # step's choices per (state, token, sign pattern), filled by `enabled`
     _enabled: dict = field(default=None, init=False, repr=False, compare=False)
@@ -110,16 +142,41 @@ class CounterMachine:
             raise MachineError("k must be a natural number")
         if not self.states:
             raise MachineError("state set must be nonempty")
-        for s in self.states:
-            _check_token(s, "state id")
-        for a in self.alphabet:
-            _check_token(a, "letter")
+        if not (_tokens_ok(list(self.states)) and _tokens_ok(list(self.alphabet))):
+            for s in self.states:
+                _check_token(s, "state id")
+            for a in self.alphabet:
+                _check_token(a, "letter")
         if self.initial not in self.states:
             raise MachineError(f"initial state {self.initial!r} not in states")
+        self._enabled = {}
+        real_time = self._check_in_bulk()
+        self._real_time = self._check_each() if real_time is None else real_time
+
+    def _check_in_bulk(self) -> bool | None:
+        """Whether the machine is real-time, or None when a check fails."""
+        trans, states, k = self.transitions, self.states, self.k
+        try:
+            if not ({t.source for t in trans} <= states
+                    and {t.destination for t in trans} <= states):
+                return None
+            inputs = {t.input for t in trans}
+            real_time = None not in inputs
+            inputs.discard(None)
+            if not inputs <= self.alphabet:
+                return None
+            # tuple() keys list guards too and returns a tuple unchanged
+            for guard, delta in {(tuple(t.guard), tuple(t.delta)) for t in trans}:
+                _check_guard_delta(-1, guard, delta, k)
+        except (MachineError, TypeError, AttributeError):
+            # _check_each says which transition fails, and how
+            return None
+        return real_time
+
+    def _check_each(self) -> bool:
+        """The checks one transition at a time: raises the first failure."""
         states, alphabet = self.states, self.alphabet
         shapes = set()
-        self._adj = {}
-        self._enabled = {}
         real_time = True
         for i, t in enumerate(self.transitions):
             if t.source not in states:
@@ -130,18 +187,21 @@ class CounterMachine:
                 real_time = False
             elif t.input not in alphabet:
                 raise MachineError(f"transition {i}: input {t.input!r} not in alphabet")
-            # guard and delta are checked once per distinct (guard, delta);
-            # tuple() keys list guards too and returns a tuple unchanged
+            # guard and delta are checked once per distinct (guard, delta)
             shape = (tuple(t.guard), tuple(t.delta))
             if shape not in shapes:
-                _check_guard_delta(i, t, self.k)
+                _check_guard_delta(i, t.guard, t.delta, self.k)
                 shapes.add(shape)
-            self._adj.setdefault((t.source, t.input), []).append((i, t))
-        self._real_time = real_time
+        return real_time
 
     def outgoing(self, state: str, input: str | None) -> list[tuple[int, Transition]]:
         """Indexed transitions with this exact (source, input) pair."""
-        return self._adj.get((state, input), [])
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = {}
+            for i, t in enumerate(self.transitions):
+                adj.setdefault((t.source, t.input), []).append((i, t))
+        return adj.get((state, input), [])
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -64,6 +64,29 @@ def test_run_records_compare_and_hash_by_fields():
     assert (s1.consumed, s1.transition_index, s1.result) == ("a", 3, a)
 
 
+def test_transition_record_compares_and_hashes_by_fields():
+    # built positionally, as every builder and loader builds them
+    t = Transition("p", "a", (0, 1), "q", (1, 0))
+    u = Transition("p", "a", (0, 1), "q", (1, 0))
+    assert t == u and t is not u and hash(t) == hash(u)
+    for other in (Transition("r", "a", (0, 1), "q", (1, 0)),
+                  Transition("p", None, (0, 1), "q", (1, 0)),
+                  Transition("p", "a", (1, 1), "q", (1, 0)),
+                  Transition("p", "a", (0, 1), "r", (1, 0)),
+                  Transition("p", "a", (0, 1), "q", (0, 0))):
+        assert t != other
+    # a record, not a tuple: it neither equals nor unpacks like one
+    assert t != ("p", "a", (0, 1), "q", (1, 0))
+    with pytest.raises(TypeError):
+        _, _, _, _, _ = t
+    assert {t: 1}[u] == 1 and len({t, u, other}) == 2
+    assert repr(t) == ("Transition(source='p', input='a', guard=(0, 1), "
+                       "destination='q', delta=(1, 0))")
+    assert (t.source, t.input, t.guard, t.destination, t.delta) == \
+        ("p", "a", (0, 1), "q", (1, 0))
+    assert t.matches((0, 2)) and not t.matches((1, 2))
+
+
 def test_step_filters_by_guard():
     b = _b([Transition("p", "a", (0,), "p", (1,)),
             Transition("p", "a", (1,), "p", (-1,))])
