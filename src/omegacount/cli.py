@@ -13,12 +13,15 @@ error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
+from collections.abc import Iterable
 
 from .engine import bounded_explore, exact_prefix_reach, nba_lasso_member
 from .errors import FormatError
-from .fileio import dump_automaton, dump_run, load_automaton, load_run, load_word
+from .fileio import (_automaton_lines, _run_lines, load_automaton, load_run,
+                     load_word)
 from .machines import BuchiAutomaton, MachineError, is_real_time, validate_run
 from .storage import (add_rear_bound, front_bound, queue_add_rear,
                       queue_empty, queue_front, queue_remove_front)
@@ -42,12 +45,14 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write the lines to stdout in one piece, or to the file out one by
+    one, so a large file is never held whole."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(lines))
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _buchi(path: str) -> BuchiAutomaton:
@@ -111,7 +116,7 @@ def _cmd_build(args) -> int:
         b = wadge_sum(_buchi(args.input), _buchi(args.input2), _buchi(args.input3),
                       frozenset(_letters(args.plus)), frozenset(_letters(args.minus)))
     _check_shape(target, b)
-    _emit(dump_automaton(b), args.output)
+    _emit(_automaton_lines(b), args.output)
     return 0
 
 
@@ -133,8 +138,8 @@ def _cmd_lift(args) -> int:
                                primes=_primes(args.primes) if args.primes else None,
                                skip_realtime8=args.skip_stage1)
         cert = lift_run_pipeline(out, run, prefix_len=args.prefix_len)
-    header = "".join(f"# block {b.index} {b.start} {b.end}\n" for b in cert.blocks)
-    _emit(header + dump_run(cert.run), args.output)
+    header = (f"# block {b.index} {b.start} {b.end}\n" for b in cert.blocks)
+    _emit(itertools.chain(header, _run_lines(cert.run)), args.output)
     return 0
 
 
@@ -150,7 +155,7 @@ def _word_prefix(args, missing: str) -> list[str]:
 
 def _cmd_word_encode(args) -> int:
     word = _word_prefix(args, "word encode needs --n or a prefix directive in the file")
-    _emit(" ".join(word) + "\n", args.output)
+    _emit([" ".join(word) + "\n"], args.output)
     return 0
 
 

@@ -13,7 +13,8 @@ which stays under the pad budget S^i of block i whenever S >= 8k^2.
 States are tuples reached from the initial one by the shared worklist
 `_reach`, named r0, r1, ... in the order they are reached.  The queue
 node's edges on a letter are worked out once per build and shared by every
-state that holds that node.  A
+state that holds that node, and the few dozen distinct guards and deltas
+are one tuple each, shared by every edge they label.  A
 flag coordinate folds the two fairness demands (some letter is consumed,
 the simulated control is accepting) into one Buchi set: consuming the
 front letter arms the flag, passing an accepting control state fires it.
@@ -211,6 +212,9 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
     # a queue node's edges depend on the node and the letter alone, and a
     # few hundred nodes recur across tens of thousands of states
     entries_of: dict[tuple, list] = {}
+    # a few dozen distinct guards and deltas label every edge: each edge
+    # gets the one shared tuple of its value, not a concatenation of its own
+    share = {}.setdefault
 
     def moves(src: tuple):
         ts, node, qa, s6, s7, fl = src
@@ -234,8 +238,10 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
                                 dst = (te.destination, node2, qa,
                                        "P" if b6 else "Z",
                                        "P" if b7 else "Z", f2)
-                                yield (letter, te.guard + g4 + (b6, b7), dst,
-                                       te.delta + d4 + (0, 0))
+                                guard = te.guard + g4 + (b6, b7)
+                                delta = te.delta + d4 + (0, 0)
+                                yield (letter, share(guard, guard), dst,
+                                       share(delta, delta))
                     else:
                         _, front, g4 = entry
                         ms, ss = node[1], node[2]
@@ -253,8 +259,10 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
                             dst = (te.destination, node2, at.destination,
                                    _after(s6, at.guard[0], at.delta[0]),
                                    _after(s7, at.guard[1], at.delta[1]), f1)
-                            yield (letter, te.guard + g4 + at.guard, dst,
-                                   te.delta + _ZERO4 + at.delta)
+                            guard = te.guard + g4 + at.guard
+                            delta = te.delta + _ZERO4 + at.delta
+                            yield (letter, share(guard, guard), dst,
+                                   share(delta, delta))
 
     numbers = itertools.count()
     machine, table = _reach(

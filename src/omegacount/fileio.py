@@ -4,9 +4,14 @@
 writers emit a canonical form (sorted sets, transitions in index order, one
 space between tokens, trailing newline) so save(load(f)) is byte-identical
 for canonical files.  Transition order in a file defines transitionIndex.
-The loaders stream the text line by line, so no line's tokens outlive its
-parse; the automaton loader checks each distinct guard or delta spelling
-once, and the writer spells each distinct guard and delta once.
+The loaders split the text into lines one chunk of about 64K characters at
+a time, with the line boundaries and numbers of str.splitlines, so neither
+a list of all its lines nor a line's tokens outlive their parse.  The
+automaton loader checks each distinct guard or delta spelling once, and
+its transitions share the guard, delta and state-name objects of their
+values; the writer spells each distinct guard and delta once.  The writers
+join lines that _automaton_lines and _run_lines yield, which the CLI
+writes to a file one by one.
 
 Automaton:  kcounters / alphabet / states / initial / accepting-or-table /
             trans <src> <letter|-> <guardbits> <dst> <d1> ... <dk>
@@ -31,12 +36,29 @@ from .words import (CodingSpec, HCoding, LassoWord, PhiCoding, ThetaCoding,
                     coded_prefix, lasso_prefix)
 
 
+# characters of text split into lines at a time
+_CHUNK = 1 << 16
+
+
 def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) of each line with a token, comments cut off."""
-    for no, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
-        if toks:
-            yield no, toks
+    """(line number, tokens) of each line with a token, comments cut off.
+
+    The lines and their numbers are those of text.splitlines(), but only
+    one chunk of them is held at a time.  A chunk ends just after the last
+    "\n" in the next _CHUNK characters (after the first "\n" past them if
+    there is none there), so it ends on a line boundary that no "\r\n"
+    straddles, and its splitlines() are the text's lines in that stretch.
+    """
+    no, pos, end = 0, 0, len(text)
+    while pos < end:
+        cut = text.rfind("\n", pos, pos + _CHUNK) + 1
+        if not cut:
+            cut = text.find("\n", pos + _CHUNK) + 1 or end
+        for no, raw in enumerate(text[pos:cut].splitlines(), start=no + 1):
+            toks = raw.split("#", 1)[0].split()
+            if toks:
+                yield no, toks
+        pos = cut
 
 
 def _int(tok: str, no: int, what: str) -> int:
@@ -78,6 +100,8 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
     # after the first trans line, so guardbits alone key the guard
     guards: dict[str, tuple[int, ...]] = {}
     deltas: dict[tuple[str, ...], tuple[int, ...]] = {}
+    # a trans line names its states by the strings of the states line
+    names: dict[str, str] = {}
     for no, toks in _lines(text):
         head, rest = toks[0], toks[1:]
         if head == "trans":  # nearly every line, so tested first
@@ -95,8 +119,9 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
             delta = deltas.get(dtoks)
             if delta is None:
                 delta = deltas[dtoks] = _delta(dtoks, no)
-            trans.append(Transition(src, None if letter == LAMBDA_TOKEN else letter,
-                                    guard, dst, delta))
+            trans.append(Transition(names.get(src, src),
+                                    None if letter == LAMBDA_TOKEN else letter,
+                                    guard, names.get(dst, dst), delta))
         elif head == "kcounters":
             if k is not None:
                 raise FormatError("duplicate kcounters line", no)
@@ -111,6 +136,7 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
             if states is not None:
                 raise FormatError("duplicate states line", no)
             states = rest
+            names = {name: name for name in states}
         elif head == "initial":
             if initial is not None:
                 raise FormatError("duplicate initial line", no)
@@ -147,16 +173,21 @@ def _join(head: str, toks) -> str:
 
 
 def dump_automaton(aut: BuchiAutomaton | MullerAutomaton) -> str:
+    return "".join(_automaton_lines(aut))
+
+
+def _automaton_lines(aut: BuchiAutomaton | MullerAutomaton) -> Iterator[str]:
+    """The lines of dump_automaton, each ending in a newline."""
     m = aut.machine
-    lines = [f"kcounters {m.k}",
-             _join("alphabet", sorted(m.alphabet)),
-             _join("states", sorted(m.states)),
-             f"initial {m.initial}"]
+    yield f"kcounters {m.k}\n"
+    yield _join("alphabet", sorted(m.alphabet)) + "\n"
+    yield _join("states", sorted(m.states)) + "\n"
+    yield f"initial {m.initial}\n"
     if isinstance(aut, BuchiAutomaton):
-        lines.append(_join("accepting", sorted(aut.accepting)))
+        yield _join("accepting", sorted(aut.accepting)) + "\n"
     else:
         for entry in aut.table:
-            lines.append(_join("table", sorted(entry)))
+            yield _join("table", sorted(entry)) + "\n"
     # each distinct guard and delta is spelled once, through int so that
     # values the constructor accepts as equal (True, 1.0) spell as 1
     guards: dict[tuple[int, ...], str] = {}
@@ -171,8 +202,7 @@ def dump_automaton(aut: BuchiAutomaton | MullerAutomaton) -> str:
         if tail is None:
             tail = deltas[delta] = "".join(" " + str(int(d)) for d in delta)
         letter = LAMBDA_TOKEN if t.input is None else t.input
-        lines.append(f"trans {t.source} {letter} {guardbits} {t.destination}{tail}")
-    return "\n".join(lines) + "\n"
+        yield f"trans {t.source} {letter} {guardbits} {t.destination}{tail}\n"
 
 
 @dataclass(frozen=True)
@@ -289,9 +319,13 @@ def load_run(text: str) -> Run:
 
 
 def dump_run(run: Run) -> str:
-    lines = [_join("start", [run.start.state] + [str(c) for c in run.start.counters])]
+    return "".join(_run_lines(run))
+
+
+def _run_lines(run: Run) -> Iterator[str]:
+    """The lines of dump_run, each ending in a newline."""
+    yield _join("start", [run.start.state] + [str(c) for c in run.start.counters]) + "\n"
     for s in run.steps:
         letter = LAMBDA_TOKEN if s.consumed is None else s.consumed
-        lines.append(_join("step", [letter, str(s.transition_index), s.result.state]
-                           + [str(c) for c in s.result.counters]))
-    return "\n".join(lines) + "\n"
+        yield _join("step", [letter, str(s.transition_index), s.result.state]
+                    + [str(c) for c in s.result.counters]) + "\n"

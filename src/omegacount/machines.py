@@ -10,8 +10,11 @@ join for the state and letter tokens, set inclusions for the sources,
 destinations and inputs, one check per distinct (guard, delta).  Only when
 one of these fails does the check run again token by token and transition
 by transition, to raise the first error with its transition index.  The
-(source, input) index behind `outgoing` is built on the first call, so a
-machine that is only built, dumped or replayed never pays for it.
+(source, input) index behind `outgoing` is made on the first call, so a
+machine that is only built, dumped or replayed never pays for it.  When
+each source's transitions form one span, as in every machine `_reach`
+builds, the index is filled one state at a time from that state's span,
+so a walk indexes only the states it visits; otherwise it is built whole.
 
 Runs are explicit certificates: a start configuration plus, per step, the
 consumed token, the index of the transition used, and the resulting
@@ -121,15 +124,18 @@ class CounterMachine:
     distinct (guard, delta).  When one of them fails, the checks run again
     token by token and transition by transition, which raise the first
     error in that order.  The (source, input) index behind `outgoing` is
-    built on its first call."""
+    made by `outgoing`, from its first call on."""
 
     k: int
     alphabet: frozenset[str]
     states: frozenset[str]
     initial: str
     transitions: tuple[Transition, ...]
-    # (source, input) -> indexed transitions, built by the first `outgoing`
+    # (source, input) -> indexed transitions, filled by `outgoing`
     _adj: dict = field(default=None, init=False, repr=False, compare=False)
+    # source -> start of its span, for the states `outgoing` has yet to
+    # index; None when the index was built whole
+    _spans: dict = field(default=None, init=False, repr=False, compare=False)
     # step's choices per (state, token, sign pattern), filled by `enabled`
     _enabled: dict = field(default=None, init=False, repr=False, compare=False)
     _real_time: bool = field(default=True, init=False, repr=False, compare=False)
@@ -195,13 +201,44 @@ class CounterMachine:
         return real_time
 
     def outgoing(self, state: str, input: str | None) -> list[tuple[int, Transition]]:
-        """Indexed transitions with this exact (source, input) pair."""
+        """Indexed transitions with this exact (source, input) pair.
+
+        The first call looks at the layout.  When each source's transitions
+        form one span, the index is filled one state at a time, from that
+        state's span, when the state is first asked about; otherwise the
+        whole index is built at once."""
         adj = self._adj
         if adj is None:
             adj = self._adj = {}
-            for i, t in enumerate(self.transitions):
-                adj.setdefault((t.source, t.input), []).append((i, t))
+            self._spans = self._span_starts()
+            if self._spans is None:
+                for i, t in enumerate(self.transitions):
+                    adj.setdefault((t.source, t.input), []).append((i, t))
+        spans = self._spans
+        if spans is not None:
+            start = spans.pop(state, None)
+            if start is not None:
+                transitions = self.transitions
+                for i in range(start, len(transitions)):
+                    t = transitions[i]
+                    if t.source != state:
+                        break
+                    adj.setdefault((state, t.input), []).append((i, t))
         return adj.get((state, input), [])
+
+    def _span_starts(self) -> dict[str, int] | None:
+        """Where each source's span of transitions starts, or None when
+        some source's transitions do not all lie in one span."""
+        starts: dict[str, int] = {}
+        last = None
+        for i, t in enumerate(self.transitions):
+            source = t.source
+            if source != last:
+                if source in starts:
+                    return None
+                starts[source] = i
+                last = source
+        return starts
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -525,9 +562,11 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
     """The machine of the state tuples `initial` reaches, and its name ->
     tuple table.
 
-    States are expanded breadth first.  moves(state) yields (input, guard,
-    destination tuple, delta) per edge, in a fixed order: run files cite
-    transitions by index, so the order must not depend on set iteration.
+    States are expanded breadth first, so each state's transitions form one
+    span, which `outgoing` indexes on demand.  moves(state) yields (input,
+    guard, destination tuple, delta) per edge, in a fixed order: run files
+    cite transitions by index, so the order must not depend on set
+    iteration.
     name(state) names a tuple when it is first reached; two tuples with one
     name are a MachineError, and reaching more than `cap` states is a
     BuildScaleError.

@@ -3,6 +3,8 @@
 import pytest
 
 from omegacount.cli import main
+from omegacount.constructions import (build_realtime8, compose_pipeline,
+                                      lift_run_pipeline, lift_run_theta)
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton)
 from omegacount.machines import BuchiAutomaton
@@ -189,3 +191,34 @@ def test_errors_exit_2(files, capsys):
     assert main(["build", "pipeline", "--input", str(files["m1"])]) == 2
     err = capsys.readouterr().err
     assert "stage script-l" in err
+
+
+def test_written_files_match_the_dumps(files, capsys):
+    """build -o and lift -o write line by line; the file and stdout both
+    hold the bytes of the dump (behind the block header for a lift)."""
+    m2run = files["dir"] / "m2.run"
+    m2run.write_text(dump_run(run_of(m2_two_counters(), ["a", "b"])))
+    m1run = files["dir"] / "m1a.run"
+    m1run.write_text(dump_run(run_of(m1_aomega(), ["a"])))
+    b8 = build_realtime8(m1_aomega(), S_override=72)
+    pipe = compose_pipeline(m2_two_counters(), primes=(2, 3), skip_realtime8=True)
+    certs = (lift_run_theta(b8, run_of(m1_aomega(), ["a"])),
+             lift_run_pipeline(pipe, run_of(m2_two_counters(), ["a", "b"])))
+    lifts = ["".join(f"# block {b.index} {b.start} {b.end}\n" for b in c.blocks)
+             + dump_run(c.run) for c in certs]
+    cases = (
+        (["build", "realtime8", "--input", str(files["m1"]), "--S", "72"],
+         dump_automaton(b8)),
+        (["build", "pipeline", "--input", str(files["m2"]), "--primes", "2,3",
+          "--skip-stage1"], dump_automaton(pipe.automaton)),
+        (["lift", "--stage", "theta", "--input", str(files["m1"]),
+          "--run", str(m1run), "--S", "72"], lifts[0]),
+        (["lift", "--stage", "pipeline", "--input", str(files["m2"]),
+          "--run", str(m2run), "--primes", "2,3", "--skip-stage1"], lifts[1]),
+    )
+    out = files["dir"] / "out"
+    for argv, want in cases:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert main(argv + ["-o", str(out)]) == 0
+        assert out.read_bytes() == want.encode()

@@ -11,14 +11,16 @@ import random
 import re
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_fileio as ref
+import omegacount.fileio as fileio
 from omegacount.constructions import (build_d1, build_phi_wrapper, build_realtime8,
                                       build_script_L, compose_pipeline,
-                                      lift_run_script_L)
+                                      lift_run_script_L, lift_run_theta)
 from omegacount.errors import FormatError
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton, load_run, load_word)
@@ -256,3 +258,87 @@ def test_dump_matches_the_reference_byte_for_byte(name):
     assert back == ref.load_automaton(text)
     assert back.machine == aut.machine
     assert dump_automaton(back) == text
+
+
+# -- chunked line walk ----------------------------------------------------------
+
+# every line boundary str.splitlines cuts at
+BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(BREAKS + ("#", " ", "\xa0", "x", "step 0"))).map("".join),
+       st.integers(1, 12))
+def test_line_walk_keeps_the_lines_of_splitlines(text, chunk):
+    with mock.patch.object(fileio, "_CHUNK", chunk):
+        assert list(fileio._lines(text)) == ref._lines(text)
+
+
+def rebreak(text: str, rng: random.Random) -> str:
+    """The text with each line break replaced by a random one of BREAKS."""
+    return "".join(line + rng.choice(BREAKS) for line in text.splitlines())
+
+
+def with_faults(text: str, rng: random.Random, bad_line: str) -> list[str]:
+    """The text, then the text with a comment line, a trailing comment and a
+    blank line spliced in, then that with one malformed line too."""
+    lines = text.splitlines()
+    for insert in ("# a comment line that is longer than a small chunk", "",
+                   lines[-1] + "  # a trailing comment"):
+        lines.insert(rng.randrange(1, len(lines)), insert)
+    clean = "\n".join(lines) + "\n"
+    lines.insert(rng.randrange(2, len(lines)), bad_line)
+    return [text, clean, "\n".join(lines) + "\n"]
+
+
+def chunk_texts():
+    """(kind, text) pairs over the three formats, each line break spelled
+    by a random splitlines boundary; a malformed line names its kind."""
+    rng = random.Random(13)
+    bl = build_script_L(m1_aomega(), (2, 3))
+    lifted = lift_run_script_L(bl, run_of(m1_aomega(), ["a"])).run
+    word = dump_word(WordSpec(LassoWord(("c",), ("a", "b"), frozenset("abc")),
+                              (ThetaCoding(3), HCoding((2, 3)), PhiCoding(5)), 40))
+    for kind, text, bad in (
+            ("automaton", dump_automaton(m2_two_counters()), "trans p a 2x q 0 0"),
+            ("run", dump_run(lifted)[:900], "step a x p 0"),
+            ("word", "# words are short\n" * 3 + word, "coded theta:")):
+        for variant in with_faults(text, rng, bad):
+            yield kind, variant
+            yield kind, rebreak(variant, rng)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_loaders_match_the_reference_at_every_chunk_edge(kind):
+    """A chunk as short as one character up to past the whole text puts
+    each comment and malformed line across a chunk edge somewhere."""
+    new, old = LOADERS[kind]
+    for k, text in chunk_texts():
+        if k != kind:
+            continue
+        want = outcome(old, text)
+        for chunk in range(1, len(text) + 2):
+            with mock.patch.object(fileio, "_CHUNK", chunk):
+                assert outcome(new, text) == want, (chunk, text)
+
+
+def test_loaders_match_the_reference_on_texts_of_many_chunks():
+    rng = random.Random(5)
+    b8 = build_realtime8(m1_aomega(), S_override=72)
+    run = lift_run_theta(b8, run_of(m1_aomega(), ["a", "a"])).run
+    # longer than a chunk, so they cross a chunk edge: the states line of
+    # the automaton, and this comment behind a malformed line
+    comment = " # " + "x" * fileio._CHUNK
+    for kind, text, bad in (("automaton", dump_automaton(b8), "trans r0 a 0 r1"),
+                            ("run", dump_run(run), "step E 3")):
+        assert len(text) > 2 * fileio._CHUNK
+        new, old = LOADERS[kind]
+        lines = text.splitlines()
+        at = rng.randrange(len(lines) // 2, len(lines))
+        lines.insert(at, bad + comment)
+        faulty = "\n".join(lines) + "\n"
+        for variant in (text, rebreak(text, rng), faulty, rebreak(faulty, rng)):
+            want = outcome(old, variant)
+            assert outcome(new, variant) == want
+        assert want[0] is FormatError and want[1].startswith(f"line {at + 1}:")

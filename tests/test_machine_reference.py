@@ -12,13 +12,22 @@ space too) inside or at an edge, holds '#' or is '-'.  List guards and
 True / 1.0 values are valid and are drawn too.  Both must accept or refuse
 alike, with the same error text; an accepted machine must agree on
 `is_real_time` and on `outgoing` for every (state, input) pair.
+
+`outgoing` fills its index one state at a time from that state's span of
+transitions when the transitions come grouped by source, and builds it
+whole otherwise.  Both are held to the eager index, asked in any order, on
+grouped and interleaved layouts, on the realtime8 acceptor (grouped) and
+on the theta acceptor (interleaved).
 """
 
 from hypothesis import given, settings, strategies as st
 
 import reference_machine as ref
+from omegacount.constructions import build_realtime8, build_theta_acceptor
 from omegacount.errors import MachineError
 from omegacount.machines import CounterMachine, Transition, is_real_time
+
+from conftest import m1_aomega
 
 SIGMA = ("a", "b")
 STATES = ("s0", "s1", "s2")
@@ -110,3 +119,65 @@ def test_batched_check_matches_the_reference(m):
     for q in machine.states:
         for a in (*machine.alphabet, None):
             assert machine.outgoing(q, a) == adj.get((q, a), [])
+
+
+def eager_index(transitions) -> dict:
+    adj = {}
+    for i, t in enumerate(transitions):
+        adj.setdefault((t.source, t.input), []).append((i, t))
+    return adj
+
+
+def grouped(transitions) -> bool:
+    """Whether each source's transitions form one span."""
+    seen = []
+    for t in transitions:
+        if not seen or seen[-1] != t.source:
+            if t.source in seen:
+                return False
+            seen.append(t.source)
+    return True
+
+
+def assert_outgoing_is_the_eager_index(m: CounterMachine, states) -> None:
+    adj = eager_index(m.transitions)
+    for q in states:
+        for a in (*sorted(m.alphabet), None):
+            assert m.outgoing(q, a) == adj.get((q, a), []), (q, a)
+
+
+@st.composite
+def layouts(draw) -> tuple[CounterMachine, list]:
+    """A valid machine whose transitions are grouped by source, or left in
+    the order drawn (mostly interleaved), and an order to ask its states
+    in, with repeats and a name that is not a state."""
+    k = draw(st.integers(0, 2))
+    states = STATES[:draw(st.integers(1, 3))]
+    trans = draw(st.lists(transitions(k, states), max_size=12))
+    if draw(st.booleans()):
+        rank = draw(st.permutations(states))
+        trans.sort(key=lambda t: rank.index(t.source))
+    ask = draw(st.lists(st.sampled_from(states + ("zz",)), max_size=8))
+    m = CounterMachine(k, frozenset(SIGMA), frozenset(states), states[0], tuple(trans))
+    return m, ask + list(states)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(layouts())
+def test_outgoing_matches_the_eager_index_on_any_layout(case):
+    m, ask = case
+    assert_outgoing_is_the_eager_index(m, ask)
+
+
+def test_outgoing_matches_the_eager_index_on_big_acceptors():
+    b8 = build_realtime8(m1_aomega(), S_override=72).machine
+    theta = build_theta_acceptor(frozenset("ab"), 5).machine
+    assert grouped(b8.transitions) and not grouped(theta.transitions)
+    for m in (b8, theta):
+        assert_outgoing_is_the_eager_index(m, sorted(m.states, reverse=True))
+
+
+def test_a_grouped_machine_indexes_only_the_states_asked_about():
+    m = build_realtime8(m1_aomega(), S_override=72).machine
+    m.outgoing(m.initial, "a")
+    assert {q for q, _ in m._adj} == {m.initial}

@@ -6,6 +6,7 @@ import omegacount.constructions.realtime8 as rt8
 from omegacount.constructions import (build_realtime8, lift_run_theta,
                                       realtime8_pad_factor)
 from omegacount.errors import ArityError, BuildScaleError, FreshLetterError
+from omegacount.fileio import dump_automaton, load_automaton
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  MachineError, Run, Transition, is_real_time,
                                  validate_run)
@@ -30,6 +31,18 @@ def test_build_shape_small_override():
     assert b.machine.k == 8
     assert is_real_time(b.machine)
     assert b.machine.alphabet == {"a", "E"}
+
+
+def test_edge_labels_and_loaded_state_names_are_shared():
+    # one object per distinct guard, delta or state name, however many
+    # edges carry it: the built machine's labels, the loaded one's names
+    b = build_realtime8(m1_aomega(), S_override=S_SMALL)
+    loaded = load_automaton(dump_automaton(b)).machine
+    for m, parts in ((b.machine, ("guard", "delta")),
+                     (loaded, ("source", "destination"))):
+        for part in parts:
+            values = [getattr(t, part) for t in m.transitions]
+            assert len({id(v) for v in values}) == len(set(values)), part
 
 
 def test_override_below_schedule_bound():
