@@ -165,11 +165,11 @@ def _cmd_run_check(args) -> int:
     if args.word:
         word = _word_prefix(args, "--word needs --n or a prefix directive")
     else:
-        word = [s.consumed for s in run.steps if s.consumed is not None]
+        word = [tok for tok in run.consumed if tok is not None]
     bad = validate_run(b.machine, word, run)
     if bad is None:
-        visits = sum(1 for s in run.steps if s.result.state in b.accepting)
-        print(f"ok {len(run.steps)} steps {visits} accepting visits")
+        visits = sum(map(b.accepting.__contains__, run.states))
+        print(f"ok {len(run.indices)} steps {visits} accepting visits")
         return 0
     print(f"violation {bad}")
     return 1

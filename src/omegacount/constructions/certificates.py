@@ -1,7 +1,8 @@
 """Run certificates: a run plus stage and block annotations.
 
-The block spans index into run.steps and say which coded block each step
-serves, so acceptance transfer can be checked block by block.
+The block spans index into the run's step columns (run.states, run.steps
+and the rest) and say which coded block each step serves, so acceptance
+transfer can be checked block by block.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from ..machines import CounterMachine, Run, buchi_visit_count, validate_run
 
 @dataclass(frozen=True, slots=True)
 class BlockSpan:
-    """Steps start..end (half-open, 0-based into run.steps) serve block
-    `index` (1-based coded block)."""
+    """Steps start..end (half-open, 0-based into the run's step columns)
+    serve block `index` (1-based coded block)."""
 
     index: int
     start: int
@@ -32,9 +33,8 @@ class RunCertificate:
         """Accepting visits per block index (start configuration uncounted)."""
         out = {}
         for b in self.blocks:
-            n = sum(1 for s in self.run.steps[b.start:b.end]
-                    if s.result.state in accepting)
-            out[b.index] = n
+            out[b.index] = sum(map(accepting.__contains__,
+                                   self.run.states[b.start:b.end]))
         return out
 
     def visits(self, accepting) -> int:
@@ -44,7 +44,7 @@ class RunCertificate:
 def source_word(machine: CounterMachine, run: Run) -> list[str]:
     """The word a lift's source run reads, once the run is checked valid
     on `machine` and starting from its initial configuration."""
-    word = [s.consumed for s in run.steps if s.consumed is not None]
+    word = [tok for tok in run.consumed if tok is not None]
     bad = validate_run(machine, word, run)
     if bad is not None:
         raise MachineError(f"source run invalid: {bad}")

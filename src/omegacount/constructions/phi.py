@@ -101,22 +101,22 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
     block_start = 0
     # marks[j] = wrapper step count before source step j was processed
     marks: list[int] = []
-    for st in run.steps:
-        marks.append(len(walker.steps))
-        if st.consumed is None:
+    for token, index in zip(run.consumed, run.indices):
+        marks.append(len(walker))
+        if token is None:
             if f >= filler_count:
                 raise MachineError("lambda burst exceeds the filler window")
-            walker.to(F, st.transition_index)
+            walker.to(F, index)
             f += 1
         else:
             walker.idle(F, -1, filler_count - f)
-            walker.to(st.consumed, st.transition_index)
+            walker.to(token, index)
             f = 0
-            spans.append(BlockSpan(len(spans) + 1, block_start, len(walker.steps)))
-            block_start = len(walker.steps)
-    marks.append(len(walker.steps))
+            spans.append(BlockSpan(len(spans) + 1, block_start, len(walker)))
+            block_start = len(walker)
+    marks.append(len(walker))
 
-    needed = len(walker.steps)
+    needed = len(walker)
     if prefix_len is not None and prefix_len != needed:
         if prefix_len < needed:
             raise MachineError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..errors import ArityError, BuildScaleError, FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
-                        Run, RunStep, lift_run_union, union)
+                        Run, lift_run_union, union)
 from ..words import FIRST_EIGHT_PRIMES, HCoding, PhiCoding, coded_alphabet
 from .certificates import RunCertificate
 from .complement import build_h_complement
@@ -113,16 +113,15 @@ def _from_union_initial(b1: BuchiAutomaton, b2: BuchiAutomaton,
     if run.start.state != f"{tag}.{mach.initial}":
         raise MachineError("side run must start at its machine's initial state")
     start = Configuration("u0", run.start.counters)
-    if not run.steps:
+    if not run.indices:
         return Run(start, ())
     base = len(m1.transitions) + len(m2.transitions)
     if before:
         base += sum(1 for t in m1.transitions if t.source == m1.initial)
-    first = run.steps[0]
-    orig = first.transition_index - (0 if side == "left" else len(m1.transitions))
+    orig = run.indices[0] - (0 if side == "left" else len(m1.transitions))
     rank = sum(1 for t in mach.transitions[:orig] if t.source == mach.initial)
-    hopped = RunStep(first.consumed, base + rank, first.result)
-    return Run(start, (hopped,) + run.steps[1:])
+    return Run.from_columns(start, run.consumed, (base + rank,) + run.indices[1:],
+                            run.states, run.counters)
 
 
 def lift_run_pipeline(out: PipelineOutput, run: Run,

@@ -342,16 +342,15 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
 
     walker = Walker(b8.machine, Configuration(b8.machine.initial, (0,) * 8), want)
     spans = []
-    blocks = len(run.steps)
-    for i in range(1, blocks + 1):
-        start = len(walker.steps)
-        at = run.steps[i - 1].transition_index
+    blocks = len(run.indices)
+    for i, at in enumerate(run.indices, start=1):
+        start = len(walker)
         walker.to(block_letter(i), at)
         for _ in range(s_eff ** i):
             walker.to(E, at)
-        spans.append(BlockSpan(i, start, len(walker.steps)))
+        spans.append(BlockSpan(i, start, len(walker)))
 
-    needed = len(walker.steps)
+    needed = len(walker)
     if prefix_len is not None:
         if prefix_len < needed:
             raise MachineError(

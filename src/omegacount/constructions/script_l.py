@@ -24,7 +24,7 @@ import math
 
 from ..errors import ArityError, BuildScaleError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
-                        MachineError, Run, RunStep, Transition, Walker,
+                        MachineError, Run, Transition, Walker,
                         intersect_det_buchi, is_real_time, validate_run)
 from ..words import A, B, ZERO, HCoding, _check_letters, coded_alphabet, h_letters
 from .certificates import BlockSpan, RunCertificate, source_word
@@ -228,7 +228,7 @@ def lift_run_script_L(bl: Built, run: Run,
     # past the run's last block: the next block's marker, then its zeros
     letters = itertools.chain(h_letters(iter(word), coding),
                               [A], itertools.repeat(ZERO))
-    steps = iter(run.steps)
+    indices = iter(run.indices)
     # the guard component is deterministic, so naming the raw destination
     # of a guess singles out the product transition
     walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)),
@@ -237,15 +237,15 @@ def lift_run_script_L(bl: Built, run: Run,
     opened: list[int] = []
     for tok in itertools.islice(letters, n):
         if tok == A:
-            opened.append(len(walker.steps))
+            opened.append(len(walker))
         if tok in m.alphabet:
-            t = m.transitions[next(steps).transition_index]
+            t = m.transitions[next(indices)]
             walker.to(tok, ("x", t.destination, t.delta))
         else:
             walker.to(tok)
-        while walker.cfg.state in lam:
+        while walker.state in lam:
             walker.to(None)
-    opened.append(len(walker.steps))
+    opened.append(len(walker))
     spans = tuple(BlockSpan(i, opened[i - 1], opened[i])
                   for i in range(1, len(word) + 1))
     return RunCertificate(walker.run(), "script-l", spans)
@@ -256,30 +256,34 @@ def project_run_script_L(bl: Built, cert: RunCertificate) -> Run:
     steps back off bl's state table."""
     a, table = bl.source, bl.table
     m = a.machine
-    word = [s.consumed for s in cert.run.steps if s.consumed is not None]
-    bad = validate_run(bl.machine, word, cert.run)
+    run = cert.run
+    word = [tok for tok in run.consumed if tok is not None]
+    bad = validate_run(bl.machine, word, run)
     if bad is not None:
         raise MachineError(f"certificate invalid: {bad}")
 
-    steps: list[RunStep] = []
-    counters = (0,) * m.k
-    prev = cert.run.start.state
-    for st in cert.run.steps:
-        if st.consumed in m.alphabet:
-            src, dst = table[prev][0], table[st.result.state][0]
+    consumed, indices, states, counters = [], [], [], []
+    vec = (0,) * m.k
+    prev = run.start.state
+    for tok, state in zip(run.consumed, run.states):
+        if tok in m.alphabet:
+            src, dst = table[prev][0], table[state][0]
             if src[0] != "v" or dst[0] != "x":
                 raise MachineError(
-                    f"letter {st.consumed!r} consumed outside a guess step")
+                    f"letter {tok!r} consumed outside a guess step")
             _, q, res = src
             _, q2, delta = dst
             g = tuple(1 if r == 0 else 0 for r in res)
-            want = Transition(q, st.consumed, g, q2, delta)
+            want = Transition(q, tok, g, q2, delta)
             idx = next((i for i, t in enumerate(m.transitions) if t == want),
                        None)
             if idx is None:
                 raise MachineError(f"no source transition matches {want}")
-            counters = tuple(c + d for c, d in zip(counters, delta))
-            steps.append(RunStep(st.consumed, idx,
-                                 Configuration(q2, counters)))
-        prev = st.result.state
-    return Run(Configuration(m.initial, (0,) * m.k), tuple(steps))
+            vec = tuple(c + d for c, d in zip(vec, delta))
+            consumed.append(tok)
+            indices.append(idx)
+            states.append(q2)
+            counters.append(vec)
+        prev = state
+    return Run.from_columns(Configuration(m.initial, (0,) * m.k), consumed,
+                            indices, states, counters)

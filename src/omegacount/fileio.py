@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError
 from .machines import (LAMBDA_TOKEN, BuchiAutomaton, Configuration, CounterMachine,
-                       MachineError, MullerAutomaton, Run, RunStep, Transition)
+                       MachineError, MullerAutomaton, Run, Transition)
 from .words import (CodingSpec, HCoding, LassoWord, PhiCoding, ThetaCoding,
                     coded_prefix, lasso_prefix)
 
@@ -286,8 +286,15 @@ def dump_word(spec: WordSpec) -> str:
 
 
 def load_run(text: str) -> Run:
+    """The run of a run file.  A step whose counter tokens are those of the
+    line before shares that line's counters tuple."""
     start = None
-    steps: list[RunStep] = []
+    consumed: list[str | None] = []
+    indices: list[int] = []
+    states: list[str] = []
+    counters: list[tuple[int, ...]] = []
+    # the counter tokens of the line before, and their values
+    last, vec = None, None
     for no, toks in _lines(text):
         head, rest = toks[0], toks[1:]
         if head == "step":  # nearly every line, so tested first
@@ -296,26 +303,33 @@ def load_run(text: str) -> Run:
             if len(rest) < 3:
                 raise FormatError("step needs letter, index, state, counters", no)
             letter = None if rest[0] == LAMBDA_TOKEN else rest[0]
+            spelled = rest[3:]
             try:
-                idx, vec = int(rest[1]), tuple(map(int, rest[3:]))
+                idx = int(rest[1])
+                if spelled != last:
+                    last, vec = spelled, tuple(map(int, spelled))
             except ValueError:
                 # _int raises on the first bad token with its message
                 _int(rest[1], no, "transition index")
-                for tok in rest[3:]:
+                for tok in spelled:
                     _int(tok, no, "counter")
                 raise
-            steps.append(RunStep(letter, idx, Configuration(rest[2], vec)))
+            consumed.append(letter)
+            indices.append(idx)
+            states.append(rest[2])
+            counters.append(vec)
         elif head == "start":
             if start is not None:
                 raise FormatError("duplicate start line", no)
             if not rest:
                 raise FormatError("start needs a state", no)
             start = Configuration(rest[0], tuple(_int(t, no, "counter") for t in rest[1:]))
+            last, vec = rest[1:], start.counters
         else:
             raise FormatError(f"unknown directive {head!r}", no)
     if start is None:
         raise FormatError("missing start line")
-    return Run(start, tuple(steps))
+    return Run.from_columns(start, consumed, indices, states, counters)
 
 
 def dump_run(run: Run) -> str:
@@ -325,7 +339,7 @@ def dump_run(run: Run) -> str:
 def _run_lines(run: Run) -> Iterator[str]:
     """The lines of dump_run, each ending in a newline."""
     yield _join("start", [run.start.state] + [str(c) for c in run.start.counters]) + "\n"
-    for s in run.steps:
-        letter = LAMBDA_TOKEN if s.consumed is None else s.consumed
-        yield _join("step", [letter, str(s.transition_index), s.result.state]
-                    + [str(c) for c in s.result.counters]) + "\n"
+    for token, index, state, counters in zip(run.consumed, run.indices,
+                                             run.states, run.counters):
+        letter = LAMBDA_TOKEN if token is None else token
+        yield _join("step", [letter, str(index), state] + [str(c) for c in counters]) + "\n"

@@ -19,10 +19,15 @@ so a walk indexes only the states it visits; otherwise it is built whole.
 Runs are explicit certificates: a start configuration plus, per step, the
 consumed token, the index of the transition used, and the resulting
 configuration.  validate_run replays them against the transition relation.
-Transition, Configuration and RunStep are plain slotted records, treated as
-immutable and compared and hashed by their fields: a build makes a record
-per edge and a lift one per step, and a frozen record costs several times
-as much to build.  A run is not required to begin at the machine's initial
+A Run holds its steps as four parallel tuples (tokens, indices, result
+states, result counters), so a lift writes no record per step and the
+garbage collector tracks none; steps that keep the counters may share one
+counters tuple, and validate_run checks such a step by its destination and
+delta alone.  `run.steps` is a read-only view that builds a RunStep per
+step read.  Transition, Configuration and RunStep are plain slotted
+records, treated as immutable and compared and hashed by their fields: a
+build makes a record per edge, and a frozen record costs several times as
+much to build.  A run is not required to begin at the machine's initial
 state; lift_run_union lifts such sub-runs.  Products and wrappers hold only
 the states their initial state reaches, so lift_run_intersection lifts runs
 from b's initial state alone.
@@ -41,15 +46,18 @@ state name stands for.  Lifts walk that record with a Walker and never build.
 A Walker takes one predicate per walk, `want(key, transition)`, and each step
 passes a cheap key (a transition index, a guess).  It resolves each choice
 once per (state, token, sign pattern, key) and replays it after that; an idle
-segment whose transitions move no counter is replayed whole, with one record
-pair per step and no lookup.
+segment whose transitions move no counter is replayed whole, by extending the
+columns with one shared counters tuple and no lookup.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import add
+from itertools import repeat
+from operator import add, gt, lt
 
 from .errors import ArityError, BuildScaleError, MachineError
 
@@ -67,15 +75,23 @@ def _check_token(tok: str, what: str) -> None:
         raise MachineError(f"{what} {tok!r} not serializable (whitespace or '#')")
 
 
+# a character that split() cuts at, other than a newline, or a '#'
+_BAD_CHAR = re.compile(r"[^\S\n]|#")
+
+
 def _tokens_ok(toks: list) -> bool:
     """Whether _check_token passes every token, tested on all at once.
 
-    A token that is empty or has whitespace anywhere changes how the
-    newline-joined text splits; one that is not a str fails the join."""
-    if not all(isinstance(tok, str) for tok in toks):
+    In the newline join of nonempty tokens, the newlines are exactly the
+    joints when there is one fewer of them than tokens; any other
+    whitespace character (the class \\s is the one split() cuts at) or a
+    '#' fails.  A token that is not a str fails the join."""
+    try:
+        text = "\n".join(toks)
+    except TypeError:
         return False
-    text = "\n".join(toks)
-    return text.split() == toks and "#" not in text and LAMBDA_TOKEN not in toks
+    return (all(toks) and text.count("\n") == max(len(toks) - 1, 0)
+            and not _BAD_CHAR.search(text) and LAMBDA_TOKEN not in toks)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -265,10 +281,93 @@ class RunStep:
     result: Configuration
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Run:
+    """A start configuration plus four parallel columns, one entry per step:
+    the consumed token, the transition index, the result state and the
+    result counters.  Steps that leave the counters unchanged may share one
+    counters tuple.
+
+    Run(start, steps) takes RunSteps; `from_columns` takes the columns
+    themselves, as any sequences, and stores them as tuples.  `steps` is a read-only view that builds each RunStep when
+    it is read.  Equality and hash are by start and columns, and the repr
+    spells the steps out as RunSteps."""
+
     start: Configuration
-    steps: tuple[RunStep, ...]
+    consumed: tuple[str | None, ...]
+    indices: tuple[int, ...]
+    states: tuple[str, ...]
+    counters: tuple[tuple[int, ...], ...]
+
+    def __init__(self, start: Configuration, steps):
+        steps = tuple(steps)
+        results = [s.result for s in steps]
+        _fill(self, start, (tuple([s.consumed for s in steps]),
+                            tuple([s.transition_index for s in steps]),
+                            tuple([c.state for c in results]),
+                            tuple([c.counters for c in results])))
+
+    @classmethod
+    def from_columns(cls, start: Configuration, consumed: Sequence, indices: Sequence,
+                     states: Sequence, counters: Sequence) -> Run:
+        run = object.__new__(cls)
+        _fill(run, start, (consumed, indices, states, counters))
+        return run
+
+    @property
+    def steps(self) -> Steps:
+        return Steps(self)
+
+    def __repr__(self):
+        return f"Run(start={self.start!r}, steps={self.steps!r})"
+
+
+def _fill(run: Run, start: Configuration, columns: tuple) -> None:
+    # tuple() of a tuple is that tuple, so shared columns stay shared
+    columns = tuple(map(tuple, columns))
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("run columns differ in length")
+    for name, value in zip(("start", "consumed", "indices", "states", "counters"),
+                           (start, *columns)):
+        object.__setattr__(run, name, value)
+
+
+class Steps(Sequence):
+    """The steps of a run as a read-only sequence of RunSteps, built from
+    the run's columns on each read.  A slice is a tuple of RunSteps, and the
+    view equals, hashes and prints as that tuple would."""
+
+    __slots__ = ("run",)
+
+    def __init__(self, run: Run):
+        self.run = run
+
+    def __len__(self):
+        return len(self.run.indices)
+
+    def __getitem__(self, i):
+        r = self.run
+        if isinstance(i, slice):
+            return tuple(map(RunStep, r.consumed[i], r.indices[i],
+                             map(Configuration, r.states[i], r.counters[i])))
+        return RunStep(r.consumed[i], r.indices[i],
+                       Configuration(r.states[i], r.counters[i]))
+
+    def __iter__(self):
+        r = self.run
+        return map(RunStep, r.consumed, r.indices,
+                   map(Configuration, r.states, r.counters))
+
+    def __eq__(self, other):
+        if isinstance(other, Steps):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True, slots=True)
@@ -368,26 +467,38 @@ class Walker:
 
     `idle(token, key, n)` is n calls of `to(token, key)`.  When none of the
     transitions it takes moves a counter, the sign pattern cannot change, so
-    the segment of (index, destination) pairs is kept per (state, token,
-    sign pattern, key, n) and replayed whole over the same counters.
+    the segment's indices and destinations are kept per (state, token, sign
+    pattern, key, n) and replayed whole over the same counters tuple.
+
+    The steps are kept as the columns of the Run that `run` returns, and
+    len(walker) counts them.
     """
 
     def __init__(self, machine: CounterMachine, start: Configuration, want=None):
         self.machine = machine
         self.start = start
-        self.cfg = start
-        self.steps: list[RunStep] = []
+        self.state, self.counters = start.state, start.counters
+        self._consumed: list[str | None] = []
+        self._indices: list[int] = []
+        self._states: list[str] = []
+        self._counters: list[tuple[int, ...]] = []
         self._want = want
         self._chosen: dict[tuple, tuple[int, str, tuple[int, ...]]] = {}
-        self._segments: dict[tuple, list[tuple[int, str]]] = {}
+        self._segments: dict[tuple, tuple[list[int], list[str]]] = {}
+
+    def __len__(self):
+        return len(self._indices)
+
+    @property
+    def cfg(self) -> Configuration:
+        return Configuration(self.state, self.counters)
 
     def _check_key(self, key) -> None:
         if key is not None and self._want is None:
             raise TypeError("Walker: a key needs the walk's want")
 
     def to(self, token: str | None, key=None) -> None:
-        cfg = self.cfg
-        state, counters = cfg.state, cfg.counters
+        state, counters = self.state, self.counters
         # whether a guard holds depends only on the counters' sign pattern
         choice = (state, token, tuple([c > 0 for c in counters]), key)
         chosen = self._chosen.get(choice)
@@ -399,38 +510,48 @@ class Walker:
             if len(cands) != 1:
                 raise MachineError(
                     f"walk broke at {state!r} on {token!r} after "
-                    f"{len(self.steps)} steps: {len(cands)} candidate transitions")
+                    f"{len(self)} steps: {len(cands)} candidate transitions")
             chosen = self._chosen[choice] = cands[0]
         i, destination, delta = chosen
-        self.cfg = cfg = Configuration(destination, tuple(map(add, counters, delta)))
-        self.steps.append(RunStep(token, i, cfg))
+        self.state = destination
+        self.counters = counters = tuple(map(add, counters, delta))
+        self._consumed.append(token)
+        self._indices.append(i)
+        self._states.append(destination)
+        self._counters.append(counters)
 
     def idle(self, token: str | None, key, n: int) -> None:
         self._check_key(key)
-        cfg, steps = self.cfg, self.steps
-        counters = cfg.counters
-        where = (cfg.state, token, tuple([c > 0 for c in counters]), key, n)
+        counters = self.counters
+        where = (self.state, token, tuple([c > 0 for c in counters]), key, n)
         segment = self._segments.get(where)
         if segment is not None:
-            steps += [RunStep(token, i, Configuration(destination, counters))
-                      for i, destination in segment]
-            if segment:
-                self.cfg = steps[-1].result
+            indices, states = segment
+            if indices:
+                self._consumed += [token] * len(indices)
+                self._indices += indices
+                self._states += states
+                self._counters += [counters] * len(indices)
+                self.state = states[-1]
             return
-        first = len(steps)
+        first = len(self)
         for _ in range(n):
             self.to(token, key)
         # a 0.0 delta leaves the counters equal but makes them floats for
         # good; the walk above did so already, and the memo is this walk's,
         # so a replay over the counters as they stand stays exact
         transitions = self.machine.transitions
-        taken = steps[first:]
-        if not any(any(transitions[s.transition_index].delta) for s in taken):
-            self._segments[where] = [(s.transition_index, s.result.state)
-                                     for s in taken]
+        taken = self._indices[first:]
+        if not any(any(transitions[i].delta) for i in taken):
+            self._segments[where] = (taken, self._states[first:])
 
     def run(self) -> Run:
-        return Run(self.start, tuple(self.steps))
+        return Run.from_columns(self.start, self._consumed, self._indices,
+                                self._states, self._counters)
+
+
+# every int below this is a float exactly
+_EXACT = 2 ** 53
 
 
 def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | str,
@@ -441,24 +562,32 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
     token matches the transition, guard satisfied, counters stay natural,
     result equals source configuration plus delta.  Finally the projection
     of consumed letters must equal the word with nothing left over.
+
+    A step whose result counters are the very tuple of the current ones,
+    all of type int and below 2**53, is natural already and equals the
+    current counters plus the delta iff the delta is all zero (adding a
+    0.0 is exact below 2**53); only that and the destination are checked
+    there.
     """
     word = list(word)
-    if len(run.start.counters) != machine.k:
-        return RunViolation(-1, "arity", f"start has {len(run.start.counters)} counters, machine k={machine.k}")
-    if any(c < 0 for c in run.start.counters):
+    start = run.start
+    if len(start.counters) != machine.k:
+        return RunViolation(-1, "arity", f"start has {len(start.counters)} counters, machine k={machine.k}")
+    if any(c < 0 for c in start.counters):
         return RunViolation(-1, "negative-counter", "start configuration")
-    if run.start.state not in machine.states:
-        return RunViolation(-1, "source", f"unknown state {run.start.state!r}")
+    if start.state not in machine.states:
+        return RunViolation(-1, "source", f"unknown state {start.state!r}")
     transitions = machine.transitions
     n_trans, n_word = len(transitions), len(word)
-    # the current configuration is natural (the start was checked, and each
-    # result is checked before it becomes current), so bool(c) is c > 0
-    state, counters = run.start.state, run.start.counters
+    zeros = repeat(0)
+    state, counters = start.state, start.counters
+    signs = tuple(map(gt, counters, zeros))
+    # whether the current counters are ints below 2**53; None until a step
+    # shares them
+    plain = None
     pos = 0
-    for i, s in enumerate(run.steps):
-        # each step's fields are read once
-        consumed, idx, result = s.consumed, s.transition_index, s.result
-        got_state, got = result.state, result.counters
+    for i, (consumed, idx, got_state, got) in enumerate(
+            zip(run.consumed, run.indices, run.states, run.counters)):
         if not (0 <= idx < n_trans):
             return RunViolation(i, "index", f"transition index {idx} out of range")
         t = transitions[idx]
@@ -468,22 +597,33 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
             return RunViolation(i, "input", f"recorded {consumed!r}, transition reads {t.input!r}")
         # equal to the sign pattern implies matches; anything else (a list
         # guard, or a real mismatch) is settled by matches itself
-        if t.guard != tuple(map(bool, counters)) and not t.matches(counters):
+        if t.guard != signs and not t.matches(counters):
             return RunViolation(i, "guard", f"guard {t.guard} vs counters {counters}")
-        if got and min(got) < 0:
-            return RunViolation(i, "negative-counter", f"result {got}")
-        expected = tuple(map(add, counters, t.delta))
-        if got_state != t.destination:
-            return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {t.destination!r}")
-        if got != expected:
-            return RunViolation(i, "delta", f"recorded {got}, expected {expected}")
+        if got is counters and plain is None:
+            plain = (all(type(c) is int for c in counters)
+                     and max(counters, default=0) < _EXACT)
+        if got is counters and plain:
+            if got_state != t.destination:
+                return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {t.destination!r}")
+            if any(t.delta):
+                expected = tuple(map(add, counters, t.delta))
+                return RunViolation(i, "delta", f"recorded {got}, expected {expected}")
+        else:
+            if any(map(lt, got, zeros)):
+                return RunViolation(i, "negative-counter", f"result {got}")
+            expected = tuple(map(add, counters, t.delta))
+            if got_state != t.destination:
+                return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {t.destination!r}")
+            if got != expected:
+                return RunViolation(i, "delta", f"recorded {got}, expected {expected}")
+            counters, signs, plain = got, tuple(map(gt, got, zeros)), None
         if consumed is not None:
             if pos >= n_word or word[pos] != consumed:
                 return RunViolation(i, "projection", f"letter {consumed!r} at word position {pos}")
             pos += 1
-        state, counters = got_state, got
+        state = got_state
     if pos != n_word:
-        return RunViolation(len(run.steps), "projection", f"run consumed {pos} of {n_word} letters")
+        return RunViolation(len(run.indices), "projection", f"run consumed {pos} of {n_word} letters")
     return None
 
 
@@ -524,7 +664,7 @@ def lambda_burst_bound(machine: CounterMachine) -> int | float:
 def buchi_visit_count(run: Run, accepting: frozenset[str] | set[str]) -> int:
     """Configurations (start included) whose state is accepting."""
     n = 1 if run.start.state in accepting else 0
-    return n + sum(1 for s in run.steps if s.result.state in accepting)
+    return n + sum(map(accepting.__contains__, run.states))
 
 
 def pad_counters(machine: CounterMachine, new_k: int) -> CounterMachine:
@@ -544,14 +684,10 @@ def pad_counters(machine: CounterMachine, new_k: int) -> CounterMachine:
 
 def pad_run(run: Run, new_k: int) -> Run:
     """Lift a run into the pad_counters image (extra coordinates stay 0)."""
-    extra_old = len(run.start.counters)
-    pad = (0,) * (new_k - extra_old)
+    pad = (0,) * (new_k - len(run.start.counters))
     start = Configuration(run.start.state, run.start.counters + pad)
-    steps = tuple(
-        RunStep(s.consumed, s.transition_index,
-                Configuration(s.result.state, s.result.counters + pad))
-        for s in run.steps)
-    return Run(start, steps)
+    return Run.from_columns(start, run.consumed, run.indices, run.states,
+                            tuple([c + pad for c in run.counters]))
 
 
 # products and wrappers: one worklist over the reachable state tuples
@@ -655,17 +791,11 @@ def lift_run_union(b1: BuchiAutomaton, b2: BuchiAutomaton, run: Run, side: str) 
     tag = "L" if side == "left" else "R"
     offset = 0 if side == "left" else len(b1.machine.transitions)
     # a run revisits few states: tag each one once
-    tagged: dict[str, str] = {}
-
-    def retag(cfg: Configuration) -> Configuration:
-        name = tagged.get(cfg.state)
-        if name is None:
-            name = tagged[cfg.state] = _tag(tag, cfg.state)
-        return Configuration(name, cfg.counters)
-
-    steps = tuple(RunStep(s.consumed, s.transition_index + offset, retag(s.result))
-                  for s in run.steps)
-    return Run(retag(run.start), steps)
+    tagged = {q: _tag(tag, q) for q in {run.start.state, *run.states}}
+    indices = tuple([i + offset for i in run.indices]) if offset else run.indices
+    return Run.from_columns(Configuration(tagged[run.start.state], run.start.counters),
+                            run.consumed, indices,
+                            tuple(map(tagged.__getitem__, run.states)), run.counters)
 
 
 # intersection with a deterministic complete 0-counter automaton
@@ -756,8 +886,8 @@ def lift_run_intersection(prod: Built, run: Run) -> Run:
     walker = Walker(prod.machine,
                     Configuration(_pair(run.start.state, md.initial, 1), run.start.counters),
                     want)
-    for st in run.steps:
-        walker.to(st.consumed, st.transition_index)
+    for token, index in zip(run.consumed, run.indices):
+        walker.to(token, index)
     return walker.run()
 
 

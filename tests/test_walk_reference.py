@@ -121,7 +121,7 @@ def test_walker_replays_a_choice_it_resolved():
     for _ in range(3):
         w.to("a", "to s1")
         w.to("b")
-    assert [s.transition_index for s in w.steps] == [0, 2] * 3
+    assert [s.transition_index for s in w.run().steps] == [0, 2] * 3
     with pytest.raises(MachineError, match="after 6 steps: 2 candidate"):
         w.to("a")
 
@@ -136,14 +136,14 @@ def test_walker_refuses_a_key_without_a_want():
     # even an empty idle segment checks its key
     with pytest.raises(TypeError, match="key"):
         w.idle("a", "to s0", 0)
-    assert w.steps == []
+    assert w.run().steps == ()
     w.to("a")
     w.idle("a", None, 2)
-    assert len(w.steps) == 3
+    assert len(w.run().steps) == 3
     w = _walker(m, Configuration("s0", ()))
     w.to("a", "to s0")
     w.idle("a", "to s0", 2)
-    assert len(w.steps) == 3
+    assert len(w.run().steps) == 3
 
 
 def _zeros_respelled(rng: random.Random, m: CounterMachine) -> CounterMachine:
@@ -212,7 +212,7 @@ def test_idle_matches_reference_steps():
                                 d is False for d in deltas)
                             seen["replayed 0.0 delta"] += any(
                                 type(d) is float for d in deltas)
-                assert repr(got.steps) == repr(want.steps), (m, start)
+                assert repr(got.run().steps) == repr(tuple(want.steps)), (m, start)
                 assert got.cfg == want.cfg
             assert got.run() == want.run()
     assert all(v > 10 for v in seen.values()), seen
