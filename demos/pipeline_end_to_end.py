@@ -6,9 +6,9 @@ The full chain: a 2-counter machine's language is pad-coded (factor
 S = (3(card(sigma)+2))^3), compiled to a single counter over the block
 coding, unioned with the coding-defect acceptor, and wrapped in a filler
 cadence that hides every silent move.  At paper-faithful parameters the
-chain refuses to build with an honest size estimate: the eight-prime
-middle stage passes the state cap whatever stage 1 would produce, so the
-refusal comes before stage 1 runs.  The desk variant runs the same code
+chain refuses to build with an honest size floor: the eight-prime middle
+stage reaches more states than the cap whatever stage 1 would produce, so
+the refusal comes before anything is built.  The desk variant runs the same code
 paths at Q = 6.
 """
 
@@ -42,7 +42,7 @@ try:
     compose_pipeline(a)
 except BuildScaleError as e:
     print("full-scale build refused:", e.args[0])
-    print("  estimated states:", e.estimated_states, "cap:", e.cap)
+    print("  states it must reach at least:", e.estimated_states, "cap:", e.cap)
 
 # ---------------------------------------------------------------------
 # the desk variant: two primes, stage 1 skipped

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..errors import BuildScaleError, FreshLetterError
+from ..errors import FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
                         Run, Walker, _leaving, _reach, lambda_burst_bound)
 from ..words import F
@@ -27,7 +27,8 @@ def _wrap(q: str, f: int, p: int) -> str:
 def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
     """Wrapper of b; its table maps each state to (b's state, filler
     position, pulse bit).  Only the triples that (b's initial, 0, 0)
-    reaches are built, by the shared worklist `_reach`."""
+    reaches are built, by the shared worklist `_reach`, which refuses a
+    build that reaches more than STATE_CAP."""
     m = b.machine
     # checked here, not by coded_alphabet: filler_count 0 is legal, while
     # PhiCoding(0) is not
@@ -39,10 +40,6 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
     if burst > filler_count:
         raise MachineError(
             f"lambda bursts reach {burst}, filler window is {filler_count}")
-    est = len(m.states) * (filler_count + 1) * 2
-    if est > STATE_CAP:
-        raise BuildScaleError("wrapper would exceed the state cap",
-                              est, STATE_CAP)
 
     leaving = _leaving(m)
     guard_combos = list(itertools.product((0, 1), repeat=m.k))
@@ -62,7 +59,7 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
                 yield F, g, (q, f + 1, 0), zeros
 
     machine, table = _reach(m.k, m.alphabet | {F}, (m.initial, 0, 0), moves,
-                            lambda state: _wrap(*state))
+                            lambda state: _wrap(*state), STATE_CAP, "wrapper")
     accepting = frozenset(n for n, (_, _, p) in table.items() if p)
     return Built(machine, accepting, source=b,
                  params={"filler_count": filler_count}, table=table)

@@ -20,14 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ArityError, BuildScaleError, FreshLetterError
-from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
-                        Run, lift_run_union, union)
+from ..machines import (BuchiAutomaton, Built, MachineError, Run,
+                        lift_run_union, union)
 from ..words import FIRST_EIGHT_PRIMES, HCoding, PhiCoding, coded_alphabet
 from .certificates import RunCertificate
 from .complement import build_h_complement
 from .phi import build_phi_wrapper, lift_run_phi
-from .script_l import (_refuse_primes_over_cap, build_script_L,
-                       lift_run_script_L)
+from .script_l import build_script_L, lift_run_script_L
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +82,6 @@ def compose_pipeline(a: BuchiAutomaton,
     if not skip_realtime8 and len(primes) != 8:
         raise ArityError(f"stage script-l: stage 1 outputs 8 counters "
                          f"but {len(primes)} primes given")
-    # stage 2's size floor depends on the primes alone
-    _staged("script-l", lambda: _refuse_primes_over_cap(primes))
 
     provenance: list[tuple] = [("input", {}, a)]
     b_main = _staged("script-l", lambda: build_script_L(a, primes))
@@ -104,36 +101,14 @@ def compose_pipeline(a: BuchiAutomaton,
                           provenance=tuple(provenance))
 
 
-def _from_union_initial(b1: BuchiAutomaton, b2: BuchiAutomaton,
-                        run: Run, side: str) -> Run:
-    """Re-route a retagged side run so it starts at the union's own initial
-    state, using the branch copy of its first transition."""
-    m1, m2 = b1.machine, b2.machine
-    tag, mach, before = ("L", m1, 0) if side == "left" else ("R", m2, 1)
-    if run.start.state != f"{tag}.{mach.initial}":
-        raise MachineError("side run must start at its machine's initial state")
-    start = Configuration("u0", run.start.counters)
-    if not run.indices:
-        return Run(start, ())
-    base = len(m1.transitions) + len(m2.transitions)
-    if before:
-        base += sum(1 for t in m1.transitions if t.source == m1.initial)
-    orig = run.indices[0] - (0 if side == "left" else len(m1.transitions))
-    rank = sum(1 for t in mach.transitions[:orig] if t.source == mach.initial)
-    return Run.from_columns(start, run.consumed, (base + rank,) + run.indices[1:],
-                            run.states, run.counters)
-
-
 def lift_run_pipeline(out: PipelineOutput, run: Run,
                       prefix_len: int | None = None) -> RunCertificate:
     """Compose the stage lifts: the input run becomes a validated run of
     the final one-counter wrapper, block-annotated by the coded blocks of
     the middle stage.  prefix_len counts letters of the outermost coding."""
-    b_main, b_defect = out.automaton.source.source
-    cert1 = lift_run_script_L(b_main, run)
-    u_run = _from_union_initial(b_main, b_defect,
-                                lift_run_union(b_main, b_defect, cert1.run, "left"),
-                                "left")
+    b_union = out.automaton.source
+    cert1 = lift_run_script_L(b_union.source[0], run)
+    u_run = lift_run_union(b_union, cert1.run, "left")
     cert2 = lift_run_phi(out.automaton, u_run, prefix_len=prefix_len,
                          blocks=cert1.blocks)
     return RunCertificate(run=cert2.run, stage="pipeline", blocks=cert2.blocks)

@@ -13,8 +13,8 @@ first-letter decrement followed by D-1 lambda decrements, so the counter
 empties exactly when the B-run length is v_i * M / D.  A trailing z-part is
 counted up and drained against the next block's opening zeros, which pins
 u_{i+1} = z_i.  Accepting states are the post-guess states whose source
-state is accepting; the result is intersected with a deterministic guard for
-the cyclic marker pattern.
+state is accepting.  The protocol's states are paired, as they are reached,
+with the states of a deterministic guard for the cyclic marker pattern.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ import math
 
 from ..errors import ArityError, BuildScaleError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
-                        MachineError, Run, Transition, Walker,
-                        intersect_det_buchi, is_real_time, validate_run)
+                        MachineError, Run, Transition, Walker, _det_table,
+                        _leaving, _reach, is_real_time, validate_run)
 from ..words import A, B, ZERO, HCoding, _check_letters, coded_alphabet, h_letters
 from .certificates import BlockSpan, RunCertificate, source_word
 
 STATE_CAP = 250_000
-# states of build_script_l_guard, whatever the alphabet
-_GUARD_STATES = 5
 
 
 def _dots(values) -> str:
@@ -78,118 +76,113 @@ def build_script_l_guard(sigma: frozenset[str] | set[str]) -> BuchiAutomaton:
     return BuchiAutomaton(m, frozenset({"SA", "SS", "SB"}))
 
 
-def _estimate_states(a: BuchiAutomaton, primes: tuple[int, ...]) -> int:
-    """Upper bound on the states of the built product."""
-    q = math.prod(primes)
-    n_states = len(a.machine.states)
-    # u1 chain + v residue grid + guess/z/a states + ratio programs
-    est = 1 + q + n_states * q + 3 * n_states
-    for t in a.machine.transitions:
-        mul, div = _ratio(primes, t.delta)
-        est += 1 + mul + div
-    # the product pairs each raw state with every guard state at two flags
-    return est * _GUARD_STATES * 2
+# the guard and delta of the block protocol's moves: one shared tuple each
+_ZERO, _POS = (0,), (1,)
+_DEC, _KEEP, _INC = (-1,), (0,), (1,)
 
 
-def _refuse_primes_over_cap(primes: tuple[int, ...]) -> None:
-    """Refuse primes whose block coding passes the cap for any source
-    machine: init, the u1 chain, one v residue row and one z/a pair are
-    built whatever the source, so (2Q + 3) raw states bound it from below."""
-    least = (2 * math.prod(primes) + 3) * _GUARD_STATES * 2
-    if least > STATE_CAP:
-        raise BuildScaleError(
-            "construction would exceed the state cap", least, STATE_CAP)
-
-
-def _build_raw(a: BuchiAutomaton, coding: HCoding,
-               full: frozenset[str]) -> Built:
+def _raw_moves(a: BuchiAutomaton, primes: tuple[int, ...]):
+    """moves(raw) of the block protocol: (input, guard, raw destination,
+    delta) per move of a raw state such as ("v", q, res), in a fixed
+    order."""
     m = a.machine
-    primes, big_q = coding.primes, coding.q
+    big_q = math.prod(primes)
     ones = tuple(1 % p for p in primes)
-    trans: list[Transition] = []
-    table: dict[str, tuple] = {}
+    leaving = _leaving(m)
 
-    def emit(src, inp, g, dst, d):
-        src_name, dst_name = _name(src), _name(dst)
-        table[src_name], table[dst_name] = src, dst
-        trans.append(Transition(src_name, inp, (g,), dst_name, (d,)))
+    def moves(raw: tuple):
+        kind = raw[0]
+        if kind == "v":
+            # count the A-run up, or guess a source transition whose guard
+            # matches the residues
+            _, q, res = raw
+            nxt = tuple([(r + 1) % p for r, p in zip(res, primes)])
+            yield ZERO, _POS, ("v", q, nxt), _INC
+            for t in leaving.get(q, ()):
+                if _consistent(t.guard, res):
+                    yield t.input, _POS, ("x", t.destination, t.delta), _KEEP
+        elif kind == "w":
+            # g == 0 is the boundary: pay a unit, or let the B-run end
+            _, q, ratio, g = raw
+            mul, div = ratio
+            if g:
+                after = ("w", q, ratio, (g + 1) % mul)
+                yield ZERO, _ZERO, after, _KEEP
+                yield ZERO, _POS, after, _KEEP
+            else:
+                yield (ZERO, _POS, ("wl", q, ratio, 1) if div >= 2
+                       else ("w", q, ratio, 1 % mul), _DEC)
+                yield ZERO, _ZERO, ("z", q), _INC
+                yield A, _ZERO, ("a", q), _KEEP
+        elif kind == "wl":
+            _, q, ratio, l = raw
+            mul, div = ratio
+            yield (None, _POS, ("wl", q, ratio, l + 1) if l + 1 < div
+                   else ("w", q, ratio, 1 % mul), _DEC)
+        elif kind == "u1":
+            c = raw[1] + 1
+            yield (ZERO, _ZERO, ("u1", c), _KEEP) if c < big_q \
+                else (ZERO, _ZERO, ("v", m.initial, ones), _INC)
+        elif kind == "x":
+            _, q, delta = raw
+            yield B, _POS, ("w", q, _ratio(primes, delta), 0), _KEEP
+        elif kind == "z":
+            yield ZERO, _POS, raw, _INC
+            yield A, _POS, ("a", raw[1]), _KEEP
+        elif kind == "a":
+            yield ZERO, _POS, raw, _DEC
+            yield ZERO, _ZERO, ("v", raw[1], ones), _INC
+        else:  # init
+            yield A, _ZERO, ("u1", 0), _KEEP
 
-    emit(("init",), A, 0, ("u1", 0), 0)
-    for c in range(big_q - 1):
-        emit(("u1", c), ZERO, 0, ("u1", c + 1), 0)
-    emit(("u1", big_q - 1), ZERO, 0, ("v", m.initial, ones), 1)
-
-    combos = list(itertools.product(*(range(p) for p in primes)))
-    for q in sorted(m.states):
-        for res in combos:
-            nxt = tuple((r + 1) % p for r, p in zip(res, primes))
-            emit(("v", q, res), ZERO, 1, ("v", q, nxt), 1)
-        # guesses: any source transition whose guard matches the residues
-        for res in combos:
-            for t in m.transitions:
-                if t.source == q and _consistent(t.guard, res):
-                    emit(("v", q, res), t.input, 1,
-                         ("x", t.destination, t.delta), 0)
-
-    seen: set[tuple[str, tuple[int, ...]]] = set()
-    for t in m.transitions:
-        key = (t.destination, t.delta)
-        if key in seen:
-            continue
-        seen.add(key)
-        q = t.destination
-        ratio = _ratio(primes, t.delta)
-        mul, div = ratio
-        boundary = ("w", q, ratio, 0)
-        emit(("x", *key), B, 1, boundary, 0)
-        after_first = ("wl", q, ratio, 1) if div >= 2 \
-            else ("w", q, ratio, 1 % mul)
-        emit(boundary, ZERO, 1, after_first, -1)
-        for l in range(1, div):
-            dst = ("wl", q, ratio, l + 1) if l + 1 < div \
-                else ("w", q, ratio, 1 % mul)
-            emit(("wl", q, ratio, l), None, 1, dst, -1)
-        for g in range(1, mul):
-            for gv in (0, 1):
-                emit(("w", q, ratio, g), ZERO, gv,
-                     ("w", q, ratio, (g + 1) % mul), 0)
-        emit(boundary, ZERO, 0, ("z", q), 1)
-        emit(boundary, A, 0, ("a", q), 0)
-
-    for q in sorted(m.states):
-        emit(("z", q), ZERO, 1, ("z", q), 1)
-        emit(("z", q), A, 1, ("a", q), 0)
-        emit(("a", q), ZERO, 1, ("a", q), -1)
-        emit(("a", q), ZERO, 0, ("v", q, ones), 1)
-
-    accepting = frozenset(_name(("x", t.destination, t.delta))
-                          for t in m.transitions
-                          if t.destination in a.accepting)
-    machine = CounterMachine(k=1, alphabet=full, states=frozenset(table),
-                             initial="init", transitions=tuple(trans))
-    return Built(machine, accepting, table=table)
+    return moves
 
 
 def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
-    """One-counter acceptor of the block-coded run language of `a`.  Its
-    table maps each state to (raw state tuple, guard state, flag)."""
+    """One-counter acceptor of the block-coded run language of `a`.
+
+    Its states are (raw state, guard state, flag) triples: the block
+    protocol in a two-flag product with build_script_l_guard, as
+    intersect_det_buchi would build it.  `_reach` builds the triples that
+    (("init",), "S0", 1) reaches and refuses a build that reaches more
+    than STATE_CAP; the table maps each state to its triple.  Primes whose
+    floor alone passes the cap are refused before anything is built."""
     primes = tuple(primes)
     coding = HCoding(primes=primes)
+    # init, the Q-state u1 chain and the initial state's Q-state v row are
+    # reached whatever the source, each in some product state
+    floor = 2 * coding.q + 1
+    if floor > STATE_CAP:
+        raise BuildScaleError("script-L product would pass the state cap",
+                              floor, STATE_CAP)
     m = a.machine
     if m.k != len(primes):
         raise ArityError(f"machine has k={m.k} but {len(primes)} primes given")
     if not is_real_time(m):
         raise MachineError("block protocol needs a real-time source machine")
     full = coded_alphabet(coding, m.alphabet)
-    est = _estimate_states(a, primes)
-    if est > STATE_CAP:
-        raise BuildScaleError(
-            "construction would exceed the state cap", est, STATE_CAP)
-    raw = _build_raw(a, coding, full)
     guard = build_script_l_guard(m.alphabet)
-    prod = intersect_det_buchi(raw, guard)
-    table = {n: (raw.table[q], s, flag) for n, (q, s, flag) in prod.table.items()}
-    return Built(prod.machine, prod.accepting, source=a,
+    dtable = _det_table(guard)
+    raw_moves = _raw_moves(a, primes)
+
+    def moves(src: tuple):
+        raw, s, flag = src
+        # the flag update looks at the source pair, as intersect_det_buchi's
+        if flag == 1:
+            nf = 2 if raw[0] == "x" and raw[1] in a.accepting else 1
+        else:
+            nf = 1 if s in guard.accepting else 2
+        for inp, g, dst, d in raw_moves(raw):
+            s2 = s if inp is None else dtable[s, inp][1].destination
+            yield inp, g, (dst, s2, nf), d
+
+    machine, table = _reach(
+        1, full, (("init",), guard.machine.initial, 1), moves,
+        lambda state: f"{_name(state[0])}&{state[1]}&{state[2]}",
+        STATE_CAP, "script-L product")
+    accepting = frozenset(n for n, (_, s, flag) in table.items()
+                          if flag == 2 and s in guard.accepting)
+    return Built(machine, accepting, source=a,
                  params={"coding": coding}, table=table)
 
 

@@ -9,20 +9,10 @@ the complement automaton is an argument, not a derived object.
 
 from __future__ import annotations
 
-from ..machines import (BuchiAutomaton, CounterMachine, MachineError,
-                        Transition, pad_counters)
+from ..machines import (BuchiAutomaton, MachineError, _leaving, _reach,
+                        pad_counters)
 
 _INIT = "i0"
-
-
-def _tagged(tag: str, b: BuchiAutomaton, k: int) -> tuple[list[Transition], set[str], set[str]]:
-    m = pad_counters(b.machine, k)
-    trans = [Transition(f"{tag}.{t.source}", t.input, t.guard,
-                        f"{tag}.{t.destination}", t.delta)
-             for t in m.transitions]
-    states = {f"{tag}.{s}" for s in m.states}
-    acc = {f"{tag}.{s}" for s in b.accepting}
-    return trans, states, acc
 
 
 def wadge_sum(bL: BuchiAutomaton, bLp: BuchiAutomaton, bLpComp: BuchiAutomaton,
@@ -31,7 +21,12 @@ def wadge_sum(bL: BuchiAutomaton, bLp: BuchiAutomaton, bLpComp: BuchiAutomaton,
     """Sum automaton over the large alphabet.
 
     bL runs on alphabet X, bLp and bLpComp on Y with X a proper subset;
-    plus and minus must partition Y - X and both be nonempty.
+    plus and minus must partition Y - X and both be nonempty.  States
+    ("i0",) and ("L", q), ("P", q), ("C", q) for the states q of bL, bLp
+    and bLpComp, named i0, L.q, P.q and C.q, are built by `_reach`: only
+    those i0 reaches.  i0 moves as bL's initial state does, idles on X,
+    then switches on plus or minus; every other state has its side's moves
+    in its side's order.
     """
     x = bL.machine.alphabet
     y = bLp.machine.alphabet
@@ -48,25 +43,25 @@ def wadge_sum(bL: BuchiAutomaton, bLp: BuchiAutomaton, bLpComp: BuchiAutomaton,
 
     k = max(bL.machine.k, bLp.machine.k, bLpComp.machine.k)
     zeros = (0,) * k
-    tl, sl, al = _tagged("L", bL, k)
-    tp, sp, ap = _tagged("P", bLp, k)
-    tc, sc, ac = _tagged("C", bLpComp, k)
+    sides = {"L": bL, "P": bLp, "C": bLpComp}
+    leaving = {tag: _leaving(pad_counters(b.machine, k)) for tag, b in sides.items()}
 
-    trans = tl + tp + tc
-    # enter the kept copy on its own first moves
-    ml = pad_counters(bL.machine, k)
-    for t in ml.transitions:
-        if t.source == ml.initial:
-            trans.append(Transition(_INIT, t.input, t.guard,
-                                    f"L.{t.destination}", t.delta))
-    # or idle through any finite small-alphabet prefix, then switch once
-    for a in sorted(x):
-        trans.append(Transition(_INIT, a, zeros, _INIT, zeros))
-    for a in sorted(plus):
-        trans.append(Transition(_INIT, a, zeros, f"P.{bLp.machine.initial}", zeros))
-    for a in sorted(minus):
-        trans.append(Transition(_INIT, a, zeros, f"C.{bLpComp.machine.initial}", zeros))
+    def moves(src: tuple):
+        # i0 enters the kept copy on its own first moves
+        tag, q = ("L", bL.machine.initial) if src == (_INIT,) else src
+        for t in leaving[tag].get(q, ()):
+            yield t.input, t.guard, (tag, t.destination), t.delta
+        if src == (_INIT,):
+            # or idles through any finite small-alphabet prefix, then
+            # switches once
+            for a in sorted(x):
+                yield a, zeros, src, zeros
+            for a in sorted(plus):
+                yield a, zeros, ("P", bLp.machine.initial), zeros
+            for a in sorted(minus):
+                yield a, zeros, ("C", bLpComp.machine.initial), zeros
 
-    states = frozenset({_INIT} | sl | sp | sc)
-    machine = CounterMachine(k, y, states, _INIT, tuple(trans))
-    return BuchiAutomaton(machine, frozenset(al | ap | ac))
+    machine, table = _reach(k, y, (_INIT,), moves, ".".join)
+    accepting = frozenset(n for n, state in table.items()
+                          if len(state) == 2 and state[1] in sides[state[0]].accepting)
+    return BuchiAutomaton(machine, accepting)

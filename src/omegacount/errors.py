@@ -18,11 +18,12 @@ class UnderflowError(ValueError):
 
 
 class BuildScaleError(ValueError):
-    """A requested construction would need more control states than the cap.
+    """A construction needs more control states than the cap.
 
-    Raised instead of attempting a build whose finite control is far beyond
-    what an explicit transition table can hold (the residue trackers and
-    block counters grow linearly with the product of the primes).
+    `estimated_states` is either a true floor on the states the build must
+    reach, checked before anything is built (the script-L block coding's
+    2Q + 1 for primes with product Q), or the count the build had reached
+    when it passed the cap: the cap plus one.
     """
 
     def __init__(self, message: str, estimated_states: int, cap: int):

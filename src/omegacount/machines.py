@@ -28,17 +28,20 @@ step read.  Transition, Configuration and RunStep are plain slotted
 records, treated as immutable and compared and hashed by their fields: a
 build makes a record per edge, and a frozen record costs several times as
 much to build.  A run is not required to begin at the machine's initial
-state; lift_run_union lifts such sub-runs.  Products and wrappers hold only
-the states their initial state reaches, so lift_run_intersection lifts runs
-from b's initial state alone.
+state.  Built automata hold only the states their initial state reaches,
+so lift_run_intersection and lift_run_union lift runs from the initial
+state of b or of the union's side alone.
 
 `step` is the one kernel that matches guards.  A guard depends only on which
 counters are positive, so `enabled` keeps step's choices on the machine per
 (state, token, sign pattern), asking `step` on a miss; the engine's searches
 and the Walker read them from there.
 
-Every product and wrapper is built by one worklist, `_reach`, which names
-each state tuple when it is first reached from the initial one.
+Every automaton whose states are structured (products, wrappers, unions,
+the script-L block acceptor) is built by one worklist, `_reach`, which names
+each state tuple when it is first reached from the initial one.  Its state
+cap is the only size refusal: a build that reaches one state more than the
+cap stops there and reports that count.
 
 Builders whose runs can be lifted return a Built: the automaton itself plus
 what it was built from, the build parameters, and the structured tuple each
@@ -742,58 +745,85 @@ def _leaving(machine: CounterMachine) -> dict[str, list[Transition]]:
 # union: fresh initial state branching into disjoint tagged copies
 
 
-def _tag(side: str, state: str) -> str:
-    return f"{side}.{state}"
-
-
 _UNION_INITIAL = "u0"
 
 
 def union(b1: BuchiAutomaton, b2: BuchiAutomaton) -> Built:
     """Disjoint union behind a fresh (non-accepting) initial state.
 
-    Transition layout: b1's transitions tagged L, then b2's tagged R, then
-    branch copies of each side's initial-outgoing transitions re-sourced to
-    the fresh initial.  lift_run_union depends on this layout.
+    States ("u0",), ("L", q) for b1's q and ("R", q) for b2's, named u0, L.q
+    and R.q, built by `_reach`: only the states u0 reaches are built.  u0
+    takes b1's initial moves, then b2's; every other state has its side's
+    moves in its side's order.  params["left"] and params["right"] map a
+    side's transition indices to the union's: a pair of tuples over the
+    side's indices, the first for u0's copies of the initial state's moves,
+    the second for the tagged copies, None where there is no copy.
     """
     m1, m2 = b1.machine, b2.machine
     if m1.alphabet != m2.alphabet:
         raise MachineError("union requires equal alphabets")
     if m1.k != m2.k:
         raise MachineError("union requires equal k; use pad_counters first")
-    states = {_UNION_INITIAL}
-    states.update(_tag("L", s) for s in m1.states)
-    states.update(_tag("R", s) for s in m2.states)
-    trans: list[Transition] = []
-    for t in m1.transitions:
-        trans.append(Transition(_tag("L", t.source), t.input, t.guard, _tag("L", t.destination), t.delta))
-    for t in m2.transitions:
-        trans.append(Transition(_tag("R", t.source), t.input, t.guard, _tag("R", t.destination), t.delta))
-    for t in m1.transitions:
-        if t.source == m1.initial:
-            trans.append(Transition(_UNION_INITIAL, t.input, t.guard, _tag("L", t.destination), t.delta))
-    for t in m2.transitions:
-        if t.source == m2.initial:
-            trans.append(Transition(_UNION_INITIAL, t.input, t.guard, _tag("R", t.destination), t.delta))
-    machine = CounterMachine(m1.k, m1.alphabet, frozenset(states), _UNION_INITIAL, tuple(trans))
-    accepting = {_tag("L", s) for s in b1.accepting} | {_tag("R", s) for s in b2.accepting}
-    return Built(machine, frozenset(accepting), source=(b1, b2))
+    sides = {"L": b1, "R": b2}
+    leaving = {"L": _leaving_indices(m1), "R": _leaving_indices(m2)}
+    # the side and side index of each union transition, in the union's order
+    origin: list[tuple[str, int]] = []
+
+    def moves(src: tuple):
+        # u0 moves as each side's initial state does, the left side first
+        for tag, q in ((("L", m1.initial), ("R", m2.initial)) if len(src) == 1
+                       else (src,)):
+            m = sides[tag].machine
+            for i in leaving[tag].get(q, ()):
+                t = m.transitions[i]
+                origin.append((tag, i))
+                yield t.input, t.guard, (tag, t.destination), t.delta
+
+    machine, table = _reach(m1.k, m1.alphabet, (_UNION_INITIAL,), moves, ".".join)
+    index = {tag: ([None] * len(b.machine.transitions), [None] * len(b.machine.transitions))
+             for tag, b in sides.items()}
+    for j, (t, (tag, i)) in enumerate(zip(machine.transitions, origin)):
+        first, rest = index[tag]
+        (first if t.source == _UNION_INITIAL else rest)[i] = j
+    accepting = frozenset(n for n, state in table.items()
+                          if len(state) == 2 and state[1] in sides[state[0]].accepting)
+    return Built(machine, accepting, source=(b1, b2), table=table,
+                 params={side: tuple(map(tuple, index[tag]))
+                         for side, tag in (("left", "L"), ("right", "R"))})
 
 
-def lift_run_union(b1: BuchiAutomaton, b2: BuchiAutomaton, run: Run, side: str) -> Run:
-    """Retag a run of b1 (side="left") or b2 ("right") into union(b1, b2).
+def _leaving_indices(machine: CounterMachine) -> dict[str, list[int]]:
+    """The indices of each state's outgoing transitions, in order."""
+    out: dict[str, list[int]] = {}
+    for i, t in enumerate(machine.transitions):
+        out.setdefault(t.source, []).append(i)
+    return out
 
-    Pure retagging: the lifted run starts at the tagged copy of the original
-    start state, so visit counts are preserved exactly.
+
+def lift_run_union(u: Built, run: Run, side: str) -> Run:
+    """Lift a run of u's left operand (side="left") or right one ("right")
+    that starts at that operand's initial state to a run of u from u0.
+
+    The first step takes u0's copy of its transition, every later step the
+    tagged copy, both read from the index maps the build recorded; the
+    states are retagged.  Visits to accepting states after the start carry
+    over one to one.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    tag = "L" if side == "left" else "R"
-    offset = 0 if side == "left" else len(b1.machine.transitions)
+    b = u.source[0 if side == "left" else 1]
+    if run.start.state != b.machine.initial:
+        raise MachineError("side run must start at its machine's initial state")
+    first, rest = u.params[side]
+    indices = list(map(rest.__getitem__, run.indices))
+    if indices:
+        indices[0] = first[run.indices[0]]
+    if None in indices:
+        raise MachineError("side run takes a transition the union does not copy")
     # a run revisits few states: tag each one once
-    tagged = {q: _tag(tag, q) for q in {run.start.state, *run.states}}
-    indices = tuple([i + offset for i in run.indices]) if offset else run.indices
-    return Run.from_columns(Configuration(tagged[run.start.state], run.start.counters),
+    tag = "L." if side == "left" else "R."
+    tagged = {q: tag + q for q in set(run.states)}
+    return Run.from_columns(Configuration(_UNION_INITIAL, run.start.counters),
                             run.consumed, indices,
                             tuple(map(tagged.__getitem__, run.states)), run.counters)
 

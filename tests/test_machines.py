@@ -199,10 +199,12 @@ def test_lift_run_union_retags_and_validates():
     u = union(b1, b2)
     for side, b in (("left", b1), ("right", b2)):
         src = run_of(b, ["a", "b", "a"])
-        lifted = lift_run_union(b1, b2, src, side)
+        lifted = lift_run_union(u, src, side)
         assert validate_run(u.machine, ["a", "b", "a"], lifted) is None
         tag = "L." if side == "left" else "R."
-        assert lifted.start.state == tag + "n"
+        assert lifted.start.state == "u0"
+        assert lifted.states == tuple(tag + q for q in src.states)
+        assert u.machine.transitions[lifted.indices[0]].source == "u0"
         # accepting visits carry over one to one
         assert buchi_visit_count(lifted, u.accepting) == \
             buchi_visit_count(src, b.accepting)

@@ -1,9 +1,10 @@
 """Differential tests of the reachable-state product builders.
 
-`intersect_det_buchi`, `build_phi_wrapper` and `muller_to_buchi` build only
-the states their initial state reaches.  Each is held to the full-product
-version it replaced (`reference_products.py`, and `reference_graph.py` for
-the Muller conversion) on seeded k <= 1 machines with lambda edges:
+`intersect_det_buchi`, `build_phi_wrapper`, `muller_to_buchi`, `union` and
+`wadge_sum` build only the states their initial state reaches.  Each is
+held to the version it replaced (`reference_products.py`, and
+`reference_graph.py` for the Muller conversion) on seeded k <= 1 machines
+with lambda edges:
 
 - the new build is exactly the graph-reachable part of the reference's
   (counters ignored): the same states, table entries and accepting states,
@@ -11,7 +12,14 @@ the Muller conversion) on seeded k <= 1 machines with lambda edges:
 - k = 0 lasso verdicts of `nba_lasso_member` agree;
 - k = 1 `exact_prefix_reach` frontiers agree on seeded prefixes.
 
-A subprocess test checks that the builds do not depend on the hash seed.
+`build_script_L` dumps to the same bytes as the raw block protocol laid
+out by hand and intersected with its guard, and `lift_run_union` lifts
+random side runs, and script-L certificates, to the runs the retagging
+route of the hand-laid union gave, step for step.  A depth-first search
+finds every state of each builder's output, and the m2 desk pipeline's
+unions are pinned at the sizes of the reachable parts of the hand-laid
+ones.  A subprocess test checks that the builds do not depend on the hash
+seed.
 """
 
 import os
@@ -22,11 +30,22 @@ from pathlib import Path
 
 import reference_graph
 import reference_products as ref
-from omegacount.constructions import build_phi_wrapper
+import pytest
+
+from conftest import m1_aomega, m2_two_counters, m2_word, m3_alternator, run_of
+from omegacount.constructions import (build_h_complement, build_phi_wrapper,
+                                      build_realtime8, build_script_L,
+                                      compose_pipeline, lift_run_script_L,
+                                      wadge_sum)
+from omegacount.constructions.complement import (_pad_buchi, build_d1,
+                                                 build_d2, build_d3, build_d4)
 from omegacount.engine import exact_prefix_reach, nba_lasso_member
-from omegacount.machines import (BuchiAutomaton, CounterMachine, MullerAutomaton,
-                                 Transition, intersect_det_buchi, is_real_time,
-                                 lambda_burst_bound, muller_to_buchi)
+from omegacount.fileio import dump_automaton
+from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
+                                 MullerAutomaton, Run, RunStep, Transition,
+                                 intersect_det_buchi, is_real_time,
+                                 lambda_burst_bound, lift_run_union,
+                                 muller_to_buchi, step, union, validate_run)
 from omegacount.words import F, LassoWord
 
 SIGMA = ("a", "b")
@@ -82,7 +101,7 @@ def _assert_reachable_part(new, old) -> None:
     assert new.accepting == old.accepting & keep
     old_edges = _edges(old.machine)
     assert _edges(new.machine) == {q: old_edges[q] for q in keep if q in old_edges}
-    if hasattr(old, "table"):
+    if getattr(old, "table", None):
         assert new.table == {q: old.table[q] for q in keep}
 
 
@@ -174,6 +193,183 @@ def test_muller_conversion_is_the_reachable_part_of_the_reference():
         _assert_reachable_part(new, old)
         yes += _agree(rng, new, old)
     assert 100 < yes < 1100
+
+
+def _walk(rng: random.Random, b: BuchiAutomaton, n: int) -> Run:
+    """A random run of b from its initial configuration, up to n steps."""
+    m = b.machine
+    start = cfg = Configuration(m.initial, (0,) * m.k)
+    steps = []
+    for _ in range(n):
+        cands = [(tok, i, nxt) for tok in (*sorted(m.alphabet), None)
+                 for i, nxt in step(m, cfg, tok)]
+        if not cands:
+            break
+        tok, i, cfg = rng.choice(cands)
+        steps.append(RunStep(tok, i, cfg))
+    return Run(start, steps)
+
+
+def _same_route(new_u, new_run: Run, old_u, old_run: Run) -> None:
+    """Two lifted runs agree step for step: the same configurations and
+    letters, each through a transition with the same fields."""
+    assert new_run.start == old_run.start
+    assert new_run.consumed == old_run.consumed
+    assert new_run.states == old_run.states
+    assert new_run.counters == old_run.counters
+    assert ([new_u.machine.transitions[i] for i in new_run.indices]
+            == [old_u.machine.transitions[i] for i in old_run.indices])
+    word = [tok for tok in new_run.consumed if tok is not None]
+    assert validate_run(new_u.machine, word, new_run) is None
+    assert validate_run(old_u.machine, word, old_run) is None
+
+
+def _old_lift(old_u, run: Run, side: str) -> Run:
+    b1, b2 = old_u.source
+    return ref.from_union_initial(b1, b2, ref.lift_run_union(b1, b2, run, side), side)
+
+
+def test_union_is_the_reachable_part_of_the_reference():
+    rng = random.Random(24)
+    yes = lifted = 0
+    for i in range(400):
+        k = i % 2
+        b1, b2 = (_machine(rng, k, lambdas=k == 0) for _ in range(2))
+        new, old = union(b1, b2), ref.union(b1, b2)
+        _assert_reachable_part(new, old)
+        yes += _agree(rng, new, old)
+        for side, b in (("left", b1), ("right", b2)):
+            run = _walk(rng, b, rng.randint(0, 6))
+            _same_route(new, lift_run_union(new, run, side), old, _old_lift(old, run, side))
+            lifted += len(run.indices)
+    assert 300 < yes < 1300 and lifted > 1500
+
+
+def test_wadge_sum_is_the_reachable_part_of_the_reference():
+    rng = random.Random(25)
+    yes = 0
+    for i in range(300):
+        k = i % 2
+        small = frozenset({"a"})
+        kept = _machine(rng, k, lambdas=k == 0)
+        m = kept.machine
+        kept = BuchiAutomaton(CounterMachine(
+            m.k, small, m.states, m.initial,
+            tuple(t for t in m.transitions if t.input in (None, "a"))), kept.accepting)
+        # the pair's alphabet grows by a plus letter b and a minus letter c
+        big = frozenset({"a", "b", "c"})
+        pair, comp = (BuchiAutomaton(CounterMachine(
+            x.machine.k, big, x.machine.states, x.machine.initial,
+            x.machine.transitions), x.accepting)
+            for x in (_machine(rng, k, lambdas=k == 0) for _ in range(2)))
+        new = wadge_sum(kept, pair, comp, plus={"b"}, minus={"c"})
+        old = ref.wadge_sum(kept, pair, comp, plus={"b"}, minus={"c"})
+        _assert_reachable_part(new, old)
+        yes += _agree(rng, new, old)
+    assert 100 < yes < 1100
+
+
+SCRIPT_L_CASES = [(make, primes) for make in (m1_aomega, m2_two_counters, m3_alternator)
+                  for primes in ((2, 3), (2, 5), (3, 5), (29, 31))]
+
+
+@pytest.mark.parametrize("make, primes", SCRIPT_L_CASES,
+                         ids=[f"{make.__name__}-{p}" for make, p in SCRIPT_L_CASES])
+def test_script_l_dumps_as_the_reference(make, primes):
+    a = make()
+    new, old = build_script_L(a, primes), ref.build_script_L(a, primes)
+    assert dump_automaton(new) == dump_automaton(old)
+    assert new.table == old.table
+    assert new.accepting == old.accepting
+
+
+def test_union_route_agrees_with_the_reference_on_script_l_certificates():
+    rng = random.Random(26)
+    for a in (m2_two_counters(), m3_alternator()):
+        out = compose_pipeline(a, primes=(2, 3), skip_realtime8=True)
+        new = out.automaton.source
+        old = ref.union(*new.source)
+        for _ in range(6):
+            word = (m2_word(rng, 1)[:4] if a.machine.states == {"p", "q"}
+                    else ["a", "b"] * rng.randint(1, 2))
+            cert = lift_run_script_L(new.source[0], run_of(a, word))
+            _same_route(new, lift_run_union(new, cert.run, "left"),
+                        old, _old_lift(old, cert.run, "left"))
+        # and the defect side, on random walks of the h-complement
+        for _ in range(6):
+            run = _walk(rng, new.source[1], rng.randint(1, 12))
+            _same_route(new, lift_run_union(new, run, "right"),
+                        old, _old_lift(old, run, "right"))
+
+
+def _k0(alphabet, states, initial, accepting, edges) -> BuchiAutomaton:
+    m = CounterMachine(
+        k=0, alphabet=frozenset(alphabet), states=tuple(states), initial=initial,
+        transitions=tuple(Transition(s, x, (), d, ()) for s, x, d in edges))
+    return BuchiAutomaton(m, frozenset(accepting))
+
+
+def _last_letter() -> BuchiAutomaton:
+    # deterministic complete guard: accepting after each b
+    return _k0(SIGMA, ("n", "y"), "n", ("y",),
+               [("n", "a", "n"), ("n", "b", "y"), ("y", "a", "n"), ("y", "b", "y")])
+
+
+def _wadge():
+    y = {"a", "p", "m"}
+    kept = _k0({"a"}, ("l0",), "l0", ("l0",), [("l0", "a", "l0")])
+    pair = _k0(y, ("s0", "s1"), "s0", ("s1",),
+               [("s0", "p", "s1"), ("s0", "a", "s0"), ("s0", "m", "s0"),
+                ("s1", "p", "s1"), ("s1", "a", "s0"), ("s1", "m", "s0")])
+    comp = _k0(y, ("g0", "g1"), "g0", ("g1",),
+               [("g0", "p", "g0"), ("g0", "a", "g1"), ("g1", "a", "g1"),
+                ("g1", "m", "g1")])
+    return wadge_sum(kept, pair, comp, plus={"p"}, minus={"m"})
+
+
+def _muller():
+    edges = ("nan", "nby", "nbz", "yay", "ybn", "zaz", "zbn", "zby")
+    m = CounterMachine(k=0, alphabet=SIGMA, states=("n", "y", "z"), initial="n",
+                       transitions=tuple(Transition(p, x, (), q, ()) for p, x, q in edges))
+    return muller_to_buchi(MullerAutomaton(m, ({"n", "y"}, {"z"})))
+
+
+BUILDS = {
+    "union": lambda: union(m2_two_counters(), m3_alternator()),
+    "wadge_sum": _wadge,
+    "build_h_complement": lambda: build_h_complement(SIGMA, (2, 3)),
+    "build_script_L": lambda: build_script_L(m2_two_counters(), (2, 3)),
+    "build_phi_wrapper": lambda: build_phi_wrapper(
+        build_script_L(m3_alternator(), (2, 3)), 5),
+    "intersect_det_buchi": lambda: intersect_det_buchi(
+        _k0(SIGMA, ("p", "q"), "p", ("q",),
+            [("p", "a", "p"), ("p", "b", "q"), ("q", "a", "p")]),
+        _last_letter()),
+    "muller_to_buchi": _muller,
+    "build_realtime8": lambda: build_realtime8(m1_aomega(), S_override=72),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_every_builder_holds_only_reachable_states(name):
+    m = BUILDS[name]().machine
+    assert _reachable(m) == m.states
+
+
+def test_m2_desk_pipeline_unions_drop_their_unreachable_states():
+    a = m2_two_counters()
+    out = compose_pipeline(a, primes=(2, 3), skip_realtime8=True)
+    b_main = out.stage("script-l")[2]
+    defect, top = out.stage("h-complement")[2], out.stage("union")[2]
+    d1 = _pad_buchi(build_d1(a.machine.alphabet, (2, 3)), 1)
+    d2 = _pad_buchi(build_d2(a.machine.alphabet, (2, 3)), 1)
+    old_defect = ref.union(ref.union(ref.union(
+        d1, d2), build_d3(a.machine.alphabet, (2, 3))), build_d4(a.machine.alphabet, (2, 3)))
+    old_top = ref.union(b_main, old_defect)
+    assert (len(old_defect.machine.states), len(defect.machine.states)) == (41, 37)
+    assert (len(old_top.machine.states), len(top.machine.states)) == (83, 77)
+    assert defect.machine.states == _reachable(old_defect.machine)
+    assert top.machine.states == _reachable(old_top.machine)
 
 
 _DUMPS = """

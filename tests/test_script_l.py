@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import omegacount.constructions.script_l as script_l
 from omegacount.constructions import (build_script_L, build_script_l_guard,
                                       covered_prefix_length,
                                       lift_run_script_L, project_run_script_L)
@@ -245,31 +244,6 @@ def test_eight_primes_overflow_cap():
     with pytest.raises(BuildScaleError) as exc:
         build_script_L(BuchiAutomaton(m, frozenset({"p"})), primes8)
     assert exc.value.estimated_states > exc.value.cap
-
-
-@pytest.mark.parametrize("make", [m1_aomega, m2_two_counters, m3_alternator])
-def test_estimate_bounds_the_built_product(make):
-    a = make()
-    built = build_script_L(a, PRIMES)
-    assert script_l._estimate_states(a, PRIMES) >= len(built.machine.states)
-
-
-def test_product_over_cap_refused_before_raw_build(monkeypatch):
-    # six primes: the raw machine's estimate fits under the cap, the
-    # product with the guard does not
-    primes6 = (2, 3, 5, 7, 11, 13)
-    m = CounterMachine(
-        k=6, alphabet=frozenset({"a"}), states=("p",), initial="p",
-        transitions=(Transition("p", "a", (0,) * 6, "p", (0,) * 6),))
-
-    def raw_build(*args):
-        raise AssertionError("raw machine built past the cap check")
-    monkeypatch.setattr(script_l, "_build_raw", raw_build)
-    with pytest.raises(BuildScaleError) as exc:
-        build_script_L(BuchiAutomaton(m, frozenset({"p"})), primes6)
-    est = exc.value.estimated_states
-    assert est > exc.value.cap
-    assert est // (2 * script_l._GUARD_STATES) <= script_l.STATE_CAP
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,0 +1,129 @@
+"""The worklist's state cap is the only size refusal.
+
+- a script-L build reaches at least 2Q + 1 states, the floor that refuses
+  eight primes before anything is built;
+- with the caps of script-L and phi set small, a build is refused exactly
+  when its uncapped build has more states than the cap, and the refusal
+  reports the cap plus one (script-L's floor, when that alone passes the
+  cap); every build the old up-front estimate let through still builds.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import omegacount.constructions.phi as phi
+import omegacount.constructions.script_l as script_l
+import reference_products as ref
+from omegacount.constructions import build_phi_wrapper, build_script_L
+from omegacount.errors import BuildScaleError
+from omegacount.machines import (BuchiAutomaton, CounterMachine, Transition,
+                                 lambda_burst_bound)
+
+SIGMA = frozenset({"a", "b"})
+
+
+def _real_time(rng: random.Random, k: int) -> BuchiAutomaton:
+    """A random real-time k-counter machine over SIGMA."""
+    states = [f"s{i}" for i in range(rng.randint(1, 3))]
+    trans = []
+    for _ in range(rng.randint(1, 8)):
+        guard = tuple(rng.randint(0, 1) for _ in range(k))
+        delta = tuple(rng.choice((0, 1) if g == 0 else (-1, 0, 1)) for g in guard)
+        trans.append(Transition(rng.choice(states), rng.choice(sorted(SIGMA)), guard,
+                                rng.choice(states), delta))
+    m = CounterMachine(k=k, alphabet=SIGMA, states=states, initial="s0",
+                       transitions=tuple(trans))
+    return BuchiAutomaton(m, frozenset(s for s in states if rng.random() < 0.5))
+
+
+PRIME_TUPLES = [(2,), (3,), (5,), (2, 3), (2, 5), (3, 5), (2, 3, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(PRIME_TUPLES))
+def test_script_l_reaches_its_floor(seed, primes):
+    a = _real_time(random.Random(seed), len(primes))
+    assert len(build_script_L(a, primes).machine.states) >= ref.script_l_floor(primes)
+
+
+def test_eight_primes_refused_by_the_floor(monkeypatch):
+    primes8 = (2, 3, 5, 7, 11, 13, 17, 19)
+    m = CounterMachine(
+        k=8, alphabet=frozenset({"a"}), states=("p",), initial="p",
+        transitions=(Transition("p", "a", (0,) * 8, "p", (1,) * 8),))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built past the floor")
+    monkeypatch.setattr(script_l, "_reach", no_build)
+    with pytest.raises(BuildScaleError) as exc:
+        build_script_L(BuchiAutomaton(m, frozenset({"p"})), primes8)
+    assert exc.value.estimated_states == ref.script_l_floor(primes8) == 19_399_381
+    assert exc.value.cap == script_l.STATE_CAP
+
+
+def _refused(monkeypatch, module, cap: int, build):
+    monkeypatch.setattr(module, "STATE_CAP", cap)
+    try:
+        build()
+    except BuildScaleError as e:
+        return e
+    return None
+
+
+def test_script_l_refuses_exactly_past_its_cap(monkeypatch):
+    rng = random.Random(31)
+    refused = built = 0
+    for i in range(300):
+        primes = PRIME_TUPLES[i % len(PRIME_TUPLES)]
+        a = _real_time(rng, len(primes))
+        size = len(build_script_L(a, primes).machine.states)
+        cap = rng.randint(size // 2, size + 3)
+        e = _refused(monkeypatch, script_l, cap, lambda: build_script_L(a, primes))
+        monkeypatch.undo()
+        assert (e is not None) == (size > cap), (i, size, cap)
+        if e is not None:
+            refused += 1
+            floor = ref.script_l_floor(primes)
+            assert e.cap == cap
+            assert e.estimated_states == (floor if floor > cap else cap + 1)
+        else:
+            built += 1
+        # whatever the old estimate let through still builds
+        if ref.estimate_states(a, primes) <= cap:
+            assert e is None
+    assert refused > 50 and built > 50
+
+
+def test_phi_refuses_exactly_past_its_cap(monkeypatch):
+    rng = random.Random(32)
+    refused = built = 0
+    while refused + built < 300:
+        b = _real_time(rng, 1)
+        m = b.machine
+        # a lambda edge or two, so the filler window has work to do
+        m = CounterMachine(1, m.alphabet, m.states, m.initial, m.transitions + tuple(
+            Transition(rng.choice(sorted(m.states)), None, (1,), rng.choice(sorted(m.states)),
+                       (rng.choice((-1, 0)),))
+            for _ in range(rng.randint(0, 2))))
+        burst = lambda_burst_bound(m)
+        if burst == float("inf"):
+            continue
+        b = BuchiAutomaton(m, b.accepting)
+        filler = burst + rng.randint(0, 3)
+        size = len(build_phi_wrapper(b, filler).machine.states)
+        cap = rng.randint(max(1, size // 2), size + 3)
+        e = _refused(monkeypatch, phi, cap, lambda: build_phi_wrapper(b, filler))
+        monkeypatch.undo()
+        assert (e is not None) == (size > cap), (size, cap)
+        if e is not None:
+            refused += 1
+            assert (e.estimated_states, e.cap) == (cap + 1, cap)
+        else:
+            built += 1
+        # whatever the old |Q|·(L+1)·2 estimate let through still builds
+        if len(m.states) * (filler + 1) * 2 <= cap:
+            assert e is None
+    assert refused > 50 and built > 50
