@@ -68,8 +68,8 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
 def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
                  blocks: tuple[BlockSpan, ...] | None = None) -> RunCertificate:
     """Lift a run of the machine w wraps to w: lambda steps are consumed as
-    filler as they occur, the window is topped up with idles, then the
-    letter is read.  Blocks span one filler window plus its letter;
+    filler as they occur, and the rest of the window and the letter are one
+    `Walker.idle` block.  Blocks span one filler window plus its letter;
     passing `blocks` (spans over the source run's steps) translates those
     spans to wrapper step indices instead.
     """
@@ -94,24 +94,30 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
     walker = Walker(w.machine, Configuration(w.machine.initial, run.start.counters),
                     want)
     f = 0
+    letters = 0
     spans: list[BlockSpan] = []
     block_start = 0
-    # marks[j] = wrapper step count before source step j was processed
-    marks: list[int] = []
+    # marks[j] = wrapper step count before source step j was processed;
+    # kept only when `blocks` asks for spans over source steps
+    marks: list[int] | None = None if blocks is None else []
     for token, index in zip(run.consumed, run.indices):
-        marks.append(len(walker))
+        if marks is not None:
+            marks.append(len(walker))
         if token is None:
             if f >= filler_count:
                 raise MachineError("lambda burst exceeds the filler window")
             walker.to(F, index)
             f += 1
         else:
-            walker.idle(F, -1, filler_count - f)
-            walker.to(token, index)
+            # the rest of the window and the letter, as one block
+            walker.idle(F, -1, filler_count - f, (token, index))
             f = 0
-            spans.append(BlockSpan(len(spans) + 1, block_start, len(walker)))
-            block_start = len(walker)
-    marks.append(len(walker))
+            letters += 1
+            if marks is None:
+                spans.append(BlockSpan(letters, block_start, len(walker)))
+                block_start = len(walker)
+    if marks is not None:
+        marks.append(len(walker))
 
     needed = len(walker)
     if prefix_len is not None and prefix_len != needed:
@@ -122,7 +128,7 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
         room = filler_count - f
         if extra > room:
             raise MachineError(
-                f"run pins {len(spans)} blocks; prefix of {prefix_len} "
+                f"run pins {letters} blocks; prefix of {prefix_len} "
                 f"letters passes the next letter point at {needed + room}")
         walker.idle(F, -1, extra)
 

@@ -468,10 +468,14 @@ class Walker:
     so a choice is resolved once per (state, token, sign pattern, key) and
     replayed from then on: `want` must give one verdict per (key, transition).
 
-    `idle(token, key, n)` is n calls of `to(token, key)`.  When none of the
-    transitions it takes moves a counter, the sign pattern cannot change, so
-    the segment's indices and destinations are kept per (state, token, sign
-    pattern, key, n) and replayed whole over the same counters tuple.
+    `idle(token, key, n, then)` is a block: n calls of `to(token, key)` and,
+    when `then` = (last token, last key) is given, one `to(*then)`.  When
+    none of the n window steps moves a counter, the sign pattern cannot
+    change before the last step, so the block's tokens, indices,
+    destinations and last delta are kept per (state, token, sign pattern,
+    key, n, then) and replayed whole: n copies of the counters tuple as it
+    stands, then that tuple plus the last delta.  A block whose window moves
+    a counter is walked step by step every time.
 
     The steps are kept as the columns of the Run that `run` returns, and
     len(walker) counts them.
@@ -487,7 +491,7 @@ class Walker:
         self._counters: list[tuple[int, ...]] = []
         self._want = want
         self._chosen: dict[tuple, tuple[int, str, tuple[int, ...]]] = {}
-        self._segments: dict[tuple, tuple[list[int], list[str]]] = {}
+        self._blocks: dict[tuple, tuple[list, list[int], list[str], tuple | None]] = {}
 
     def __len__(self):
         return len(self._indices)
@@ -523,18 +527,21 @@ class Walker:
         self._states.append(destination)
         self._counters.append(counters)
 
-    def idle(self, token: str | None, key, n: int) -> None:
+    def idle(self, token: str | None, key, n: int, then: tuple | None = None) -> None:
         self._check_key(key)
         counters = self.counters
-        where = (self.state, token, tuple([c > 0 for c in counters]), key, n)
-        segment = self._segments.get(where)
-        if segment is not None:
-            indices, states = segment
+        where = (self.state, token, tuple([c > 0 for c in counters]), key, n, then)
+        block = self._blocks.get(where)
+        if block is not None:
+            consumed, indices, states, delta = block
             if indices:
-                self._consumed += [token] * len(indices)
+                self._consumed += consumed
                 self._indices += indices
                 self._states += states
-                self._counters += [counters] * len(indices)
+                self._counters += [counters] * n
+                if delta is not None:
+                    self.counters = counters = tuple(map(add, counters, delta))
+                    self._counters.append(counters)
                 self.state = states[-1]
             return
         first = len(self)
@@ -544,9 +551,13 @@ class Walker:
         # good; the walk above did so already, and the memo is this walk's,
         # so a replay over the counters as they stand stays exact
         transitions = self.machine.transitions
-        taken = self._indices[first:]
-        if not any(any(transitions[i].delta) for i in taken):
-            self._segments[where] = (taken, self._states[first:])
+        still = not any(any(transitions[i].delta) for i in self._indices[first:])
+        if then is not None:
+            self.to(*then)
+        if still:
+            self._blocks[where] = (
+                self._consumed[first:], self._indices[first:], self._states[first:],
+                transitions[self._indices[-1]].delta if then is not None else None)
 
     def run(self) -> Run:
         return Run.from_columns(self.start, self._consumed, self._indices,

@@ -2,14 +2,16 @@
 
 import pytest
 
-from omegacount.constructions import (build_phi_wrapper, build_script_L,
-                                      lift_run_phi, lift_run_script_L)
+import reference_walk as ref
+from omegacount.constructions import (BlockSpan, build_phi_wrapper,
+                                      build_script_L, lift_run_phi,
+                                      lift_run_script_L)
 from omegacount.errors import FreshLetterError
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  MachineError, Run, RunStep, Transition,
                                  is_real_time, lambda_burst_bound,
                                  validate_run)
-from omegacount.words import LassoWord, phi_prefix
+from omegacount.words import F, LassoWord, phi_prefix
 
 from conftest import m1_aomega, m2_two_counters, run_of
 
@@ -136,7 +138,6 @@ def test_lift_rejects_shifted_start():
 def test_block_translation():
     b = lam2_machine()
     run = lam2_run(2)
-    from omegacount.constructions import BlockSpan
     spans = (BlockSpan(1, 0, 3), BlockSpan(2, 3, 6))
     cert = lift_run_phi(build_phi_wrapper(b, 2), run, blocks=spans)
     # letter + both silent hops of each round land in one wrapper block
@@ -158,3 +159,77 @@ def test_wraps_block_acceptor_with_visits_preserved():
     assert wrapped.block_visits(w.accepting) == cert.block_visits(bl.accepting)
     assert wrapped.visits(w.accepting) == sum(
         1 for s in cert.run.steps if s.result.state in bl.accepting)
+
+
+def _step_by_step_lift(w, run: Run, prefix_len: int) -> tuple[Run, list[int]]:
+    """The phi lift walked one step at a time on the reference walker: a
+    lambda step reads one filler, a letter first tops its window up with
+    idle fillers, and idle fillers extend the walk to prefix_len.  Also
+    gives, for each source step and the end, the wrapper steps before it."""
+    b, table, filler_count = w.source, w.table, w.params["filler_count"]
+    m = b.machine
+
+    def want(index: int):
+        def pred(u) -> bool:
+            q, f, _ = table[u.source]
+            if index < 0:
+                return not any(u.delta) and table[u.destination] == (q, f + 1, 0)
+            t = m.transitions[index]
+            dest = (t.destination, 0 if t.input is not None else f + 1,
+                    int(t.destination in b.accepting))
+            return u.delta == t.delta and table[u.destination] == dest
+        return pred
+
+    walker = ref.Walker(w.machine, Configuration(w.machine.initial, run.start.counters))
+    f = 0
+    marks = []
+    for token, index in zip(run.consumed, run.indices):
+        marks.append(len(walker.steps))
+        if token is None:
+            walker.to(F, want(index))
+            f += 1
+        else:
+            for _ in range(filler_count - f):
+                walker.to(F, want(-1))
+            walker.to(token, want(index))
+            f = 0
+    marks.append(len(walker.steps))
+    while len(walker.steps) < prefix_len:
+        walker.to(F, want(-1))
+    return walker.run(), marks
+
+
+def test_lift_with_lambda_steps_matches_step_by_step_walk():
+    """Windows partly filled by lambda moves and a prefix that ends at the
+    last filler before the next letter point: the block-replayed lift equals
+    the step-by-step walk, with and without source blocks, and validates."""
+    lam2 = lam2_machine()
+    m2 = m2_two_counters()
+    bl = build_script_L(m2, (2, 3))
+    cases = [(build_phi_wrapper(lam2, 3), lam2_run(3),
+              tuple(BlockSpan(i + 1, 3 * i, 3 * i + 3) for i in range(3)))]
+    for word in (["a", "b", "a"], ["a", "a", "b", "b"]):
+        lifted = lift_run_script_L(bl, run_of(m2, word))
+        cases.append((build_phi_wrapper(bl, 5), lifted.run, lifted.blocks))
+    for w, run, blocks in cases:
+        filler_count = w.params["filler_count"]
+        tail = len(run.consumed) - 1 - max(
+            j for j, x in enumerate(run.consumed) if x is not None)
+        # lam2's run ends in two silent hops; script-L's end at a letter
+        assert None in run.consumed and tail < filler_count
+        needed = len(lift_run_phi(w, run).run.steps)
+        prefix_len = needed + filler_count - tail
+        expected, marks = _step_by_step_lift(w, run, prefix_len)
+        ends = [marks[j + 1] for j, x in enumerate(run.consumed) if x is not None]
+        letter_spans = tuple(BlockSpan(i + 1, ([0] + ends)[i], end)
+                             for i, end in enumerate(ends))
+        for given in (None, blocks):
+            cert = lift_run_phi(w, run, prefix_len=prefix_len, blocks=given)
+            assert cert.run == expected
+            assert repr(cert.run) == repr(expected)
+            coded = [x for x in cert.run.consumed if x is not None]
+            assert validate_run(w.machine, coded, cert.run) is None
+            assert cert.blocks == (letter_spans if given is None else tuple(
+                BlockSpan(bs.index, marks[bs.start], marks[bs.end]) for bs in given))
+        with pytest.raises(MachineError, match=f"run pins {len(ends)} blocks"):
+            lift_run_phi(w, run, prefix_len=prefix_len + 1, blocks=blocks)

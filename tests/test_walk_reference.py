@@ -2,13 +2,14 @@
 
 `machines.Walker` takes one predicate per walk, resolves each choice once
 per (state, token, sign pattern, key) and replays it, and replays idle
-segments whole; `machines.validate_run` checks each step with tuple-level
+blocks whole; `machines.validate_run` checks each step with tuple-level
 operations.  Both are held to the versions they replaced
 (`reference_walk.py`, whose walker takes a predicate per step) on seeded
 random machines with up to two counters, duplicate transitions, list guards
 and guard or delta values spelled True, False, 1.0 or 0.0: the same steps or
 the same walk error on random keyed and unkeyed schedules, `idle(token, key,
-n)` equal to n reference steps, and the same verdict on valid runs and on
+n)` equal to n reference steps and `idle(token, key, n, (last token, last
+key))` to n + 1, and the same verdict on valid runs and on
 corruptions of them that reach every violation the check reports.
 """
 
@@ -212,6 +213,79 @@ def test_idle_matches_reference_steps():
                                 d is False for d in deltas)
                             seen["replayed 0.0 delta"] += any(
                                 type(d) is float for d in deltas)
+                assert repr(got.run().steps) == repr(tuple(want.steps)), (m, start)
+                assert got.cfg == want.cfg
+            assert got.run() == want.run()
+    assert all(v > 10 for v in seen.values()), seen
+
+
+
+def test_block_matches_reference_steps():
+    """Walker.idle(token, key, n, (last token, last key)) against n
+    reference steps plus one, step for step and by repr, with the same walk
+    error at the same step.  A block whose window moves a counter is walked
+    by `to` every time; one whose window moves none is replayed without a
+    `to`, also from other counters with the same sign pattern, with zero
+    deltas spelled False or 0.0 and a last step that moves a counter."""
+    rng = random.Random(23)
+    seen = dict.fromkeys(("refused in window", "refused at last step",
+                          "moving again", "replayed elsewhere",
+                          "replayed 0.0 delta", "replayed moving last step",
+                          "replayed list guard"), 0)
+    for _ in range(600):
+        m = _zeros_respelled(rng, _machine(rng))
+        for _ in range(3):
+            start = _start(rng, m)
+            got, want = _walker(m, start), ref.Walker(m, start)
+            # every step a block walks goes through `to`; a replay takes none
+            walks = []
+            walk = got.to
+            got.to = lambda token, key=None: (walks.append(token), walk(token, key))
+            # (state, token, signs, key, n, last, last key) -> the counters
+            # the block was first walked from
+            walked = {}
+            # a few blocks drawn once and asked for again and again, as a
+            # lift does, so that many are replayed
+            menu = [(rng.choice(INPUTS), rng.choice((None,) + tuple(WANTS)),
+                     rng.choice((0, 1, 2, 3, 5)), rng.choice(INPUTS),
+                     rng.choice((None,) + tuple(WANTS))) for _ in range(3)]
+            for _ in range(rng.randint(1, 30)):
+                token, key, n, last, last_key = rng.choice(menu)
+                counters = want.cfg.counters
+                where = (want.cfg.state, token, tuple(c > 0 for c in counters),
+                         key, n, last, last_key)
+                first = len(want.steps)
+                walks.clear()
+                try:
+                    for _ in range(n):
+                        want.to(token, WANTS.get(key))
+                    want.to(last, WANTS.get(last_key))
+                except MachineError as exc:
+                    with pytest.raises(MachineError) as err:
+                        got.idle(token, key, n, (last, last_key))
+                    assert str(err.value) == str(exc), (m, start)
+                    assert len(got) == len(want.steps)
+                    seen["refused in window"] += len(want.steps) - first < n
+                    seen["refused at last step"] += len(want.steps) - first == n
+                else:
+                    got.idle(token, key, n, (last, last_key))
+                    used = [m.transitions[s.transition_index]
+                            for s in want.steps[first:]]
+                    moves = any(d for u in used[:n] for d in u.delta)
+                    if where not in walked:
+                        walked[where] = counters
+                        assert len(walks) == n + 1
+                    elif moves:
+                        seen["moving again"] += 1
+                        assert len(walks) == n + 1
+                    else:
+                        assert walks == []
+                        seen["replayed elsewhere"] += walked[where] != counters
+                        seen["replayed 0.0 delta"] += any(
+                            type(d) is float for u in used[:n] for d in u.delta)
+                        seen["replayed moving last step"] += any(used[n].delta)
+                        seen["replayed list guard"] += any(
+                            type(u.guard) is list for u in used)
                 assert repr(got.run().steps) == repr(tuple(want.steps)), (m, start)
                 assert got.cfg == want.cfg
             assert got.run() == want.run()
