@@ -13,7 +13,8 @@ import itertools
 
 from ..errors import FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
-                        Run, Walker, _leaving, _reach, lambda_burst_bound)
+                        Run, Walker, _leaving_indices, _reach,
+                        lambda_burst_bound)
 from ..words import F
 from .certificates import BlockSpan, RunCertificate, source_word
 
@@ -26,9 +27,11 @@ def _wrap(q: str, f: int, p: int) -> str:
 
 def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
     """Wrapper of b; its table maps each state to (b's state, filler
-    position, pulse bit).  Only the triples that (b's initial, 0, 0)
-    reaches are built, by the shared worklist `_reach`, which refuses a
-    build that reaches more than STATE_CAP."""
+    position, pulse bit), and its origin column each transition to the
+    index of b's transition it reads, or -1 for an idle filler step.  Only
+    the triples that (b's initial, 0, 0) reaches are built, by the shared
+    worklist `_reach`, which refuses a build that reaches more than
+    STATE_CAP."""
     m = b.machine
     # checked here, not by coded_alphabet: filler_count 0 is legal, while
     # PhiCoding(0) is not
@@ -41,28 +44,29 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
         raise MachineError(
             f"lambda bursts reach {burst}, filler window is {filler_count}")
 
-    leaving = _leaving(m)
+    leaving = _leaving_indices(m)
     guard_combos = list(itertools.product((0, 1), repeat=m.k))
     zeros = (0,) * m.k
 
     def moves(src: tuple[str, int, int]):
         q, f, _ = src
-        for t in leaving.get(q, ()):
+        for i in leaving.get(q, ()):
+            t = m.transitions[i]
             pulse = 1 if t.destination in b.accepting else 0
             if f < filler_count and t.input is None:
                 # inside the window a lambda move reads filler
-                yield F, t.guard, (t.destination, f + 1, pulse), t.delta
+                yield F, t.guard, (t.destination, f + 1, pulse), t.delta, i
             elif f == filler_count and t.input is not None:
-                yield t.input, t.guard, (t.destination, 0, pulse), t.delta
+                yield t.input, t.guard, (t.destination, 0, pulse), t.delta, i
         if f < filler_count:
             for g in guard_combos:
-                yield F, g, (q, f + 1, 0), zeros
+                yield F, g, (q, f + 1, 0), zeros, -1
 
-    machine, table = _reach(m.k, m.alphabet | {F}, (m.initial, 0, 0), moves,
-                            lambda state: _wrap(*state), STATE_CAP, "wrapper")
+    machine, table, origin = _reach(m.k, m.alphabet | {F}, (m.initial, 0, 0), moves,
+                                    lambda state: _wrap(*state), STATE_CAP, "wrapper")
     accepting = frozenset(n for n, (_, _, p) in table.items() if p)
-    return Built(machine, accepting, source=b,
-                 params={"filler_count": filler_count}, table=table)
+    return Built(machine, accepting, source=b, params={"filler_count": filler_count},
+                 table=table, origin=origin)
 
 
 def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
@@ -73,26 +77,10 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
     passing `blocks` (spans over the source run's steps) translates those
     spans to wrapper step indices instead.
     """
-    b, table = w.source, w.table
     filler_count = w.params["filler_count"]
-    m = b.machine
-    source_word(m, run)
-
-    zeros = (0,) * m.k
-
-    def want(index: int, u) -> bool:
-        # index -1 is an idle filler step; otherwise the source transition
-        # fixes the delta and the destination (b's state, position, pulse)
-        q, f, _ = table[u.source]
-        if index < 0:
-            return u.delta == zeros and table[u.destination] == (q, f + 1, 0)
-        t = m.transitions[index]
-        pulse = 1 if t.destination in b.accepting else 0
-        dest = (t.destination, 0 if t.input is not None else f + 1, pulse)
-        return u.delta == t.delta and table[u.destination] == dest
-
+    source_word(w.source.machine, run)
     walker = Walker(w.machine, Configuration(w.machine.initial, run.start.counters),
-                    want)
+                    w.origin)
     f = 0
     letters = 0
     spans: list[BlockSpan] = []

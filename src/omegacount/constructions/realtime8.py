@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 
 from ..errors import ArityError, MachineError
-from ..machines import (BuchiAutomaton, Built, Configuration, Run, Transition,
-                        Walker, _leaving, _reach)
+from ..machines import (BuchiAutomaton, Built, Configuration, Run, Walker,
+                        _leaving_indices, _reach)
 from ..words import E
 from .certificates import BlockSpan, RunCertificate, source_word
 from .theta import build_theta_acceptor
@@ -208,7 +208,7 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
     k = len(sigma) + 2
     codes = {x: 2 + i for i, x in enumerate(sigma)}
     theta = build_theta_acceptor(m_a.alphabet, s_eff).machine
-    leaving = _leaving(m_a)
+    leaving = _leaving_indices(m_a)
     # a queue node's edges depend on the node and the letter alone, and a
     # few hundred nodes recur across tens of thousands of states
     entries_of: dict[tuple, list] = {}
@@ -241,11 +241,12 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
                                 guard = te.guard + g4 + (b6, b7)
                                 delta = te.delta + d4 + (0, 0)
                                 yield (letter, share(guard, guard), dst,
-                                       share(delta, delta))
+                                       share(delta, delta), None)
                     else:
                         _, front, g4 = entry
                         ms, ss = node[1], node[2]
-                        for at in leaving.get(qa, ()):
+                        for i in leaving.get(qa, ()):
+                            at = m_a.transitions[i]
                             if at.guard[0] not in _ALLOWED[s6]:
                                 continue
                             if at.guard[1] not in _ALLOWED[s7]:
@@ -262,17 +263,17 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
                             guard = te.guard + g4 + at.guard
                             delta = te.delta + _ZERO4 + at.delta
                             yield (letter, share(guard, guard), dst,
-                                   share(delta, delta))
+                                   share(delta, delta), i)
 
     numbers = itertools.count()
-    machine, table = _reach(
+    machine, table, origin = _reach(
         8, frozenset(sigma) | {E},
         (theta.initial, ("PRE",), m_a.initial, "Z", "Z", 1), moves,
         lambda _: f"r{next(numbers)}", STATE_CAP, "eight-counter product")
     accepting = frozenset(n for n, t in table.items()
                           if t[5] == 2 and t[2] in a.accepting)
-    return Built(machine, accepting, source=a,
-                 params={"S": s_eff}, table=table)
+    return Built(machine, accepting, source=a, params={"S": s_eff},
+                 table=table, origin=origin)
 
 
 def build_realtime8(a: BuchiAutomaton, S_override: int | None = None) -> Built:
@@ -281,7 +282,9 @@ def build_realtime8(a: BuchiAutomaton, S_override: int | None = None) -> Built:
     factor actually built in.  S_override shrinks S for desk-scale work;
     it must still clear the queue schedule bound 8k^2.  The acceptor's
     table maps each state to its (theta state, queue node, simulated
-    state, counter 6 status, counter 7 status, flag) tuple."""
+    state, counter 6 status, counter 7 status, flag) tuple, and its origin
+    column each simulated step to the index of the source transition it
+    simulates; every other transition's origin is None."""
     if a.machine.k != 2:
         raise ArityError(f"simulated machine must have 2 counters, has {a.machine.k}")
     if not a.machine.alphabet:
@@ -306,9 +309,8 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
     letter of a 1-letter alphabet).  prefix_len may extend the walk past
     the pinned blocks up to the next simulated choice point.
     """
-    a, table = b8.source, b8.table
     s_eff = b8.params["S"]
-    m_a = a.machine
+    m_a = b8.source.machine
     word = source_word(m_a, run)
 
     sigma = sorted(m_a.alphabet)
@@ -328,19 +330,10 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
         raise MachineError(
             f"block {i} needs a letter beyond the run's word; pass letters=...")
 
-    def want(at_index: int, t: Transition) -> bool:
-        """Accepts every step but a simulated one that does not take the
-        source transition `at_index`.  The simulated step is the only move
-        out of the front transfer (node FTR) into another node."""
-        src, dst = table[t.source], table[t.destination]
-        if src[1][0] != "FTR" or dst[1][0] == "FTR":
-            return True
-        at = m_a.transitions[at_index]
-        kind = "IDLE" if at.input is None else "RPOP"
-        return (t.guard[6:] == at.guard and t.delta[6:] == at.delta
-                and dst[1][0] == kind and dst[2] == at.destination)
-
-    walker = Walker(b8.machine, Configuration(b8.machine.initial, (0,) * 8), want)
+    # every step but a simulated one has origin None, so pinning each step
+    # of block i to its source transition pins only the simulated step
+    walker = Walker(b8.machine, Configuration(b8.machine.initial, (0,) * 8),
+                    b8.origin)
     spans = []
     blocks = len(run.indices)
     for i, at in enumerate(run.indices, start=1):

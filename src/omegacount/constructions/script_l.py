@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add
 
 from ..errors import ArityError, BuildScaleError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, Transition, Walker, _det_table,
-                        _leaving, _reach, is_real_time, validate_run)
+                        _leaving_indices, _reach, is_real_time, validate_run)
 from ..words import A, B, ZERO, HCoding, _check_letters, coded_alphabet, h_letters
 from .certificates import BlockSpan, RunCertificate, source_word
 
@@ -83,12 +84,13 @@ _DEC, _KEEP, _INC = (-1,), (0,), (1,)
 
 def _raw_moves(a: BuchiAutomaton, primes: tuple[int, ...]):
     """moves(raw) of the block protocol: (input, guard, raw destination,
-    delta) per move of a raw state such as ("v", q, res), in a fixed
-    order."""
+    delta, origin) per move of a raw state such as ("v", q, res), in a
+    fixed order.  A guess's origin is the index of the source transition it
+    guesses; every other move's is None."""
     m = a.machine
     big_q = math.prod(primes)
     ones = tuple(1 % p for p in primes)
-    leaving = _leaving(m)
+    leaving = _leaving_indices(m)
 
     def moves(raw: tuple):
         kind = raw[0]
@@ -97,43 +99,44 @@ def _raw_moves(a: BuchiAutomaton, primes: tuple[int, ...]):
             # matches the residues
             _, q, res = raw
             nxt = tuple([(r + 1) % p for r, p in zip(res, primes)])
-            yield ZERO, _POS, ("v", q, nxt), _INC
-            for t in leaving.get(q, ()):
+            yield ZERO, _POS, ("v", q, nxt), _INC, None
+            for i in leaving.get(q, ()):
+                t = m.transitions[i]
                 if _consistent(t.guard, res):
-                    yield t.input, _POS, ("x", t.destination, t.delta), _KEEP
+                    yield t.input, _POS, ("x", t.destination, t.delta), _KEEP, i
         elif kind == "w":
             # g == 0 is the boundary: pay a unit, or let the B-run end
             _, q, ratio, g = raw
             mul, div = ratio
             if g:
                 after = ("w", q, ratio, (g + 1) % mul)
-                yield ZERO, _ZERO, after, _KEEP
-                yield ZERO, _POS, after, _KEEP
+                yield ZERO, _ZERO, after, _KEEP, None
+                yield ZERO, _POS, after, _KEEP, None
             else:
                 yield (ZERO, _POS, ("wl", q, ratio, 1) if div >= 2
-                       else ("w", q, ratio, 1 % mul), _DEC)
-                yield ZERO, _ZERO, ("z", q), _INC
-                yield A, _ZERO, ("a", q), _KEEP
+                       else ("w", q, ratio, 1 % mul), _DEC, None)
+                yield ZERO, _ZERO, ("z", q), _INC, None
+                yield A, _ZERO, ("a", q), _KEEP, None
         elif kind == "wl":
             _, q, ratio, l = raw
             mul, div = ratio
             yield (None, _POS, ("wl", q, ratio, l + 1) if l + 1 < div
-                   else ("w", q, ratio, 1 % mul), _DEC)
+                   else ("w", q, ratio, 1 % mul), _DEC, None)
         elif kind == "u1":
             c = raw[1] + 1
-            yield (ZERO, _ZERO, ("u1", c), _KEEP) if c < big_q \
-                else (ZERO, _ZERO, ("v", m.initial, ones), _INC)
+            yield (ZERO, _ZERO, ("u1", c), _KEEP, None) if c < big_q \
+                else (ZERO, _ZERO, ("v", m.initial, ones), _INC, None)
         elif kind == "x":
             _, q, delta = raw
-            yield B, _POS, ("w", q, _ratio(primes, delta), 0), _KEEP
+            yield B, _POS, ("w", q, _ratio(primes, delta), 0), _KEEP, None
         elif kind == "z":
-            yield ZERO, _POS, raw, _INC
-            yield A, _POS, ("a", raw[1]), _KEEP
+            yield ZERO, _POS, raw, _INC, None
+            yield A, _POS, ("a", raw[1]), _KEEP, None
         elif kind == "a":
-            yield ZERO, _POS, raw, _DEC
-            yield ZERO, _ZERO, ("v", raw[1], ones), _INC
+            yield ZERO, _POS, raw, _DEC, None
+            yield ZERO, _ZERO, ("v", raw[1], ones), _INC, None
         else:  # init
-            yield A, _ZERO, ("u1", 0), _KEEP
+            yield A, _ZERO, ("u1", 0), _KEEP, None
 
     return moves
 
@@ -145,8 +148,10 @@ def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
     protocol in a two-flag product with build_script_l_guard, as
     intersect_det_buchi would build it.  `_reach` builds the triples that
     (("init",), "S0", 1) reaches and refuses a build that reaches more
-    than STATE_CAP; the table maps each state to its triple.  Primes whose
-    floor alone passes the cap are refused before anything is built."""
+    than STATE_CAP; the table maps each state to its triple, and the origin
+    column each guess to the index of the source transition it guesses.
+    Primes whose floor alone passes the cap are refused before anything is
+    built."""
     primes = tuple(primes)
     coding = HCoding(primes=primes)
     # init, the Q-state u1 chain and the initial state's Q-state v row are
@@ -172,18 +177,18 @@ def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
             nf = 2 if raw[0] == "x" and raw[1] in a.accepting else 1
         else:
             nf = 1 if s in guard.accepting else 2
-        for inp, g, dst, d in raw_moves(raw):
+        for inp, g, dst, d, o in raw_moves(raw):
             s2 = s if inp is None else dtable[s, inp][1].destination
-            yield inp, g, (dst, s2, nf), d
+            yield inp, g, (dst, s2, nf), d, o
 
-    machine, table = _reach(
+    machine, table, origin = _reach(
         1, full, (("init",), guard.machine.initial, 1), moves,
         lambda state: f"{_name(state[0])}&{state[1]}&{state[2]}",
         STATE_CAP, "script-L product")
     accepting = frozenset(n for n, (_, s, flag) in table.items()
                           if flag == 2 and s in guard.accepting)
-    return Built(machine, accepting, source=a,
-                 params={"coding": coding}, table=table)
+    return Built(machine, accepting, source=a, params={"coding": coding},
+                 table=table, origin=origin)
 
 
 def covered_prefix_length(primes: tuple[int, ...], blocks: int) -> int:
@@ -200,8 +205,8 @@ def lift_run_script_L(bl: Built, run: Run,
     is pinned, to the run's transition; every other step, and each lambda
     step, is the only one the counter allows.  prefix_len may extend the
     walk with the next block's marker and zeros, up to its guess point."""
-    a, coding, table = bl.source, bl.params["coding"], bl.table
-    m = a.machine
+    m = bl.source.machine
+    coding = bl.params["coding"]
     word = source_word(m, run)
     big_q = coding.q
     needed = covered_prefix_length(coding.primes, len(word))
@@ -222,18 +227,14 @@ def lift_run_script_L(bl: Built, run: Run,
     letters = itertools.chain(h_letters(iter(word), coding),
                               [A], itertools.repeat(ZERO))
     indices = iter(run.indices)
-    # the guard component is deterministic, so naming the raw destination
-    # of a guess singles out the product transition
-    walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)),
-                    lambda guess, u: table[u.destination][0] == guess)
+    walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)), bl.origin)
     lam = {t.source for t in bl.machine.transitions if t.input is None}
     opened: list[int] = []
     for tok in itertools.islice(letters, n):
         if tok == A:
             opened.append(len(walker))
         if tok in m.alphabet:
-            t = m.transitions[next(indices)]
-            walker.to(tok, ("x", t.destination, t.delta))
+            walker.to(tok, next(indices))
         else:
             walker.to(tok)
         while walker.state in lam:
@@ -245,38 +246,25 @@ def lift_run_script_L(bl: Built, run: Run,
 
 
 def project_run_script_L(bl: Built, cert: RunCertificate) -> Run:
-    """Recover the source run from a lifted certificate by reading the guess
-    steps back off bl's state table."""
-    a, table = bl.source, bl.table
-    m = a.machine
+    """Recover the source run from a lifted certificate: each guess step
+    cites, through bl's origin column, the source transition it guessed."""
+    m = bl.source.machine
     run = cert.run
     word = [tok for tok in run.consumed if tok is not None]
     bad = validate_run(bl.machine, word, run)
     if bad is not None:
         raise MachineError(f"certificate invalid: {bad}")
 
-    consumed, indices, states, counters = [], [], [], []
+    # only a guess reads a source letter, and every guess has an origin
+    indices = [bl.origin[i] for tok, i in zip(run.consumed, run.indices)
+               if tok in m.alphabet]
+    consumed, states, counters = [], [], []
     vec = (0,) * m.k
-    prev = run.start.state
-    for tok, state in zip(run.consumed, run.states):
-        if tok in m.alphabet:
-            src, dst = table[prev][0], table[state][0]
-            if src[0] != "v" or dst[0] != "x":
-                raise MachineError(
-                    f"letter {tok!r} consumed outside a guess step")
-            _, q, res = src
-            _, q2, delta = dst
-            g = tuple(1 if r == 0 else 0 for r in res)
-            want = Transition(q, tok, g, q2, delta)
-            idx = next((i for i, t in enumerate(m.transitions) if t == want),
-                       None)
-            if idx is None:
-                raise MachineError(f"no source transition matches {want}")
-            vec = tuple(c + d for c, d in zip(vec, delta))
-            consumed.append(tok)
-            indices.append(idx)
-            states.append(q2)
-            counters.append(vec)
-        prev = state
+    for i in indices:
+        t = m.transitions[i]
+        vec = tuple(map(add, vec, t.delta))
+        consumed.append(t.input)
+        states.append(t.destination)
+        counters.append(vec)
     return Run.from_columns(Configuration(m.initial, (0,) * m.k), consumed,
                             indices, states, counters)

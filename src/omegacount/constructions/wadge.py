@@ -9,7 +9,7 @@ the complement automaton is an argument, not a derived object.
 
 from __future__ import annotations
 
-from ..machines import (BuchiAutomaton, MachineError, _leaving, _reach,
+from ..machines import (BuchiAutomaton, MachineError, _leaving_indices, _reach,
                         pad_counters)
 
 _INIT = "i0"
@@ -44,24 +44,27 @@ def wadge_sum(bL: BuchiAutomaton, bLp: BuchiAutomaton, bLpComp: BuchiAutomaton,
     k = max(bL.machine.k, bLp.machine.k, bLpComp.machine.k)
     zeros = (0,) * k
     sides = {"L": bL, "P": bLp, "C": bLpComp}
-    leaving = {tag: _leaving(pad_counters(b.machine, k)) for tag, b in sides.items()}
+    padded = {tag: pad_counters(b.machine, k) for tag, b in sides.items()}
+    leaving = {tag: _leaving_indices(m) for tag, m in padded.items()}
 
     def moves(src: tuple):
         # i0 enters the kept copy on its own first moves
         tag, q = ("L", bL.machine.initial) if src == (_INIT,) else src
-        for t in leaving[tag].get(q, ()):
-            yield t.input, t.guard, (tag, t.destination), t.delta
+        transitions = padded[tag].transitions
+        for i in leaving[tag].get(q, ()):
+            t = transitions[i]
+            yield t.input, t.guard, (tag, t.destination), t.delta, None
         if src == (_INIT,):
             # or idles through any finite small-alphabet prefix, then
             # switches once
             for a in sorted(x):
-                yield a, zeros, src, zeros
+                yield a, zeros, src, zeros, None
             for a in sorted(plus):
-                yield a, zeros, ("P", bLp.machine.initial), zeros
+                yield a, zeros, ("P", bLp.machine.initial), zeros, None
             for a in sorted(minus):
-                yield a, zeros, ("C", bLpComp.machine.initial), zeros
+                yield a, zeros, ("C", bLpComp.machine.initial), zeros, None
 
-    machine, table = _reach(k, y, (_INIT,), moves, ".".join)
+    machine, table, _ = _reach(k, y, (_INIT,), moves, ".".join)
     accepting = frozenset(n for n, state in table.items()
                           if len(state) == 2 and state[1] in sides[state[0]].accepting)
     return BuchiAutomaton(machine, accepting)

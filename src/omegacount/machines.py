@@ -41,16 +41,20 @@ Every automaton whose states are structured (products, wrappers, unions,
 the script-L block acceptor) is built by one worklist, `_reach`, which names
 each state tuple when it is first reached from the initial one.  Its state
 cap is the only size refusal: a build that reaches one state more than the
-cap stops there and reports that count.
+cap stops there and reports that count.  Each move a builder yields carries
+its origin, the index of the source transition it stands for, and `_reach`
+records these as one column.
 
 Builders whose runs can be lifted return a Built: the automaton itself plus
-what it was built from, the build parameters, and the structured tuple each
-state name stands for.  Lifts walk that record with a Walker and never build.
-A Walker takes one predicate per walk, `want(key, transition)`, and each step
-passes a cheap key (a transition index, a guess).  It resolves each choice
-once per (state, token, sign pattern, key) and replays it after that; an idle
-segment whose transitions move no counter is replayed whole, by extending the
-columns with one shared counters tuple and no lookup.
+what it was built from, the build parameters, the structured tuple each
+state name stands for, and the origin column.  Lifts walk that record with
+a Walker and never build.  A Walker takes the origin column when it is made,
+and each step passes a key, the source transition index it stands for: a
+keyed step takes the enabled transition whose origin is that key or None.
+It resolves each choice once per (state, token, sign pattern, key) and
+replays it after that; an idle segment whose transitions move no counter is
+replayed whole, by extending the columns with one shared counters tuple and
+no lookup.
 """
 
 from __future__ import annotations
@@ -387,13 +391,18 @@ class BuchiAutomaton:
 @dataclass(frozen=True, slots=True, eq=False)
 class Built(BuchiAutomaton):
     """A builder's output: the automaton, what it was built from (`source`),
-    the parameters the build fixed (`params`), and for each state name the
-    structured tuple it was made from (`table`).  Equality and repr are
-    those of the automaton."""
+    the parameters the build fixed (`params`), for each state name the
+    structured tuple it was made from (`table`), and `origin`, the column
+    `_reach` recorded: per transition, in index order, the index of the
+    source transition it stands for.  In the column, -1 marks the filler
+    wrapper's idle filler steps, and None a transition that stands for no
+    one source transition, which a keyed walk step may take whatever its
+    key.  Equality and repr are those of the automaton."""
 
     source: object = field(default=None, repr=False)
     params: dict = field(default_factory=dict, repr=False)
     table: dict = field(default_factory=dict, repr=False)
+    origin: tuple | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -457,16 +466,17 @@ def enabled(machine: CounterMachine, state: str, token: str | None,
 class Walker:
     """Replays a schedule on a machine: each `to` takes the one transition
     out of the current configuration on `token` whose guard holds and, when
-    a key is given, for which `want(key, transition)` holds, and records the
-    step.
+    a key is given, whose entry in the origin column is that key or None,
+    and records the step.
 
-    The walk takes its one predicate `want` when it is made; each step names
-    what it asks for by a cheap key (a transition index, a guess), and a step
-    without a key takes any enabled transition.  A key passed to a walker
-    without `want` is a TypeError.  The candidates are the machine's
-    `enabled` entry for the state, the token and the counters' sign pattern,
-    so a choice is resolved once per (state, token, sign pattern, key) and
-    replayed from then on: `want` must give one verdict per (key, transition).
+    The walk takes the origin column of the build it walks when it is made
+    (`Built.origin`, one entry per transition); each step names the source
+    transition it stands for by its key, and a step without a key takes any
+    enabled transition.  A key passed to a walker without a column is a
+    TypeError.  The candidates are the machine's `enabled` entry for the
+    state, the token and the counters' sign pattern, so a choice is
+    resolved once per (state, token, sign pattern, key) and replayed from
+    then on.
 
     `idle(token, key, n, then)` is a block: n calls of `to(token, key)` and,
     when `then` = (last token, last key) is given, one `to(*then)`.  When
@@ -481,7 +491,7 @@ class Walker:
     len(walker) counts them.
     """
 
-    def __init__(self, machine: CounterMachine, start: Configuration, want=None):
+    def __init__(self, machine: CounterMachine, start: Configuration, origin=None):
         self.machine = machine
         self.start = start
         self.state, self.counters = start.state, start.counters
@@ -489,7 +499,7 @@ class Walker:
         self._indices: list[int] = []
         self._states: list[str] = []
         self._counters: list[tuple[int, ...]] = []
-        self._want = want
+        self._origin = origin
         self._chosen: dict[tuple, tuple[int, str, tuple[int, ...]]] = {}
         self._blocks: dict[tuple, tuple[list, list[int], list[str], tuple | None]] = {}
 
@@ -501,8 +511,8 @@ class Walker:
         return Configuration(self.state, self.counters)
 
     def _check_key(self, key) -> None:
-        if key is not None and self._want is None:
-            raise TypeError("Walker: a key needs the walk's want")
+        if key is not None and self._origin is None:
+            raise TypeError("Walker: a key needs the walk's origin column")
 
     def to(self, token: str | None, key=None) -> None:
         state, counters = self.state, self.counters
@@ -511,9 +521,9 @@ class Walker:
         chosen = self._chosen.get(choice)
         if chosen is None:
             self._check_key(key)
-            transitions, want = self.machine.transitions, self._want
+            origin = self._origin
             cands = [c for c in enabled(self.machine, state, token, counters)
-                     if key is None or want(key, transitions[c[0]])]
+                     if key is None or origin[c[0]] in (key, None)]
             if len(cands) != 1:
                 raise MachineError(
                     f"walk broke at {state!r} on {token!r} after "
@@ -708,15 +718,16 @@ def pad_run(run: Run, new_k: int) -> Run:
 
 
 def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None,
-           over_cap: str = "product") -> tuple[CounterMachine, dict[str, tuple]]:
-    """The machine of the state tuples `initial` reaches, and its name ->
-    tuple table.
+           over_cap: str = "product") -> tuple[CounterMachine, dict[str, tuple], tuple]:
+    """The machine of the state tuples `initial` reaches, its name -> tuple
+    table, and its origin column.
 
     States are expanded breadth first, so each state's transitions form one
     span, which `outgoing` indexes on demand.  moves(state) yields (input,
-    guard, destination tuple, delta) per edge, in a fixed order: run files
-    cite transitions by index, so the order must not depend on set
-    iteration.
+    guard, destination tuple, delta, origin) per edge, in a fixed order: run
+    files cite transitions by index, so the order must not depend on set
+    iteration.  The origins, one per transition in index order, are the
+    column a `Built` carries as `origin`.
     name(state) names a tuple when it is first reached; two tuples with one
     name are a MachineError, and reaching more than `cap` states is a
     BuildScaleError.
@@ -724,10 +735,11 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
     first = name(initial)
     names, table, order = {initial: first}, {first: initial}, [initial]
     trans: list[Transition] = []
+    origin: list = []
     # order grows while it is walked: each state is expanded once
     for src in order:
         sname = names[src]
-        for inp, guard, dst, delta in moves(src):
+        for inp, guard, dst, delta, o in moves(src):
             dname = names.get(dst)
             if dname is None:
                 if cap is not None and len(order) >= cap:
@@ -740,16 +752,17 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
                 table[dname] = dst
                 order.append(dst)
             trans.append(Transition(sname, inp, guard, dname, delta))
+            origin.append(o)
     del names, order  # only the name -> tuple direction outlives the build
     machine = CounterMachine(k, alphabet, frozenset(table), first, tuple(trans))
-    return machine, table
+    return machine, table, tuple(origin)
 
 
-def _leaving(machine: CounterMachine) -> dict[str, list[Transition]]:
-    """Each state's outgoing transitions, in index order."""
-    out: dict[str, list[Transition]] = {}
-    for t in machine.transitions:
-        out.setdefault(t.source, []).append(t)
+def _leaving_indices(machine: CounterMachine) -> dict[str, list[int]]:
+    """The indices of each state's outgoing transitions, in order."""
+    out: dict[str, list[int]] = {}
+    for i, t in enumerate(machine.transitions):
+        out.setdefault(t.source, []).append(i)
     return out
 
 
@@ -765,10 +778,12 @@ def union(b1: BuchiAutomaton, b2: BuchiAutomaton) -> Built:
     States ("u0",), ("L", q) for b1's q and ("R", q) for b2's, named u0, L.q
     and R.q, built by `_reach`: only the states u0 reaches are built.  u0
     takes b1's initial moves, then b2's; every other state has its side's
-    moves in its side's order.  params["left"] and params["right"] map a
-    side's transition indices to the union's: a pair of tuples over the
-    side's indices, the first for u0's copies of the initial state's moves,
-    the second for the tagged copies, None where there is no copy.
+    moves in its side's order.  The origin column holds the side index of
+    each copy, and the side is the tag of its destination.  params["left"]
+    and params["right"] map a side's transition indices to the union's: a
+    pair of tuples over the side's indices, the first for u0's copies of the
+    initial state's moves, the second for the tagged copies, None where
+    there is no copy.
     """
     m1, m2 = b1.machine, b2.machine
     if m1.alphabet != m2.alphabet:
@@ -777,8 +792,6 @@ def union(b1: BuchiAutomaton, b2: BuchiAutomaton) -> Built:
         raise MachineError("union requires equal k; use pad_counters first")
     sides = {"L": b1, "R": b2}
     leaving = {"L": _leaving_indices(m1), "R": _leaving_indices(m2)}
-    # the side and side index of each union transition, in the union's order
-    origin: list[tuple[str, int]] = []
 
     def moves(src: tuple):
         # u0 moves as each side's initial state does, the left side first
@@ -787,28 +800,20 @@ def union(b1: BuchiAutomaton, b2: BuchiAutomaton) -> Built:
             m = sides[tag].machine
             for i in leaving[tag].get(q, ()):
                 t = m.transitions[i]
-                origin.append((tag, i))
-                yield t.input, t.guard, (tag, t.destination), t.delta
+                yield t.input, t.guard, (tag, t.destination), t.delta, i
 
-    machine, table = _reach(m1.k, m1.alphabet, (_UNION_INITIAL,), moves, ".".join)
+    machine, table, origin = _reach(m1.k, m1.alphabet, (_UNION_INITIAL,), moves,
+                                    ".".join)
     index = {tag: ([None] * len(b.machine.transitions), [None] * len(b.machine.transitions))
              for tag, b in sides.items()}
-    for j, (t, (tag, i)) in enumerate(zip(machine.transitions, origin)):
-        first, rest = index[tag]
+    for j, (t, i) in enumerate(zip(machine.transitions, origin)):
+        first, rest = index[table[t.destination][0]]
         (first if t.source == _UNION_INITIAL else rest)[i] = j
     accepting = frozenset(n for n, state in table.items()
                           if len(state) == 2 and state[1] in sides[state[0]].accepting)
-    return Built(machine, accepting, source=(b1, b2), table=table,
+    return Built(machine, accepting, source=(b1, b2), table=table, origin=origin,
                  params={side: tuple(map(tuple, index[tag]))
                          for side, tag in (("left", "L"), ("right", "R"))})
-
-
-def _leaving_indices(machine: CounterMachine) -> dict[str, list[int]]:
-    """The indices of each state's outgoing transitions, in order."""
-    out: dict[str, list[int]] = {}
-    for i, t in enumerate(machine.transitions):
-        out.setdefault(t.source, []).append(i)
-    return out
 
 
 def lift_run_union(u: Built, run: Run, side: str) -> Run:
@@ -881,20 +886,21 @@ def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> Built:
     if mb.alphabet != md.alphabet:
         raise MachineError("intersection requires equal alphabets")
     dtable = _det_table(d)
-    leaving = _leaving(mb)
+    leaving = _leaving_indices(mb)
 
     def moves(src: tuple[str, str, int]):
         q, s, flag = src
         nf = _next_flag(b, d, q, s, flag)
-        for t in leaving.get(q, ()):
+        for i in leaving.get(q, ()):
+            t = mb.transitions[i]
             s2 = s if t.input is None else dtable[(s, t.input)][1].destination
-            yield t.input, t.guard, (t.destination, s2, nf), t.delta
+            yield t.input, t.guard, (t.destination, s2, nf), t.delta, i
 
-    machine, table = _reach(mb.k, mb.alphabet, (mb.initial, md.initial, 1),
-                            moves, lambda state: _pair(*state))
+    machine, table, origin = _reach(mb.k, mb.alphabet, (mb.initial, md.initial, 1),
+                                    moves, lambda state: _pair(*state))
     accepting = frozenset(n for n, (_, s, flag) in table.items()
                           if flag == 2 and s in d.accepting)
-    return Built(machine, accepting, source=(b, d), table=table)
+    return Built(machine, accepting, source=(b, d), table=table, origin=origin)
 
 
 def _next_flag(b: BuchiAutomaton, d: BuchiAutomaton, q: str, s: str, flag: int) -> int:
@@ -915,18 +921,9 @@ def lift_run_intersection(prod: Built, run: Run) -> Run:
     if run.start.state != mb.initial:
         raise MachineError(f"run starts at {run.start.state!r}, not at the "
                            f"initial state {mb.initial!r} of the product's left factor")
-
-    def want(index: int, u: Transition) -> bool:
-        # the product state u leaves holds the guard component and the flag
-        t = mb.transitions[index]
-        _, s, flag = prod.table[u.source]
-        s2 = s if u.input is None else md.outgoing(s, u.input)[0][1].destination
-        return (u.delta == t.delta and prod.table[u.destination]
-                == (t.destination, s2, _next_flag(b, d, t.source, s, flag)))
-
     walker = Walker(prod.machine,
                     Configuration(_pair(run.start.state, md.initial, 1), run.start.counters),
-                    want)
+                    prod.origin)
     for token, index in zip(run.consumed, run.indices):
         walker.to(token, index)
     return walker.run()
@@ -948,24 +945,24 @@ def muller_to_buchi(m: MullerAutomaton) -> BuchiAutomaton:
     exactly what its underlying transition consumes.
     """
     mm = m.machine
-    leaving = _leaving(mm)
+    leaving = _leaving_indices(mm)
 
     def enter(q: str, fi: int, mask: frozenset[str]) -> tuple:
         nm = mask | {q}
         return ("m", q, fi, frozenset() if nm == m.table[fi] else nm)
 
     def moves(src: tuple):
-        out = leaving.get(src[1], ())
+        out = [mm.transitions[i] for i in leaving.get(src[1], ())]
         if src[0] == "c":
             for t in out:
-                yield t.input, t.guard, ("c", t.destination), t.delta
+                yield t.input, t.guard, ("c", t.destination), t.delta, None
             commits = [(fi, frozenset()) for fi in range(len(m.table))]
         else:
             commits = [src[2:]]
         for fi, mask in commits:
             for t in out:
                 if t.destination in m.table[fi]:
-                    yield t.input, t.guard, enter(t.destination, fi, mask), t.delta
+                    yield t.input, t.guard, enter(t.destination, fi, mask), t.delta, None
 
     def name(state: tuple) -> str:
         if state[0] == "c":
@@ -973,7 +970,7 @@ def muller_to_buchi(m: MullerAutomaton) -> BuchiAutomaton:
         _, q, fi, mask = state
         return f"m&{q}&{fi}&" + ",".join(sorted(mask))
 
-    machine, table = _reach(mm.k, mm.alphabet, ("c", mm.initial), moves, name)
+    machine, table, _ = _reach(mm.k, mm.alphabet, ("c", mm.initial), moves, name)
     accepting = frozenset(n for n, state in table.items()
                           if state[0] == "m" and not state[3])
     return BuchiAutomaton(machine, accepting)

@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
+from omegacount.constructions import (build_phi_wrapper, build_realtime8,
+                                      build_script_L, lift_run_phi,
+                                      lift_run_script_L, lift_run_theta,
+                                      project_run_script_L)
+from omegacount.machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                                  MachineError, MullerAutomaton, Run, RunStep,
                                  Transition, buchi_visit_count,
                                  intersect_det_buchi, is_real_time,
@@ -334,3 +338,37 @@ def test_union_is_language_or(b1, b2, spoke, cycle):
     want = (lasso_member_oracle(b1, tuple(spoke), tuple(cycle))
             or lasso_member_oracle(b2, tuple(spoke), tuple(cycle)))
     assert got is want
+
+
+def test_lifts_take_the_copy_of_two_equal_transitions_the_run_cites():
+    """A run citing the second of two equal source transitions lifts
+    through the filler wrapper, script-L, the intersection and theta: each
+    built transition names the one source index it stands for in the
+    build's origin column, and script-L's projection gives back the run's
+    own indices."""
+    def lifted_origins(b: Built, lifted: Run) -> list:
+        word = [tok for tok in lifted.consumed if tok is not None]
+        assert validate_run(b.machine, word, lifted) is None
+        return [b.origin[i] for i in lifted.indices if b.origin[i] not in (None, -1)]
+
+    t = Transition("p", "a", (0,), "p", (1,))
+    b1 = _b([t, t, Transition("p", "a", (1,), "p", (0,))])
+    run = Run.from_columns(Configuration("p", (0,)), ("a", "a"), (1, 2),
+                           ("p", "p"), ((1,), (1,)))
+    w = build_phi_wrapper(b1, 1)
+    assert lifted_origins(w, lift_run_phi(w, run).run) == [1, 2]
+    bl = build_script_L(b1, (2,))
+    cert = lift_run_script_L(bl, run)
+    assert lifted_origins(bl, cert.run) == [1, 2]
+    assert project_run_script_L(bl, cert) == run
+    guard = _b([Transition("s", "a", (), "s", ())], states=("s",), initial="s",
+               accepting=("s",), k=0)
+    prod = intersect_det_buchi(b1, guard)
+    assert lifted_origins(prod, lift_run_intersection(prod, run)) == [1, 2]
+
+    t2 = Transition("p", "a", (0, 0), "p", (1, 0))
+    b2 = _b([t2, t2, Transition("p", "a", (1, 0), "p", (0, 0))], k=2)
+    run2 = Run.from_columns(Configuration("p", (0, 0)), ("a", "a"), (1, 2),
+                            ("p", "p"), ((1, 0), (1, 0)))
+    b8 = build_realtime8(b2, S_override=72)
+    assert lifted_origins(b8, lift_run_theta(b8, run2).run) == [1, 2]

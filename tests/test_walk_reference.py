@@ -1,16 +1,21 @@
 """Differential tests of the walker and the run check.
 
-`machines.Walker` takes one predicate per walk, resolves each choice once
-per (state, token, sign pattern, key) and replays it, and replays idle
-blocks whole; `machines.validate_run` checks each step with tuple-level
-operations.  Both are held to the versions they replaced
-(`reference_walk.py`, whose walker takes a predicate per step) on seeded
-random machines with up to two counters, duplicate transitions, list guards
-and guard or delta values spelled True, False, 1.0 or 0.0: the same steps or
-the same walk error on random keyed and unkeyed schedules, `idle(token, key,
-n)` equal to n reference steps and `idle(token, key, n, (last token, last
-key))` to n + 1, and the same verdict on valid runs and on
-corruptions of them that reach every violation the check reports.
+`machines.Walker` takes an origin column per walk, one entry per
+transition, and a keyed step takes the enabled transition whose entry is
+the key or None; it resolves each choice once per (state, token, sign
+pattern, key) and replays it, and replays idle blocks whole.
+`machines.validate_run` checks each step with tuple-level operations.  Both
+are held to the versions they replaced (`reference_walk.py`, whose walker
+takes a predicate per step) on seeded random machines with up to two
+counters, duplicate transitions, list guards and guard or delta values
+spelled True, False, 1.0 or 0.0.  The column is a function of each
+transition's value, `_origin`, so the reference's per-step predicate
+`_origin(u) in (key, None)` picks what the Walker picks, duplicates
+included.  They give the same steps or the same walk error on random keyed
+and unkeyed schedules, `idle(token, key, n)` equals n reference steps and
+`idle(token, key, n, (last token, last key))` n + 1, and they give the same
+verdict on valid runs and on corruptions of them that reach every violation
+the check reports.
 """
 
 import random
@@ -27,13 +32,20 @@ SIGMA = ("a", "b")
 INPUTS = SIGMA + (None,)
 STATES = ("s0", "s1", "s2")
 
-# named predicates: the name is the key that stands for the predicate
-WANTS = {
-    "to s0": lambda u: u.destination == "s0",
-    "to s1": lambda u: u.destination == "s1",
-    "climbs": lambda u: any(d > 0 for d in u.delta),
-    "still": lambda u: not any(u.delta),
-}
+# keys a walk step may pin: "to s1" is in the column of a transition that
+# moves a counter on its way to s1
+KEYS = ("to s0", "to s1", "to s2")
+
+
+def _origin(u: Transition) -> str | None:
+    """The column entry of u, a function of u's value: None, which every
+    key takes, for a transition that moves no counter."""
+    return f"to {u.destination}" if any(u.delta) else None
+
+
+def _pinned(key):
+    """The reference walker's predicate for a step keyed `key`."""
+    return None if key is None else lambda u: _origin(u) in (key, None)
 
 
 def _value(rng: random.Random, v: int):
@@ -68,7 +80,7 @@ def _start(rng: random.Random, m: CounterMachine) -> Configuration:
 
 
 def _walker(m: CounterMachine, start: Configuration) -> Walker:
-    return Walker(m, start, lambda key, u: WANTS[key](u))
+    return Walker(m, start, tuple(map(_origin, m.transitions)))
 
 
 def test_walker_matches_the_reference():
@@ -86,8 +98,8 @@ def test_walker_matches_the_reference():
                 # mostly tokens the state reads, so walks get somewhere
                 live = [x for x in INPUTS if m.outgoing(want.cfg.state, x)]
                 token = rng.choice(live if live and rng.random() < 0.8 else INPUTS)
-                key = None if rng.random() < 0.5 else rng.choice(tuple(WANTS))
-                pred = WANTS.get(key)
+                key = None if rng.random() < 0.5 else rng.choice(KEYS)
+                pred = _pinned(key)
                 choice = (want.cfg.state, token,
                           tuple(c > 0 for c in want.cfg.counters), key)
                 try:
@@ -127,15 +139,15 @@ def test_walker_replays_a_choice_it_resolved():
         w.to("a")
 
 
-def test_walker_refuses_a_key_without_a_want():
+def test_walker_refuses_a_key_without_an_origin_column():
     m = CounterMachine(k=0, alphabet=frozenset(SIGMA), states=("s0",),
                        initial="s0",
                        transitions=(Transition("s0", "a", (), "s0", ()),))
     w = Walker(m, Configuration("s0", ()))
-    with pytest.raises(TypeError, match="key"):
+    with pytest.raises(TypeError, match="origin column"):
         w.to("a", "to s0")
     # even an empty idle segment checks its key
-    with pytest.raises(TypeError, match="key"):
+    with pytest.raises(TypeError, match="origin column"):
         w.idle("a", "to s0", 0)
     assert w.run().steps == ()
     w.to("a")
@@ -181,8 +193,8 @@ def test_idle_matches_reference_steps():
             for _ in range(rng.randint(1, 40)):
                 live = [x for x in INPUTS if m.outgoing(want.cfg.state, x)]
                 token = rng.choice(live if live and rng.random() < 0.8 else INPUTS)
-                key = None if rng.random() < 0.3 else rng.choice(tuple(WANTS))
-                pred = WANTS.get(key)
+                key = None if rng.random() < 0.3 else rng.choice(KEYS)
+                pred = _pinned(key)
                 n = rng.choice((0, 1, 2, 3, 5))
                 counters = want.cfg.counters
                 where = (want.cfg.state, token,
@@ -246,9 +258,9 @@ def test_block_matches_reference_steps():
             walked = {}
             # a few blocks drawn once and asked for again and again, as a
             # lift does, so that many are replayed
-            menu = [(rng.choice(INPUTS), rng.choice((None,) + tuple(WANTS)),
+            menu = [(rng.choice(INPUTS), rng.choice((None,) + KEYS),
                      rng.choice((0, 1, 2, 3, 5)), rng.choice(INPUTS),
-                     rng.choice((None,) + tuple(WANTS))) for _ in range(3)]
+                     rng.choice((None,) + KEYS)) for _ in range(3)]
             for _ in range(rng.randint(1, 30)):
                 token, key, n, last, last_key = rng.choice(menu)
                 counters = want.cfg.counters
@@ -258,8 +270,8 @@ def test_block_matches_reference_steps():
                 walks.clear()
                 try:
                     for _ in range(n):
-                        want.to(token, WANTS.get(key))
-                    want.to(last, WANTS.get(last_key))
+                        want.to(token, _pinned(key))
+                    want.to(last, _pinned(last_key))
                 except MachineError as exc:
                     with pytest.raises(MachineError) as err:
                         got.idle(token, key, n, (last, last_key))
