@@ -44,7 +44,9 @@ class RunCertificate:
 def source_word(machine: CounterMachine, run: Run) -> list[str]:
     """The word a lift's source run reads, once the run is checked valid
     on `machine` and starting from its initial configuration."""
-    word = [tok for tok in run.consumed if tok is not None]
+    word = []
+    for consumed, _, _, _, r in run._pieces:
+        word += [tok for tok in consumed if tok is not None] * r
     bad = validate_run(machine, word, run)
     if bad is not None:
         raise MachineError(f"source run invalid: {bad}")

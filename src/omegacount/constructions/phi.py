@@ -10,6 +10,7 @@ transfer one to one.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from ..errors import FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
@@ -73,39 +74,35 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
                  blocks: tuple[BlockSpan, ...] | None = None) -> RunCertificate:
     """Lift a run of the machine w wraps to w: lambda steps are consumed as
     filler as they occur, and the rest of the window and the letter are one
-    `Walker.idle` block.  Blocks span one filler window plus its letter;
-    passing `blocks` (spans over the source run's steps) translates those
-    spans to wrapper step indices instead.
-    """
+    `Walker.idle` block.  A run segment of the source is lifted by
+    `Walker.repeat`, so it becomes a segment of blocks.  Blocks span one
+    filler window plus its letter; passing `blocks` (spans over the source
+    run's steps) translates those spans to wrapper step indices instead.
+
+    Every letter's block is filler_count + 1 steps, so the wrapper step
+    before source step s is (letters before s) * (filler_count + 1) plus
+    the lambda steps since the last of them."""
     filler_count = w.params["filler_count"]
-    source_word(w.source.machine, run)
+    word = source_word(w.source.machine, run)
     walker = Walker(w.machine, Configuration(w.machine.initial, run.start.counters),
                     w.origin)
     f = 0
-    letters = 0
-    spans: list[BlockSpan] = []
-    block_start = 0
-    # marks[j] = wrapper step count before source step j was processed;
-    # kept only when `blocks` asks for spans over source steps
-    marks: list[int] | None = None if blocks is None else []
-    for token, index in zip(run.consumed, run.indices):
-        if marks is not None:
-            marks.append(len(walker))
-        if token is None:
-            if f >= filler_count:
-                raise MachineError("lambda burst exceeds the filler window")
-            walker.to(F, index)
-            f += 1
-        else:
-            # the rest of the window and the letter, as one block
-            walker.idle(F, -1, filler_count - f, (token, index))
-            f = 0
-            letters += 1
-            if marks is None:
-                spans.append(BlockSpan(letters, block_start, len(walker)))
-                block_start = len(walker)
-    if marks is not None:
-        marks.append(len(walker))
+
+    def lift(consumed: tuple, indices: tuple) -> None:
+        nonlocal f
+        for token, index in zip(consumed, indices):
+            if token is None:
+                if f >= filler_count:
+                    raise MachineError("lambda burst exceeds the filler window")
+                walker.to(F, index)
+                f += 1
+            else:
+                # the rest of the window and the letter, as one block
+                walker.idle(F, -1, filler_count - f, (token, index))
+                f = 0
+
+    for consumed, indices, _, _, r in run._pieces:
+        walker.repeat(partial(lift, consumed, indices), r)
 
     needed = len(walker)
     if prefix_len is not None and prefix_len != needed:
@@ -116,11 +113,25 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
         room = filler_count - f
         if extra > room:
             raise MachineError(
-                f"run pins {letters} blocks; prefix of {prefix_len} "
+                f"run pins {len(word)} blocks; prefix of {prefix_len} "
                 f"letters passes the next letter point at {needed + room}")
         walker.idle(F, -1, extra)
 
-    if blocks is not None:
-        spans = [BlockSpan(bs.index, marks[bs.start], marks[bs.end])
-                 for bs in blocks]
+    size = filler_count + 1
+    if blocks is None:
+        spans = [BlockSpan(i, (i - 1) * size, i * size)
+                 for i in range(1, len(word) + 1)]
+    else:
+        tokens = run.consumed
+        at = {}
+        letters = last = 0
+        for s in sorted({x for bs in blocks for x in (bs.start, bs.end)}):
+            if not 0 <= s <= len(tokens):
+                raise MachineError(f"block boundary {s} outside the run")
+            letters += s - last - tokens[last:s].count(None)
+            last = trail = s
+            while trail and tokens[trail - 1] is None:
+                trail -= 1
+            at[s] = letters * size + s - trail
+        spans = [BlockSpan(bs.index, at[bs.start], at[bs.end]) for bs in blocks]
     return RunCertificate(walker.run(), "phi", tuple(spans))

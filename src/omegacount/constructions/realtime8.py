@@ -334,13 +334,23 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
     # of block i to its source transition pins only the simulated step
     walker = Walker(b8.machine, Configuration(b8.machine.initial, (0,) * 8),
                     b8.origin)
+
+    def pad(n: int, key) -> None:
+        # theta's phase comes back every S pad letters, and once the queue
+        # rests so does everything else: the run is one segment
+        def cycle() -> None:
+            for _ in range(s_eff):
+                walker.to(E, key)
+        walker.repeat(cycle, n // s_eff)
+        for _ in range(n % s_eff):
+            walker.to(E, key)
+
     spans = []
     blocks = len(run.indices)
     for i, at in enumerate(run.indices, start=1):
         start = len(walker)
         walker.to(block_letter(i), at)
-        for _ in range(s_eff ** i):
-            walker.to(E, at)
+        pad(s_eff ** i, at)
         spans.append(BlockSpan(i, start, len(walker)))
 
     needed = len(walker)
@@ -351,7 +361,6 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
         if prefix_len > needed:
             # past the pinned blocks only an unambiguous walk is a lift
             walker.to(block_letter(blocks + 1))
-            for _ in range(prefix_len - needed - 1):
-                walker.to(E)
+            pad(prefix_len - needed - 1, None)
 
     return RunCertificate(run=walker.run(), stage="theta", blocks=tuple(spans))

@@ -27,7 +27,7 @@ from ..errors import ArityError, BuildScaleError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, Transition, Walker, _det_table,
                         _leaving_indices, _reach, is_real_time, validate_run)
-from ..words import A, B, ZERO, HCoding, _check_letters, coded_alphabet, h_letters
+from ..words import A, B, ZERO, HCoding, _check_letters, _h_runs, coded_alphabet
 from .certificates import BlockSpan, RunCertificate, source_word
 
 STATE_CAP = 250_000
@@ -204,7 +204,11 @@ def lift_run_script_L(bl: Built, run: Run,
     one coded block per source step.  Only the guess at each source letter
     is pinned, to the run's transition; every other step, and each lambda
     step, is the only one the counter allows.  prefix_len may extend the
-    walk with the next block's marker and zeros, up to its guess point."""
+    walk with the next block's marker and zeros, up to its guess point.
+
+    A 0-run is walked Q zeros at a time by `Walker.repeat`: the residues,
+    the B-run's payment cycle and the guard pattern all come back after Q
+    zeros, so most of each 0-run is one run segment."""
     m = bl.source.machine
     coding = bl.params["coding"]
     word = source_word(m, run)
@@ -223,22 +227,37 @@ def lift_run_script_L(bl: Built, run: Run,
         # deterministic control prefix: opening marker plus Q-1 zeros
         n = big_q
 
-    # past the run's last block: the next block's marker, then its zeros
-    letters = itertools.chain(h_letters(iter(word), coding),
-                              [A], itertools.repeat(ZERO))
     indices = iter(run.indices)
     walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)), bl.origin)
     lam = {t.source for t in bl.machine.transitions if t.input is None}
+
+    def letter(tok: str, key=None) -> None:
+        walker.to(tok, key)
+        while walker.state in lam:
+            walker.to(None)
+
+    def zeros() -> None:
+        for _ in range(big_q):
+            letter(ZERO)
+
+    # past the run's last block: the next block's marker, then its zeros
+    runs = itertools.chain(_h_runs(iter(word), big_q), [(A, 1), (ZERO, math.inf)])
     opened: list[int] = []
-    for tok in itertools.islice(letters, n):
+    for tok, count in runs:
+        if not n:
+            break
+        count = min(count, n)
+        n -= count
         if tok == A:
             opened.append(len(walker))
         if tok in m.alphabet:
-            walker.to(tok, next(indices))
+            letter(tok, next(indices))
+        elif tok == ZERO:
+            walker.repeat(zeros, count // big_q)
+            for _ in range(count % big_q):
+                letter(ZERO)
         else:
-            walker.to(tok)
-        while walker.state in lam:
-            walker.to(None)
+            letter(tok)
     opened.append(len(walker))
     spans = tuple(BlockSpan(i, opened[i - 1], opened[i])
                   for i in range(1, len(word) + 1))
@@ -247,9 +266,13 @@ def lift_run_script_L(bl: Built, run: Run,
 
 def project_run_script_L(bl: Built, cert: RunCertificate) -> Run:
     """Recover the source run from a lifted certificate: each guess step
-    cites, through bl's origin column, the source transition it guessed."""
+    cites, through bl's origin column, the source transition it guessed.
+    The certificate must start at bl's initial configuration, as a lift's
+    does: a cut one has no source run from the source's initial one."""
     m = bl.source.machine
     run = cert.run
+    if run.start != Configuration(bl.machine.initial, (0,)):
+        raise MachineError("certificate must start at bl's initial configuration")
     word = [tok for tok in run.consumed if tok is not None]
     bad = validate_run(bl.machine, word, run)
     if bad is not None:

@@ -19,15 +19,19 @@ so a walk indexes only the states it visits; otherwise it is built whole.
 Runs are explicit certificates: a start configuration plus, per step, the
 consumed token, the index of the transition used, and the resulting
 configuration.  validate_run replays them against the transition relation.
-A Run holds its steps as four parallel tuples (tokens, indices, result
-states, result counters), so a lift writes no record per step and the
-garbage collector tracks none; steps that keep the counters may share one
-counters tuple, and validate_run checks such a step by its destination and
-delta alone.  `run.steps` is a read-only view that builds a RunStep per
-step read.  Transition, Configuration and RunStep are plain slotted
-records, treated as immutable and compared and hashed by their fields: a
-build makes a record per edge, and a frozen record costs several times as
-much to build.  A run is not required to begin at the machine's initial
+A Run holds its steps as pieces: four parallel tuples (tokens, indices,
+result states, result counters) for one iteration, and a repeat count.
+A lift writes no record per step and the garbage collector tracks none;
+steps that keep the counters may share one counters tuple, and
+validate_run checks such a step by its destination and delta alone.  A
+run segment (a piece repeated r > 1 times, iteration j's counters those of
+iteration 0 plus j times its counter effect) is checked by arithmetic
+after its first iteration, and expanded only when a column is read.
+`run.steps` is a read-only view that builds a RunStep per step read.
+Transition, Configuration and RunStep are plain slotted records, treated
+as immutable and compared and hashed by their fields: a build makes a
+record per edge, and a frozen record costs several times as much to
+build.  A run is not required to begin at the machine's initial
 state.  Built automata hold only the states their initial state reaches,
 so lift_run_intersection and lift_run_union lift runs from the initial
 state of b or of the union's side alone.
@@ -52,19 +56,21 @@ a Walker and never build.  A Walker takes the origin column when it is made,
 and each step passes a key, the source transition index it stands for: a
 keyed step takes the enabled transition whose origin is that key or None.
 It resolves each choice once per (state, token, sign pattern, key) and
-replays it after that; an idle segment whose transitions move no counter is
+replays it after that; an idle window whose transitions move no counter is
 replayed whole, by extending the columns with one shared counters tuple and
-no lookup.
+no lookup, and a walked cycle is repeated as a run segment for as long as
+its steps' sign patterns hold.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, gt, lt
+from itertools import chain, count, repeat
+from operator import add, gt, lt, sub
 
 from .errors import ArityError, BuildScaleError, MachineError
 
@@ -288,55 +294,167 @@ class RunStep:
     result: Configuration
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Run:
-    """A start configuration plus four parallel columns, one entry per step:
-    the consumed token, the transition index, the result state and the
-    result counters.  Steps that leave the counters unchanged may share one
-    counters tuple.
+    """A start configuration plus its steps, held as pieces.
+
+    A piece is the four columns of one iteration of p steps (the consumed
+    tokens, the transition indices, the result states and the result
+    counters, as parallel tuples) plus a repeat count r.  Iteration j repeats
+    iteration 0's tokens, indices and states, and its counters are
+    iteration 0's counters plus j·D, where D is the counter effect of
+    iteration 0: its last counters minus the counters before it.  A flat
+    run is one piece with r = 1; a run with segments comes from the
+    `Walker` (or `_from_pieces`).  Steps that leave the counters unchanged
+    may share one counters tuple.
 
     Run(start, steps) takes RunSteps; `from_columns` takes the columns
-    themselves, as any sequences, and stores them as tuples.  `steps` is a read-only view that builds each RunStep when
-    it is read.  Equality and hash are by start and columns, and the repr
-    spells the steps out as RunSteps."""
+    themselves, as any sequences, and stores them as tuples.  The columns
+    `consumed`, `indices`, `states` and `counters` are the expansion: a
+    flat run hands out its own tuples, a run with segments builds them on
+    each read, and in them a step that moves no counter in iteration 0
+    shares the counters tuple of the step before it, as the flat run does.
+    `steps` is a read-only view that builds each RunStep when it is read;
+    len(run.steps) reads no column.  Equality, hash and repr are those of
+    the expanded run: by start and columns, with the steps spelled out as
+    RunSteps.  Immutable."""
 
-    start: Configuration
-    consumed: tuple[str | None, ...]
-    indices: tuple[int, ...]
-    states: tuple[str, ...]
-    counters: tuple[tuple[int, ...], ...]
+    __slots__ = ("start", "_pieces", "_n")
 
     def __init__(self, start: Configuration, steps):
         steps = tuple(steps)
         results = [s.result for s in steps]
-        _fill(self, start, (tuple([s.consumed for s in steps]),
-                            tuple([s.transition_index for s in steps]),
-                            tuple([c.state for c in results]),
-                            tuple([c.counters for c in results])))
+        _fill(self, start, [(tuple([s.consumed for s in steps]),
+                             tuple([s.transition_index for s in steps]),
+                             tuple([c.state for c in results]),
+                             tuple([c.counters for c in results]), 1)])
 
     @classmethod
     def from_columns(cls, start: Configuration, consumed: Sequence, indices: Sequence,
                      states: Sequence, counters: Sequence) -> Run:
         run = object.__new__(cls)
-        _fill(run, start, (consumed, indices, states, counters))
+        _fill(run, start, [(consumed, indices, states, counters, 1)])
         return run
+
+    @classmethod
+    def _from_pieces(cls, start: Configuration, pieces) -> Run:
+        """The run of (consumed, indices, states, counters, r) pieces."""
+        run = object.__new__(cls)
+        _fill(run, start, pieces)
+        return run
+
+    @property
+    def consumed(self) -> tuple[str | None, ...]:
+        return _column(self._pieces, 0)
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return _column(self._pieces, 1)
+
+    @property
+    def states(self) -> tuple[str, ...]:
+        return _column(self._pieces, 2)
+
+    @property
+    def counters(self) -> tuple[tuple[int, ...], ...]:
+        pieces = self._pieces
+        if len(pieces) == 1 and pieces[0][4] == 1:
+            return pieces[0][3]
+        out: list = []
+        entry = self.start.counters
+        for _, _, _, column, r in pieces:
+            out += column
+            if r > 1:
+                out += _later_counters(column, entry, r)
+            entry = out[-1]
+        return tuple(out)
 
     @property
     def steps(self) -> Steps:
         return Steps(self)
 
+    def _columns(self) -> tuple:
+        return self.consumed, self.indices, self.states, self.counters
+
+    def __eq__(self, other):
+        if not isinstance(other, Run):
+            return NotImplemented
+        return self.start == other.start and self._n == other._n and (
+            self._pieces == other._pieces or self._columns() == other._columns())
+
+    def __hash__(self):
+        return hash((self.start, *self._columns()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Run")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Run")
+
+    def __reduce__(self):
+        return Run._from_pieces, (self.start, self._pieces)
+
     def __repr__(self):
         return f"Run(start={self.start!r}, steps={self.steps!r})"
 
 
-def _fill(run: Run, start: Configuration, columns: tuple) -> None:
-    # tuple() of a tuple is that tuple, so shared columns stay shared
-    columns = tuple(map(tuple, columns))
-    if len(set(map(len, columns))) > 1:
-        raise ValueError("run columns differ in length")
-    for name, value in zip(("start", "consumed", "indices", "states", "counters"),
-                           (start, *columns)):
+def _fill(run: Run, start: Configuration, pieces) -> None:
+    out = []
+    for *columns, r in pieces:
+        # tuple() of a tuple is that tuple, so shared columns stay shared
+        columns = tuple(map(tuple, columns))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("run columns differ in length")
+        if type(r) is not int or r < 1:
+            raise ValueError(f"repeat count must be a positive int, got {r!r}")
+        if columns[0]:
+            out.append((*columns, r))
+    n = sum(len(piece[1]) * piece[4] for piece in out)
+    for name, value in (("start", start), ("_pieces", tuple(out)), ("_n", n)):
         object.__setattr__(run, name, value)
+
+
+def _column(pieces: tuple, i: int) -> tuple:
+    if len(pieces) == 1 and pieces[0][4] == 1:
+        return pieces[0][i]
+    return tuple(chain.from_iterable(piece[i] * piece[4] for piece in pieces))
+
+
+def _later_counters(column: tuple, entry: tuple, r: int) -> list:
+    """The counters of iterations 1..r-1 of a piece whose iteration 0 has
+    `column` and starts from `entry`: iteration 0's plus j·D.  A step that
+    moves no counter in iteration 0 (it keeps the very tuple before it, or
+    an equal one of ints) shares the tuple before it here.  Filled step by
+    step of iteration 0, each over all iterations at once."""
+    p = len(column)
+    effect = tuple(map(sub, column[-1], entry))
+    ints = all(type(c) is int for counters in (entry, *column) for c in counters)
+    out = [None] * (p * (r - 1))
+    values = None
+    # steps that keep the counters before the piece: in iteration j they
+    # share the last counters of iteration j - 1
+    lead = 0
+    for t, counters, before in zip(count(), column, (entry, *column)):
+        if not (counters is before or ints and counters == before):
+            values = _shifted(counters, effect, r)
+        elif values is None:
+            lead += 1
+            continue
+        out[t::p] = values
+    if values is None:
+        return [column[-1]] * len(out)
+    for t in range(lead):
+        out[t::p] = [column[-1], *values[:-1]]
+    return out
+
+
+def _shifted(counters: tuple, effect: tuple, r: int) -> list:
+    """counters + j·effect for j = 1..r-1."""
+    if not all(type(c) is int for c in (*counters, *effect)):
+        return [tuple(map(add, counters, [d * j for d in effect])) for j in range(1, r)]
+    if not counters:
+        return [()] * (r - 1)
+    return list(zip(*[range(c + d, c + r * d, d) if d else repeat(c, r - 1)
+                      for c, d in zip(counters, effect)]))
 
 
 class Steps(Sequence):
@@ -350,7 +468,7 @@ class Steps(Sequence):
         self.run = run
 
     def __len__(self):
-        return len(self.run.indices)
+        return self.run._n
 
     def __getitem__(self, i):
         r = self.run
@@ -485,9 +603,19 @@ class Walker:
     destinations and last delta are kept per (state, token, sign pattern,
     key, n, then) and replayed whole: n copies of the counters tuple as it
     stands, then that tuple plus the last delta.  A block whose window moves
-    a counter is walked step by step every time.
+    a counter is walked step by step every time.  A window passes through
+    states it does not come back to, so it is no special case of `repeat`.
 
-    The steps are kept as the columns of the Run that `run` returns, and
+    `repeat(walk, r)` is r calls of `walk()`, each walking one iteration
+    with `to` and `idle`.  After a walked iteration that ends in the state
+    it started from, with int counters, the next iterations take the same
+    transitions for as long as every step's sign pattern holds; the
+    counters are linear in the iteration number, so how long that is
+    follows from iteration 0 by arithmetic.  Those iterations are replayed
+    as one run segment, without a call; what is left is walked again, so a
+    walk that breaks does so with `to`'s error at the step where it would.
+
+    The steps are kept as the pieces of the Run that `run` returns, and
     len(walker) counts them.
     """
 
@@ -495,6 +623,10 @@ class Walker:
         self.machine = machine
         self.start = start
         self.state, self.counters = start.state, start.counters
+        # the pieces closed so far and their step count, then the open
+        # flat piece's columns
+        self._pieces: list[tuple] = []
+        self._closed = 0
         self._consumed: list[str | None] = []
         self._indices: list[int] = []
         self._states: list[str] = []
@@ -504,7 +636,7 @@ class Walker:
         self._blocks: dict[tuple, tuple[list, list[int], list[str], tuple | None]] = {}
 
     def __len__(self):
-        return len(self._indices)
+        return self._closed + len(self._indices)
 
     @property
     def cfg(self) -> Configuration:
@@ -554,7 +686,7 @@ class Walker:
                     self._counters.append(counters)
                 self.state = states[-1]
             return
-        first = len(self)
+        first = len(self._indices)
         for _ in range(n):
             self.to(token, key)
         # a 0.0 delta leaves the counters equal but makes them floats for
@@ -569,9 +701,69 @@ class Walker:
                 self._consumed[first:], self._indices[first:], self._states[first:],
                 transitions[self._indices[-1]].delta if then is not None else None)
 
+    def repeat(self, walk, r: int) -> None:
+        """Call walk() r times, replaying the iterations that repeat.
+
+        walk() walks one iteration, and must walk the same (token, key)
+        steps whenever it starts from the same state and meets the same
+        sign patterns on the way."""
+        while r > 0:
+            state, entry, mark, closed = (self.state, self.counters,
+                                          len(self._indices), self._closed)
+            walk()
+            r -= 1
+            if r and self.state == state and self._closed == closed:
+                r -= self._replay(entry, mark, r)
+
+    def _replay(self, entry: tuple, mark: int, r: int) -> int:
+        """Replay up to r more times the iteration walked since column
+        position `mark` from counters `entry`, back in the state it started
+        from; returns how many times."""
+        if len(self._indices) == mark:
+            return r
+        end = self.counters
+        if not all(type(c) is int for c in (*entry, *end)):
+            # a float stays a float, so int ends mean int steps between
+            return 0
+        effect = tuple(map(sub, end, entry))
+        befores = [entry, *self._counters[mark:-1]]
+        times = r
+        # a count that goes down stays positive while the iteration's
+        # smallest positive one does; one that goes up stays nonpositive
+        # while the largest nonpositive one does
+        for values, d in zip(zip(*befores), effect):
+            if d < 0:
+                low = min((v for v in values if v > 0), default=None)
+                if low is not None:
+                    times = min(times, (low - 1) // -d)
+            elif d > 0:
+                high = max((v for v in values if v <= 0), default=None)
+                if high is not None:
+                    times = min(times, -high // d)
+        if times <= 0:
+            return 0
+        buffers = (self._consumed, self._indices, self._states, self._counters)
+        columns = [tuple(buffer[mark:]) for buffer in buffers]
+        for buffer in buffers:
+            del buffer[mark:]
+        self._close()
+        self._pieces.append((*columns, times + 1))
+        self._closed += len(columns[1]) * (times + 1)
+        self.counters = tuple(map(add, end, [d * times for d in effect]))
+        return times
+
+    def _close(self) -> None:
+        """Close the open flat piece, if it has steps."""
+        if self._indices:
+            self._pieces.append((tuple(self._consumed), tuple(self._indices),
+                                 tuple(self._states), tuple(self._counters), 1))
+            self._closed += len(self._indices)
+            self._consumed, self._indices, self._states, self._counters = [], [], [], []
+
     def run(self) -> Run:
-        return Run.from_columns(self.start, self._consumed, self._indices,
-                                self._states, self._counters)
+        return Run._from_pieces(self.start, [
+            *self._pieces,
+            (self._consumed, self._indices, self._states, self._counters, 1)])
 
 
 # every int below this is a float exactly
@@ -592,6 +784,16 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
     current counters plus the delta iff the delta is all zero (adding a
     0.0 is exact below 2**53); only that and the destination are checked
     there.
+
+    A run segment is checked without expanding it: iteration 0 step by
+    step, then the other iterations by arithmetic, since iteration j's
+    counters are iteration 0's plus j·D.  Iteration 0 must end in the state
+    it started from; a positive guard and a nonnegative result must hold at
+    j = 0 and at j = r - 1; a zero guard needs D = 0 on its counter, or
+    r = 1; iteration 0's letters, r times over, must be the word's next
+    letters; and the counters must be ints.  When any of this fails, the
+    step check runs over the expansion of iterations 1..r-1, which names
+    the first violation.
     """
     word = list(word)
     start = run.start
@@ -602,16 +804,46 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
     if start.state not in machine.states:
         return RunViolation(-1, "source", f"unknown state {start.state!r}")
     transitions = machine.transitions
+    state, counters, pos, i = start.state, start.counters, 0, 0
+    for piece in run._pieces:
+        consumed, indices, states, column, r = piece
+        entry, pos0 = counters, pos
+        out = _check_steps(transitions, word, i, state, counters, pos, piece)
+        if isinstance(out, RunViolation):
+            return out
+        state, counters, pos = out
+        i += len(indices)
+        if r == 1:
+            continue
+        effect = _repeats_hold(transitions, word, piece, entry, pos0, pos)
+        if effect is None:
+            out = _check_steps(transitions, word, i, state, counters, pos,
+                               (consumed * (r - 1), indices * (r - 1),
+                                states * (r - 1), _later_counters(column, entry, r)))
+            if isinstance(out, RunViolation):
+                return out
+            state, counters, pos = out
+        else:
+            counters = tuple(map(add, counters, [d * (r - 1) for d in effect]))
+            pos += (pos - pos0) * (r - 1)
+        i += len(indices) * (r - 1)
+    if pos != len(word):
+        return RunViolation(i, "projection", f"run consumed {pos} of {len(word)} letters")
+    return None
+
+
+def _check_steps(transitions, word: list, first: int, state: str, counters: tuple,
+                 pos: int, columns) -> RunViolation | tuple:
+    """validate_run's step loop over columns whose first step is step
+    `first`, from (state, counters) at word position pos: the first
+    violation, or the state, counters and position it ends at."""
     n_trans, n_word = len(transitions), len(word)
     zeros = repeat(0)
-    state, counters = start.state, start.counters
     signs = tuple(map(gt, counters, zeros))
     # whether the current counters are ints below 2**53; None until a step
     # shares them
     plain = None
-    pos = 0
-    for i, (consumed, idx, got_state, got) in enumerate(
-            zip(run.consumed, run.indices, run.states, run.counters)):
+    for i, consumed, idx, got_state, got in zip(count(first), *columns[:4]):
         if not (0 <= idx < n_trans):
             return RunViolation(i, "index", f"transition index {idx} out of range")
         t = transitions[idx]
@@ -646,9 +878,29 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
                 return RunViolation(i, "projection", f"letter {consumed!r} at word position {pos}")
             pos += 1
         state = got_state
-    if pos != n_word:
-        return RunViolation(len(run.indices), "projection", f"run consumed {pos} of {n_word} letters")
-    return None
+    return state, counters, pos
+
+
+def _repeats_hold(transitions, word: list, piece: tuple, entry: tuple, pos0: int,
+                  pos1: int) -> tuple | None:
+    """The counter effect D of a segment whose iteration 0 checked out from
+    counters `entry` over word[pos0:pos1], when its other iterations hold
+    by arithmetic; None when they may not."""
+    _, indices, states, column, r = piece
+    if transitions[indices[0]].source != states[-1]:
+        return None
+    if not all(type(c) is int for counters in (entry, *column) for c in counters):
+        return None
+    effect = tuple(map(sub, column[-1], entry))
+    last = r - 1
+    for idx, before, after in zip(indices, (entry, *column), column):
+        for g, b, a, d in zip(transitions[idx].guard, before, after, effect):
+            # linear in j: checked at j = 0 already, so at j = r - 1 here
+            if d and (g != 1 or b + last * d <= 0 or a + last * d < 0):
+                return None
+    if word[pos1:pos1 + (pos1 - pos0) * last] != word[pos0:pos1] * last:
+        return None
+    return effect
 
 
 def is_real_time(machine: CounterMachine) -> bool:
@@ -688,7 +940,8 @@ def lambda_burst_bound(machine: CounterMachine) -> int | float:
 def buchi_visit_count(run: Run, accepting: frozenset[str] | set[str]) -> int:
     """Configurations (start included) whose state is accepting."""
     n = 1 if run.start.state in accepting else 0
-    return n + sum(map(accepting.__contains__, run.states))
+    return n + sum(r * sum(map(accepting.__contains__, states))
+                   for _, _, states, _, r in run._pieces)
 
 
 def pad_counters(machine: CounterMachine, new_k: int) -> CounterMachine:
@@ -730,32 +983,40 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
     column a `Built` carries as `origin`.
     name(state) names a tuple when it is first reached; two tuples with one
     name are a MachineError, and reaching more than `cap` states is a
-    BuildScaleError.
+    BuildScaleError.  A build makes no reference cycles, so the cyclic
+    garbage collector is paused while it runs, and the caller's setting is
+    restored however the build ends.
     """
-    first = name(initial)
-    names, table, order = {initial: first}, {first: initial}, [initial]
-    trans: list[Transition] = []
-    origin: list = []
-    # order grows while it is walked: each state is expanded once
-    for src in order:
-        sname = names[src]
-        for inp, guard, dst, delta, o in moves(src):
-            dname = names.get(dst)
-            if dname is None:
-                if cap is not None and len(order) >= cap:
-                    raise BuildScaleError(f"{over_cap} passed {cap} states",
-                                          len(order) + 1, cap)
-                dname = names[dst] = name(dst)
-                if dname in table:
-                    raise MachineError("product state names collide: a state "
-                                       "name of one factor contains '&'")
-                table[dname] = dst
-                order.append(dst)
-            trans.append(Transition(sname, inp, guard, dname, delta))
-            origin.append(o)
-    del names, order  # only the name -> tuple direction outlives the build
-    machine = CounterMachine(k, alphabet, frozenset(table), first, tuple(trans))
-    return machine, table, tuple(origin)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        first = name(initial)
+        names, table, order = {initial: first}, {first: initial}, [initial]
+        trans: list[Transition] = []
+        origin: list = []
+        # order grows while it is walked: each state is expanded once
+        for src in order:
+            sname = names[src]
+            for inp, guard, dst, delta, o in moves(src):
+                dname = names.get(dst)
+                if dname is None:
+                    if cap is not None and len(order) >= cap:
+                        raise BuildScaleError(f"{over_cap} passed {cap} states",
+                                              len(order) + 1, cap)
+                    dname = names[dst] = name(dst)
+                    if dname in table:
+                        raise MachineError("product state names collide: a state "
+                                           "name of one factor contains '&'")
+                    table[dname] = dst
+                    order.append(dst)
+                trans.append(Transition(sname, inp, guard, dname, delta))
+                origin.append(o)
+        del names, order  # only the name -> tuple direction outlives the build
+        machine = CounterMachine(k, alphabet, frozenset(table), first, tuple(trans))
+        return machine, table, tuple(origin)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _leaving_indices(machine: CounterMachine) -> dict[str, list[int]]:
@@ -831,17 +1092,27 @@ def lift_run_union(u: Built, run: Run, side: str) -> Run:
     if run.start.state != b.machine.initial:
         raise MachineError("side run must start at its machine's initial state")
     first, rest = u.params[side]
-    indices = list(map(rest.__getitem__, run.indices))
-    if indices:
-        indices[0] = first[run.indices[0]]
-    if None in indices:
-        raise MachineError("side run takes a transition the union does not copy")
+    pieces = list(run._pieces)
+    if pieces and pieces[0][4] > 1:
+        # the first step takes u0's copy, so iteration 0 of a segment that
+        # opens the run is a piece of its own
+        consumed, indices, states, column, r = pieces[0]
+        pieces[:1] = [(consumed, indices, states, column, 1),
+                      (consumed, indices, states,
+                       _later_counters(column, run.start.counters, 2), r - 1)]
     # a run revisits few states: tag each one once
     tag = "L." if side == "left" else "R."
-    tagged = {q: tag + q for q in set(run.states)}
-    return Run.from_columns(Configuration(_UNION_INITIAL, run.start.counters),
-                            run.consumed, indices,
-                            tuple(map(tagged.__getitem__, run.states)), run.counters)
+    tagged = {q: tag + q for piece in pieces for q in set(piece[2])}
+    lifted = []
+    for consumed, indices, states, column, r in pieces:
+        mapped = list(map(rest.__getitem__, indices))
+        if not lifted:
+            mapped[0] = first[indices[0]]
+        if None in mapped:
+            raise MachineError("side run takes a transition the union does not copy")
+        lifted.append((consumed, mapped, tuple(map(tagged.__getitem__, states)),
+                       column, r))
+    return Run._from_pieces(Configuration(_UNION_INITIAL, run.start.counters), lifted)
 
 
 # intersection with a deterministic complete 0-counter automaton

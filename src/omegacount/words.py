@@ -134,19 +134,19 @@ def theta_letters(src: Iterator[str], S: int) -> Iterator[str]:
         block *= S
 
 
-def h_letters(src: Iterator[str], coding: HCoding) -> Iterator[str]:
-    """A.0^Q.x(1).B.0^{Q^2}.A.0^{Q^2}.x(2).B.0^{Q^3}... letter by letter."""
-    q = coding.q
+def _h_runs(src: Iterator[str], q: int) -> Iterator[tuple[str, int]]:
+    """The h coding as (letter, count) runs."""
     left = q
     for a in src:
-        yield A
-        for _ in range(left):
-            yield ZERO
-        yield a
-        yield B
+        yield from ((A, 1), (ZERO, left), (a, 1), (B, 1))
         left *= q
-        for _ in range(left):
-            yield ZERO
+        yield ZERO, left
+
+
+def h_letters(src: Iterator[str], coding: HCoding) -> Iterator[str]:
+    """A.0^Q.x(1).B.0^{Q^2}.A.0^{Q^2}.x(2).B.0^{Q^3}... letter by letter."""
+    return itertools.chain.from_iterable(
+        itertools.repeat(a, n) for a, n in _h_runs(src, coding.q))
 
 
 def phi_letters(src: Iterator[str], L: int) -> Iterator[str]:

@@ -1,4 +1,4 @@
-"""Reference walker and run check for the differential tests.
+"""Reference walker, run check and flat lifts for the differential tests.
 
 These are `machines.Walker` and `machines.validate_run` as they were before
 the Walker resolved each choice once per walk and validate_run moved to
@@ -9,15 +9,22 @@ faster versions are tested against them.  One fix is carried into the
 reference: a candidate's guard is tested with `Transition.matches`, as
 `step` and validate_run test it, so a list guard can be taken (the old
 walker compared the guard with a tuple and never took one).
+
+`script_l_walk` and `theta_walk` are the script-L and theta lifts as they
+were before run segments: the coded word walked one letter at a time with
+`machines.Walker.to`, every step of the run written out.
 """
 
 from __future__ import annotations
 
+import itertools
 from operator import add
 
 from omegacount.errors import MachineError
-from omegacount.machines import (Configuration, CounterMachine, Run, RunStep,
+from omegacount.machines import (Built, Configuration, CounterMachine, Run, RunStep,
                                  RunViolation)
+from omegacount.machines import Walker as FastWalker
+from omegacount.words import A, E, ZERO, h_letters
 
 
 class Walker:
@@ -84,3 +91,40 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
     if pos != len(word):
         return RunViolation(len(run.steps), "projection", f"run consumed {pos} of {len(word)} letters")
     return None
+
+
+def script_l_walk(bl: Built, run: Run, n: int) -> Run:
+    """The first n letters of the run's h coding, then the next block's
+    marker and zeros, walked on bl one letter at a time, each followed by
+    the lambda steps it leaves; a source letter is keyed by the run's
+    transition."""
+    m = bl.source.machine
+    word = [tok for tok in run.consumed if tok is not None]
+    letters = itertools.chain(h_letters(iter(word), bl.params["coding"]),
+                              [A], itertools.repeat(ZERO))
+    indices = iter(run.indices)
+    walker = FastWalker(bl.machine, Configuration(bl.machine.initial, (0,)), bl.origin)
+    lam = {t.source for t in bl.machine.transitions if t.input is None}
+    for tok in itertools.islice(letters, n):
+        walker.to(tok, next(indices) if tok in m.alphabet else None)
+        while walker.state in lam:
+            walker.to(None)
+    return walker.run()
+
+
+def theta_walk(b8: Built, run: Run, extra: int = 0, letter: str | None = None) -> Run:
+    """Block i of the theta lift, its letter and S**i pad letters, walked
+    one step at a time, each keyed by the run's transition; then, when
+    extra > 0, `letter` and extra - 1 unkeyed pad letters."""
+    s_eff = b8.params["S"]
+    walker = FastWalker(b8.machine, Configuration(b8.machine.initial, (0,) * 8),
+                        b8.origin)
+    for i, (tok, at) in enumerate(zip(run.consumed, run.indices), start=1):
+        walker.to(tok, at)
+        for _ in range(s_eff ** i):
+            walker.to(E, at)
+    if extra:
+        walker.to(letter)
+        for _ in range(extra - 1):
+            walker.to(E)
+    return walker.run()

@@ -5,9 +5,12 @@
 - with the caps of script-L and phi set small, a build is refused exactly
   when its uncapped build has more states than the cap, and the refusal
   reports the cap plus one (script-L's floor, when that alone passes the
-  cap); every build the old up-front estimate let through still builds.
+  cap); every build the old up-front estimate let through still builds;
+- a build pauses the cyclic garbage collector and leaves it as it found
+  it, also when the cap stops the build halfway.
 """
 
+import gc
 import random
 
 import pytest
@@ -127,3 +130,34 @@ def test_phi_refuses_exactly_past_its_cap(monkeypatch):
         if len(m.states) * (filler + 1) * 2 <= cap:
             assert e is None
     assert refused > 50 and built > 50
+
+
+def test_a_build_leaves_the_collector_as_it_found_it(monkeypatch):
+    b = _real_time(random.Random(33), 2)
+    raw_moves = script_l._raw_moves
+    inside = []
+
+    def watched(*args):
+        moves = raw_moves(*args)
+
+        def watched_moves(raw):
+            inside.append(gc.isenabled())
+            return moves(raw)
+        return watched_moves
+
+    monkeypatch.setattr(script_l, "_raw_moves", watched)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            inside.clear()
+            build_script_L(b, (2, 3))
+            # off while the worklist runs, as it was afterwards
+            assert inside and not any(inside) and gc.isenabled() == enabled
+            with monkeypatch.context() as patch:
+                patch.setattr(script_l, "STATE_CAP", 20)
+                with pytest.raises(BuildScaleError, match="passed 20 states"):
+                    build_script_L(b, (2, 3))
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
