@@ -147,6 +147,8 @@ def _word_prefix(args, missing: str) -> list[str]:
     """The first --n letters of the word file, or as many as its prefix
     directive gives; `missing` is the error when neither is there."""
     spec = load_word(_read(args.word))
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"--n must be nonnegative, got {args.n}")
     n = args.n if args.n is not None else spec.prefix
     if n is None:
         raise MachineError(missing)

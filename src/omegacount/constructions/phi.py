@@ -14,7 +14,7 @@ from functools import partial
 
 from ..errors import FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
-                        Run, Walker, _leaving_indices, _reach,
+                        Run, Walker, _leaving, _reach,
                         lambda_burst_bound)
 from ..words import F
 from .certificates import BlockSpan, RunCertificate, source_word
@@ -45,20 +45,19 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
         raise MachineError(
             f"lambda bursts reach {burst}, filler window is {filler_count}")
 
-    leaving = _leaving_indices(m)
+    leaving = _leaving(m)
     guard_combos = list(itertools.product((0, 1), repeat=m.k))
     zeros = (0,) * m.k
 
     def moves(src: tuple[str, int, int]):
         q, f, _ = src
-        for i in leaving.get(q, ()):
-            t = m.transitions[i]
-            pulse = 1 if t.destination in b.accepting else 0
-            if f < filler_count and t.input is None:
+        for i, inp, guard, dst, delta in leaving.get(q, ()):
+            pulse = 1 if dst in b.accepting else 0
+            if f < filler_count and inp is None:
                 # inside the window a lambda move reads filler
-                yield F, t.guard, (t.destination, f + 1, pulse), t.delta, i
-            elif f == filler_count and t.input is not None:
-                yield t.input, t.guard, (t.destination, 0, pulse), t.delta, i
+                yield F, guard, (dst, f + 1, pulse), delta, i
+            elif f == filler_count and inp is not None:
+                yield inp, guard, (dst, 0, pulse), delta, i
         if f < filler_count:
             for g in guard_combos:
                 yield F, g, (q, f + 1, 0), zeros, -1

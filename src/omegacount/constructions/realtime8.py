@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 
-from ..errors import ArityError, MachineError
+from ..errors import ArityError, BuildScaleError, MachineError
 from ..machines import (BuchiAutomaton, Built, Configuration, Run, Walker,
-                        _leaving_indices, _reach)
+                        _leaving, _reach)
 from ..words import E
 from .certificates import BlockSpan, RunCertificate, source_word
 from .theta import build_theta_acceptor
@@ -208,7 +208,7 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
     k = len(sigma) + 2
     codes = {x: 2 + i for i, x in enumerate(sigma)}
     theta = build_theta_acceptor(m_a.alphabet, s_eff).machine
-    leaving = _leaving_indices(m_a)
+    leaving = _leaving(m_a)
     # a queue node's edges depend on the node and the letter alone, and a
     # few hundred nodes recur across tens of thousands of states
     entries_of: dict[tuple, list] = {}
@@ -245,23 +245,22 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
                     else:
                         _, front, g4 = entry
                         ms, ss = node[1], node[2]
-                        for i in leaving.get(qa, ()):
-                            at = m_a.transitions[i]
-                            if at.guard[0] not in _ALLOWED[s6]:
+                        for i, inp, ag, adst, ad in leaving.get(qa, ()):
+                            if ag[0] not in _ALLOWED[s6]:
                                 continue
-                            if at.guard[1] not in _ALLOWED[s7]:
+                            if ag[1] not in _ALLOWED[s7]:
                                 continue
-                            if at.input is None:
+                            if inp is None:
                                 node2 = ("IDLE", 5 - ms, ss)
-                            elif codes[at.input] == front:
+                            elif codes[inp] == front:
                                 node2 = ("RPOP", 5 - ms, ss, front, 0, 0)
                             else:
                                 continue
-                            dst = (te.destination, node2, at.destination,
-                                   _after(s6, at.guard[0], at.delta[0]),
-                                   _after(s7, at.guard[1], at.delta[1]), f1)
-                            guard = te.guard + g4 + at.guard
-                            delta = te.delta + _ZERO4 + at.delta
+                            dst = (te.destination, node2, adst,
+                                   _after(s6, ag[0], ad[0]),
+                                   _after(s7, ag[1], ad[1]), f1)
+                            guard = te.guard + g4 + ag
+                            delta = te.delta + _ZERO4 + ad
                             yield (letter, share(guard, guard), dst,
                                    share(delta, delta), i)
 
@@ -284,7 +283,9 @@ def build_realtime8(a: BuchiAutomaton, S_override: int | None = None) -> Built:
     table maps each state to its (theta state, queue node, simulated
     state, counter 6 status, counter 7 status, flag) tuple, and its origin
     column each simulated step to the index of the source transition it
-    simulates; every other transition's origin is None."""
+    simulates; every other transition's origin is None.  The build makes
+    the theta acceptor for S whole first, so an S whose theta acceptor's
+    3S + 4 states pass STATE_CAP is refused before anything is built."""
     if a.machine.k != 2:
         raise ArityError(f"simulated machine must have 2 counters, has {a.machine.k}")
     if not a.machine.alphabet:
@@ -295,6 +296,11 @@ def build_realtime8(a: BuchiAutomaton, S_override: int | None = None) -> Built:
     if s_eff < 8 * k * k:
         raise MachineError(
             f"pad factor {s_eff} cannot host the queue schedule; need >= {8 * k * k}")
+    # the theta acceptor, made whole first, has 3S + 4 states
+    if 3 * s_eff + 4 > STATE_CAP:
+        raise BuildScaleError(
+            f"eight-counter product needs a theta acceptor of {3 * s_eff + 4} "
+            f"states, past the cap of {STATE_CAP}", 3 * s_eff + 4, STATE_CAP)
     return _build(a, s_eff)
 
 

@@ -26,7 +26,7 @@ from operator import add
 from ..errors import ArityError, BuildScaleError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, Transition, Walker, _det_table,
-                        _leaving_indices, _reach, is_real_time, validate_run)
+                        _leaving, _reach, is_real_time, validate_run)
 from ..words import A, B, ZERO, HCoding, _check_letters, _h_runs, coded_alphabet
 from .certificates import BlockSpan, RunCertificate, source_word
 
@@ -90,7 +90,7 @@ def _raw_moves(a: BuchiAutomaton, primes: tuple[int, ...]):
     m = a.machine
     big_q = math.prod(primes)
     ones = tuple(1 % p for p in primes)
-    leaving = _leaving_indices(m)
+    leaving = _leaving(m)
 
     def moves(raw: tuple):
         kind = raw[0]
@@ -100,10 +100,9 @@ def _raw_moves(a: BuchiAutomaton, primes: tuple[int, ...]):
             _, q, res = raw
             nxt = tuple([(r + 1) % p for r, p in zip(res, primes)])
             yield ZERO, _POS, ("v", q, nxt), _INC, None
-            for i in leaving.get(q, ()):
-                t = m.transitions[i]
-                if _consistent(t.guard, res):
-                    yield t.input, _POS, ("x", t.destination, t.delta), _KEEP, i
+            for i, inp, guard, dst, delta in leaving.get(q, ()):
+                if _consistent(guard, res):
+                    yield inp, _POS, ("x", dst, delta), _KEEP, i
         elif kind == "w":
             # g == 0 is the boundary: pay a unit, or let the B-run end
             _, q, ratio, g = raw
@@ -229,7 +228,7 @@ def lift_run_script_L(bl: Built, run: Run,
 
     indices = iter(run.indices)
     walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)), bl.origin)
-    lam = {t.source for t in bl.machine.transitions if t.input is None}
+    lam = {q for q, tok in zip(bl.machine.sources, bl.machine.inputs) if tok is None}
 
     def letter(tok: str, key=None) -> None:
         walker.to(tok, key)
@@ -284,10 +283,9 @@ def project_run_script_L(bl: Built, cert: RunCertificate) -> Run:
     consumed, states, counters = [], [], []
     vec = (0,) * m.k
     for i in indices:
-        t = m.transitions[i]
-        vec = tuple(map(add, vec, t.delta))
-        consumed.append(t.input)
-        states.append(t.destination)
+        vec = tuple(map(add, vec, m.deltas[i]))
+        consumed.append(m.inputs[i])
+        states.append(m.destinations[i])
         counters.append(vec)
     return Run.from_columns(Configuration(m.initial, (0,) * m.k), consumed,
                             indices, states, counters)

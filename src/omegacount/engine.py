@@ -15,6 +15,7 @@ transitions; a miss goes through `step`.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from operator import add
 
@@ -73,7 +74,11 @@ def bounded_explore(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...],
                     lambda_budget: int,
                     visited_cap: int = DEFAULT_VISITED_CAP) -> PrefixReach:
     """Explore runs that take at most lambda_budget lambda-steps between
-    consecutive letters (also before the first and after the last)."""
+    consecutive letters (also before the first and after the last).
+
+    The frontiers are dicts of configurations and make no reference
+    cycles, so the cyclic garbage collector is paused while they grow, and
+    the caller's setting is restored however the search ends."""
     if lambda_budget < 0:
         raise ValueError(f"lambda budget must be >= 0, got {lambda_budget}")
     m, accepting = b.machine, b.accepting
@@ -99,19 +104,25 @@ def bounded_explore(b: BuchiAutomaton, prefix: list[str] | tuple[str, ...],
         return out
 
     start = Configuration(m.initial, (0,) * m.k)
-    cur = close({start: 1 if m.initial in accepting else 0})
-    frontiers = [cur]
-    total = len(cur)
     capped = False
-    for a in prefix:
-        cur = close(_advance(m, accepting, cur, a))
-        total += len(cur)
-        frontiers.append(cur)
-        if total > visited_cap:
-            capped = True
-            break
-        if not cur:
-            break
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        cur = close({start: 1 if m.initial in accepting else 0})
+        frontiers = [cur]
+        total = len(cur)
+        for a in prefix:
+            cur = close(_advance(m, accepting, cur, a))
+            total += len(cur)
+            frontiers.append(cur)
+            if total > visited_cap:
+                capped = True
+                break
+            if not cur:
+                break
+    finally:
+        if collecting:
+            gc.enable()
     # pad with empty frontiers for stable indexing when the search died early
     while len(frontiers) < len(prefix) + 1 and not capped:
         frontiers.append({})

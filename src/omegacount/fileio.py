@@ -7,11 +7,14 @@ for canonical files.  Transition order in a file defines transitionIndex.
 The loaders split the text into lines one chunk of about 64K characters at
 a time, with the line boundaries and numbers of str.splitlines, so neither
 a list of all its lines nor a line's tokens outlive their parse.  The
-automaton loader checks each distinct guard or delta spelling once, and
-its transitions share the guard, delta and state-name objects of their
-values; the writer spells each distinct guard and delta once.  The writers
-join lines that _automaton_lines and _run_lines yield, which the CLI
-writes to a file one by one.
+automaton loader writes each transition into the machine's five columns,
+with no record per line, and makes each column a tuple in turn, letting go
+of its list before the next; it checks each distinct guard or delta
+spelling once, and the columns share the guard, delta and state-name
+objects of their values.  The writer reads the columns and spells each
+distinct guard and delta once.  The writers join lines that
+_automaton_lines and _run_lines yield, which the CLI writes to a file one
+by one.
 
 Automaton:  kcounters / alphabet / states / initial / accepting-or-table /
             trans <src> <letter|-> <guardbits> <dst> <d1> ... <dk>
@@ -19,7 +22,7 @@ Automaton:  kcounters / alphabet / states / initial / accepting-or-table /
             (guardbits over {0,1}, 1 = positive required; "-" when k = 0)
 Word:       zero or more `coded theta:<S> | h:<p1,...> | phi:<L>` lines,
             outermost coding first, then `lasso <spoke> | <cycle>`, then an
-            optional `prefix <n>` directive.
+            optional `prefix <n>` directive, n >= 0.
 Run:        start <state> <c1> ... <ck>
             step <letter|-> <tidx> <state> <c1> ... <ck>
 """
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError
 from .machines import (LAMBDA_TOKEN, BuchiAutomaton, Configuration, CounterMachine,
-                       MachineError, MullerAutomaton, Run, Transition)
+                       MachineError, MullerAutomaton, Run, _tuples)
 from .words import (CodingSpec, HCoding, LassoWord, PhiCoding, ThetaCoding,
                     coded_prefix, lasso_prefix)
 
@@ -95,11 +98,16 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
     initial = None
     accepting: list[str] | None = None
     table: list[list[str]] = []
-    trans: list[Transition] = []
+    # the five columns, sized up front to one slot per trans line as
+    # "\ntrans " counts them (a line the count misses grows them): five big
+    # lists grown side by side fragment the heap and raise the peak RSS
+    columns: list[list] = [[None] * (text.count("\ntrans ") + 1) for _ in range(5)]
+    sources, inputs, guards, destinations, deltas = columns
+    n = 0
     # each distinct spelling is parsed and checked once; k cannot change
     # after the first trans line, so guardbits alone key the guard
-    guards: dict[str, tuple[int, ...]] = {}
-    deltas: dict[tuple[str, ...], tuple[int, ...]] = {}
+    guard_of: dict[str, tuple[int, ...]] = {}
+    delta_of: dict[tuple[str, ...], tuple[int, ...]] = {}
     # a trans line names its states by the strings of the states line
     names: dict[str, str] = {}
     for no, toks in _lines(text):
@@ -112,16 +120,23 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
             if k < 0:
                 raise FormatError("k must be a natural number", no)
             src, letter, guardbits, dst = rest[0], rest[1], rest[2], rest[3]
-            guard = guards.get(guardbits)
+            guard = guard_of.get(guardbits)
             if guard is None:
-                guard = guards[guardbits] = _guard(guardbits, k, no)
+                guard = guard_of[guardbits] = _guard(guardbits, k, no)
             dtoks = tuple(rest[4:])
-            delta = deltas.get(dtoks)
+            delta = delta_of.get(dtoks)
             if delta is None:
-                delta = deltas[dtoks] = _delta(dtoks, no)
-            trans.append(Transition(names.get(src, src),
-                                    None if letter == LAMBDA_TOKEN else letter,
-                                    guard, names.get(dst, dst), delta))
+                delta = delta_of[dtoks] = _delta(dtoks, no)
+            if n == len(sources):
+                for column in columns:
+                    column += [None] * (n + 1)
+                del column
+            sources[n] = names.get(src, src)
+            inputs[n] = None if letter == LAMBDA_TOKEN else letter
+            guards[n] = guard
+            destinations[n] = names.get(dst, dst)
+            deltas[n] = delta
+            n += 1
         elif head == "kcounters":
             if k is not None:
                 raise FormatError("duplicate kcounters line", no)
@@ -153,9 +168,11 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
             raise FormatError(f"unknown directive {head!r}", no)
     if k is None or states is None or initial is None:
         raise FormatError("missing kcounters, states, or initial")
+    del names, sources, inputs, guards, destinations, deltas
     try:
-        machine = CounterMachine(k, frozenset(alphabet or ()), frozenset(states),
-                                 initial, tuple(trans))
+        machine = CounterMachine.from_columns(
+            k, frozenset(alphabet or ()), frozenset(states), initial,
+            *_tuples(columns, n))
     except MachineError as e:
         raise FormatError(str(e)) from e
     if accepting is not None and table:
@@ -192,17 +209,19 @@ def _automaton_lines(aut: BuchiAutomaton | MullerAutomaton) -> Iterator[str]:
     # values the constructor accepts as equal (True, 1.0) spell as 1
     guards: dict[tuple[int, ...], str] = {}
     deltas: dict[tuple[int, ...], str] = {}
-    for t in m.transitions:
+    for source, letter, guard, destination, delta in zip(
+            m.sources, m.inputs, m.guards, m.destinations, m.deltas):
         # tuple() keys a guard or delta given as a list; a tuple passes as is
-        guard, delta = tuple(t.guard), tuple(t.delta)
+        guard, delta = tuple(guard), tuple(delta)
         guardbits = guards.get(guard)
         if guardbits is None:
             guardbits = guards[guard] = "-" if m.k == 0 else "".join(str(int(g)) for g in guard)
         tail = deltas.get(delta)
         if tail is None:
             tail = deltas[delta] = "".join(" " + str(int(d)) for d in delta)
-        letter = LAMBDA_TOKEN if t.input is None else t.input
-        yield f"trans {t.source} {letter} {guardbits} {t.destination}{tail}\n"
+        if letter is None:
+            letter = LAMBDA_TOKEN
+        yield f"trans {source} {letter} {guardbits} {destination}{tail}\n"
 
 
 @dataclass(frozen=True)
@@ -263,6 +282,8 @@ def load_word(text: str) -> WordSpec:
             if len(rest) != 1:
                 raise FormatError("prefix takes one length", no)
             prefix = _int(rest[0], no, "prefix")
+            if prefix < 0:
+                raise FormatError(f"prefix length must be nonnegative, got {prefix}", no)
         else:
             raise FormatError(f"unknown directive {head!r}", no)
     if lasso is None:

@@ -5,8 +5,12 @@ Every transition carries a total guard (each coordinate tests zero or
 positive) and a delta vector over {-1, 0, +1}.  The lambda input (spelled
 None here, "-" in files) consumes no letter.
 
-A machine is checked when it is made, over all its parts at once: one
-join for the state and letter tokens, set inclusions for the sources,
+A machine keeps its transitions as five parallel tuples (sources, inputs,
+guards, destinations, deltas), with no record per transition; the worklist
+and the automaton loader fill the columns, and `machine.transitions`
+is a read-only view that builds a Transition per transition read.  A
+machine is checked when it is made, over all its parts at once: one join
+for the state and letter tokens, set inclusions for the sources,
 destinations and inputs, one check per distinct (guard, delta).  Only when
 one of these fails does the check run again token by token and transition
 by transition, to raise the first error with its transition index.  The
@@ -29,12 +33,11 @@ iteration 0 plus j times its counter effect) is checked by arithmetic
 after its first iteration, and expanded only when a column is read.
 `run.steps` is a read-only view that builds a RunStep per step read.
 Transition, Configuration and RunStep are plain slotted records, treated
-as immutable and compared and hashed by their fields: a build makes a
-record per edge, and a frozen record costs several times as much to
-build.  A run is not required to begin at the machine's initial
-state.  Built automata hold only the states their initial state reaches,
-so lift_run_intersection and lift_run_union lift runs from the initial
-state of b or of the union's side alone.
+as immutable and compared and hashed by their fields: a frozen record
+costs several times as much to build.  A run is not required to begin at
+the machine's initial state.  Built automata hold only the states their
+initial state reaches, so lift_run_intersection and lift_run_union lift
+runs from the initial state of b or of the union's side alone.
 
 `step` is the one kernel that matches guards.  A guard depends only on which
 counters are positive, so `enabled` keeps step's choices on the machine per
@@ -116,7 +119,9 @@ class Transition:
 
     A plain slotted record like Configuration, cheaper to build than a
     frozen one: it is treated as immutable, and no code assigns a field
-    after construction.  Equality and hash are by fields.
+    after construction.  Equality and hash are by fields.  A machine keeps
+    no Transition: it keeps five columns, and its `transitions` view builds
+    a record for each transition read.
     """
 
     source: str
@@ -126,7 +131,11 @@ class Transition:
     delta: tuple[int, ...]
 
     def matches(self, counters: tuple[int, ...]) -> bool:
-        return all((c > 0) == (g == 1) for g, c in zip(self.guard, counters))
+        return _matches(self.guard, counters)
+
+
+def _matches(guard, counters: tuple[int, ...]) -> bool:
+    return all((c > 0) == (g == 1) for g, c in zip(guard, counters))
 
 
 def _check_guard_delta(i: int, guard, delta, k: int) -> None:
@@ -144,36 +153,94 @@ def _check_guard_delta(i: int, guard, delta, k: int) -> None:
             raise MachineError(f"transition {i}: delta -1 under a zero guard")
 
 
-@dataclass
+class Transitions(Sequence):
+    """A machine's transitions as a read-only sequence of Transition
+    records, built from its five columns (sources, inputs, guards,
+    destinations, deltas) on each read.  len() builds none; a slice is a
+    tuple of records, and the view equals, hashes and prints as the tuple
+    of records it stands for."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, sources: Sequence, inputs: Sequence, guards: Sequence,
+                 destinations: Sequence, deltas: Sequence):
+        # tuple() of a tuple is that tuple, so shared columns stay shared
+        columns = tuple(map(tuple, (sources, inputs, guards, destinations, deltas)))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("transition columns differ in length")
+        self._columns = columns
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(Transition, *[c[i] for c in self._columns]))
+        return Transition(*[c[i] for c in self._columns])
+
+    def __iter__(self):
+        return map(Transition, *self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, Transitions):
+            return self._columns == other._columns
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+def _split(records: tuple) -> tuple:
+    """The five columns of a tuple of Transition records."""
+    return (tuple([t.source for t in records]), tuple([t.input for t in records]),
+            tuple([t.guard for t in records]), tuple([t.destination for t in records]),
+            tuple([t.delta for t in records]))
+
+
 class CounterMachine:
-    """Immutable after construction; validation happens in __post_init__.
+    """A k-counter machine: its alphabet and states, its initial state and
+    its transitions.  Checked when it is made, and immutable after.
+
+    The transitions are kept as five parallel tuples, `sources`, `inputs`,
+    `guards`, `destinations` and `deltas`, with no record per transition,
+    so a big build is a few tuples to the garbage collector rather than a
+    record per edge.  CounterMachine(k, alphabet, states, initial,
+    transitions) takes Transition records, or another machine's
+    `transitions`; `from_columns` takes the five columns, as any sequences,
+    and stores them as tuples.  `transitions` is a read-only `Transitions`
+    view over the columns.  Equality and repr are by k, alphabet, states,
+    initial and transitions, with the transitions spelled out as records.
 
     The checks run over the whole machine at once: the tokens by one join,
-    sources, destinations and inputs as sets, guard and delta once per
-    distinct (guard, delta).  When one of them fails, the checks run again
-    token by token and transition by transition, which raise the first
-    error in that order.  The (source, input) index behind `outgoing` is
-    made by `outgoing`, from its first call on."""
+    sources, destinations and inputs as set operations on the columns, guard
+    and delta once per distinct (guard, delta).  When one of them fails,
+    the checks run again token by token and transition by transition, which
+    raise the first error in that order.  The (source, input) index behind
+    `outgoing` is made by `outgoing`, from its first call on, and holds the
+    records of the states asked about."""
 
-    k: int
-    alphabet: frozenset[str]
-    states: frozenset[str]
-    initial: str
-    transitions: tuple[Transition, ...]
-    # (source, input) -> indexed transitions, filled by `outgoing`
-    _adj: dict = field(default=None, init=False, repr=False, compare=False)
-    # source -> start of its span, for the states `outgoing` has yet to
-    # index; None when the index was built whole
-    _spans: dict = field(default=None, init=False, repr=False, compare=False)
-    # step's choices per (state, token, sign pattern), filled by `enabled`
-    _enabled: dict = field(default=None, init=False, repr=False, compare=False)
-    _real_time: bool = field(default=True, init=False, repr=False, compare=False)
+    __slots__ = ("k", "alphabet", "states", "initial", "transitions", "sources",
+                 "inputs", "guards", "destinations", "deltas",
+                 # (source, input) -> indexed transitions, filled by `outgoing`
+                 "_adj",
+                 # source -> start of its span, for the states `outgoing` has
+                 # yet to index; None when the index was built whole
+                 "_spans",
+                 # step's choices per (state, token, sign pattern), filled by
+                 # `enabled`
+                 "_enabled", "_real_time")
 
-    def __post_init__(self):
-        self.alphabet = frozenset(self.alphabet)
-        self.states = frozenset(self.states)
-        self.transitions = tuple(self.transitions)
-        if self.k < 0:
+    def __init__(self, k: int, alphabet, states, initial: str, transitions):
+        self.k = k
+        self.alphabet = frozenset(alphabet)
+        self.states = frozenset(states)
+        self.initial = initial
+        if not isinstance(transitions, Transitions):
+            transitions = tuple(transitions)
+        if k < 0:
             raise MachineError("k must be a natural number")
         if not self.states:
             raise MachineError("state set must be nonempty")
@@ -182,50 +249,90 @@ class CounterMachine:
                 _check_token(s, "state id")
             for a in self.alphabet:
                 _check_token(a, "letter")
-        if self.initial not in self.states:
-            raise MachineError(f"initial state {self.initial!r} not in states")
+        if initial not in self.states:
+            raise MachineError(f"initial state {initial!r} not in states")
+        if not isinstance(transitions, Transitions):
+            try:
+                transitions = Transitions(*_split(transitions))
+            except AttributeError:
+                # something that is no record: the checks name any error
+                # before it, or fail on it as the split did
+                self._check_each((t.source, t.input, t.guard, t.destination, t.delta)
+                                 for t in transitions)
+                raise
+        self.transitions = transitions
+        (self.sources, self.inputs, self.guards, self.destinations,
+         self.deltas) = transitions._columns
+        self._adj = self._spans = None
         self._enabled = {}
         real_time = self._check_in_bulk()
-        self._real_time = self._check_each() if real_time is None else real_time
+        self._real_time = (self._check_each(zip(*transitions._columns))
+                           if real_time is None else real_time)
+
+    @classmethod
+    def from_columns(cls, k: int, alphabet, states, initial: str, sources: Sequence,
+                     inputs: Sequence, guards: Sequence, destinations: Sequence,
+                     deltas: Sequence) -> CounterMachine:
+        return cls(k, alphabet, states, initial,
+                   Transitions(sources, inputs, guards, destinations, deltas))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.k, self.alphabet, self.states, self.initial, self.transitions)
+                == (other.k, other.alphabet, other.states, other.initial,
+                    other.transitions))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"CounterMachine(k={self.k!r}, alphabet={self.alphabet!r}, "
+                f"states={self.states!r}, initial={self.initial!r}, "
+                f"transitions={self.transitions!r})")
 
     def _check_in_bulk(self) -> bool | None:
         """Whether the machine is real-time, or None when a check fails."""
-        trans, states, k = self.transitions, self.states, self.k
+        states, k = self.states, self.k
         try:
-            if not ({t.source for t in trans} <= states
-                    and {t.destination for t in trans} <= states):
+            if not (states.issuperset(self.sources)
+                    and states.issuperset(self.destinations)):
                 return None
-            inputs = {t.input for t in trans}
+            inputs = set(self.inputs)
             real_time = None not in inputs
             inputs.discard(None)
             if not inputs <= self.alphabet:
                 return None
-            # tuple() keys list guards too and returns a tuple unchanged
-            for guard, delta in {(tuple(t.guard), tuple(t.delta)) for t in trans}:
+            try:
+                shapes = set(zip(self.guards, self.deltas))
+            except TypeError:
+                # tuple() keys list guards too and returns a tuple unchanged
+                shapes = set(zip(map(tuple, self.guards), map(tuple, self.deltas)))
+            for guard, delta in shapes:
                 _check_guard_delta(-1, guard, delta, k)
-        except (MachineError, TypeError, AttributeError):
+        except (MachineError, TypeError):
             # _check_each says which transition fails, and how
             return None
         return real_time
 
-    def _check_each(self) -> bool:
-        """The checks one transition at a time: raises the first failure."""
+    def _check_each(self, rows) -> bool:
+        """The checks one transition at a time, over (source, input, guard,
+        destination, delta) rows: raises the first failure."""
         states, alphabet = self.states, self.alphabet
         shapes = set()
         real_time = True
-        for i, t in enumerate(self.transitions):
-            if t.source not in states:
-                raise MachineError(f"transition {i}: unknown source {t.source!r}")
-            if t.destination not in states:
-                raise MachineError(f"transition {i}: unknown destination {t.destination!r}")
-            if t.input is None:
+        for i, (source, input, guard, destination, delta) in enumerate(rows):
+            if source not in states:
+                raise MachineError(f"transition {i}: unknown source {source!r}")
+            if destination not in states:
+                raise MachineError(f"transition {i}: unknown destination {destination!r}")
+            if input is None:
                 real_time = False
-            elif t.input not in alphabet:
-                raise MachineError(f"transition {i}: input {t.input!r} not in alphabet")
+            elif input not in alphabet:
+                raise MachineError(f"transition {i}: input {input!r} not in alphabet")
             # guard and delta are checked once per distinct (guard, delta)
-            shape = (tuple(t.guard), tuple(t.delta))
+            shape = (tuple(guard), tuple(delta))
             if shape not in shapes:
-                _check_guard_delta(i, t.guard, t.delta, self.k)
+                _check_guard_delta(i, guard, delta, self.k)
                 shapes.add(shape)
         return real_time
 
@@ -247,11 +354,10 @@ class CounterMachine:
         if spans is not None:
             start = spans.pop(state, None)
             if start is not None:
-                transitions = self.transitions
-                for i in range(start, len(transitions)):
-                    t = transitions[i]
-                    if t.source != state:
-                        break
+                sources, end = self.sources, start
+                while end < len(sources) and sources[end] == state:
+                    end += 1
+                for i, t in zip(range(start, end), self.transitions[start:end]):
                     adj.setdefault((state, t.input), []).append((i, t))
         return adj.get((state, input), [])
 
@@ -260,8 +366,7 @@ class CounterMachine:
         some source's transitions do not all lie in one span."""
         starts: dict[str, int] = {}
         last = None
-        for i, t in enumerate(self.transitions):
-            source = t.source
+        for i, source in enumerate(self.sources):
             if source != last:
                 if source in starts:
                     return None
@@ -574,9 +679,9 @@ def enabled(machine: CounterMachine, state: str, token: str | None,
     key = (state, token, tuple([c > 0 for c in counters]))
     choices = machine._enabled.get(key)
     if choices is None:
-        transitions = machine.transitions
+        deltas = machine.deltas
         choices = machine._enabled[key] = tuple(
-            (i, nc.state, transitions[i].delta)
+            (i, nc.state, deltas[i])
             for i, nc in step(machine, Configuration(state, counters), token))
     return choices
 
@@ -692,14 +797,14 @@ class Walker:
         # a 0.0 delta leaves the counters equal but makes them floats for
         # good; the walk above did so already, and the memo is this walk's,
         # so a replay over the counters as they stand stays exact
-        transitions = self.machine.transitions
-        still = not any(any(transitions[i].delta) for i in self._indices[first:])
+        deltas = self.machine.deltas
+        still = not any(any(deltas[i]) for i in self._indices[first:])
         if then is not None:
             self.to(*then)
         if still:
             self._blocks[where] = (
                 self._consumed[first:], self._indices[first:], self._states[first:],
-                transitions[self._indices[-1]].delta if then is not None else None)
+                deltas[self._indices[-1]] if then is not None else None)
 
     def repeat(self, walk, r: int) -> None:
         """Call walk() r times, replaying the iterations that repeat.
@@ -803,21 +908,20 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
         return RunViolation(-1, "negative-counter", "start configuration")
     if start.state not in machine.states:
         return RunViolation(-1, "source", f"unknown state {start.state!r}")
-    transitions = machine.transitions
     state, counters, pos, i = start.state, start.counters, 0, 0
     for piece in run._pieces:
         consumed, indices, states, column, r = piece
         entry, pos0 = counters, pos
-        out = _check_steps(transitions, word, i, state, counters, pos, piece)
+        out = _check_steps(machine, word, i, state, counters, pos, piece)
         if isinstance(out, RunViolation):
             return out
         state, counters, pos = out
         i += len(indices)
         if r == 1:
             continue
-        effect = _repeats_hold(transitions, word, piece, entry, pos0, pos)
+        effect = _repeats_hold(machine, word, piece, entry, pos0, pos)
         if effect is None:
-            out = _check_steps(transitions, word, i, state, counters, pos,
+            out = _check_steps(machine, word, i, state, counters, pos,
                                (consumed * (r - 1), indices * (r - 1),
                                 states * (r - 1), _later_counters(column, entry, r)))
             if isinstance(out, RunViolation):
@@ -832,12 +936,16 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
     return None
 
 
-def _check_steps(transitions, word: list, first: int, state: str, counters: tuple,
-                 pos: int, columns) -> RunViolation | tuple:
-    """validate_run's step loop over columns whose first step is step
+def _check_steps(machine: CounterMachine, word: list, first: int, state: str,
+                 counters: tuple, pos: int, columns) -> RunViolation | tuple:
+    """validate_run's step loop over run columns whose first step is step
     `first`, from (state, counters) at word position pos: the first
-    violation, or the state, counters and position it ends at."""
-    n_trans, n_word = len(transitions), len(word)
+    violation, or the state, counters and position it ends at.  It reads
+    the machine's columns, and builds no transition record."""
+    sources, inputs, guards, destinations, deltas = (
+        machine.sources, machine.inputs, machine.guards, machine.destinations,
+        machine.deltas)
+    n_trans, n_word = len(sources), len(word)
     zeros = repeat(0)
     signs = tuple(map(gt, counters, zeros))
     # whether the current counters are ints below 2**53; None until a step
@@ -846,30 +954,31 @@ def _check_steps(transitions, word: list, first: int, state: str, counters: tupl
     for i, consumed, idx, got_state, got in zip(count(first), *columns[:4]):
         if not (0 <= idx < n_trans):
             return RunViolation(i, "index", f"transition index {idx} out of range")
-        t = transitions[idx]
-        if t.source != state:
-            return RunViolation(i, "source", f"transition {idx} leaves {t.source!r}, run is at {state!r}")
-        if consumed != t.input:
-            return RunViolation(i, "input", f"recorded {consumed!r}, transition reads {t.input!r}")
-        # equal to the sign pattern implies matches; anything else (a list
-        # guard, or a real mismatch) is settled by matches itself
-        if t.guard != signs and not t.matches(counters):
-            return RunViolation(i, "guard", f"guard {t.guard} vs counters {counters}")
+        source = sources[idx]
+        if source != state:
+            return RunViolation(i, "source", f"transition {idx} leaves {source!r}, run is at {state!r}")
+        if consumed != inputs[idx]:
+            return RunViolation(i, "input", f"recorded {consumed!r}, transition reads {inputs[idx]!r}")
+        # equal to the sign pattern implies a match; anything else (a list
+        # guard, or a real mismatch) is settled by _matches itself
+        guard = guards[idx]
+        if guard != signs and not _matches(guard, counters):
+            return RunViolation(i, "guard", f"guard {guard} vs counters {counters}")
         if got is counters and plain is None:
             plain = (all(type(c) is int for c in counters)
                      and max(counters, default=0) < _EXACT)
         if got is counters and plain:
-            if got_state != t.destination:
-                return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {t.destination!r}")
-            if any(t.delta):
-                expected = tuple(map(add, counters, t.delta))
+            if got_state != destinations[idx]:
+                return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {destinations[idx]!r}")
+            if any(deltas[idx]):
+                expected = tuple(map(add, counters, deltas[idx]))
                 return RunViolation(i, "delta", f"recorded {got}, expected {expected}")
         else:
             if any(map(lt, got, zeros)):
                 return RunViolation(i, "negative-counter", f"result {got}")
-            expected = tuple(map(add, counters, t.delta))
-            if got_state != t.destination:
-                return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {t.destination!r}")
+            expected = tuple(map(add, counters, deltas[idx]))
+            if got_state != destinations[idx]:
+                return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {destinations[idx]!r}")
             if got != expected:
                 return RunViolation(i, "delta", f"recorded {got}, expected {expected}")
             counters, signs, plain = got, tuple(map(gt, got, zeros)), None
@@ -881,20 +990,21 @@ def _check_steps(transitions, word: list, first: int, state: str, counters: tupl
     return state, counters, pos
 
 
-def _repeats_hold(transitions, word: list, piece: tuple, entry: tuple, pos0: int,
-                  pos1: int) -> tuple | None:
+def _repeats_hold(machine: CounterMachine, word: list, piece: tuple, entry: tuple,
+                  pos0: int, pos1: int) -> tuple | None:
     """The counter effect D of a segment whose iteration 0 checked out from
     counters `entry` over word[pos0:pos1], when its other iterations hold
     by arithmetic; None when they may not."""
     _, indices, states, column, r = piece
-    if transitions[indices[0]].source != states[-1]:
+    if machine.sources[indices[0]] != states[-1]:
         return None
     if not all(type(c) is int for counters in (entry, *column) for c in counters):
         return None
     effect = tuple(map(sub, column[-1], entry))
     last = r - 1
+    guards = machine.guards
     for idx, before, after in zip(indices, (entry, *column), column):
-        for g, b, a, d in zip(transitions[idx].guard, before, after, effect):
+        for g, b, a, d in zip(guards[idx], before, after, effect):
             # linear in j: checked at j = 0 already, so at j = r - 1 here
             if d and (g != 1 or b + last * d <= 0 or a + last * d < 0):
                 return None
@@ -914,10 +1024,11 @@ def lambda_burst_bound(machine: CounterMachine) -> int | float:
     """
     succ: dict[str, list[str]] = {}
     indeg: dict[str, int] = {}
-    for t in machine.transitions:
-        if t.input is None:
-            succ.setdefault(t.source, []).append(t.destination)
-            indeg[t.destination] = indeg.get(t.destination, 0) + 1
+    for source, input, destination in zip(machine.sources, machine.inputs,
+                                          machine.destinations):
+        if input is None:
+            succ.setdefault(source, []).append(destination)
+            indeg[destination] = indeg.get(destination, 0) + 1
     # Kahn peel: a state is peeled once every lambda edge into it is (a
     # self-loop never is), and the longest chain ending at it is known then
     depth = dict.fromkeys(succ.keys() | indeg.keys(), 0)
@@ -950,13 +1061,11 @@ def pad_counters(machine: CounterMachine, new_k: int) -> CounterMachine:
         raise MachineError(f"cannot pad k={machine.k} down to {new_k}")
     if new_k == machine.k:
         return machine
-    extra = new_k - machine.k
-    gpad = (0,) * extra
-    dpad = (0,) * extra
-    trans = tuple(
-        Transition(t.source, t.input, t.guard + gpad, t.destination, t.delta + dpad)
-        for t in machine.transitions)
-    return CounterMachine(new_k, machine.alphabet, machine.states, machine.initial, trans)
+    pad = (0,) * (new_k - machine.k)
+    return CounterMachine.from_columns(
+        new_k, machine.alphabet, machine.states, machine.initial, machine.sources,
+        machine.inputs, [g + pad for g in machine.guards], machine.destinations,
+        [d + pad for d in machine.deltas])
 
 
 def pad_run(run: Run, new_k: int) -> Run:
@@ -979,8 +1088,10 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
     span, which `outgoing` indexes on demand.  moves(state) yields (input,
     guard, destination tuple, delta, origin) per edge, in a fixed order: run
     files cite transitions by index, so the order must not depend on set
-    iteration.  The origins, one per transition in index order, are the
-    column a `Built` carries as `origin`.
+    iteration.  The transitions go into one list per column, with no record
+    per edge, and each list is made a tuple in turn at the end.  The
+    origins, one per transition in index order, are the column a `Built`
+    carries as `origin`.
     name(state) names a tuple when it is first reached; two tuples with one
     name are a MachineError, and reaching more than `cap` states is a
     BuildScaleError.  A build makes no reference cycles, so the cyclic
@@ -992,8 +1103,9 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
     try:
         first = name(initial)
         names, table, order = {initial: first}, {first: initial}, [initial]
-        trans: list[Transition] = []
-        origin: list = []
+        columns: list[list] = [[] for _ in range(6)]
+        sources, inputs, guards, destinations, deltas, origin = (
+            column.append for column in columns)
         # order grows while it is walked: each state is expanded once
         for src in order:
             sname = names[src]
@@ -1009,21 +1121,41 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
                                            "name of one factor contains '&'")
                     table[dname] = dst
                     order.append(dst)
-                trans.append(Transition(sname, inp, guard, dname, delta))
-                origin.append(o)
-        del names, order  # only the name -> tuple direction outlives the build
-        machine = CounterMachine(k, alphabet, frozenset(table), first, tuple(trans))
-        return machine, table, tuple(origin)
+                sources(sname)
+                inputs(inp)
+                guards(guard)
+                destinations(dname)
+                deltas(delta)
+                origin(o)
+        # only the name -> tuple direction outlives the build
+        del names, order, sources, inputs, guards, destinations, deltas, origin
+        *columns, origin = _tuples(columns, len(columns[0]))
+        machine = CounterMachine.from_columns(k, alphabet, frozenset(table), first,
+                                              *columns)
+        return machine, table, origin
     finally:
         if enabled:
             gc.enable()
 
 
-def _leaving_indices(machine: CounterMachine) -> dict[str, list[int]]:
-    """The indices of each state's outgoing transitions, in order."""
-    out: dict[str, list[int]] = {}
-    for i, t in enumerate(machine.transitions):
-        out.setdefault(t.source, []).append(i)
+def _tuples(columns: list[list], n: int) -> list[tuple]:
+    """Each list in columns cut to its first n entries and made a tuple, in
+    place.  A list is let go as soon as its tuple is made, so at most one
+    column is held twice, when the caller keeps no other reference."""
+    for i, column in enumerate(columns):
+        del column[n:]
+        columns[i] = tuple(column)
+    return columns
+
+
+def _leaving(machine: CounterMachine) -> dict[str, list[tuple]]:
+    """Each state's outgoing transitions as (index, input, guard,
+    destination, delta) rows, in index order, read from the columns."""
+    out: dict[str, list[tuple]] = {}
+    rows = zip(count(), machine.inputs, machine.guards, machine.destinations,
+               machine.deltas)
+    for source, row in zip(machine.sources, rows):
+        out.setdefault(source, []).append(row)
     return out
 
 
@@ -1052,24 +1184,23 @@ def union(b1: BuchiAutomaton, b2: BuchiAutomaton) -> Built:
     if m1.k != m2.k:
         raise MachineError("union requires equal k; use pad_counters first")
     sides = {"L": b1, "R": b2}
-    leaving = {"L": _leaving_indices(m1), "R": _leaving_indices(m2)}
+    leaving = {"L": _leaving(m1), "R": _leaving(m2)}
 
     def moves(src: tuple):
         # u0 moves as each side's initial state does, the left side first
         for tag, q in ((("L", m1.initial), ("R", m2.initial)) if len(src) == 1
                        else (src,)):
-            m = sides[tag].machine
-            for i in leaving[tag].get(q, ()):
-                t = m.transitions[i]
-                yield t.input, t.guard, (tag, t.destination), t.delta, i
+            for i, inp, guard, dst, delta in leaving[tag].get(q, ()):
+                yield inp, guard, (tag, dst), delta, i
 
     machine, table, origin = _reach(m1.k, m1.alphabet, (_UNION_INITIAL,), moves,
                                     ".".join)
     index = {tag: ([None] * len(b.machine.transitions), [None] * len(b.machine.transitions))
              for tag, b in sides.items()}
-    for j, (t, i) in enumerate(zip(machine.transitions, origin)):
-        first, rest = index[table[t.destination][0]]
-        (first if t.source == _UNION_INITIAL else rest)[i] = j
+    for j, (source, dst, i) in enumerate(zip(machine.sources, machine.destinations,
+                                             origin)):
+        first, rest = index[table[dst][0]]
+        (first if source == _UNION_INITIAL else rest)[i] = j
     accepting = frozenset(n for n, state in table.items()
                           if len(state) == 2 and state[1] in sides[state[0]].accepting)
     return Built(machine, accepting, source=(b1, b2), table=table, origin=origin,
@@ -1157,15 +1288,14 @@ def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> Built:
     if mb.alphabet != md.alphabet:
         raise MachineError("intersection requires equal alphabets")
     dtable = _det_table(d)
-    leaving = _leaving_indices(mb)
+    leaving = _leaving(mb)
 
     def moves(src: tuple[str, str, int]):
         q, s, flag = src
         nf = _next_flag(b, d, q, s, flag)
-        for i in leaving.get(q, ()):
-            t = mb.transitions[i]
-            s2 = s if t.input is None else dtable[(s, t.input)][1].destination
-            yield t.input, t.guard, (t.destination, s2, nf), t.delta, i
+        for i, inp, guard, dst, delta in leaving.get(q, ()):
+            s2 = s if inp is None else dtable[(s, inp)][1].destination
+            yield inp, guard, (dst, s2, nf), delta, i
 
     machine, table, origin = _reach(mb.k, mb.alphabet, (mb.initial, md.initial, 1),
                                     moves, lambda state: _pair(*state))
@@ -1216,24 +1346,24 @@ def muller_to_buchi(m: MullerAutomaton) -> BuchiAutomaton:
     exactly what its underlying transition consumes.
     """
     mm = m.machine
-    leaving = _leaving_indices(mm)
+    leaving = _leaving(mm)
 
     def enter(q: str, fi: int, mask: frozenset[str]) -> tuple:
         nm = mask | {q}
         return ("m", q, fi, frozenset() if nm == m.table[fi] else nm)
 
     def moves(src: tuple):
-        out = [mm.transitions[i] for i in leaving.get(src[1], ())]
+        out = leaving.get(src[1], ())
         if src[0] == "c":
-            for t in out:
-                yield t.input, t.guard, ("c", t.destination), t.delta, None
+            for _, inp, guard, dst, delta in out:
+                yield inp, guard, ("c", dst), delta, None
             commits = [(fi, frozenset()) for fi in range(len(m.table))]
         else:
             commits = [src[2:]]
         for fi, mask in commits:
-            for t in out:
-                if t.destination in m.table[fi]:
-                    yield t.input, t.guard, enter(t.destination, fi, mask), t.delta, None
+            for _, inp, guard, dst, delta in out:
+                if dst in m.table[fi]:
+                    yield inp, guard, enter(dst, fi, mask), delta, None
 
     def name(state: tuple) -> str:
         if state[0] == "c":

@@ -2,6 +2,7 @@
 
 import pytest
 
+import omegacount.constructions.realtime8 as rt8
 from omegacount.cli import main
 from omegacount.constructions import (build_realtime8, compose_pipeline,
                                       lift_run_pipeline, lift_run_theta)
@@ -222,3 +223,37 @@ def test_written_files_match_the_dumps(files, capsys):
         assert capsys.readouterr().out == want
         assert main(argv + ["-o", str(out)]) == 0
         assert out.read_bytes() == want.encode()
+
+
+def test_an_oversized_realtime8_exits_2_before_building(files, capsys, monkeypatch):
+    # at S = 2,000,000 the theta acceptor alone would have 6,000,004 states
+    out = files["dir"] / "out"
+    for argv in (["build", "realtime8", "--input", str(files["m1"])],
+                 ["lift", "--stage", "theta", "--input", str(files["m1"]),
+                  "--run", str(files["m1run"])]):
+        assert main(argv + ["--S", "2000000", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: eight-counter product needs a theta acceptor of 6000004 "
+            "states, past the cap of 400000\n")
+        assert not out.exists()
+    # the theta acceptor on its own is built at whatever size is asked for
+    monkeypatch.setattr(rt8, "STATE_CAP", 10)
+    assert main(["build", "theta-acceptor", "--sigma", "a", "--S", "5"]) == 0
+    assert "states " in capsys.readouterr().out
+
+
+def test_a_negative_prefix_length_exits_2_with_its_own_message(files, capsys):
+    def cases(word):
+        return (["word", "encode", "--word", str(word)],
+                ["explore", "--input", str(files["m1"]), "--word", str(word)],
+                ["run", "check", "--input", str(files["m1"]),
+                 "--run", str(files["m1run"]), "--word", str(word)])
+    for argv in cases(files["aword"]):
+        assert main(argv + ["--n", "-3"]) == 2
+        assert capsys.readouterr().err == "error: --n must be nonnegative, got -3\n"
+    negative = files["dir"] / "negative.word"
+    negative.write_text("lasso a | a\nprefix -5\n")
+    for argv in cases(negative):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: prefix length must be nonnegative, got -5\n")

@@ -1,5 +1,7 @@
 """Reachability, deterministic walks, lasso membership, witness scans."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +116,32 @@ def test_bounded_explore_caps_on_configurations():
 def test_bounded_explore_rejects_negative_budget():
     with pytest.raises(ValueError):
         bounded_explore(_lambda_loop(), ["a"], lambda_budget=-1)
+
+
+def test_bounded_explore_leaves_the_collector_as_it_found_it(monkeypatch):
+    advance, inside = engine._advance, []
+
+    def watched(*args):
+        inside.append(gc.isenabled())
+        if args[3] == "b":
+            raise MachineError("stop")
+        return advance(*args)
+
+    monkeypatch.setattr(engine, "_advance", watched)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            inside.clear()
+            # off while the frontiers grow, as it was afterwards, also when
+            # a step raises
+            assert exact_prefix_reach(m2_two_counters(), ["a", "a"]).sizes() == [1, 1, 1]
+            assert gc.isenabled() == enabled
+            with pytest.raises(MachineError, match="stop"):
+                bounded_explore(m2_two_counters(), ["a", "b"], 1)
+            assert inside and not any(inside) and gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_deterministic_run_walks_and_rejects_choice():

@@ -130,6 +130,14 @@ def test_word_format_errors():
         load_word("coded swizzle:3\nlasso a | b\n")
 
 
+def test_word_refuses_a_negative_prefix_length():
+    with pytest.raises(FormatError) as e:
+        load_word("lasso a | b\n# no letters before the word\nprefix -5\n")
+    assert (str(e.value), e.value.line) == (
+        "line 3: prefix length must be nonnegative, got -5", 3)
+    assert load_word("lasso a | b\nprefix 0\n").prefix == 0
+
+
 def test_run_roundtrip():
     b = m2_two_counters()
     run = run_of(b, ["a", "a", "b"])

@@ -3,8 +3,9 @@
 Each fast path is held to the reference version in `reference_fileio.py`:
 the same objects for accepted input and the same error type and message
 for refused input.  The loaders' only new refusals are a repeated
-kcounters, alphabet, states or initial line, and a trans line under a
-negative kcounters where the reference indexes past the end of the line.
+kcounters, alphabet, states or initial line, a trans line under a
+negative kcounters where the reference indexes past the end of the line,
+and a negative prefix length, which the reference loads.
 """
 
 import random
@@ -30,6 +31,7 @@ from omegacount.words import HCoding, LassoWord, PhiCoding, ThetaCoding
 from conftest import m1_aomega, m2_two_counters, m3_alternator, run_of
 
 NEW_REFUSAL = re.compile(r"^line \d+: duplicate (kcounters|alphabet|states|initial) line$")
+NEGATIVE_PREFIX = re.compile(r"^line \d+: prefix length must be nonnegative, got -\d+$")
 
 
 def outcome(f, *args):
@@ -46,6 +48,8 @@ def agree(new, old) -> bool:
     kind, msg = new
     if kind is FormatError and NEW_REFUSAL.match(msg):
         return True
+    if kind is FormatError and NEGATIVE_PREFIX.match(msg):
+        return old[0] == "ok" and old[1].prefix < 0
     # the reference reads rest[3] of a trans line that k < 0 made too short
     return old[0] is IndexError and kind is FormatError and msg.endswith(
         ": k must be a natural number")

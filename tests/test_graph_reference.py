@@ -55,7 +55,7 @@ def test_lambda_only_cycle_never_accepts():
     # a letter edge back into p closes an accepting cycle that reads input
     m2 = CounterMachine(k=0, alphabet=frozenset(SIGMA), states=("p", "r"),
                         initial="p",
-                        transitions=m.transitions + (Transition("r", "a", (), "p", ()),))
+                        transitions=tuple(m.transitions) + (Transition("r", "a", (), "p", ()),))
     assert nba_lasso_member(BuchiAutomaton(m2, frozenset({"p"})), w) is True
 
 

@@ -127,3 +127,19 @@ def test_lift_rejects_bad_sources():
         lift_run_theta(b, shifted)
     with pytest.raises(MachineError):
         lift_run_theta(b, good, letters=["z"])
+
+
+def test_an_oversized_theta_acceptor_is_refused_before_the_build(monkeypatch):
+    # the theta acceptor for S has 3S + 4 states, and is made whole first
+    with pytest.raises(BuildScaleError, match="theta acceptor of 400003 states") as exc:
+        build_realtime8(m1_aomega(), S_override=133_333)
+    assert (exc.value.estimated_states, exc.value.cap) == (400_003, rt8.STATE_CAP)
+    monkeypatch.setattr(rt8, "STATE_CAP", 3 * S_SMALL + 3)
+    with pytest.raises(BuildScaleError) as exc:
+        build_realtime8(m1_aomega(), S_override=S_SMALL)
+    assert exc.value.estimated_states == 3 * S_SMALL + 4
+    # a theta acceptor at the cap passes, and the product's worklist refuses
+    monkeypatch.setattr(rt8, "STATE_CAP", 3 * S_SMALL + 4)
+    with pytest.raises(BuildScaleError, match="passed 220 states") as exc:
+        build_realtime8(m1_aomega(), S_override=S_SMALL)
+    assert exc.value.estimated_states == 3 * S_SMALL + 5

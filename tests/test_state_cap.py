@@ -107,7 +107,7 @@ def test_phi_refuses_exactly_past_its_cap(monkeypatch):
         b = _real_time(rng, 1)
         m = b.machine
         # a lambda edge or two, so the filler window has work to do
-        m = CounterMachine(1, m.alphabet, m.states, m.initial, m.transitions + tuple(
+        m = CounterMachine(1, m.alphabet, m.states, m.initial, tuple(m.transitions) + tuple(
             Transition(rng.choice(sorted(m.states)), None, (1,), rng.choice(sorted(m.states)),
                        (rng.choice((-1, 0)),))
             for _ in range(rng.randint(0, 2))))
