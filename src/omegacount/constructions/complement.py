@@ -12,7 +12,7 @@ need no counters; D3 and D4 guess the offending run and check it with one.
 
 from __future__ import annotations
 
-from ..machines import (BuchiAutomaton, CounterMachine, Transition,
+from ..machines import (BuchiAutomaton, Built, CounterMachine, Transition,
                         pad_counters, union)
 from ..words import A, B, ZERO, HCoding, coded_alphabet
 
@@ -168,15 +168,17 @@ def build_d4(sigma: frozenset[str] | set[str],
     return BuchiAutomaton(machine=m, accepting=frozenset({BAD}))
 
 
-def _pad_buchi(b: BuchiAutomaton, new_k: int) -> BuchiAutomaton:
-    return BuchiAutomaton(pad_counters(b.machine, new_k), b.accepting)
+def _defect_sides(sigma: frozenset[str] | set[str],
+                  primes: tuple[int, ...]) -> tuple[tuple[str, BuchiAutomaton], ...]:
+    """D1-D4 with one counter each, tagged L.L.L, L.L.R, L.R and R."""
+    return tuple((tag, BuchiAutomaton(pad_counters(d.machine, 1), d.accepting))
+                 for tag, d in (("L.L.L", build_d1(sigma, primes)),
+                                ("L.L.R", build_d2(sigma, primes)),
+                                ("L.R", build_d3(sigma, primes)),
+                                ("R", build_d4(sigma, primes))))
 
 
 def build_h_complement(sigma: frozenset[str] | set[str],
-                       primes: tuple[int, ...]) -> BuchiAutomaton:
-    """Union of the four defect acceptors; accepts exactly the non-images."""
-    d1 = _pad_buchi(build_d1(sigma, primes), 1)
-    d2 = _pad_buchi(build_d2(sigma, primes), 1)
-    d3 = build_d3(sigma, primes)
-    d4 = build_d4(sigma, primes)
-    return union(union(union(d1, d2), d3), d4)
+                       primes: tuple[int, ...]) -> Built:
+    """One flat union of D1-D4 (sides 0-3); accepts exactly the non-images."""
+    return union(*_defect_sides(sigma, primes))

@@ -2,13 +2,13 @@
 wrap the lambda moves away.
 
 Stage 1 would compile a 2-counter machine to the 8-counter pad-coded
-acceptor; stage 2 takes the union of its block-coded 1-counter form with
-the coding defect acceptor; stage 3 hides the remaining lambda bursts
-behind a filler cadence.  Stage 1's 8-counter output needs eight distinct
-primes in stage 2, whose block lengths make stage 2's control
-astronomically large, so compose_pipeline refuses any call that would run
-stage 1, before building anything.  Desk-scale work passes primes=(2, 3)
-and skip_realtime8=True to run stages 2-3 on a 2-counter input directly.
+acceptor; stage 2 takes one flat union of its block-coded 1-counter form
+(side 0) with the coding defect acceptors D1-D4 (sides 1-4); stage 3 hides
+the remaining lambda bursts behind a filler cadence.  Stage 1's 8-counter
+output needs eight distinct primes in stage 2, whose block lengths make
+stage 2's control astronomically large, so compose_pipeline refuses any
+call that would run stage 1, before building anything.  Desk-scale work
+passes primes=(2, 3) and skip_realtime8=True to run stages 2-3 directly.
 
 Each stage's automaton is the record its builder returned, linked to what
 it was built from, so the lift walks the chain back through those links;
@@ -24,7 +24,7 @@ from ..machines import (BuchiAutomaton, Built, MachineError, Run,
                         lift_run_union, union)
 from ..words import FIRST_EIGHT_PRIMES, HCoding, PhiCoding, coded_alphabet
 from .certificates import RunCertificate
-from .complement import build_h_complement
+from .complement import _defect_sides
 from .phi import build_phi_wrapper, lift_run_phi
 from .script_l import build_script_L, lift_run_script_L
 
@@ -83,22 +83,13 @@ def compose_pipeline(a: BuchiAutomaton,
         raise ArityError(f"stage script-l: stage 1 outputs 8 counters "
                          f"but {len(primes)} primes given")
 
-    provenance: list[tuple] = [("input", {}, a)]
     b_main = _staged("script-l", lambda: build_script_L(a, primes))
-    provenance.append(("script-l", {"primes": primes}, b_main))
-    b_defect = _staged("h-complement", lambda: build_h_complement(
-        a.machine.alphabet, primes))
-    provenance.append(("h-complement", {"primes": primes}, b_defect))
-
-    b_union = _staged("union", lambda: union(b_main, b_defect))
-    provenance.append(("union", {}, b_union))
-
+    b_union = _staged("union", lambda: union(("L", b_main), *(
+        ("R." + tag, d) for tag, d in _defect_sides(a.machine.alphabet, primes))))
     out = _staged("phi-wrapper", lambda: build_phi_wrapper(b_union, q - 1))
-    provenance.append(("phi-wrapper", {"filler_count": q - 1}, out))
-
-    return PipelineOutput(automaton=out,
-                          word_transform=(coding, phi),
-                          provenance=tuple(provenance))
+    return PipelineOutput(automaton=out, word_transform=(coding, phi), provenance=(
+        ("input", {}, a), ("script-l", {"primes": primes}, b_main),
+        ("union", {}, b_union), ("phi-wrapper", {"filler_count": q - 1}, out)))
 
 
 def lift_run_pipeline(out: PipelineOutput, run: Run,
@@ -108,7 +99,7 @@ def lift_run_pipeline(out: PipelineOutput, run: Run,
     the middle stage.  prefix_len counts letters of the outermost coding."""
     b_union = out.automaton.source
     cert1 = lift_run_script_L(b_union.source[0], run)
-    u_run = lift_run_union(b_union, cert1.run, "left")
+    u_run = lift_run_union(b_union, cert1.run, 0)
     cert2 = lift_run_phi(out.automaton, u_run, prefix_len=prefix_len,
                          blocks=cert1.blocks)
     return RunCertificate(run=cert2.run, stage="pipeline", blocks=cert2.blocks)

@@ -1117,8 +1117,8 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
                                               len(order) + 1, cap)
                     dname = names[dst] = name(dst)
                     if dname in table:
-                        raise MachineError("product state names collide: a state "
-                                           "name of one factor contains '&'")
+                        raise MachineError(f"state names collide: {dname!r} "
+                                           f"names {table[dname]} and {dst}")
                     table[dname] = dst
                     order.append(dst)
                 sources(sname)
@@ -1165,64 +1165,65 @@ def _leaving(machine: CounterMachine) -> dict[str, list[tuple]]:
 _UNION_INITIAL = "u0"
 
 
-def union(b1: BuchiAutomaton, b2: BuchiAutomaton) -> Built:
-    """Disjoint union behind a fresh (non-accepting) initial state.
+def union(*sides: tuple[str, BuchiAutomaton]) -> Built:
+    """Disjoint union of (tag, automaton) sides behind a fresh
+    (non-accepting) initial state u0, built by one `_reach`.
 
-    States ("u0",), ("L", q) for b1's q and ("R", q) for b2's, named u0, L.q
-    and R.q, built by `_reach`: only the states u0 reaches are built.  u0
-    takes b1's initial moves, then b2's; every other state has its side's
-    moves in its side's order.  The origin column holds the side index of
-    each copy, and the side is the tag of its destination.  params["left"]
-    and params["right"] map a side's transition indices to the union's: a
-    pair of tuples over the side's indices, the first for u0's copies of the
-    initial state's moves, the second for the tagged copies, None where
-    there is no copy.
+    A side's state q is named tag.q; only the states u0 reaches are built.
+    u0 takes each side's initial moves in side order, every other state its
+    side's moves in its side's order.  The origin column holds the side
+    transition each copy stands for.  params["tags"] holds the tags and
+    params["index"] one map per side from its transition indices to the
+    union's: u0's copies, then the tagged copies (None where none).  No
+    sides, a repeated tag, or a name two sides share (tag R with state L.q,
+    tag R.L with state q) is a MachineError.
     """
-    m1, m2 = b1.machine, b2.machine
-    if m1.alphabet != m2.alphabet:
+    automata = dict(sides)
+    if not sides or len(automata) != len(sides):
+        raise MachineError(f"union needs sides with distinct tags, got "
+                           f"{[tag for tag, _ in sides]}")
+    k, alphabet = sides[0][1].machine.k, sides[0][1].machine.alphabet
+    if any(b.machine.alphabet != alphabet for b in automata.values()):
         raise MachineError("union requires equal alphabets")
-    if m1.k != m2.k:
+    if any(b.machine.k != k for b in automata.values()):
         raise MachineError("union requires equal k; use pad_counters first")
-    sides = {"L": b1, "R": b2}
-    leaving = {"L": _leaving(m1), "R": _leaving(m2)}
+    leaving = {tag: _leaving(b.machine) for tag, b in sides}
+    starts = tuple((tag, b.machine.initial) for tag, b in sides)
 
     def moves(src: tuple):
-        # u0 moves as each side's initial state does, the left side first
-        for tag, q in ((("L", m1.initial), ("R", m2.initial)) if len(src) == 1
-                       else (src,)):
+        # u0 moves as each side's initial state does, in side order
+        for tag, q in starts if len(src) == 1 else (src,):
             for i, inp, guard, dst, delta in leaving[tag].get(q, ()):
                 yield inp, guard, (tag, dst), delta, i
 
-    machine, table, origin = _reach(m1.k, m1.alphabet, (_UNION_INITIAL,), moves,
-                                    ".".join)
+    machine, table, origin = _reach(k, alphabet, (_UNION_INITIAL,), moves, ".".join)
     index = {tag: ([None] * len(b.machine.transitions), [None] * len(b.machine.transitions))
-             for tag, b in sides.items()}
+             for tag, b in sides}
     for j, (source, dst, i) in enumerate(zip(machine.sources, machine.destinations,
                                              origin)):
         first, rest = index[table[dst][0]]
         (first if source == _UNION_INITIAL else rest)[i] = j
     accepting = frozenset(n for n, state in table.items()
-                          if len(state) == 2 and state[1] in sides[state[0]].accepting)
-    return Built(machine, accepting, source=(b1, b2), table=table, origin=origin,
-                 params={side: tuple(map(tuple, index[tag]))
-                         for side, tag in (("left", "L"), ("right", "R"))})
+                          if len(state) == 2 and state[1] in automata[state[0]].accepting)
+    return Built(machine, accepting, source=tuple(automata.values()), table=table,
+                 origin=origin, params={"tags": tuple(automata), "index": tuple(
+                     tuple(map(tuple, first_rest)) for first_rest in index.values())})
 
 
-def lift_run_union(u: Built, run: Run, side: str) -> Run:
-    """Lift a run of u's left operand (side="left") or right one ("right")
-    that starts at that operand's initial state to a run of u from u0.
+def lift_run_union(u: Built, run: Run, side: int) -> Run:
+    """Lift a run of u's side at position `side` (0 for the first side
+    given) that starts at that side's initial state to a run of u from u0.
 
     The first step takes u0's copy of its transition, every later step the
-    tagged copy, both read from the index maps the build recorded; the
+    tagged copy, both read from the index map the build recorded; the
     states are retagged.  Visits to accepting states after the start carry
-    over one to one.
+    over one to one.  A position outside u's sides is a ValueError.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    b = u.source[0 if side == "left" else 1]
-    if run.start.state != b.machine.initial:
+    if not 0 <= side < len(u.source):
+        raise ValueError(f"side {side} is not a position in 0..{len(u.source) - 1}")
+    if run.start.state != u.source[side].machine.initial:
         raise MachineError("side run must start at its machine's initial state")
-    first, rest = u.params[side]
+    first, rest = u.params["index"][side]
     pieces = list(run._pieces)
     if pieces and pieces[0][4] > 1:
         # the first step takes u0's copy, so iteration 0 of a segment that
@@ -1232,7 +1233,7 @@ def lift_run_union(u: Built, run: Run, side: str) -> Run:
                       (consumed, indices, states,
                        _later_counters(column, run.start.counters, 2), r - 1)]
     # a run revisits few states: tag each one once
-    tag = "L." if side == "left" else "R."
+    tag = u.params["tags"][side] + "."
     tagged = {q: tag + q for piece in pieces for q in set(piece[2])}
     lifted = []
     for consumed, indices, states, column, r in pieces:

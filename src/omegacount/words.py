@@ -158,6 +158,8 @@ def phi_letters(src: Iterator[str], L: int) -> Iterator[str]:
 
 
 def _take(it: Iterator[str], n: int) -> list[str]:
+    if n < 0:
+        raise ValueError(f"prefix length must be nonnegative, got {n}")
     return list(itertools.islice(it, n))
 
 

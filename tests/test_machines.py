@@ -181,37 +181,61 @@ def infinitely_many(letter):
 
 
 def test_union_accepts_either_language():
-    u = union(infinitely_many("a"), infinitely_many("b"))
+    u = union(("L", infinitely_many("a")), ("R", infinitely_many("b")))
     for cycle, want in ((("a",), True), (("b",), True), (("a", "b"), True)):
         assert lasso_member_oracle(u, (), cycle) is want
     only_niether = _k0([Transition("n", "a", (), "n", ()),
                         Transition("n", "b", (), "n", ())],
                        ("n",), "n", (), ("a", "b"))
-    assert lasso_member_oracle(union(only_niether, only_niether), (), ("a",)) is False
+    assert lasso_member_oracle(union(("L", only_niether), ("R", only_niether)),
+                               (), ("a",)) is False
 
 
 def test_union_requires_matching_shape():
     with pytest.raises(MachineError):
-        union(infinitely_many("a"), m1_aomega())  # k differs
+        union(("L", infinitely_many("a")), ("R", m1_aomega()))  # k differs
     other = _k0([Transition("n", "c", (), "n", ())], ("n",), "n", (), ("c",))
     with pytest.raises(MachineError):
-        union(infinitely_many("a"), other)        # alphabet differs
+        union(("L", infinitely_many("a")), ("R", other))        # alphabet differs
+
+
+def test_union_refuses_no_sides_and_a_repeated_tag():
+    a = infinitely_many("a")
+    with pytest.raises(MachineError, match=r"needs sides with distinct tags, got \[\]"):
+        union()
+    with pytest.raises(MachineError, match=r"distinct tags, got \['L', 'R', 'L'\]"):
+        union(("L", a), ("R", a), ("L", a))
+    assert len(union(("L", a)).machine.states) == 3
+
+
+def test_union_names_the_state_where_two_tags_meet():
+    # tag R with state L.q and tag R.L with state q both name R.L.q
+    dotted = _k0([Transition("L.q", "a", (), "L.q", ())], ("L.q",), "L.q", (), ("a",))
+    plain = _k0([Transition("q", "a", (), "q", ())], ("q",), "q", (), ("a",))
+    with pytest.raises(MachineError, match="state names collide: 'R.L.q' names"):
+        union(("R", dotted), ("R.L", plain))
+    # under tags whose names do not meet, both sides are built
+    assert len(union(("R", dotted), ("S", plain)).machine.states) == 3
 
 
 def test_lift_run_union_retags_and_validates():
     b1, b2 = infinitely_many("a"), infinitely_many("b")
-    u = union(b1, b2)
-    for side, b in (("left", b1), ("right", b2)):
+    u = union(("L", b1), ("R", b2), ("X.Y", b1))
+    for side, (tag, b) in enumerate((("L.", b1), ("R.", b2), ("X.Y.", b1))):
         src = run_of(b, ["a", "b", "a"])
         lifted = lift_run_union(u, src, side)
         assert validate_run(u.machine, ["a", "b", "a"], lifted) is None
-        tag = "L." if side == "left" else "R."
         assert lifted.start.state == "u0"
         assert lifted.states == tuple(tag + q for q in src.states)
         assert u.machine.transitions[lifted.indices[0]].source == "u0"
         # accepting visits carry over one to one
         assert buchi_visit_count(lifted, u.accepting) == \
             buchi_visit_count(src, b.accepting)
+    for side in (3, -1):
+        with pytest.raises(ValueError, match=f"side {side} is not a position in 0..2"):
+            lift_run_union(u, run_of(b1, ["a"]), side)
+    with pytest.raises(TypeError):
+        lift_run_union(u, run_of(b1, ["a"]), "left")
 
 
 def test_intersect_det_buchi_language():
@@ -248,7 +272,7 @@ def test_intersect_refuses_colliding_state_names():
     d = _k0([Transition("z", "a", (), "y&z", ()),
              Transition("y&z", "a", (), "z", ())],
             ("z", "y&z"), "z", ("z",), ("a",))
-    with pytest.raises(MachineError, match="collide"):
+    with pytest.raises(MachineError, match="state names collide: 'x&y&z&2' names"):
         intersect_det_buchi(b, d)
 
 
@@ -334,7 +358,7 @@ def small_k0(draw):
        st.lists(st.sampled_from(["a", "b"]), max_size=3),
        st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=3))
 def test_union_is_language_or(b1, b2, spoke, cycle):
-    got = lasso_member_oracle(union(b1, b2), tuple(spoke), tuple(cycle))
+    got = lasso_member_oracle(union(("L", b1), ("R", b2)), tuple(spoke), tuple(cycle))
     want = (lasso_member_oracle(b1, tuple(spoke), tuple(cycle))
             or lasso_member_oracle(b2, tuple(spoke), tuple(cycle)))
     assert got is want

@@ -24,8 +24,10 @@ def test_desk_variant_shape():
     assert is_real_time(out.automaton.machine)
     assert out.automaton.machine.alphabet == {"a", "b", "A", "B", "0", "F"}
     names = [e[0] for e in out.provenance]
-    assert names == ["input", "script-l", "h-complement", "union",
-                     "phi-wrapper"]
+    assert names == ["input", "script-l", "union", "phi-wrapper"]
+    # one flat union: script-L, then D1-D4 under the nested unions' names
+    assert out.stage("union")[2].params["tags"] == (
+        "L", "R.L.L.L", "R.L.L.R", "R.L.R", "R.R")
     assert out.word_transform == (HCoding(PRIMES), PhiCoding(5))
     assert out.stage("phi-wrapper")[1]["filler_count"] == 5
     with pytest.raises(KeyError):

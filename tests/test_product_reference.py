@@ -13,13 +13,15 @@ with lambda edges:
 - k = 1 `exact_prefix_reach` frontiers agree on seeded prefixes.
 
 `build_script_L` dumps to the same bytes as the raw block protocol laid
-out by hand and intersected with its guard, and `lift_run_union` lifts
-random side runs, and script-L certificates, to the runs the retagging
-route of the hand-laid union gave, step for step.  A depth-first search
-finds every state of each builder's output, and the m2 desk pipeline's
-unions are pinned at the sizes of the reachable parts of the hand-laid
-ones.  A subprocess test checks that the builds do not depend on the hash
-seed.
+out by hand and intersected with its guard.  A flat union of two, three or
+four sides is held to nested binary reference unions whose tags match
+(`build_h_complement` and the pipeline's union stage among them), and
+`lift_run_union` lifts random side runs, and script-L certificates, to the
+runs the retagging route through every nested level gave, step for step.
+A depth-first search finds every state of each builder's output, and the
+m2 desk pipeline's unions are pinned at the sizes of the reachable parts of
+the hand-laid ones.  A subprocess test checks that the builds do not depend
+on the hash seed.
 """
 
 import os
@@ -35,17 +37,19 @@ import pytest
 from conftest import m1_aomega, m2_two_counters, m2_word, m3_alternator, run_of
 from omegacount.constructions import (build_h_complement, build_phi_wrapper,
                                       build_realtime8, build_script_L,
-                                      compose_pipeline, lift_run_script_L,
+                                      compose_pipeline, lift_run_phi,
+                                      lift_run_script_L,
                                       wadge_sum)
-from omegacount.constructions.complement import (_pad_buchi, build_d1,
-                                                 build_d2, build_d3, build_d4)
+from omegacount.constructions.complement import (build_d1, build_d2, build_d3,
+                                                 build_d4)
 from omegacount.engine import exact_prefix_reach, nba_lasso_member
 from omegacount.fileio import dump_automaton
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  MullerAutomaton, Run, RunStep, Transition,
                                  intersect_det_buchi, is_real_time,
                                  lambda_burst_bound, lift_run_union,
-                                 muller_to_buchi, step, union, validate_run)
+                                 muller_to_buchi, pad_counters, step, union,
+                                 validate_run)
 from omegacount.words import F, LassoWord
 
 SIGMA = ("a", "b")
@@ -229,20 +233,67 @@ def _old_lift(old_u, run: Run, side: str) -> Run:
     return ref.from_union_initial(b1, b2, ref.lift_run_union(b1, b2, run, side), side)
 
 
+def _nested(tree):
+    """The reference union of a binary tree of automata (a leaf, or a pair
+    of trees), nested as `reference_products.union` calls, and its leaves
+    in order as (tag, automaton, lift): the tag the nesting puts on the
+    leaf's states, and a lift of a leaf run through every level to a run
+    of the whole from u0."""
+    if isinstance(tree, BuchiAutomaton):
+        return tree, [("", tree, lambda run: run)]
+    (b1, below1), (b2, below2) = map(_nested, tree)
+    old = ref.union(b1, b2)
+    leaves = []
+    for side, tag, below in (("left", "L", below1), ("right", "R", below2)):
+        for inner, b, lift in below:
+            leaves.append((f"{tag}.{inner}" if inner else tag, b,
+                           lambda run, lift=lift, side=side:
+                           _old_lift(old, lift(run), side)))
+    return old, leaves
+
+
+def _union_agrees(rng: random.Random, tree) -> tuple[int, int]:
+    """The flat union of a tree's leaves, tagged as the nesting tags them,
+    is the reachable part of the nested reference, and a random walk of
+    each leaf lifts by its position as the reference lifts it through every
+    level; the yes answers and the lifted steps."""
+    old, leaves = _nested(tree)
+    new = union(*((tag, b) for tag, b, _ in leaves))
+    _assert_reachable_part(new, old)
+    yes, lifted = _agree(rng, new, old), 0
+    for side, (_, b, lift) in enumerate(leaves):
+        run = _walk(rng, b, rng.randint(0, 6))
+        _same_route(new, lift_run_union(new, run, side), old, lift(run))
+        lifted += len(run.indices)
+    return yes, lifted
+
+
+def _tree(shape, draw):
+    """A tree of the shape's nesting whose leaves are drawn left to right."""
+    return (draw() if isinstance(shape, int)
+            else tuple(_tree(part, draw) for part in shape))
+
+
+# three and four sides, nested to the left, to the right and both ways
+NARY = (((0, 1), 2), (0, (1, 2)), (((0, 1), 2), 3), ((0, 1), (2, 3)), (0, ((1, 2), 3)))
+
+
 def test_union_is_the_reachable_part_of_the_reference():
     rng = random.Random(24)
     yes = lifted = 0
     for i in range(400):
         k = i % 2
         b1, b2 = (_machine(rng, k, lambdas=k == 0) for _ in range(2))
-        new, old = union(b1, b2), ref.union(b1, b2)
-        _assert_reachable_part(new, old)
-        yes += _agree(rng, new, old)
-        for side, b in (("left", b1), ("right", b2)):
-            run = _walk(rng, b, rng.randint(0, 6))
-            _same_route(new, lift_run_union(new, run, side), old, _old_lift(old, run, side))
-            lifted += len(run.indices)
+        y, n = _union_agrees(rng, (b1, b2))
+        yes, lifted = yes + y, lifted + n
     assert 300 < yes < 1300 and lifted > 1500
+    yes = lifted = 0
+    for i in range(200):
+        k, shape = i % 2, NARY[i // 2 % len(NARY)]
+        tree = _tree(shape, lambda: _machine(rng, k, lambdas=k == 0))
+        y, n = _union_agrees(rng, tree)
+        yes, lifted = yes + y, lifted + n
+    assert 150 < yes < 700 and lifted > 1000
 
 
 def test_wadge_sum_is_the_reachable_part_of_the_reference():
@@ -283,23 +334,61 @@ def test_script_l_dumps_as_the_reference(make, primes):
     assert new.accepting == old.accepting
 
 
+def _defects(primes: tuple[int, ...]):
+    """D1-D4 with one counter each, nested so that their tags are L.L.L,
+    L.L.R, L.R and R."""
+    d1, d2 = (BuchiAutomaton(pad_counters(d.machine, 1), d.accepting)
+              for d in (build_d1(SIGMA, primes), build_d2(SIGMA, primes)))
+    return ((d1, d2), build_d3(SIGMA, primes)), build_d4(SIGMA, primes)
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (2, 5), (3, 5)])
+def test_h_complement_is_the_reachable_part_of_the_nested_reference(primes):
+    old, leaves = _nested(_defects(primes))
+    new = build_h_complement(SIGMA, primes)
+    _assert_reachable_part(new, old)
+    assert new.params["tags"] == tuple(tag for tag, _, _ in leaves)
+
+
 def test_union_route_agrees_with_the_reference_on_script_l_certificates():
     rng = random.Random(26)
     for a in (m2_two_counters(), m3_alternator()):
         out = compose_pipeline(a, primes=(2, 3), skip_realtime8=True)
         new = out.automaton.source
-        old = ref.union(*new.source)
+        main, *defects = new.source
+        old, leaves = _nested((main, (((defects[0], defects[1]), defects[2]), defects[3])))
+        assert new.params["tags"] == tuple(tag for tag, _, _ in leaves)
+        _assert_reachable_part(new, old)
         for _ in range(6):
             word = (m2_word(rng, 1)[:4] if a.machine.states == {"p", "q"}
                     else ["a", "b"] * rng.randint(1, 2))
-            cert = lift_run_script_L(new.source[0], run_of(a, word))
-            _same_route(new, lift_run_union(new, cert.run, "left"),
-                        old, _old_lift(old, cert.run, "left"))
-        # and the defect side, on random walks of the h-complement
-        for _ in range(6):
-            run = _walk(rng, new.source[1], rng.randint(1, 12))
-            _same_route(new, lift_run_union(new, run, "right"),
-                        old, _old_lift(old, run, "right"))
+            cert = lift_run_script_L(main, run_of(a, word))
+            _same_route(new, lift_run_union(new, cert.run, 0), old, leaves[0][2](cert.run))
+        # and each defect side, on random walks of D1-D4
+        for side in range(1, 5):
+            for _ in range(6):
+                run = _walk(rng, new.source[side], rng.randint(1, 12))
+                _same_route(new, lift_run_union(new, run, side), old, leaves[side][2](run))
+
+
+@pytest.mark.parametrize("make", [m2_two_counters, m3_alternator])
+def test_every_defect_side_lifts_through_the_pipeline(make):
+    """Random walks of each of D1-D4 go through the union lift by side
+    position and then the filler lift, and validate on the final automaton:
+    the route a certificate of the defect side takes."""
+    rng = random.Random(27)
+    out = compose_pipeline(make(), primes=(2, 3), skip_realtime8=True)
+    u, final = out.automaton.source, out.automaton.machine
+    steps = 0
+    for side in range(1, 5):
+        for _ in range(20):
+            run = _walk(rng, u.source[side], rng.randint(1, 16))
+            cert = lift_run_phi(out.automaton, lift_run_union(u, run, side))
+            word = [tok for tok in cert.run.consumed if tok is not None]
+            assert validate_run(final, word, cert.run) is None
+            assert cert.run.start.state == final.initial
+            steps += len(run.indices)
+    assert steps > 400
 
 
 def _k0(alphabet, states, initial, accepting, edges) -> BuchiAutomaton:
@@ -335,7 +424,7 @@ def _muller():
 
 
 BUILDS = {
-    "union": lambda: union(m2_two_counters(), m3_alternator()),
+    "union": lambda: union(("L", m2_two_counters()), ("R", m3_alternator())),
     "wadge_sum": _wadge,
     "build_h_complement": lambda: build_h_complement(SIGMA, (2, 3)),
     "build_script_L": lambda: build_script_L(m2_two_counters(), (2, 3)),
@@ -360,11 +449,10 @@ def test_m2_desk_pipeline_unions_drop_their_unreachable_states():
     a = m2_two_counters()
     out = compose_pipeline(a, primes=(2, 3), skip_realtime8=True)
     b_main = out.stage("script-l")[2]
-    defect, top = out.stage("h-complement")[2], out.stage("union")[2]
-    d1 = _pad_buchi(build_d1(a.machine.alphabet, (2, 3)), 1)
-    d2 = _pad_buchi(build_d2(a.machine.alphabet, (2, 3)), 1)
-    old_defect = ref.union(ref.union(ref.union(
-        d1, d2), build_d3(a.machine.alphabet, (2, 3))), build_d4(a.machine.alphabet, (2, 3)))
+    defect, top = build_h_complement(a.machine.alphabet, (2, 3)), out.stage("union")[2]
+    assert a.machine.alphabet == set(SIGMA)
+    ((d1, d2), d3), d4 = _defects((2, 3))
+    old_defect = ref.union(ref.union(ref.union(d1, d2), d3), d4)
     old_top = ref.union(b_main, old_defect)
     assert (len(old_defect.machine.states), len(defect.machine.states)) == (41, 37)
     assert (len(old_top.machine.states), len(top.machine.states)) == (83, 77)

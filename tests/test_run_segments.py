@@ -421,12 +421,12 @@ def test_union_lift_of_a_run_that_opens_with_a_segment():
     loses its iteration 0 to a piece of its own; the lift equals the lift
     of the flat expansion and validates."""
     a = m1_aomega()
-    u = machines.union(a, a)
+    u = machines.union(("L", a), ("R", a))
     for r in (1, 2, 7):
         run = Run._from_pieces(Configuration("p", (1, 0)),
                                [(("a", "a"), (1, 1), ("p", "p"), ((2, 0), (3, 0)), r),
                                 (("a",), (1,), ("p",), ((2 * r + 2, 0),), 1)])
-        for side in ("left", "right"):
+        for side in (0, 1):
             lifted = machines.lift_run_union(u, run, side)
             assert lifted == machines.lift_run_union(u, _flat(run), side)
             assert lifted.indices[0] != lifted.indices[1]

@@ -7,6 +7,8 @@ computed with the functions under test.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegacount.fileio import WordSpec
+
 from omegacount.words import (Block, HCoding, LassoWord, PhiCoding,
                               ThetaCoding, coded_alphabet, coded_prefix,
                               coding_fresh_letters, h_block_decompose,
@@ -65,6 +67,25 @@ def test_coded_prefix_composes_innermost_first():
     chain = (ThetaCoding(2), PhiCoding(1))
     got = coded_prefix(AB, chain, 8)
     assert got == ["F", "a", "F", "E", "F", "E", "F", "b"]
+
+
+PREFIXES = {
+    "lasso_prefix": lambda n: lasso_prefix(AB, n),
+    "theta_prefix": lambda n: theta_prefix(AB, 2, n),
+    "h_prefix": lambda n: h_prefix(AB, (2, 3), n),
+    "phi_prefix": lambda n: phi_prefix(AB, 1, n),
+    "coded_prefix": lambda n: coded_prefix(AB, (ThetaCoding(2), PhiCoding(1)), n),
+    "WordSpec.prefix_letters": lambda n: WordSpec(
+        AB, (HCoding((2, 3)),), None).prefix_letters(n),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIXES))
+def test_prefix_refuses_a_negative_length(name):
+    take = PREFIXES[name]
+    with pytest.raises(ValueError, match="^prefix length must be nonnegative, got -1$"):
+        take(-1)
+    assert take(0) == []
 
 
 def test_coding_fresh_letters_and_alphabet():
