@@ -10,11 +10,13 @@ and exactly one simulated step, then idles through the surplus pad letters.
 The per-block work is at most (2k)^(m+2) + 2k^(m+2) + 1 for queue size m,
 which stays under the pad budget S^i of block i whenever S >= 8k^2.
 
-States are tuples reached from the initial one by the shared worklist
-`_reach`, named r0, r1, ... in the order they are reached.  The queue
-node's edges on a letter are worked out once per build and shared by every
-state that holds that node, and the few dozen distinct guards and deltas
-are one tuple each, shared by every edge they label.  A
+States are tuples (theta state, queue node, simulated state, counter 6
+status, counter 7 status, flag) reached from the initial one by the shared
+worklist `_reach`, named r0, r1, ... in the order they are reached.  The
+edges of each (suffix, theta label row) pair, the suffix being all but the
+theta state and the row the (letter, guard, delta) labels on the theta
+state's edges, are worked out once per build; the few dozen distinct
+guards and deltas are one tuple each, shared by every edge they label.  A
 flag coordinate folds the two fairness demands (some letter is consumed,
 the simulated control is accepting) into one Buchi set: consuming the
 front letter arms the flag, passing an accepting control state fires it.
@@ -209,60 +211,75 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
     codes = {x: 2 + i for i, x in enumerate(sigma)}
     theta = build_theta_acceptor(m_a.alphabet, s_eff).machine
     leaving = _leaving(m_a)
-    # a queue node's edges depend on the node and the letter alone, and a
-    # few hundred nodes recur across tens of thousands of states
-    entries_of: dict[tuple, list] = {}
+    # theta's 3S + 4 states have a dozen distinct edge labels (letter,
+    # guard, delta) and a handful of distinct rows of them: each theta state
+    # keeps its row's id, the one shared tuple of its row, letters in
+    # [*sigma, E] order and each letter's edges in index order, and its
+    # destinations in that order
+    rank = {x: i for i, x in enumerate([*sigma, E])}
+    rows_seen: dict[tuple, tuple] = {}
+    theta_edges = {}
+    for ts, edges in _leaving(theta).items():
+        edges.sort(key=lambda edge: rank[edge[1]])
+        labels = tuple((inp, g, d) for _, inp, g, _, d in edges)
+        theta_edges[ts] = (*rows_seen.setdefault(labels, (len(rows_seen), labels)),
+                           tuple(edge[3] for edge in edges))
     # a few dozen distinct guards and deltas label every edge: each edge
     # gets the one shared tuple of its value, not a concatenation of its own
     share = {}.setdefault
+    # a state's edges depend on its suffix (node, qa, s6, s7, fl) and its
+    # theta label row alone, and a few hundred suffixes recur across tens
+    # of thousands of states: (suffix, row id) -> (letter, guard, theta
+    # edge position, next suffix, delta, origin) per edge
+    memo: dict[tuple, list] = {}
 
-    def moves(src: tuple):
-        ts, node, qa, s6, s7, fl = src
+    def rows(suffix: tuple, labels: tuple) -> list:
+        node, qa, s6, s7, fl = suffix
         # an accepting visit re-arms the letter-consumption demand
         f1 = 1 if (fl == 2 and qa in a.accepting) else fl
-        for letter in [*sigma, E]:
-            tedges = theta.outgoing(ts, letter)
-            if not tedges:
-                continue
-            entries = entries_of.get((node, letter))
-            if entries is None:
-                entries = entries_of[node, letter] = _pad_entries(node, k) \
-                    if letter == E else _sigma_entries(node, codes[letter])
-            for _, te in tedges:
-                for entry in entries:
-                    if entry[0] == "plain":
-                        _, g4, d4, node2 = entry
-                        f2 = 2 if (f1 == 1 and node2[0] == "REM") else f1
-                        for b6 in _ALLOWED[s6]:
-                            for b7 in _ALLOWED[s7]:
-                                dst = (te.destination, node2, qa,
-                                       "P" if b6 else "Z",
-                                       "P" if b7 else "Z", f2)
-                                guard = te.guard + g4 + (b6, b7)
-                                delta = te.delta + d4 + (0, 0)
-                                yield (letter, share(guard, guard), dst,
-                                       share(delta, delta), None)
+        out = []
+        for j, (letter, tg, td) in enumerate(labels):
+            for entry in _pad_entries(node, k) if letter == E \
+                    else _sigma_entries(node, codes[letter]):
+                if entry[0] == "plain":
+                    _, g4, d4, node2 = entry
+                    f2 = 2 if (f1 == 1 and node2[0] == "REM") else f1
+                    delta = td + d4 + (0, 0)
+                    for b6 in _ALLOWED[s6]:
+                        for b7 in _ALLOWED[s7]:
+                            guard = tg + g4 + (b6, b7)
+                            out.append((letter, share(guard, guard), j,
+                                        (node2, qa, "P" if b6 else "Z",
+                                         "P" if b7 else "Z", f2),
+                                        share(delta, delta), None))
+                    continue
+                _, front, g4 = entry
+                ms, ss = node[1], node[2]
+                for i, inp, ag, adst, ad in leaving.get(qa, ()):
+                    if ag[0] not in _ALLOWED[s6] or ag[1] not in _ALLOWED[s7]:
+                        continue
+                    if inp is None:
+                        node2 = ("IDLE", 5 - ms, ss)
+                    elif codes[inp] == front:
+                        node2 = ("RPOP", 5 - ms, ss, front, 0, 0)
                     else:
-                        _, front, g4 = entry
-                        ms, ss = node[1], node[2]
-                        for i, inp, ag, adst, ad in leaving.get(qa, ()):
-                            if ag[0] not in _ALLOWED[s6]:
-                                continue
-                            if ag[1] not in _ALLOWED[s7]:
-                                continue
-                            if inp is None:
-                                node2 = ("IDLE", 5 - ms, ss)
-                            elif codes[inp] == front:
-                                node2 = ("RPOP", 5 - ms, ss, front, 0, 0)
-                            else:
-                                continue
-                            dst = (te.destination, node2, adst,
-                                   _after(s6, ag[0], ad[0]),
-                                   _after(s7, ag[1], ad[1]), f1)
-                            guard = te.guard + g4 + ag
-                            delta = te.delta + _ZERO4 + ad
-                            yield (letter, share(guard, guard), dst,
-                                   share(delta, delta), i)
+                        continue
+                    guard = tg + g4 + ag
+                    delta = td + _ZERO4 + ad
+                    out.append((letter, share(guard, guard), j,
+                                (node2, adst, _after(s6, ag[0], ad[0]),
+                                 _after(s7, ag[1], ad[1]), f1),
+                                share(delta, delta), i))
+        return out
+
+    def moves(src: tuple) -> list:
+        row_id, labels, destinations = theta_edges[src[0]]
+        key = (src[1:], row_id)
+        done = memo.get(key)
+        if done is None:
+            done = memo[key] = rows(src[1:], labels)
+        return [(letter, guard, (destinations[j], *nxt), delta, o)
+                for letter, guard, j, nxt, delta, o in done]
 
     numbers = itertools.count()
     machine, table, origin = _reach(
@@ -285,7 +302,8 @@ def build_realtime8(a: BuchiAutomaton, S_override: int | None = None) -> Built:
     column each simulated step to the index of the source transition it
     simulates; every other transition's origin is None.  The build makes
     the theta acceptor for S whole first, so an S whose theta acceptor's
-    3S + 4 states pass STATE_CAP is refused before anything is built."""
+    3S + 4 states pass STATE_CAP is refused before anything is built.  The
+    memo of edges per (suffix, theta label row) lives only in the build."""
     if a.machine.k != 2:
         raise ArityError(f"simulated machine must have 2 counters, has {a.machine.k}")
     if not a.machine.alphabet:

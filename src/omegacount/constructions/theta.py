@@ -12,13 +12,16 @@ form the accepting set; a genuine coded word visits one per block.
 from __future__ import annotations
 
 from ..engine import deterministic_run
-from ..machines import BuchiAutomaton, CounterMachine, Transition
+from ..errors import BuildScaleError
+from ..machines import BuchiAutomaton, CounterMachine
 from ..words import E, ThetaCoding, coded_alphabet, theta_prefix
 from .certificates import BlockSpan, RunCertificate
 
 INIT = "init"
 LAND_A = "landA"
 LAND_B = "landB"
+
+STATE_CAP = 400_000
 
 
 def _block1(i: int) -> str:
@@ -31,52 +34,56 @@ def _phase(side: str, p: int) -> str:
 
 def build_theta_acceptor(sigma: frozenset[str] | set[str],
                          S: int) -> BuchiAutomaton:
-    """Acceptor over sigma plus the pad letter E for pad factor S >= 1."""
+    """Acceptor over sigma plus the pad letter E for pad factor S >= 1.  Its
+    3S + 4 states are counted first: past STATE_CAP nothing is built."""
     sigma = frozenset(sigma)
     full = coded_alphabet(ThetaCoding(S), sigma)
     if not sigma:
         raise ValueError("empty source alphabet")
+    if 3 * S + 4 > STATE_CAP:
+        raise BuildScaleError(f"theta acceptor needs {3 * S + 4} states, past "
+                              f"the cap of {STATE_CAP}", 3 * S + 4, STATE_CAP)
     letters = sorted(sigma)
-    trans: list[Transition] = []
+    # (source, input, guard, destination, delta) rows, made the machine's
+    # five columns at the end: no Transition record per edge
+    trans: list[tuple] = []
 
     for a in letters:
-        trans.append(Transition(INIT, a, (0, 0), _block1(0), (0, 0)))
+        trans.append((INIT, a, (0, 0), _block1(0), (0, 0)))
     # block 1 counted in control; counter 0 accumulates its length
-    trans.append(Transition(_block1(0), E, (0, 0), _block1(1), (1, 0)))
+    trans.append((_block1(0), E, (0, 0), _block1(1), (1, 0)))
     for i in range(1, S):
-        trans.append(Transition(_block1(i), E, (1, 0), _block1(i + 1), (1, 0)))
+        trans.append((_block1(i), E, (1, 0), _block1(i + 1), (1, 0)))
     for a in letters:
-        trans.append(Transition(_block1(S), a, (1, 0), LAND_A, (0, 0)))
+        trans.append((_block1(S), a, (1, 0), LAND_A, (0, 0)))
 
     # phase A: drain counter 0 once per group of S, fill counter 1 per letter
     nxt = _phase("A", 1 % S)
-    trans.append(Transition(LAND_A, E, (1, 0), nxt, (-1, 1)))
-    trans.append(Transition(_phase("A", 0), E, (1, 1), nxt, (-1, 1)))
+    trans.append((LAND_A, E, (1, 0), nxt, (-1, 1)))
+    trans.append((_phase("A", 0), E, (1, 1), nxt, (-1, 1)))
     for p in range(1, S):
         for g0 in (0, 1):
-            trans.append(Transition(_phase("A", p), E, (g0, 1),
-                                    _phase("A", (p + 1) % S), (0, 1)))
+            trans.append((_phase("A", p), E, (g0, 1),
+                          _phase("A", (p + 1) % S), (0, 1)))
     for a in letters:
-        trans.append(Transition(_phase("A", 0), a, (0, 1), LAND_B, (0, 0)))
+        trans.append((_phase("A", 0), a, (0, 1), LAND_B, (0, 0)))
 
     # phase B: mirrored
     nxt = _phase("B", 1 % S)
-    trans.append(Transition(LAND_B, E, (0, 1), nxt, (1, -1)))
-    trans.append(Transition(_phase("B", 0), E, (1, 1), nxt, (1, -1)))
+    trans.append((LAND_B, E, (0, 1), nxt, (1, -1)))
+    trans.append((_phase("B", 0), E, (1, 1), nxt, (1, -1)))
     for p in range(1, S):
         for g1 in (0, 1):
-            trans.append(Transition(_phase("B", p), E, (1, g1),
-                                    _phase("B", (p + 1) % S), (1, 0)))
+            trans.append((_phase("B", p), E, (1, g1),
+                          _phase("B", (p + 1) % S), (1, 0)))
     for a in letters:
-        trans.append(Transition(_phase("B", 0), a, (1, 0), LAND_A, (0, 0)))
+        trans.append((_phase("B", 0), a, (1, 0), LAND_A, (0, 0)))
 
     states = [INIT, LAND_A, LAND_B]
     states += [_block1(i) for i in range(S + 1)]
     states += [_phase("A", p) for p in range(S)]
     states += [_phase("B", p) for p in range(S)]
-    m = CounterMachine(k=2, states=frozenset(states),
-                       alphabet=full, initial=INIT,
-                       transitions=tuple(trans))
+    m = CounterMachine.from_columns(2, full, frozenset(states), INIT, *zip(*trans))
     return BuchiAutomaton(machine=m, accepting=frozenset({LAND_A, LAND_B}))
 
 

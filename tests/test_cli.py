@@ -236,10 +236,21 @@ def test_an_oversized_realtime8_exits_2_before_building(files, capsys, monkeypat
             "error: eight-counter product needs a theta acceptor of 6000004 "
             "states, past the cap of 400000\n")
         assert not out.exists()
-    # the theta acceptor on its own is built at whatever size is asked for
+    # the theta acceptor on its own answers to its own cap, not realtime8's
     monkeypatch.setattr(rt8, "STATE_CAP", 10)
     assert main(["build", "theta-acceptor", "--sigma", "a", "--S", "5"]) == 0
     assert "states " in capsys.readouterr().out
+
+
+def test_an_oversized_theta_acceptor_exits_2_before_building(files, capsys):
+    # 3S + 4 states are counted before anything is built, so nothing is
+    # allocated here
+    out = files["dir"] / "out"
+    assert main(["build", "theta-acceptor", "--sigma", "a", "--S", "5000000",
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: theta acceptor needs 15000004 states, past the cap of 400000\n")
+    assert not out.exists()
 
 
 def test_a_negative_prefix_length_exits_2_with_its_own_message(files, capsys):

@@ -1,12 +1,16 @@
-"""Pad-factor acceptor: structure, certificates, corruption detection."""
+"""Pad-factor acceptor: structure, pinned dumps, size cap, certificates,
+corruption detection."""
 
+import hashlib
 import random
 
 import pytest
 
+import omegacount.constructions.theta as theta
 from omegacount.constructions import build_theta_acceptor, theta_certificate
 from omegacount.engine import deterministic_run, exact_prefix_reach
-from omegacount.errors import FreshLetterError
+from omegacount.errors import BuildScaleError, FreshLetterError
+from omegacount.fileio import dump_automaton
 from omegacount.machines import is_real_time, validate_run
 from omegacount.words import LassoWord, theta_prefix
 
@@ -29,6 +33,32 @@ def test_acceptor_rejects_bad_parameters():
         build_theta_acceptor({"a", "E"}, 2)
     with pytest.raises(ValueError):
         build_theta_acceptor(set(), 2)
+
+
+DUMPS = {
+    ("a", 1): "52c135ba7e4213ab", ("a", 2): "1d735edbcc79dabf",
+    ("a", 3): "6e835a7f510d8a16", ("a", 72): "70b84885dae0065c",
+    ("a", 288): "989f48eab85a6e15", ("ab", 1): "85c02e254731dbb1",
+    ("ab", 2): "8e868f1f47c77bb2", ("ab", 3): "36eb55c47a725482",
+    ("ab", 72): "887ffb28e7ace82f", ("ab", 288): "5e1e4872ee0b052d",
+}
+
+
+@pytest.mark.parametrize("sigma, S", sorted(DUMPS))
+def test_acceptor_dump_is_pinned(sigma, S):
+    text = dump_automaton(build_theta_acceptor(set(sigma), S))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == DUMPS[sigma, S]
+
+
+def test_acceptor_past_its_cap_is_refused_before_the_build(monkeypatch):
+    with pytest.raises(BuildScaleError, match="needs 400003 states") as exc:
+        build_theta_acceptor({"a"}, 133_333)
+    assert (exc.value.estimated_states, exc.value.cap) == (400_003, theta.STATE_CAP)
+    # the largest S under the cap still builds
+    monkeypatch.setattr(theta, "STATE_CAP", 3 * 5 + 4)
+    assert len(build_theta_acceptor({"a"}, 5).machine.states) == 3 * 5 + 4
+    with pytest.raises(BuildScaleError):
+        build_theta_acceptor({"a"}, 6)
 
 
 def test_acceptor_is_deterministic_on_coded_prefixes():
