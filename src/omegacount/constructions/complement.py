@@ -12,17 +12,18 @@ need no counters; D3 and D4 guess the offending run and check it with one.
 
 from __future__ import annotations
 
-from ..machines import (BuchiAutomaton, Built, CounterMachine, Transition,
-                        pad_counters, union)
+from ..machines import BuchiAutomaton, Built, CounterMachine, pad_counters, union
 from ..words import A, B, ZERO, HCoding, coded_alphabet
 
 BAD = "bad"
 
 
-def _sink(state: str, letters, k: int) -> list[Transition]:
+# each builder lists (source, input, guard, destination, delta) rows and hands
+# them to the machine as its five columns: no Transition record per edge
+def _sink(state: str, letters, k: int) -> list[tuple]:
     guards = [(0,), (1,)] if k == 1 else [()]
     zero = (0,) * k
-    return [Transition(state, a, g, state, zero)
+    return [(state, a, g, state, zero)
             for a in sorted(letters) for g in guards]
 
 
@@ -33,7 +34,7 @@ def build_d1(sigma: frozenset[str] | set[str],
     coding = HCoding(primes=tuple(primes))
     full = coded_alphabet(coding, sigma)
     q = coding.q
-    trans: list[Transition] = []
+    trans: list[tuple] = []
 
     def tmpl(i: int) -> str:
         return f"t&{i}"
@@ -41,7 +42,7 @@ def build_d1(sigma: frozenset[str] | set[str],
     def expect(state: str, good: set[str], nxt: str) -> None:
         for a in sorted(full):
             dst = nxt if a in good else BAD
-            trans.append(Transition(state, a, (), dst, ()))
+            trans.append((state, a, (), dst, ()))
 
     expect(tmpl(0), {A}, tmpl(1))
     for i in range(1, q + 1):
@@ -52,8 +53,7 @@ def build_d1(sigma: frozenset[str] | set[str],
     trans += _sink(BAD, full, 0)
 
     states = frozenset([tmpl(i) for i in range(q + 3)] + ["done", BAD])
-    m = CounterMachine(k=0, states=states, alphabet=full, initial=tmpl(0),
-                       transitions=tuple(trans))
+    m = CounterMachine.from_columns(0, full, states, tmpl(0), *zip(*trans))
     return BuchiAutomaton(machine=m, accepting=frozenset({BAD}))
 
 
@@ -63,12 +63,12 @@ def build_d2(sigma: frozenset[str] | set[str],
     that stall in an endless zero run."""
     sigma = frozenset(sigma)
     full = coded_alphabet(HCoding(tuple(primes)), sigma)
-    trans: list[Transition] = []
+    trans: list[tuple] = []
 
     def expect(state: str, table: dict[str, str]) -> None:
         for a in sorted(full):
             dst = table.get(a, BAD)
-            trans.append(Transition(state, a, (), dst, ()))
+            trans.append((state, a, (), dst, ()))
 
     sig = {a: "rS" for a in sigma}
     expect("start", {A: "rA0"})
@@ -79,14 +79,13 @@ def build_d2(sigma: frozenset[str] | set[str],
     expect("rB1", {ZERO: "rB1", A: "rA0"})
     # a zero run may secretly never end; guess so and survive only on zeros
     for st in ("rA0", "rA1", "rB0", "rB1"):
-        trans.append(Transition(st, ZERO, (), "stall", ()))
-    trans.append(Transition("stall", ZERO, (), "stall", ()))
+        trans.append((st, ZERO, (), "stall", ()))
+    trans.append(("stall", ZERO, (), "stall", ()))
     trans += _sink(BAD, full, 0)
 
     states = frozenset(["start", "rA0", "rA1", "rS", "rB0", "rB1",
                         "stall", BAD])
-    m = CounterMachine(k=0, states=states, alphabet=full, initial="start",
-                       transitions=tuple(trans))
+    m = CounterMachine.from_columns(0, full, states, "start", *zip(*trans))
     return BuchiAutomaton(machine=m, accepting=frozenset({BAD, "stall"}))
 
 
@@ -97,29 +96,28 @@ def build_d3(sigma: frozenset[str] | set[str],
     sink is entered only on the closing letter."""
     sigma = frozenset(sigma)
     full = coded_alphabet(HCoding(tuple(primes)), sigma)
-    trans: list[Transition] = []
+    trans: list[tuple] = []
 
     for a in sorted(full):
-        trans.append(Transition("w0", a, (0,), "w0", (0,)))
-    trans.append(Transition("w0", B, (0,), "cnt", (0,)))
+        trans.append(("w0", a, (0,), "w0", (0,)))
+    trans.append(("w0", B, (0,), "cnt", (0,)))
     # count the guessed B-run; the A move needs at least one zero behind it
-    trans.append(Transition("cnt", ZERO, (0,), "cnt", (1,)))
-    trans.append(Transition("cnt", ZERO, (1,), "cnt", (1,)))
-    trans.append(Transition("cnt", A, (1,), "dr0", (0,)))
+    trans.append(("cnt", ZERO, (0,), "cnt", (1,)))
+    trans.append(("cnt", ZERO, (1,), "cnt", (1,)))
+    trans.append(("cnt", A, (1,), "dr0", (0,)))
     # drain against the A-run; dr0 forces the second run to be nonempty
-    trans.append(Transition("dr0", ZERO, (1,), "dr", (-1,)))
-    trans.append(Transition("dr", ZERO, (1,), "dr", (-1,)))
-    trans.append(Transition("dr", ZERO, (0,), "ov", (0,)))
+    trans.append(("dr0", ZERO, (1,), "dr", (-1,)))
+    trans.append(("dr", ZERO, (1,), "dr", (-1,)))
+    trans.append(("dr", ZERO, (0,), "ov", (0,)))
     for a in sorted(sigma):
         # closing letter seals the mismatch; equal lengths leave no move
-        trans.append(Transition("dr", a, (1,), BAD, (0,)))
-        trans.append(Transition("ov", a, (0,), BAD, (0,)))
-    trans.append(Transition("ov", ZERO, (0,), "ov", (0,)))
+        trans.append(("dr", a, (1,), BAD, (0,)))
+        trans.append(("ov", a, (0,), BAD, (0,)))
+    trans.append(("ov", ZERO, (0,), "ov", (0,)))
     trans += _sink(BAD, full, 1)
 
     states = frozenset(["w0", "cnt", "dr0", "dr", "ov", BAD])
-    m = CounterMachine(k=1, states=states, alphabet=full, initial="w0",
-                       transitions=tuple(trans))
+    m = CounterMachine.from_columns(1, full, states, "w0", *zip(*trans))
     return BuchiAutomaton(machine=m, accepting=frozenset({BAD}))
 
 
@@ -132,39 +130,37 @@ def build_d4(sigma: frozenset[str] | set[str],
     coding = HCoding(primes=tuple(primes))
     full = coded_alphabet(coding, sigma)
     q = coding.q
-    trans: list[Transition] = []
+    trans: list[tuple] = []
 
     def grp(j: int) -> str:
         return f"g&{j}"
 
     for a in sorted(full):
-        trans.append(Transition("v0", a, (0,), "v0", (0,)))
-    trans.append(Transition("v0", A, (0,), "acnt0", (0,)))
+        trans.append(("v0", a, (0,), "v0", (0,)))
+    trans.append(("v0", A, (0,), "acnt0", (0,)))
     # acnt0 has a single move so the counted run is nonempty
-    trans.append(Transition("acnt0", ZERO, (0,), "acnt", (1,)))
-    trans.append(Transition("acnt", ZERO, (1,), "acnt", (1,)))
+    trans.append(("acnt0", ZERO, (0,), "acnt", (1,)))
+    trans.append(("acnt", ZERO, (1,), "acnt", (1,)))
     for a in sorted(sigma):
-        trans.append(Transition("acnt", a, (1,), "bexp", (0,)))
-    trans.append(Transition("bexp", B, (1,), "b0", (0,)))
+        trans.append(("acnt", a, (1,), "bexp", (0,)))
+    trans.append(("bexp", B, (1,), "b0", (0,)))
     # each full group of Q zeros costs one unit; b0 forces a nonempty run
-    trans.append(Transition("b0", ZERO, (1,), grp(1 % q), (-1,)))
-    trans.append(Transition(grp(0), ZERO, (1,), grp(1 % q), (-1,)))
-    trans.append(Transition(grp(0), ZERO, (0,), "ovr", (0,)))
+    trans.append(("b0", ZERO, (1,), grp(1 % q), (-1,)))
+    trans.append((grp(0), ZERO, (1,), grp(1 % q), (-1,)))
+    trans.append((grp(0), ZERO, (0,), "ovr", (0,)))
     # the closing marker seals the ratio defect; an exact Q:1 block dies
-    trans.append(Transition(grp(0), A, (1,), BAD, (0,)))
+    trans.append((grp(0), A, (1,), BAD, (0,)))
     for j in range(1, q):
         for g in (0, 1):
-            trans.append(Transition(grp(j), ZERO, (g,), grp((j + 1) % q),
-                                    (0,)))
-            trans.append(Transition(grp(j), A, (g,), BAD, (0,)))
-    trans.append(Transition("ovr", ZERO, (0,), "ovr", (0,)))
-    trans.append(Transition("ovr", A, (0,), BAD, (0,)))
+            trans.append((grp(j), ZERO, (g,), grp((j + 1) % q), (0,)))
+            trans.append((grp(j), A, (g,), BAD, (0,)))
+    trans.append(("ovr", ZERO, (0,), "ovr", (0,)))
+    trans.append(("ovr", A, (0,), BAD, (0,)))
     trans += _sink(BAD, full, 1)
 
     states = frozenset(["v0", "acnt0", "acnt", "bexp", "b0", "ovr", BAD]
                        + [grp(j) for j in range(q)])
-    m = CounterMachine(k=1, states=states, alphabet=full, initial="v0",
-                       transitions=tuple(trans))
+    m = CounterMachine.from_columns(1, full, states, "v0", *zip(*trans))
     return BuchiAutomaton(machine=m, accepting=frozenset({BAD}))
 
 

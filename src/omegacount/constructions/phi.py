@@ -14,8 +14,7 @@ from functools import partial
 
 from ..errors import FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
-                        Run, Walker, _leaving, _reach,
-                        lambda_burst_bound)
+                        Run, Walker, _reach, lambda_burst_bound)
 from ..words import F
 from .certificates import BlockSpan, RunCertificate, source_word
 
@@ -45,13 +44,12 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
         raise MachineError(
             f"lambda bursts reach {burst}, filler window is {filler_count}")
 
-    leaving = _leaving(m)
     guard_combos = list(itertools.product((0, 1), repeat=m.k))
     zeros = (0,) * m.k
 
     def moves(src: tuple[str, int, int]):
         q, f, _ = src
-        for i, inp, guard, dst, delta in leaving.get(q, ()):
+        for i, inp, guard, dst, delta in m.leaving(q):
             pulse = 1 if dst in b.accepting else 0
             if f < filler_count and inp is None:
                 # inside the window a lambda move reads filler

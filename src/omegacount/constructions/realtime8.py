@@ -27,8 +27,7 @@ from __future__ import annotations
 import itertools
 
 from ..errors import ArityError, BuildScaleError, MachineError
-from ..machines import (BuchiAutomaton, Built, Configuration, Run, Walker,
-                        _leaving, _reach)
+from ..machines import BuchiAutomaton, Built, Configuration, Run, Walker, _reach
 from ..words import E
 from .certificates import BlockSpan, RunCertificate, source_word
 from .theta import build_theta_acceptor
@@ -210,7 +209,6 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
     k = len(sigma) + 2
     codes = {x: 2 + i for i, x in enumerate(sigma)}
     theta = build_theta_acceptor(m_a.alphabet, s_eff).machine
-    leaving = _leaving(m_a)
     # theta's 3S + 4 states have a dozen distinct edge labels (letter,
     # guard, delta) and a handful of distinct rows of them: each theta state
     # keeps its row's id, the one shared tuple of its row, letters in
@@ -219,8 +217,8 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
     rank = {x: i for i, x in enumerate([*sigma, E])}
     rows_seen: dict[tuple, tuple] = {}
     theta_edges = {}
-    for ts, edges in _leaving(theta).items():
-        edges.sort(key=lambda edge: rank[edge[1]])
+    for ts in theta.states:
+        edges = sorted(theta.leaving(ts), key=lambda edge: rank[edge[1]])
         labels = tuple((inp, g, d) for _, inp, g, _, d in edges)
         theta_edges[ts] = (*rows_seen.setdefault(labels, (len(rows_seen), labels)),
                            tuple(edge[3] for edge in edges))
@@ -255,7 +253,7 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
                     continue
                 _, front, g4 = entry
                 ms, ss = node[1], node[2]
-                for i, inp, ag, adst, ad in leaving.get(qa, ()):
+                for i, inp, ag, adst, ad in m_a.leaving(qa):
                     if ag[0] not in _ALLOWED[s6] or ag[1] not in _ALLOWED[s7]:
                         continue
                     if inp is None:

@@ -25,8 +25,8 @@ from operator import add
 
 from ..errors import ArityError, BuildScaleError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
-                        MachineError, Run, Transition, Walker, _det_table,
-                        _leaving, _reach, is_real_time, validate_run)
+                        MachineError, Run, Walker, _reach, _two_flag, is_real_time,
+                        validate_run)
 from ..words import A, B, ZERO, HCoding, _check_letters, _h_runs, coded_alphabet
 from .certificates import BlockSpan, RunCertificate, source_word
 
@@ -69,11 +69,9 @@ def build_script_l_guard(sigma: frozenset[str] | set[str]) -> BuchiAutomaton:
         "SB": {ZERO: "SB", A: "SA"},
         "sink": {},
     }
-    trans = [Transition(src, a, (), row.get(a, "sink"), ())
+    trans = [(src, a, (), row.get(a, "sink"), ())
              for src, row in table.items() for a in sorted(full)]
-    m = CounterMachine(k=0, alphabet=full,
-                       states=frozenset(table), initial="S0",
-                       transitions=tuple(trans))
+    m = CounterMachine.from_columns(0, full, frozenset(table), "S0", *zip(*trans))
     return BuchiAutomaton(m, frozenset({"SA", "SS", "SB"}))
 
 
@@ -90,7 +88,6 @@ def _raw_moves(a: BuchiAutomaton, primes: tuple[int, ...]):
     m = a.machine
     big_q = math.prod(primes)
     ones = tuple(1 % p for p in primes)
-    leaving = _leaving(m)
 
     def moves(raw: tuple):
         kind = raw[0]
@@ -100,7 +97,7 @@ def _raw_moves(a: BuchiAutomaton, primes: tuple[int, ...]):
             _, q, res = raw
             nxt = tuple([(r + 1) % p for r, p in zip(res, primes)])
             yield ZERO, _POS, ("v", q, nxt), _INC, None
-            for i, inp, guard, dst, delta in leaving.get(q, ()):
+            for i, inp, guard, dst, delta in m.leaving(q):
                 if _consistent(guard, res):
                     yield inp, _POS, ("x", dst, delta), _KEEP, i
         elif kind == "w":
@@ -144,8 +141,9 @@ def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
     """One-counter acceptor of the block-coded run language of `a`.
 
     Its states are (raw state, guard state, flag) triples: the block
-    protocol in a two-flag product with build_script_l_guard, as
-    intersect_det_buchi would build it.  `_reach` builds the triples that
+    protocol in the two-flag product with build_script_l_guard that
+    `machines._two_flag` makes for intersect_det_buchi too.  `_reach`
+    builds the triples that
     (("init",), "S0", 1) reaches and refuses a build that reaches more
     than STATE_CAP; the table maps each state to its triple, and the origin
     column each guess to the index of the source transition it guesses.
@@ -166,20 +164,8 @@ def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
         raise MachineError("block protocol needs a real-time source machine")
     full = coded_alphabet(coding, m.alphabet)
     guard = build_script_l_guard(m.alphabet)
-    dtable = _det_table(guard)
-    raw_moves = _raw_moves(a, primes)
-
-    def moves(src: tuple):
-        raw, s, flag = src
-        # the flag update looks at the source pair, as intersect_det_buchi's
-        if flag == 1:
-            nf = 2 if raw[0] == "x" and raw[1] in a.accepting else 1
-        else:
-            nf = 1 if s in guard.accepting else 2
-        for inp, g, dst, d, o in raw_moves(raw):
-            s2 = s if inp is None else dtable[s, inp][1].destination
-            yield inp, g, (dst, s2, nf), d, o
-
+    moves = _two_flag(_raw_moves(a, primes),
+                      lambda raw: raw[0] == "x" and raw[1] in a.accepting, guard)
     machine, table, origin = _reach(
         1, full, (("init",), guard.machine.initial, 1), moves,
         lambda state: f"{_name(state[0])}&{state[1]}&{state[2]}",

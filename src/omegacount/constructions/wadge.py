@@ -9,8 +9,7 @@ the complement automaton is an argument, not a derived object.
 
 from __future__ import annotations
 
-from ..machines import (BuchiAutomaton, MachineError, _leaving, _reach,
-                        pad_counters)
+from ..machines import BuchiAutomaton, MachineError, _reach, pad_counters
 
 _INIT = "i0"
 
@@ -45,12 +44,11 @@ def wadge_sum(bL: BuchiAutomaton, bLp: BuchiAutomaton, bLpComp: BuchiAutomaton,
     zeros = (0,) * k
     sides = {"L": bL, "P": bLp, "C": bLpComp}
     padded = {tag: pad_counters(b.machine, k) for tag, b in sides.items()}
-    leaving = {tag: _leaving(m) for tag, m in padded.items()}
 
     def moves(src: tuple):
         # i0 enters the kept copy on its own first moves
         tag, q = ("L", bL.machine.initial) if src == (_INIT,) else src
-        for _, inp, guard, dst, delta in leaving[tag].get(q, ()):
+        for _, inp, guard, dst, delta in padded[tag].leaving(q):
             yield inp, guard, (tag, dst), delta, None
         if src == (_INIT,):
             # or idles through any finite small-alphabet prefix, then

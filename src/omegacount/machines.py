@@ -14,11 +14,12 @@ for the state and letter tokens, set inclusions for the sources,
 destinations and inputs, one check per distinct (guard, delta).  Only when
 one of these fails does the check run again token by token and transition
 by transition, to raise the first error with its transition index.  The
-(source, input) index behind `outgoing` is made on the first call, so a
-machine that is only built, dumped or replayed never pays for it.  When
-each source's transitions form one span, as in every machine `_reach`
-builds, the index is filled one state at a time from that state's span,
-so a walk indexes only the states it visits; otherwise it is built whole.
+library reads a state's transitions only through `leaving`, as (index,
+input, guard, destination, delta) rows of the columns, and no builder
+makes a Transition.  The index behind `leaving` is made on the first call;
+when each source's transitions form one span, as in every machine `_reach`
+builds, it is filled one state at a time, so a walk indexes only the
+states it visits; otherwise it is built whole.
 
 Runs are explicit certificates: a start configuration plus, per step, the
 consumed token, the index of the transition used, and the resulting
@@ -218,15 +219,15 @@ class CounterMachine:
     sources, destinations and inputs as set operations on the columns, guard
     and delta once per distinct (guard, delta).  When one of them fails,
     the checks run again token by token and transition by transition, which
-    raise the first error in that order.  The (source, input) index behind
-    `outgoing` is made by `outgoing`, from its first call on, and holds the
-    records of the states asked about."""
+    raise the first error in that order.  The per-state index behind
+    `leaving` is made by `leaving`, from its first call on, and holds the
+    rows of the states asked about."""
 
     __slots__ = ("k", "alphabet", "states", "initial", "transitions", "sources",
                  "inputs", "guards", "destinations", "deltas",
-                 # (source, input) -> indexed transitions, filled by `outgoing`
-                 "_adj",
-                 # source -> start of its span, for the states `outgoing` has
+                 # source -> its rows, filled by `leaving`
+                 "_rows",
+                 # source -> start of its span, for the states `leaving` has
                  # yet to index; None when the index was built whole
                  "_spans",
                  # step's choices per (state, token, sign pattern), filled by
@@ -263,7 +264,7 @@ class CounterMachine:
         self.transitions = transitions
         (self.sources, self.inputs, self.guards, self.destinations,
          self.deltas) = transitions._columns
-        self._adj = self._spans = None
+        self._rows = self._spans = None
         self._enabled = {}
         real_time = self._check_in_bulk()
         self._real_time = (self._check_each(zip(*transitions._columns))
@@ -336,30 +337,35 @@ class CounterMachine:
                 shapes.add(shape)
         return real_time
 
-    def outgoing(self, state: str, input: str | None) -> list[tuple[int, Transition]]:
-        """Indexed transitions with this exact (source, input) pair.
+    def leaving(self, state: str) -> tuple[tuple, ...]:
+        """The state's transitions as (index, input, guard, destination,
+        delta) rows in index order, one tuple per state that every caller
+        shares; () for a state without transitions.
 
         The first call looks at the layout.  When each source's transitions
-        form one span, the index is filled one state at a time, from that
-        state's span, when the state is first asked about; otherwise the
-        whole index is built at once."""
-        adj = self._adj
-        if adj is None:
-            adj = self._adj = {}
+        form one span, a state's rows are made from its span when it is
+        first asked about; otherwise the whole index is made at once."""
+        rows = self._rows
+        if rows is None:
             self._spans = self._span_starts()
+            grouped: dict[str, list] = {}
             if self._spans is None:
-                for i, t in enumerate(self.transitions):
-                    adj.setdefault((t.source, t.input), []).append((i, t))
-        spans = self._spans
-        if spans is not None:
-            start = spans.pop(state, None)
-            if start is not None:
-                sources, end = self.sources, start
-                while end < len(sources) and sources[end] == state:
-                    end += 1
-                for i, t in zip(range(start, end), self.transitions[start:end]):
-                    adj.setdefault((state, t.input), []).append((i, t))
-        return adj.get((state, input), [])
+                for row in zip(self.sources, count(), self.inputs, self.guards,
+                               self.destinations, self.deltas):
+                    grouped.setdefault(row[0], []).append(row[1:])
+            rows = self._rows = {q: tuple(out) for q, out in grouped.items()}
+        out = rows.get(state)
+        if out is None:
+            start = None if self._spans is None else self._spans.pop(state, None)
+            if start is None:
+                return ()
+            sources, end = self.sources, start
+            while end < len(sources) and sources[end] == state:
+                end += 1
+            columns = (self.inputs, self.guards, self.destinations, self.deltas)
+            out = rows[state] = tuple(zip(range(start, end),
+                                          *[column[start:end] for column in columns]))
+        return out
 
     def _span_starts(self) -> dict[str, int] | None:
         """Where each source's span of transitions starts, or None when
@@ -660,12 +666,10 @@ def step(machine: CounterMachine, config: Configuration,
     the transition used.  Deterministic order (by transition index)."""
     if len(config.counters) != machine.k:
         raise ArityError(f"configuration has {len(config.counters)} counters, machine has {machine.k}")
-    out = []
-    for i, t in machine.outgoing(config.state, input):
-        if t.matches(config.counters):
-            new = tuple(c + d for c, d in zip(config.counters, t.delta))
-            out.append((i, Configuration(t.destination, new)))
-    return out
+    counters = config.counters
+    return [(i, Configuration(destination, tuple(map(add, counters, delta))))
+            for i, token, guard, destination, delta in machine.leaving(config.state)
+            if token == input and _matches(guard, counters)]
 
 
 def enabled(machine: CounterMachine, state: str, token: str | None,
@@ -1070,7 +1074,10 @@ def pad_counters(machine: CounterMachine, new_k: int) -> CounterMachine:
 
 def pad_run(run: Run, new_k: int) -> Run:
     """Lift a run into the pad_counters image (extra coordinates stay 0)."""
-    pad = (0,) * (new_k - len(run.start.counters))
+    k = len(run.start.counters)
+    if new_k < k:
+        raise MachineError(f"cannot pad k={k} down to {new_k}")
+    pad = (0,) * (new_k - k)
     start = Configuration(run.start.state, run.start.counters + pad)
     return Run.from_columns(start, run.consumed, run.indices, run.states,
                             tuple([c + pad for c in run.counters]))
@@ -1085,7 +1092,7 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
     table, and its origin column.
 
     States are expanded breadth first, so each state's transitions form one
-    span, which `outgoing` indexes on demand.  moves(state) yields (input,
+    span, which `leaving` indexes on demand.  moves(state) yields (input,
     guard, destination tuple, delta, origin) per edge, in a fixed order: run
     files cite transitions by index, so the order must not depend on set
     iteration.  The transitions go into one list per column, with no record
@@ -1148,17 +1155,6 @@ def _tuples(columns: list[list], n: int) -> list[tuple]:
     return columns
 
 
-def _leaving(machine: CounterMachine) -> dict[str, list[tuple]]:
-    """Each state's outgoing transitions as (index, input, guard,
-    destination, delta) rows, in index order, read from the columns."""
-    out: dict[str, list[tuple]] = {}
-    rows = zip(count(), machine.inputs, machine.guards, machine.destinations,
-               machine.deltas)
-    for source, row in zip(machine.sources, rows):
-        out.setdefault(source, []).append(row)
-    return out
-
-
 # union: fresh initial state branching into disjoint tagged copies
 
 
@@ -1187,13 +1183,12 @@ def union(*sides: tuple[str, BuchiAutomaton]) -> Built:
         raise MachineError("union requires equal alphabets")
     if any(b.machine.k != k for b in automata.values()):
         raise MachineError("union requires equal k; use pad_counters first")
-    leaving = {tag: _leaving(b.machine) for tag, b in sides}
     starts = tuple((tag, b.machine.initial) for tag, b in sides)
 
     def moves(src: tuple):
         # u0 moves as each side's initial state does, in side order
         for tag, q in starts if len(src) == 1 else (src,):
-            for i, inp, guard, dst, delta in leaving[tag].get(q, ()):
+            for i, inp, guard, dst, delta in automata[tag].machine.leaving(q):
                 yield inp, guard, (tag, dst), delta, i
 
     machine, table, origin = _reach(k, alphabet, (_UNION_INITIAL,), moves, ".".join)
@@ -1254,19 +1249,19 @@ def _pair(q: str, s: str, flag: int) -> str:
     return f"{q}&{s}&{flag}"
 
 
-def _det_table(d: BuchiAutomaton) -> dict[tuple[str, str], tuple[int, Transition]]:
-    """Validate d (k=0, deterministic, complete, real-time) and index it."""
+def _det_table(d: BuchiAutomaton) -> dict[tuple[str, str], str]:
+    """Validate d (k=0, deterministic, complete, real-time) and map each
+    (state, letter) to its destination, read from the columns."""
     m = d.machine
     if m.k != 0:
         raise MachineError("intersection guard must have k = 0")
     if not is_real_time(m):
         raise MachineError("intersection guard must be real-time")
-    table: dict[tuple[str, str], tuple[int, Transition]] = {}
-    for i, t in enumerate(m.transitions):
-        key = (t.source, t.input)
+    table: dict[tuple[str, str], str] = {}
+    for key, destination in zip(zip(m.sources, m.inputs), m.destinations):
         if key in table:
             raise MachineError(f"guard automaton nondeterministic at {key}")
-        table[key] = (i, t)
+        table[key] = destination
     for q in m.states:
         for a in m.alphabet:
             if (q, a) not in table:
@@ -1274,41 +1269,49 @@ def _det_table(d: BuchiAutomaton) -> dict[tuple[str, str], tuple[int, Transition
     return table
 
 
+def _two_flag(moves, accepting, d: BuchiAutomaton):
+    """The `_reach` moves of (q, s, flag) in the two-flag Buchi product of a
+    left factor, whose moves(q) and accepting(q) are given, with the
+    deterministic complete guard d.  Flag 1 waits for an accepting left
+    state, flag 2 for an accepting d-state; the update looks at the SOURCE
+    pair, so the flag-2 states whose s is accepting are the accepting ones.
+    A lambda move leaves s in place."""
+    dtable = _det_table(d)
+
+    def product(src: tuple):
+        q, s, flag = src
+        if flag == 1:
+            nf = 2 if accepting(q) else 1
+        else:
+            nf = 1 if s in d.accepting else 2
+        for inp, guard, dst, delta, o in moves(q):
+            yield inp, guard, (dst, s if inp is None else dtable[s, inp], nf), delta, o
+
+    return product
+
+
 def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> Built:
     """Two-flag Buchi product of b with a deterministic complete guard d.
 
-    States (q, s, flag), built by `_reach` from (b's initial, d's initial, 1):
-    only the triples that initial triple reaches are states.  Flag 1 waits
-    for an accepting b-state, flag 2 for an accepting d-state; the update
-    looks at the SOURCE pair, so acceptance is read off the flag-2 states
-    whose guard component is accepting.  b's lambda-transitions leave the
-    guard component in place.  Each state's transitions follow b's
-    transition order.
+    States (q, s, flag), built by `_reach` from (b's initial, d's initial, 1)
+    with the moves of `_two_flag`: only the triples that initial triple
+    reaches are states.  Each state's transitions follow b's transition
+    order.
     """
     mb, md = b.machine, d.machine
     if mb.alphabet != md.alphabet:
         raise MachineError("intersection requires equal alphabets")
-    dtable = _det_table(d)
-    leaving = _leaving(mb)
 
-    def moves(src: tuple[str, str, int]):
-        q, s, flag = src
-        nf = _next_flag(b, d, q, s, flag)
-        for i, inp, guard, dst, delta in leaving.get(q, ()):
-            s2 = s if inp is None else dtable[(s, inp)][1].destination
-            yield inp, guard, (dst, s2, nf), delta, i
+    def moves(q: str):
+        for i, inp, guard, dst, delta in mb.leaving(q):
+            yield inp, guard, dst, delta, i
 
     machine, table, origin = _reach(mb.k, mb.alphabet, (mb.initial, md.initial, 1),
-                                    moves, lambda state: _pair(*state))
+                                    _two_flag(moves, b.accepting.__contains__, d),
+                                    lambda state: _pair(*state))
     accepting = frozenset(n for n, (_, s, flag) in table.items()
                           if flag == 2 and s in d.accepting)
     return Built(machine, accepting, source=(b, d), table=table, origin=origin)
-
-
-def _next_flag(b: BuchiAutomaton, d: BuchiAutomaton, q: str, s: str, flag: int) -> int:
-    if flag == 1:
-        return 2 if q in b.accepting else 1
-    return 1 if s in d.accepting else 2
 
 
 def lift_run_intersection(prod: Built, run: Run) -> Run:
@@ -1347,14 +1350,13 @@ def muller_to_buchi(m: MullerAutomaton) -> BuchiAutomaton:
     exactly what its underlying transition consumes.
     """
     mm = m.machine
-    leaving = _leaving(mm)
 
     def enter(q: str, fi: int, mask: frozenset[str]) -> tuple:
         nm = mask | {q}
         return ("m", q, fi, frozenset() if nm == m.table[fi] else nm)
 
     def moves(src: tuple):
-        out = leaving.get(src[1], ())
+        out = mm.leaving(src[1])
         if src[0] == "c":
             for _, inp, guard, dst, delta in out:
                 yield inp, guard, ("c", dst), delta, None

@@ -23,8 +23,7 @@ from omegacount.constructions.script_l import (_consistent, _name, _ratio,
 from omegacount.errors import ArityError, BuildScaleError, FreshLetterError
 from omegacount.machines import (BuchiAutomaton, Built, Configuration,
                                  CounterMachine, MachineError, Run, Transition,
-                                 _det_table, is_real_time, lambda_burst_bound,
-                                 pad_counters)
+                                 is_real_time, lambda_burst_bound, pad_counters)
 from omegacount.words import A, B, F, ZERO, HCoding, coded_alphabet
 
 PHI_STATE_CAP = 250_000
@@ -38,6 +37,27 @@ def _next_flag(b: BuchiAutomaton, d: BuchiAutomaton, q: str, s: str, flag: int) 
     if flag == 1:
         return 2 if q in b.accepting else 1
     return 1 if s in d.accepting else 2
+
+
+def _det_table(d: BuchiAutomaton) -> dict[tuple[str, str], str]:
+    """d's (state, letter) -> destination map, read from its transition
+    records; d must be a deterministic complete real-time guard, k = 0."""
+    m = d.machine
+    if m.k != 0:
+        raise MachineError("intersection guard must have k = 0")
+    if not is_real_time(m):
+        raise MachineError("intersection guard must be real-time")
+    table: dict[tuple[str, str], str] = {}
+    for t in m.transitions:
+        key = (t.source, t.input)
+        if key in table:
+            raise MachineError(f"guard automaton nondeterministic at {key}")
+        table[key] = t.destination
+    for q in m.states:
+        for a in m.alphabet:
+            if (q, a) not in table:
+                raise MachineError(f"guard automaton incomplete at ({q!r}, {a!r})")
+    return table
 
 
 def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> Built:
@@ -57,7 +77,7 @@ def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> Built:
         for s in sorted(md.states):
             for flag in (1, 2):
                 nf = _next_flag(b, d, t.source, s, flag)
-                s2 = s if t.input is None else dtable[(s, t.input)][1].destination
+                s2 = s if t.input is None else dtable[(s, t.input)]
                 trans.append(Transition(_pair(t.source, s, flag), t.input, t.guard,
                                         _pair(t.destination, s2, nf), t.delta))
     machine = CounterMachine(mb.k, mb.alphabet, frozenset(table),

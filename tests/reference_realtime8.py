@@ -2,8 +2,9 @@
 
 This is the version of `constructions.realtime8._build` that the memo per
 (suffix, theta label) replaced: it works out every edge of every state
-afresh, from two `theta.outgoing` calls per state, the queue node's entries
-on the letter, and one concatenation per guard and delta.  The memoizing
+afresh, from two lookups per state in an eager (source, input) index of
+theta's transition records, the queue node's entries on the letter, and
+one concatenation per guard and delta.  The memoizing
 build must equal it in the five machine columns, the table, the origin
 column and the accepting set.  The queue-node entries (`_pad_entries`,
 `_sigma_entries`) and the status rule (`_after`) are shared with the
@@ -17,8 +18,17 @@ from omegacount.constructions import realtime8
 from omegacount.constructions.realtime8 import (_ALLOWED, _after, _pad_entries,
                                                 _sigma_entries)
 from omegacount.constructions.theta import build_theta_acceptor
-from omegacount.machines import BuchiAutomaton, Built, _leaving, _reach
+from omegacount.machines import BuchiAutomaton, Built, _reach
 from omegacount.words import E
+
+
+def eager_index(machine) -> dict:
+    """(source, input) -> indexed transition records, built whole from
+    `machine.transitions`: the reference reads no index of the library."""
+    adj = {}
+    for i, t in enumerate(machine.transitions):
+        adj.setdefault((t.source, t.input), []).append((i, t))
+    return adj
 
 
 def build(a: BuchiAutomaton, s_eff: int) -> Built:
@@ -27,7 +37,11 @@ def build(a: BuchiAutomaton, s_eff: int) -> Built:
     k = len(sigma) + 2
     codes = {x: 2 + i for i, x in enumerate(sigma)}
     theta = build_theta_acceptor(m_a.alphabet, s_eff).machine
-    leaving = _leaving(m_a)
+    adj_theta = eager_index(theta)
+    leaving_a: dict[str, list] = {}
+    for i, t in enumerate(m_a.transitions):
+        leaving_a.setdefault(t.source, []).append(
+            (i, t.input, t.guard, t.destination, t.delta))
     entries_of: dict[tuple, list] = {}
     share = {}.setdefault
 
@@ -35,7 +49,7 @@ def build(a: BuchiAutomaton, s_eff: int) -> Built:
         ts, node, qa, s6, s7, fl = src
         f1 = 1 if (fl == 2 and qa in a.accepting) else fl
         for letter in [*sigma, E]:
-            tedges = theta.outgoing(ts, letter)
+            tedges = adj_theta.get((ts, letter), [])
             if not tedges:
                 continue
             entries = entries_of.get((node, letter))
@@ -59,7 +73,7 @@ def build(a: BuchiAutomaton, s_eff: int) -> Built:
                     else:
                         _, front, g4 = entry
                         ms, ss = node[1], node[2]
-                        for i, inp, ag, adst, ad in leaving.get(qa, ()):
+                        for i, inp, ag, adst, ad in leaving_a.get(qa, ()):
                             if ag[0] not in _ALLOWED[s6]:
                                 continue
                             if ag[1] not in _ALLOWED[s7]:

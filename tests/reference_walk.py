@@ -34,13 +34,17 @@ class Walker:
 
     def __init__(self, machine: CounterMachine, start: Configuration):
         self.machine = machine
+        # (source, input) -> indexed records, read from `transitions` alone
+        self.adj: dict[tuple, list] = {}
+        for i, t in enumerate(machine.transitions):
+            self.adj.setdefault((t.source, t.input), []).append((i, t))
         self.start = start
         self.cfg = start
         self.steps: list[RunStep] = []
 
     def to(self, token: str | None, want=None) -> None:
         counters = self.cfg.counters
-        cands = [(i, t) for i, t in self.machine.outgoing(self.cfg.state, token)
+        cands = [(i, t) for i, t in self.adj.get((self.cfg.state, token), [])
                  if t.matches(counters) and (want is None or want(t))]
         if len(cands) != 1:
             raise MachineError(

@@ -137,8 +137,10 @@ def test_constructor_and_loader_match_the_reference(raw):
     if old[0] == "ok":
         assert new[0] == "ok", new
         m, adj = new[1], old[1]
-        assert all(m.outgoing(s, a) == adj.get((s, a), [])
-                   for s in states for a in [None, *letters])
+        for s in states:
+            rows = sorted((i, t.input, t.guard, t.destination, t.delta)
+                          for a in [None, *letters] for i, t in adj.get((s, a), []))
+            assert m.leaving(s) == tuple(rows)
     else:
         assert new == old
 
@@ -149,7 +151,7 @@ def test_constructor_and_loader_match_the_reference(raw):
 def test_constructor_accepts_list_guards_as_before():
     t = Transition("p", "a", [1], "p", [-1])
     m = CounterMachine(1, frozenset("a"), frozenset("p"), "p", (t, t))
-    assert m.outgoing("p", "a") == [(0, t), (1, t)]
+    assert m.leaving("p") == ((0, "a", [1], "p", [-1]), (1, "a", [1], "p", [-1]))
     with pytest.raises(MachineError, match="transition 1: delta -1 under a zero guard"):
         CounterMachine(1, frozenset("a"), frozenset("p"), "p",
                        (t, Transition("p", "a", [0], "p", [-1])))

@@ -2,7 +2,7 @@
 
 `CounterMachine` checks a machine over all its parts at once and falls back
 to the check one token and one transition at a time only when that fails;
-its (source, input) index is built on the first `outgoing`.  It is held to
+its per-state index is built on the first `leaving`.  It is held to
 the check it replaced (`reference_machine.py`) on seeded valid machines with
 up to two counters, and on those machines with one or two parts corrupted:
 an unknown source or destination, a letter outside the alphabet, a wrong
@@ -11,13 +11,13 @@ state or letter that is empty, not a str, has whitespace (a non-breaking
 space too) inside or at an edge, holds '#' or is '-'.  List guards and
 True / 1.0 values are valid and are drawn too.  Both must accept or refuse
 alike, with the same error text; an accepted machine must agree on
-`is_real_time` and on `outgoing` for every (state, input) pair.
+`is_real_time` and on `leaving` for every state.
 
-`outgoing` fills its index one state at a time from that state's span of
+`leaving` fills its index one state at a time from that state's span of
 transitions when the transitions come grouped by source, and builds it
-whole otherwise.  Both are held to the eager index, asked in any order, on
-grouped and interleaved layouts, on the realtime8 acceptor (grouped) and
-on the theta acceptor (interleaved).
+whole otherwise.  Both are held to an eager index of the transition
+records, asked in any order, on grouped and interleaved layouts, on the
+realtime8 acceptor (grouped) and on the theta acceptor (interleaved).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -117,15 +117,25 @@ def test_batched_check_matches_the_reference(m):
     machine, (real_time, adj) = got[1], want[1]
     assert is_real_time(machine) is real_time
     for q in machine.states:
-        for a in (*machine.alphabet, None):
-            assert machine.outgoing(q, a) == adj.get((q, a), [])
+        assert machine.leaving(q) == rows_of(adj, q)
 
 
-def eager_index(transitions) -> dict:
-    adj = {}
+def rows_of(adj: dict, q: str) -> tuple:
+    """q's (index, input, guard, destination, delta) rows, in index order,
+    from a (source, input) -> indexed records index."""
+    return tuple(sorted((i, t.input, t.guard, t.destination, t.delta)
+                        for (source, _), out in adj.items() if source == q
+                        for i, t in out))
+
+
+def eager_rows(transitions) -> dict:
+    """source -> its (index, input, guard, destination, delta) rows, in
+    index order, from the transition records."""
+    rows = {}
     for i, t in enumerate(transitions):
-        adj.setdefault((t.source, t.input), []).append((i, t))
-    return adj
+        rows.setdefault(t.source, []).append((i, t.input, t.guard, t.destination,
+                                              t.delta))
+    return rows
 
 
 def grouped(transitions) -> bool:
@@ -139,11 +149,12 @@ def grouped(transitions) -> bool:
     return True
 
 
-def assert_outgoing_is_the_eager_index(m: CounterMachine, states) -> None:
-    adj = eager_index(m.transitions)
+def assert_leaving_is_the_eager_index(m: CounterMachine, states) -> None:
+    rows = eager_rows(m.transitions)
     for q in states:
-        for a in (*sorted(m.alphabet), None):
-            assert m.outgoing(q, a) == adj.get((q, a), []), (q, a)
+        assert m.leaving(q) == tuple(rows.get(q, ())), q
+        # one shared tuple per state
+        assert m.leaving(q) is m.leaving(q)
 
 
 @st.composite
@@ -166,7 +177,7 @@ def layouts(draw) -> tuple[CounterMachine, list]:
 @given(layouts())
 def test_outgoing_matches_the_eager_index_on_any_layout(case):
     m, ask = case
-    assert_outgoing_is_the_eager_index(m, ask)
+    assert_leaving_is_the_eager_index(m, ask)
 
 
 def test_outgoing_matches_the_eager_index_on_big_acceptors():
@@ -174,10 +185,11 @@ def test_outgoing_matches_the_eager_index_on_big_acceptors():
     theta = build_theta_acceptor(frozenset("ab"), 5).machine
     assert grouped(b8.transitions) and not grouped(theta.transitions)
     for m in (b8, theta):
-        assert_outgoing_is_the_eager_index(m, sorted(m.states, reverse=True))
+        assert_leaving_is_the_eager_index(m, sorted(m.states, reverse=True))
 
 
 def test_a_grouped_machine_indexes_only_the_states_asked_about():
     m = build_realtime8(m1_aomega(), S_override=72).machine
-    m.outgoing(m.initial, "a")
-    assert {q for q, _ in m._adj} == {m.initial}
+    m.leaving(m.initial)
+    assert set(m._rows) == {m.initial}
+    assert m.initial not in m._spans and len(m._spans) == len(set(m.sources)) - 1

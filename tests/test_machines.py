@@ -164,6 +164,15 @@ def test_pad_counters_and_run():
         pad_counters(b.machine, 1)
 
 
+def test_pad_run_refuses_fewer_counters_as_pad_counters_does():
+    b = m1_aomega()
+    run = run_of(b, ["a"])
+    for pad in (lambda: pad_counters(b.machine, 1), lambda: pad_run(run, 1)):
+        with pytest.raises(MachineError, match=r"^cannot pad k=2 down to 1$"):
+            pad()
+    assert pad_run(run, 2) == run
+
+
 def _k0(transitions, states, initial, accepting, alphabet):
     m = CounterMachine(k=0, alphabet=frozenset(alphabet), states=states,
                        initial=initial, transitions=tuple(transitions))
