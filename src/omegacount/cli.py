@@ -32,6 +32,9 @@ from .constructions import (build_h_complement, build_phi_wrapper,
                             lift_run_script_L, lift_run_theta, wadge_sum)
 
 
+_BATCH = 4096
+
+
 def _letters(spec: str) -> list[str]:
     return [t for t in spec.split(",") if t]
 
@@ -143,21 +146,36 @@ def _cmd_lift(args) -> int:
     return 0
 
 
-def _word_prefix(args, missing: str) -> list[str]:
-    """The first --n letters of the word file, or as many as its prefix
-    directive gives; `missing` is the error when neither is there."""
+def _word_length(args, missing: str):
+    """The word file's spec and --n, or the length its prefix directive
+    gives; `missing` is the error when neither is there."""
     spec = load_word(_read(args.word))
     if args.n is not None and args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     n = args.n if args.n is not None else spec.prefix
     if n is None:
         raise MachineError(missing)
-    return spec.prefix_letters(n)
+    return spec, n
+
+
+def _spelled(runs) -> Iterable[str]:
+    """The letters of (pattern, count) runs, space-separated and ended by a
+    newline, a batch of at most _BATCH patterns at a time."""
+    first = True
+    for pattern, count in runs:
+        unit = " " + " ".join(pattern)
+        while count:
+            k = min(count, _BATCH)
+            chunk = unit * k
+            yield chunk[1:] if first else chunk
+            first = False
+            count -= k
+    yield "\n"
 
 
 def _cmd_word_encode(args) -> int:
-    word = _word_prefix(args, "word encode needs --n or a prefix directive in the file")
-    _emit([" ".join(word) + "\n"], args.output)
+    spec, n = _word_length(args, "word encode needs --n or a prefix directive in the file")
+    _emit(_spelled(spec.prefix_runs(n)), args.output)
     return 0
 
 
@@ -165,7 +183,8 @@ def _cmd_run_check(args) -> int:
     b = _buchi(args.input)
     run = load_run(_read(args.run))
     if args.word:
-        word = _word_prefix(args, "--word needs --n or a prefix directive")
+        spec, n = _word_length(args, "--word needs --n or a prefix directive")
+        word = spec.prefix_letters(n)
     else:
         word = [tok for tok in run.consumed if tok is not None]
     bad = validate_run(b.machine, word, run)
@@ -179,12 +198,13 @@ def _cmd_run_check(args) -> int:
 
 def _cmd_explore(args) -> int:
     b = _buchi(args.input)
-    word = _word_prefix(args, "explore needs --n or a prefix directive")
-    r = (exact_prefix_reach(b, word) if args.lambda_budget is None
-         else bounded_explore(b, word, args.lambda_budget))
-    final = r.sizes()[-1]
+    spec, n = _word_length(args, "explore needs --n or a prefix directive")
+    runs = spec.prefix_runs(n)
+    r = (exact_prefix_reach(b, runs) if args.lambda_budget is None
+         else bounded_explore(b, runs, args.lambda_budget))
+    final = len(r.frontiers[-1])
     empty = r.first_empty_position()
-    print(f"letters {len(word)} final {final} configurations "
+    print(f"letters {n} final {final} configurations "
           f"max-visits {r.max_visits() if final else '-'} "
           f"first-empty {'-' if empty is None else empty}"
           f"{' (capped)' if r.capped else ''}")

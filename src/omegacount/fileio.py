@@ -36,7 +36,7 @@ from .errors import FormatError
 from .machines import (LAMBDA_TOKEN, BuchiAutomaton, Configuration, CounterMachine,
                        MachineError, MullerAutomaton, Run, _tuples)
 from .words import (CodingSpec, HCoding, LassoWord, PhiCoding, ThetaCoding,
-                    coded_prefix, lasso_prefix)
+                    coded_prefix, coded_runs, lasso_prefix)
 
 
 # characters of text split into lines at a time
@@ -236,6 +236,10 @@ class WordSpec:
         if self.chain:
             return coded_prefix(self.lasso, self.chain, n)
         return lasso_prefix(self.lasso, n)
+
+    def prefix_runs(self, n: int) -> tuple[tuple[tuple[str, ...], int], ...]:
+        """The first n letters as (pattern, count) runs."""
+        return coded_runs(self.lasso, self.chain, n)
 
 
 def _parse_coding(tag: str, no: int) -> CodingSpec:

@@ -2,7 +2,8 @@
 
 Words are lassos spoke.cycle^omega.  Coded images (theta, h, phi) have
 block lengths growing geometrically, so they are never materialized as
-lassos; they are exposed as prefix generators.  All positions reported by
+lassos; a prefix comes as (pattern, count) runs from `coded_runs`, and the
+letter lists are its expansion.  All positions reported by
 the shape checker are 1-based, matching the usual w(1).w(2)... indexing.
 
 Each coding adds fixed fresh letters, defined here once for every builder
@@ -124,13 +125,18 @@ def coded_alphabet(spec: CodingSpec, alphabet: frozenset[str]) -> frozenset[str]
     return alphabet | set(coding_fresh_letters(spec))
 
 
-def theta_letters(src: Iterator[str], S: int) -> Iterator[str]:
-    """x(1).E^S.x(2).E^{S^2}.x(3)... letter by letter."""
+def _expand(runs: Iterable[tuple[tuple[str, ...], int]]) -> Iterator[str]:
+    """The letters of (pattern, count) runs, in order."""
+    return itertools.chain.from_iterable(itertools.chain.from_iterable(
+        itertools.repeat(p, r) for p, r in runs))
+
+
+def _theta_runs(src: Iterator[str], S: int) -> Iterator[tuple[tuple[str, ...], int]]:
+    """x(1).E^S.x(2).E^{S^2}.x(3)... as runs."""
     block = S
     for a in src:
-        yield a
-        for _ in range(block):
-            yield E
+        yield (a,), 1
+        yield (E,), block
         block *= S
 
 
@@ -149,12 +155,52 @@ def h_letters(src: Iterator[str], coding: HCoding) -> Iterator[str]:
         itertools.repeat(a, n) for a, n in _h_runs(src, coding.q))
 
 
-def phi_letters(src: Iterator[str], L: int) -> Iterator[str]:
-    """F^L.y(1).F^L.y(2)... letter by letter."""
-    for a in src:
-        for _ in range(L):
-            yield F
-        yield a
+def _phi_runs(runs: Iterable[tuple[tuple[str, ...], int]],
+              L: int) -> Iterator[tuple[tuple[str, ...], int]]:
+    """F^L.y(1).F^L.y(2)...: the run (p, r) becomes (F^L p_1 ... F^L p_m, r)."""
+    pad = (F,) * L
+    for p, r in runs:
+        yield tuple(itertools.chain.from_iterable(pad + (a,) for a in p)), r
+
+
+def coded_runs(x: LassoWord, chain: Iterable[CodingSpec],
+               n: int) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """The first n letters of x under a coding chain (innermost first) as
+    (pattern, count) runs, whose expansion is coded_prefix(x, chain, n).
+
+    The lasso is (spoke, 1), (cycle, r); theta and h code it one source
+    letter at a time into their runs, with one run per pad or 0-block; phi
+    maps each run to a run of the same count.  The last run is cut at n,
+    mid-pattern if need be."""
+    # every source letter codes to at least one letter, so ceil(n / |cycle|)
+    # cycles are enough for any chain
+    runs: Iterable = ((x.spoke, 1), (x.cycle, max(0, -(-n // len(x.cycle)))))
+    alphabet = x.alphabet
+    for spec in chain:
+        _check_fresh(spec, alphabet)
+        if isinstance(spec, ThetaCoding):
+            runs = _theta_runs(_expand(runs), spec.S)
+        elif isinstance(spec, HCoding):
+            runs = (((a,), k) for a, k in _h_runs(_expand(runs), spec.q))
+        else:
+            runs = _phi_runs(runs, spec.L)
+        alphabet = alphabet | set(coding_fresh_letters(spec))
+    if n < 0:
+        raise ValueError(f"prefix length must be nonnegative, got {n}")
+    out = []
+    for p, r in runs:
+        if not n:
+            break
+        if not p:
+            continue
+        whole = min(r, n // len(p))
+        if whole:
+            out.append((p, whole))
+            n -= whole * len(p)
+        if whole < r and n:
+            out.append((p[:n], 1))
+            n = 0
+    return tuple(out)
 
 
 def _take(it: Iterator[str], n: int) -> list[str]:
@@ -168,8 +214,7 @@ def lasso_prefix(w: LassoWord, n: int) -> list[str]:
 
 
 def theta_prefix(x: LassoWord, S: int, n: int) -> list[str]:
-    _check_fresh(ThetaCoding(S), x.alphabet)
-    return _take(theta_letters(x.letters(), S), n)
+    return list(_expand(coded_runs(x, (ThetaCoding(S),), n)))
 
 
 def theta_positions(S: int, upto: int) -> list[int]:
@@ -191,30 +236,17 @@ def theta_extract(y: list[str] | tuple[str, ...], S: int) -> list[str]:
 
 
 def h_prefix(x: LassoWord, primes: Iterable[int], n: int) -> list[str]:
-    coding = HCoding(tuple(primes))
-    _check_fresh(coding, x.alphabet)
-    return _take(h_letters(x.letters(), coding), n)
+    return list(_expand(coded_runs(x, (HCoding(tuple(primes)),), n)))
 
 
 def phi_prefix(y: LassoWord, L: int, n: int) -> list[str]:
-    _check_fresh(PhiCoding(L), y.alphabet)
-    return _take(phi_letters(y.letters(), L), n)
+    return list(_expand(coded_runs(y, (PhiCoding(L),), n)))
 
 
 def coded_prefix(x: LassoWord, chain: Iterable[CodingSpec], n: int) -> list[str]:
-    """Apply a coding chain (innermost first) and take the first n letters."""
-    src: Iterator[str] = x.letters()
-    alphabet = x.alphabet
-    for spec in chain:
-        _check_fresh(spec, alphabet)
-        if isinstance(spec, ThetaCoding):
-            src = theta_letters(src, spec.S)
-        elif isinstance(spec, HCoding):
-            src = h_letters(src, spec)
-        else:
-            src = phi_letters(src, spec.L)
-        alphabet = alphabet | set(coding_fresh_letters(spec))
-    return _take(src, n)
+    """Apply a coding chain (innermost first) and take the first n letters:
+    the expansion of coded_runs."""
+    return list(_expand(coded_runs(x, chain, n)))
 
 
 def prime_valuation(N: int, p: int) -> int:

@@ -1,15 +1,23 @@
 """Command surface: exit codes, byte-stable output, re-validation."""
 
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 
+import omegacount
 import omegacount.constructions.realtime8 as rt8
 from omegacount.cli import main
 from omegacount.constructions import (build_realtime8, compose_pipeline,
                                       lift_run_pipeline, lift_run_theta)
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton)
+from omegacount.engine import exact_prefix_reach
 from omegacount.machines import BuchiAutomaton
-from omegacount.words import LassoWord, ThetaCoding
+from omegacount.words import (HCoding, LassoWord, PhiCoding, ThetaCoding,
+                              coded_prefix)
 
 from conftest import m1_aomega, m2_two_counters, run_of
 
@@ -63,6 +71,22 @@ def test_word_encode(files, capsys):
     assert main(["word", "encode", "--word", str(files["atheta"])]) == 2
 
 
+def test_word_encode_spells_the_coded_prefix(files, capsys):
+    x = LassoWord(("a",), ("b", "a"), {"a", "b"})
+    word, out = files["dir"] / "c.word", files["dir"] / "c.out"
+    for chain in ((ThetaCoding(2),), (HCoding((2, 3)),), (PhiCoding(5),),
+                  (HCoding((2, 3)), PhiCoding(5)), (ThetaCoding(3), PhiCoding(1))):
+        word.write_text(dump_word(WordSpec(x, chain)))
+        # 12,000 letters hold a run longer than one written batch
+        for n in (0, 1, 5, 6, 7, 40, 1296, 12000):
+            want = " ".join(coded_prefix(x, chain, n)) + "\n"
+            argv = ["word", "encode", "--word", str(word), "--n", str(n)]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == want
+            assert main(argv + ["-o", str(out)]) == 0
+            assert out.read_text() == want
+
+
 def test_run_check_verdicts(files, capsys):
     assert main(["run", "check", "--input", str(files["m1"]),
                  "--run", str(files["m1run"])]) == 0
@@ -93,6 +117,69 @@ def test_explore_exit_codes(files, capsys):
                  "--word", str(broken), "--n", "20"]) == 1
     out = capsys.readouterr().out
     assert "final 0 configurations" in out
+
+
+def _explore_line(b, letters) -> str:
+    """The line explore prints, from the letter-by-letter search."""
+    r = exact_prefix_reach(b, letters)
+    final, empty = r.sizes()[-1], r.first_empty_position()
+    return (f"letters {len(letters)} final {final} configurations "
+            f"max-visits {r.max_visits() if final else '-'} "
+            f"first-empty {'-' if empty is None else empty}"
+            f"{' (capped)' if r.capped else ''}\n")
+
+
+def test_explore_prints_the_letter_by_letter_line(files, capsys):
+    pipe = compose_pipeline(m2_two_counters(), primes=(2, 3), skip_realtime8=True).automaton
+    b8 = build_realtime8(m1_aomega(), S_override=72)
+    cases = (
+        (pipe, WordSpec(LassoWord(("a", "a", "b"), ("a", "a", "a", "b"), {"a", "b"}),
+                        (HCoding((2, 3)), PhiCoding(5))), (0, 1, 5, 6, 7, 1296, 20000)),
+        (b8, WordSpec(LassoWord((), ("a",), {"a"}), (ThetaCoding(72),)),
+         (0, 1, 5, 6, 7, 1296, 6000)),
+        (b8, WordSpec(LassoWord(("a",), ("a", "E"), {"a", "E"}), ()), (0, 1, 2, 40)),
+    )
+    aut, word = files["dir"] / "e.aut", files["dir"] / "e.word"
+    for b, spec, lengths in cases:
+        aut.write_text(dump_automaton(b))
+        word.write_text(dump_word(spec))
+        for n in lengths:
+            code = main(["explore", "--input", str(aut), "--word", str(word), "--n", str(n)])
+            line = _explore_line(b, spec.prefix_letters(n))
+            assert capsys.readouterr().out == line
+            assert code == (1 if " final 0 " in line else 0)
+
+
+def _cli_in_400_mb(argv) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose own address space is limited to
+    400 MB."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2 ** 20, 400 * 2 ** 20))
+    src = os.path.dirname(os.path.dirname(omegacount.__file__))
+    return subprocess.run([sys.executable, "-m", "omegacount.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_a_long_explore_stays_in_bounded_memory(files):
+    pipe, word = files["dir"] / "pipe.aut", files["dir"] / "w.word"
+    pipe.write_text(dump_automaton(
+        compose_pipeline(m2_two_counters(), primes=(2, 3), skip_realtime8=True).automaton))
+    word.write_text("coded phi:5\ncoded h:2,3\nlasso a | a\n")
+    done = _cli_in_400_mb(["explore", "--input", str(pipe), "--word", str(word),
+                           "--n", "100000000"])
+    assert (done.returncode, done.stderr) == (0, "")
+    # the letter-by-letter search crosses the 10^7 visited cap at letter
+    # 1,250,028, as a walk that keeps one frontier at a time finds
+    assert done.stdout == ("letters 100000000 final 8 configurations "
+                           "max-visits 96354 first-empty - (capped)\n")
+    # the frontier dies at the first letter, and the rest is one empty tail
+    word.write_text("lasso a | a\n")
+    done = _cli_in_400_mb(["explore", "--input", str(pipe), "--word", str(word),
+                           "--n", "10000000"])
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout == ("letters 10000000 final 0 configurations "
+                           "max-visits - first-empty 1\n")
 
 
 def test_explore_lambda_budget(files, capsys):
