@@ -8,8 +8,8 @@ from .machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                        lambda_burst_bound, lift_run_intersection, lift_run_union,
                        muller_to_buchi, pad_counters, pad_run, step, union,
                        validate_run)
-from .words import (FIRST_EIGHT_PRIMES, Block, BlockDecomposition, CodingSpec,
-                    HCoding, HShapeViolation, LassoWord, PhiCoding, ThetaCoding,
+from .words import (Block, BlockDecomposition, CodingSpec, HCoding,
+                    HShapeViolation, LassoWord, PhiCoding, ThetaCoding,
                     coded_prefix, h_block_decompose, h_prefix, h_shape_check,
                     lasso_prefix, phi_prefix, prime_valuation, theta_extract,
                     theta_positions, theta_prefix)

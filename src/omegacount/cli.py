@@ -22,7 +22,8 @@ from .engine import bounded_explore, exact_prefix_reach, nba_lasso_member
 from .errors import FormatError
 from .fileio import (_automaton_lines, _run_lines, load_automaton, load_run,
                      load_word)
-from .machines import BuchiAutomaton, MachineError, is_real_time, validate_run
+from .machines import (BuchiAutomaton, MachineError, RunViolation, is_real_time,
+                       validate_run)
 from .storage import (add_rear_bound, front_bound, queue_add_rear,
                       queue_empty, queue_front, queue_remove_front)
 from .constructions import (build_h_complement, build_phi_wrapper,
@@ -87,60 +88,65 @@ def _check_shape(target: str, b: BuchiAutomaton) -> None:
         raise MachineError(f"{target} output is not real-time")
 
 
-def _cmd_build(args) -> int:
-    target = args.target
+def _construct(target: str, args):
+    """Run the constructor of a build target on the arguments; pipeline
+    gives its PipelineOutput.  build and lift both build through here."""
     if target == "theta-acceptor":
         if args.S is None or not args.sigma:
             raise MachineError("theta-acceptor needs --sigma and --S")
-        b = build_theta_acceptor(frozenset(_letters(args.sigma)), args.S)
-    elif target == "realtime8":
-        b = build_realtime8(_buchi(args.input), S_override=args.S)
-        print(f"S {b.params['S']}", file=sys.stderr)
-    elif target == "script-l":
-        b = build_script_L(_buchi(args.input), _primes(args.primes))
-    elif target == "h-complement":
+        return build_theta_acceptor(frozenset(_letters(args.sigma)), args.S)
+    if target == "h-complement":
         if not args.sigma or not args.primes:
             raise MachineError("h-complement needs --sigma and --primes")
-        b = build_h_complement(frozenset(_letters(args.sigma)), _primes(args.primes))
-    elif target == "phi-wrapper":
-        if args.S is None:
-            raise MachineError("phi-wrapper needs --S (the filler count)")
-        b = build_phi_wrapper(_buchi(args.input), args.S)
-    elif target == "pipeline":
-        out = compose_pipeline(_buchi(args.input),
-                               primes=_primes(args.primes) if args.primes else None,
-                               skip_realtime8=args.skip_stage1)
-        b = out.automaton
-        for name, params, _ in out.provenance:
-            print(f"stage {name} {params}", file=sys.stderr)
-    else:  # wadge-sum
+        return build_h_complement(frozenset(_letters(args.sigma)), _primes(args.primes))
+    if target == "wadge-sum":
         if not (args.input and args.input2 and args.input3):
             raise MachineError("wadge-sum needs --input, --input2 and --input3")
-        b = wadge_sum(_buchi(args.input), _buchi(args.input2), _buchi(args.input3),
-                      frozenset(_letters(args.plus)), frozenset(_letters(args.minus)))
+        return wadge_sum(_buchi(args.input), _buchi(args.input2), _buchi(args.input3),
+                         frozenset(_letters(args.plus)), frozenset(_letters(args.minus)))
+    if not args.input:
+        raise MachineError(f"{target} needs --input")
+    if target in ("script-l", "pipeline") and not args.primes:
+        raise MachineError(f"{target} needs --primes")
+    if target == "phi-wrapper" and args.S is None:
+        raise MachineError("phi-wrapper needs --S (the filler count)")
+    a = _buchi(args.input)
+    if target == "realtime8":
+        return build_realtime8(a, S_override=args.S)
+    if target == "script-l":
+        return build_script_L(a, _primes(args.primes))
+    if target == "phi-wrapper":
+        return build_phi_wrapper(a, args.S)
+    return compose_pipeline(a, _primes(args.primes))
+
+
+def _cmd_build(args) -> int:
+    target = args.target
+    b = _construct(target, args)
+    if target == "realtime8":
+        print(f"S {b.params['S']}", file=sys.stderr)
+    elif target == "pipeline":
+        for name, params, _ in b.provenance:
+            print(f"stage {name} {params}", file=sys.stderr)
+        b = b.automaton
     _check_shape(target, b)
     _emit(_automaton_lines(b), args.output)
     return 0
 
 
+# the build target each lift stage walks, and its lift
+_LIFTS = {
+    "theta": ("realtime8", lift_run_theta),
+    "script-l": ("script-l", lift_run_script_L),
+    "phi": ("phi-wrapper", lift_run_phi),
+    "pipeline": ("pipeline", lift_run_pipeline),
+}
+
+
 def _cmd_lift(args) -> int:
     run = load_run(_read(args.run))
-    if args.stage == "theta":
-        b8 = build_realtime8(_buchi(args.input), S_override=args.S)
-        cert = lift_run_theta(b8, run, prefix_len=args.prefix_len)
-    elif args.stage == "script-l":
-        bl = build_script_L(_buchi(args.input), _primes(args.primes))
-        cert = lift_run_script_L(bl, run, prefix_len=args.prefix_len)
-    elif args.stage == "phi":
-        if args.S is None:
-            raise MachineError("lift --stage phi needs --S (the filler count)")
-        w = build_phi_wrapper(_buchi(args.input), args.S)
-        cert = lift_run_phi(w, run, prefix_len=args.prefix_len)
-    else:  # pipeline
-        out = compose_pipeline(_buchi(args.input),
-                               primes=_primes(args.primes) if args.primes else None,
-                               skip_realtime8=args.skip_stage1)
-        cert = lift_run_pipeline(out, run, prefix_len=args.prefix_len)
+    target, lift = _LIFTS[args.stage]
+    cert = lift(_construct(target, args), run, prefix_len=args.prefix_len)
     header = (f"# block {b.index} {b.start} {b.end}\n" for b in cert.blocks)
     _emit(itertools.chain(header, _run_lines(cert.run)), args.output)
     return 0
@@ -182,12 +188,17 @@ def _cmd_word_encode(args) -> int:
 def _cmd_run_check(args) -> int:
     b = _buchi(args.input)
     run = load_run(_read(args.run))
+    letters = [tok for tok in run.consumed if tok is not None]
     if args.word:
         spec, n = _word_length(args, "--word needs --n or a prefix directive")
-        word = spec.prefix_letters(n)
+        # the run reads only its letters, so no more of the word is spelled
+        read = len(letters)
+        bad = validate_run(b.machine, spec.prefix_letters(min(n, read)), run)
+        if bad is None and n > read:
+            bad = RunViolation(len(run.indices), "projection",
+                               f"run consumed {read} of {n} letters")
     else:
-        word = [tok for tok in run.consumed if tok is not None]
-    bad = validate_run(b.machine, word, run)
+        bad = validate_run(b.machine, letters, run)
     if bad is None:
         visits = sum(map(b.accepting.__contains__, run.states))
         print(f"ok {len(run.indices)} steps {visits} accepting visits")
@@ -272,8 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--plus", default="", help="plus switch letters (wadge-sum)")
     b.add_argument("--minus", default="", help="minus switch letters (wadge-sum)")
     b.add_argument("--skip-stage1", action="store_true",
-                   help="pipeline: feed the input to stage 2 directly "
-                   "(stage 1 is always refused)")
+                   help="accepted and ignored: the pipeline is stages 2-3")
     b.add_argument("-o", "--output")
     b.set_defaults(fn=_cmd_build)
 

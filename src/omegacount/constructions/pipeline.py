@@ -1,14 +1,14 @@
-"""End-to-end chain: pad-code the input language, compile to one counter,
+"""End-to-end chain: compile a real-time k-counter input to one counter,
 wrap the lambda moves away.
 
-Stage 1 would compile a 2-counter machine to the 8-counter pad-coded
-acceptor; stage 2 takes one flat union of its block-coded 1-counter form
-(side 0) with the coding defect acceptors D1-D4 (sides 1-4); stage 3 hides
-the remaining lambda bursts behind a filler cadence.  Stage 1's 8-counter
-output needs eight distinct primes in stage 2, whose block lengths make
-stage 2's control astronomically large, so compose_pipeline refuses any
-call that would run stage 1, before building anything.  Desk-scale work
-passes primes=(2, 3) and skip_realtime8=True to run stages 2-3 directly.
+Stage 2 takes one flat union of the input's block-coded 1-counter form,
+one prime per input counter (side 0), with the coding defect acceptors
+D1-D4 (sides 1-4); stage 3 hides the remaining lambda bursts behind a
+filler cadence.  Stage 1, the paper's compilation of a 2-counter
+machine to the 8-counter pad-coded acceptor (`build_realtime8`), is not
+part of the chain: its output would need eight distinct primes, whose
+script-L floor of 19,399,381 states passes the state cap, and such primes
+are refused before anything is built.
 
 Each stage's automaton is the record its builder returned, linked to what
 it was built from, so the lift walks the chain back through those links;
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..errors import ArityError, BuildScaleError, FreshLetterError
 from ..machines import (BuchiAutomaton, Built, MachineError, Run,
                         lift_run_union, union)
-from ..words import FIRST_EIGHT_PRIMES, HCoding, PhiCoding, coded_alphabet
+from ..words import HCoding, PhiCoding, coded_alphabet
 from .certificates import RunCertificate
 from .complement import _defect_sides
 from .phi import build_phi_wrapper, lift_run_phi
@@ -61,27 +61,20 @@ def _staged(name: str, fn):
         raise MachineError(f"stage {name}: {e}") from e
 
 
-def compose_pipeline(a: BuchiAutomaton,
-                     primes: tuple[int, ...] | None = None,
-                     skip_realtime8: bool = False) -> PipelineOutput:
-    """Chain the builders over a 2-counter input machine.
-
-    skip_realtime8 feeds the input to stage 2 directly (its counter count
-    must then match len(primes)).  False always refuses: stage 1's output
-    has 8 counters, so any other prime count is an ArityError, and eight
-    distinct primes pass the script-L state cap.  A letter that the
-    returned coding chain adds (h's markers and zero, phi's filler) may not
-    be in the input alphabet.
-    """
-    primes = FIRST_EIGHT_PRIMES if primes is None else tuple(primes)
+def compose_pipeline(a: BuchiAutomaton, primes: tuple[int, ...],
+                     skip_realtime8: bool = True) -> PipelineOutput:
+    """Chain stages 2-3 over the input, one prime per counter.  A letter
+    that the returned coding chain adds (h's markers and zero, phi's
+    filler) may not be in the input alphabet.  skip_realtime8 is kept for
+    callers that pass True; a false value is refused."""
+    if not skip_realtime8:
+        raise ValueError("compose_pipeline builds stages 2-3 only; stage 1 is not built")
+    primes = tuple(primes)
     coding = HCoding(primes)
     q = coding.q
     phi = PhiCoding(q - 1)
     # coded_alphabet refuses a coding letter that the alphabet already has
     coded_alphabet(phi, coded_alphabet(coding, a.machine.alphabet))
-    if not skip_realtime8 and len(primes) != 8:
-        raise ArityError(f"stage script-l: stage 1 outputs 8 counters "
-                         f"but {len(primes)} primes given")
 
     b_main = _staged("script-l", lambda: build_script_L(a, primes))
     b_union = _staged("union", lambda: union(("L", b_main), *(

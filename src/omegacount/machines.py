@@ -58,12 +58,12 @@ what it was built from, the build parameters, the structured tuple each
 state name stands for, and the origin column.  Lifts walk that record with
 a Walker and never build.  A Walker takes the origin column when it is made,
 and each step passes a key, the source transition index it stands for: a
-keyed step takes the enabled transition whose origin is that key or None.
-It resolves each choice once per (state, token, sign pattern, key) and
-replays it after that; an idle window whose transitions move no counter is
-replayed whole, by extending the columns with one shared counters tuple and
-no lookup, and a walked cycle is repeated as a run segment for as long as
-its steps' sign patterns hold.
+keyed step takes the enabled transition whose origin is that key or None,
+from the machine's memo of the choices per (state, token, sign pattern);
+an idle window whose transitions move no counter is replayed whole, by
+extending the columns with one shared counters tuple and no lookup, and a
+walked cycle is repeated as a run segment for as long as its steps' sign
+patterns hold.
 """
 
 from __future__ import annotations
@@ -701,9 +701,7 @@ class Walker:
     transition it stands for by its key, and a step without a key takes any
     enabled transition.  A key passed to a walker without a column is a
     TypeError.  The candidates are the machine's `enabled` entry for the
-    state, the token and the counters' sign pattern, so a choice is
-    resolved once per (state, token, sign pattern, key) and replayed from
-    then on.
+    state, the token and the counters' sign pattern, filtered by the key.
 
     `idle(token, key, n, then)` is a block: n calls of `to(token, key)` and,
     when `then` = (last token, last key) is given, one `to(*then)`.  When
@@ -741,7 +739,6 @@ class Walker:
         self._states: list[str] = []
         self._counters: list[tuple[int, ...]] = []
         self._origin = origin
-        self._chosen: dict[tuple, tuple[int, str, tuple[int, ...]]] = {}
         self._blocks: dict[tuple, tuple[list, list[int], list[str], tuple | None]] = {}
 
     def __len__(self):
@@ -757,20 +754,16 @@ class Walker:
 
     def to(self, token: str | None, key=None) -> None:
         state, counters = self.state, self.counters
-        # whether a guard holds depends only on the counters' sign pattern
-        choice = (state, token, tuple([c > 0 for c in counters]), key)
-        chosen = self._chosen.get(choice)
-        if chosen is None:
+        cands = enabled(self.machine, state, token, counters)
+        if key is not None:
             self._check_key(key)
             origin = self._origin
-            cands = [c for c in enabled(self.machine, state, token, counters)
-                     if key is None or origin[c[0]] in (key, None)]
-            if len(cands) != 1:
-                raise MachineError(
-                    f"walk broke at {state!r} on {token!r} after "
-                    f"{len(self)} steps: {len(cands)} candidate transitions")
-            chosen = self._chosen[choice] = cands[0]
-        i, destination, delta = chosen
+            cands = [c for c in cands if origin[c[0]] in (key, None)]
+        if len(cands) != 1:
+            raise MachineError(
+                f"walk broke at {state!r} on {token!r} after "
+                f"{len(self)} steps: {len(cands)} candidate transitions")
+        i, destination, delta = cands[0]
         self.state = destination
         self.counters = counters = tuple(map(add, counters, delta))
         self._consumed.append(token)

@@ -19,8 +19,6 @@ from typing import Iterable, Iterator
 
 from .errors import FreshLetterError
 
-FIRST_EIGHT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
-
 E, A, B, ZERO, F = "E", "A", "B", "0", "F"
 
 

@@ -295,7 +295,7 @@ def test_criterion_8_pipeline(tmp_path):
     t0 = time.time()
     a = m2_two_counters()
     assert len(a.machine.states) == 2
-    out = compose_pipeline(a, primes=PRIMES, skip_realtime8=True)
+    out = compose_pipeline(a, primes=PRIMES)
     assert out.automaton.machine.k == 1
     assert is_real_time(out.automaton.machine)
     cert = lift_run_pipeline(out, run_of(a, ["a", "b"]))
@@ -307,7 +307,7 @@ def test_criterion_8_pipeline(tmp_path):
     src.write_text(dump_automaton(a))
     dst = tmp_path / "pipe.aut"
     assert main(["build", "pipeline", "--input", str(src),
-                 "--primes", "2,3", "--skip-stage1", "-o", str(dst)]) == 0
+                 "--primes", "2,3", "-o", str(dst)]) == 0
     secs = time.time() - t0
     assert secs < 60.0
     print(f"criterion 8 PASS: k=1 real-time pipeline, certificate over "

@@ -25,7 +25,7 @@ def build(name: str):
     if name == "realtime8 m1 S=72":
         return build_realtime8(m1_aomega(), S_override=72)
     a = {"m1": m1_aomega, "m2": m2_two_counters, "m3": m3_alternator}[name.split()[1]]()
-    return compose_pipeline(a, primes=(2, 3), skip_realtime8=True).automaton
+    return compose_pipeline(a, primes=(2, 3)).automaton
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -10,12 +10,16 @@ import pytest
 import omegacount
 import omegacount.constructions.realtime8 as rt8
 from omegacount.cli import main
-from omegacount.constructions import (build_realtime8, compose_pipeline,
-                                      lift_run_pipeline, lift_run_theta)
+from omegacount.constructions import (build_h_complement, build_phi_wrapper,
+                                      build_realtime8, build_script_L,
+                                      compose_pipeline, lift_run_phi,
+                                      lift_run_pipeline, lift_run_script_L,
+                                      lift_run_theta, wadge_sum)
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton)
 from omegacount.engine import exact_prefix_reach
-from omegacount.machines import BuchiAutomaton
+from omegacount.machines import (BuchiAutomaton, CounterMachine, MullerAutomaton,
+                                 Transition, validate_run)
 from omegacount.words import (HCoding, LassoWord, PhiCoding, ThetaCoding,
                               coded_prefix)
 
@@ -56,9 +60,31 @@ def test_build_theta_acceptor_bytes_stable(files, capsys):
     assert isinstance(b, BuchiAutomaton) and b.machine.k == 2
 
 
-def test_build_needs_parameters(files):
+def test_build_needs_parameters(files, capsys):
     assert main(["build", "theta-acceptor", "--S", "2"]) == 2
     assert main(["build", "script-l", "--input", str(files["m1"])]) == 2
+    capsys.readouterr()
+    m1, m2, m1run = str(files["m1"]), str(files["m2"]), str(files["m1run"])
+    for argv in (["build", "theta-acceptor", "--sigma", "a"],
+                 ["build", "h-complement", "--sigma", "a,b"],
+                 ["build", "h-complement", "--primes", "2,3"],
+                 ["build", "phi-wrapper", "--input", m2],
+                 ["build", "wadge-sum", "--input", m1, "--input2", m1],
+                 ["lift", "--stage", "script-l", "--input", m1, "--run", m1run],
+                 ["lift", "--stage", "phi", "--input", m1, "--run", m1run]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    for target, flags in (("realtime8", []), ("script-l", ["--primes", "2,3"]),
+                          ("phi-wrapper", ["--S", "2"]),
+                          ("pipeline", ["--primes", "2,3"])):
+        assert main(["build", target, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {target} needs --input\n"
+    for argv in (["build", "pipeline", "--input", m2],
+                 ["lift", "--stage", "pipeline", "--input", m2, "--run", m1run,
+                  "--skip-stage1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: pipeline needs --primes\n"
 
 
 def test_word_encode(files, capsys):
@@ -130,7 +156,7 @@ def _explore_line(b, letters) -> str:
 
 
 def test_explore_prints_the_letter_by_letter_line(files, capsys):
-    pipe = compose_pipeline(m2_two_counters(), primes=(2, 3), skip_realtime8=True).automaton
+    pipe = compose_pipeline(m2_two_counters(), primes=(2, 3)).automaton
     b8 = build_realtime8(m1_aomega(), S_override=72)
     cases = (
         (pipe, WordSpec(LassoWord(("a", "a", "b"), ("a", "a", "a", "b"), {"a", "b"}),
@@ -164,7 +190,7 @@ def _cli_in_400_mb(argv) -> subprocess.CompletedProcess:
 def test_a_long_explore_stays_in_bounded_memory(files):
     pipe, word = files["dir"] / "pipe.aut", files["dir"] / "w.word"
     pipe.write_text(dump_automaton(
-        compose_pipeline(m2_two_counters(), primes=(2, 3), skip_realtime8=True).automaton))
+        compose_pipeline(m2_two_counters(), primes=(2, 3)).automaton))
     word.write_text("coded phi:5\ncoded h:2,3\nlasso a | a\n")
     done = _cli_in_400_mb(["explore", "--input", str(pipe), "--word", str(word),
                            "--n", "100000000"])
@@ -180,6 +206,32 @@ def test_a_long_explore_stays_in_bounded_memory(files):
     assert (done.returncode, done.stderr) == (1, "")
     assert done.stdout == ("letters 10000000 final 0 configurations "
                            "max-visits - first-empty 1\n")
+
+
+def test_a_long_word_check_stays_in_bounded_memory(files, capsys):
+    out = compose_pipeline(m2_two_counters(), (2, 3))
+    cert = lift_run_pipeline(out, run_of(m2_two_counters(), ["a"]))
+    d = files["dir"]
+    pipe, run, word = d / "pipe.aut", d / "cert.run", d / "w.word"
+    pipe.write_text(dump_automaton(out.automaton))
+    run.write_text(dump_run(cert.run))
+    word.write_text("coded phi:5\ncoded h:2,3\nlasso a | a\n")
+    x = LassoWord((), ("a",), {"a"})
+    chain = (HCoding((2, 3)), PhiCoding(5))
+    steps, read = len(cert.run.indices), len(cert.run.consumed)
+    visits = sum(s in out.automaton.accepting for s in cert.run.states)
+    argv = ["run", "check", "--input", str(pipe), "--run", str(run), "--word", str(word)]
+    # short of, at and past the run's letters: the verdict on the whole word
+    for n in (0, read - 3, read, read + 1, read + 50):
+        bad = validate_run(out.automaton.machine, coded_prefix(x, chain, n), cert.run)
+        assert main(argv + ["--n", str(n)]) == (0 if bad is None else 1)
+        assert capsys.readouterr().out == (
+            f"ok {steps} steps {visits} accepting visits\n" if bad is None
+            else f"violation {bad}\n")
+    done = _cli_in_400_mb(argv + ["--n", "100000000"])
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout == (f"violation step {steps}: projection "
+                           f"(run consumed {read} of 100000000 letters)\n")
 
 
 def test_explore_lambda_budget(files, capsys):
@@ -261,7 +313,7 @@ def test_lift_then_check_certificate(files, capsys):
 def test_build_pipeline_desk_variant(files, capsys):
     out = files["dir"] / "pipe.aut"
     assert main(["build", "pipeline", "--input", str(files["m2"]),
-                 "--primes", "2,3", "--skip-stage1", "-o", str(out)]) == 0
+                 "--primes", "2,3", "-o", str(out)]) == 0
     err = capsys.readouterr().err
     assert "stage script-l" in err and "stage phi-wrapper" in err
     b = load_automaton(out.read_text())
@@ -275,34 +327,101 @@ def test_errors_exit_2(files, capsys):
     bad.write_text("kcounters nope\n")
     assert main(["run", "check", "--input", str(bad),
                  "--run", str(files["m1run"])]) == 2
+    capsys.readouterr()
+    # a Muller file where a Buchi one is read
+    muller = files["dir"] / "muller.aut"
+    muller.write_text(dump_automaton(MullerAutomaton(m1_aomega().machine,
+                                                     (frozenset({"p"}),))))
+    for argv in (["build", "phi-wrapper", "--input", str(muller), "--S", "2"],
+                 ["run", "check", "--input", str(muller), "--run", str(files["m1run"])],
+                 ["lift", "--stage", "phi", "--input", str(muller),
+                  "--run", str(files["m1run"]), "--S", "2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {muller}: expected a Buchi automaton\n"
     # scale refusal surfaces as a clean error, not a traceback
-    assert main(["build", "pipeline", "--input", str(files["m1"])]) == 2
+    assert main(["build", "pipeline", "--input", str(files["m1"]),
+                 "--primes", "2,3,5,7,11,13,17,19"]) == 2
     err = capsys.readouterr().err
     assert "stage script-l" in err
 
 
-def test_written_files_match_the_dumps(files, capsys):
-    """build -o and lift -o write line by line; the file and stdout both
-    hold the bytes of the dump (behind the block header for a lift)."""
+def test_the_stage_1_switch_is_accepted_and_changes_nothing(files, capsys):
+    """skip_realtime8=True and --skip-stage1 are still taken, and build
+    the same stages 2-3 as without them."""
     m2run = files["dir"] / "m2.run"
     m2run.write_text(dump_run(run_of(m2_two_counters(), ["a", "b"])))
-    m1run = files["dir"] / "m1a.run"
+    want = dump_automaton(compose_pipeline(m2_two_counters(), (2, 3)).automaton)
+    assert dump_automaton(compose_pipeline(m2_two_counters(), (2, 3),
+                                           skip_realtime8=True).automaton) == want
+    for argv in (["build", "pipeline", "--input", str(files["m2"]), "--primes", "2,3"],
+                 ["lift", "--stage", "pipeline", "--input", str(files["m2"]),
+                  "--run", str(m2run), "--primes", "2,3"]):
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--skip-stage1"]) == 0
+        assert capsys.readouterr() == plain
+    assert plain.out.startswith("# block 1 0 ")
+
+
+def _k0(alphabet, accepting, edges) -> BuchiAutomaton:
+    states = sorted({s for s, _, _ in edges} | {d for _, _, d in edges})
+    m = CounterMachine(k=0, alphabet=frozenset(alphabet), states=states,
+                       initial=edges[0][0],
+                       transitions=tuple(Transition(s, x, (), d, ()) for s, x, d in edges))
+    return BuchiAutomaton(m, frozenset(accepting))
+
+
+def test_written_files_match_the_dumps(files, capsys):
+    """build -o and lift -o write line by line; the file and stdout both
+    hold the bytes of the library's dump (behind the block header for a
+    lift), for every build target and lift stage."""
+    d = files["dir"]
+    m2, m2run = str(files["m2"]), d / "m2.run"
+    m2run.write_text(dump_run(run_of(m2_two_counters(), ["a", "b"])))
+    m1run = d / "m1a.run"
     m1run.write_text(dump_run(run_of(m1_aomega(), ["a"])))
     b8 = build_realtime8(m1_aomega(), S_override=72)
-    pipe = compose_pipeline(m2_two_counters(), primes=(2, 3), skip_realtime8=True)
+    pipe = compose_pipeline(m2_two_counters(), primes=(2, 3))
+    bl = build_script_L(m2_two_counters(), (2, 3))
+    w = build_phi_wrapper(m2_two_counters(), 3)
     certs = (lift_run_theta(b8, run_of(m1_aomega(), ["a"])),
-             lift_run_pipeline(pipe, run_of(m2_two_counters(), ["a", "b"])))
+             lift_run_pipeline(pipe, run_of(m2_two_counters(), ["a", "b"])),
+             lift_run_script_L(bl, run_of(m2_two_counters(), ["a", "b"])),
+             lift_run_phi(w, run_of(m2_two_counters(), ["a", "b"])),
+             lift_run_phi(w, run_of(m2_two_counters(), ["a", "b"]), prefix_len=10))
     lifts = ["".join(f"# block {b.index} {b.start} {b.end}\n" for b in c.blocks)
              + dump_run(c.run) for c in certs]
+    y = ("a", "p", "m")
+    sides = (_k0("a", {"l"}, [("l", "a", "l")]),
+             _k0(y, {"s1"}, [(q, x, "s1" if x == "p" else "s0")
+                             for q in ("s0", "s1") for x in y]),
+             _k0(y, {"g1"}, [("g0", x, "g0") for x in y]
+                 + [("g0", "a", "g1"), ("g1", "a", "g1"), ("g1", "m", "g1")]))
+    for i, b in enumerate(sides):
+        (d / f"side{i}.aut").write_text(dump_automaton(b))
     cases = (
         (["build", "realtime8", "--input", str(files["m1"]), "--S", "72"],
          dump_automaton(b8)),
-        (["build", "pipeline", "--input", str(files["m2"]), "--primes", "2,3",
-          "--skip-stage1"], dump_automaton(pipe.automaton)),
+        (["build", "pipeline", "--input", m2, "--primes", "2,3"],
+         dump_automaton(pipe.automaton)),
+        (["build", "script-l", "--input", m2, "--primes", "2,3"], dump_automaton(bl)),
+        (["build", "phi-wrapper", "--input", m2, "--S", "3"], dump_automaton(w)),
+        (["build", "h-complement", "--sigma", "a,b", "--primes", "2,3"],
+         dump_automaton(build_h_complement(frozenset("ab"), (2, 3)))),
+        (["build", "wadge-sum", "--input", str(d / "side0.aut"),
+          "--input2", str(d / "side1.aut"), "--input3", str(d / "side2.aut"),
+          "--plus", "p", "--minus", "m"],
+         dump_automaton(wadge_sum(*sides, {"p"}, {"m"}))),
         (["lift", "--stage", "theta", "--input", str(files["m1"]),
           "--run", str(m1run), "--S", "72"], lifts[0]),
-        (["lift", "--stage", "pipeline", "--input", str(files["m2"]),
-          "--run", str(m2run), "--primes", "2,3", "--skip-stage1"], lifts[1]),
+        (["lift", "--stage", "pipeline", "--input", m2,
+          "--run", str(m2run), "--primes", "2,3"], lifts[1]),
+        (["lift", "--stage", "script-l", "--input", m2,
+          "--run", str(m2run), "--primes", "2,3"], lifts[2]),
+        (["lift", "--stage", "phi", "--input", m2, "--run", str(m2run), "--S", "3"],
+         lifts[3]),
+        (["lift", "--stage", "phi", "--input", m2, "--run", str(m2run), "--S", "3",
+          "--prefix-len", "10"], lifts[4]),
     )
     out = files["dir"] / "out"
     for argv, want in cases:
@@ -355,3 +474,4 @@ def test_a_negative_prefix_length_exits_2_with_its_own_message(files, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: line 2: prefix length must be nonnegative, got -5\n")
+

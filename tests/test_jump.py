@@ -237,7 +237,7 @@ def test_d1_to_d4_over_coded_lassos():
 
 @pytest.mark.parametrize("source", [m2_two_counters, m3_alternator])
 def test_pipelines_over_phi_h_words(source):
-    b = compose_pipeline(source(), primes=PRIMES, skip_realtime8=True).automaton
+    b = compose_pipeline(source(), primes=PRIMES).automaton
     chain = (HCoding(PRIMES), PhiCoding(5))
     x = LassoWord(("a", "a", "b"), ("a", "a", "a", "b"), frozenset("ab"))
     r = _same(b, coded_runs(x, chain, 20000))
@@ -301,3 +301,86 @@ def test_the_lambda_path_walks_every_letter():
                  ("p", "u", (0,), "p", (1,)), ("p", "u", (1,), "p", (1,)))
     r = bounded_explore(b, ((("u",), 30),), 1)
     assert _jumps(r) == 0 and r == bounded_explore(b, ["u"] * 30, 1)
+
+
+# -- the refusals inside _jump --------------------------------------------
+
+def _as_the_letter_walk(b: BuchiAutomaton, runs) -> PrefixReach:
+    """The jumped search over runs, asserted equal frontier by frontier to
+    the reference letter walk over their letters."""
+    got = exact_prefix_reach(b, runs)
+    want = ref.exact_prefix_reach(b, _letters(runs))
+    assert got.capped is want.capped
+    assert len(got.frontiers) == len(want.frontiers)
+    for i, (g, w) in enumerate(zip(got.frontiers, want.frontiers)):
+        assert g == w, i
+    return got
+
+
+
+def test_two_configurations_in_one_state_inside_a_period():
+    # the keyed frontiers are {Q, P}, one configuration each, with both
+    # counters falling by one per a b c d; inside the period Q's path
+    # through Y and P's through PY meet in X, Q's two below its own count,
+    # and X goes on to W only at zero.  Sized by P's copy in X alone, a
+    # jump would run on past the period where Q's copy reaches zero
+    rows = [("I", "u", (0,), "I", (1,)), ("I", "u", (1,), "I", (1,)),
+            ("I", "v", (1,), "Q", (0,)), ("I", "v", (1,), "P", (0,)),
+            ("Q", "u", (1,), "Q", (0,)), ("P", "u", (1,), "P", (1,)),
+            ("Q", "a", (1,), "Q1", (0,)), ("Q", "a", (1,), "Y", (-1,)),
+            ("P", "a", (1,), "P1", (0,)), ("P", "a", (1,), "PY", (0,)),
+            ("Y", "b", (1,), "X", (-1,)), ("PY", "b", (1,), "X", (0,)),
+            ("X", "c", (0,), "W", (0,))]
+    for head in ("Q", "P"):
+        for g in (0, 1):
+            rows += [(f"{head}1", "b", (g,), f"{head}2", (0,)),
+                     (f"{head}2", "c", (g,), f"{head}3", (0,))]
+        rows.append((f"{head}3", "d", (1,), head, (-1,)))
+    b = _machine(1, {"W"}, *rows)
+    for m in (3, 5, 9):
+        r = _as_the_letter_walk(b, ((("u",), m), (("v",), 1), (("u",), 12),
+                                    (("a", "b", "c", "d"), 30)))
+        # W is reached once, when Q's copy in X is at zero
+        reached = [i for i, f in enumerate(r.frontiers)
+                   if any(c.state == "W" for c in f)]
+        assert reached == [m + 1 + 12 + 4 * (m - 2) + 3]
+
+
+def test_a_and_b_holding_different_states_inside_a_period():
+    # p's counter falls by one per a b c d through y, until x finds it at
+    # zero and the path through z brings it back to two: from then on the
+    # keyed frontier is always {p} with a positive counter, while the
+    # period's third position alternates between y and z
+    rows = [("i", "u", (0,), "i", (1,)), ("i", "u", (1,), "i", (1,)),
+            ("i", "v", (1,), "p", (0,)),
+            ("p", "a", (1,), "x", (-1,)),
+            ("x", "b", (1,), "y", (0,)), ("x", "b", (0,), "z", (1,)),
+            ("y", "c", (1,), "w", (0,)), ("z", "c", (1,), "w", (1,)),
+            ("w", "d", (1,), "p", (0,))]
+    b = _machine(1, {"z"}, *rows)
+    for up in (1, 2, 6):
+        r = _as_the_letter_walk(b, ((("u",), up), (("v",), 1),
+                                    (("a", "b", "c", "d"), 40)))
+        assert r.sizes()[-1] == 1
+
+
+def test_a_merge_whose_winner_has_a_new_move_in_b():
+    # S and T run the same counter through two copies of one cycle; S1 is
+    # accepting, so S gains a visit per period and T none.  In the first
+    # period S1's counter is 0 and only T1 moves into X; from the second
+    # S1 moves into X as well and wins, so X's visits grow by two over
+    # the pair of periods, faster than any move into X carries them
+    rows = [("I", "u", (0,), "S", (1,)), ("I", "u", (0,), "T", (1,)),
+            ("S1", "b", (1,), "X", (0,)),
+            ("T1", "b", (0,), "X", (0,)), ("T1", "b", (1,), "X", (0,))]
+    for head in ("S", "T"):
+        rows.append((head, "a", (1,), f"{head}1", (-1,)))
+        for g in (0, 1):
+            rows += [(f"{head}1", "b", (g,), f"{head}2", (1,)),
+                     (f"{head}2", "c", (g,), f"{head}3", (0,)),
+                     (f"{head}3", "d", (g,), head, (1,))]
+    b = _machine(1, {"S1"}, *rows)
+    r = _as_the_letter_walk(b, ((("u",), 1), (("a", "b", "c", "d"), 40)))
+    assert _jumps(r) >= 1
+    # X after the last b: one more visit than S1 had there
+    assert r.max_visits(1 + 4 * 39 + 2) == 40

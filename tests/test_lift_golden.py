@@ -73,7 +73,7 @@ def pipeline_cases():
             ("m2", m2_two_counters(), (["a", "b"], ["a", "b", "b"],
                                        ["a", "a", "b", "b"])),
             ("m3", m3_alternator(), (["a", "b"], ["a", "b", "a"]))):
-        out = compose_pipeline(a, primes=PRIMES, skip_realtime8=True)
+        out = compose_pipeline(a, primes=PRIMES)
         for word in words:
             yield f"{name} {''.join(word)}", lift_run_pipeline(out, run_of(a, word))
 

@@ -60,7 +60,7 @@ def test_the_library_makes_no_transition_and_no_runstep(monkeypatch):
     assert [nba_lasso_member(b, lasso) for b in d[:2]] == [False, True]
 
     for name, m in (("m2", m2), ("m3", m3)):
-        out = compose_pipeline(m, PRIMES, skip_realtime8=True)
+        out = compose_pipeline(m, PRIMES)
         cert = lift_run_pipeline(out, runs[name])
         word = [tok for tok in cert.run.consumed if tok is not None]
         assert validate_run(out.automaton.machine, word, cert.run) is None

@@ -3,7 +3,7 @@
 import pytest
 
 from omegacount.constructions import (compose_pipeline, lift_run_pipeline,
-                                      PipelineOutput)
+                                      PipelineOutput, pipeline)
 from omegacount.errors import ArityError, BuildScaleError, FreshLetterError
 from omegacount.machines import (BuchiAutomaton, CounterMachine, Transition,
                                  is_real_time, validate_run)
@@ -12,10 +12,11 @@ from omegacount.words import HCoding, PhiCoding, h_shape_check
 from conftest import m1_aomega, m2_two_counters, run_of
 
 PRIMES = (2, 3)
+EIGHT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 def desk(a) -> PipelineOutput:
-    return compose_pipeline(a, primes=PRIMES, skip_realtime8=True)
+    return compose_pipeline(a, primes=PRIMES)
 
 
 def test_desk_variant_shape():
@@ -35,26 +36,28 @@ def test_desk_variant_shape():
 
 
 def test_default_scale_fails_with_stage_tag():
-    # stage 1 fits for a 1-letter alphabet; the eight-prime block coding
-    # of its 8-counter output does not
+    # the paper's eight primes: script-L's floor alone, 2Q + 1 states, is
+    # refused before anything is built
     with pytest.raises(BuildScaleError) as exc:
-        compose_pipeline(m1_aomega())
+        compose_pipeline(m1_aomega(), EIGHT_PRIMES)
     assert str(exc.value.args[0]).startswith("stage script-l:")
-    assert exc.value.estimated_states > exc.value.cap
+    assert exc.value.estimated_states == 2 * 9_699_690 + 1 > exc.value.cap
 
 
 def test_prime_count_must_match_counters():
     with pytest.raises(ArityError) as exc:
-        compose_pipeline(m2_two_counters(), primes=(2, 3, 5),
-                         skip_realtime8=True)
+        compose_pipeline(m2_two_counters(), primes=(2, 3, 5))
     assert str(exc.value).startswith("stage script-l:")
 
 
-def test_stage1_refused_before_any_build():
-    # stage 1 outputs 8 counters, so two primes can never fit stage 2
-    with pytest.raises(ArityError) as exc:
-        compose_pipeline(m2_two_counters(), primes=PRIMES)
-    assert str(exc.value).startswith("stage script-l:")
+def test_stage1_refused_before_any_build(monkeypatch):
+    # the chain is stages 2-3; asking for stage 1 is refused at once
+    def no_build(*args):
+        raise AssertionError("built")
+    monkeypatch.setattr(pipeline, "build_script_L", no_build)
+    for off in (False, 0, None):
+        with pytest.raises(ValueError, match="stage 1 is not built"):
+            compose_pipeline(m2_two_counters(), PRIMES, skip_realtime8=off)
 
 
 def test_reserved_letters_rejected():
@@ -63,23 +66,24 @@ def test_reserved_letters_rejected():
         transitions=(Transition("p", "F", (0, 0), "p", (0, 0)),))
     b = BuchiAutomaton(m, frozenset({"p"}))
     with pytest.raises(FreshLetterError):
-        compose_pipeline(b, primes=PRIMES, skip_realtime8=True)
+        compose_pipeline(b, primes=PRIMES)
     m2 = CounterMachine(
         k=2, alphabet=frozenset({"E", "c"}), states=("p",), initial="p",
         transitions=(Transition("p", "c", (0, 0), "p", (0, 0)),
                      Transition("p", "E", (0, 0), "p", (0, 0)),))
     b2 = BuchiAutomaton(m2, frozenset({"p"}))
-    # E is no letter of the returned chain: stage 1's refusal comes first
+    # E is no letter of the returned chain: only the scale refusal stops
+    # the paper's eight primes
     with pytest.raises(BuildScaleError):
-        compose_pipeline(b2)
-    compose_pipeline(b2, primes=PRIMES, skip_realtime8=True)
+        compose_pipeline(b2, EIGHT_PRIMES)
+    compose_pipeline(b2, primes=PRIMES)
     for letter in ("A", "B", "0"):
         m3 = CounterMachine(
             k=2, alphabet=frozenset({letter}), states=("p",), initial="p",
             transitions=(Transition("p", letter, (0, 0), "p", (0, 0)),))
         with pytest.raises(FreshLetterError):
             compose_pipeline(BuchiAutomaton(m3, frozenset({"p"})),
-                             primes=PRIMES, skip_realtime8=True)
+                             primes=PRIMES)
 
 
 def test_lift_end_to_end():

@@ -353,7 +353,7 @@ def test_h_complement_is_the_reachable_part_of_the_nested_reference(primes):
 def test_union_route_agrees_with_the_reference_on_script_l_certificates():
     rng = random.Random(26)
     for a in (m2_two_counters(), m3_alternator()):
-        out = compose_pipeline(a, primes=(2, 3), skip_realtime8=True)
+        out = compose_pipeline(a, primes=(2, 3))
         new = out.automaton.source
         main, *defects = new.source
         old, leaves = _nested((main, (((defects[0], defects[1]), defects[2]), defects[3])))
@@ -377,7 +377,7 @@ def test_every_defect_side_lifts_through_the_pipeline(make):
     position and then the filler lift, and validate on the final automaton:
     the route a certificate of the defect side takes."""
     rng = random.Random(27)
-    out = compose_pipeline(make(), primes=(2, 3), skip_realtime8=True)
+    out = compose_pipeline(make(), primes=(2, 3))
     u, final = out.automaton.source, out.automaton.machine
     steps = 0
     for side in range(1, 5):
@@ -447,7 +447,7 @@ def test_every_builder_holds_only_reachable_states(name):
 
 def test_m2_desk_pipeline_unions_drop_their_unreachable_states():
     a = m2_two_counters()
-    out = compose_pipeline(a, primes=(2, 3), skip_realtime8=True)
+    out = compose_pipeline(a, primes=(2, 3))
     b_main = out.stage("script-l")[2]
     defect, top = build_h_complement(a.machine.alphabet, (2, 3)), out.stage("union")[2]
     assert a.machine.alphabet == set(SIGMA)
@@ -474,7 +474,7 @@ edges = ("nan", "nby", "nbz", "yay", "ybn", "zaz", "zbn", "zby")
 m = CounterMachine(k=0, alphabet={{"a", "b"}}, states=("n", "y", "z"), initial="n",
                    transitions=tuple(Transition(p, x, (), q, ()) for p, x, q in edges))
 for aut in (build_script_L(a, (2, 3)),
-            compose_pipeline(a, primes=(2, 3), skip_realtime8=True).automaton,
+            compose_pipeline(a, primes=(2, 3)).automaton,
             muller_to_buchi(MullerAutomaton(m, ({{"n", "y"}}, {{"z"}})))):
     sys.stdout.write(dump_automaton(aut))
 """

@@ -261,7 +261,7 @@ def test_validate_run_matches_the_reference_on_shared_counters():
 
 def test_a_held_certificate_adds_few_gc_tracked_objects():
     a = m2_two_counters()
-    out = compose_pipeline(a, primes=(2, 3), skip_realtime8=True)
+    out = compose_pipeline(a, primes=(2, 3))
     run = run_of(a, ["a", "a", "b", "b"])
     # a first lift fills the machines' memos, which later lifts share
     lift_run_pipeline(out, run)

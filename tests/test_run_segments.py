@@ -388,7 +388,7 @@ def test_lifts_equal_their_flat_walks():
 
 
 def test_pipeline_lift_equals_its_walk_without_replays(monkeypatch):
-    out = compose_pipeline(m2_two_counters(), primes=(2, 3), skip_realtime8=True)
+    out = compose_pipeline(m2_two_counters(), primes=(2, 3))
     runs = [run_of(m2_two_counters(), w) for w in (["a", "b"], ["a", "a", "b", "b"])]
     certs = [lift_run_pipeline(out, run) for run in runs]
     monkeypatch.setattr(Walker, "_replay", lambda self, *args: 0)
