@@ -8,14 +8,26 @@ of four defects occurs: the opening block deviates from its fixed template
 B-run and the A-run after it differ in length (D3), or some within-block pair
 has B-run length different from Q times the A-run length (D4).  D1 and D2
 need no counters; D3 and D4 guess the offending run and check it with one.
+
+D2 and D3 have a fixed number of states; D1 (Q + 5) and D4 (Q + 7) grow
+with Q, so they count their states from Q first and refuse, before
+anything is built, a count past STATE_CAP.
 """
 
 from __future__ import annotations
 
+from ..errors import BuildScaleError
 from ..machines import BuchiAutomaton, Built, CounterMachine, pad_counters, union
 from ..words import A, B, ZERO, HCoding, coded_alphabet
 
 BAD = "bad"
+STATE_CAP = 250_000
+
+
+def _refuse_past_cap(name: str, states: int) -> None:
+    if states > STATE_CAP:
+        raise BuildScaleError(f"{name} needs {states} states, past the cap of "
+                              f"{STATE_CAP}", states, STATE_CAP)
 
 
 # each builder lists (source, input, guard, destination, delta) rows and hands
@@ -32,8 +44,9 @@ def build_d1(sigma: frozenset[str] | set[str],
     """Accepts words whose opening letters deviate from A.0^Q.letter.B."""
     sigma = frozenset(sigma)
     coding = HCoding(primes=tuple(primes))
-    full = coded_alphabet(coding, sigma)
     q = coding.q
+    _refuse_past_cap("D1", q + 5)
+    full = coded_alphabet(coding, sigma)
     trans: list[tuple] = []
 
     def tmpl(i: int) -> str:
@@ -128,8 +141,9 @@ def build_d4(sigma: frozenset[str] | set[str],
     per group of Q zeros; the sink is entered only on the closing A."""
     sigma = frozenset(sigma)
     coding = HCoding(primes=tuple(primes))
-    full = coded_alphabet(coding, sigma)
     q = coding.q
+    _refuse_past_cap("D4", q + 7)
+    full = coded_alphabet(coding, sigma)
     trans: list[tuple] = []
 
     def grp(j: int) -> str:

@@ -33,12 +33,12 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
     worklist `_reach`, which refuses a build that reaches more than
     STATE_CAP."""
     m = b.machine
-    # checked here, not by coded_alphabet: filler_count 0 is legal, while
-    # PhiCoding(0) is not
+    # the filler count is the L of the PhiCoding that names the wrapper's
+    # words, which must be at least 1
     if F in m.alphabet:
         raise FreshLetterError(f"filler letter {F!r} is already in the alphabet")
-    if filler_count < 0:
-        raise MachineError("filler count must be nonnegative")
+    if filler_count < 1:
+        raise MachineError(f"filler count must be at least 1, got {filler_count}")
     burst = lambda_burst_bound(m)
     if burst > filler_count:
         raise MachineError(

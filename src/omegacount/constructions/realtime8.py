@@ -329,7 +329,9 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
     consume those letters with the queue's delay.  Letters for blocks past
     the run's consumed word come from `letters` (defaulting to the sole
     letter of a 1-letter alphabet).  prefix_len may extend the walk past
-    the pinned blocks up to the next simulated choice point.
+    the pinned blocks up to the next simulated choice point, and never past
+    the next block's pad run: a longer prefix is refused before any step
+    past the pinned blocks is walked.
     """
     s_eff = b8.params["S"]
     m_a = b8.source.machine
@@ -380,6 +382,13 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
         if prefix_len < needed:
             raise MachineError(
                 f"prefix too short to host the lift: need {needed} letters")
+        # the next block is its letter and S^(blocks+1) pad letters; the
+        # letter after them is one the pad walk below does not read
+        room = 1 + s_eff ** (blocks + 1)
+        if prefix_len - needed > room:
+            raise MachineError(
+                f"run pins {blocks} blocks; prefix of {prefix_len} "
+                f"letters passes the next letter point at {needed + room}")
         if prefix_len > needed:
             # past the pinned blocks only an unambiguous walk is a lift
             walker.to(block_letter(blocks + 1))

@@ -22,10 +22,11 @@ class BuildScaleError(ValueError):
 
     `estimated_states` is either a true floor on the states the build must
     reach, checked before anything is built (the script-L block coding's
-    2Q + 1 for primes with product Q), the states of a part the build makes
-    whole before it starts (realtime8's theta acceptor, 3S + 4 for pad
-    factor S), or the count the build had reached when it passed the cap:
-    the cap plus one.
+    2Q + 1 for primes with product Q), the states of a build or of a part
+    it makes whole before it starts, counted from its parameters (the theta
+    acceptor's 3S + 4 for pad factor S, also inside realtime8; D1's Q + 5
+    and D4's Q + 7), or the count the build had reached when it passed the
+    cap: the cap plus one.
     """
 
     def __init__(self, message: str, estimated_states: int, cap: int):

@@ -4,17 +4,32 @@
 writers emit a canonical form (sorted sets, transitions in index order, one
 space between tokens, trailing newline) so save(load(f)) is byte-identical
 for canonical files.  Transition order in a file defines transitionIndex.
-The loaders split the text into lines one chunk of about 64K characters at
-a time, with the line boundaries and numbers of str.splitlines, so neither
-a list of all its lines nor a line's tokens outlive their parse.  The
-automaton loader writes each transition into the machine's five columns,
-with no record per line, and makes each column a tuple in turn, letting go
-of its list before the next; it checks each distinct guard or delta
-spelling once, and the columns share the guard, delta and state-name
-objects of their values.  The writer reads the columns and spells each
-distinct guard and delta once.  The writers join lines that
-_automaton_lines and _run_lines yield, which the CLI writes to a file one
-by one.
+
+Reading: one chunk walker, _chunks, splits the text into lines about 64K
+characters at a time, with the line boundaries and numbers of
+str.splitlines, so no list of all the lines is ever held.  The word loader
+reads whole token lists from _lines on top of it.  The automaton and run
+loaders walk each chunk's raw lines themselves: a comment is cut only from
+a line that holds a '#', and a trans or step line, nearly every line of a
+large file, is split once at its arity into its fixed fields plus one tail
+string of deltas or counters; other directives are split in full.  Each
+distinct tail spelling is parsed and checked once, and the same holds for
+guardbits, so a line with a known tail costs one split and a few lookups.
+Errors keep the type, message and line number of a line split in full.
+The automaton loader writes each transition into the machine's five
+columns, with no record per line, and makes each column a tuple in turn,
+letting go of its list before the next; the columns share the guard, delta
+and state-name objects of their values.  A step whose counters are those of
+the step before shares its tuple.
+
+Writing: _automaton_lines reads the machine's columns and spells each
+distinct guard and delta once.  _run_lines reads a run's pieces, never its
+expansion: a piece's step heads are spelled once and reused by each
+iteration of a repeated piece, whose counters come from _later_counters a
+batch of iterations at a time; each distinct counters tuple is spelled
+once; and it yields strings of at most _BATCH step lines.  The dump
+functions join what these yield; the CLI writes it to a file piece by
+piece.
 
 Automaton:  kcounters / alphabet / states / initial / accepting-or-table /
             trans <src> <letter|-> <guardbits> <dst> <d1> ... <dk>
@@ -34,34 +49,48 @@ from dataclasses import dataclass
 
 from .errors import FormatError
 from .machines import (LAMBDA_TOKEN, BuchiAutomaton, Configuration, CounterMachine,
-                       MachineError, MullerAutomaton, Run, _tuples)
+                       MachineError, MullerAutomaton, Run, _later_counters,
+                       _tuples)
 from .words import (CodingSpec, HCoding, LassoWord, PhiCoding, ThetaCoding,
                     coded_prefix, coded_runs, lasso_prefix)
 
 
 # characters of text split into lines at a time
 _CHUNK = 1 << 16
+# step lines at most in one string that _run_lines yields
+_BATCH = 4096
 
 
-def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) of each line with a token, comments cut off.
+def _chunks(text: str) -> Iterator[Iterator[tuple[int, str]]]:
+    """The (line number, raw line) pairs of each chunk of the text.
 
     The lines and their numbers are those of text.splitlines(), but only
-    one chunk of them is held at a time.  A chunk ends just after the last
-    "\n" in the next _CHUNK characters (after the first "\n" past them if
-    there is none there), so it ends on a line boundary that no "\r\n"
-    straddles, and its splitlines() are the text's lines in that stretch.
+    one chunk of them is held at a time: a chunk's list of lines is let go
+    when its pairs run out.  A chunk ends just after the last "\n" in the
+    next _CHUNK characters (after the first "\n" past them if there is none
+    there), so it ends on a line boundary that no "\r\n" straddles, and its
+    splitlines() are the text's lines in that stretch.
     """
     no, pos, end = 0, 0, len(text)
     while pos < end:
         cut = text.rfind("\n", pos, pos + _CHUNK) + 1
         if not cut:
             cut = text.find("\n", pos + _CHUNK) + 1 or end
-        for no, raw in enumerate(text[pos:cut].splitlines(), start=no + 1):
+        lines = text[pos:cut].splitlines()
+        chunk = enumerate(lines, start=no + 1)
+        no += len(lines)
+        del lines
+        yield chunk
+        pos = cut
+
+
+def _lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) of each line with a token, comments cut off."""
+    for chunk in _chunks(text):
+        for no, raw in chunk:
             toks = raw.split("#", 1)[0].split()
             if toks:
                 yield no, toks
-        pos = cut
 
 
 def _int(tok: str, no: int, what: str) -> int:
@@ -81,7 +110,7 @@ def _guard(guardbits: str, k: int, no: int) -> tuple[int, ...]:
     return tuple(int(c) for c in guardbits)
 
 
-def _delta(toks: tuple[str, ...], no: int) -> tuple[int, ...]:
+def _delta(toks: list[str], no: int) -> tuple[int, ...]:
     delta = []
     for tok in toks:
         d = _int(tok, no, "delta")
@@ -89,6 +118,24 @@ def _delta(toks: tuple[str, ...], no: int) -> tuple[int, ...]:
             raise FormatError(f"delta {tok!r} outside -1/0/+1", no)
         delta.append(d)
     return tuple(delta)
+
+
+def _new_tail(toks: list[str], k: int | None, no: int) -> tuple[int, ...]:
+    """The delta of a trans line split at its arity into [trans, src,
+    letter, guardbits, dst, tail], for a tail not seen before.  Its checks
+    run in the order of a line split in full, so that a line with two
+    faults names the first: kcounters first, then the field count, k,
+    the guard and the delta."""
+    if k is None:
+        raise FormatError("trans before kcounters", no)
+    dtoks = toks[5].split() if len(toks) == 6 else []
+    got = min(len(toks) - 1, 4) + len(dtoks)
+    if got != 4 + k:
+        raise FormatError(f"trans needs {4 + k} fields for k={k}, got {got}", no)
+    if k < 0:
+        raise FormatError("k must be a natural number", no)
+    _guard(toks[3], k, no)
+    return _delta(dtoks, no)
 
 
 def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
@@ -104,71 +151,80 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
     columns: list[list] = [[None] * (text.count("\ntrans ") + 1) for _ in range(5)]
     sources, inputs, guards, destinations, deltas = columns
     n = 0
-    # each distinct spelling is parsed and checked once; k cannot change
-    # after the first trans line, so guardbits alone key the guard
+    # each distinct guardbits and delta tail is parsed and checked once; k
+    # cannot change after the first trans line, so the spelling alone keys
+    # it, and tails of equal value share one delta tuple
     guard_of: dict[str, tuple[int, ...]] = {}
-    delta_of: dict[tuple[str, ...], tuple[int, ...]] = {}
+    delta_of: dict[str, tuple[int, ...]] = {}
+    delta_values: dict[tuple[int, ...], tuple[int, ...]] = {}
     # a trans line names its states by the strings of the states line
     names: dict[str, str] = {}
-    for no, toks in _lines(text):
-        head, rest = toks[0], toks[1:]
-        if head == "trans":  # nearly every line, so tested first
-            if k is None:
-                raise FormatError("trans before kcounters", no)
-            if len(rest) != 4 + k:
-                raise FormatError(f"trans needs {4 + k} fields for k={k}, got {len(rest)}", no)
-            if k < 0:
-                raise FormatError("k must be a natural number", no)
-            src, letter, guardbits, dst = rest[0], rest[1], rest[2], rest[3]
-            guard = guard_of.get(guardbits)
-            if guard is None:
-                guard = guard_of[guardbits] = _guard(guardbits, k, no)
-            dtoks = tuple(rest[4:])
-            delta = delta_of.get(dtoks)
-            if delta is None:
-                delta = delta_of[dtoks] = _delta(dtoks, no)
-            if n == len(sources):
-                for column in columns:
-                    column += [None] * (n + 1)
-                del column
-            sources[n] = names.get(src, src)
-            inputs[n] = None if letter == LAMBDA_TOKEN else letter
-            guards[n] = guard
-            destinations[n] = names.get(dst, dst)
-            deltas[n] = delta
-            n += 1
-        elif head == "kcounters":
-            if k is not None:
-                raise FormatError("duplicate kcounters line", no)
-            if len(rest) != 1:
-                raise FormatError("kcounters takes one value", no)
-            k = _int(rest[0], no, "kcounters")
-        elif head == "alphabet":
-            if alphabet is not None:
-                raise FormatError("duplicate alphabet line", no)
-            alphabet = rest
-        elif head == "states":
-            if states is not None:
-                raise FormatError("duplicate states line", no)
-            states = rest
-            names = {name: name for name in states}
-        elif head == "initial":
-            if initial is not None:
-                raise FormatError("duplicate initial line", no)
-            if len(rest) != 1:
-                raise FormatError("initial takes one state id", no)
-            initial = rest[0]
-        elif head == "accepting":
-            if accepting is not None:
-                raise FormatError("duplicate accepting line", no)
-            accepting = rest
-        elif head == "table":
-            table.append(rest)
-        else:
-            raise FormatError(f"unknown directive {head!r}", no)
+    name = names.get
+    for chunk in _chunks(text):
+        for no, raw in chunk:
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            toks = raw.split(None, 5)
+            if not toks:
+                continue
+            head = toks[0]
+            if head == "trans":  # nearly every line, so tested first
+                tail = toks[5] if len(toks) == 6 else ""
+                delta = delta_of.get(tail) if len(toks) >= 5 else None
+                if delta is None:
+                    delta = _new_tail(toks, k, no)
+                    delta = delta_of[tail] = delta_values.setdefault(delta, delta)
+                guardbits = toks[3]
+                guard = guard_of.get(guardbits)
+                if guard is None:
+                    guard = guard_of[guardbits] = _guard(guardbits, k, no)
+                if n == len(sources):
+                    for column in columns:
+                        column += [None] * (n + 1)
+                    del column
+                letter = toks[2]
+                sources[n] = name(toks[1], toks[1])
+                inputs[n] = None if letter == LAMBDA_TOKEN else letter
+                guards[n] = guard
+                destinations[n] = name(toks[4], toks[4])
+                deltas[n] = delta
+                n += 1
+                continue
+            rest = raw.split()[1:]
+            if head == "kcounters":
+                if k is not None:
+                    raise FormatError("duplicate kcounters line", no)
+                if len(rest) != 1:
+                    raise FormatError("kcounters takes one value", no)
+                k = _int(rest[0], no, "kcounters")
+            elif head == "alphabet":
+                if alphabet is not None:
+                    raise FormatError("duplicate alphabet line", no)
+                alphabet = rest
+            elif head == "states":
+                if states is not None:
+                    raise FormatError("duplicate states line", no)
+                states = rest
+                names = {s: s for s in states}
+                name = names.get
+            elif head == "initial":
+                if initial is not None:
+                    raise FormatError("duplicate initial line", no)
+                if len(rest) != 1:
+                    raise FormatError("initial takes one state id", no)
+                initial = rest[0]
+            elif head == "accepting":
+                if accepting is not None:
+                    raise FormatError("duplicate accepting line", no)
+                accepting = rest
+            elif head == "table":
+                table.append(rest)
+            else:
+                raise FormatError(f"unknown directive {head!r}", no)
     if k is None or states is None or initial is None:
         raise FormatError("missing kcounters, states, or initial")
-    del names, sources, inputs, guards, destinations, deltas
+    # a bound names.get would keep the dict alive through from_columns
+    del names, name, sources, inputs, guards, destinations, deltas
     try:
         machine = CounterMachine.from_columns(
             k, frozenset(alphabet or ()), frozenset(states), initial,
@@ -311,47 +367,59 @@ def dump_word(spec: WordSpec) -> str:
 
 
 def load_run(text: str) -> Run:
-    """The run of a run file.  A step whose counter tokens are those of the
-    line before shares that line's counters tuple."""
+    """The run of a run file.  A step line is split once at its arity, into
+    [step, letter, index, state, counter tail].  A step whose counter tail
+    is spelled as the line before's, or whose counters equal that line's,
+    shares that line's counters tuple."""
     start = None
     consumed: list[str | None] = []
     indices: list[int] = []
     states: list[str] = []
     counters: list[tuple[int, ...]] = []
-    # the counter tokens of the line before, and their values
+    # the counter tail of the line before, and its values
     last, vec = None, None
-    for no, toks in _lines(text):
-        head, rest = toks[0], toks[1:]
-        if head == "step":  # nearly every line, so tested first
-            if start is None:
-                raise FormatError("step before start", no)
-            if len(rest) < 3:
-                raise FormatError("step needs letter, index, state, counters", no)
-            letter = None if rest[0] == LAMBDA_TOKEN else rest[0]
-            spelled = rest[3:]
-            try:
-                idx = int(rest[1])
-                if spelled != last:
-                    last, vec = spelled, tuple(map(int, spelled))
-            except ValueError:
-                # _int raises on the first bad token with its message
-                _int(rest[1], no, "transition index")
-                for tok in spelled:
-                    _int(tok, no, "counter")
-                raise
-            consumed.append(letter)
-            indices.append(idx)
-            states.append(rest[2])
-            counters.append(vec)
-        elif head == "start":
-            if start is not None:
-                raise FormatError("duplicate start line", no)
-            if not rest:
-                raise FormatError("start needs a state", no)
-            start = Configuration(rest[0], tuple(_int(t, no, "counter") for t in rest[1:]))
-            last, vec = rest[1:], start.counters
-        else:
-            raise FormatError(f"unknown directive {head!r}", no)
+    for chunk in _chunks(text):
+        for no, raw in chunk:
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            toks = raw.split(None, 4)
+            if not toks:
+                continue
+            head = toks[0]
+            if head == "step":  # nearly every line, so tested first
+                if start is None:
+                    raise FormatError("step before start", no)
+                if len(toks) < 4:
+                    raise FormatError("step needs letter, index, state, counters", no)
+                tail = toks[4] if len(toks) == 5 else ""
+                try:
+                    idx = int(toks[2])
+                    if tail != last:
+                        last, spelled = tail, tuple(map(int, tail.split()))
+                        if spelled != vec:
+                            vec = spelled
+                except ValueError:
+                    # _int raises on the first bad token with its message
+                    _int(toks[2], no, "transition index")
+                    for tok in tail.split():
+                        _int(tok, no, "counter")
+                    raise
+                letter = toks[1]
+                consumed.append(None if letter == LAMBDA_TOKEN else letter)
+                indices.append(idx)
+                states.append(toks[3])
+                counters.append(vec)
+                continue
+            rest = raw.split()[1:]
+            if head == "start":
+                if start is not None:
+                    raise FormatError("duplicate start line", no)
+                if not rest:
+                    raise FormatError("start needs a state", no)
+                start = Configuration(rest[0], tuple(_int(t, no, "counter") for t in rest[1:]))
+                last, vec = None, start.counters
+            else:
+                raise FormatError(f"unknown directive {head!r}", no)
     if start is None:
         raise FormatError("missing start line")
     return Run.from_columns(start, consumed, indices, states, counters)
@@ -362,9 +430,54 @@ def dump_run(run: Run) -> str:
 
 
 def _run_lines(run: Run) -> Iterator[str]:
-    """The lines of dump_run, each ending in a newline."""
+    """The text of dump_run in batches of at most _BATCH step lines, each
+    batch one string, read from the run's pieces.  A piece's step heads
+    (`step <letter> <index> <state>`) are spelled once: a batch at a time
+    for a flat piece, and whole for a repeated one, whose every iteration
+    reuses them with counters from _later_counters, a batch of iterations
+    at a time.  Counters are spelled through str, once per distinct tuple
+    in a memo that is emptied past _BATCH entries; tuples that compare
+    equal share a spelling, so a run that mixes equal ints and floats
+    (3 and 3.0) writes both as the first one met.  Run files spell ints
+    only."""
     yield _join("start", [run.start.state] + [str(c) for c in run.start.counters]) + "\n"
-    for token, index, state, counters in zip(run.consumed, run.indices,
-                                             run.states, run.counters):
-        letter = LAMBDA_TOKEN if token is None else token
-        yield _join("step", [letter, str(index), state] + [str(c) for c in counters]) + "\n"
+    tails: dict[tuple, str] = {}
+
+    def spell(c: tuple) -> str:
+        tail = tails[c] = (" %s" * len(c) + "\n") % c
+        return tail
+
+    def batch(heads: list[str], counters) -> str:
+        if len(tails) > _BATCH:
+            tails.clear()
+        parts = [None] * (2 * len(heads))
+        parts[::2] = heads
+        parts[1::2] = [tails.get(c) or spell(c) for c in counters]
+        return "".join(parts)
+
+    entry = run.start.counters
+    for consumed, indices, states, column, r in run._pieces:
+        p = len(column)
+        if r == 1:
+            # a flat piece may be the whole run: its heads a batch at a time
+            for t in range(0, p, _BATCH):
+                u = t + _BATCH
+                yield batch(_heads(consumed[t:u], indices[t:u], states[t:u]), column[t:u])
+            entry = column[-1]
+            continue
+        heads = _heads(consumed, indices, states)
+        for t in range(0, p, _BATCH):
+            yield batch(heads[t:t + _BATCH], column[t:t + _BATCH])
+        per = max(1, _BATCH // p)
+        for j in range(1, r, per):
+            later = _later_counters(column, entry, min(r, j + per), j)
+            repeated = heads * (len(later) // p)
+            for t in range(0, len(later), _BATCH):
+                yield batch(repeated[t:t + _BATCH], later[t:t + _BATCH])
+        entry = later[-1]
+
+
+def _heads(consumed, indices, states) -> list[str]:
+    """`step <letter> <index> <state>` of each step."""
+    return [f"step {LAMBDA_TOKEN if a is None else a} {i} {s}"
+            for a, i, s in zip(consumed, indices, states)]

@@ -530,41 +530,45 @@ def _column(pieces: tuple, i: int) -> tuple:
     return tuple(chain.from_iterable(piece[i] * piece[4] for piece in pieces))
 
 
-def _later_counters(column: tuple, entry: tuple, r: int) -> list:
-    """The counters of iterations 1..r-1 of a piece whose iteration 0 has
-    `column` and starts from `entry`: iteration 0's plus j·D.  A step that
-    moves no counter in iteration 0 (it keeps the very tuple before it, or
-    an equal one of ints) shares the tuple before it here.  Filled step by
-    step of iteration 0, each over all iterations at once."""
+def _later_counters(column: tuple, entry: tuple, r: int, first: int = 1) -> list:
+    """The counters of iterations first..r-1 of a piece whose iteration 0
+    has `column` and starts from `entry`: iteration 0's plus j·D.  A step
+    that moves no counter in iteration 0 (it keeps the very tuple before
+    it, or an equal one of ints) shares the tuple before it here; in
+    iteration `first` > 1 such steps before the first move hold an equal
+    tuple, as the one before them is not made here.  Filled step by step
+    of iteration 0, each over all iterations at once."""
     p = len(column)
     effect = tuple(map(sub, column[-1], entry))
     ints = all(type(c) is int for counters in (entry, *column) for c in counters)
-    out = [None] * (p * (r - 1))
+    out = [None] * (p * (r - first))
     values = None
     # steps that keep the counters before the piece: in iteration j they
     # share the last counters of iteration j - 1
     lead = 0
     for t, counters, before in zip(count(), column, (entry, *column)):
         if not (counters is before or ints and counters == before):
-            values = _shifted(counters, effect, r)
+            values = _shifted(counters, effect, r, first)
         elif values is None:
             lead += 1
             continue
         out[t::p] = values
     if values is None:
         return [column[-1]] * len(out)
-    for t in range(lead):
-        out[t::p] = [column[-1], *values[:-1]]
+    if lead:
+        carried = column[-1] if first == 1 else _shifted(column[-1], effect, first, first - 1)[0]
+        for t in range(lead):
+            out[t::p] = [carried, *values[:-1]]
     return out
 
 
-def _shifted(counters: tuple, effect: tuple, r: int) -> list:
-    """counters + j·effect for j = 1..r-1."""
+def _shifted(counters: tuple, effect: tuple, r: int, first: int = 1) -> list:
+    """counters + j·effect for j = first..r-1."""
     if not all(type(c) is int for c in (*counters, *effect)):
-        return [tuple(map(add, counters, [d * j for d in effect])) for j in range(1, r)]
+        return [tuple(map(add, counters, [d * j for d in effect])) for j in range(first, r)]
     if not counters:
-        return [()] * (r - 1)
-    return list(zip(*[range(c + d, c + r * d, d) if d else repeat(c, r - 1)
+        return [()] * (r - first)
+    return list(zip(*[range(c + first * d, c + r * d, d) if d else repeat(c, r - first)
                       for c, d in zip(counters, effect)]))
 
 

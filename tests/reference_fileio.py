@@ -1,10 +1,11 @@
-"""Reference loaders, dumper and machine checks for the differential tests.
+"""Reference loaders, dumpers and machine checks for the differential tests.
 
 These are the straightforward versions that `omegacount.fileio` and the
 `CounterMachine` constructor replaced: every line is split before parsing
 starts, every guard, delta and counter token is parsed where it stands, every
-transition's guard and delta are checked on their own, and whitespace in a
-name is found one character at a time.  They must keep behaving as they do
+transition's guard and delta are checked on their own, whitespace in a name
+is found one character at a time, and the run writer spells every step of
+the run's expansion on its own.  They must keep behaving as they do
 here; the fast paths are tested against them.
 """
 
@@ -250,3 +251,15 @@ def load_run(text):
     if start is None:
         raise FormatError("missing start line")
     return Run(start, tuple(steps))
+
+
+def dump_run(run):
+    return "".join(_run_lines(run))
+
+
+def _run_lines(run):
+    yield _join("start", [run.start.state] + [str(c) for c in run.start.counters]) + "\n"
+    for token, index, state, counters in zip(run.consumed, run.indices,
+                                             run.states, run.counters):
+        letter = LAMBDA_TOKEN if token is None else token
+        yield _join("step", [letter, str(index), state] + [str(c) for c in counters]) + "\n"

@@ -475,3 +475,32 @@ def test_a_negative_prefix_length_exits_2_with_its_own_message(files, capsys):
         assert capsys.readouterr().err == (
             "error: line 2: prefix length must be nonnegative, got -5\n")
 
+
+
+def test_oversized_defect_acceptors_exit_2_before_building(capsys):
+    # D1 alone would have Q + 5 = 9,699,695 states at the paper's primes
+    assert main(["build", "h-complement", "--sigma", "a",
+                 "--primes", "2,3,5,7,11,13,17,19"]) == 2
+    assert capsys.readouterr().err == (
+        "error: D1 needs 9699695 states, past the cap of 250000\n")
+
+
+def test_a_theta_prefix_past_the_next_letter_exits_2_naming_it(files, capsys):
+    run = files["dir"] / "one.run"
+    run.write_text(dump_run(run_of(m1_aomega(), ["a"])))
+    argv = ["lift", "--stage", "theta", "--input", str(files["m1"]), "--run", str(run),
+            "--S", "72", "--prefix-len"]
+    assert main(argv + ["100000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: run pins 1 blocks; prefix of 100000000000 letters passes "
+        "the next letter point at 5258\n")
+    assert main(argv + ["5258"]) == 0
+    assert capsys.readouterr().out.count("\nstep ") == 5258
+
+
+def test_a_phi_wrapper_without_filler_exits_2(files, capsys):
+    for argv in (["build", "phi-wrapper", "--input", str(files["m1"])],
+                 ["lift", "--stage", "phi", "--input", str(files["m1"]),
+                  "--run", str(files["m1run"])]):
+        assert main(argv + ["--S", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: filler count must be at least 1, got 0\n")

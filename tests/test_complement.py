@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegacount.constructions import build_h_complement
+import omegacount.constructions.complement as complement
 from omegacount.constructions.complement import (build_d1, build_d2, build_d3,
                                                  build_d4)
 from omegacount.engine import d34_witness_scan, exact_prefix_reach, nba_lasso_member
-from omegacount.errors import FreshLetterError
+from omegacount.errors import BuildScaleError, FreshLetterError
 from omegacount.machines import is_real_time
-from omegacount.words import LassoWord, h_prefix, h_shape_check
+from omegacount.words import HCoding, LassoWord, h_prefix, h_shape_check
 
 SIGMA = frozenset({"a", "b"})
 AB = LassoWord((), ("a", "b"), SIGMA)
@@ -109,6 +110,31 @@ def test_h_complement_never_fires_on_genuine_images():
     # guessing branches may die, but no sink is ever entered
     for f in r.frontiers:
         assert not any(cfg.state.endswith("bad") for cfg in f)
+
+
+def test_d1_and_d4_count_their_states_before_building(monkeypatch):
+    for primes in ((2,), (3,), (2, 3), (2, 5), (3, 5, 7)):
+        q = HCoding(primes).q
+        d1, d4 = build_d1(SIGMA, primes), build_d4(SIGMA, primes)
+        assert (len(d1.machine.states), len(d4.machine.states)) == (q + 5, q + 7)
+        # D2 and D3 do not grow with Q
+        assert len(build_d2(SIGMA, primes).machine.states) == 8
+        assert len(build_d3(SIGMA, primes).machine.states) == 6
+        monkeypatch.setattr(complement, "STATE_CAP", q + 6)
+        assert len(build_d1(SIGMA, primes).machine.states) == q + 5
+        with pytest.raises(BuildScaleError, match=f"^D4 needs {q + 7} states, "
+                           f"past the cap of {q + 6}$") as e:
+            build_d4(SIGMA, primes)
+        assert (e.value.estimated_states, e.value.cap) == (q + 7, q + 6)
+        monkeypatch.setattr(complement, "STATE_CAP", q + 4)
+        with pytest.raises(BuildScaleError, match=f"^D1 needs {q + 5} states"):
+            build_h_complement(SIGMA, primes)
+        monkeypatch.undo()
+    # the paper's eight primes are refused before the 9,699,695 states of
+    # D1 are built
+    with pytest.raises(BuildScaleError) as e:
+        build_h_complement(SIGMA, (2, 3, 5, 7, 11, 13, 17, 19))
+    assert (e.value.estimated_states, e.value.cap) == (9_699_695, 250_000)
 
 
 def test_h_complement_rejects_marker_clash():

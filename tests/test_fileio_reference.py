@@ -21,12 +21,13 @@ import reference_fileio as ref
 import omegacount.fileio as fileio
 from omegacount.constructions import (build_d1, build_phi_wrapper, build_realtime8,
                                       build_script_L, compose_pipeline,
-                                      lift_run_script_L, lift_run_theta)
+                                      lift_run_pipeline, lift_run_script_L,
+                                      lift_run_theta)
 from omegacount.errors import FormatError
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton, load_run, load_word)
-from omegacount.machines import (CounterMachine, MachineError, MullerAutomaton,
-                                 Transition, _check_token)
+from omegacount.machines import (Configuration, CounterMachine, MachineError,
+                                 MullerAutomaton, Run, Transition, _check_token)
 from omegacount.words import HCoding, LassoWord, PhiCoding, ThetaCoding
 from conftest import m1_aomega, m2_two_counters, m3_alternator, run_of
 
@@ -195,7 +196,24 @@ def mutate(rng: random.Random, text: str) -> str:
     return text
 
 
+def respell(text: str, rng: random.Random) -> str:
+    """The text with the tail of each trans or step line spelled anew: its
+    tokens apart by a tab, two spaces or a no-break space, then trailing
+    blanks or a comment glued to the last token."""
+    out = []
+    for line in text.splitlines():
+        toks = line.split()
+        if toks and toks[0] in ("trans", "step"):
+            cut = 5 if toks[0] == "trans" else 4
+            line = " ".join(toks[:cut]) + "".join(
+                rng.choice((" ", "\t", "  ", " \xa0")) + tok for tok in toks[cut:])
+            line += rng.choice(("", " ", "\t ", "#c", " # c"))
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
 def fuzz_sources():
+    rng = random.Random(8)
     w = build_phi_wrapper(m2_two_counters(), 3)
     bl = build_script_L(m1_aomega(), (2, 3))
     lifted = lift_run_script_L(bl, run_of(m1_aomega(), ["a"])).run
@@ -210,6 +228,9 @@ def fuzz_sources():
         ("run", dump_run(lifted)),
         ("run", dump_run(run_of(m2_two_counters(), ["a", "a", "b"]))),
         ("word", dump_word(word)),
+        ("automaton", respell(dump_automaton(m2_two_counters()), rng)),
+        ("automaton", respell(dump_automaton(build_d1(frozenset("a"), (2,))), rng)),
+        ("run", respell(dump_run(lifted), rng)),
     ]
 
 
@@ -265,6 +286,41 @@ def test_dump_matches_the_reference_byte_for_byte(name):
     assert dump_automaton(back) == text
 
 
+# -- run writer -----------------------------------------------------------------
+
+def writer_runs() -> list[Run]:
+    """Walker runs with segments: theta and pipeline certificates, the
+    longest with a repeated piece of more steps than a batch; two of them
+    again from a float start, and the longest read back as one flat piece."""
+    a1, a2 = m1_aomega(), m2_two_counters()
+    b8 = build_realtime8(a1, S_override=72)
+    runs = [lift_run_theta(b8, run_of(a1, ["a", "a"])).run,
+            lift_run_theta(b8, run_of(a1, ["a"]), prefix_len=500, letters=["a"]).run]
+    out = compose_pipeline(a2, primes=(2, 3))
+    runs += [lift_run_pipeline(out, run_of(a2, word)).run
+             for word in (["a", "b"], ["a", "a", "b"], ["a", "b", "b", "a"])]
+    runs += [Run._from_pieces(Configuration(r.start.state,
+                                            tuple(c + 0.5 for c in r.start.counters)),
+                              r._pieces) for r in runs[:2]]
+    runs.append(load_run(dump_run(runs[4])))
+    return runs
+
+
+def test_run_writer_matches_the_reference_byte_for_byte():
+    runs = writer_runs()
+    assert any(p[4] > 1 and len(p[1]) * p[4] > fileio._BATCH for p in runs[4]._pieces)
+    assert len(runs[-1]._pieces) == 1 and len(runs[-1].indices) > fileio._BATCH
+    for run in runs:
+        want = ref.dump_run(run)
+        for batch in (1, 5, 36, 37, 100, fileio._BATCH):
+            if batch < 100 and len(run.indices) > 20_000:
+                continue
+            with mock.patch.object(fileio, "_BATCH", batch):
+                pieces = list(fileio._run_lines(run))
+                assert "".join(pieces) == dump_run(run) == want
+            assert max(piece.count("\n") for piece in pieces) <= batch
+
+
 # -- chunked line walk ----------------------------------------------------------
 
 # every line boundary str.splitlines cuts at
@@ -299,15 +355,31 @@ def with_faults(text: str, rng: random.Random, bad_line: str) -> list[str]:
 
 def chunk_texts():
     """(kind, text) pairs over the three formats, each line break spelled
-    by a random splitlines boundary; a malformed line names its kind."""
+    by a random splitlines boundary, some with the tails of trans and step
+    lines respelled; a malformed line names its kind."""
     rng = random.Random(13)
     bl = build_script_L(m1_aomega(), (2, 3))
     lifted = lift_run_script_L(bl, run_of(m1_aomega(), ["a"])).run
     word = dump_word(WordSpec(LassoWord(("c",), ("a", "b"), frozenset("abc")),
                               (ThetaCoding(3), HCoding((2, 3)), PhiCoding(5)), 40))
+    m2 = dump_automaton(m2_two_counters())
+    d1 = dump_automaton(build_d1(frozenset("a"), (2,)))
+    run = dump_run(lifted)[:900]
     for kind, text, bad in (
-            ("automaton", dump_automaton(m2_two_counters()), "trans p a 2x q 0 0"),
-            ("run", dump_run(lifted)[:900], "step a x p 0"),
+            ("automaton", m2, "trans p a 2x q 0 0"),
+            # a bad guard and a bad delta on one line: the guard is named
+            ("automaton", respell(m2, rng), "trans p a 1x q 0 x"),
+            # no deltas at all, and a destination with one delta
+            ("automaton", respell(m2, rng), "trans p a 11 q"),
+            ("automaton", respell(m2, rng), "trans p a 11 1 1"),
+            ("automaton", respell(m2, rng), "trans p a 11 q 0 #0"),
+            # k = 0: the empty tail that every line shares, on a line one
+            # field short, and a line with one token too many
+            ("automaton", respell(d1, rng), "trans t&0 a -"),
+            ("automaton", respell(d1, rng), "trans t&0 a - t&1 0"),
+            ("run", run, "step a x p 0"),
+            ("run", respell(run, rng), "step a 1 p 0 #x"),
+            ("run", respell(run, rng), "step a 1 p 0\tx"),
             ("word", "# words are short\n" * 3 + word, "coded theta:")):
         for variant in with_faults(text, rng, bad):
             yield kind, variant

@@ -82,8 +82,12 @@ def test_filler_letter_must_be_fresh():
     with pytest.raises(FreshLetterError):
         build_phi_wrapper(BuchiAutomaton(m, frozenset({"p"})), 2)
     b = m1_aomega()
-    with pytest.raises(MachineError):
-        build_phi_wrapper(b, -1)
+    # a filler count is the L of a PhiCoding, so at least 1
+    for filler in (-1, 0):
+        with pytest.raises(MachineError, match=f"^filler count must be at least 1, "
+                           f"got {filler}$"):
+            build_phi_wrapper(b, filler)
+    assert len(build_phi_wrapper(b, 1).machine.states) == 3
 
 
 def test_lift_hides_lambda_steps():

@@ -166,7 +166,7 @@ def test_phi_wrapper_is_the_reachable_part_of_the_reference():
         burst = lambda_burst_bound(b.machine)
         if burst == float("inf"):
             continue
-        filler = burst + rng.randint(0, 2)
+        filler = max(burst, 1) + rng.randint(0, 2)
         new, old = build_phi_wrapper(b, filler), ref.build_phi_wrapper(b, filler)
         _assert_reachable_part(new, old)
         assert is_real_time(new.machine)

@@ -99,6 +99,14 @@ def test_lift_prefix_extension_into_next_block():
     assert validate_run(b.machine, coded, cert.run) is None
     with pytest.raises(MachineError):
         lift_run_theta(b, run, prefix_len=needed - 1)
+    # the walk reaches the end of the next block's pad run, and a longer
+    # prefix is refused by arithmetic, however long
+    last = needed + 1 + S_SMALL ** 2
+    assert len(lift_run_theta(b, run, prefix_len=last).run.indices) == last
+    for n in (last + 1, 10 ** 11):
+        with pytest.raises(MachineError, match=f"^run pins 1 blocks; prefix of {n} "
+                           f"letters passes the next letter point at {last}$"):
+            lift_run_theta(b, run, prefix_len=n)
 
 
 def test_lift_two_letter_alphabet():

@@ -115,7 +115,7 @@ def test_phi_refuses_exactly_past_its_cap(monkeypatch):
         if burst == float("inf"):
             continue
         b = BuchiAutomaton(m, b.accepting)
-        filler = burst + rng.randint(0, 3)
+        filler = max(burst, 1) + rng.randint(0, 3)
         size = len(build_phi_wrapper(b, filler).machine.states)
         cap = rng.randint(max(1, size // 2), size + 3)
         e = _refused(monkeypatch, phi, cap, lambda: build_phi_wrapper(b, filler))
