@@ -3,9 +3,12 @@
 Subcommands mirror the library: `build` runs one constructor, checks the
 target's shape claims, and writes the automaton file; `lift` builds the
 stage's automaton once and turns a source run into a certificate run on
-it; `word encode`, `run check`, `explore`, `lasso-member`, and
-`bench queue-bounds` cover word coding, run validation,
-prefix reachability, lasso membership, and the queue cost table.  Exit code
+it.  A theta lift builds the realtime8 acceptor only as deep as its walk:
+the breadth-first prefix of the full build, with its state names and
+transition indices, so the certificate checks against the file `build
+realtime8` writes.  `word encode`, `run check`, `explore`, `lasso-member`,
+and `bench queue-bounds` cover word coding, run validation, prefix
+reachability, lasso membership, and the queue cost table.  Exit code
 0 means success, 1 a negative verdict from a check, 2 a usage or input
 error.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import mmap
 import random
 import sys
 from collections.abc import Iterable
@@ -28,9 +32,10 @@ from .storage import (add_rear_bound, front_bound, queue_add_rear,
                       queue_empty, queue_front, queue_remove_front)
 from .constructions import (build_h_complement, build_phi_wrapper,
                             build_realtime8, build_script_L,
-                            build_theta_acceptor, compose_pipeline,
-                            lift_run_phi, lift_run_pipeline,
-                            lift_run_script_L, lift_run_theta, wadge_sum)
+                            build_theta_acceptor, checked_pad_factor,
+                            compose_pipeline, lift_run_phi, lift_run_pipeline,
+                            lift_run_script_L, lift_run_theta,
+                            theta_walk_length, wadge_sum)
 
 
 _BATCH = 4096
@@ -45,8 +50,18 @@ def _primes(spec: str) -> tuple[int, ...]:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a UTF-8 file.  A regular file is decoded from a read-only
+    map of it, so a large file is not held a second time as bytes while it
+    is decoded; an empty file or a pipe, which cannot be mapped, is read.
+    Line endings are kept as they are: every loader splits lines as
+    str.splitlines does, so "\r\n" and "\r" read as "\n" would."""
+    with open(path, "rb") as fh:
+        try:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):
+            return fh.read().decode("utf-8")
+        with mapped:
+            return str(mapped, "utf-8")
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
@@ -143,10 +158,21 @@ _LIFTS = {
 }
 
 
+def _theta_prefix(args, run):
+    """The realtime8 acceptor built as deep as the theta lift of run walks,
+    after the refusals of the full build and of the lift's prefix length."""
+    a = _buchi(args.input)
+    s_eff = checked_pad_factor(a, args.S)
+    return build_realtime8(a, s_eff, depth=theta_walk_length(
+        s_eff, len(run.indices), args.prefix_len))
+
+
 def _cmd_lift(args) -> int:
     run = load_run(_read(args.run))
     target, lift = _LIFTS[args.stage]
-    cert = lift(_construct(target, args), run, prefix_len=args.prefix_len)
+    built = _theta_prefix(args, run) if target == "realtime8" \
+        else _construct(target, args)
+    cert = lift(built, run, prefix_len=args.prefix_len)
     header = (f"# block {b.index} {b.start} {b.end}\n" for b in cert.blocks)
     _emit(itertools.chain(header, _run_lines(cert.run)), args.output)
     return 0

@@ -12,7 +12,11 @@ which stays under the pad budget S^i of block i whenever S >= 8k^2.
 
 States are tuples (theta state, queue node, simulated state, counter 6
 status, counter 7 status, flag) reached from the initial one by the shared
-worklist `_reach`, named r0, r1, ... in the order they are reached.  The
+worklist `_reach`, named r0, r1, ... in the order they are reached.  A
+theta lift walks one state per letter from the initial one, so it needs
+only the build as deep as its walk (`theta_walk_length`): breadth-first
+order makes that build a prefix of the full one, with the same state names
+and transition indices, so its certificate is one of the full acceptor.  The
 edges of each (suffix, theta label row) pair, the suffix being all but the
 theta state and the row the (letter, guard, delta) labels on the theta
 state's edges, are worked out once per build; the few dozen distinct
@@ -203,7 +207,7 @@ def _after(status: str, g: int, d: int) -> str:
     return "?" if d < 0 else "P"
 
 
-def _build(a: BuchiAutomaton, s_eff: int) -> Built:
+def _build(a: BuchiAutomaton, s_eff: int, depth: int | None = None) -> Built:
     m_a = a.machine
     sigma = sorted(m_a.alphabet)
     k = len(sigma) + 2
@@ -283,25 +287,17 @@ def _build(a: BuchiAutomaton, s_eff: int) -> Built:
     machine, table, origin = _reach(
         8, frozenset(sigma) | {E},
         (theta.initial, ("PRE",), m_a.initial, "Z", "Z", 1), moves,
-        lambda _: f"r{next(numbers)}", STATE_CAP, "eight-counter product")
+        lambda _: f"r{next(numbers)}", STATE_CAP, "eight-counter product", depth)
     accepting = frozenset(n for n, t in table.items()
                           if t[5] == 2 and t[2] in a.accepting)
-    return Built(machine, accepting, source=a, params={"S": s_eff},
+    params = {"S": s_eff} if depth is None else {"S": s_eff, "depth": depth}
+    return Built(machine, accepting, source=a, params=params,
                  table=table, origin=origin)
 
 
-def build_realtime8(a: BuchiAutomaton, S_override: int | None = None) -> Built:
-    """Compile a 2-counter machine into an 8-counter real-time acceptor of
-    its pad-coded language.  params["S"] of the result is the pad growth
-    factor actually built in.  S_override shrinks S for desk-scale work;
-    it must still clear the queue schedule bound 8k^2.  The acceptor's
-    table maps each state to its (theta state, queue node, simulated
-    state, counter 6 status, counter 7 status, flag) tuple, and its origin
-    column each simulated step to the index of the source transition it
-    simulates; every other transition's origin is None.  The build makes
-    the theta acceptor for S whole first, so an S whose theta acceptor's
-    3S + 4 states pass STATE_CAP is refused before anything is built.  The
-    memo of edges per (suffix, theta label row) lives only in the build."""
+def checked_pad_factor(a: BuchiAutomaton, S_override: int | None = None) -> int:
+    """The pad growth factor build_realtime8 builds a's acceptor with, after
+    the refusals it makes before building anything."""
     if a.machine.k != 2:
         raise ArityError(f"simulated machine must have 2 counters, has {a.machine.k}")
     if not a.machine.alphabet:
@@ -317,7 +313,51 @@ def build_realtime8(a: BuchiAutomaton, S_override: int | None = None) -> Built:
         raise BuildScaleError(
             f"eight-counter product needs a theta acceptor of {3 * s_eff + 4} "
             f"states, past the cap of {STATE_CAP}", 3 * s_eff + 4, STATE_CAP)
-    return _build(a, s_eff)
+    return s_eff
+
+
+def build_realtime8(a: BuchiAutomaton, S_override: int | None = None,
+                    depth: int | None = None) -> Built:
+    """Compile a 2-counter machine into an 8-counter real-time acceptor of
+    its pad-coded language.  params["S"] of the result is the pad growth
+    factor actually built in.  S_override shrinks S for desk-scale work;
+    it must still clear the queue schedule bound 8k^2.  The acceptor's
+    table maps each state to its (theta state, queue node, simulated
+    state, counter 6 status, counter 7 status, flag) tuple, and its origin
+    column each simulated step to the index of the source transition it
+    simulates; every other transition's origin is None.  The build makes
+    the theta acceptor for S whole first, so an S whose theta acceptor's
+    3S + 4 states pass STATE_CAP is refused before anything is built.  The
+    memo of edges per (suffix, theta label row) lives only in the build.
+
+    With a depth d, only the states fewer than d letters from the initial
+    one are expanded (see `_reach`), and params["depth"] records d: the
+    result is the prefix of the full acceptor that a theta lift walking at
+    most d letters needs, with the full acceptor's state names and
+    transition indices.  The state cap counts the states that build
+    reaches."""
+    return _build(a, checked_pad_factor(a, S_override), depth)
+
+
+def theta_walk_length(s_eff: int, blocks: int, prefix_len: int | None = None) -> int:
+    """The letters a theta lift of a run pinning `blocks` blocks walks at
+    pad factor s_eff: block i is its letter and S^i pad letters, and
+    prefix_len, when given, may take the walk up to the next block's
+    letter point and no further.  A prefix_len shorter than the pinned
+    blocks or past that point is refused, by arithmetic alone."""
+    needed = sum(1 + s_eff ** i for i in range(1, blocks + 1))
+    if prefix_len is None:
+        return needed
+    if prefix_len < needed:
+        raise MachineError(f"prefix too short to host the lift: need {needed} letters")
+    # the next block is its letter and S^(blocks+1) pad letters; the letter
+    # after them is one the pad walk of the lift does not read
+    room = 1 + s_eff ** (blocks + 1)
+    if prefix_len - needed > room:
+        raise MachineError(
+            f"run pins {blocks} blocks; prefix of {prefix_len} "
+            f"letters passes the next letter point at {needed + room}")
+    return prefix_len
 
 
 def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
@@ -330,12 +370,19 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
     the run's consumed word come from `letters` (defaulting to the sole
     letter of a 1-letter alphabet).  prefix_len may extend the walk past
     the pinned blocks up to the next simulated choice point, and never past
-    the next block's pad run: a longer prefix is refused before any step
-    past the pinned blocks is walked.
+    the next block's pad run: `theta_walk_length` counts the walk, and
+    refuses a prefix out of that range before any step is walked.  b8 may
+    be built only as deep as that walk (params["depth"]); a shallower b8
+    is refused.
     """
     s_eff = b8.params["S"]
     m_a = b8.source.machine
     word = source_word(m_a, run)
+    blocks = len(run.indices)
+    walk = theta_walk_length(s_eff, blocks, prefix_len)
+    if b8.params.get("depth", walk) < walk:
+        raise MachineError(f"acceptor built {b8.params['depth']} letters deep; "
+                           f"the lift walks {walk}")
 
     sigma = sorted(m_a.alphabet)
     extra = list(letters) if letters is not None else []
@@ -370,7 +417,6 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
             walker.to(E, key)
 
     spans = []
-    blocks = len(run.indices)
     for i, at in enumerate(run.indices, start=1):
         start = len(walker)
         walker.to(block_letter(i), at)
@@ -378,20 +424,9 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
         spans.append(BlockSpan(i, start, len(walker)))
 
     needed = len(walker)
-    if prefix_len is not None:
-        if prefix_len < needed:
-            raise MachineError(
-                f"prefix too short to host the lift: need {needed} letters")
-        # the next block is its letter and S^(blocks+1) pad letters; the
-        # letter after them is one the pad walk below does not read
-        room = 1 + s_eff ** (blocks + 1)
-        if prefix_len - needed > room:
-            raise MachineError(
-                f"run pins {blocks} blocks; prefix of {prefix_len} "
-                f"letters passes the next letter point at {needed + room}")
-        if prefix_len > needed:
-            # past the pinned blocks only an unambiguous walk is a lift
-            walker.to(block_letter(blocks + 1))
-            pad(prefix_len - needed - 1, None)
+    if walk > needed:
+        # past the pinned blocks only an unambiguous walk is a lift
+        walker.to(block_letter(blocks + 1))
+        pad(walk - needed - 1, None)
 
     return RunCertificate(run=walker.run(), stage="theta", blocks=tuple(spans))

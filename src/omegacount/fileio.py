@@ -370,7 +370,9 @@ def load_run(text: str) -> Run:
     """The run of a run file.  A step line is split once at its arity, into
     [step, letter, index, state, counter tail].  A step whose counter tail
     is spelled as the line before's, or whose counters equal that line's,
-    shares that line's counters tuple."""
+    shares that line's counters tuple.  The steps name each state by one
+    string, its first spelling in the file, as the automaton loader's
+    transitions do."""
     start = None
     consumed: list[str | None] = []
     indices: list[int] = []
@@ -378,6 +380,7 @@ def load_run(text: str) -> Run:
     counters: list[tuple[int, ...]] = []
     # the counter tail of the line before, and its values
     last, vec = None, None
+    name = {}.setdefault
     for chunk in _chunks(text):
         for no, raw in chunk:
             if "#" in raw:
@@ -407,7 +410,7 @@ def load_run(text: str) -> Run:
                 letter = toks[1]
                 consumed.append(None if letter == LAMBDA_TOKEN else letter)
                 indices.append(idx)
-                states.append(toks[3])
+                states.append(name(toks[3], toks[3]))
                 counters.append(vec)
                 continue
             rest = raw.split()[1:]

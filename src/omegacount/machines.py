@@ -51,7 +51,11 @@ each state tuple when it is first reached from the initial one.  Its state
 cap is the only size refusal: a build that reaches one state more than the
 cap stops there and reports that count.  Each move a builder yields carries
 its origin, the index of the source transition it stands for, and `_reach`
-records these as one column.
+records these as one column.  Given a depth d, the same loop expands only
+the states fewer than d steps from the initial one: since states are
+expanded breadth first, that build is a prefix of the full one, with the
+same names and the same transition indices, and serves any walk of at most
+d steps.
 
 Builders whose runs can be lifted return a Built: the automaton itself plus
 what it was built from, the build parameters, the structured tuple each
@@ -1084,7 +1088,8 @@ def pad_run(run: Run, new_k: int) -> Run:
 
 
 def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None,
-           over_cap: str = "product") -> tuple[CounterMachine, dict[str, tuple], tuple]:
+           over_cap: str = "product",
+           depth: int | None = None) -> tuple[CounterMachine, dict[str, tuple], tuple]:
     """The machine of the state tuples `initial` reaches, its name -> tuple
     table, and its origin column.
 
@@ -1097,10 +1102,19 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
     origins, one per transition in index order, are the column a `Built`
     carries as `origin`.
     name(state) names a tuple when it is first reached; two tuples with one
-    name are a MachineError, and reaching more than `cap` states is a
-    BuildScaleError.  A build makes no reference cycles, so the cyclic
-    garbage collector is paused while it runs, and the caller's setting is
-    restored however the build ends.
+    name are a MachineError, and reaching more than `cap` states, expanded
+    or not, is a BuildScaleError.  A build makes no reference cycles, so the
+    cyclic garbage collector is paused while it runs, and the caller's
+    setting is restored however the build ends.
+
+    With a depth d, only the states first reached in fewer than d steps are
+    expanded; those first reached in d steps are named and are states of
+    the machine, with no transitions.  Breadth-first order makes this build
+    a prefix of the full one: the same names for its states, and the full
+    build's first transitions and origins, index for index, since every
+    state before an expanded one is expanded in both.  So a walk of at most
+    d steps from the initial state takes the transitions it would take in
+    the full build.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -1111,7 +1125,7 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
         sources, inputs, guards, destinations, deltas, origin = (
             column.append for column in columns)
         # order grows while it is walked: each state is expanded once
-        for src in order:
+        for src in order if depth is None else _levels(order, depth):
             sname = names[src]
             for inp, guard, dst, delta, o in moves(src):
                 dname = names.get(dst)
@@ -1140,6 +1154,19 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
     finally:
         if enabled:
             gc.enable()
+
+
+def _levels(order: list, depth: int):
+    """The states of order first reached in fewer than depth steps, level
+    by level, while the caller's expansion of each level appends the next
+    one to order."""
+    start = 0
+    for _ in range(depth):
+        end = len(order)
+        if start == end:
+            return
+        yield from order[start:end]
+        start = end
 
 
 def _tuples(columns: list[list], n: int) -> list[tuple]:

@@ -4,10 +4,12 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import omegacount
+import omegacount.cli as cli
 import omegacount.constructions.realtime8 as rt8
 from omegacount.cli import main
 from omegacount.constructions import (build_h_complement, build_phi_wrapper,
@@ -16,7 +18,7 @@ from omegacount.constructions import (build_h_complement, build_phi_wrapper,
                                       lift_run_pipeline, lift_run_script_L,
                                       lift_run_theta, wadge_sum)
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
-                               load_automaton)
+                               load_automaton, load_run, load_word)
 from omegacount.engine import exact_prefix_reach
 from omegacount.machines import (BuchiAutomaton, CounterMachine, MullerAutomaton,
                                  Transition, validate_run)
@@ -496,6 +498,78 @@ def test_a_theta_prefix_past_the_next_letter_exits_2_naming_it(files, capsys):
         "the next letter point at 5258\n")
     assert main(argv + ["5258"]) == 0
     assert capsys.readouterr().out.count("\nstep ") == 5258
+
+
+def test_a_theta_lift_without_S_is_the_library_lift_at_the_default_factor(files, capsys):
+    run = files["dir"] / "one.run"
+    run.write_text(dump_run(run_of(m1_aomega(), ["a"])))
+    assert main(["lift", "--stage", "theta", "--input", str(files["m1"]),
+                 "--run", str(run)]) == 0
+    b8 = build_realtime8(m1_aomega())
+    assert b8.params == {"S": 729}
+    cert = lift_run_theta(b8, run_of(m1_aomega(), ["a"]))
+    assert capsys.readouterr().out == "# block 1 0 730\n" + dump_run(cert.run)
+
+
+def test_a_theta_lift_past_the_full_products_cap_still_lifts(files, capsys, monkeypatch):
+    # the lift builds only the 2,727 states its 73 letters can reach, so a
+    # cap under the full product's 13,779 states refuses the build, not
+    # the lift
+    run, cert = files["dir"] / "one.run", files["dir"] / "cert.run"
+    run.write_text(dump_run(run_of(m1_aomega(), ["a"])))
+    lift = ["lift", "--stage", "theta", "--input", str(files["m1"]), "--run", str(run),
+            "--S", "72", "-o", str(cert)]
+    monkeypatch.setattr(rt8, "STATE_CAP", 5_000)
+    assert main(["build", "realtime8", "--input", str(files["m1"]), "--S", "72"]) == 2
+    assert capsys.readouterr().err == (
+        "error: eight-counter product passed 5000 states\n")
+    assert main(lift) == 0
+    lifted = load_run(cert.read_text())
+    # the theta acceptor's 3S + 4 states are still counted first
+    monkeypatch.setattr(rt8, "STATE_CAP", 3 * 72 + 3)
+    assert main(lift) == 2
+    assert capsys.readouterr().err == (
+        "error: eight-counter product needs a theta acceptor of 220 states, "
+        "past the cap of 219\n")
+    monkeypatch.undo()
+    full = build_realtime8(m1_aomega(), S_override=72)
+    assert validate_run(full.machine, list(lifted.consumed), lifted) is None
+    assert len(lifted.indices) == 73
+
+
+def test_files_read_from_a_map_load_as_read_in_text_mode(files, tmp_path):
+    """_read decodes a file from a map of it and keeps its line endings;
+    every loader splits lines as str.splitlines does, so each file loads
+    as the text-mode read, with its universal newlines, loads it."""
+    def text_mode(path):
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    p = tmp_path / "f"
+    texts = [(load_automaton, dump_automaton(m2_two_counters())),
+             (load_run, dump_run(run_of(m2_two_counters(), ["a", "b"]))),
+             (load_word, "# a word\n" + dump_word(WordSpec(LassoWord((), ("a",), {"a"}),
+                                                           (ThetaCoding(2),), prefix=9)))]
+    for loader, text in texts:
+        for ending in ("\n", "\r\n", "\r"):
+            p.write_bytes(text.replace("\n", ending).encode())
+            assert loader(cli._read(str(p))) == loader(text_mode(p)) == loader(text)
+    # an empty file and a pipe cannot be mapped, and are read
+    p.write_bytes(b"")
+    assert cli._read(str(p)) == ""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(texts[2][1],))
+    writer.start()
+    assert cli._read(str(fifo)) == texts[2][1]
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    # bytes that are no UTF-8 fail as in text mode, and exit 2 with that
+    p.write_bytes("lasso \u00e9 | a\n".encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError) as mapped:
+        cli._read(str(p))
+    with pytest.raises(UnicodeDecodeError) as read:
+        text_mode(p)
+    assert str(mapped.value) == str(read.value)
 
 
 def test_a_phi_wrapper_without_filler_exits_2(files, capsys):

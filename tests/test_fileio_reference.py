@@ -27,7 +27,8 @@ from omegacount.errors import FormatError
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton, load_run, load_word)
 from omegacount.machines import (Configuration, CounterMachine, MachineError,
-                                 MullerAutomaton, Run, Transition, _check_token)
+                                 MullerAutomaton, Run, Transition, _check_token,
+                                 validate_run)
 from omegacount.words import HCoding, LassoWord, PhiCoding, ThetaCoding
 from conftest import m1_aomega, m2_two_counters, m3_alternator, run_of
 
@@ -319,6 +320,28 @@ def test_run_writer_matches_the_reference_byte_for_byte():
                 pieces = list(fileio._run_lines(run))
                 assert "".join(pieces) == dump_run(run) == want
             assert max(piece.count("\n") for piece in pieces) <= batch
+
+
+def test_a_loaded_run_names_each_state_by_one_string():
+    """load_run keeps one string per distinct state name, however many step
+    lines name it; the run reads back as the reference reads it, writes the
+    same bytes again, and validates as before."""
+    a2 = m2_two_counters()
+    out = compose_pipeline(a2, primes=(2, 3))
+    for run in writer_runs():
+        if not all(type(c) is int for c in run.start.counters):
+            continue  # run files spell ints only
+        text = dump_run(run)
+        loaded = load_run(text)
+        assert len({id(q) for q in loaded.states}) == len(set(loaded.states))
+        assert len(loaded.states) > 2 * len(set(loaded.states))
+        assert loaded == ref.load_run(text)
+        assert dump_run(loaded) == text
+    cert = lift_run_pipeline(out, run_of(a2, ["a", "b", "b", "a"]))
+    loaded = load_run(dump_run(cert.run))
+    for word in (list(cert.run.consumed), ["b"] + list(cert.run.consumed)[1:]):
+        assert validate_run(out.automaton.machine, word, loaded) == \
+            validate_run(out.automaton.machine, word, cert.run)
 
 
 # -- chunked line walk ----------------------------------------------------------

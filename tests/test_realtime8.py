@@ -4,9 +4,9 @@ import pytest
 
 import omegacount.constructions.realtime8 as rt8
 from omegacount.constructions import (build_realtime8, lift_run_theta,
-                                      realtime8_pad_factor)
+                                      realtime8_pad_factor, theta_walk_length)
 from omegacount.errors import ArityError, BuildScaleError, FreshLetterError
-from omegacount.fileio import dump_automaton, load_automaton
+from omegacount.fileio import dump_automaton, dump_run, load_automaton
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  MachineError, Run, Transition, is_real_time,
                                  validate_run)
@@ -151,3 +151,46 @@ def test_an_oversized_theta_acceptor_is_refused_before_the_build(monkeypatch):
     with pytest.raises(BuildScaleError, match="passed 220 states") as exc:
         build_realtime8(m1_aomega(), S_override=S_SMALL)
     assert exc.value.estimated_states == 3 * S_SMALL + 5
+
+
+def _lifted(cert) -> tuple:
+    return dump_run(cert.run), cert.blocks
+
+
+def test_a_lift_on_the_build_as_deep_as_its_walk_is_the_full_lift():
+    a = m1_aomega()
+    full = build_realtime8(a, S_override=S_SMALL)
+    one = 1 + S_SMALL
+    last = one + 1 + S_SMALL ** 2
+    cases = [(["a"], None), (["a"], one), (["a"], one + 1), (["a"], one + 3),
+             (["a"], one + 1 + S_SMALL), (["a"], last),
+             (["a", "a"], None), (["a", "a"], last + 1), (["a", "a"], last + 2 * S_SMALL + 5)]
+    for letters, prefix_len in cases:
+        run = run_of(a, letters)
+        walk = theta_walk_length(S_SMALL, len(letters), prefix_len)
+        assert walk == (prefix_len or (one if len(letters) == 1 else last))
+        part = build_realtime8(a, S_override=S_SMALL, depth=walk)
+        assert part.params == {"S": S_SMALL, "depth": walk}
+        assert len(part.machine.states) <= len(full.machine.states)
+        cert = lift_run_theta(part, run, prefix_len=prefix_len)
+        assert _lifted(cert) == _lifted(lift_run_theta(full, run, prefix_len=prefix_len))
+        coded = [st.consumed for st in cert.run.steps]
+        assert len(coded) == walk
+        assert validate_run(full.machine, coded, cert.run) is None
+    # the count refuses what the lift refuses, with the lift's messages
+    run = run_of(a, ["a"])
+    for n in (last + 1, 10 ** 11):
+        msg = (f"^run pins 1 blocks; prefix of {n} letters passes the next "
+               f"letter point at {last}$")
+        with pytest.raises(MachineError, match=msg):
+            theta_walk_length(S_SMALL, 1, n)
+        with pytest.raises(MachineError, match=msg):
+            lift_run_theta(build_realtime8(a, S_override=S_SMALL, depth=last), run,
+                           prefix_len=n)
+    with pytest.raises(MachineError, match=f"^prefix too short to host the lift: "
+                       f"need {one} letters$"):
+        lift_run_theta(full, run, prefix_len=one - 1)
+    # a build shallower than the walk is refused, not walked until it breaks
+    with pytest.raises(MachineError, match=f"^acceptor built {one - 1} letters deep; "
+                       f"the lift walks {one}$"):
+        lift_run_theta(build_realtime8(a, S_override=S_SMALL, depth=one - 1), run)

@@ -13,10 +13,18 @@ column and accepting set, on
 
 m1 at S = 288, the size the command-line chain builds, is pinned to its
 dump's digest.
+
+A build bounded at depth d is held to the full build on the same sources:
+its expanded states (fewer than d steps from the initial one, counted on
+the full build) keep their `leaving` rows and `table` entries, its columns
+and origin are the first entries of the full build's, and its other states
+are the full build's states d steps away, with their entries and no
+transitions.
 """
 
 import hashlib
 import random
+from collections import deque
 
 import pytest
 
@@ -85,3 +93,68 @@ def test_random_products_equal_the_reference(monkeypatch):
 def test_m1_at_the_chain_size_is_pinned():
     text = dump_automaton(rt8.build_realtime8(m1_aomega(), 288))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "184ffac0de4578c2"
+
+
+def _distances(b) -> dict:
+    """Each state's breadth-first distance from the initial one."""
+    m = b.machine
+    dist = {m.initial: 0}
+    todo = deque([m.initial])
+    while todo:
+        q = todo.popleft()
+        for _, _, _, dst, _ in m.leaving(q):
+            if dst not in dist:
+                dist[dst] = dist[q] + 1
+                todo.append(dst)
+    return dist
+
+
+def _check_prefix(full, dist: dict, depth: int) -> None:
+    part = rt8._build(full.source, full.params["S"], depth)
+    pm, fm = part.machine, full.machine
+    assert part.params == {"S": full.params["S"], "depth": depth}
+    assert pm.initial == fm.initial and pm.alphabet == fm.alphabet
+    assert pm.states == {q for q, d in dist.items() if d <= depth}
+    n = len(pm.sources)
+    assert n == sum(len(fm.leaving(q)) for q, d in dist.items() if d < depth)
+    for column in ("sources", "inputs", "guards", "destinations", "deltas"):
+        assert getattr(pm, column) == getattr(fm, column)[:n], column
+    assert part.origin == full.origin[:n]
+    for q in pm.states:
+        assert part.table[q] == full.table[q]
+        assert pm.leaving(q) == (fm.leaving(q) if dist[q] < depth else ())
+    assert part.accepting == full.accepting & pm.states
+
+
+def _depths(dist: dict, s_eff: int) -> list:
+    deepest = max(dist.values())
+    # a depth far past the deepest state, as a many-block lift asks for,
+    # stops with the last level
+    return sorted({0, 1, 2, 7, s_eff, s_eff + 1, 2 * s_eff + 3, deepest, deepest + 5,
+                   10 ** 15})
+
+
+@pytest.mark.parametrize("make, s_eff", [(m1_aomega, 72), (m3_alternator, 128)])
+def test_fixture_prefix_builds_are_prefixes_of_the_full_build(make, s_eff):
+    full = rt8.build_realtime8(make(), s_eff)
+    dist = _distances(full)
+    assert set(dist) <= full.machine.states
+    for depth in _depths(dist, s_eff):
+        _check_prefix(full, dist, depth)
+
+
+def test_random_prefix_builds_are_prefixes_of_the_full_build(monkeypatch):
+    monkeypatch.setattr(rt8, "STATE_CAP", RANDOM_CAP)
+    checked = 0
+    for seed in range(12):
+        a = _source(random.Random(seed))
+        k = len(a.machine.alphabet) + 2
+        try:
+            full = rt8._build(a, 8 * k * k)
+        except BuildScaleError:
+            continue
+        dist = _distances(full)
+        for depth in _depths(dist, 8 * k * k)[::2]:
+            _check_prefix(full, dist, depth)
+        checked += 1
+    assert checked >= 4

@@ -7,20 +7,31 @@
   reports the cap plus one (script-L's floor, when that alone passes the
   cap); every build the old up-front estimate let through still builds;
 - a build pauses the cyclic garbage collector and leaves it as it found
-  it, also when the cap stops the build halfway.
+  it, also when the cap stops the build halfway;
+- the builders that count their states before building (D1 at Q + 5, D4
+  at Q + 7, the theta acceptor at 3S + 4, and realtime8's theta acceptor
+  first) build exactly that count on seeded parameters, and one state
+  over the cap is refused with nothing built.
 """
 
 import gc
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omegacount.constructions.complement as complement
 import omegacount.constructions.phi as phi
+import omegacount.constructions.realtime8 as rt8
 import omegacount.constructions.script_l as script_l
+import omegacount.constructions.theta as theta
 import reference_products as ref
-from omegacount.constructions import build_phi_wrapper, build_script_L
+from conftest import m1_aomega, m3_alternator
+from omegacount.constructions import (build_d1, build_d4, build_phi_wrapper,
+                                      build_realtime8, build_script_L,
+                                      build_theta_acceptor)
 from omegacount.errors import BuildScaleError
 from omegacount.machines import (BuchiAutomaton, CounterMachine, Transition,
                                  lambda_burst_bound)
@@ -161,3 +172,62 @@ def test_a_build_leaves_the_collector_as_it_found_it(monkeypatch):
             assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("built past the estimate")
+
+
+def _estimate_holds(monkeypatch, module, where: str, estimate: int, build) -> None:
+    """build() makes `estimate` states under a cap of exactly that, and is
+    refused at one less, before it calls module.where."""
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "STATE_CAP", estimate)
+        assert len(build().machine.states) == estimate
+        patch.setattr(module, "STATE_CAP", estimate - 1)
+        patch.setattr(module, where, _no_build)
+        with pytest.raises(BuildScaleError) as e:
+            build()
+        assert (e.value.estimated_states, e.value.cap) == (estimate, estimate - 1)
+
+
+def test_pre_build_estimates_are_what_the_builders_build(monkeypatch):
+    rng = random.Random(35)
+    for _ in range(25):
+        primes = tuple(sorted(rng.sample((2, 3, 5, 7, 11, 13), rng.randint(1, 3))))
+        sigma = frozenset(rng.sample("abcde", rng.randint(1, 4)))
+        q = math.prod(primes)
+        # the states come after the coded alphabet, which D1 and D4 make
+        # only once their count is under the cap
+        _estimate_holds(monkeypatch, complement, "coded_alphabet", q + 5,
+                        lambda: build_d1(sigma, primes))
+        _estimate_holds(monkeypatch, complement, "coded_alphabet", q + 7,
+                        lambda: build_d4(sigma, primes))
+        S = rng.randint(1, 400)
+        _estimate_holds(monkeypatch, theta, "_block1", 3 * S + 4,
+                        lambda: build_theta_acceptor(sigma, S))
+
+
+def test_realtime8_counts_its_theta_acceptor_before_building(monkeypatch):
+    rng = random.Random(36)
+    for make in (m1_aomega, m3_alternator) * 4:
+        a = make()
+        k = len(a.machine.alphabet) + 2
+        S = rng.randint(8 * k * k, 8 * k * k + 200)
+        # the product is built over the theta acceptor it counted
+        built = []
+
+        def counted(*args):
+            built.append(build_theta_acceptor(*args))
+            return built[-1]
+        with monkeypatch.context() as patch:
+            patch.setattr(rt8, "build_theta_acceptor", counted)
+            build_realtime8(a, S, depth=1)
+        assert [len(b.machine.states) for b in built] == [3 * S + 4]
+        with monkeypatch.context() as patch:
+            patch.setattr(rt8, "STATE_CAP", 3 * S + 3)
+            patch.setattr(rt8, "_build", _no_build)
+            with pytest.raises(BuildScaleError, match="needs a theta acceptor of "
+                               f"{3 * S + 4} states") as e:
+                build_realtime8(a, S)
+            assert (e.value.estimated_states, e.value.cap) == (3 * S + 4, 3 * S + 3)
