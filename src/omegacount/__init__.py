@@ -3,11 +3,10 @@
 from .errors import (ArityError, BuildScaleError, FormatError, FreshLetterError,
                      MachineError, UnderflowError)
 from .machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
-                       MullerAutomaton, Run, RunStep, RunViolation, Transition,
-                       buchi_visit_count, intersect_det_buchi, is_real_time,
-                       lambda_burst_bound, lift_run_intersection, lift_run_union,
-                       muller_to_buchi, pad_counters, pad_run, step, union,
-                       validate_run)
+                       Run, RunStep, RunViolation, Transition, buchi_visit_count,
+                       intersect_det_buchi, is_real_time, lambda_burst_bound,
+                       lift_run_intersection, lift_run_union, pad_counters,
+                       pad_run, step, union, validate_run)
 from .words import (Block, BlockDecomposition, CodingSpec, HCoding,
                     HShapeViolation, LassoWord, PhiCoding, ThetaCoding,
                     coded_prefix, h_block_decompose, h_prefix, h_shape_check,

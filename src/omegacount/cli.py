@@ -24,8 +24,8 @@ from collections.abc import Iterable
 
 from .engine import bounded_explore, exact_prefix_reach, nba_lasso_member
 from .errors import FormatError
-from .fileio import (_automaton_lines, _run_lines, load_automaton, load_run,
-                     load_word)
+from .fileio import (_BATCH, _automaton_lines, _run_lines, load_automaton,
+                     load_run, load_word)
 from .machines import (BuchiAutomaton, MachineError, RunViolation, is_real_time,
                        validate_run)
 from .storage import (add_rear_bound, front_bound, queue_add_rear,
@@ -36,9 +36,6 @@ from .constructions import (build_h_complement, build_phi_wrapper,
                             compose_pipeline, lift_run_phi, lift_run_pipeline,
                             lift_run_script_L, lift_run_theta,
                             theta_walk_length, wadge_sum)
-
-
-_BATCH = 4096
 
 
 def _letters(spec: str) -> list[str]:
@@ -65,20 +62,17 @@ def _read(path: str) -> str:
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
-    """Write the lines to stdout in one piece, or to the file out one by
-    one, so a large file is never held whole."""
+    """Write the lines one by one to stdout, or to the file out, so a large
+    output is never held whole."""
     if out is None:
-        sys.stdout.write("".join(lines))
+        sys.stdout.writelines(lines)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
 
 
 def _buchi(path: str) -> BuchiAutomaton:
-    aut = load_automaton(_read(path))
-    if not isinstance(aut, BuchiAutomaton):
-        raise MachineError(f"{path}: expected a Buchi automaton")
-    return aut
+    return load_automaton(_read(path))
 
 
 # shape claims checked before writing: (counters, real-time).  The structural
@@ -368,6 +362,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (FormatError, MachineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

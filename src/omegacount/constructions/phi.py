@@ -12,13 +12,16 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from ..errors import FreshLetterError
+from ..errors import BuildScaleError, FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
                         Run, Walker, _reach, lambda_burst_bound)
 from ..words import F
 from .certificates import BlockSpan, RunCertificate, source_word
 
 STATE_CAP = 250_000
+# idle guards at most: a state before the letter point idles on each of the
+# 2**k guards, so a wider machine is refused before any guard is made
+GUARD_CAP = 250_000
 
 
 def _wrap(q: str, f: int, p: int) -> str:
@@ -31,7 +34,8 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
     index of b's transition it reads, or -1 for an idle filler step.  Only
     the triples that (b's initial, 0, 0) reaches are built, by the shared
     worklist `_reach`, which refuses a build that reaches more than
-    STATE_CAP."""
+    STATE_CAP.  A machine of k counters whose 2**k idle guards pass
+    GUARD_CAP is refused before any guard is made."""
     m = b.machine
     # the filler count is the L of the PhiCoding that names the wrapper's
     # words, which must be at least 1
@@ -44,6 +48,10 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
         raise MachineError(
             f"lambda bursts reach {burst}, filler window is {filler_count}")
 
+    if m.k >= GUARD_CAP.bit_length():  # that is, 2**k > GUARD_CAP
+        raise BuildScaleError(
+            f"wrapper needs 2**{m.k} idle guards, past the cap of {GUARD_CAP}",
+            2 ** GUARD_CAP.bit_length(), GUARD_CAP)
     guard_combos = list(itertools.product((0, 1), repeat=m.k))
     zeros = (0,) * m.k
 

@@ -26,7 +26,9 @@ class BuildScaleError(ValueError):
     it makes whole before it starts, counted from its parameters (the theta
     acceptor's 3S + 4 for pad factor S, also inside realtime8; D1's Q + 5
     and D4's Q + 7), or the count the build had reached when it passed the
-    cap: the cap plus one.
+    cap: the cap plus one.  The phi wrapper's refusal of a machine with too
+    many counters counts idle guards, not states: its 2**k, counted no
+    further than the first power of two past its GUARD_CAP.
     """
 
     def __init__(self, message: str, estimated_states: int, cap: int):

@@ -28,16 +28,16 @@ expansion: a piece's step heads are spelled once and reused by each
 iteration of a repeated piece, whose counters come from _later_counters a
 batch of iterations at a time; each distinct counters tuple is spelled
 once; and it yields strings of at most _BATCH step lines.  The dump
-functions join what these yield; the CLI writes it to a file piece by
-piece.
+functions join what these yield; the CLI writes it piece by piece, to a
+file or to stdout.
 
-Automaton:  kcounters / alphabet / states / initial / accepting-or-table /
+Automaton:  kcounters / alphabet / states / initial / accepting /
             trans <src> <letter|-> <guardbits> <dst> <d1> ... <dk>
-            (each directive but `table` and `trans` at most once)
+            (each directive but `trans` at most once; `accepting` required)
             (guardbits over {0,1}, 1 = positive required; "-" when k = 0)
 Word:       zero or more `coded theta:<S> | h:<p1,...> | phi:<L>` lines,
-            outermost coding first, then `lasso <spoke> | <cycle>`, then an
-            optional `prefix <n>` directive, n >= 0.
+            outermost coding first, then `lasso <spoke> | <cycle>`, then at
+            most one `prefix <n>` directive, n >= 0.
 Run:        start <state> <c1> ... <ck>
             step <letter|-> <tidx> <state> <c1> ... <ck>
 """
@@ -49,8 +49,7 @@ from dataclasses import dataclass
 
 from .errors import FormatError
 from .machines import (LAMBDA_TOKEN, BuchiAutomaton, Configuration, CounterMachine,
-                       MachineError, MullerAutomaton, Run, _later_counters,
-                       _tuples)
+                       MachineError, Run, _later_counters, _tuples)
 from .words import (CodingSpec, HCoding, LassoWord, PhiCoding, ThetaCoding,
                     coded_prefix, coded_runs, lasso_prefix)
 
@@ -138,13 +137,12 @@ def _new_tail(toks: list[str], k: int | None, no: int) -> tuple[int, ...]:
     return _delta(dtoks, no)
 
 
-def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
+def load_automaton(text: str) -> BuchiAutomaton:
     k = None
     alphabet: list[str] | None = None
     states: list[str] | None = None
     initial = None
     accepting: list[str] | None = None
-    table: list[list[str]] = []
     # the five columns, sized up front to one slot per trans line as
     # "\ntrans " counts them (a line the count misses grows them): five big
     # lists grown side by side fragment the heap and raise the peak RSS
@@ -217,8 +215,6 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
                 if accepting is not None:
                     raise FormatError("duplicate accepting line", no)
                 accepting = rest
-            elif head == "table":
-                table.append(rest)
             else:
                 raise FormatError(f"unknown directive {head!r}", no)
     if k is None or states is None or initial is None:
@@ -231,13 +227,9 @@ def load_automaton(text: str) -> BuchiAutomaton | MullerAutomaton:
             *_tuples(columns, n))
     except MachineError as e:
         raise FormatError(str(e)) from e
-    if accepting is not None and table:
-        raise FormatError("file mixes accepting and table lines")
-    if accepting is not None:
-        return BuchiAutomaton(machine, frozenset(accepting))
-    if table:
-        return MullerAutomaton(machine, tuple(frozenset(f) for f in table))
-    raise FormatError("missing accepting (Buchi) or table (Muller) lines")
+    if accepting is None:
+        raise FormatError("missing accepting line")
+    return BuchiAutomaton(machine, frozenset(accepting))
 
 
 def _join(head: str, toks) -> str:
@@ -245,22 +237,18 @@ def _join(head: str, toks) -> str:
     return head + (" " + " ".join(toks) if toks else "")
 
 
-def dump_automaton(aut: BuchiAutomaton | MullerAutomaton) -> str:
+def dump_automaton(aut: BuchiAutomaton) -> str:
     return "".join(_automaton_lines(aut))
 
 
-def _automaton_lines(aut: BuchiAutomaton | MullerAutomaton) -> Iterator[str]:
+def _automaton_lines(aut: BuchiAutomaton) -> Iterator[str]:
     """The lines of dump_automaton, each ending in a newline."""
     m = aut.machine
     yield f"kcounters {m.k}\n"
     yield _join("alphabet", sorted(m.alphabet)) + "\n"
     yield _join("states", sorted(m.states)) + "\n"
     yield f"initial {m.initial}\n"
-    if isinstance(aut, BuchiAutomaton):
-        yield _join("accepting", sorted(aut.accepting)) + "\n"
-    else:
-        for entry in aut.table:
-            yield _join("table", sorted(entry)) + "\n"
+    yield _join("accepting", sorted(aut.accepting)) + "\n"
     # each distinct guard and delta is spelled once, through int so that
     # values the constructor accepts as equal (True, 1.0) spell as 1
     guards: dict[tuple[int, ...], str] = {}
@@ -339,6 +327,8 @@ def load_word(text: str) -> WordSpec:
             except ValueError as e:
                 raise FormatError(str(e), no) from e
         elif head == "prefix":
+            if prefix is not None:
+                raise FormatError("duplicate prefix line", no)
             if len(rest) != 1:
                 raise FormatError("prefix takes one length", no)
             prefix = _int(rest[0], no, "prefix")

@@ -1,4 +1,4 @@
-"""Counter machines with Buchi/Muller acceptance and run validation.
+"""Counter machines with Buchi acceptance and run validation.
 
 A k-counter machine is a finite control plus k natural-valued counters.
 Every transition carries a total guard (each coordinate tests zero or
@@ -640,18 +640,6 @@ class Built(BuchiAutomaton):
     params: dict = field(default_factory=dict, repr=False)
     table: dict = field(default_factory=dict, repr=False)
     origin: tuple | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class MullerAutomaton:
-    machine: CounterMachine
-    table: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(frozenset(f) for f in self.table))
-        for f in self.table:
-            if not f <= self.machine.states:
-                raise MachineError("table entry must be a subset of states")
 
 
 @dataclass(frozen=True, slots=True)
@@ -1356,49 +1344,3 @@ def lift_run_intersection(prod: Built, run: Run) -> Run:
     for token, index in zip(run.consumed, run.indices):
         walker.to(token, index)
     return walker.run()
-
-
-# Muller to Buchi: guess a table entry, remember the visited subset
-
-
-def muller_to_buchi(m: MullerAutomaton) -> BuchiAutomaton:
-    """Guess-the-entry construction.
-
-    Copy mode mirrors the machine.  On any transition whose destination lies
-    in table entry F_i the run may commit to F_i; committed mode only allows
-    destinations inside F_i and accumulates them, resetting (through an
-    accepting state) whenever the accumulated subset completes F_i.  Only
-    the copy states and committed (state, entry, subset) triples that the
-    initial copy state reaches are built, by `_reach`.
-    Real-time inputs give real-time outputs: every added transition consumes
-    exactly what its underlying transition consumes.
-    """
-    mm = m.machine
-
-    def enter(q: str, fi: int, mask: frozenset[str]) -> tuple:
-        nm = mask | {q}
-        return ("m", q, fi, frozenset() if nm == m.table[fi] else nm)
-
-    def moves(src: tuple):
-        out = mm.leaving(src[1])
-        if src[0] == "c":
-            for _, inp, guard, dst, delta in out:
-                yield inp, guard, ("c", dst), delta, None
-            commits = [(fi, frozenset()) for fi in range(len(m.table))]
-        else:
-            commits = [src[2:]]
-        for fi, mask in commits:
-            for _, inp, guard, dst, delta in out:
-                if dst in m.table[fi]:
-                    yield inp, guard, enter(dst, fi, mask), delta, None
-
-    def name(state: tuple) -> str:
-        if state[0] == "c":
-            return f"c&{state[1]}"
-        _, q, fi, mask = state
-        return f"m&{q}&{fi}&" + ",".join(sorted(mask))
-
-    machine, table, _ = _reach(mm.k, mm.alphabet, ("c", mm.initial), moves, name)
-    accepting = frozenset(n for n, state in table.items()
-                          if state[0] == "m" and not state[3])
-    return BuchiAutomaton(machine, accepting)

@@ -2,11 +2,18 @@
 
 Three real-time 2-counter machines with known behaviour, used as lift
 sources across the construction tests, plus a brute-force membership
-oracle that knows nothing about the library's product construction.
+oracle that knows nothing about the library's product construction, and
+a runner of the CLI in a child process of bounded memory.
 """
+
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import omegacount
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  Run, RunStep, Transition)
 
@@ -134,3 +141,16 @@ def lasso_member_oracle(b: BuchiAutomaton, spoke, cycle) -> bool:
             visited.add(v)
             stack.extend(edges.get(v, ()))
     return False
+
+
+def cli_in_400_mb(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose own address space is limited to
+    400 MB.  Its stderr is captured, and its stdout too unless `stdout`
+    sends it elsewhere."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2 ** 20, 400 * 2 ** 20))
+    src = os.path.dirname(os.path.dirname(omegacount.__file__))
+    return subprocess.run([sys.executable, "-m", "omegacount.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)

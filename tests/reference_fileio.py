@@ -12,8 +12,8 @@ here; the fast paths are tested against them.
 from omegacount.errors import FormatError
 from omegacount.fileio import WordSpec
 from omegacount.machines import (LAMBDA_TOKEN, BuchiAutomaton, Configuration,
-                                 CounterMachine, MachineError, MullerAutomaton,
-                                 Run, RunStep, Transition)
+                                 CounterMachine, MachineError, Run, RunStep,
+                                 Transition)
 from omegacount.words import HCoding, LassoWord, PhiCoding, ThetaCoding
 
 
@@ -87,7 +87,6 @@ def load_automaton(text):
     states = None
     initial = None
     accepting = None
-    table = []
     trans = []
     for no, toks in _lines(text):
         head, rest = toks[0], toks[1:]
@@ -107,8 +106,6 @@ def load_automaton(text):
             if accepting is not None:
                 raise FormatError("duplicate accepting line", no)
             accepting = rest
-        elif head == "table":
-            table.append(rest)
         elif head == "trans":
             if k is None:
                 raise FormatError("trans before kcounters", no)
@@ -142,13 +139,9 @@ def load_automaton(text):
         raise FormatError(str(e)) from e
     machine = CounterMachine(k, frozenset(alphabet or ()), frozenset(states),
                              initial, tuple(trans))
-    if accepting is not None and table:
-        raise FormatError("file mixes accepting and table lines")
-    if accepting is not None:
-        return BuchiAutomaton(machine, frozenset(accepting))
-    if table:
-        return MullerAutomaton(machine, tuple(frozenset(f) for f in table))
-    raise FormatError("missing accepting (Buchi) or table (Muller) lines")
+    if accepting is None:
+        raise FormatError("missing accepting line")
+    return BuchiAutomaton(machine, frozenset(accepting))
 
 
 def _join(head, toks):
@@ -162,11 +155,7 @@ def dump_automaton(aut):
              _join("alphabet", sorted(m.alphabet)),
              _join("states", sorted(m.states)),
              f"initial {m.initial}"]
-    if isinstance(aut, BuchiAutomaton):
-        lines.append(_join("accepting", sorted(aut.accepting)))
-    else:
-        for entry in aut.table:
-            lines.append(_join("table", sorted(entry)))
+    lines.append(_join("accepting", sorted(aut.accepting)))
     for t in m.transitions:
         guardbits = "-" if m.k == 0 else "".join(str(g) for g in t.guard)
         letter = LAMBDA_TOKEN if t.input is None else t.input
@@ -216,6 +205,8 @@ def load_word(text):
             except ValueError as e:
                 raise FormatError(str(e), no) from e
         elif head == "prefix":
+            if prefix is not None:
+                raise FormatError("duplicate prefix line", no)
             if len(rest) != 1:
                 raise FormatError("prefix takes one length", no)
             prefix = _int(rest[0], no, "prefix")

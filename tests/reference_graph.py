@@ -1,12 +1,10 @@
 """Reference graph searches for the differential tests.
 
-These are the multi-pass versions that `engine.nba_lasso_member`,
-`machines.lambda_burst_bound` and `machines.muller_to_buchi` replaced: the
-lasso search walks the reachable product graph three times (reachability,
-Tarjan from every node, a viability re-scan), the burst bound runs a DFS
-with an on-stack sentinel and then a second loop per node, and the Muller
-construction over-approximates its masks by a fixpoint, builds every
-(state, mask) pair and then deletes duplicate transitions.  They must keep
+These are the multi-pass versions that `engine.nba_lasso_member` and
+`machines.lambda_burst_bound` replaced: the lasso search walks the
+reachable product graph three times (reachability, Tarjan from every node,
+a viability re-scan), and the burst bound runs a DFS with an on-stack
+sentinel and then a second loop per node.  They must keep
 behaving as they do here; the one-pass versions are tested against them.
 """
 
@@ -14,7 +12,7 @@ import math
 
 from omegacount.errors import MachineError
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
-                                 MullerAutomaton, Transition, step)
+                                 step)
 from omegacount.words import LassoWord
 
 
@@ -150,83 +148,3 @@ def lambda_burst_bound(machine: CounterMachine) -> int | float:
                     best = max(best, d + 1)
                 depth[node] = best if node in lam else 0
     return max(d for d in depth.values())
-
-
-def muller_to_buchi(m: MullerAutomaton) -> BuchiAutomaton:
-    """Guess-the-entry construction.
-
-    Copy mode mirrors the machine.  On any transition whose destination lies
-    in table entry F_i the run may commit to F_i; committed mode only allows
-    destinations inside F_i and accumulates them, resetting (through an
-    accepting state) whenever the accumulated subset completes F_i.
-    Real-time inputs give real-time outputs: every added transition consumes
-    exactly what its underlying transition consumes.
-    """
-    mm = m.machine
-
-    def copy_state(q: str) -> str:
-        return f"c&{q}"
-
-    def mem_state(q: str, fi: int, mask: frozenset[str]) -> str:
-        return f"m&{q}&{fi}&" + ",".join(sorted(mask))
-
-    states = {copy_state(q) for q in mm.states}
-    trans: list[Transition] = []
-    for t in mm.transitions:
-        trans.append(Transition(copy_state(t.source), t.input, t.guard,
-                                copy_state(t.destination), t.delta))
-    accepting: set[str] = set()
-
-    # enumerate committed states reachable through the subset dynamics
-    for fi, entry in enumerate(m.table):
-        masks: set[frozenset[str]] = set()
-        seed: set[frozenset[str]] = set()
-        for t in mm.transitions:
-            if t.destination in entry:
-                nm = frozenset({t.destination}) if frozenset({t.destination}) != entry else frozenset()
-                seed.add(nm)
-                trans.append(Transition(copy_state(t.source), t.input, t.guard,
-                                        mem_state(t.destination, fi, nm), t.delta))
-                states.add(mem_state(t.destination, fi, nm))
-                if nm == frozenset():
-                    accepting.add(mem_state(t.destination, fi, nm))
-        frontier = set(seed)
-        masks.update(seed)
-        while frontier:
-            nxt: set[frozenset[str]] = set()
-            for mask in frontier:
-                for t in mm.transitions:
-                    if t.destination not in entry:
-                        continue
-                    nm = mask | {t.destination}
-                    if nm == entry:
-                        nm = frozenset()
-                    if nm not in masks:
-                        nxt.add(nm)
-            masks.update(nxt)
-            frontier = nxt
-        for mask in sorted(masks, key=lambda fs: tuple(sorted(fs))):
-            for t in mm.transitions:
-                if t.source not in entry or t.destination not in entry:
-                    continue
-                src = mem_state(t.source, fi, mask)
-                nm = mask | {t.destination}
-                if nm == entry:
-                    nm = frozenset()
-                dst = mem_state(t.destination, fi, nm)
-                states.add(src)
-                states.add(dst)
-                if nm == frozenset():
-                    accepting.add(dst)
-                trans.append(Transition(src, t.input, t.guard, dst, t.delta))
-    # deduplicate transitions introduced by overlapping mask enumeration
-    seen = set()
-    unique: list[Transition] = []
-    for t in trans:
-        key = (t.source, t.input, t.guard, t.destination, t.delta)
-        if key not in seen:
-            seen.add(key)
-            unique.append(t)
-    machine = CounterMachine(mm.k, mm.alphabet, frozenset(states),
-                             copy_state(mm.initial), tuple(unique))
-    return BuchiAutomaton(machine, frozenset(accepting))

@@ -5,7 +5,7 @@ These are the versions of `machines.intersect_det_buchi` and
 replaced: each builds the full cross product, every (state, guard state,
 flag) or (state, filler position, pulse) triple, reachable or not.  The
 worklist builds must equal the part of these that their initial state
-reaches.  The Muller conversion they replaced is in `reference_graph.py`.
+reaches.
 
 The builders that laid their transitions out by hand are here too: the
 script-L block protocol (`build_raw`, every raw state, then the two-flag

@@ -1,14 +1,11 @@
 """Command surface: exit codes, byte-stable output, re-validation."""
 
 import os
-import resource
 import subprocess
-import sys
 import threading
 
 import pytest
 
-import omegacount
 import omegacount.cli as cli
 import omegacount.constructions.realtime8 as rt8
 from omegacount.cli import main
@@ -20,12 +17,12 @@ from omegacount.constructions import (build_h_complement, build_phi_wrapper,
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton, load_run, load_word)
 from omegacount.engine import exact_prefix_reach
-from omegacount.machines import (BuchiAutomaton, CounterMachine, MullerAutomaton,
-                                 Transition, validate_run)
+from omegacount.machines import (BuchiAutomaton, CounterMachine, Transition,
+                                 validate_run)
 from omegacount.words import (HCoding, LassoWord, PhiCoding, ThetaCoding,
                               coded_prefix)
 
-from conftest import m1_aomega, m2_two_counters, run_of
+from conftest import cli_in_400_mb, m1_aomega, m2_two_counters, run_of
 
 
 @pytest.fixture
@@ -178,24 +175,13 @@ def test_explore_prints_the_letter_by_letter_line(files, capsys):
             assert code == (1 if " final 0 " in line else 0)
 
 
-def _cli_in_400_mb(argv) -> subprocess.CompletedProcess:
-    """The CLI in a child process whose own address space is limited to
-    400 MB."""
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (400 * 2 ** 20, 400 * 2 ** 20))
-    src = os.path.dirname(os.path.dirname(omegacount.__file__))
-    return subprocess.run([sys.executable, "-m", "omegacount.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
-                          capture_output=True, text=True, timeout=120)
-
-
 def test_a_long_explore_stays_in_bounded_memory(files):
     pipe, word = files["dir"] / "pipe.aut", files["dir"] / "w.word"
     pipe.write_text(dump_automaton(
         compose_pipeline(m2_two_counters(), primes=(2, 3)).automaton))
     word.write_text("coded phi:5\ncoded h:2,3\nlasso a | a\n")
-    done = _cli_in_400_mb(["explore", "--input", str(pipe), "--word", str(word),
-                           "--n", "100000000"])
+    done = cli_in_400_mb(["explore", "--input", str(pipe), "--word", str(word),
+                          "--n", "100000000"])
     assert (done.returncode, done.stderr) == (0, "")
     # the letter-by-letter search crosses the 10^7 visited cap at letter
     # 1,250,028, as a walk that keeps one frontier at a time finds
@@ -203,8 +189,8 @@ def test_a_long_explore_stays_in_bounded_memory(files):
                            "max-visits 96354 first-empty - (capped)\n")
     # the frontier dies at the first letter, and the rest is one empty tail
     word.write_text("lasso a | a\n")
-    done = _cli_in_400_mb(["explore", "--input", str(pipe), "--word", str(word),
-                           "--n", "10000000"])
+    done = cli_in_400_mb(["explore", "--input", str(pipe), "--word", str(word),
+                          "--n", "10000000"])
     assert (done.returncode, done.stderr) == (1, "")
     assert done.stdout == ("letters 10000000 final 0 configurations "
                            "max-visits - first-empty 1\n")
@@ -230,10 +216,27 @@ def test_a_long_word_check_stays_in_bounded_memory(files, capsys):
         assert capsys.readouterr().out == (
             f"ok {steps} steps {visits} accepting visits\n" if bad is None
             else f"violation {bad}\n")
-    done = _cli_in_400_mb(argv + ["--n", "100000000"])
+    done = cli_in_400_mb(argv + ["--n", "100000000"])
     assert (done.returncode, done.stderr) == (1, "")
     assert done.stdout == (f"violation step {steps}: projection "
                            f"(run consumed {read} of 100000000 letters)\n")
+
+
+def test_a_long_word_encode_streams_to_stdout(files):
+    argv = ["word", "encode", "--word", str(files["aword"]), "--n", "120000000"]
+    # 240 MB of letters: written as they are spelled, as with -o, not held
+    done = cli_in_400_mb(argv, stdout=subprocess.DEVNULL)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_running_out_of_memory_exits_2_with_one_line(files):
+    wide = files["dir"] / "wide.aut"
+    wide.write_text("kcounters 1000000000\nalphabet a\nstates p\ninitial p\n"
+                    "accepting p\n")
+    # the start configuration alone holds 10^9 counters
+    done = cli_in_400_mb(["explore", "--input", str(wide), "--word", str(files["aword"]),
+                          "--n", "1"])
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_explore_lambda_budget(files, capsys):
@@ -330,16 +333,15 @@ def test_errors_exit_2(files, capsys):
     assert main(["run", "check", "--input", str(bad),
                  "--run", str(files["m1run"])]) == 2
     capsys.readouterr()
-    # a Muller file where a Buchi one is read
+    # a file in the Muller form: its table line is an unknown directive
     muller = files["dir"] / "muller.aut"
-    muller.write_text(dump_automaton(MullerAutomaton(m1_aomega().machine,
-                                                     (frozenset({"p"}),))))
+    muller.write_text(files["m1"].read_text().replace("accepting p\n", "table p\n"))
     for argv in (["build", "phi-wrapper", "--input", str(muller), "--S", "2"],
                  ["run", "check", "--input", str(muller), "--run", str(files["m1run"])],
                  ["lift", "--stage", "phi", "--input", str(muller),
                   "--run", str(files["m1run"]), "--S", "2"]):
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {muller}: expected a Buchi automaton\n"
+        assert capsys.readouterr().err == "error: line 5: unknown directive 'table'\n"
     # scale refusal surfaces as a clean error, not a traceback
     assert main(["build", "pipeline", "--input", str(files["m1"]),
                  "--primes", "2,3,5,7,11,13,17,19"]) == 2

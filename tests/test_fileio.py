@@ -7,7 +7,7 @@ from omegacount.errors import FormatError
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton, load_run, load_word)
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
-                                 MullerAutomaton, Run, RunStep, Transition)
+                                 Run, RunStep, Transition)
 from omegacount.words import HCoding, LassoWord, PhiCoding, ThetaCoding
 from conftest import m2_two_counters, run_of
 
@@ -26,18 +26,16 @@ def test_automaton_roundtrip_buchi():
     assert dump_automaton(back) == text
 
 
-def test_automaton_roundtrip_muller_and_k0():
+def test_automaton_roundtrip_k0():
     m = CounterMachine(k=0, alphabet=frozenset({"a"}), states=("p", "q"),
                        initial="p",
                        transitions=(Transition("p", "a", (), "q", ()),
                                     Transition("q", "a", (), "p", ())))
-    mu = MullerAutomaton(machine=m, table=(frozenset({"p"}),
-                                           frozenset({"p", "q"})))
-    back = load_automaton(dump_automaton(mu))
-    assert isinstance(back, MullerAutomaton)
-    assert set(back.table) == set(mu.table)
+    b = BuchiAutomaton(machine=m, accepting=frozenset({"p"}))
+    text = dump_automaton(b)
+    assert load_automaton(text) == b
     # k = 0 guard column is the placeholder
-    assert " - " in dump_automaton(mu)
+    assert " - " in text
 
 
 def test_automaton_lambda_transitions_roundtrip():
@@ -95,6 +93,21 @@ def test_automaton_refuses_a_repeated_directive(directive):
     assert e.value.line == at + 2
 
 
+def test_automaton_refuses_a_table_line_and_a_missing_accepting_line():
+    lines = dump_automaton(m2_two_counters()).splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("accepting"))
+    # the Muller form's table line is an unknown directive, in place of
+    # the accepting line or beside it
+    for kept in ([], [lines[at]]):
+        text = "".join(lines[:at] + kept + ["table p q\n"] + lines[at + 1:])
+        with pytest.raises(FormatError) as e:
+            load_automaton(text)
+        assert (str(e.value), e.value.line) == (
+            f"line {at + len(kept) + 1}: unknown directive 'table'", at + len(kept) + 1)
+    with pytest.raises(FormatError, match="^missing accepting line$"):
+        load_automaton("".join(lines[:at] + lines[at + 1:]))
+
+
 def test_automaton_refuses_trans_under_negative_kcounters():
     # three fields make a whole trans line for k = -1
     text = "kcounters -1\nstates p\ninitial p\naccepting p\ntrans p a p\n"
@@ -136,6 +149,12 @@ def test_word_refuses_a_negative_prefix_length():
     assert (str(e.value), e.value.line) == (
         "line 3: prefix length must be nonnegative, got -5", 3)
     assert load_word("lasso a | b\nprefix 0\n").prefix == 0
+
+
+def test_word_refuses_a_second_prefix_line():
+    with pytest.raises(FormatError) as e:
+        load_word("lasso a | b\nprefix 3\nprefix 4\n")
+    assert (str(e.value), e.value.line) == ("line 3: duplicate prefix line", 3)
 
 
 def test_run_roundtrip():

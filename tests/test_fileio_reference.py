@@ -26,8 +26,8 @@ from omegacount.constructions import (build_d1, build_phi_wrapper, build_realtim
 from omegacount.errors import FormatError
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton, load_run, load_word)
-from omegacount.machines import (Configuration, CounterMachine, MachineError,
-                                 MullerAutomaton, Run, Transition, _check_token,
+from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
+                                 MachineError, Run, Transition, _check_token,
                                  validate_run)
 from omegacount.words import HCoding, LassoWord, PhiCoding, ThetaCoding
 from conftest import m1_aomega, m2_two_counters, m3_alternator, run_of
@@ -220,11 +220,9 @@ def fuzz_sources():
     lifted = lift_run_script_L(bl, run_of(m1_aomega(), ["a"])).run
     word = WordSpec(LassoWord(("c",), ("a", "b"), frozenset("abc")),
                     (ThetaCoding(3), HCoding((2, 3)), PhiCoding(5)), 40)
-    mu = MullerAutomaton(m1_aomega().machine, (frozenset({"p"}),))
     return [
         *[("automaton", dump_automaton(f())) for f in
           (m1_aomega, m2_two_counters, m3_alternator)],
-        ("automaton", dump_automaton(mu)),
         ("automaton", dump_automaton(w)),
         ("run", dump_run(lifted)),
         ("run", dump_run(run_of(m2_two_counters(), ["a", "a", "b"]))),
@@ -259,20 +257,20 @@ def test_loader_fuzz_against_the_reference():
 
 # -- canonical output ---------------------------------------------------------
 
-def _muller():
+def _lambda_k1():
     m = CounterMachine(
         k=1, alphabet=frozenset({"a", "b"}), states=("p", "q"), initial="p",
         transitions=(Transition("p", "a", (0,), "q", (1,)),
                      Transition("q", None, (1,), "p", (-1,)),
                      Transition("q", "b", (1,), "q", (0,))))
-    return MullerAutomaton(m, (frozenset({"p"}), frozenset({"p", "q"})))
+    return BuchiAutomaton(m, frozenset({"p"}))
 
 
 CANONICAL = {
     "realtime8 m1 S=72": lambda: build_realtime8(m1_aomega(), S_override=72),
     "pipeline m2": lambda: compose_pipeline(m2_two_counters(), primes=(2, 3)).automaton,
     "D1 k=0": lambda: build_d1(frozenset("ab"), (2, 3)),
-    "Muller": _muller,
+    "lambda k=1": _lambda_k1,
 }
 
 

@@ -1,4 +1,4 @@
-"""Core machine model: validation, runs, products, the Muller conversion."""
+"""Core machine model: validation, runs, products."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +8,12 @@ from omegacount.constructions import (build_phi_wrapper, build_realtime8,
                                       lift_run_script_L, lift_run_theta,
                                       project_run_script_L)
 from omegacount.machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
-                                 MachineError, MullerAutomaton, Run, RunStep,
-                                 Transition, buchi_visit_count,
-                                 intersect_det_buchi, is_real_time,
-                                 lambda_burst_bound, lift_run_intersection,
-                                 lift_run_union, muller_to_buchi, pad_counters,
-                                 pad_run, step, union, validate_run)
+                                 MachineError, Run, RunStep, Transition,
+                                 buchi_visit_count, intersect_det_buchi,
+                                 is_real_time, lambda_burst_bound,
+                                 lift_run_intersection, lift_run_union,
+                                 pad_counters, pad_run, step, union,
+                                 validate_run)
 from conftest import lasso_member_oracle, m1_aomega, run_of
 
 
@@ -301,49 +301,6 @@ def test_lift_run_intersection_refuses_an_off_initial_start():
     off = Run(Configuration("y", ()), (RunStep("a", 2, Configuration("y", ())),))
     with pytest.raises(MachineError, match="not at the initial state 'n'"):
         lift_run_intersection(prod, off)
-
-
-def test_muller_to_buchi_agrees_on_lassos():
-    # Muller condition: exactly {n} visited infinitely often = finitely many a
-    m = CounterMachine(k=0, alphabet=frozenset({"a", "b"}),
-                       states=("n", "y"), initial="n",
-                       transitions=(Transition("n", "a", (), "y", ()),
-                                    Transition("n", "b", (), "n", ()),
-                                    Transition("y", "a", (), "y", ()),
-                                    Transition("y", "b", (), "n", ())))
-    mu = MullerAutomaton(machine=m, table=(frozenset({"n"}),))
-    bu = muller_to_buchi(mu)
-    assert bu.machine.k == 0
-    assert lasso_member_oracle(bu, ("a",), ("b",)) is True
-    assert lasso_member_oracle(bu, (), ("b", "a")) is False
-    assert lasso_member_oracle(bu, (), ("a",)) is False
-
-
-def test_muller_to_buchi_multi_entry_table():
-    m = CounterMachine(k=0, alphabet=frozenset({"a", "b"}),
-                       states=("n", "y"), initial="n",
-                       transitions=(Transition("n", "a", (), "y", ()),
-                                    Transition("n", "b", (), "n", ()),
-                                    Transition("y", "a", (), "y", ()),
-                                    Transition("y", "b", (), "n", ())))
-    # accept if the visited-infinitely set is {n} or {n, y}
-    mu = MullerAutomaton(machine=m, table=(frozenset({"n"}),
-                                           frozenset({"n", "y"})))
-    bu = muller_to_buchi(mu)
-    assert lasso_member_oracle(bu, (), ("b",)) is True
-    assert lasso_member_oracle(bu, (), ("a", "b")) is True
-    assert lasso_member_oracle(bu, (), ("a",)) is False
-
-
-def test_muller_to_buchi_keeps_real_time():
-    m = CounterMachine(k=1, alphabet=frozenset({"a"}), states=("p",),
-                       initial="p",
-                       transitions=(Transition("p", "a", (0,), "p", (1,)),
-                                    Transition("p", "a", (1,), "p", (1,))))
-    mu = MullerAutomaton(machine=m, table=(frozenset({"p"}),))
-    bu = muller_to_buchi(mu)
-    assert is_real_time(bu.machine)
-    assert bu.machine.k == 1
 
 
 @st.composite

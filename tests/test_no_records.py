@@ -16,8 +16,8 @@ from omegacount.constructions import (build_d1, build_d2, build_d3, build_d4,
                                       lift_run_theta, wadge_sum)
 from omegacount.engine import bounded_explore, nba_lasso_member
 from omegacount.fileio import dump_automaton, load_automaton
-from omegacount.machines import (BuchiAutomaton, CounterMachine, MullerAutomaton,
-                                 RunStep, Transition, muller_to_buchi, validate_run)
+from omegacount.machines import (BuchiAutomaton, CounterMachine, RunStep,
+                                 Transition, validate_run)
 from omegacount.words import A, B, ZERO, LassoWord
 
 from conftest import m1_aomega, m2_two_counters, m3_alternator, run_of
@@ -40,10 +40,6 @@ def test_the_library_makes_no_transition_and_no_runstep(monkeypatch):
     kept = _k0("a", ["l0"], ["l0"], [("l0", "a", "l0")])
     pair = _k0(y, ["s0", "s1"], ["s1"], [(s, x, "s1" if x == "p" else "s0")
                                          for s in ("s0", "s1") for x in y])
-    muller = MullerAutomaton(
-        _k0("ab", ["n", "y"], [], [("n", "a", "y"), ("n", "b", "n"),
-                                   ("y", "a", "y"), ("y", "b", "n")]).machine,
-        (frozenset({"n"}),))
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"the library built a {type(self).__name__}")
@@ -74,4 +70,3 @@ def test_the_library_makes_no_transition_and_no_runstep(monkeypatch):
     assert validate_run(b8.machine, word, cert.run) is None
 
     wadge_sum(kept, pair, pair, plus={"p"}, minus={"m"})
-    muller_to_buchi(muller)

@@ -1,10 +1,9 @@
 """Differential tests of the reachable-state product builders.
 
-`intersect_det_buchi`, `build_phi_wrapper`, `muller_to_buchi`, `union` and
-`wadge_sum` build only the states their initial state reaches.  Each is
-held to the version it replaced (`reference_products.py`, and
-`reference_graph.py` for the Muller conversion) on seeded k <= 1 machines
-with lambda edges:
+`intersect_det_buchi`, `build_phi_wrapper`, `union` and `wadge_sum` build
+only the states their initial state reaches.  Each is held to the version
+it replaced (`reference_products.py`) on seeded k <= 1 machines with lambda
+edges:
 
 - the new build is exactly the graph-reachable part of the reference's
   (counters ignored): the same states, table entries and accepting states,
@@ -30,7 +29,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import reference_graph
 import reference_products as ref
 import pytest
 
@@ -45,10 +43,9 @@ from omegacount.constructions.complement import (build_d1, build_d2, build_d3,
 from omegacount.engine import exact_prefix_reach, nba_lasso_member
 from omegacount.fileio import dump_automaton
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
-                                 MullerAutomaton, Run, RunStep, Transition,
-                                 intersect_det_buchi, is_real_time,
-                                 lambda_burst_bound, lift_run_union,
-                                 muller_to_buchi, pad_counters, step, union,
+                                 Run, RunStep, Transition, intersect_det_buchi,
+                                 is_real_time, lambda_burst_bound,
+                                 lift_run_union, pad_counters, step, union,
                                  validate_run)
 from omegacount.words import F, LassoWord
 
@@ -177,26 +174,6 @@ def test_phi_wrapper_is_the_reachable_part_of_the_reference():
         lambdas += burst > 0
     assert 150 < lambdas and 150 < yes < 1800
     assert built < reference
-
-
-def test_muller_conversion_is_the_reachable_part_of_the_reference():
-    rng = random.Random(23)
-    yes = 0
-    for _ in range(300):
-        b = _machine(rng, 0, lambdas=True)
-        states = sorted(b.machine.states)
-        table = [frozenset(s for s in states if rng.random() < 0.5)
-                 or frozenset({rng.choice(states)})
-                 for _ in range(rng.randint(1, 3))]
-        # the reference drops repeated transitions, so draw none
-        m = b.machine
-        m = CounterMachine(0, m.alphabet, m.states, m.initial,
-                           tuple(dict.fromkeys(m.transitions)))
-        mu = MullerAutomaton(m, tuple(table))
-        new, old = muller_to_buchi(mu), reference_graph.muller_to_buchi(mu)
-        _assert_reachable_part(new, old)
-        yes += _agree(rng, new, old)
-    assert 100 < yes < 1100
 
 
 def _walk(rng: random.Random, b: BuchiAutomaton, n: int) -> Run:
@@ -416,13 +393,6 @@ def _wadge():
     return wadge_sum(kept, pair, comp, plus={"p"}, minus={"m"})
 
 
-def _muller():
-    edges = ("nan", "nby", "nbz", "yay", "ybn", "zaz", "zbn", "zby")
-    m = CounterMachine(k=0, alphabet=SIGMA, states=("n", "y", "z"), initial="n",
-                       transitions=tuple(Transition(p, x, (), q, ()) for p, x, q in edges))
-    return muller_to_buchi(MullerAutomaton(m, ({"n", "y"}, {"z"})))
-
-
 BUILDS = {
     "union": lambda: union(("L", m2_two_counters()), ("R", m3_alternator())),
     "wadge_sum": _wadge,
@@ -434,7 +404,6 @@ BUILDS = {
         _k0(SIGMA, ("p", "q"), "p", ("q",),
             [("p", "a", "p"), ("p", "b", "q"), ("q", "a", "p")]),
         _last_letter()),
-    "muller_to_buchi": _muller,
     "build_realtime8": lambda: build_realtime8(m1_aomega(), S_override=72),
 }
 
@@ -466,16 +435,10 @@ sys.path[:0] = [{src!r}, {tests!r}]
 from conftest import m2_two_counters
 from omegacount.constructions import build_script_L, compose_pipeline
 from omegacount.fileio import dump_automaton
-from omegacount.machines import (CounterMachine, MullerAutomaton, Transition,
-                                 muller_to_buchi)
 
 a = m2_two_counters()
-edges = ("nan", "nby", "nbz", "yay", "ybn", "zaz", "zbn", "zby")
-m = CounterMachine(k=0, alphabet={{"a", "b"}}, states=("n", "y", "z"), initial="n",
-                   transitions=tuple(Transition(p, x, (), q, ()) for p, x, q in edges))
 for aut in (build_script_L(a, (2, 3)),
-            compose_pipeline(a, primes=(2, 3)).automaton,
-            muller_to_buchi(MullerAutomaton(m, ({{"n", "y"}}, {{"z"}})))):
+            compose_pipeline(a, primes=(2, 3)).automaton):
     sys.stdout.write(dump_automaton(aut))
 """
 

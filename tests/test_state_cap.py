@@ -8,6 +8,8 @@
   cap); every build the old up-front estimate let through still builds;
 - a build pauses the cyclic garbage collector and leaves it as it found
   it, also when the cap stops the build halfway;
+- the phi wrapper refuses, before making any, more idle guards (2**k for
+  k counters) than its guard cap, and builds every k under it;
 - the builders that count their states before building (D1 at Q + 5, D4
   at Q + 7, the theta acceptor at 3S + 4, and realtime8's theta acceptor
   first) build exactly that count on seeded parameters, and one state
@@ -17,6 +19,7 @@
 import gc
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,7 @@ import omegacount.constructions.realtime8 as rt8
 import omegacount.constructions.script_l as script_l
 import omegacount.constructions.theta as theta
 import reference_products as ref
-from conftest import m1_aomega, m3_alternator
+from conftest import cli_in_400_mb, m1_aomega, m3_alternator
 from omegacount.constructions import (build_d1, build_d4, build_phi_wrapper,
                                       build_realtime8, build_script_L,
                                       build_theta_acceptor)
@@ -141,6 +144,44 @@ def test_phi_refuses_exactly_past_its_cap(monkeypatch):
         if len(m.states) * (filler + 1) * 2 <= cap:
             assert e is None
     assert refused > 50 and built > 50
+
+
+def _wide(k: int) -> BuchiAutomaton:
+    """One state, no transitions, k counters."""
+    return BuchiAutomaton(CounterMachine(k=k, alphabet=frozenset({"a"}), states=("p",),
+                                         initial="p", transitions=()), frozenset())
+
+
+def test_phi_refuses_a_k_whose_idle_guards_pass_their_cap(monkeypatch, tmp_path):
+    def no_guards(*args, **kwargs):
+        raise AssertionError("made the idle guards past their cap")
+    with monkeypatch.context() as patch:
+        patch.setattr(phi, "itertools", SimpleNamespace(product=no_guards))
+        for k in (22, 10 ** 9):
+            with pytest.raises(BuildScaleError, match=fr"2\*\*{k} idle guards, past "
+                               "the cap of 250000") as e:
+                build_phi_wrapper(_wide(k), 2)
+            # a floor on 2**k, counted no further than past the cap
+            assert (e.value.estimated_states, e.value.cap) == (2 ** 18, 250_000)
+    # exactly past the cap: 2**k guards fit while 2**k <= GUARD_CAP
+    for cap in (1, 4, 5, 8):
+        monkeypatch.setattr(phi, "GUARD_CAP", cap)
+        for k in range(5):
+            try:
+                w = build_phi_wrapper(_wide(k), 2)
+            except BuildScaleError as e:
+                assert 2 ** k > cap
+                assert (e.estimated_states, e.cap) == (2 ** cap.bit_length(), cap)
+            else:
+                assert 2 ** k <= cap
+                # (p, 0, 0) and (p, 1, 0) idle on every guard
+                assert len(w.machine.sources) == 2 * 2 ** k
+    # the CLI exits 2 on the file, with the error on one line
+    wide = tmp_path / "wide.aut"
+    wide.write_text("kcounters 22\nalphabet a\nstates p\ninitial p\naccepting\n")
+    done = cli_in_400_mb(["build", "phi-wrapper", "--input", str(wide), "--S", "2"])
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: wrapper needs 2**22 idle guards, past the cap of 250000\n")
 
 
 def test_a_build_leaves_the_collector_as_it_found_it(monkeypatch):
