@@ -253,6 +253,8 @@ def _cmd_lasso_member(args) -> int:
 
 
 def _cmd_bench_queue(args) -> int:
+    if args.ops < 0:
+        raise ValueError(f"--ops must be nonnegative, got {args.ops}")
     rng = random.Random(args.seed)
     k = args.k
     q = queue_empty(k)

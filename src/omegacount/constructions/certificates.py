@@ -3,6 +3,9 @@
 The block spans index into the run's step columns (run.states, run.steps
 and the rest) and say which coded block each step serves, so acceptance
 transfer can be checked block by block.
+
+Every lift bounds the prefix it walks by one rule, `walk_length`; an
+empty run needs no letters, so it lifts to the empty certificate.
 """
 
 from __future__ import annotations
@@ -53,3 +56,20 @@ def source_word(machine: CounterMachine, run: Run) -> list[str]:
     if run.start.state != machine.initial or any(run.start.counters):
         raise MachineError("lift needs a run from the initial configuration")
     return word
+
+
+def walk_length(needed: int, room: int, prefix_len: int | None, blocks: int,
+                point: str) -> int:
+    """The letters a lift walks: `needed`, or a prefix_len that hosts the
+    run's blocks and passes them by at most `room` letters, its next `point`."""
+    if prefix_len is None:
+        return needed
+    if prefix_len < 0:
+        raise MachineError(f"prefix length must be nonnegative, got {prefix_len}")
+    if prefix_len < needed:
+        raise MachineError(f"prefix too short to host the lift: need {needed} letters")
+    if prefix_len - needed > room:
+        raise MachineError(
+            f"run pins {blocks} blocks; prefix of {prefix_len} "
+            f"letters passes the next {point} point at {needed + room}")
+    return prefix_len

@@ -16,7 +16,7 @@ from ..errors import BuildScaleError, FreshLetterError
 from ..machines import (BuchiAutomaton, Built, Configuration, MachineError,
                         Run, Walker, _reach, lambda_burst_bound)
 from ..words import F
-from .certificates import BlockSpan, RunCertificate, source_word
+from .certificates import BlockSpan, RunCertificate, source_word, walk_length
 
 STATE_CAP = 250_000
 # idle guards at most: a state before the letter point idles on each of the
@@ -109,18 +109,11 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
     for consumed, indices, _, _, r in run._pieces:
         walker.repeat(partial(lift, consumed, indices), r)
 
+    # the rest of the open filler window comes before the next letter
     needed = len(walker)
-    if prefix_len is not None and prefix_len != needed:
-        if prefix_len < needed:
-            raise MachineError(
-                f"prefix too short to host the lift: need {needed} letters")
-        extra = prefix_len - needed
-        room = filler_count - f
-        if extra > room:
-            raise MachineError(
-                f"run pins {len(word)} blocks; prefix of {prefix_len} "
-                f"letters passes the next letter point at {needed + room}")
-        walker.idle(F, -1, extra)
+    n = walk_length(needed, filler_count - f, prefix_len, len(word), "letter")
+    if n > needed:
+        walker.idle(F, -1, n - needed)
 
     size = filler_count + 1
     if blocks is None:

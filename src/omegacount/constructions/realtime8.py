@@ -33,7 +33,7 @@ import itertools
 from ..errors import ArityError, BuildScaleError, MachineError
 from ..machines import BuchiAutomaton, Built, Configuration, Run, Walker, _reach
 from ..words import E
-from .certificates import BlockSpan, RunCertificate, source_word
+from .certificates import BlockSpan, RunCertificate, source_word, walk_length
 from .theta import build_theta_acceptor
 
 STATE_CAP = 400_000
@@ -341,23 +341,12 @@ def build_realtime8(a: BuchiAutomaton, S_override: int | None = None,
 
 def theta_walk_length(s_eff: int, blocks: int, prefix_len: int | None = None) -> int:
     """The letters a theta lift of a run pinning `blocks` blocks walks at
-    pad factor s_eff: block i is its letter and S^i pad letters, and
-    prefix_len, when given, may take the walk up to the next block's
-    letter point and no further.  A prefix_len shorter than the pinned
-    blocks or past that point is refused, by arithmetic alone."""
+    pad factor s_eff, by arithmetic alone: block i is its letter and S^i
+    pad letters, and prefix_len may take the walk on through the next
+    block's letter and pad run, up to the letter point after them
+    (`walk_length`)."""
     needed = sum(1 + s_eff ** i for i in range(1, blocks + 1))
-    if prefix_len is None:
-        return needed
-    if prefix_len < needed:
-        raise MachineError(f"prefix too short to host the lift: need {needed} letters")
-    # the next block is its letter and S^(blocks+1) pad letters; the letter
-    # after them is one the pad walk of the lift does not read
-    room = 1 + s_eff ** (blocks + 1)
-    if prefix_len - needed > room:
-        raise MachineError(
-            f"run pins {blocks} blocks; prefix of {prefix_len} "
-            f"letters passes the next letter point at {needed + room}")
-    return prefix_len
+    return walk_length(needed, 1 + s_eff ** (blocks + 1), prefix_len, blocks, "letter")
 
 
 def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,

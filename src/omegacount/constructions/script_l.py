@@ -15,6 +15,9 @@ counted up and drained against the next block's opening zeros, which pins
 u_{i+1} = z_i.  Accepting states are the post-guess states whose source
 state is accepting.  The protocol's states are paired, as they are reached,
 with the states of a deterministic guard for the cyclic marker pattern.
+
+A lift replays the coded word of a run's letters, and may walk on up to
+the next block's guess (`certificates.walk_length`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, Walker, _reach, _two_flag, is_real_time,
                         validate_run)
 from ..words import A, B, ZERO, HCoding, _check_letters, _h_runs, coded_alphabet
-from .certificates import BlockSpan, RunCertificate, source_word
+from .certificates import BlockSpan, RunCertificate, source_word, walk_length
 
 STATE_CAP = 250_000
 
@@ -189,7 +192,8 @@ def lift_run_script_L(bl: Built, run: Run,
     one coded block per source step.  Only the guess at each source letter
     is pinned, to the run's transition; every other step, and each lambda
     step, is the only one the counter allows.  prefix_len may extend the
-    walk with the next block's marker and zeros, up to its guess point.
+    walk with the next block's marker and zeros, up to its guess point;
+    an empty run lifts to the empty certificate.
 
     A 0-run is walked Q zeros at a time by `Walker.repeat`: the residues,
     the B-run's payment cycle and the guard pattern all come back after Q
@@ -198,19 +202,9 @@ def lift_run_script_L(bl: Built, run: Run,
     coding = bl.params["coding"]
     word = source_word(m, run)
     big_q = coding.q
-    needed = covered_prefix_length(coding.primes, len(word))
-    n = needed if prefix_len is None else prefix_len
-    if n < needed:
-        raise MachineError(
-            f"prefix too short to host the lift: need {needed} letters")
-    room = 1 + big_q ** (len(word) + 1) if word else 1
-    if n > needed and (not word or n - needed > room):
-        raise MachineError(
-            f"run pins {len(word)} blocks; prefix of {n} "
-            f"letters passes the next guess point at {needed + room}")
-    if not word:
-        # deterministic control prefix: opening marker plus Q-1 zeros
-        n = big_q
+    # the next block's marker and its Q^(blocks+1) zeros come before its guess
+    n = walk_length(covered_prefix_length(coding.primes, len(word)),
+                    1 + big_q ** (len(word) + 1), prefix_len, len(word), "guess")
 
     indices = iter(run.indices)
     walker = Walker(bl.machine, Configuration(bl.machine.initial, (0,)), bl.origin)

@@ -51,7 +51,7 @@ from .errors import FormatError
 from .machines import (LAMBDA_TOKEN, BuchiAutomaton, Configuration, CounterMachine,
                        MachineError, Run, _later_counters, _tuples)
 from .words import (CodingSpec, HCoding, LassoWord, PhiCoding, ThetaCoding,
-                    coded_prefix, coded_runs, lasso_prefix)
+                    coded_prefix, coded_runs)
 
 
 # characters of text split into lines at a time
@@ -277,9 +277,7 @@ class WordSpec:
     prefix: int | None = None
 
     def prefix_letters(self, n: int) -> list[str]:
-        if self.chain:
-            return coded_prefix(self.lasso, self.chain, n)
-        return lasso_prefix(self.lasso, n)
+        return coded_prefix(self.lasso, self.chain, n)
 
     def prefix_runs(self, n: int) -> tuple[tuple[tuple[str, ...], int], ...]:
         """The first n letters as (pattern, count) runs."""

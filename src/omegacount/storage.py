@@ -18,7 +18,9 @@ Finite-control bookkeeping is free.  Charged choreography:
 The queue holds its content on a main stack front-on-top; adding at the
 rear empties main onto a scratch stack, pushes the new symbol, and moves
 everything back.  A control bit skips the move-back when nothing moved,
-so adding to an empty queue costs exactly 2 + k + r.
+so adding to an empty queue costs exactly 2 + k + r.  Each move is one
+`_drain`, which charges each symbol through `stack_pop` and `stack_push`
+and ends with the empty probe, so each cost above is written once.
 """
 
 from __future__ import annotations
@@ -148,43 +150,33 @@ def queue_empty(k: int) -> CountedQueue:
     return CountedQueue(k, (1, 0, 1, 0), 0, 0, 0)
 
 
+def _drain(src: EncodedStack, dst: EncodedStack) -> tuple[EncodedStack, EncodedStack, int, int]:
+    """Pop src onto dst symbol by symbol, then probe src's bottom:
+    (src, dst, unit steps, symbols moved); each move flips both pairs."""
+    cost = moved = 0
+    while not src.is_empty:
+        digit, src, pop_cost = stack_pop(src)
+        dst, push_cost = stack_push(dst, digit)
+        cost += pop_cost + push_cost
+        moved += 1
+    return src, dst, cost + PROBE_COST, moved
+
+
 def queue_add_rear(q: CountedQueue, r: int) -> CountedQueue:
     """Insert r at the rear: drain main onto scratch, push r, drain back."""
-    _check_symbol(r, q.k)
-    k = q.k
-    cost = 0
-    main = q.counters[q.main_side]
-    scratch = q.counters[2 + q.scratch_side]
-    main_side, scratch_side = q.main_side, q.scratch_side
-    moved = False
-    while main > 1:  # phase A: main -> scratch, one pop+push per symbol
-        digit = main % k
-        cost += main
-        main //= k
-        main_side ^= 1
-        cost += scratch * k + digit
-        scratch = scratch * k + digit
-        scratch_side ^= 1
-        moved = True
-    cost += PROBE_COST  # phase A exit: decrement finds the bottom, restore
-    cost += k + r       # phase B: push r on the emptied main
-    main = k + r
-    main_side ^= 1
-    if moved:           # phase C: scratch -> main, skipped when nothing moved
-        while scratch > 1:
-            digit = scratch % k
-            cost += scratch
-            scratch //= k
-            scratch_side ^= 1
-            cost += main * k + digit
-            main = main * k + digit
-            main_side ^= 1
-        cost += PROBE_COST
+    main, scratch, cost, moved = _drain(q._main(), q._scratch())
+    main, push_cost = stack_push(main, r)
+    back = 0
+    if moved:  # the drain back is skipped when nothing moved
+        scratch, main, back_cost, back = _drain(scratch, main)
+        cost += back_cost
+    flips = moved + back  # and the push flips the main pair once more
+    main_side, scratch_side = q.main_side ^ (flips + 1) & 1, q.scratch_side ^ flips & 1
     counters = [0, 0, 0, 0]
-    counters[main_side] = main
-    counters[2 + scratch_side] = scratch
-    return CountedQueue(k, tuple(counters), main_side, scratch_side,
-                        q.step_count + cost)
+    counters[main_side] = main.j
+    counters[2 + scratch_side] = scratch.j
+    return CountedQueue(q.k, tuple(counters), main_side, scratch_side,
+                        q.step_count + cost + push_cost)
 
 
 def queue_front(q: CountedQueue) -> tuple[int, CountedQueue]:

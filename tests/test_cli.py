@@ -70,7 +70,8 @@ def test_build_needs_parameters(files, capsys):
                  ["build", "phi-wrapper", "--input", m2],
                  ["build", "wadge-sum", "--input", m1, "--input2", m1],
                  ["lift", "--stage", "script-l", "--input", m1, "--run", m1run],
-                 ["lift", "--stage", "phi", "--input", m1, "--run", m1run]):
+                 ["lift", "--stage", "phi", "--input", m1, "--run", m1run],
+                 ["bench", "queue-bounds", "--ops", "-1", "--seed", "1"]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
@@ -478,6 +479,12 @@ def test_a_negative_prefix_length_exits_2_with_its_own_message(files, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: line 2: prefix length must be nonnegative, got -5\n")
+    for stage, flags in (("theta", ["--S", "72"]), ("script-l", ["--primes", "2,3"]),
+                         ("phi", ["--S", "2"]), ("pipeline", ["--primes", "2,3"])):
+        assert main(["lift", "--stage", stage, "--input", str(files["m1"]),
+                     "--run", str(files["m1run"]), "--prefix-len", "-3", *flags]) == 2
+        assert capsys.readouterr().err == (
+            "error: prefix length must be nonnegative, got -3\n"), stage
 
 
 
