@@ -26,8 +26,8 @@ from .engine import bounded_explore, exact_prefix_reach, nba_lasso_member
 from .errors import FormatError
 from .fileio import (_BATCH, _automaton_lines, _run_lines, load_automaton,
                      load_run, load_word)
-from .machines import (BuchiAutomaton, MachineError, RunViolation, is_real_time,
-                       validate_run)
+from .machines import (BuchiAutomaton, MachineError, RunViolation, buchi_visit_count,
+                       is_real_time, run_word, validate_run)
 from .storage import (add_rear_bound, front_bound, queue_add_rear,
                       queue_empty, queue_front, queue_remove_front)
 from .constructions import (build_h_complement, build_phi_wrapper,
@@ -158,7 +158,7 @@ def _theta_prefix(args, run):
     a = _buchi(args.input)
     s_eff = checked_pad_factor(a, args.S)
     return build_realtime8(a, s_eff, depth=theta_walk_length(
-        s_eff, len(run.indices), args.prefix_len))
+        s_eff, len(run.steps), args.prefix_len))
 
 
 def _cmd_lift(args) -> int:
@@ -208,20 +208,19 @@ def _cmd_word_encode(args) -> int:
 def _cmd_run_check(args) -> int:
     b = _buchi(args.input)
     run = load_run(_read(args.run))
-    letters = [tok for tok in run.consumed if tok is not None]
+    # the run is read by its pieces: its word as runs, its visits per piece
+    word = run_word(run)
+    read = sum(len(p) * r for p, r in word)
     if args.word:
         spec, n = _word_length(args, "--word needs --n or a prefix directive")
-        # the run reads only its letters, so no more of the word is spelled
-        read = len(letters)
-        bad = validate_run(b.machine, spec.prefix_letters(min(n, read)), run)
-        if bad is None and n > read:
-            bad = RunViolation(len(run.indices), "projection",
-                               f"run consumed {read} of {n} letters")
-    else:
-        bad = validate_run(b.machine, letters, run)
+        # the run reads only its letters, so no more of the word is made
+        word = spec.prefix_runs(min(n, read))
+    bad = validate_run(b.machine, word, run)
+    if bad is None and args.word and n > read:
+        bad = RunViolation(len(run.steps), "projection", f"run consumed {read} of {n} letters")
     if bad is None:
-        visits = sum(map(b.accepting.__contains__, run.states))
-        print(f"ok {len(run.indices)} steps {visits} accepting visits")
+        visits = buchi_visit_count(run, b.accepting) - (run.start.state in b.accepting)
+        print(f"ok {len(run.steps)} steps {visits} accepting visits")
         return 0
     print(f"violation {bad}")
     return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import MachineError
-from ..machines import CounterMachine, Run, buchi_visit_count, validate_run
+from ..machines import CounterMachine, Run, buchi_visit_count, run_word, validate_run
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,22 +34,18 @@ class RunCertificate:
 
     def block_visits(self, accepting) -> dict[int, int]:
         """Accepting visits per block index (start configuration uncounted)."""
-        out = {}
-        for b in self.blocks:
-            out[b.index] = sum(map(accepting.__contains__,
-                                   self.run.states[b.start:b.end]))
-        return out
+        states = self.run.states
+        return {b.index: sum(map(accepting.__contains__, states[b.start:b.end]))
+                for b in self.blocks}
 
     def visits(self, accepting) -> int:
         return buchi_visit_count(self.run, accepting)
 
 
-def source_word(machine: CounterMachine, run: Run) -> list[str]:
-    """The word a lift's source run reads, once the run is checked valid
-    on `machine` and starting from its initial configuration."""
-    word = []
-    for consumed, _, _, _, r in run._pieces:
-        word += [tok for tok in consumed if tok is not None] * r
+def source_word(machine: CounterMachine, run: Run) -> tuple:
+    """The word a lift's source run reads, as runs (`run_word`), once the
+    run is checked valid on `machine` from its initial configuration."""
+    word = run_word(run)
     bad = validate_run(machine, word, run)
     if bad is not None:
         raise MachineError(f"source run invalid: {bad}")

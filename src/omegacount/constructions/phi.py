@@ -68,11 +68,42 @@ def build_phi_wrapper(b: BuchiAutomaton, filler_count: int) -> Built:
             for g in guard_combos:
                 yield F, g, (q, f + 1, 0), zeros, -1
 
-    machine, table, origin = _reach(m.k, m.alphabet | {F}, (m.initial, 0, 0), moves,
-                                    lambda state: _wrap(*state), STATE_CAP, "wrapper")
+    machine, table, origin, _ = _reach(m.k, m.alphabet | {F}, (m.initial, 0, 0), moves,
+                                       lambda state: _wrap(*state), STATE_CAP, "wrapper")
     accepting = frozenset(n for n, (_, _, p) in table.items() if p)
     return Built(machine, accepting, source=b, params={"filler_count": filler_count},
                  table=table, origin=origin)
+
+
+def _tail(consumed: tuple, t: int) -> int | None:
+    """The lambda steps at the end of consumed[:t]; None when all are."""
+    return next((t - 1 - k for k in reversed(range(t)) if consumed[k] is not None), None)
+
+
+def _wrapper_steps(run: Run, points, size: int) -> dict[int, int]:
+    """The wrapper step before each source step s in points: size steps per
+    letter before s, and one per lambda step since the last of them."""
+    todo, at = sorted(points, reverse=True), {}
+    bad = [s for s in todo if not 0 <= s <= len(run.steps)]
+    if bad:
+        raise MachineError(f"block boundary {min(bad)} outside the run")
+    # before the piece: its steps, letters, and lambda steps since a letter
+    steps = letters = lams = 0
+    for consumed, _, _, _, r in run._pieces:
+        p, whole = len(consumed), _tail(consumed, len(consumed))
+        per = p - consumed.count(None)
+        while todo and todo[-1] < steps + p * r:
+            s = todo.pop()
+            j, t = divmod(s - steps, p)
+            lam = _tail(consumed, t)
+            if lam is None:
+                lam = t + (whole if j and whole is not None else lams + j * p)
+            at[s] = (letters + j * per + t - consumed[:t].count(None)) * size + lam
+        lams = lams + p * r if whole is None else whole
+        letters, steps = letters + per * r, steps + p * r
+    for s in todo:
+        at[s] = letters * size + lams
+    return at
 
 
 def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
@@ -82,13 +113,14 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
     `Walker.idle` block.  A run segment of the source is lifted by
     `Walker.repeat`, so it becomes a segment of blocks.  Blocks span one
     filler window plus its letter; passing `blocks` (spans over the source
-    run's steps) translates those spans to wrapper step indices instead.
+    run's steps) translates those spans, through the run's pieces, to
+    wrapper step indices instead, and the window refusal counts them.
 
     Every letter's block is filler_count + 1 steps, so the wrapper step
     before source step s is (letters before s) * (filler_count + 1) plus
     the lambda steps since the last of them."""
     filler_count = w.params["filler_count"]
-    word = source_word(w.source.machine, run)
+    letters = sum(len(p) * r for p, r in source_word(w.source.machine, run))
     walker = Walker(w.machine, Configuration(w.machine.initial, run.start.counters),
                     w.origin)
     f = 0
@@ -111,25 +143,15 @@ def lift_run_phi(w: Built, run: Run, prefix_len: int | None = None,
 
     # the rest of the open filler window comes before the next letter
     needed = len(walker)
-    n = walk_length(needed, filler_count - f, prefix_len, len(word), "letter")
+    n = walk_length(needed, filler_count - f, prefix_len,
+                    letters if blocks is None else len(blocks), "letter")
     if n > needed:
         walker.idle(F, -1, n - needed)
 
     size = filler_count + 1
     if blocks is None:
-        spans = [BlockSpan(i, (i - 1) * size, i * size)
-                 for i in range(1, len(word) + 1)]
+        spans = [BlockSpan(i, (i - 1) * size, i * size) for i in range(1, letters + 1)]
     else:
-        tokens = run.consumed
-        at = {}
-        letters = last = 0
-        for s in sorted({x for bs in blocks for x in (bs.start, bs.end)}):
-            if not 0 <= s <= len(tokens):
-                raise MachineError(f"block boundary {s} outside the run")
-            letters += s - last - tokens[last:s].count(None)
-            last = trail = s
-            while trail and tokens[trail - 1] is None:
-                trail -= 1
-            at[s] = letters * size + s - trail
+        at = _wrapper_steps(run, {x for bs in blocks for x in (bs.start, bs.end)}, size)
         spans = [BlockSpan(bs.index, at[bs.start], at[bs.end]) for bs in blocks]
     return RunCertificate(walker.run(), "phi", tuple(spans))

@@ -32,7 +32,7 @@ import itertools
 
 from ..errors import ArityError, BuildScaleError, MachineError
 from ..machines import BuchiAutomaton, Built, Configuration, Run, Walker, _reach
-from ..words import E
+from ..words import E, _expand
 from .certificates import BlockSpan, RunCertificate, source_word, walk_length
 from .theta import build_theta_acceptor
 
@@ -284,7 +284,9 @@ def _build(a: BuchiAutomaton, s_eff: int, depth: int | None = None) -> Built:
                 for letter, guard, j, nxt, delta, o in done]
 
     numbers = itertools.count()
-    machine, table, origin = _reach(
+    # depth becomes the one the build stopped at: None when it ran out of
+    # states first
+    machine, table, origin, depth = _reach(
         8, frozenset(sigma) | {E},
         (theta.initial, ("PRE",), m_a.initial, "Z", "Z", 1), moves,
         lambda _: f"r{next(numbers)}", STATE_CAP, "eight-counter product", depth)
@@ -331,11 +333,11 @@ def build_realtime8(a: BuchiAutomaton, S_override: int | None = None,
     memo of edges per (suffix, theta label row) lives only in the build.
 
     With a depth d, only the states fewer than d letters from the initial
-    one are expanded (see `_reach`), and params["depth"] records d: the
-    result is the prefix of the full acceptor that a theta lift walking at
-    most d letters needs, with the full acceptor's state names and
-    transition indices.  The state cap counts the states that build
-    reaches."""
+    one are expanded (see `_reach`), and params["depth"] records d if states
+    d letters away were left: the prefix of the full acceptor that a theta
+    lift walking at most d letters needs, with the full acceptor's state
+    names and transition indices.  The state cap counts the states that
+    build reaches."""
     return _build(a, checked_pad_factor(a, S_override), depth)
 
 
@@ -361,13 +363,13 @@ def lift_run_theta(b8: Built, run: Run, prefix_len: int | None = None,
     the pinned blocks up to the next simulated choice point, and never past
     the next block's pad run: `theta_walk_length` counts the walk, and
     refuses a prefix out of that range before any step is walked.  b8 may
-    be built only as deep as that walk (params["depth"]); a shallower b8
-    is refused.
+    be built only as deep as that walk (params["depth"]); a b8 that stopped
+    short of it is refused.
     """
     s_eff = b8.params["S"]
     m_a = b8.source.machine
-    word = source_word(m_a, run)
-    blocks = len(run.indices)
+    word = list(_expand(source_word(m_a, run)))
+    blocks = len(run.steps)
     walk = theta_walk_length(s_eff, blocks, prefix_len)
     if b8.params.get("depth", walk) < walk:
         raise MachineError(f"acceptor built {b8.params['depth']} letters deep; "

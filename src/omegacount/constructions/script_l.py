@@ -29,8 +29,8 @@ from operator import add
 from ..errors import ArityError, BuildScaleError
 from ..machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
                         MachineError, Run, Walker, _reach, _two_flag, is_real_time,
-                        validate_run)
-from ..words import A, B, ZERO, HCoding, _check_letters, _h_runs, coded_alphabet
+                        run_word, validate_run)
+from ..words import A, B, ZERO, HCoding, _check_letters, _expand, _h_runs, coded_alphabet
 from .certificates import BlockSpan, RunCertificate, source_word, walk_length
 
 STATE_CAP = 250_000
@@ -169,7 +169,7 @@ def build_script_L(a: BuchiAutomaton, primes: tuple[int, ...]) -> Built:
     guard = build_script_l_guard(m.alphabet)
     moves = _two_flag(_raw_moves(a, primes),
                       lambda raw: raw[0] == "x" and raw[1] in a.accepting, guard)
-    machine, table, origin = _reach(
+    machine, table, origin, _ = _reach(
         1, full, (("init",), guard.machine.initial, 1), moves,
         lambda state: f"{_name(state[0])}&{state[1]}&{state[2]}",
         STATE_CAP, "script-L product")
@@ -200,7 +200,7 @@ def lift_run_script_L(bl: Built, run: Run,
     zeros, so most of each 0-run is one run segment."""
     m = bl.source.machine
     coding = bl.params["coding"]
-    word = source_word(m, run)
+    word = list(_expand(source_word(m, run)))
     big_q = coding.q
     # the next block's marker and its Q^(blocks+1) zeros come before its guess
     n = walk_length(covered_prefix_length(coding.primes, len(word)),
@@ -252,14 +252,13 @@ def project_run_script_L(bl: Built, cert: RunCertificate) -> Run:
     run = cert.run
     if run.start != Configuration(bl.machine.initial, (0,)):
         raise MachineError("certificate must start at bl's initial configuration")
-    word = [tok for tok in run.consumed if tok is not None]
-    bad = validate_run(bl.machine, word, run)
+    bad = validate_run(bl.machine, run_word(run), run)
     if bad is not None:
         raise MachineError(f"certificate invalid: {bad}")
 
     # only a guess reads a source letter, and every guess has an origin
-    indices = [bl.origin[i] for tok, i in zip(run.consumed, run.indices)
-               if tok in m.alphabet]
+    indices = [o for consumed, steps, _, _, r in run._pieces for o in [
+        bl.origin[i] for tok, i in zip(consumed, steps) if tok in m.alphabet] * r]
     consumed, states, counters = [], [], []
     vec = (0,) * m.k
     for i in indices:

@@ -60,7 +60,7 @@ def wadge_sum(bL: BuchiAutomaton, bLp: BuchiAutomaton, bLpComp: BuchiAutomaton,
             for a in sorted(minus):
                 yield a, zeros, ("C", bLpComp.machine.initial), zeros, None
 
-    machine, table, _ = _reach(k, y, (_INIT,), moves, ".".join)
+    machine, table, _, _ = _reach(k, y, (_INIT,), moves, ".".join)
     accepting = frozenset(n for n, state in table.items()
                           if len(state) == 2 and state[1] in sides[state[0]].accepting)
     return BuchiAutomaton(machine, accepting)

@@ -25,11 +25,11 @@ the step before shares its tuple.
 Writing: _automaton_lines reads the machine's columns and spells each
 distinct guard and delta once.  _run_lines reads a run's pieces, never its
 expansion: a piece's step heads are spelled once and reused by each
-iteration of a repeated piece, whose counters come from _later_counters a
-batch of iterations at a time; each distinct counters tuple is spelled
-once; and it yields strings of at most _BATCH step lines.  The dump
-functions join what these yield; the CLI writes it piece by piece, to a
-file or to stdout.
+iteration of a repeated piece, whose counters come from the run reader
+`machines._batches` a batch of iterations at a time; each distinct
+counters tuple is spelled once; and it yields strings of at most _BATCH
+step lines.  The dump functions join what these yield; the CLI writes it
+piece by piece, to a file or to stdout.
 
 Automaton:  kcounters / alphabet / states / initial / accepting /
             trans <src> <letter|-> <guardbits> <dst> <d1> ... <dk>
@@ -49,15 +49,13 @@ from dataclasses import dataclass
 
 from .errors import FormatError
 from .machines import (LAMBDA_TOKEN, BuchiAutomaton, Configuration, CounterMachine,
-                       MachineError, Run, _later_counters, _tuples)
+                       MachineError, Run, _BATCH, _batches, _tuples)
 from .words import (CodingSpec, HCoding, LassoWord, PhiCoding, ThetaCoding,
                     coded_prefix, coded_runs)
 
 
 # characters of text split into lines at a time
 _CHUNK = 1 << 16
-# step lines at most in one string that _run_lines yields
-_BATCH = 4096
 
 
 def _chunks(text: str) -> Iterator[Iterator[tuple[int, str]]]:
@@ -422,15 +420,14 @@ def dump_run(run: Run) -> str:
 
 def _run_lines(run: Run) -> Iterator[str]:
     """The text of dump_run in batches of at most _BATCH step lines, each
-    batch one string, read from the run's pieces.  A piece's step heads
-    (`step <letter> <index> <state>`) are spelled once: a batch at a time
-    for a flat piece, and whole for a repeated one, whose every iteration
-    reuses them with counters from _later_counters, a batch of iterations
-    at a time.  Counters are spelled through str, once per distinct tuple
-    in a memo that is emptied past _BATCH entries; tuples that compare
-    equal share a spelling, so a run that mixes equal ints and floats
-    (3 and 3.0) writes both as the first one met.  Run files spell ints
-    only."""
+    batch one string, read from the run's pieces by `_batches`.  A piece's
+    step heads (`step <letter> <index> <state>`) are spelled once: a batch
+    at a time for a flat piece, and whole for a repeated one, whose every
+    later iteration reuses them.  Counters are spelled through str, once
+    per distinct tuple in a memo that is emptied past _BATCH entries;
+    tuples that compare equal share a spelling, so a run that mixes equal
+    ints and floats (3 and 3.0) writes both as the first one met.  Run
+    files spell ints only."""
     yield _join("start", [run.start.state] + [str(c) for c in run.start.counters]) + "\n"
     tails: dict[tuple, str] = {}
 
@@ -446,26 +443,16 @@ def _run_lines(run: Run) -> Iterator[str]:
         parts[1::2] = [tails.get(c) or spell(c) for c in counters]
         return "".join(parts)
 
-    entry = run.start.counters
-    for consumed, indices, states, column, r in run._pieces:
-        p = len(column)
-        if r == 1:
-            # a flat piece may be the whole run: its heads a batch at a time
-            for t in range(0, p, _BATCH):
-                u = t + _BATCH
-                yield batch(_heads(consumed[t:u], indices[t:u], states[t:u]), column[t:u])
-            entry = column[-1]
-            continue
-        heads = _heads(consumed, indices, states)
-        for t in range(0, p, _BATCH):
-            yield batch(heads[t:t + _BATCH], column[t:t + _BATCH])
-        per = max(1, _BATCH // p)
-        for j in range(1, r, per):
-            later = _later_counters(column, entry, min(r, j + per), j)
-            repeated = heads * (len(later) // p)
-            for t in range(0, len(later), _BATCH):
-                yield batch(repeated[t:t + _BATCH], later[t:t + _BATCH])
-        entry = later[-1]
+    for (consumed, indices, states, column, r), times, counters in _batches(run):
+        # a flat piece may be the whole run: its heads a batch at a time
+        if r > 1:
+            if counters is column:
+                once = _heads(consumed, indices, states)
+            heads = once * times
+        for t in range(0, len(counters), _BATCH):
+            u = t + _BATCH
+            yield batch(heads[t:u] if r > 1 else
+                        _heads(consumed[t:u], indices[t:u], states[t:u]), counters[t:u])
 
 
 def _heads(consumed, indices, states) -> list[str]:

@@ -31,7 +31,9 @@ steps that keep the counters may share one counters tuple, and
 validate_run checks such a step by its destination and delta alone.  A
 run segment (a piece repeated r > 1 times, iteration j's counters those of
 iteration 0 plus j times its counter effect) is checked by arithmetic
-after its first iteration, and expanded only when a column is read.
+after its first iteration, against letters or (pattern, count) runs.
+Readers take a run a batch of iterations at a time (`_batches`); only
+the columns `consumed`, `indices`, `states` and `counters` expand it, and
 `run.steps` is a read-only view that builds a RunStep per step read.
 Transition, Configuration and RunStep are plain slotted records, treated
 as immutable and compared and hashed by their fields: a frozen record
@@ -75,9 +77,10 @@ from __future__ import annotations
 import gc
 import math
 import re
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add, gt, lt, sub
 
 from .errors import ArityError, BuildScaleError, MachineError
@@ -474,14 +477,7 @@ class Run:
         pieces = self._pieces
         if len(pieces) == 1 and pieces[0][4] == 1:
             return pieces[0][3]
-        out: list = []
-        entry = self.start.counters
-        for _, _, _, column, r in pieces:
-            out += column
-            if r > 1:
-                out += _later_counters(column, entry, r)
-            entry = out[-1]
-        return tuple(out)
+        return tuple(chain.from_iterable(counters for _, _, counters in _batches(self)))
 
     @property
     def steps(self) -> Steps:
@@ -528,20 +524,25 @@ def _fill(run: Run, start: Configuration, pieces) -> None:
         object.__setattr__(run, name, value)
 
 
+# steps at most in a batch of a piece's later iterations
+_BATCH = 4096
+
+
 def _column(pieces: tuple, i: int) -> tuple:
     if len(pieces) == 1 and pieces[0][4] == 1:
         return pieces[0][i]
     return tuple(chain.from_iterable(piece[i] * piece[4] for piece in pieces))
 
 
-def _later_counters(column: tuple, entry: tuple, r: int, first: int = 1) -> list:
+def _later_counters(column: tuple, entry: tuple, r: int, first: int = 1,
+                    carried: tuple | None = None) -> list:
     """The counters of iterations first..r-1 of a piece whose iteration 0
     has `column` and starts from `entry`: iteration 0's plus j·D.  A step
     that moves no counter in iteration 0 (it keeps the very tuple before
     it, or an equal one of ints) shares the tuple before it here; in
-    iteration `first` > 1 such steps before the first move hold an equal
-    tuple, as the one before them is not made here.  Filled step by step
-    of iteration 0, each over all iterations at once."""
+    iteration `first` those before the first move share `carried`, the
+    last counters of iteration first - 1 (by default iteration 0's).
+    Filled step by step of iteration 0, each over all iterations at once."""
     p = len(column)
     effect = tuple(map(sub, column[-1], entry))
     ints = all(type(c) is int for counters in (entry, *column) for c in counters)
@@ -559,11 +560,32 @@ def _later_counters(column: tuple, entry: tuple, r: int, first: int = 1) -> list
         out[t::p] = values
     if values is None:
         return [column[-1]] * len(out)
-    if lead:
-        carried = column[-1] if first == 1 else _shifted(column[-1], effect, first, first - 1)[0]
-        for t in range(lead):
-            out[t::p] = [carried, *values[:-1]]
+    for t in range(lead):
+        out[t::p] = [column[-1] if carried is None else carried, *values[:-1]]
     return out
+
+
+def _iterations(piece: tuple, entry: tuple, first: int = 1, carried: tuple | None = None):
+    """(iterations, their counters) per batch of about _BATCH steps of
+    iterations first..r-1 of a piece that starts from counters `entry`."""
+    _, _, _, column, r = piece
+    per = max(1, _BATCH // len(column))
+    for j in range(first, r, per):
+        later = _later_counters(column, entry, min(r, j + per), j, carried)
+        yield len(later) // len(column), later
+        carried = later[-1]
+
+
+def _batches(run: Run):
+    """The one reader of a run's steps: (piece, iterations, their counters)
+    per batch, iteration 0 with its own column, then `_iterations`."""
+    entry = run.start.counters
+    for piece in run._pieces:
+        counters = piece[3]
+        yield piece, 1, counters
+        for times, counters in _iterations(piece, entry):
+            yield piece, times, counters
+        entry = counters[-1]
 
 
 def _shifted(counters: tuple, effect: tuple, r: int, first: int = 1) -> list:
@@ -598,9 +620,9 @@ class Steps(Sequence):
                        Configuration(r.states[i], r.counters[i]))
 
     def __iter__(self):
-        r = self.run
-        return map(RunStep, r.consumed, r.indices,
-                   map(Configuration, r.states, r.counters))
+        return chain.from_iterable(
+            map(RunStep, tokens * n, indices * n, map(Configuration, states * n, counters))
+            for (tokens, indices, states, _, _), n, counters in _batches(self.run))
 
     def __eq__(self, other):
         if isinstance(other, Steps):
@@ -868,14 +890,62 @@ class Walker:
 _EXACT = 2 ** 53
 
 
-def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | str,
-                 run: Run) -> RunViolation | None:
+def _spell(pattern: tuple, phase: int, m: int) -> tuple:
+    """m letters of the pattern repeated, from pattern[phase] on."""
+    return (pattern * -(-(phase + m) // len(pattern)))[phase:phase + m]
+
+
+class _Word:
+    """validate_run's word as (pattern, count) runs, never spelled whole."""
+
+    def __init__(self, word):
+        word = list(word)
+        if not word or isinstance(word[0], str):
+            word = [(tuple(word), 1)]
+        self.runs = [(p, r) for p, r in word if p and r]
+        self.starts = list(accumulate((len(p) * r for p, r in self.runs), initial=0))
+        self.n = self.starts[-1]
+
+    def _spans(self, x: int, end: int):
+        """(pattern, phase, a, b) per run that x..end-1 meets: its letters
+        at a..b-1, from pattern[phase] on."""
+        starts = self.starts
+        k = bisect_right(starts, x) - 1
+        while x < end:
+            p, stop = self.runs[k][0], min(end, starts[k + 1])
+            yield p, (x - starts[k]) % len(p), x, stop
+            x, k = stop, k + 1
+
+    def window(self, pos: int, consumed: Sequence) -> Sequence:
+        """The letters from pos on that steps reading `consumed` may reach."""
+        end = min(self.n, pos + len(consumed) - consumed.count(None))
+        parts = [_spell(p, phase, b - a) for p, phase, a, b in self._spans(pos, end)]
+        return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+
+    def copies(self, u: tuple, x: int, most: int) -> int:
+        """How many copies of u, at most `most`, follow position x."""
+        q, end = len(u), min(self.n, x + len(u) * most)
+        for p, phase, a, b in self._spans(x, end):
+            # the run has period |p| and the copies period q: two periodic
+            # stretches that agree on |p| + q - gcd letters agree on all
+            # (Fine and Wilf)
+            got = _spell(p, phase, min(b - a, len(p) + q - math.gcd(len(p), q)))
+            want = _spell(u, (a - x) % q, len(got))
+            if got != want:
+                return (a + next(t for t, c in enumerate(got) if c != want[t]) - x) // q
+        return max(0, end - x) // q
+
+
+def validate_run(machine: CounterMachine, word, run: Run) -> RunViolation | None:
     """None iff the run is a legal complete run over exactly `word`.
 
     Checks, per step: transition index in range, source matches, consumed
     token matches the transition, guard satisfied, counters stay natural,
     result equals source configuration plus delta.  Finally the projection
     of consumed letters must equal the word with nothing left over.
+
+    The word is letters, or (pattern, count) runs as `words.coded_runs`
+    gives them, which are never spelled out: both give the same verdict.
 
     A step whose result counters are the very tuple of the current ones,
     all of type int and below 2**53, is natural already and equals the
@@ -885,15 +955,14 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
 
     A run segment is checked without expanding it: iteration 0 step by
     step, then the other iterations by arithmetic, since iteration j's
-    counters are iteration 0's plus j·D.  Iteration 0 must end in the state
-    it started from; a positive guard and a nonnegative result must hold at
-    j = 0 and at j = r - 1; a zero guard needs D = 0 on its counter, or
-    r = 1; iteration 0's letters, r times over, must be the word's next
-    letters; and the counters must be ints.  When any of this fails, the
-    step check runs over the expansion of iterations 1..r-1, which names
+    counters are iteration 0's plus j·D.  With int counters and iteration
+    0 back in its start state, iteration j holds while its positive guards
+    and results hold at j, no zero-guarded counter moves under D, and the
+    word holds a j-th copy of iteration 0's letters.  The step check runs,
+    a batch at a time, from the first iteration that may fail, and names
     the first violation.
     """
-    word = list(word)
+    word = _Word(word)
     start = run.start
     if len(start.counters) != machine.k:
         return RunViolation(-1, "arity", f"start has {len(start.counters)} counters, machine k={machine.k}")
@@ -912,24 +981,24 @@ def validate_run(machine: CounterMachine, word: list[str] | tuple[str, ...] | st
         i += len(indices)
         if r == 1:
             continue
-        effect = _repeats_hold(machine, word, piece, entry, pos0, pos)
-        if effect is None:
+        good, effect = _repeats_hold(machine, word, piece, entry, pos0, pos)
+        if good > 1:
+            counters = tuple(map(add, counters, [d * (good - 1) for d in effect]))
+            pos += (pos - pos0) * (good - 1)
+            i += len(indices) * (good - 1)
+        for times, later in _iterations(piece, entry, good, counters):
             out = _check_steps(machine, word, i, state, counters, pos,
-                               (consumed * (r - 1), indices * (r - 1),
-                                states * (r - 1), _later_counters(column, entry, r)))
+                               (consumed * times, indices * times, states * times, later))
             if isinstance(out, RunViolation):
                 return out
             state, counters, pos = out
-        else:
-            counters = tuple(map(add, counters, [d * (r - 1) for d in effect]))
-            pos += (pos - pos0) * (r - 1)
-        i += len(indices) * (r - 1)
-    if pos != len(word):
-        return RunViolation(i, "projection", f"run consumed {pos} of {len(word)} letters")
+            i += len(indices) * times
+    if pos != word.n:
+        return RunViolation(i, "projection", f"run consumed {pos} of {word.n} letters")
     return None
 
 
-def _check_steps(machine: CounterMachine, word: list, first: int, state: str,
+def _check_steps(machine: CounterMachine, word: _Word, first: int, state: str,
                  counters: tuple, pos: int, columns) -> RunViolation | tuple:
     """validate_run's step loop over run columns whose first step is step
     `first`, from (state, counters) at word position pos: the first
@@ -938,7 +1007,8 @@ def _check_steps(machine: CounterMachine, word: list, first: int, state: str,
     sources, inputs, guards, destinations, deltas = (
         machine.sources, machine.inputs, machine.guards, machine.destinations,
         machine.deltas)
-    n_trans, n_word = len(sources), len(word)
+    letters = word.window(pos, columns[0])
+    n_trans, n_word, at = len(sources), len(letters), 0
     zeros = repeat(0)
     signs = tuple(map(gt, counters, zeros))
     # whether the current counters are ints below 2**53; None until a step
@@ -976,34 +1046,35 @@ def _check_steps(machine: CounterMachine, word: list, first: int, state: str,
                 return RunViolation(i, "delta", f"recorded {got}, expected {expected}")
             counters, signs, plain = got, tuple(map(gt, got, zeros)), None
         if consumed is not None:
-            if pos >= n_word or word[pos] != consumed:
-                return RunViolation(i, "projection", f"letter {consumed!r} at word position {pos}")
-            pos += 1
+            if at >= n_word or letters[at] != consumed:
+                return RunViolation(i, "projection", f"letter {consumed!r} at word position {pos + at}")
+            at += 1
         state = got_state
-    return state, counters, pos
+    return state, counters, pos + at
 
 
-def _repeats_hold(machine: CounterMachine, word: list, piece: tuple, entry: tuple,
-                  pos0: int, pos1: int) -> tuple | None:
-    """The counter effect D of a segment whose iteration 0 checked out from
-    counters `entry` over word[pos0:pos1], when its other iterations hold
-    by arithmetic; None when they may not."""
-    _, indices, states, column, r = piece
-    if machine.sources[indices[0]] != states[-1]:
-        return None
-    if not all(type(c) is int for counters in (entry, *column) for c in counters):
-        return None
+def _repeats_hold(machine: CounterMachine, word: _Word, piece: tuple, entry: tuple,
+                  pos0: int, pos1: int) -> tuple[int, tuple]:
+    """How many iterations of a segment, from iteration 0, hold by
+    arithmetic once iteration 0 checked out from counters `entry` over the
+    word's letters pos0..pos1-1, and the segment's counter effect D."""
+    consumed, indices, states, column, r = piece
+    if machine.sources[indices[0]] != states[-1] or not all(
+            type(c) is int for counters in (entry, *column) for c in counters):
+        return 1, ()
     effect = tuple(map(sub, column[-1], entry))
-    last = r - 1
-    guards = machine.guards
+    good, guards = r, machine.guards
     for idx, before, after in zip(indices, (entry, *column), column):
         for g, b, a, d in zip(guards[idx], before, after, effect):
-            # linear in j: checked at j = 0 already, so at j = r - 1 here
-            if d and (g != 1 or b + last * d <= 0 or a + last * d < 0):
-                return None
-    if word[pos1:pos1 + (pos1 - pos0) * last] != word[pos0:pos1] * last:
-        return None
-    return effect
+            # iteration j has b + j·d before the step and a + j·d after it
+            if d < 0:
+                good = min(good, a // -d + 1, (b - 1) // -d + 1 if g == 1 else 1)
+            elif d and g != 1:
+                good = 1
+    if pos1 > pos0 and good > 1:
+        good = 1 + word.copies(tuple([tok for tok in consumed if tok is not None]),
+                               pos1, good - 1)
+    return good, effect
 
 
 def is_real_time(machine: CounterMachine) -> bool:
@@ -1048,6 +1119,12 @@ def buchi_visit_count(run: Run, accepting: frozenset[str] | set[str]) -> int:
                    for _, _, states, _, r in run._pieces)
 
 
+def run_word(run: Run) -> tuple[tuple[tuple[str, ...], int], ...]:
+    """The word a run reads, as one (letters, repeat count) run per piece."""
+    return tuple((tuple([tok for tok in consumed if tok is not None]), r)
+                 for consumed, _, _, _, r in run._pieces)
+
+
 def pad_counters(machine: CounterMachine, new_k: int) -> CounterMachine:
     """Append always-zero counters (guard zero, delta 0) up to new_k."""
     if new_k < machine.k:
@@ -1068,8 +1145,8 @@ def pad_run(run: Run, new_k: int) -> Run:
         raise MachineError(f"cannot pad k={k} down to {new_k}")
     pad = (0,) * (new_k - k)
     start = Configuration(run.start.state, run.start.counters + pad)
-    return Run.from_columns(start, run.consumed, run.indices, run.states,
-                            tuple([c + pad for c in run.counters]))
+    return Run._from_pieces(start, [(consumed, indices, states, [c + pad for c in column], r)
+                                    for consumed, indices, states, column, r in run._pieces])
 
 
 # products and wrappers: one worklist over the reachable state tuples
@@ -1077,9 +1154,9 @@ def pad_run(run: Run, new_k: int) -> Run:
 
 def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None,
            over_cap: str = "product",
-           depth: int | None = None) -> tuple[CounterMachine, dict[str, tuple], tuple]:
+           depth: int | None = None) -> tuple[CounterMachine, dict, tuple, int | None]:
     """The machine of the state tuples `initial` reaches, its name -> tuple
-    table, and its origin column.
+    table, its origin column, and the depth it stopped at.
 
     States are expanded breadth first, so each state's transitions form one
     span, which `leaving` indexes on demand.  moves(state) yields (input,
@@ -1102,7 +1179,8 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
     build's first transitions and origins, index for index, since every
     state before an expanded one is expanded in both.  So a walk of at most
     d steps from the initial state takes the transitions it would take in
-    the full build.
+    the full build.  It stopped at d when states d steps away were left
+    unexpanded, and at None when it is the full build.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -1110,10 +1188,11 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
         first = name(initial)
         names, table, order = {initial: first}, {first: initial}, [initial]
         columns: list[list] = [[] for _ in range(6)]
+        cut: list = []
         sources, inputs, guards, destinations, deltas, origin = (
             column.append for column in columns)
         # order grows while it is walked: each state is expanded once
-        for src in order if depth is None else _levels(order, depth):
+        for src in order if depth is None else _levels(order, depth, cut):
             sname = names[src]
             for inp, guard, dst, delta, o in moves(src):
                 dname = names.get(dst)
@@ -1138,16 +1217,16 @@ def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None
         *columns, origin = _tuples(columns, len(columns[0]))
         machine = CounterMachine.from_columns(k, alphabet, frozenset(table), first,
                                               *columns)
-        return machine, table, origin
+        return machine, table, origin, cut[0] if cut else None
     finally:
         if enabled:
             gc.enable()
 
 
-def _levels(order: list, depth: int):
+def _levels(order: list, depth: int, cut: list):
     """The states of order first reached in fewer than depth steps, level
     by level, while the caller's expansion of each level appends the next
-    one to order."""
+    one to order; cut gets depth when states at that depth are left."""
     start = 0
     for _ in range(depth):
         end = len(order)
@@ -1155,6 +1234,8 @@ def _levels(order: list, depth: int):
             return
         yield from order[start:end]
         start = end
+    if len(order) > start:
+        cut.append(depth)
 
 
 def _tuples(columns: list[list], n: int) -> list[tuple]:
@@ -1203,7 +1284,7 @@ def union(*sides: tuple[str, BuchiAutomaton]) -> Built:
             for i, inp, guard, dst, delta in automata[tag].machine.leaving(q):
                 yield inp, guard, (tag, dst), delta, i
 
-    machine, table, origin = _reach(k, alphabet, (_UNION_INITIAL,), moves, ".".join)
+    machine, table, origin, _ = _reach(k, alphabet, (_UNION_INITIAL,), moves, ".".join)
     index = {tag: ([None] * len(b.machine.transitions), [None] * len(b.machine.transitions))
              for tag, b in sides}
     for j, (source, dst, i) in enumerate(zip(machine.sources, machine.destinations,
@@ -1318,9 +1399,9 @@ def intersect_det_buchi(b: BuchiAutomaton, d: BuchiAutomaton) -> Built:
         for i, inp, guard, dst, delta in mb.leaving(q):
             yield inp, guard, dst, delta, i
 
-    machine, table, origin = _reach(mb.k, mb.alphabet, (mb.initial, md.initial, 1),
-                                    _two_flag(moves, b.accepting.__contains__, d),
-                                    lambda state: _pair(*state))
+    machine, table, origin, _ = _reach(mb.k, mb.alphabet, (mb.initial, md.initial, 1),
+                                       _two_flag(moves, b.accepting.__contains__, d),
+                                       lambda state: _pair(*state))
     accepting = frozenset(n for n, (_, s, flag) in table.items()
                           if flag == 2 and s in d.accepting)
     return Built(machine, accepting, source=(b, d), table=table, origin=origin)

@@ -95,6 +95,21 @@ def m2_word(rng, rounds: int) -> list[str]:
     return word
 
 
+def chopped(rng, letters) -> list:
+    """The letters as (pattern, count) runs cut at random places, as
+    validate_run takes a word."""
+    runs, at = [], 0
+    while at < len(letters):
+        pattern = tuple(letters[at:at + rng.randint(1, 5)])
+        most = 1
+        while letters[at + most * len(pattern):at + (most + 1) * len(pattern)] == list(pattern):
+            most += 1
+        count = rng.randint(1, most)
+        runs.append((pattern, count))
+        at += len(pattern) * count
+    return runs
+
+
 def lasso_member_oracle(b: BuchiAutomaton, spoke, cycle) -> bool:
     """Brute-force Buchi membership for k = 0 automata on spoke.cycle^omega.
 

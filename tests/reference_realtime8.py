@@ -93,7 +93,7 @@ def build(a: BuchiAutomaton, s_eff: int) -> Built:
                                    share(delta, delta), i)
 
     numbers = itertools.count()
-    machine, table, origin = _reach(
+    machine, table, origin, _ = _reach(
         8, frozenset(sigma) | {E},
         (theta.initial, ("PRE",), m_a.initial, "Z", "Z", 1), moves,
         lambda _: f"r{next(numbers)}", realtime8.STATE_CAP, "eight-counter product")

@@ -223,6 +223,33 @@ def test_a_long_word_check_stays_in_bounded_memory(files, capsys):
                            f"(run consumed {read} of 100000000 letters)\n")
 
 
+def test_run_check_reads_the_word_as_runs(files, capsys, monkeypatch):
+    """run check --word validates against the word file's runs: the coded
+    prefix is never spelled as letters, and the verdicts stay those of the
+    letters."""
+    m2 = m2_two_counters()
+    out = compose_pipeline(m2, (2, 3))
+    cert = lift_run_pipeline(out, run_of(m2, ["a", "b"]))
+    d = files["dir"]
+    pipe, run, word = d / "pipe.aut", d / "cert.run", d / "w.word"
+    pipe.write_text(dump_automaton(out.automaton))
+    run.write_text(dump_run(cert.run))
+    word.write_text("coded phi:5\ncoded h:2,3\nlasso a | b\n")
+    x = LassoWord(("a",), ("b",), {"a", "b"})
+    read = len(cert.run.steps)
+    visits = sum(s in out.automaton.accepting for s in cert.run.states)
+    expected = {n: validate_run(out.automaton.machine,
+                                coded_prefix(x, (HCoding((2, 3)), PhiCoding(5)), n), cert.run)
+                for n in (0, read - 7, read, read + 1)}
+    monkeypatch.setattr(WordSpec, "prefix_letters", None)
+    for n, bad in expected.items():
+        assert main(["run", "check", "--input", str(pipe), "--run", str(run),
+                     "--word", str(word), "--n", str(n)]) == (0 if bad is None else 1)
+        assert capsys.readouterr().out == (
+            f"ok {read} steps {visits} accepting visits\n" if bad is None
+            else f"violation {bad}\n")
+
+
 def test_a_long_word_encode_streams_to_stdout(files):
     argv = ["word", "encode", "--word", str(files["aword"]), "--n", "120000000"]
     # 240 MB of letters: written as they are spelled, as with -o, not held

@@ -235,5 +235,8 @@ def test_lift_with_lambda_steps_matches_step_by_step_walk():
             assert validate_run(w.machine, coded, cert.run) is None
             assert cert.blocks == (letter_spans if given is None else tuple(
                 BlockSpan(bs.index, marks[bs.start], marks[bs.end]) for bs in given))
-        with pytest.raises(MachineError, match=f"run pins {len(ends)} blocks"):
+        # the refusal counts the blocks it is given, else the letters
+        with pytest.raises(MachineError, match=f"run pins {len(blocks)} blocks"):
             lift_run_phi(w, run, prefix_len=prefix_len + 1, blocks=blocks)
+        with pytest.raises(MachineError, match=f"run pins {len(ends)} blocks"):
+            lift_run_phi(w, run, prefix_len=prefix_len + 1)

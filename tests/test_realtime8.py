@@ -10,7 +10,7 @@ from omegacount.fileio import dump_automaton, dump_run, load_automaton
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  MachineError, Run, Transition, is_real_time,
                                  validate_run)
-from omegacount.words import LassoWord, theta_prefix
+from omegacount.words import LassoWord, ThetaCoding, coded_runs, theta_prefix
 
 from conftest import m1_aomega, m2_two_counters, run_of
 
@@ -157,6 +157,23 @@ def _lifted(cert) -> tuple:
     return dump_run(cert.run), cert.blocks
 
 
+def test_a_build_that_runs_out_of_states_before_its_depth_is_the_full_build():
+    """A depth past the deepest state expands every state: the build records
+    no depth, equals the full build and lifts a walk of any length."""
+    a = m1_aomega()
+    full = build_realtime8(a, S_override=S_SMALL)
+    deep = build_realtime8(a, S_override=S_SMALL, depth=10 ** 6)
+    assert deep.params == {"S": S_SMALL} and len(deep.machine.states) == 13_779
+    assert deep.machine == full.machine and deep.origin == full.origin
+    run = run_of(a, ["a"] * 5)
+    cert = lift_run_theta(deep, run)
+    assert cert.run._pieces == lift_run_theta(full, run).run._pieces
+    n = len(cert.run.steps)
+    assert n == 1_962_169_997
+    runs = coded_runs(LassoWord((), ("a",), {"a"}), (ThetaCoding(S_SMALL),), n)
+    assert validate_run(full.machine, runs, cert.run) is None
+
+
 def test_a_lift_on_the_build_as_deep_as_its_walk_is_the_full_lift():
     a = m1_aomega()
     full = build_realtime8(a, S_override=S_SMALL)
@@ -170,7 +187,10 @@ def test_a_lift_on_the_build_as_deep_as_its_walk_is_the_full_lift():
         walk = theta_walk_length(S_SMALL, len(letters), prefix_len)
         assert walk == (prefix_len or (one if len(letters) == 1 else last))
         part = build_realtime8(a, S_override=S_SMALL, depth=walk)
-        assert part.params == {"S": S_SMALL, "depth": walk}
+        # a build that ran out of states before its depth records none, and
+        # is the full build
+        stopped = part.machine != full.machine
+        assert part.params == ({"S": S_SMALL, "depth": walk} if stopped else {"S": S_SMALL})
         assert len(part.machine.states) <= len(full.machine.states)
         cert = lift_run_theta(part, run, prefix_len=prefix_len)
         assert _lifted(cert) == _lifted(lift_run_theta(full, run, prefix_len=prefix_len))

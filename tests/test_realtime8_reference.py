@@ -112,7 +112,9 @@ def _distances(b) -> dict:
 def _check_prefix(full, dist: dict, depth: int) -> None:
     part = rt8._build(full.source, full.params["S"], depth)
     pm, fm = part.machine, full.machine
-    assert part.params == {"S": full.params["S"], "depth": depth}
+    # the depth is recorded when states at that depth were left unexpanded
+    assert part.params == ({"S": full.params["S"], "depth": depth}
+                           if depth <= max(dist.values()) else {"S": full.params["S"]})
     assert pm.initial == fm.initial and pm.alphabet == fm.alphabet
     assert pm.states == {q for q, d in dist.items() if d <= depth}
     n = len(pm.sources)

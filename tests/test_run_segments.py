@@ -9,13 +9,13 @@ made for the arithmetic to miss: a step changed in iteration 0 or only in
 the last iteration of the expansion, a counter that goes negative only at
 j = r - 1, a zero guard on a counter that D moves, an iteration that does
 not come back to its start state and a word with one iteration too many
-or too few.  A valid run of int segments is checked without expanding
-them.  A run with segments equals, hashes, prints, dumps and pickles as
-its expansion.  `Walker.repeat` equals the reference walker's
-step-by-step walk, errors included; the lifts that replay segments equal
-the flat walks they replaced; the union lift splits a segment that opens
-its run; and the script-L projection refuses a certificate cut from its
-start.
+or too few; the same verdict when the word is given as (pattern, count)
+runs.  A valid run of int segments is checked without expanding them.  A
+run with segments equals, hashes, prints, dumps and pickles as its
+expansion.  `Walker.repeat` equals the reference walker's step-by-step
+walk, errors included; the lifts that replay segments equal the flat
+walks they replaced; the union lift splits a segment that opens its run;
+and the script-L projection refuses a certificate cut from its start.
 """
 
 import copy
@@ -36,7 +36,8 @@ from omegacount.fileio import dump_run, load_run
 from omegacount.machines import (Configuration, CounterMachine, Run, RunStep,
                                  Transition, Walker, step, validate_run)
 
-from conftest import m1_aomega, m2_two_counters, m2_word, m3_alternator, run_of
+from conftest import (chopped, m1_aomega, m2_two_counters, m2_word, m3_alternator,
+                      run_of)
 
 SIGMA = ("a", "b")
 INPUTS = SIGMA + (None,)
@@ -184,7 +185,7 @@ def _corruptions(rng: random.Random, m: CounterMachine, run: Run):
 
 
 def test_validate_run_on_segments_matches_the_flat_expansion(monkeypatch):
-    rng = random.Random(41)
+    rng, chop = random.Random(41), random.Random(5)
     seen = {}
     expanded = []
     monkeypatch.setattr(machines, "_later_counters", (
@@ -199,6 +200,8 @@ def test_validate_run_on_segments_matches_the_flat_expansion(monkeypatch):
             got = validate_run(m, word, bad)
             assert got == validate_run(m, word, flat) == ref.validate_run(m, word, flat), (
                 m, word, bad._pieces)
+            # the word as runs, which segments straddle, gives the same verdict
+            assert validate_run(m, chopped(chop, word), bad) == got
             key = (kind, why, None if got is None else got.reason)
             seen[key] = seen.get(key, 0) + 1
             segments = [x for x in bad._pieces if x[4] > 1]

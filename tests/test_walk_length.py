@@ -53,8 +53,8 @@ def stages():
 def test_every_lift_walks_one_window(stages, stage, letters, needed, room, point):
     built, lift, source, word = stages[stage]
     run = run_of(source, word[:letters])
-    # the pipeline's phi lift counts the script-L letters as its blocks
-    blocks = needed // Q if stage == "pipeline" else letters
+    # the pipeline's phi lift counts the blocks it is given
+    blocks = letters
     refusals = {
         -1: "prefix length must be nonnegative, got -1",
         needed - 1: (f"prefix too short to host the lift: need {needed} letters"
