@@ -11,6 +11,7 @@ empty run needs no letters, so it lifts to the empty certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ..errors import MachineError
 from ..machines import CounterMachine, Run, buchi_visit_count, run_word, validate_run
@@ -33,10 +34,22 @@ class RunCertificate:
     blocks: tuple[BlockSpan, ...]
 
     def block_visits(self, accepting) -> dict[int, int]:
-        """Accepting visits per block index (start configuration uncounted)."""
-        states = self.run.states
-        return {b.index: sum(map(accepting.__contains__, states[b.start:b.end]))
-                for b in self.blocks}
+        """Accepting visits per block index (start uncounted), piece by piece."""
+        # per piece: its steps, repeats, and visits in its first t steps
+        pieces = [(len(states), r, [0, *accumulate(map(accepting.__contains__, states))])
+                  for _, _, states, _, r in self.run._pieces]
+
+        # visits in the run's first z steps: whole iterations of each piece
+        # at its per-iteration count, and one partial iteration
+        def upto(z: int) -> int:
+            n = 0
+            for p, r, hits in pieces:
+                j, t = divmod(min(z, p * r), p)
+                n += j * hits[-1] + hits[t]
+                z -= j * p + t
+            return n
+
+        return {b.index: upto(b.end) - upto(b.start) for b in self.blocks}
 
     def visits(self, accepting) -> int:
         return buchi_visit_count(self.run, accepting)

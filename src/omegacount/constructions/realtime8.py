@@ -11,8 +11,8 @@ The per-block work is at most (2k)^(m+2) + 2k^(m+2) + 1 for queue size m,
 which stays under the pad budget S^i of block i whenever S >= 8k^2.
 
 States are tuples (theta state, queue node, simulated state, counter 6
-status, counter 7 status, flag) reached from the initial one by the shared
-worklist `_reach`, named r0, r1, ... in the order they are reached.  A
+status, counter 7 status, flag), reached from the initial one by the shared
+worklist `_reach` as ints (see `_build`) and named r0, r1, ... in order.  A
 theta lift walks one state per letter from the initial one, so it needs
 only the build as deep as its walk (`theta_walk_length`): breadth-first
 order makes that build a prefix of the full one, with the same state names
@@ -208,6 +208,8 @@ def _after(status: str, g: int, d: int) -> str:
 
 
 def _build(a: BuchiAutomaton, s_eff: int, depth: int | None = None) -> Built:
+    """One `_reach` over int states sid * T + t (see below), whose table is
+    decoded to (theta state, node, qa, s6, s7, flag) tuples at the end."""
     m_a = a.machine
     sigma = sorted(m_a.alphabet)
     k = len(sigma) + 2
@@ -220,20 +222,35 @@ def _build(a: BuchiAutomaton, s_eff: int, depth: int | None = None) -> Built:
     # destinations in that order
     rank = {x: i for i, x in enumerate([*sigma, E])}
     rows_seen: dict[tuple, tuple] = {}
-    theta_edges = {}
-    for ts in theta.states:
+    thetas = sorted(theta.states)
+    tindex = {ts: t for t, ts in enumerate(thetas)}
+    theta_edges = []
+    for ts in thetas:
         edges = sorted(theta.leaving(ts), key=lambda edge: rank[edge[1]])
         labels = tuple((inp, g, d) for _, inp, g, _, d in edges)
-        theta_edges[ts] = (*rows_seen.setdefault(labels, (len(rows_seen), labels)),
-                           tuple(edge[3] for edge in edges))
+        theta_edges.append((*rows_seen.setdefault(labels, (len(rows_seen), labels)),
+                            tuple(tindex[edge[3]] for edge in edges)))
+    # a product state is the int sid * T + t: t indexes its theta state in
+    # name order and sid its suffix (node, qa, s6, s7, fl), numbered when
+    # first seen, so the worklist hashes ints and no edge builds a tuple
+    T = len(thetas)
+    # suffix -> its number, and the suffixes in number order
+    suffixes, keys = {}, []
+
+    def sid(suffix: tuple) -> int:
+        n = suffixes.setdefault(suffix, len(keys))
+        if n == len(keys):
+            keys.append(suffix)
+        return n
+
     # a few dozen distinct guards and deltas label every edge: each edge
     # gets the one shared tuple of its value, not a concatenation of its own
     share = {}.setdefault
-    # a state's edges depend on its suffix (node, qa, s6, s7, fl) and its
-    # theta label row alone, and a few hundred suffixes recur across tens
-    # of thousands of states: (suffix, row id) -> (letter, guard, theta
-    # edge position, next suffix, delta, origin) per edge
-    memo: dict[tuple, list] = {}
+    # a state's edges depend on its suffix and its theta label row alone,
+    # and a few hundred suffixes recur across tens of thousands of states:
+    # suffix id * T + row id -> (letter, guard, theta edge position, next
+    # suffix id times T, delta, origin) per edge
+    memo: dict[int, list] = {}
 
     def rows(suffix: tuple, labels: tuple) -> list:
         node, qa, s6, s7, fl = suffix
@@ -250,9 +267,8 @@ def _build(a: BuchiAutomaton, s_eff: int, depth: int | None = None) -> Built:
                     for b6 in _ALLOWED[s6]:
                         for b7 in _ALLOWED[s7]:
                             guard = tg + g4 + (b6, b7)
-                            out.append((letter, share(guard, guard), j,
-                                        (node2, qa, "P" if b6 else "Z",
-                                         "P" if b7 else "Z", f2),
+                            nxt = (node2, qa, "P" if b6 else "Z", "P" if b7 else "Z", f2)
+                            out.append((letter, share(guard, guard), j, sid(nxt) * T,
                                         share(delta, delta), None))
                     continue
                 _, front, g4 = entry
@@ -268,30 +284,34 @@ def _build(a: BuchiAutomaton, s_eff: int, depth: int | None = None) -> Built:
                         continue
                     guard = tg + g4 + ag
                     delta = td + _ZERO4 + ad
+                    nxt = (node2, adst, _after(s6, ag[0], ad[0]), _after(s7, ag[1], ad[1]), f1)
                     out.append((letter, share(guard, guard), j,
-                                (node2, adst, _after(s6, ag[0], ad[0]),
-                                 _after(s7, ag[1], ad[1]), f1),
-                                share(delta, delta), i))
+                                sid(nxt) * T, share(delta, delta), i))
         return out
 
-    def moves(src: tuple) -> list:
-        row_id, labels, destinations = theta_edges[src[0]]
-        key = (src[1:], row_id)
+    def moves(src: int) -> list:
+        t = src % T
+        row_id, labels, destinations = theta_edges[t]
+        # a theta state's row id is below T, so this keys (suffix, row)
+        key = src - t + row_id
         done = memo.get(key)
         if done is None:
-            done = memo[key] = rows(src[1:], labels)
-        return [(letter, guard, (destinations[j], *nxt), delta, o)
-                for letter, guard, j, nxt, delta, o in done]
+            done = memo[key] = rows(keys[src // T], labels)
+        return [(letter, guard, base + destinations[j], delta, o)
+                for letter, guard, j, base, delta, o in done]
 
     numbers = itertools.count()
     # depth becomes the one the build stopped at: None when it ran out of
     # states first
     machine, table, origin, depth = _reach(
         8, frozenset(sigma) | {E},
-        (theta.initial, ("PRE",), m_a.initial, "Z", "Z", 1), moves,
+        sid((("PRE",), m_a.initial, "Z", "Z", 1)) * T + tindex[theta.initial], moves,
         lambda _: f"r{next(numbers)}", STATE_CAP, "eight-counter product", depth)
-    accepting = frozenset(n for n, t in table.items()
-                          if t[5] == 2 and t[2] in a.accepting)
+    fires = [fl == 2 and qa in a.accepting for _, qa, _, _, fl in keys]
+    accepting = frozenset(n for n, key in table.items() if fires[key // T])
+    # the table is decoded in place, so only one of its forms is ever held
+    for n, key in table.items():
+        table[n] = (thetas[key % T], *keys[key // T])
     params = {"S": s_eff} if depth is None else {"S": s_eff, "depth": depth}
     return Built(machine, accepting, source=a, params=params,
                  table=table, origin=origin)
@@ -330,7 +350,7 @@ def build_realtime8(a: BuchiAutomaton, S_override: int | None = None,
     simulates; every other transition's origin is None.  The build makes
     the theta acceptor for S whole first, so an S whose theta acceptor's
     3S + 4 states pass STATE_CAP is refused before anything is built.  The
-    memo of edges per (suffix, theta label row) lives only in the build.
+    build walks int keys and decodes the table once, at its end.
 
     With a depth d, only the states fewer than d letters from the initial
     one are expanded (see `_reach`), and params["depth"] records d if states

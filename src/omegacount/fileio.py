@@ -26,10 +26,10 @@ Writing: _automaton_lines reads the machine's columns and spells each
 distinct guard and delta once.  _run_lines reads a run's pieces, never its
 expansion: a piece's step heads are spelled once and reused by each
 iteration of a repeated piece, whose counters come from the run reader
-`machines._batches` a batch of iterations at a time; each distinct
-counters tuple is spelled once; and it yields strings of at most _BATCH
-step lines.  The dump functions join what these yield; the CLI writes it
-piece by piece, to a file or to stdout.
+`machines._batches` a batch of iterations at a time; and each distinct
+counters tuple is spelled once.  Both yield strings of at most _BATCH trans
+or step lines; the dump functions join them, and the CLI writes them one
+by one, to a file or to stdout.
 
 Automaton:  kcounters / alphabet / states / initial / accepting /
             trans <src> <letter|-> <guardbits> <dst> <d1> ... <dk>
@@ -240,7 +240,7 @@ def dump_automaton(aut: BuchiAutomaton) -> str:
 
 
 def _automaton_lines(aut: BuchiAutomaton) -> Iterator[str]:
-    """The lines of dump_automaton, each ending in a newline."""
+    """The text of dump_automaton, at most _BATCH trans lines a string."""
     m = aut.machine
     yield f"kcounters {m.k}\n"
     yield _join("alphabet", sorted(m.alphabet)) + "\n"
@@ -251,19 +251,23 @@ def _automaton_lines(aut: BuchiAutomaton) -> Iterator[str]:
     # values the constructor accepts as equal (True, 1.0) spell as 1
     guards: dict[tuple[int, ...], str] = {}
     deltas: dict[tuple[int, ...], str] = {}
-    for source, letter, guard, destination, delta in zip(
-            m.sources, m.inputs, m.guards, m.destinations, m.deltas):
-        # tuple() keys a guard or delta given as a list; a tuple passes as is
-        guard, delta = tuple(guard), tuple(delta)
-        guardbits = guards.get(guard)
-        if guardbits is None:
-            guardbits = guards[guard] = "-" if m.k == 0 else "".join(str(int(g)) for g in guard)
-        tail = deltas.get(delta)
-        if tail is None:
-            tail = deltas[delta] = "".join(" " + str(int(d)) for d in delta)
-        if letter is None:
-            letter = LAMBDA_TOKEN
-        yield f"trans {source} {letter} {guardbits} {destination}{tail}\n"
+    columns = (m.sources, m.inputs, m.guards, m.destinations, m.deltas)
+    for t in range(0, len(m.sources), _BATCH):
+        lines = []
+        for source, letter, guard, destination, delta in zip(
+                *[column[t:t + _BATCH] for column in columns]):
+            # tuple() keys a guard or delta given as a list; a tuple passes as is
+            guard, delta = tuple(guard), tuple(delta)
+            guardbits = guards.get(guard)
+            if guardbits is None:
+                guardbits = guards[guard] = "-" if m.k == 0 else "".join(str(int(g)) for g in guard)
+            tail = deltas.get(delta)
+            if tail is None:
+                tail = deltas[delta] = "".join(" " + str(int(d)) for d in delta)
+            if letter is None:
+                letter = LAMBDA_TOKEN
+            lines.append(f"trans {source} {letter} {guardbits} {destination}{tail}\n")
+        yield "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -432,8 +436,7 @@ def _run_lines(run: Run) -> Iterator[str]:
     tails: dict[tuple, str] = {}
 
     def spell(c: tuple) -> str:
-        tail = tails[c] = (" %s" * len(c) + "\n") % c
-        return tail
+        return tails.setdefault(c, (" %s" * len(c) + "\n") % c)
 
     def batch(heads: list[str], counters) -> str:
         if len(tails) > _BATCH:

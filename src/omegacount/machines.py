@@ -99,8 +99,10 @@ def _check_token(tok: str, what: str) -> None:
         raise MachineError(f"{what} {tok!r} not serializable (whitespace or '#')")
 
 
-# a character that split() cuts at, other than a newline, or a '#'
+# a character that split() cuts at, other than a newline, or a '#': the
+# class for any text, and its ASCII members one by one
 _BAD_CHAR = re.compile(r"[^\S\n]|#")
+_BAD_ASCII = "# \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _tokens_ok(toks: list) -> bool:
@@ -109,13 +111,15 @@ def _tokens_ok(toks: list) -> bool:
     In the newline join of nonempty tokens, the newlines are exactly the
     joints when there is one fewer of them than tokens; any other
     whitespace character (the class \\s is the one split() cuts at) or a
-    '#' fails.  A token that is not a str fails the join."""
+    '#' fails, looked for in an ASCII join by one scan per character of
+    _BAD_ASCII.  A token that is not a str fails the join."""
     try:
         text = "\n".join(toks)
     except TypeError:
         return False
-    return (all(toks) and text.count("\n") == max(len(toks) - 1, 0)
-            and not _BAD_CHAR.search(text) and LAMBDA_TOKEN not in toks)
+    return (all(toks) and text.count("\n") == max(len(toks) - 1, 0) and LAMBDA_TOKEN not in toks
+            and not (any(map(text.__contains__, _BAD_ASCII)) if text.isascii()
+                     else _BAD_CHAR.search(text)))
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -149,16 +153,13 @@ def _matches(guard, counters: tuple[int, ...]) -> bool:
 def _check_guard_delta(i: int, guard, delta, k: int) -> None:
     if len(guard) != k or len(delta) != k:
         raise MachineError(f"transition {i}: guard/delta arity != k={k}")
-    for g in guard:
-        if g not in (0, 1):
-            raise MachineError(f"transition {i}: guard values must be 0 or 1")
-    for d in delta:
-        if d not in (-1, 0, 1):
-            raise MachineError(f"transition {i}: delta values must be -1, 0 or +1")
+    if not all(g in (0, 1) for g in guard):
+        raise MachineError(f"transition {i}: guard values must be 0 or 1")
+    if not all(d in (-1, 0, 1) for d in delta):
+        raise MachineError(f"transition {i}: delta values must be -1, 0 or +1")
     # zero-test consistency: a counter tested zero cannot decrease
-    for g, d in zip(guard, delta):
-        if g == 0 and d == -1:
-            raise MachineError(f"transition {i}: delta -1 under a zero guard")
+    if any(g == 0 and d == -1 for g, d in zip(guard, delta)):
+        raise MachineError(f"transition {i}: delta -1 under a zero guard")
 
 
 class Transitions(Sequence):
@@ -599,9 +600,9 @@ def _shifted(counters: tuple, effect: tuple, r: int, first: int = 1) -> list:
 
 
 class Steps(Sequence):
-    """The steps of a run as a read-only sequence of RunSteps, built from
-    the run's columns on each read.  A slice is a tuple of RunSteps, and the
-    view equals, hashes and prints as that tuple would."""
+    """The steps of a run as a read-only sequence of RunSteps, built on each
+    read: one step from the run's pieces, a slice from its columns as a
+    tuple.  The view equals, hashes and prints as a tuple of them would."""
 
     __slots__ = ("run",)
 
@@ -616,8 +617,18 @@ class Steps(Sequence):
         if isinstance(i, slice):
             return tuple(map(RunStep, r.consumed[i], r.indices[i],
                              map(Configuration, r.states[i], r.counters[i])))
-        return RunStep(r.consumed[i], r.indices[i],
-                       Configuration(r.states[i], r.counters[i]))
+        # step t of iteration j of the piece the running step count puts i
+        # in, read from iteration 0's columns: its counters are iteration
+        # 0's plus j times the piece's effect
+        i, entry = range(r._n)[i], r.start.counters
+        for tokens, indices, states, column, times in r._pieces:
+            j, t = divmod(i, len(column))
+            effect = tuple(map(sub, column[-1], entry)) if times > 1 else None
+            if j < times:
+                return RunStep(tokens[t], indices[t], Configuration(
+                    states[t], _shifted(column[t], effect, j + 1, j)[0] if j else column[t]))
+            i -= len(column) * times
+            entry = column[-1] if effect is None else _shifted(column[-1], effect, times, times - 1)[0]
 
     def __iter__(self):
         return chain.from_iterable(
@@ -1152,21 +1163,21 @@ def pad_run(run: Run, new_k: int) -> Run:
 # products and wrappers: one worklist over the reachable state tuples
 
 
-def _reach(k: int, alphabet, initial: tuple, moves, name, cap: int | None = None,
+def _reach(k: int, alphabet, initial, moves, name, cap: int | None = None,
            over_cap: str = "product",
            depth: int | None = None) -> tuple[CounterMachine, dict, tuple, int | None]:
-    """The machine of the state tuples `initial` reaches, its name -> tuple
-    table, its origin column, and the depth it stopped at.
+    """The machine of the states `initial` reaches, its name -> state table,
+    its origin column, and the depth it stopped at.  A state is any hashable
+    key: most builders pass tuples, and realtime8 passes ints.
 
     States are expanded breadth first, so each state's transitions form one
     span, which `leaving` indexes on demand.  moves(state) yields (input,
-    guard, destination tuple, delta, origin) per edge, in a fixed order: run
+    guard, destination state, delta, origin) per edge, in a fixed order: run
     files cite transitions by index, so the order must not depend on set
     iteration.  The transitions go into one list per column, with no record
-    per edge, and each list is made a tuple in turn at the end.  The
-    origins, one per transition in index order, are the column a `Built`
-    carries as `origin`.
-    name(state) names a tuple when it is first reached; two tuples with one
+    per edge, each made a tuple in turn at the end; the origins, one per
+    transition in index order, are the column a `Built` carries as `origin`.
+    name(state) names a state when it is first reached; two states with one
     name are a MachineError, and reaching more than `cap` states, expanded
     or not, is a BuildScaleError.  A build makes no reference cycles, so the
     cyclic garbage collector is paused while it runs, and the caller's

@@ -14,8 +14,8 @@ from omegacount.constructions import (build_h_complement, build_phi_wrapper,
                                       compose_pipeline, lift_run_phi,
                                       lift_run_pipeline, lift_run_script_L,
                                       lift_run_theta, wadge_sum)
-from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
-                               load_automaton, load_run, load_word)
+from omegacount.fileio import (_BATCH, WordSpec, _automaton_lines, dump_automaton,
+                               dump_run, dump_word, load_automaton, load_run, load_word)
 from omegacount.engine import exact_prefix_reach
 from omegacount.machines import (BuchiAutomaton, CounterMachine, Transition,
                                  validate_run)
@@ -461,6 +461,22 @@ def test_written_files_match_the_dumps(files, capsys):
         assert capsys.readouterr().out == want
         assert main(argv + ["-o", str(out)]) == 0
         assert out.read_bytes() == want.encode()
+
+
+def test_realtime8_is_written_in_batches_of_lines(files, capsys):
+    """The writer yields the header lines one by one and then at most
+    _BATCH trans lines a string; -o and stdout get the bytes of the dump."""
+    b8 = build_realtime8(m1_aomega(), S_override=72)
+    parts = list(_automaton_lines(b8))
+    assert max(part.count("\n") for part in parts) == _BATCH
+    assert len(parts) == 5 + -(-len(b8.machine.transitions) // _BATCH)
+    want = dump_automaton(b8)
+    argv = ["build", "realtime8", "--input", str(files["m1"]), "--S", "72"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    out = files["dir"] / "r8.aut"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
 
 
 def test_an_oversized_realtime8_exits_2_before_building(files, capsys, monkeypatch):

@@ -28,7 +28,7 @@ from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton, load_run, load_word)
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  MachineError, Run, Transition, _check_token,
-                                 validate_run)
+                                 _tokens_ok, validate_run)
 from omegacount.words import HCoding, LassoWord, PhiCoding, ThetaCoding
 from conftest import m1_aomega, m2_two_counters, m3_alternator, run_of
 
@@ -74,6 +74,28 @@ def test_check_token_refuses_exactly_the_whitespace_code_points():
             for tok in (c, "a" + c, c + "b"):
                 with pytest.raises(MachineError, match="not serializable"):
                     _check_token(tok, "letter")
+
+
+def _passes(tok: str) -> bool:
+    try:
+        _check_token(tok, "state id")
+    except MachineError:
+        return False
+    return True
+
+
+def test_tokens_in_bulk_agree_with_check_token():
+    """The bulk check scans an ASCII join character by character and any
+    other join by the regex: both give _check_token's verdict."""
+    chars = [chr(cp) for cp in range(0x80)] + ["\x85", "\xa0", "\u2028", "\u3000"]
+    toks = [tok for c in chars for tok in (c, c + "ab", "a" + c + "b", "ab" + c)]
+    for tok in toks:
+        assert _tokens_ok([tok]) == _passes(tok), repr(tok)
+    rng = random.Random(3)
+    for _ in range(2000):
+        mixed = rng.sample(toks, rng.randint(1, 4)) + ["q\u00e9", "r1", "s"][:rng.randint(0, 3)]
+        rng.shuffle(mixed)
+        assert _tokens_ok(mixed) == all(map(_passes, mixed)), mixed
 
 
 # -- CounterMachine and load_automaton against the reference -----------------

@@ -5,7 +5,9 @@ Every reader of a run takes it a batch of iterations at a time
 steps that keep their counters, float counters and segments long enough
 to span many batches, `run.steps` equals the columns' steps and the
 expansion "iteration j is iteration 0 plus j·D", and a step that keeps
-its counters shares the tuple before it across batches.
+its counters shares the tuple before it across batches.  One step read by
+its index (`steps[i]`) is the step of the expansion at i, found through
+the pieces alone, and accepting visits per block are counted per piece.
 
 `validate_run` given the word as (pattern, count) runs returns the
 violation it returns on the letters, on lifted certificates with the
@@ -18,6 +20,7 @@ first iteration being made.
 """
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -30,7 +33,7 @@ from omegacount.machines import (Configuration, CounterMachine, Run, RunStep,
                                  Transition, run_word, validate_run)
 from omegacount.words import LassoWord, ThetaCoding, coded_runs
 
-from conftest import chopped, m1_aomega, m2_two_counters, run_of
+from conftest import chopped, m1_aomega, m2_two_counters, m2_word, run_of
 
 
 def _random_pieces(rng: random.Random) -> tuple[Configuration, list]:
@@ -226,3 +229,86 @@ def test_runs_that_agree_with_a_segment_for_a_while_are_told_apart():
     assert (want.step, want.reason) == (5, "projection")
     for word in ([(("a", "b"), 1), (("a", "b", "a"), 2)], [(tuple(letters), 1)]):
         assert validate_run(m, word, run) == want
+
+
+def _chopped_run(rng: random.Random) -> Run:
+    """A run of m2-like letters cut by `chopped`: each (pattern, count) run
+    of the word is one piece of len(pattern) steps repeated count times,
+    with seeded indices, states and counters."""
+    k = rng.randint(0, 3)
+    entry = tuple(rng.randint(0, 9) for _ in range(k))
+    start, pieces = Configuration("s", entry), []
+    for pattern, count in chopped(rng, m2_word(rng, rng.randint(1, 4))):
+        column, counters = [], entry
+        for _ in pattern:
+            if rng.random() < 0.5:
+                counters = tuple(c + rng.choice((-1, 1, 2)) for c in counters)
+            column.append(counters)
+        pieces.append((pattern, tuple(rng.randrange(9) for _ in pattern),
+                       tuple(rng.choice(("s", "t")) for _ in pattern), tuple(column), count))
+        entry = tuple(c + (count - 1) * (c - e) for c, e in zip(counters, entry))
+    return Run._from_pieces(start, pieces)
+
+
+def test_one_step_by_its_index_is_the_step_of_the_expansion():
+    rng = random.Random(5)
+    runs = [_chopped_run(rng) for _ in range(60)]
+    runs += [run for run in (Run._from_pieces(*_random_pieces(rng)) for _ in range(30))
+             if len(run.steps) <= 20_000]
+    runs.append(Run._from_pieces(Configuration("s", (1,)), []))
+    assert len(runs) > 70
+    for run in runs:
+        steps, n = run.steps, len(run.steps)
+        flat = tuple(steps)
+        for i in range(-n, n):
+            assert steps[i] == flat[i], i
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                steps[i]
+
+
+def _refuse(*args):
+    raise AssertionError("a run's column was expanded")
+
+
+def test_one_step_of_a_deep_certificate_is_read_in_the_size_of_its_pieces(monkeypatch):
+    m1 = m1_aomega()
+    cert = lift_run_theta(build_realtime8(m1, S_override=72), run_of(m1, ["a"] * 8))
+    steps = cert.run.steps
+    first = next(iter(steps))
+    monkeypatch.setattr(machines, "_column", _refuse)
+    for i in (0, -1, 10**14):
+        began = time.perf_counter()
+        step = steps[i]
+        assert time.perf_counter() - began < 0.1, i
+    assert steps[0] == steps[-len(steps)] == first
+    with pytest.raises(IndexError):
+        steps[len(steps)]
+
+
+def _flat_visits(cert, accepting) -> dict:
+    states = cert.run.states
+    return {b.index: sum(map(accepting.__contains__, states[b.start:b.end]))
+            for b in cert.blocks}
+
+
+def test_block_visits_per_piece_equal_the_flat_count(monkeypatch):
+    rng = random.Random(9)
+    m1, m2 = m1_aomega(), m2_two_counters()
+    b8 = build_realtime8(m1, S_override=72)
+    bl = build_script_L(m2, (2, 3))
+    out = compose_pipeline(m2, (2, 3))
+    cases = [(lift_run_theta(b8, run_of(m1, ["a"] * n)), b8.accepting) for n in (2, 3)]
+    for _ in range(4):
+        word = m2_word(rng, 1)[:rng.randint(2, 4)]
+        cases.append((lift_run_script_L(bl, run_of(m2, word)), bl.accepting))
+        cases.append((lift_run_pipeline(out, run_of(m2, word)), out.automaton.accepting))
+    for cert, accepting in cases:
+        assert len(cert.run._pieces) > 1 and len(cert.blocks) > 1
+        assert cert.block_visits(accepting) == _flat_visits(cert, accepting)
+    # the 6-letter pipeline certificate, 2,351,520 steps in 30 pieces
+    deep = lift_run_pipeline(out, run_of(m2, ["a", "a", "b", "a", "b", "b"]))
+    monkeypatch.setattr(Run, "states", property(_refuse))
+    monkeypatch.setattr(machines, "_column", _refuse)
+    assert len(deep.run.steps) == 2_351_520
+    assert deep.block_visits(out.automaton.accepting) == {1: 0, 2: 0, 3: 1, 4: 0, 5: 1, 6: 1}
