@@ -20,16 +20,18 @@ The automaton loader writes each transition into the machine's five
 columns, with no record per line, and makes each column a tuple in turn,
 letting go of its list before the next; the columns share the guard, delta
 and state-name objects of their values.  A step whose counters are those of
-the step before shares its tuple.
+the step before shares its tuple.  Every number is read by int(), so the
+run loader makes its run without Run's check of the counters' types.
 
-Writing: _automaton_lines reads the machine's columns and spells each
-distinct guard and delta once.  _run_lines reads a run's pieces, never its
-expansion: a piece's step heads are spelled once and reused by each
-iteration of a repeated piece, whose counters come from the run reader
-`machines._batches` a batch of iterations at a time; and each distinct
-counters tuple is spelled once.  Both yield strings of at most _BATCH trans
-or step lines; the dump functions join them, and the CLI writes them one
-by one, to a file or to stdout.
+Writing: guards, deltas and counters are tuples of ints, spelled by str.
+_automaton_lines reads the machine's columns and spells each distinct guard
+and delta once.  _run_lines reads a run's pieces, never its expansion: a
+piece's step heads are spelled once and reused by each iteration of a
+repeated piece, whose counters come from the run reader `machines._batches`
+a batch of iterations at a time; and each distinct counters tuple is
+spelled once.  Both yield strings of at most _BATCH trans or step lines;
+the dump functions join them, and the CLI writes them one by one, to a
+file or to stdout.
 
 Automaton:  kcounters / alphabet / states / initial / accepting /
             trans <src> <letter|-> <guardbits> <dst> <d1> ... <dk>
@@ -247,8 +249,7 @@ def _automaton_lines(aut: BuchiAutomaton) -> Iterator[str]:
     yield _join("states", sorted(m.states)) + "\n"
     yield f"initial {m.initial}\n"
     yield _join("accepting", sorted(aut.accepting)) + "\n"
-    # each distinct guard and delta is spelled once, through int so that
-    # values the constructor accepts as equal (True, 1.0) spell as 1
+    # each distinct guard and delta is spelled once
     guards: dict[tuple[int, ...], str] = {}
     deltas: dict[tuple[int, ...], str] = {}
     columns = (m.sources, m.inputs, m.guards, m.destinations, m.deltas)
@@ -256,14 +257,8 @@ def _automaton_lines(aut: BuchiAutomaton) -> Iterator[str]:
         lines = []
         for source, letter, guard, destination, delta in zip(
                 *[column[t:t + _BATCH] for column in columns]):
-            # tuple() keys a guard or delta given as a list; a tuple passes as is
-            guard, delta = tuple(guard), tuple(delta)
-            guardbits = guards.get(guard)
-            if guardbits is None:
-                guardbits = guards[guard] = "-" if m.k == 0 else "".join(str(int(g)) for g in guard)
-            tail = deltas.get(delta)
-            if tail is None:
-                tail = deltas[delta] = "".join(" " + str(int(d)) for d in delta)
+            guardbits = guards.get(guard) or guards.setdefault(guard, "".join(map(str, guard)) or "-")
+            tail = deltas.get(delta) or deltas.setdefault(delta, " %s" * len(delta) % delta)
             if letter is None:
                 letter = LAMBDA_TOKEN
             lines.append(f"trans {source} {letter} {guardbits} {destination}{tail}\n")
@@ -362,7 +357,8 @@ def load_run(text: str) -> Run:
     is spelled as the line before's, or whose counters equal that line's,
     shares that line's counters tuple.  The steps name each state by one
     string, its first spelling in the file, as the automaton loader's
-    transitions do."""
+    transitions do.  Every counter is read by int(), so the run is made
+    without the check of its steps' counters that Run.from_columns makes."""
     start = None
     consumed: list[str | None] = []
     indices: list[int] = []
@@ -415,7 +411,7 @@ def load_run(text: str) -> Run:
                 raise FormatError(f"unknown directive {head!r}", no)
     if start is None:
         raise FormatError("missing start line")
-    return Run.from_columns(start, consumed, indices, states, counters)
+    return Run._from_pieces(start, [(consumed, indices, states, counters, 1)])
 
 
 def dump_run(run: Run) -> str:
@@ -427,11 +423,9 @@ def _run_lines(run: Run) -> Iterator[str]:
     batch one string, read from the run's pieces by `_batches`.  A piece's
     step heads (`step <letter> <index> <state>`) are spelled once: a batch
     at a time for a flat piece, and whole for a repeated one, whose every
-    later iteration reuses them.  Counters are spelled through str, once
-    per distinct tuple in a memo that is emptied past _BATCH entries;
-    tuples that compare equal share a spelling, so a run that mixes equal
-    ints and floats (3 and 3.0) writes both as the first one met.  Run
-    files spell ints only."""
+    later iteration reuses them.  Counters, tuples of ints, are spelled
+    through str, once per distinct tuple in a memo that is emptied past
+    _BATCH entries."""
     yield _join("start", [run.start.state] + [str(c) for c in run.start.counters]) + "\n"
     tails: dict[tuple, str] = {}
 

@@ -2,8 +2,9 @@
 
 A k-counter machine is a finite control plus k natural-valued counters.
 Every transition carries a total guard (each coordinate tests zero or
-positive) and a delta vector over {-1, 0, +1}.  The lambda input (spelled
-None here, "-" in files) consumes no letter.
+positive) and a delta vector over {-1, 0, +1}.  Guards, deltas and a run's
+counters are tuples of ints, checked where machines, runs and walks are
+made.  The lambda input (spelled None here, "-" in files) consumes no letter.
 
 A machine keeps its transitions as five parallel tuples (sources, inputs,
 guards, destinations, deltas), with no record per transition; the worklist
@@ -11,7 +12,8 @@ and the automaton loader fill the columns, and `machine.transitions`
 is a read-only view that builds a Transition per transition read.  A
 machine is checked when it is made, over all its parts at once: one join
 for the state and letter tokens, set inclusions for the sources,
-destinations and inputs, one check per distinct (guard, delta).  Only when
+destinations and inputs, one check per distinct pair of guard and delta
+objects (by identity, since 1, True and 1.0 are equal values).  Only when
 one of these fails does the check run again token by token and transition
 by transition, to raise the first error with its transition index.  The
 library reads a state's transitions only through `leaving`, as (index,
@@ -78,7 +80,7 @@ import gc
 import math
 import re
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, repeat
 from operator import add, gt, lt, sub
@@ -105,7 +107,12 @@ _BAD_CHAR = re.compile(r"[^\S\n]|#")
 _BAD_ASCII = "# \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def _tokens_ok(toks: list) -> bool:
+def _ints(values) -> bool:
+    """Whether values is a tuple of ints; a bool is no int here."""
+    return type(values) is tuple and all(type(v) is int for v in values)
+
+
+def _tokens_ok(toks: Collection) -> bool:
     """Whether _check_token passes every token, tested on all at once.
 
     In the newline join of nonempty tokens, the newlines are exactly the
@@ -117,7 +124,7 @@ def _tokens_ok(toks: list) -> bool:
         text = "\n".join(toks)
     except TypeError:
         return False
-    return (all(toks) and text.count("\n") == max(len(toks) - 1, 0) and LAMBDA_TOKEN not in toks
+    return ("" not in toks and LAMBDA_TOKEN not in toks and text.count("\n") == max(len(toks) - 1, 0)
             and not (any(map(text.__contains__, _BAD_ASCII)) if text.isascii()
                      else _BAD_CHAR.search(text)))
 
@@ -143,14 +150,12 @@ class Transition:
     delta: tuple[int, ...]
 
     def matches(self, counters: tuple[int, ...]) -> bool:
-        return _matches(self.guard, counters)
-
-
-def _matches(guard, counters: tuple[int, ...]) -> bool:
-    return all((c > 0) == (g == 1) for g, c in zip(guard, counters))
+        return self.guard == tuple([c > 0 for c in counters])
 
 
 def _check_guard_delta(i: int, guard, delta, k: int) -> None:
+    if not (_ints(guard) and _ints(delta)):
+        raise MachineError(f"transition {i}: guard and delta must be tuples of ints, got {guard!r} and {delta!r}")
     if len(guard) != k or len(delta) != k:
         raise MachineError(f"transition {i}: guard/delta arity != k={k}")
     if not all(g in (0, 1) for g in guard):
@@ -223,9 +228,10 @@ class CounterMachine:
     view over the columns.  Equality and repr are by k, alphabet, states,
     initial and transitions, with the transitions spelled out as records.
 
-    The checks run over the whole machine at once: the tokens by one join,
-    sources, destinations and inputs as set operations on the columns, guard
-    and delta once per distinct (guard, delta).  When one of them fails,
+    Guards and deltas must be tuples of ints.  The checks run over the
+    whole machine at once: the tokens by one join, sources, destinations
+    and inputs as set operations on the columns, guard and delta once per
+    distinct pair of guard and delta objects.  When one of them fails,
     the checks run again token by token and transition by transition, which
     raise the first error in that order.  The per-state index behind
     `leaving` is made by `leaving`, from its first call on, and holds the
@@ -253,7 +259,7 @@ class CounterMachine:
             raise MachineError("k must be a natural number")
         if not self.states:
             raise MachineError("state set must be nonempty")
-        if not (_tokens_ok(list(self.states)) and _tokens_ok(list(self.alphabet))):
+        if not (_tokens_ok(self.states) and _tokens_ok(self.alphabet)):
             for s in self.states:
                 _check_token(s, "state id")
             for a in self.alphabet:
@@ -301,7 +307,7 @@ class CounterMachine:
 
     def _check_in_bulk(self) -> bool | None:
         """Whether the machine is real-time, or None when a check fails."""
-        states, k = self.states, self.k
+        states, guards, deltas = self.states, self.guards, self.deltas
         try:
             if not (states.issuperset(self.sources)
                     and states.issuperset(self.destinations)):
@@ -311,13 +317,11 @@ class CounterMachine:
             inputs.discard(None)
             if not inputs <= self.alphabet:
                 return None
-            try:
-                shapes = set(zip(self.guards, self.deltas))
-            except TypeError:
-                # tuple() keys list guards too and returns a tuple unchanged
-                shapes = set(zip(map(tuple, self.guards), map(tuple, self.deltas)))
-            for guard, delta in shapes:
-                _check_guard_delta(-1, guard, delta, k)
+            # a transition per distinct pair of guard and delta objects:
+            # keyed by value, a (True,) or (1.0,) would hide behind a (1,)
+            pairs = dict(zip(zip(map(id, guards), map(id, deltas)), range(len(guards))))
+            for i in pairs.values():
+                _check_guard_delta(i, guards[i], deltas[i], self.k)
         except (MachineError, TypeError):
             # _check_each says which transition fails, and how
             return None
@@ -338,8 +342,8 @@ class CounterMachine:
                 real_time = False
             elif input not in alphabet:
                 raise MachineError(f"transition {i}: input {input!r} not in alphabet")
-            # guard and delta are checked once per distinct (guard, delta)
-            shape = (tuple(guard), tuple(delta))
+            # guard and delta are checked once per distinct pair of objects
+            shape = (id(guard), id(delta))
             if shape not in shapes:
                 _check_guard_delta(i, guard, delta, self.k)
                 shapes.add(shape)
@@ -391,9 +395,9 @@ class CounterMachine:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Configuration:
-    """Global state (q, c1..ck).  Counters should be naturals; negative
-    entries are representable so corrupt certificates can be loaded and
-    rejected by validate_run rather than at parse time.
+    """Global state (q, c1..ck), the counters a tuple of ints: naturals,
+    though negative ones are representable so corrupt certificates can be
+    loaded and rejected by validate_run rather than at parse time.
 
     A plain slotted record, cheaper to build than a frozen one: it is
     treated as immutable, and no code assigns a field after construction.
@@ -427,7 +431,8 @@ class Run:
     may share one counters tuple.
 
     Run(start, steps) takes RunSteps; `from_columns` takes the columns
-    themselves, as any sequences, and stores them as tuples.  The columns
+    themselves, as any sequences, and stores them as tuples.  A start or a
+    step whose counters are no tuple of ints is a ValueError.  The columns
     `consumed`, `indices`, `states` and `counters` are the expansion: a
     flat run hands out its own tuples, a run with segments builds them on
     each read, and in them a step that moves no counter in iteration 0
@@ -441,22 +446,18 @@ class Run:
 
     def __init__(self, start: Configuration, steps):
         steps = tuple(steps)
-        results = [s.result for s in steps]
-        _fill(self, start, [(tuple([s.consumed for s in steps]),
-                             tuple([s.transition_index for s in steps]),
-                             tuple([c.state for c in results]),
-                             tuple([c.counters for c in results]), 1)])
+        _fill(self, start, [([s.consumed for s in steps], [s.transition_index for s in steps],
+                             [s.result.state for s in steps],
+                             _int_counters(start, [s.result.counters for s in steps]), 1)])
 
     @classmethod
     def from_columns(cls, start: Configuration, consumed: Sequence, indices: Sequence,
                      states: Sequence, counters: Sequence) -> Run:
-        run = object.__new__(cls)
-        _fill(run, start, [(consumed, indices, states, counters, 1)])
-        return run
+        return cls._from_pieces(start, [(consumed, indices, states, _int_counters(start, counters), 1)])
 
     @classmethod
     def _from_pieces(cls, start: Configuration, pieces) -> Run:
-        """The run of (consumed, indices, states, counters, r) pieces."""
+        """The run of (consumed, indices, states, counters, r) pieces; only its start is checked."""
         run = object.__new__(cls)
         _fill(run, start, pieces)
         return run
@@ -509,7 +510,17 @@ class Run:
         return f"Run(start={self.start!r}, steps={self.steps!r})"
 
 
+def _int_counters(start: Configuration, column: Sequence = ()) -> tuple:
+    """column as a tuple; the start's and each step's counters must be tuples of ints."""
+    column = tuple(column)
+    for i, counters in enumerate((start.counters, *column), -1):
+        if not _ints(counters):
+            raise ValueError(f"{'start' if i < 0 else f'step {i}'}: counters must be a tuple of ints, got {counters!r}")
+    return column
+
+
 def _fill(run: Run, start: Configuration, pieces) -> None:
+    _int_counters(start)
     out = []
     for *columns, r in pieces:
         # tuple() of a tuple is that tuple, so shared columns stay shared
@@ -539,21 +550,20 @@ def _later_counters(column: tuple, entry: tuple, r: int, first: int = 1,
                     carried: tuple | None = None) -> list:
     """The counters of iterations first..r-1 of a piece whose iteration 0
     has `column` and starts from `entry`: iteration 0's plus j·D.  A step
-    that moves no counter in iteration 0 (it keeps the very tuple before
-    it, or an equal one of ints) shares the tuple before it here; in
-    iteration `first` those before the first move share `carried`, the
-    last counters of iteration first - 1 (by default iteration 0's).
+    that moves no counter in iteration 0 (its counters equal those before
+    it) shares the tuple before it here; in iteration `first` those before
+    the first move share `carried`, the last counters of iteration first -
+    1 (by default iteration 0's).
     Filled step by step of iteration 0, each over all iterations at once."""
     p = len(column)
     effect = tuple(map(sub, column[-1], entry))
-    ints = all(type(c) is int for counters in (entry, *column) for c in counters)
     out = [None] * (p * (r - first))
     values = None
     # steps that keep the counters before the piece: in iteration j they
     # share the last counters of iteration j - 1
     lead = 0
     for t, counters, before in zip(count(), column, (entry, *column)):
-        if not (counters is before or ints and counters == before):
+        if counters != before:
             values = _shifted(counters, effect, r, first)
         elif values is None:
             lead += 1
@@ -591,18 +601,38 @@ def _batches(run: Run):
 
 def _shifted(counters: tuple, effect: tuple, r: int, first: int = 1) -> list:
     """counters + j·effect for j = first..r-1."""
-    if not all(type(c) is int for c in (*counters, *effect)):
-        return [tuple(map(add, counters, [d * j for d in effect])) for j in range(first, r)]
     if not counters:
         return [()] * (r - first)
     return list(zip(*[range(c + first * d, c + r * d, d) if d else repeat(c, r - first)
                       for c, d in zip(counters, effect)]))
 
 
+def _located(run: Run, wanted) -> list:
+    """The RunSteps at the indices wanted, step t of iteration j of a piece
+    read as iteration 0's plus j times its effect; later pieces go unread."""
+    bases, pieces, entry = [0], [], run.start.counters
+    last = max(wanted, default=-1)
+    for tokens, indices, states, column, times in run._pieces:
+        if bases[-1] > last:
+            break
+        effect = tuple(map(sub, column[-1], entry))
+        pieces.append((tokens, indices, states, column, effect))
+        bases.append(bases[-1] + len(column) * times)
+        entry = _shifted(column[-1], effect, times, times - 1)[0] if times > 1 else column[-1]
+    out = []
+    for i in wanted:
+        k = bisect_right(bases, i) - 1
+        tokens, indices, states, column, effect = pieces[k]
+        j, t = divmod(i - bases[k], len(column))
+        out.append(RunStep(tokens[t], indices[t], Configuration(
+            states[t], _shifted(column[t], effect, j + 1, j)[0] if j else column[t])))
+    return out
+
+
 class Steps(Sequence):
     """The steps of a run as a read-only sequence of RunSteps, built on each
-    read: one step from the run's pieces, a slice from its columns as a
-    tuple.  The view equals, hashes and prints as a tuple of them would."""
+    read from the run's pieces, a slice as a tuple, in the size of what is
+    read.  The view equals, hashes and prints as a tuple of them would."""
 
     __slots__ = ("run",)
 
@@ -613,22 +643,10 @@ class Steps(Sequence):
         return self.run._n
 
     def __getitem__(self, i):
-        r = self.run
+        wanted = range(self.run._n)[i]
         if isinstance(i, slice):
-            return tuple(map(RunStep, r.consumed[i], r.indices[i],
-                             map(Configuration, r.states[i], r.counters[i])))
-        # step t of iteration j of the piece the running step count puts i
-        # in, read from iteration 0's columns: its counters are iteration
-        # 0's plus j times the piece's effect
-        i, entry = range(r._n)[i], r.start.counters
-        for tokens, indices, states, column, times in r._pieces:
-            j, t = divmod(i, len(column))
-            effect = tuple(map(sub, column[-1], entry)) if times > 1 else None
-            if j < times:
-                return RunStep(tokens[t], indices[t], Configuration(
-                    states[t], _shifted(column[t], effect, j + 1, j)[0] if j else column[t]))
-            i -= len(column) * times
-            entry = column[-1] if effect is None else _shifted(column[-1], effect, times, times - 1)[0]
+            return tuple(_located(self.run, wanted))
+        return _located(self.run, (wanted,))[0]
 
     def __iter__(self):
         return chain.from_iterable(
@@ -696,9 +714,10 @@ def step(machine: CounterMachine, config: Configuration,
     if len(config.counters) != machine.k:
         raise ArityError(f"configuration has {len(config.counters)} counters, machine has {machine.k}")
     counters = config.counters
+    signs = tuple([c > 0 for c in counters])
     return [(i, Configuration(destination, tuple(map(add, counters, delta))))
             for i, token, guard, destination, delta in machine.leaving(config.state)
-            if token == input and _matches(guard, counters)]
+            if token == input and guard == signs]
 
 
 def enabled(machine: CounterMachine, state: str, token: str | None,
@@ -744,18 +763,19 @@ class Walker:
 
     `repeat(walk, r)` is r calls of `walk()`, each walking one iteration
     with `to` and `idle`.  After a walked iteration that ends in the state
-    it started from, with int counters, the next iterations take the same
-    transitions for as long as every step's sign pattern holds; the
-    counters are linear in the iteration number, so how long that is
-    follows from iteration 0 by arithmetic.  Those iterations are replayed
+    it started from, the next iterations take the same transitions for as
+    long as every step's sign pattern holds; the counters are linear in the
+    iteration number, so how long that is follows from iteration 0 by
+    arithmetic.  Those iterations are replayed
     as one run segment, without a call; what is left is walked again, so a
     walk that breaks does so with `to`'s error at the step where it would.
 
     The steps are kept as the pieces of the Run that `run` returns, and
-    len(walker) counts them.
-    """
+    len(walker) counts them.  A start whose counters are no tuple of ints
+    is a ValueError."""
 
     def __init__(self, machine: CounterMachine, start: Configuration, origin=None):
+        _int_counters(start)
         self.machine = machine
         self.start = start
         self.state, self.counters = start.state, start.counters
@@ -820,9 +840,6 @@ class Walker:
         first = len(self._indices)
         for _ in range(n):
             self.to(token, key)
-        # a 0.0 delta leaves the counters equal but makes them floats for
-        # good; the walk above did so already, and the memo is this walk's,
-        # so a replay over the counters as they stand stays exact
         deltas = self.machine.deltas
         still = not any(any(deltas[i]) for i in self._indices[first:])
         if then is not None:
@@ -853,9 +870,6 @@ class Walker:
         if len(self._indices) == mark:
             return r
         end = self.counters
-        if not all(type(c) is int for c in (*entry, *end)):
-            # a float stays a float, so int ends mean int steps between
-            return 0
         effect = tuple(map(sub, end, entry))
         befores = [entry, *self._counters[mark:-1]]
         times = r
@@ -895,10 +909,6 @@ class Walker:
         return Run._from_pieces(self.start, [
             *self._pieces,
             (self._consumed, self._indices, self._states, self._counters, 1)])
-
-
-# every int below this is a float exactly
-_EXACT = 2 ** 53
 
 
 def _spell(pattern: tuple, phase: int, m: int) -> tuple:
@@ -958,20 +968,18 @@ def validate_run(machine: CounterMachine, word, run: Run) -> RunViolation | None
     The word is letters, or (pattern, count) runs as `words.coded_runs`
     gives them, which are never spelled out: both give the same verdict.
 
-    A step whose result counters are the very tuple of the current ones,
-    all of type int and below 2**53, is natural already and equals the
-    current counters plus the delta iff the delta is all zero (adding a
-    0.0 is exact below 2**53); only that and the destination are checked
-    there.
+    A step whose result counters are the very tuple of the current ones is
+    natural already and equals the current counters plus the delta iff the
+    delta is all zero; only that and the destination are checked there.
 
     A run segment is checked without expanding it: iteration 0 step by
     step, then the other iterations by arithmetic, since iteration j's
-    counters are iteration 0's plus j·D.  With int counters and iteration
-    0 back in its start state, iteration j holds while its positive guards
-    and results hold at j, no zero-guarded counter moves under D, and the
-    word holds a j-th copy of iteration 0's letters.  The step check runs,
-    a batch at a time, from the first iteration that may fail, and names
-    the first violation.
+    counters are iteration 0's plus j·D.  With iteration 0 back in its
+    start state, iteration j holds while its positive guards and results
+    hold at j, no zero-guarded counter moves under D, and the word holds a
+    j-th copy of iteration 0's letters.  The step check runs, a batch at a
+    time, from the first iteration that may fail, and names the first
+    violation.
     """
     word = _Word(word)
     start = run.start
@@ -1022,9 +1030,6 @@ def _check_steps(machine: CounterMachine, word: _Word, first: int, state: str,
     n_trans, n_word, at = len(sources), len(letters), 0
     zeros = repeat(0)
     signs = tuple(map(gt, counters, zeros))
-    # whether the current counters are ints below 2**53; None until a step
-    # shares them
-    plain = None
     for i, consumed, idx, got_state, got in zip(count(first), *columns[:4]):
         if not (0 <= idx < n_trans):
             return RunViolation(i, "index", f"transition index {idx} out of range")
@@ -1033,29 +1038,20 @@ def _check_steps(machine: CounterMachine, word: _Word, first: int, state: str,
             return RunViolation(i, "source", f"transition {idx} leaves {source!r}, run is at {state!r}")
         if consumed != inputs[idx]:
             return RunViolation(i, "input", f"recorded {consumed!r}, transition reads {inputs[idx]!r}")
-        # equal to the sign pattern implies a match; anything else (a list
-        # guard, or a real mismatch) is settled by _matches itself
         guard = guards[idx]
-        if guard != signs and not _matches(guard, counters):
+        if guard != signs:
             return RunViolation(i, "guard", f"guard {guard} vs counters {counters}")
-        if got is counters and plain is None:
-            plain = (all(type(c) is int for c in counters)
-                     and max(counters, default=0) < _EXACT)
-        if got is counters and plain:
-            if got_state != destinations[idx]:
-                return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {destinations[idx]!r}")
-            if any(deltas[idx]):
-                expected = tuple(map(add, counters, deltas[idx]))
-                return RunViolation(i, "delta", f"recorded {got}, expected {expected}")
-        else:
-            if any(map(lt, got, zeros)):
-                return RunViolation(i, "negative-counter", f"result {got}")
-            expected = tuple(map(add, counters, deltas[idx]))
-            if got_state != destinations[idx]:
-                return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {destinations[idx]!r}")
-            if got != expected:
-                return RunViolation(i, "delta", f"recorded {got}, expected {expected}")
-            counters, signs, plain = got, tuple(map(gt, got, zeros)), None
+        shared = got is counters
+        if not shared and any(map(lt, got, zeros)):
+            return RunViolation(i, "negative-counter", f"result {got}")
+        if got_state != destinations[idx]:
+            return RunViolation(i, "destination", f"recorded {got_state!r}, transition enters {destinations[idx]!r}")
+        delta = deltas[idx]
+        # the shared tuple of natural counters is the result iff delta is zero
+        if any(delta) if shared else got != tuple(map(add, counters, delta)):
+            return RunViolation(i, "delta", f"recorded {got}, expected {tuple(map(add, counters, delta))}")
+        if not shared:
+            counters, signs = got, tuple(map(gt, got, zeros))
         if consumed is not None:
             if at >= n_word or letters[at] != consumed:
                 return RunViolation(i, "projection", f"letter {consumed!r} at word position {pos + at}")
@@ -1070,8 +1066,7 @@ def _repeats_hold(machine: CounterMachine, word: _Word, piece: tuple, entry: tup
     arithmetic once iteration 0 checked out from counters `entry` over the
     word's letters pos0..pos1-1, and the segment's counter effect D."""
     consumed, indices, states, column, r = piece
-    if machine.sources[indices[0]] != states[-1] or not all(
-            type(c) is int for counters in (entry, *column) for c in counters):
+    if machine.sources[indices[0]] != states[-1]:
         return 1, ()
     effect = tuple(map(sub, column[-1], entry))
     good, guards = r, machine.guards

@@ -2,8 +2,8 @@
 
 `machines.enabled` keeps, per (state, token, counter sign pattern), the
 transitions `step` takes.  It must answer exactly what `step` answers on
-every configuration: random machines with up to two counters, list guards,
-duplicate transitions and lambda edges, asked about configurations whose
+every configuration: random machines with up to two counters, duplicate
+transitions and lambda edges, asked about configurations whose
 counters differ but share a sign pattern.  `is_real_time` reads a flag
 recorded at construction, held to a scan of the transitions.  The engine's
 searches read the memo, so however often they are called on one machine
@@ -45,7 +45,7 @@ def _machines(draw) -> CounterMachine:
         delta = tuple(draw(st.sampled_from((0, 1) if g == 0 else (-1, 0, 1)))
                       for g in guard)
         t = Transition(draw(st.sampled_from(STATES)), draw(st.sampled_from(INPUTS)),
-                       guard if draw(st.booleans()) else tuple(guard),
+                       tuple(guard),
                        draw(st.sampled_from(STATES)), delta)
         trans.append(t)
         if draw(st.integers(0, 4)) == 0:

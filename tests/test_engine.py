@@ -157,14 +157,15 @@ def test_deterministic_run_walks_and_rejects_choice():
         deterministic_run(BuchiAutomaton(m, frozenset()), ["a"])
 
 
-def test_deterministic_run_takes_list_guards():
-    # the constructor accepts list guards and deltas, as step() does
+def test_deterministic_run_agrees_with_step_and_list_guards_are_refused():
+    rows = (("p", "a", (0,), "p", (1,)), ("p", "a", (1,), "p", (1,)),
+            ("p", "b", (1,), "q", (-1,)), ("q", "b", (1,), "q", (-1,)),
+            ("q", "a", (0,), "p", (0,)))
+    with pytest.raises(MachineError, match="^transition 0: guard and delta must be"):
+        CounterMachine(1, frozenset("ab"), frozenset("pq"), "p",
+                       tuple(Transition(s, a, list(g), d, list(c)) for s, a, g, d, c in rows))
     m = CounterMachine(1, frozenset("ab"), frozenset("pq"), "p",
-                       (Transition("p", "a", [0], "p", [1]),
-                        Transition("p", "a", [1], "p", [1]),
-                        Transition("p", "b", [1], "q", [-1]),
-                        Transition("q", "b", [1], "q", [-1]),
-                        Transition("q", "a", [0], "p", [0])))
+                       tuple(Transition(*r) for r in rows))
     word = list("aaabbba")
     run = deterministic_run(BuchiAutomaton(m, frozenset()), word)
     cfg, want = Configuration("p", (0,)), []

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegacount.errors import FormatError
+from omegacount.errors import FormatError, MachineError
 from omegacount.fileio import (WordSpec, dump_automaton, dump_run, dump_word,
                                load_automaton, load_run, load_word)
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
@@ -47,14 +47,16 @@ def test_automaton_lambda_transitions_roundtrip():
     assert back.machine.transitions[0].input is None
 
 
-def test_automaton_bool_and_float_values_roundtrip():
-    # the constructor accepts True/False and 1.0/-1.0 as guard and delta
-    # values; the file spells them as the integers they equal
+def test_automaton_int_values_roundtrip_and_bool_or_float_is_refused():
+    # guards and deltas are tuples of ints, spelled as they are; True and
+    # 1.0 equal 1 but are refused where the machine is made
+    rows = (("p", "a", (1, 0), "p", (-1, 1)), ("p", None, (0, 1), "p", (1, -1)),
+            ("p", "a", (1, 0), "p", (-1, 1)))
+    for bad in (("p", "a", (True, False), "p", (-1, 1)), ("p", "a", (1, 0), "p", (-1.0, 1))):
+        with pytest.raises(MachineError, match="^transition 2: guard and delta must be"):
+            CounterMachine(2, {"a"}, {"p"}, "p", tuple(Transition(*r) for r in rows[:2] + (bad,)))
     m = CounterMachine(k=2, alphabet=frozenset({"a"}), states=("p",),
-                       initial="p",
-                       transitions=(Transition("p", "a", (True, False), "p", (-1.0, 1.0)),
-                                    Transition("p", None, (False, True), "p", (1.0, -1.0)),
-                                    Transition("p", "a", (1, 0), "p", (-1, 1))))
+                       initial="p", transitions=tuple(Transition(*r) for r in rows))
     b = BuchiAutomaton(m, frozenset({"p"}))
     text = dump_automaton(b)
     assert "trans p a 10 p -1 1\n" in text

@@ -172,13 +172,16 @@ def test_constructor_and_loader_match_the_reference(raw):
     assert agree(outcome(load_automaton, text), outcome(ref.load_automaton, text))
 
 
-def test_constructor_accepts_list_guards_as_before():
-    t = Transition("p", "a", [1], "p", [-1])
+def test_constructor_refuses_list_guards_and_names_the_first_bad_transition():
+    t = Transition("p", "a", (1,), "p", (-1,))
     m = CounterMachine(1, frozenset("a"), frozenset("p"), "p", (t, t))
-    assert m.leaving("p") == ((0, "a", [1], "p", [-1]), (1, "a", [1], "p", [-1]))
+    assert m.leaving("p") == ((0, "a", (1,), "p", (-1,)), (1, "a", (1,), "p", (-1,)))
     with pytest.raises(MachineError, match="transition 1: delta -1 under a zero guard"):
         CounterMachine(1, frozenset("a"), frozenset("p"), "p",
-                       (t, Transition("p", "a", [0], "p", [-1])))
+                       (t, Transition("p", "a", (0,), "p", (-1,))))
+    with pytest.raises(MachineError, match="^transition 1: guard and delta must be tuples of ints"):
+        CounterMachine(1, frozenset("a"), frozenset("p"), "p",
+                       (t, Transition("p", "a", [1], "p", [-1])))
 
 
 # -- seeded mutation fuzz of the three loaders --------------------------------
@@ -312,7 +315,8 @@ def test_dump_matches_the_reference_byte_for_byte(name):
 def writer_runs() -> list[Run]:
     """Walker runs with segments: theta and pipeline certificates, the
     longest with a repeated piece of more steps than a batch; two of them
-    again from a float start, and the longest read back as one flat piece."""
+    again from a start 2**53 higher, where a float would be inexact, and
+    the longest read back as one flat piece."""
     a1, a2 = m1_aomega(), m2_two_counters()
     b8 = build_realtime8(a1, S_override=72)
     runs = [lift_run_theta(b8, run_of(a1, ["a", "a"])).run,
@@ -321,7 +325,7 @@ def writer_runs() -> list[Run]:
     runs += [lift_run_pipeline(out, run_of(a2, word)).run
              for word in (["a", "b"], ["a", "a", "b"], ["a", "b", "b", "a"])]
     runs += [Run._from_pieces(Configuration(r.start.state,
-                                            tuple(c + 0.5 for c in r.start.counters)),
+                                            tuple(c + 2 ** 53 for c in r.start.counters)),
                               r._pieces) for r in runs[:2]]
     runs.append(load_run(dump_run(runs[4])))
     return runs
@@ -349,8 +353,6 @@ def test_a_loaded_run_names_each_state_by_one_string():
     a2 = m2_two_counters()
     out = compose_pipeline(a2, primes=(2, 3))
     for run in writer_runs():
-        if not all(type(c) is int for c in run.start.counters):
-            continue  # run files spell ints only
         text = dump_run(run)
         loaded = load_run(text)
         assert len({id(q) for q in loaded.states}) == len(set(loaded.states))

@@ -125,6 +125,9 @@ def test_a_counter_that_reaches_zero_mid_stretch():
     for up in (3, 9, 40):
         r = _same(b, ((("u",), up), (("a",), 60)))
         assert _jumps(r) >= 1
+    # the case float deltas once broke: the jump's repeat count is an int
+    r = _same(b, ((("u",), 100), (("a",), 150)))
+    assert _jumps(r) >= 1 and len(r.frontiers) == 251
     # the same with a two-letter pattern and a second counter at rest
     b = _machine(2, {"q"},
                  ("p", "u", (0, 0), "p", (1, 0)), ("p", "u", (1, 0), "p", (1, 0)),

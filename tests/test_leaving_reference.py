@@ -6,7 +6,7 @@ knows:
 - spans, one per source: realtime8 of m1 at S = 72 and a `union`;
 - interleaved sources: D2, and a loaded file whose trans lines were
   shuffled;
-and on a small machine with lambda moves, list guards and a state with no
+and on a small machine with lambda moves and a state with no
 transitions.  Every state is asked about every letter, the lambda input
 and a token outside the alphabet, under several counter vectors; a name
 that is no state has no rows.
@@ -86,13 +86,13 @@ def test_interleaved_layouts_match_the_scan():
         assert_index_is_the_scan(m, sorted(m.states), rng)
 
 
-def test_lambda_moves_list_guards_and_a_dead_state_match_the_scan():
-    trans = (Transition("p", "a", [0], "q", [1]),
-             Transition("q", None, [1], "p", [-1]),
+def test_lambda_moves_and_a_dead_state_match_the_scan():
+    trans = (Transition("p", "a", (0,), "q", (1,)),
+             Transition("q", None, (1,), "p", (-1,)),
              Transition("p", None, (0,), "p", (0,)),
-             Transition("q", "b", [1], "q", (0,)),
+             Transition("q", "b", (1,), "q", (0,)),
              Transition("p", "a", (1,), "dead", (0,)),
-             Transition("p", "a", [1], "q", [0]))
+             Transition("p", "a", (1,), "q", (0,)))
     rng = random.Random(3)
     for layout in (trans, sorted(trans, key=lambda t: t.source)):
         m = CounterMachine(1, SIGMA, frozenset({"p", "q", "dead"}), "p", layout)

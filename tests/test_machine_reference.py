@@ -8,8 +8,9 @@ up to two counters, and on those machines with one or two parts corrupted:
 an unknown source or destination, a letter outside the alphabet, a wrong
 guard or delta arity, a guard or delta of 2, a -1 under a zero guard, and a
 state or letter that is empty, not a str, has whitespace (a non-breaking
-space too) inside or at an edge, holds '#' or is '-'.  List guards and
-True / 1.0 values are valid and are drawn too.  Both must accept or refuse
+space too) inside or at an edge, holds '#' or is '-'.  Guards and deltas
+are drawn as tuples of ints, the only values a machine takes (the refusal
+of any other is tested in test_machines).  Both must accept or refuse
 alike, with the same error text; an accepted machine must agree on
 `is_real_time` and on `leaving` for every state.
 
@@ -35,19 +36,14 @@ BAD_TOKENS = ("", 3, None, ("s0",), "s 0", " s0", "s0 ", "s0\n", "\ts0",
               "s0\u00a0", "s#0", "#", "-")
 PARTS = ("states", "alphabet", "source", "destination", "input", "guard arity",
          "delta arity", "guard 2", "delta 2", "-1 under zero")
-# values the constructor takes as equal to 0, 1 and -1
-SPELLINGS = {0: (0, False, 0.0), 1: (1, True, 1.0), -1: (-1, -1.0)}
 
 
 @st.composite
 def transitions(draw, k: int, states: tuple) -> Transition:
-    guard = [draw(st.sampled_from((0, 1))) for _ in range(k)]
-    delta = [draw(st.sampled_from((-1, 0, 1) if g else (0, 1))) for g in guard]
-    guard = [draw(st.sampled_from(SPELLINGS[g])) for g in guard]
-    delta = tuple(draw(st.sampled_from(SPELLINGS[d])) for d in delta)
+    guard = tuple(draw(st.sampled_from((0, 1))) for _ in range(k))
+    delta = tuple(draw(st.sampled_from((-1, 0, 1) if g else (0, 1))) for g in guard)
     return Transition(draw(st.sampled_from(states)),
-                      draw(st.sampled_from(SIGMA + (None,))),
-                      guard if draw(st.booleans()) else tuple(guard),
+                      draw(st.sampled_from(SIGMA + (None,))), guard,
                       draw(st.sampled_from(states)), delta)
 
 

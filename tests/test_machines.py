@@ -1,5 +1,7 @@
 """Core machine model: validation, runs, products."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,7 @@ from omegacount.constructions import (build_phi_wrapper, build_realtime8,
                                       lift_run_script_L, lift_run_theta,
                                       project_run_script_L)
 from omegacount.machines import (BuchiAutomaton, Built, Configuration, CounterMachine,
-                                 MachineError, Run, RunStep, Transition,
+                                 MachineError, Run, RunStep, Transition, Walker,
                                  buchi_visit_count, intersect_det_buchi,
                                  is_real_time, lambda_burst_bound,
                                  lift_run_intersection, lift_run_union,
@@ -42,6 +44,60 @@ def test_machine_validation_rejects_malformed_parts():
         _b([], initial="x")
     with pytest.raises(MachineError):
         _b([Transition("p", "a", (0,), "p", (2,))])    # delta out of range
+
+
+# values equal to an int that are no int, and a list of ints
+NOT_INTS = (True, False, 1.0, 0.0, -1.0, math.nan)
+
+
+def _not_int_tuples(value: int) -> list:
+    """Spellings of (value,) that are no tuple of ints."""
+    return [(v,) for v in NOT_INTS if v == value or v != v] + [[value]]
+
+
+def test_machines_refuse_a_guard_or_delta_that_is_no_tuple_of_ints():
+    # transition 1 holds the bad value, behind transition 0 whose guard
+    # and delta equal it as values: the check keys by object, not value
+    for guard, delta in [(g, (1,)) for g in _not_int_tuples(1)] + [
+            ((1,), d) for v in (1, -1, 0) for d in _not_int_tuples(v)]:
+        rows = [("p", "a", (1,), "p", (1,)), ("p", "a", guard, "p", delta)]
+        want = (f"transition 1: guard and delta must be tuples of ints, "
+                f"got {guard!r} and {delta!r}")
+        for make in (lambda: CounterMachine(1, {"a"}, {"p"}, "p",
+                                            tuple(Transition(*r) for r in rows)),
+                     lambda: CounterMachine.from_columns(1, {"a"}, {"p"}, "p",
+                                                         *zip(*rows))):
+            with pytest.raises(MachineError) as e:
+                make()
+            assert str(e.value) == want and "\n" not in want
+    # the machine whose float deltas once made the jumped search fail
+    with pytest.raises(MachineError, match="transition 0: "):
+        _b([Transition("p", "a", (0,), "p", (1.0,)),
+            Transition("p", "b", (1,), "p", (-1.0,))], alphabet="ab")
+
+
+def test_runs_and_walks_refuse_counters_that_are_no_tuple_of_ints():
+    m = _b([Transition("p", "a", (1,), "p", (0,))]).machine
+    ok = Configuration("p", (1,))
+    for bad in _not_int_tuples(1) + [(2 ** 60 + 0.5,)]:
+        start = Configuration("p", bad)
+        for make in (lambda: Run(start, ()),
+                     lambda: Run.from_columns(start, (), (), (), ()),
+                     lambda: Run._from_pieces(start, ()),
+                     lambda: Walker(m, start)):
+            with pytest.raises(ValueError) as e:
+                make()
+            assert str(e.value) == f"start: counters must be a tuple of ints, got {bad!r}"
+        steps = (RunStep("a", 0, ok), RunStep("a", 0, Configuration("p", bad)))
+        want = f"step 1: counters must be a tuple of ints, got {bad!r}"
+        for make in (lambda: Run(ok, steps),
+                     lambda: Run.from_columns(ok, "aa", (0, 0), "pp", ((1,), bad))):
+            with pytest.raises(ValueError) as e:
+                make()
+            assert str(e.value) == want
+    # negative and big ints stay legal, for validate_run to judge
+    low = Run(Configuration("p", (-1,)), (RunStep("a", 0, Configuration("p", (2 ** 70,))),))
+    assert validate_run(m, ["a"], low).reason == "negative-counter"
 
 
 def test_adjacency_is_not_a_constructor_argument():

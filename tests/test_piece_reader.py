@@ -2,12 +2,13 @@
 
 Every reader of a run takes it a batch of iterations at a time
 (`machines._batches`).  On seeded runs of flat pieces and segments, with
-steps that keep their counters, float counters and segments long enough
-to span many batches, `run.steps` equals the columns' steps and the
+steps that keep their counters, counters above 2**53 and segments long
+enough to span many batches, `run.steps` equals the columns' steps and the
 expansion "iteration j is iteration 0 plus j·D", and a step that keeps
-its counters shares the tuple before it across batches.  One step read by
-its index (`steps[i]`) is the step of the expansion at i, found through
-the pieces alone, and accepting visits per block are counted per piece.
+its counters shares the tuple before it across batches.  A step or a slice
+read by index (`steps[i]`, `steps[a:b:c]`) is that of the expansion, found
+through the pieces alone, and accepting visits per block are counted per
+piece.
 
 `validate_run` given the word as (pattern, count) runs returns the
 violation it returns on the letters, on lifted certificates with the
@@ -38,11 +39,11 @@ from conftest import chopped, m1_aomega, m2_two_counters, m2_word, run_of
 
 def _random_pieces(rng: random.Random) -> tuple[Configuration, list]:
     """A start and pieces whose steps now and then keep the very counters
-    tuple before them; float counters in some runs; repeat counts up to
-    5,000 so that a segment spans many batches."""
+    tuple before them; counters above 2**53 in some runs; repeat counts up
+    to 5,000 so that a segment spans many batches."""
     k = rng.randint(0, 3)
-    half = 0.5 if rng.random() < 0.3 else 0
-    entry = tuple(rng.randint(0, 9) + half for _ in range(k))
+    high = 2 ** 53 if rng.random() < 0.3 else 0
+    entry = tuple(rng.randint(0, 9) + high for _ in range(k))
     start, pieces = Configuration("s", entry), []
     for _ in range(rng.randint(1, 4)):
         column, counters = [], entry
@@ -86,8 +87,7 @@ def test_steps_read_by_batches_equal_the_expansion():
         # before it in every iteration, across batches too
         read, at, entry = run.counters, 0, start.counters
         for *_, column, r in pieces:
-            ints = all(type(x) is int for c in (entry, *column) for x in c)
-            kept = [c is b or ints and c == b for c, b in zip(column, (entry, *column))]
+            kept = [c == b for c, b in zip(column, (entry, *column))]
             for j in range(r):
                 for t in range(len(column)):
                     if j and kept[t]:
@@ -257,11 +257,15 @@ def test_one_step_by_its_index_is_the_step_of_the_expansion():
              if len(run.steps) <= 20_000]
     runs.append(Run._from_pieces(Configuration("s", (1,)), []))
     assert len(runs) > 70
+    cuts = [slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+            slice(None, None, 3), slice(-2, None, -2), slice(5, 2), slice(-10**6, 10**6)]
     for run in runs:
         steps, n = run.steps, len(run.steps)
         flat = tuple(steps)
         for i in range(-n, n):
             assert steps[i] == flat[i], i
+        for cut in cuts + [slice(i, i + 3) for i in range(-n, n, max(1, n // 50))]:
+            assert steps[cut] == flat[cut], cut
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 steps[i]
@@ -277,11 +281,13 @@ def test_one_step_of_a_deep_certificate_is_read_in_the_size_of_its_pieces(monkey
     steps = cert.run.steps
     first = next(iter(steps))
     monkeypatch.setattr(machines, "_column", _refuse)
-    for i in (0, -1, 10**14):
+    for i in (0, -1, 10**14, slice(None, 1), slice(-2, None), slice(10**14, 10**14 + 3)):
         began = time.perf_counter()
-        step = steps[i]
+        steps[i]
         assert time.perf_counter() - began < 0.1, i
-    assert steps[0] == steps[-len(steps)] == first
+    assert steps[:1] == (steps[0],) == (first,) and steps[0] == steps[-len(steps)]
+    assert steps[-2:] == (steps[-2], steps[-1])
+    assert steps[10**14:10**14 + 3] == tuple(steps[10**14 + j] for j in range(3))
     with pytest.raises(IndexError):
         steps[len(steps)]
 

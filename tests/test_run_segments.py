@@ -4,13 +4,13 @@ A run piece is the four columns of one iteration plus a repeat count r,
 and iteration j's counters are iteration 0's plus j·D.  On seeded random
 machines: `validate_run` gives a run with segments the verdict it gives
 the run's flat expansion, which is also the reference's, whether iteration
-0's counters are ints, floats, NaN or ints above 2**53, and on corruptions
+0's counters are small ints or ints above 2**53, and on corruptions
 made for the arithmetic to miss: a step changed in iteration 0 or only in
 the last iteration of the expansion, a counter that goes negative only at
 j = r - 1, a zero guard on a counter that D moves, an iteration that does
 not come back to its start state and a word with one iteration too many
 or too few; the same verdict when the word is given as (pattern, count)
-runs.  A valid run of int segments is checked without expanding them.  A
+runs.  A valid run of segments is checked without expanding them.  A
 run with segments equals, hashes, prints, dumps and pickles as its
 expansion.  `Walker.repeat` equals the reference walker's step-by-step
 walk, errors included; the lifts that replay segments equal the flat
@@ -19,7 +19,6 @@ and the script-L projection refuses a certificate cut from its start.
 """
 
 import copy
-import math
 import pickle
 import random
 
@@ -42,7 +41,7 @@ from conftest import (chopped, m1_aomega, m2_two_counters, m2_word, m3_alternato
 SIGMA = ("a", "b")
 INPUTS = SIGMA + (None,)
 STATES = ("s0", "s1", "s2")
-KINDS = ("int", "float", "nan", "big")
+KINDS = ("int", "big")
 
 
 def _machine(rng: random.Random) -> CounterMachine:
@@ -69,13 +68,8 @@ def _machine(rng: random.Random) -> CounterMachine:
 
 def _start(rng: random.Random, m: CounterMachine, kind: str) -> Configuration:
     counters = [rng.randint(0, 6) for _ in range(m.k)]
-    i = rng.randrange(m.k)
-    if kind == "float":
-        counters = [c + rng.choice((0.0, 0.5)) for c in counters]
-    elif kind == "nan":
-        counters[i] = math.nan
-    elif kind == "big":
-        counters[i] += 2 ** 53 + 1
+    if kind == "big":
+        counters[rng.randrange(m.k)] += 2 ** 53 + 1
     return Configuration(rng.choice(sorted(m.states)), tuple(counters))
 
 
@@ -205,12 +199,12 @@ def test_validate_run_on_segments_matches_the_flat_expansion(monkeypatch):
             key = (kind, why, None if got is None else got.reason)
             seen[key] = seen.get(key, 0) + 1
             segments = [x for x in bad._pieces if x[4] > 1]
-            if got is None and kind in ("int", "big") and segments:
-                # valid int segments are checked by arithmetic alone
+            if got is None and segments:
+                # valid segments are checked by arithmetic alone
                 assert not expanded
                 seen["arithmetic"] = seen.get("arithmetic", 0) + 1
             for j, piece in enumerate(bad._pieces):
-                if piece[4] < 2 or kind == "nan":
+                if piece[4] < 2:
                     continue
                 effect, entry = _effect(bad, j)
                 before = Configuration(Run._from_pieces(bad.start, bad._pieces[:j]).states[-1]
@@ -220,22 +214,17 @@ def test_validate_run_on_segments_matches_the_flat_expansion(monkeypatch):
                 if any(d and g != 1 for idx in piece[1] if idx < len(m.transitions)
                        for g, d in zip(m.transitions[idx].guard, effect)):
                     seen["zero guard moved"] = seen.get("zero guard moved", 0) + 1
-    # a count that a valid step takes below zero was not positive, so an
-    # int run fails the guard first, and only a float one (0.5 - 1) goes
-    # negative
+    # a count that a valid step takes below zero was not positive, so the
+    # run fails the guard first
     for key in ("arithmetic", "not back", "zero guard moved",
                 ("int", "as is", None), ("int", "as is", "guard"),
                 ("int", "as is", "source"), ("big", "as is", None),
-                ("float", "as is", None), ("float", "as is", "negative-counter"),
-                ("nan", "as is", "delta"),
                 ("int", "wrong repeat count", "projection"),
                 ("int", "changed in iteration 0", "delta"),
                 ("int", "changed in the last iteration", "delta"),
                 ("int", "changed in the last iteration", "source"),
-                ("float", "changed in the last iteration", "negative-counter"),
                 ("int", "negative at the last iteration", "guard"),
-                ("big", "negative at the last iteration", "guard"),
-                ("float", "negative at the last iteration", "negative-counter")):
+                ("big", "negative at the last iteration", "guard")):
         assert seen.get(key, 0) > 5, (key, sorted(seen.items(), key=str))
 
 
@@ -244,7 +233,7 @@ def test_a_run_with_segments_acts_like_its_expansion():
     kinds = set()
     for _ in range(400):
         m = _machine(rng)
-        run = _segmented(rng, m, _start(rng, m, rng.choice(("int", "float", "big"))))
+        run = _segmented(rng, m, _start(rng, m, rng.choice(KINDS)))
         flat = _flat(run)
         kinds.add(len(run._pieces) > 1 and max(x[4] for x in run._pieces) > 1)
         assert run == flat and flat == run and hash(run) == hash(flat)
@@ -252,18 +241,15 @@ def test_a_run_with_segments_acts_like_its_expansion():
         assert len(run.steps) == len(flat.indices)
         assert dump_run(run) == dump_run(flat)
         assert pickle.loads(pickle.dumps(run)) == run == copy.copy(run)
-        if not any(type(c) is float for c in run.start.counters):
-            # run files spell integers only
-            assert load_run(dump_run(run)) == run
+        assert load_run(dump_run(run)) == run
         # iteration j holds iteration 0's counters plus j·D, and a step
-        # that moves no counter in iteration 0 (the tuple before it, or an
-        # equal one of ints) shares the tuple before it in the others
+        # that moves no counter in iteration 0 (its counters equal those
+        # before it) shares the tuple before it in the others
         counters = run.counters
         at = 0
         for j, (_, _, _, column, r) in enumerate(run._pieces):
             effect, entry = _effect(run, j)
-            ints = all(type(x) is int for c in (entry, *column) for x in c)
-            shared = [c is b or ints and c == b for c, b in zip(column, (entry, *column))]
+            shared = [c == b for c, b in zip(column, (entry, *column))]
             for it in range(r):
                 for t, c in enumerate(column):
                     assert counters[at] == tuple(x + it * d for x, d in zip(c, effect))
@@ -299,11 +285,10 @@ def test_repeat_matches_reference_steps():
     step; walk() is called only for the iterations that are not replayed."""
     rng = random.Random(43)
     seen = dict.fromkeys(("replayed", "walked after a replay", "replayed after two walks",
-                          "broke", "broke after a replay", "float walked",
-                          "idle inside"), 0)
+                          "broke", "broke after a replay", "idle inside"), 0)
     for _ in range(3000):
         m = _machine(rng)
-        start = _start(rng, m, rng.choice(("int", "int", "float", "big")))
+        start = _start(rng, m, rng.choice(("int", "int", "big")))
         first = _first(m)
         origin = tuple(first[t.source, t.input, t.destination] for t in m.transitions)
         got = Walker(m, start, origin)
@@ -346,8 +331,6 @@ def test_repeat_matches_reference_steps():
             seen["walked after a replay"] += any(g > len(schedule) for g in gaps[:-1])
             seen["replayed after two walks"] += (
                 len(gaps) > 1 and gaps[0] == len(schedule) < gaps[1])
-            seen["float walked"] += (len(calls) == r > 2 and got.state == start.state
-                                     and any(type(c) is float for c in start.counters))
             seen["idle inside"] += idle and len(calls) < r
         assert repr(got.run().steps) == repr(tuple(want.steps)), (m, start, schedule, r)
         assert got.cfg == want.cfg

@@ -7,8 +7,7 @@ pattern, key) and replays it, and replays idle blocks whole.
 `machines.validate_run` checks each step with tuple-level operations.  Both
 are held to the versions they replaced (`reference_walk.py`, whose walker
 takes a predicate per step) on seeded random machines with up to two
-counters, duplicate transitions, list guards and guard or delta values
-spelled True, False, 1.0 or 0.0.  The column is a function of each
+counters and duplicate transitions.  The column is a function of each
 transition's value, `_origin`, so the reference's per-step predicate
 `_origin(u) in (key, None)` picks what the Walker picks, duplicates
 included.  They give the same steps or the same walk error on random keyed
@@ -48,24 +47,14 @@ def _pinned(key):
     return None if key is None else lambda u: _origin(u) in (key, None)
 
 
-def _value(rng: random.Random, v: int):
-    # the constructor accepts True and 1.0 wherever it accepts 1
-    if rng.random() < 0.2:
-        return rng.choice({0: (False, 0.0), 1: (True, 1.0), -1: (-1,)}[v])
-    return v
-
-
 def _machine(rng: random.Random) -> CounterMachine:
     k = rng.randint(0, 2)
     states = STATES[:rng.randint(1, 3)]
     trans = []
     for _ in range(rng.randint(1, 10)):
-        bits = [rng.randint(0, 1) for _ in range(k)]
-        guard = [_value(rng, b) for b in bits]
-        delta = tuple(_value(rng, rng.choice((0, 1) if b == 0 else (-1, 0, 1)))
-                      for b in bits)
-        t = Transition(rng.choice(states), rng.choice(INPUTS),
-                       guard if rng.random() < 0.15 else tuple(guard),
+        guard = tuple(rng.randint(0, 1) for _ in range(k))
+        delta = tuple(rng.choice((0, 1) if b == 0 else (-1, 0, 1)) for b in guard)
+        t = Transition(rng.choice(states), rng.choice(INPUTS), guard,
                        rng.choice(states), delta)
         trans.append(t)
         if rng.random() < 0.2:
@@ -164,30 +153,15 @@ def test_walker_refuses_a_key_without_an_origin_column():
     assert len(w.run().steps) == 3
 
 
-def _zeros_respelled(rng: random.Random, m: CounterMachine) -> CounterMachine:
-    """m with the zero deltas of some transitions spelled False or 0.0."""
-    trans = []
-    for t in m.transitions:
-        if rng.random() < 0.5:
-            zero = rng.choice((False, 0.0))
-            t = Transition(t.source, t.input, t.guard, t.destination,
-                           tuple(zero if d == 0 else d for d in t.delta))
-        trans.append(t)
-    return CounterMachine(k=m.k, alphabet=m.alphabet, states=m.states,
-                          initial=m.initial, transitions=tuple(trans))
-
-
 def test_idle_matches_reference_steps():
     """Walker.idle(token, key, n) against n reference steps, step for step
     and by repr: segments that move a counter are walked every time, and
-    segments that move none are replayed, also at other counter values and
-    with zero deltas spelled False or 0.0."""
+    segments that move none are replayed, also at other counter values."""
     rng = random.Random(17)
     seen = dict.fromkeys(("empty", "refused mid-segment", "moving again",
-                          "replayed elsewhere", "replayed False delta",
-                          "replayed 0.0 delta"), 0)
+                          "replayed elsewhere"), 0)
     for _ in range(600):
-        m = _zeros_respelled(rng, _machine(rng))
+        m = _machine(rng)
         # (state, token, signs, key, n) -> counters and deltas of the
         # segment walked there first, for the coverage counts
         walked = {}
@@ -226,10 +200,6 @@ def test_idle_matches_reference_steps():
                             seen["moving again"] += 1
                         else:
                             seen["replayed elsewhere"] += before != counters
-                            seen["replayed False delta"] += any(
-                                d is False for d in deltas)
-                            seen["replayed 0.0 delta"] += any(
-                                type(d) is float for d in deltas)
                 assert repr(got.run().steps) == repr(tuple(want.steps)), (m, start)
                 assert got.cfg == want.cfg
             assert got.run() == want.run()
@@ -242,15 +212,14 @@ def test_block_matches_reference_steps():
     reference steps plus one, step for step and by repr, with the same walk
     error at the same step.  A block whose window moves a counter is walked
     by `to` every time; one whose window moves none is replayed without a
-    `to`, also from other counters with the same sign pattern, with zero
-    deltas spelled False or 0.0 and a last step that moves a counter."""
+    `to`, also from other counters with the same sign pattern and with a
+    last step that moves a counter."""
     rng = random.Random(23)
     seen = dict.fromkeys(("refused in window", "refused at last step",
                           "moving again", "replayed elsewhere",
-                          "replayed 0.0 delta", "replayed moving last step",
-                          "replayed list guard"), 0)
+                          "replayed moving last step"), 0)
     for _ in range(600):
-        m = _zeros_respelled(rng, _machine(rng))
+        m = _machine(rng)
         for _ in range(3):
             start = _start(rng, m)
             got, want = _walker(m, start), ref.Walker(m, start)
@@ -298,11 +267,7 @@ def test_block_matches_reference_steps():
                     else:
                         assert walks == []
                         seen["replayed elsewhere"] += walked[where] != counters
-                        seen["replayed 0.0 delta"] += any(
-                            type(d) is float for u in used[:n] for d in u.delta)
                         seen["replayed moving last step"] += any(used[n].delta)
-                        seen["replayed list guard"] += any(
-                            type(u.guard) is list for u in used)
                 assert repr(got.run().steps) == repr(tuple(want.steps)), (m, start)
                 assert got.cfg == want.cfg
             assert got.run() == want.run()
@@ -310,8 +275,6 @@ def test_block_matches_reference_steps():
 
 
 def _valid_run(rng: random.Random, m: CounterMachine) -> Run:
-    # step() compares guards with Transition.matches, so these runs take
-    # list guards too
     cfg = start = _start(rng, m)
     steps = []
     for _ in range(rng.randint(0, 12)):
