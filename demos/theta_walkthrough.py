@@ -15,7 +15,7 @@ import random
 from omegacount.constructions import build_theta_acceptor, theta_certificate
 from omegacount.engine import exact_prefix_reach
 from omegacount.machines import validate_run
-from omegacount.words import LassoWord, theta_prefix
+from omegacount.words import LassoWord, ThetaCoding, coded_prefix
 
 S = 2
 w = LassoWord((), ("a", "b"), {"a", "b"})
@@ -25,7 +25,7 @@ print(f"acceptor for S={S}: {len(b.machine.states)} states, "
 
 # ---------------------------------------------------------------------
 # the coded prefix and a certificate over its first three blocks
-prefix = theta_prefix(w, S, 20)
+prefix = coded_prefix(w, (ThetaCoding(S),), 20)
 print("coded prefix:", " ".join(prefix))
 
 cert = theta_certificate(w, S, blocks=3)
@@ -38,7 +38,7 @@ print("accepting visits per block:", cert.block_visits(b.accepting))
 # soundness, negatively: flip one letter of a genuine prefix and watch
 # the reachable-configuration frontier die
 rng = random.Random(7)
-good = theta_prefix(w, S, 35)
+good = coded_prefix(w, (ThetaCoding(S),), 35)
 r = exact_prefix_reach(b, good)
 print("genuine 35-letter prefix: frontier never empties:",
       r.first_empty_position() is None)

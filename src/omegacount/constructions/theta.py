@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..engine import deterministic_run
 from ..errors import BuildScaleError
 from ..machines import BuchiAutomaton, CounterMachine
-from ..words import E, ThetaCoding, coded_alphabet, theta_prefix
+from ..words import E, ThetaCoding, coded_alphabet, coded_prefix
 from .certificates import BlockSpan, RunCertificate
 
 INIT = "init"
@@ -98,7 +98,7 @@ def theta_certificate(w, S: int, blocks: int):
         raise ValueError("need at least one block")
     b = build_theta_acceptor(w.alphabet, S)
     n = 1 + sum(S ** i + 1 for i in range(1, blocks + 1))
-    run = deterministic_run(b, theta_prefix(w, S, n))
+    run = deterministic_run(b, coded_prefix(w, (ThetaCoding(S),), n))
     spans = []
     start = 1
     for i in range(1, blocks + 1):

@@ -53,7 +53,7 @@ from .errors import FormatError
 from .machines import (LAMBDA_TOKEN, BuchiAutomaton, Configuration, CounterMachine,
                        MachineError, Run, _BATCH, _batches, _tuples)
 from .words import (CodingSpec, HCoding, LassoWord, PhiCoding, ThetaCoding,
-                    coded_prefix, coded_runs)
+                    coded_runs)
 
 
 # characters of text split into lines at a time
@@ -272,9 +272,6 @@ class WordSpec:
     lasso: LassoWord
     chain: tuple[CodingSpec, ...]
     prefix: int | None = None
-
-    def prefix_letters(self, n: int) -> list[str]:
-        return coded_prefix(self.lasso, self.chain, n)
 
     def prefix_runs(self, n: int) -> tuple[tuple[tuple[str, ...], int], ...]:
         """The first n letters as (pattern, count) runs."""

@@ -83,15 +83,6 @@ def stack_decode(s: EncodedStack) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def stack_top(s: EncodedStack, restore: bool = True) -> tuple[int, int]:
-    """(top symbol, cost).  j steps to read the digit while transferring;
-    another j to transfer back when restore is requested."""
-    if s.is_empty:
-        raise UnderflowError("top of empty stack")
-    cost = s.j * (2 if restore else 1)
-    return s.j % s.k, cost
-
-
 def stack_push(s: EncodedStack, r: int) -> tuple[EncodedStack, int]:
     _check_symbol(r, s.k)
     cost = s.j * s.k + r

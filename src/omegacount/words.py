@@ -2,9 +2,11 @@
 
 Words are lassos spoke.cycle^omega.  Coded images (theta, h, phi) have
 block lengths growing geometrically, so they are never materialized as
-lassos; a prefix comes as (pattern, count) runs from `coded_runs`, and the
-letter lists are its expansion.  All positions reported by
-the shape checker are 1-based, matching the usual w(1).w(2)... indexing.
+lassos; a prefix of any coding chain comes as (pattern, count) runs from
+`coded_runs`, and `coded_prefix` is its one letter spelling.  An h-coded
+prefix is read by one scan, `_h_scan`, whose verdict is `h_shape_check`'s
+and whose closed blocks `h_block_decompose` splits.  All positions reported
+by the shape checker are 1-based, matching the usual w(1).w(2)... indexing.
 
 Each coding adds fixed fresh letters, defined here once for every builder
 and lift: theta's pad E, h's markers A and B and its zero 0 (ZERO), phi's
@@ -114,12 +116,8 @@ def _check_letters(letters: tuple[str, ...], alphabet: frozenset[str]) -> None:
             raise FreshLetterError(f"coding letter {tok!r} collides with the base alphabet")
 
 
-def _check_fresh(spec: CodingSpec, alphabet: frozenset[str]) -> None:
-    _check_letters(coding_fresh_letters(spec), alphabet)
-
-
 def coded_alphabet(spec: CodingSpec, alphabet: frozenset[str]) -> frozenset[str]:
-    _check_fresh(spec, alphabet)
+    _check_letters(coding_fresh_letters(spec), alphabet)
     return alphabet | set(coding_fresh_letters(spec))
 
 
@@ -147,12 +145,6 @@ def _h_runs(src: Iterator[str], q: int) -> Iterator[tuple[str, int]]:
         yield ZERO, left
 
 
-def h_letters(src: Iterator[str], coding: HCoding) -> Iterator[str]:
-    """A.0^Q.x(1).B.0^{Q^2}.A.0^{Q^2}.x(2).B.0^{Q^3}... letter by letter."""
-    return itertools.chain.from_iterable(
-        itertools.repeat(a, n) for a, n in _h_runs(src, coding.q))
-
-
 def _phi_runs(runs: Iterable[tuple[tuple[str, ...], int]],
               L: int) -> Iterator[tuple[tuple[str, ...], int]]:
     """F^L.y(1).F^L.y(2)...: the run (p, r) becomes (F^L p_1 ... F^L p_m, r)."""
@@ -175,14 +167,13 @@ def coded_runs(x: LassoWord, chain: Iterable[CodingSpec],
     runs: Iterable = ((x.spoke, 1), (x.cycle, max(0, -(-n // len(x.cycle)))))
     alphabet = x.alphabet
     for spec in chain:
-        _check_fresh(spec, alphabet)
+        alphabet = coded_alphabet(spec, alphabet)
         if isinstance(spec, ThetaCoding):
             runs = _theta_runs(_expand(runs), spec.S)
         elif isinstance(spec, HCoding):
             runs = (((a,), k) for a, k in _h_runs(_expand(runs), spec.q))
         else:
             runs = _phi_runs(runs, spec.L)
-        alphabet = alphabet | set(coding_fresh_letters(spec))
     if n < 0:
         raise ValueError(f"prefix length must be nonnegative, got {n}")
     out = []
@@ -211,10 +202,6 @@ def lasso_prefix(w: LassoWord, n: int) -> list[str]:
     return _take(w.letters(), n)
 
 
-def theta_prefix(x: LassoWord, S: int, n: int) -> list[str]:
-    return list(_expand(coded_runs(x, (ThetaCoding(S),), n)))
-
-
 def theta_positions(S: int, upto: int) -> list[int]:
     """1-based positions of the embedded letters: 1, S+2, S+S^2+3, ...
     stopping once past `upto`."""
@@ -231,14 +218,6 @@ def theta_positions(S: int, upto: int) -> list[int]:
 def theta_extract(y: list[str] | tuple[str, ...], S: int) -> list[str]:
     """Sample positions 1, S+2, S+S^2+3, ... within |y|; no shape check."""
     return [y[p - 1] for p in theta_positions(S, len(y))]
-
-
-def h_prefix(x: LassoWord, primes: Iterable[int], n: int) -> list[str]:
-    return list(_expand(coded_runs(x, (HCoding(tuple(primes)),), n)))
-
-
-def phi_prefix(y: LassoWord, L: int, n: int) -> list[str]:
-    return list(_expand(coded_runs(y, (PhiCoding(L),), n)))
 
 
 def coded_prefix(x: LassoWord, chain: Iterable[CodingSpec], n: int) -> list[str]:
@@ -266,19 +245,15 @@ class HShapeViolation:
     position: int  # 1-based position where the witness becomes definite
 
 
-def h_shape_check(y: list[str] | tuple[str, ...], sigma: Iterable[str],
-                  primes: Iterable[int]) -> HShapeViolation | None:
-    """First definite D1-D4 witness in the prefix, or None.
+def _h_scan(y: list[str] | tuple[str, ...], sigma: frozenset[str],
+            q: int) -> tuple[HShapeViolation | None, list[tuple[int, str, int, int]]]:
+    """The one left-to-right reader of an h-coded prefix: its first definite
+    D1-D4 witness (or None) and the blocks closed before it.
 
-    None means: no witness COMPLETES inside the prefix.  Stalled pattern
-    tails (an over-long 0-run still open at the prefix end) are not
-    classifiable between D2/D3/D4 until more letters arrive, so they
-    report None; full D2 semantics lives in the complement automaton.
-    Letters outside sigma and the marker set count as pattern breaks (D2).
-    """
-    q = HCoding(tuple(primes)).q
-    sigma = frozenset(sigma)
-
+    A block closes at the next block's A once that A passes the D4 test; it
+    is recorded as (A-run, letter, B-run, letters covered), the covered
+    count ending just before the closing A."""
+    blocks: list[tuple[int, str, int, int]] = []
     # block 1 template A.0^Q.sigma.B: any deviation is a definite D1
     for j, a in enumerate(y[:q + 3], start=1):
         if j == 1:
@@ -290,14 +265,15 @@ def h_shape_check(y: list[str] | tuple[str, ...], sigma: Iterable[str],
         else:
             want_ok = a == B
         if not want_ok:
-            return HShapeViolation("D1", j)
+            return HShapeViolation("D1", j), blocks
     if len(y) <= q + 3:
-        return None
+        return None, blocks
 
     # after the first block header: pattern (0^+ A 0^+ sigma B)^omega with
     # the D3/D4 length equations checked as each segment closes
     prev_a_run = q   # 0-run between the last A and its sigma
     prev_b_run = 0   # 0-run after the last B, set once it closes
+    x = y[q + 1]     # the letter of the open block
     state = "b_run"  # counting 0s after B
     run = 0
     for j, a in enumerate(itertools.islice(y, q + 3, None), start=q + 4):
@@ -306,32 +282,48 @@ def h_shape_check(y: list[str] | tuple[str, ...], sigma: Iterable[str],
                 run += 1
             elif a == A:
                 if run == 0:
-                    return HShapeViolation("D2", j)  # adjacent markers
+                    return HShapeViolation("D2", j), blocks  # adjacent markers
                 if run != q * prev_a_run:
-                    return HShapeViolation("D4", j)
+                    return HShapeViolation("D4", j), blocks
+                blocks.append((prev_a_run, x, run, j - 1))
                 prev_b_run = run
                 state = "a_run"
                 run = 0
             else:
-                return HShapeViolation("D2", j)
+                return HShapeViolation("D2", j), blocks
         elif state == "a_run":
             if a == ZERO:
                 run += 1
             elif a in sigma:
                 if run == 0:
-                    return HShapeViolation("D2", j)
+                    return HShapeViolation("D2", j), blocks
                 if run != prev_b_run:
-                    return HShapeViolation("D3", j)
+                    return HShapeViolation("D3", j), blocks
                 prev_a_run = run
+                x = a
                 state = "sigma_done"
             else:
-                return HShapeViolation("D2", j)
+                return HShapeViolation("D2", j), blocks
         else:  # sigma_done: B must follow immediately
             if a != B:
-                return HShapeViolation("D2", j)
+                return HShapeViolation("D2", j), blocks
             state = "b_run"
             run = 0
-    return None
+    return None, blocks
+
+
+def h_shape_check(y: list[str] | tuple[str, ...], sigma: Iterable[str],
+                  primes: Iterable[int]) -> HShapeViolation | None:
+    """First definite D1-D4 witness in the prefix, or None: the verdict of
+    `_h_scan`.
+
+    None means: no witness COMPLETES inside the prefix.  Stalled pattern
+    tails (an over-long 0-run still open at the prefix end) are not
+    classifiable between D2/D3/D4 until more letters arrive, so they
+    report None; full D2 semantics lives in the complement automaton.
+    Letters outside sigma and the marker set count as pattern breaks (D2).
+    """
+    return _h_scan(y, frozenset(sigma), HCoding(tuple(primes)).q)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,59 +346,30 @@ def h_block_decompose(y: list[str] | tuple[str, ...], primes: Iterable[int],
     """Split each block's 0-runs as u.v and w.z under the given exponent
     choices: |w_i| = |v_i| * prod p_t^{j_t}, |u_1| = Q-1, |u_{i+1}| = |z_i|.
 
-    A block counts as complete only once the next block's A appears (the
-    closing 0-run length is not known before that).  Parsing stops at the
-    first incomplete block or when j_choices run out; everything after the
-    last complete block is `trailing`.  Infeasible choices (w would not be
-    a positive integer, or would overflow the closing 0-run) raise.
+    The blocks are those `_h_scan` closes: a block counts as complete only
+    once the next block's A appears (the closing 0-run length is not known
+    before that).  Splitting stops at the last complete block or when
+    j_choices run out; everything after the last split block is
+    `trailing`.  A prefix with a D1-D4 witness, or infeasible choices (w
+    would not be a positive integer, or would overflow the closing 0-run),
+    raise.
     """
     coding = HCoding(tuple(primes))
-    sigma = frozenset(y) - {A, B, ZERO}
-    bad = h_shape_check(y, sigma, coding.primes)
+    bad, spans = _h_scan(y, frozenset(y) - {A, B, ZERO}, coding.q)
     if bad is not None:
         raise ValueError(f"prefix is not h-shaped: {bad.cls} at position {bad.position}")
-    q = coding.q
-    primes_t = coding.primes
-
-    # cut the prefix into completed blocks: (a_run, x, b_run, end_position)
-    spans = []
-    pos = 0
-    n = len(y)
-    while True:
-        if pos >= n or y[pos] != A:
-            break
-        p2 = pos + 1
-        while p2 < n and y[p2] == ZERO:
-            p2 += 1
-        if p2 >= n or y[p2] not in sigma:
-            break
-        a_run = p2 - (pos + 1)
-        x = y[p2]
-        if p2 + 1 >= n or y[p2 + 1] != B:
-            break
-        p3 = p2 + 2
-        while p3 < n and y[p3] == ZERO:
-            p3 += 1
-        if p3 >= n:   # closing 0-run still open, block incomplete
-            break
-        b_run = p3 - (p2 + 2)
-        spans.append((a_run, x, b_run, p3))
-        pos = p3
+    u_len = coding.q - 1
     blocks: list[Block] = []
-    u_len = q - 1
     covered = 0
-    for i, (a_run, x, b_run, end) in enumerate(spans):
-        if i >= len(j_choices):
-            break
-        choice = j_choices[i]
-        if len(choice) != len(primes_t):
-            raise ValueError(f"block {i + 1}: choice arity {len(choice)} != {len(primes_t)} primes")
+    for i, ((a_run, x, b_run, end), choice) in enumerate(zip(spans, j_choices)):
+        if len(choice) != len(coding.primes):
+            raise ValueError(f"block {i + 1}: choice arity {len(choice)} != {len(coding.primes)} primes")
         v_len = a_run - u_len
         if v_len < 1:
             raise ValueError(f"block {i + 1}: u overlaps the whole 0-run (v empty)")
         num = v_len
         den = 1
-        for p, e in zip(primes_t, choice):
+        for p, e in zip(coding.primes, choice):
             if e >= 0:
                 num *= p ** e
             else:

@@ -24,7 +24,13 @@ from omegacount.errors import MachineError
 from omegacount.machines import (Built, Configuration, CounterMachine, Run, RunStep,
                                  RunViolation)
 from omegacount.machines import Walker as FastWalker
-from omegacount.words import A, E, ZERO, h_letters
+from omegacount.words import A, E, ZERO, _h_runs
+
+
+def h_letters(src, coding):
+    """A.0^Q.x(1).B.0^{Q^2}.A.0^{Q^2}.x(2).B.0^{Q^3}... letter by letter."""
+    return itertools.chain.from_iterable(
+        itertools.repeat(a, n) for a, n in _h_runs(src, coding.q))
 
 
 class Walker:

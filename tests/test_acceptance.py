@@ -31,7 +31,7 @@ from omegacount.machines import is_real_time, lambda_burst_bound, validate_run
 from omegacount.storage import (queue_add_rear, queue_empty, queue_front,
                                 queue_remove_front, stack_decode, stack_encode,
                                 stack_pop, stack_push)
-from omegacount.words import LassoWord, h_block_decompose, theta_prefix
+from omegacount.words import LassoWord, ThetaCoding, coded_prefix, h_block_decompose
 
 from conftest import (lasso_member_oracle, m1_aomega, m2_two_counters,
                       m3_alternator, run_of)
@@ -156,7 +156,7 @@ def test_criterion_4_theta_soundness():
         w = LassoWord((), cycle, frozenset(sigma))
         b = build_theta_acceptor(frozenset(sigma), s_val)
         n = 1 + sum(s_val ** j + 1 for j in range(1, 5))
-        good = theta_prefix(w, s_val, n)
+        good = coded_prefix(w, (ThetaCoding(s_val),), n)
         assert exact_prefix_reach(b, good).first_empty_position() is None
         pos = rng.randrange(n)
         # swap pad and source classes; same-class swaps stay theta-shaped
@@ -327,7 +327,7 @@ def test_criterion_9_realtime8_constants():
     cert = lift_run_theta(b8, run, prefix_len=732)
     coded = [st.consumed for st in cert.run.steps]
     assert len(coded) == 732
-    assert coded == theta_prefix(LassoWord((), ("a",), {"a"}), 729, 732)
+    assert coded == coded_prefix(LassoWord((), ("a",), {"a"}), (ThetaCoding(729),), 732)
     # positions 1 and 731 open blocks 1 and 2 of the coding
     assert coded[0] == "a" and coded[730] == "a"
     assert validate_run(b8.machine, coded, cert.run) is None

@@ -171,7 +171,7 @@ def test_explore_prints_the_letter_by_letter_line(files, capsys):
         word.write_text(dump_word(spec))
         for n in lengths:
             code = main(["explore", "--input", str(aut), "--word", str(word), "--n", str(n)])
-            line = _explore_line(b, spec.prefix_letters(n))
+            line = _explore_line(b, coded_prefix(spec.lasso, spec.chain, n))
             assert capsys.readouterr().out == line
             assert code == (1 if " final 0 " in line else 0)
 
@@ -223,10 +223,9 @@ def test_a_long_word_check_stays_in_bounded_memory(files, capsys):
                            f"(run consumed {read} of 100000000 letters)\n")
 
 
-def test_run_check_reads_the_word_as_runs(files, capsys, monkeypatch):
-    """run check --word validates against the word file's runs: the coded
-    prefix is never spelled as letters, and the verdicts stay those of the
-    letters."""
+def test_run_check_reads_the_word_as_runs(files, capsys):
+    """run check --word validates against the word file's runs, and the
+    verdicts stay those of the letters."""
     m2 = m2_two_counters()
     out = compose_pipeline(m2, (2, 3))
     cert = lift_run_pipeline(out, run_of(m2, ["a", "b"]))
@@ -241,7 +240,6 @@ def test_run_check_reads_the_word_as_runs(files, capsys, monkeypatch):
     expected = {n: validate_run(out.automaton.machine,
                                 coded_prefix(x, (HCoding((2, 3)), PhiCoding(5)), n), cert.run)
                 for n in (0, read - 7, read, read + 1)}
-    monkeypatch.setattr(WordSpec, "prefix_letters", None)
     for n, bad in expected.items():
         assert main(["run", "check", "--input", str(pipe), "--run", str(run),
                      "--word", str(word), "--n", str(n)]) == (0 if bad is None else 1)

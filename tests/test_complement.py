@@ -12,7 +12,7 @@ from omegacount.constructions.complement import (build_d1, build_d2, build_d3,
 from omegacount.engine import d34_witness_scan, exact_prefix_reach, nba_lasso_member
 from omegacount.errors import BuildScaleError, FreshLetterError
 from omegacount.machines import is_real_time
-from omegacount.words import HCoding, LassoWord, h_prefix, h_shape_check
+from omegacount.words import HCoding, LassoWord, coded_prefix, h_shape_check
 
 SIGMA = frozenset({"a", "b"})
 AB = LassoWord((), ("a", "b"), SIGMA)
@@ -105,7 +105,7 @@ def test_h_complement_is_a_real_time_union():
 
 def test_h_complement_never_fires_on_genuine_images():
     c = build_h_complement(SIGMA, (2, 3))
-    letters = h_prefix(AB, (2, 3), 300)
+    letters = coded_prefix(AB, (HCoding((2, 3)),), 300)
     r = exact_prefix_reach(c, letters)
     # guessing branches may die, but no sink is ever entered
     for f in r.frontiers:

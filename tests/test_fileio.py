@@ -126,7 +126,7 @@ def test_word_roundtrip_plain_and_coded():
                      (ThetaCoding(3), HCoding((2, 3)), PhiCoding(5)), 40)
     back = load_word(dump_word(coded))
     assert back == coded
-    assert back.prefix_letters(12) == coded.prefix_letters(12)
+    assert back.prefix_runs(12) == coded.prefix_runs(12)
 
 
 def test_word_chain_is_outermost_first_on_disk():

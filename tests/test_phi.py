@@ -11,7 +11,7 @@ from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  MachineError, Run, RunStep, Transition,
                                  is_real_time, lambda_burst_bound,
                                  validate_run)
-from omegacount.words import F, LassoWord, phi_prefix
+from omegacount.words import F, LassoWord, PhiCoding, coded_prefix
 
 from conftest import m1_aomega, m2_two_counters, run_of
 
@@ -98,7 +98,7 @@ def test_lift_hides_lambda_steps():
     coded = [s.consumed for s in cert.run.steps]
     assert None not in coded
     assert validate_run(w.machine, coded, cert.run) is None
-    assert coded == phi_prefix(LassoWord((), ("a",), {"a"}), 2, len(coded))
+    assert coded == coded_prefix(LassoWord((), ("a",), {"a"}), (PhiCoding(2),), len(coded))
     # two entries into p in the source, two pulses in the wrapper
     assert cert.visits(w.accepting) == 2
     assert sum(1 for s in run.steps if s.result.state in b.accepting) == 2

@@ -17,14 +17,13 @@ PACKAGE = [
     "add_rear_itemized_bound", "bounded_explore", "buchi_visit_count",
     "coded_prefix", "d34_witness_scan", "dump_automaton", "dump_run",
     "dump_word", "exact_prefix_reach", "front_bound", "h_block_decompose",
-    "h_prefix", "h_shape_check", "intersect_det_buchi", "is_real_time",
+    "h_shape_check", "intersect_det_buchi", "is_real_time",
     "lambda_burst_bound", "lasso_prefix", "lift_run_intersection",
     "lift_run_union", "load_automaton", "load_run", "load_word",
-    "nba_lasso_member", "pad_counters", "pad_run", "phi_prefix",
-    "prime_valuation", "queue_add_rear", "queue_empty", "queue_front",
-    "queue_remove_front", "stack_decode", "stack_encode", "stack_pop",
-    "stack_push", "stack_top", "step", "theta_extract", "theta_positions",
-    "theta_prefix", "union", "validate_run",
+    "nba_lasso_member", "pad_counters", "pad_run", "prime_valuation",
+    "queue_add_rear", "queue_empty", "queue_front", "queue_remove_front",
+    "stack_decode", "stack_encode", "stack_pop", "stack_push", "step",
+    "theta_extract", "theta_positions", "union", "validate_run",
 ]
 
 CONSTRUCTIONS = [

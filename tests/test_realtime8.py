@@ -10,7 +10,7 @@ from omegacount.fileio import dump_automaton, dump_run, load_automaton
 from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  MachineError, Run, Transition, is_real_time,
                                  validate_run)
-from omegacount.words import LassoWord, ThetaCoding, coded_runs, theta_prefix
+from omegacount.words import LassoWord, ThetaCoding, coded_prefix, coded_runs
 
 from conftest import m1_aomega, m2_two_counters, run_of
 
@@ -81,8 +81,8 @@ def test_lift_two_blocks():
     cert = lift_run_theta(b, run)
     coded = [st.consumed for st in cert.run.steps]
     assert validate_run(b.machine, coded, cert.run) is None
-    assert coded == theta_prefix(LassoWord((), ("a",), {"a"}), S_SMALL,
-                                 len(coded))
+    assert coded == coded_prefix(LassoWord((), ("a",), {"a"}),
+                                 (ThetaCoding(S_SMALL),), len(coded))
     assert [(st.index, st.start, st.end) for st in cert.blocks] == \
         [(1, 0, 1 + S_SMALL), (2, 1 + S_SMALL, 2 + S_SMALL + S_SMALL ** 2)]
     assert cert.block_visits(b.accepting) == {1: 1, 2: 1}

@@ -16,8 +16,8 @@ from omegacount.machines import (BuchiAutomaton, Configuration, CounterMachine,
                                  MachineError, Run, RunStep, Transition,
                                  is_real_time, lambda_burst_bound,
                                  validate_run)
-from omegacount.words import LassoWord, h_block_decompose, \
-    h_prefix, h_shape_check
+from omegacount.words import HCoding, LassoWord, coded_prefix, \
+    h_block_decompose, h_shape_check
 
 from conftest import (m1_aomega, m2_two_counters, m2_word, m3_alternator,
                       run_of)
@@ -133,7 +133,7 @@ def test_lift_matches_canonical_coding():
     run = run_of(a, ["c", "c"])
     cert = lift_run_script_L(b, run)
     coded = [s.consumed for s in cert.run.steps if s.consumed is not None]
-    want = h_prefix(LassoWord((), ("c",), {"c"}), PRIMES, len(coded))
+    want = coded_prefix(LassoWord((), ("c",), {"c"}), (HCoding(PRIMES),), len(coded))
     assert coded == want
 
 
@@ -259,5 +259,5 @@ def test_lift_project_identity_on_seeded_runs(seed):
         assert validate_run(b.machine, coded, cert.run) is None
         assert h_shape_check(coded, {"a", "b"}, PRIMES) is None
         lasso = LassoWord((), tuple(word), frozenset({"a", "b"}))
-        assert coded == h_prefix(lasso, PRIMES, len(coded))
+        assert coded == coded_prefix(lasso, (HCoding(PRIMES),), len(coded))
         assert project_run_script_L(b, cert) == run

@@ -11,7 +11,7 @@ from omegacount.storage import (EncodedStack, add_rear_bound,
                                 add_rear_itemized_bound, front_bound,
                                 queue_add_rear, queue_empty, queue_front,
                                 queue_remove_front, stack_decode, stack_encode,
-                                stack_pop, stack_push, stack_top)
+                                stack_pop, stack_push)
 
 
 # k = 5 hand values: [2,3] -> (1*5+2)*5+3 = 38
@@ -26,8 +26,6 @@ def test_stack_encode_decode_roundtrip():
 
 def test_stack_costs():
     s = EncodedStack(5, 38)
-    assert stack_top(s) == (3, 76)            # 2j with restore
-    assert stack_top(s, restore=False) == (3, 38)
     s2, cost = stack_push(s, 4)
     assert (s2.j, cost) == (194, 194)         # j*k + r
     digit, s3, cost = stack_pop(s2)
@@ -49,8 +47,6 @@ def test_stack_rejects_non_codes():
 
 def test_stack_underflow():
     empty = EncodedStack(5, 1)
-    with pytest.raises(UnderflowError):
-        stack_top(empty)
     with pytest.raises(UnderflowError):
         stack_pop(empty)
 

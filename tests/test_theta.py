@@ -12,7 +12,7 @@ from omegacount.engine import deterministic_run, exact_prefix_reach
 from omegacount.errors import BuildScaleError, FreshLetterError
 from omegacount.fileio import dump_automaton
 from omegacount.machines import is_real_time, validate_run
-from omegacount.words import LassoWord, theta_prefix
+from omegacount.words import LassoWord, ThetaCoding, coded_prefix
 
 AB = LassoWord((), ("a", "b"), frozenset({"a", "b"}))
 
@@ -63,7 +63,7 @@ def test_acceptor_past_its_cap_is_refused_before_the_build(monkeypatch):
 
 def test_acceptor_is_deterministic_on_coded_prefixes():
     b = build_theta_acceptor({"a", "b"}, 2)
-    word = theta_prefix(AB, 2, 60)
+    word = coded_prefix(AB, (ThetaCoding(2),), 60)
     run = deterministic_run(b, word)  # raises if any step is not unique
     assert validate_run(b.machine, word, run) is None
 
@@ -90,7 +90,7 @@ def test_certificate_block_lengths():
 
 def test_reach_survives_genuine_prefix_and_dies_on_corruption():
     b = build_theta_acceptor({"a", "b"}, 2)
-    word = theta_prefix(AB, 2, 40)
+    word = coded_prefix(AB, (ThetaCoding(2),), 40)
     clean = exact_prefix_reach(b, word)
     assert clean.first_empty_position() is None
 

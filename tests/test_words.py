@@ -12,11 +12,11 @@ from omegacount.fileio import WordSpec
 from omegacount.words import (Block, HCoding, LassoWord, PhiCoding,
                               ThetaCoding, coded_alphabet, coded_prefix,
                               coding_fresh_letters, h_block_decompose,
-                              h_prefix, h_shape_check, lasso_prefix,
-                              phi_prefix, prime_valuation, theta_extract,
-                              theta_positions, theta_prefix)
+                              h_shape_check, lasso_prefix, prime_valuation,
+                              theta_extract, theta_positions)
 
 AB = LassoWord((), ("a", "b"), frozenset({"a", "b"}))
+THETA2, H23 = (ThetaCoding(2),), (HCoding((2, 3)),)
 
 
 def test_lasso_prefix_unrolls_cycle():
@@ -27,21 +27,21 @@ def test_lasso_prefix_unrolls_cycle():
 # theta, S = 2: x(1) E E x(2) E E E E x(3) ...
 
 def test_theta_prefix_hand_expansion():
-    assert theta_prefix(AB, 2, 10) == ["a", "E", "E", "b", "E", "E", "E", "E", "a", "E"]
-    assert theta_prefix(AB, 1, 6) == ["a", "E", "b", "E", "a", "E"]
+    assert coded_prefix(AB, THETA2, 10) == ["a", "E", "E", "b", "E", "E", "E", "E", "a", "E"]
+    assert coded_prefix(AB, (ThetaCoding(1),), 6) == ["a", "E", "b", "E", "a", "E"]
 
 
 def test_theta_positions_and_extract():
     # source letters sit at 1, 4, 9, 18 for S = 2 (1-based)
     assert theta_positions(2, 18) == [1, 4, 9, 18]
-    assert theta_extract(theta_prefix(AB, 2, 10), 2) == ["a", "b", "a"]
+    assert theta_extract(coded_prefix(AB, THETA2, 10), 2) == ["a", "b", "a"]
     # positions 1, 4, 9, 18, 35 all fall inside a 40-letter prefix
-    assert theta_extract(theta_prefix(AB, 2, 40), 2) == ["a", "b", "a", "b", "a"]
+    assert theta_extract(coded_prefix(AB, THETA2, 40), 2) == ["a", "b", "a", "b", "a"]
 
 
 @given(st.integers(1, 4), st.integers(0, 120))
 def test_theta_extract_inverts_prefix(S, n):
-    got = theta_extract(theta_prefix(AB, S, n), S)
+    got = theta_extract(coded_prefix(AB, (ThetaCoding(S),), n), S)
     want = [AB.cycle[i % 2] for i in range(len(got))]
     assert got == want
 
@@ -49,17 +49,17 @@ def test_theta_extract_inverts_prefix(S, n):
 # h, primes (2,3), Q = 6: A 0^6 x(1) B 0^36 A 0^36 x(2) B 0^216 ...
 
 def test_h_prefix_hand_expansion():
-    assert h_prefix(AB, (2, 3), 9) == ["A"] + ["0"] * 6 + ["a", "B"]
-    got = h_prefix(AB, (2, 3), 47)
+    assert coded_prefix(AB, H23, 9) == ["A"] + ["0"] * 6 + ["a", "B"]
+    got = coded_prefix(AB, H23, 47)
     assert got[9:45] == ["0"] * 36
     assert got[45] == "A"
     assert got[46] == "0"
 
 
 def test_phi_prefix_hand_expansion():
-    assert phi_prefix(AB, 5, 13) == ["F"] * 5 + ["a"] + ["F"] * 5 + ["b", "F"]
+    assert coded_prefix(AB, (PhiCoding(5),), 13) == ["F"] * 5 + ["a"] + ["F"] * 5 + ["b", "F"]
     with pytest.raises(ValueError):
-        phi_prefix(AB, 0, 3)
+        coded_prefix(AB, (PhiCoding(0),), 3)
 
 
 def test_coded_prefix_composes_innermost_first():
@@ -71,12 +71,11 @@ def test_coded_prefix_composes_innermost_first():
 
 PREFIXES = {
     "lasso_prefix": lambda n: lasso_prefix(AB, n),
-    "theta_prefix": lambda n: theta_prefix(AB, 2, n),
-    "h_prefix": lambda n: h_prefix(AB, (2, 3), n),
-    "phi_prefix": lambda n: phi_prefix(AB, 1, n),
+    "theta_prefix": lambda n: coded_prefix(AB, THETA2, n),
+    "h_prefix": lambda n: coded_prefix(AB, H23, n),
+    "phi_prefix": lambda n: coded_prefix(AB, (PhiCoding(1),), n),
     "coded_prefix": lambda n: coded_prefix(AB, (ThetaCoding(2), PhiCoding(1)), n),
-    "WordSpec.prefix_letters": lambda n: WordSpec(
-        AB, (HCoding((2, 3)),), None).prefix_letters(n),
+    "WordSpec.prefix_runs": lambda n: list(WordSpec(AB, H23, None).prefix_runs(n)),
 }
 
 
@@ -107,25 +106,25 @@ def test_prime_valuation():
 #   block 2: u=0^30 v=0^6 x=b w=0^36 z=0^180
 
 def test_h_block_decompose_canonical():
-    y = h_prefix(AB, (2, 3), 46)
+    y = coded_prefix(AB, H23, 46)
     d = h_block_decompose(y, (2, 3), [(1, 1)])
     assert d.blocks == (Block(5, 1, "a", 6, 30),)
     assert d.trailing == 1
-    y = h_prefix(AB, (2, 3), 301)
+    y = coded_prefix(AB, H23, 301)
     d = h_block_decompose(y, (2, 3), [(1, 1), (1, 1)])
     assert d.blocks[1] == Block(30, 6, "b", 36, 180)
     assert d.trailing == 1
 
 
 def test_h_block_decompose_incomplete_block_is_trailing():
-    y = h_prefix(AB, (2, 3), 200)
+    y = coded_prefix(AB, H23, 200)
     d = h_block_decompose(y, (2, 3), [(1, 1), (1, 1)])
     assert d.blocks == (Block(5, 1, "a", 6, 30),)
     assert d.trailing == 155
 
 
 def test_h_block_decompose_rejects_infeasible_choice():
-    y = h_prefix(AB, (2, 3), 301)
+    y = coded_prefix(AB, H23, 301)
     with pytest.raises(ValueError):
         h_block_decompose(y, (2, 3), [(9, 9)])
 
@@ -134,7 +133,7 @@ def test_h_block_decompose_rejects_infeasible_choice():
 
 def test_h_shape_check_clean_prefixes():
     for n in (1, 9, 45, 46, 300):
-        assert h_shape_check(h_prefix(AB, (2, 3), n), {"a", "b"}, (2, 3)) is None
+        assert h_shape_check(coded_prefix(AB, H23, n), {"a", "b"}, (2, 3)) is None
 
 
 def test_h_shape_check_d1_short_first_run():
@@ -144,26 +143,26 @@ def test_h_shape_check_d1_short_first_run():
 
 
 def test_h_shape_check_d2_pattern_break():
-    y = h_prefix(AB, (2, 3), 9) + ["0", "0", "0", "b"]
+    y = coded_prefix(AB, H23, 9) + ["0", "0", "0", "b"]
     v = h_shape_check(y, {"a", "b"}, (2, 3))
     assert v is not None and v.cls == "D2" and v.position == 13
 
 
 def test_h_shape_check_d3_unequal_runs():
-    y = h_prefix(AB, (2, 3), 46) + ["0", "0", "b"]
+    y = coded_prefix(AB, H23, 46) + ["0", "0", "b"]
     v = h_shape_check(y, {"a", "b"}, (2, 3))
     assert v is not None and v.cls == "D3" and v.position == 49
 
 
 def test_h_shape_check_d4_wrong_ratio():
-    y = h_prefix(AB, (2, 3), 9) + ["0"] * 5 + ["A"]
+    y = coded_prefix(AB, H23, 9) + ["0"] * 5 + ["A"]
     v = h_shape_check(y, {"a", "b"}, (2, 3))
     assert v is not None and v.cls == "D4" and v.position == 15
 
 
 def test_h_shape_check_stalled_run_is_open():
     # over-long 0-run with no closing letter yet: not classifiable
-    y = h_prefix(AB, (2, 3), 46) + ["0"] * 50
+    y = coded_prefix(AB, H23, 46) + ["0"] * 50
     assert h_shape_check(y, {"a", "b"}, (2, 3)) is None
 
 
@@ -173,12 +172,12 @@ def test_h_prefix_never_violates_shape(spoke_len, cyc_len, n):
     w = LassoWord(tuple("ab"[i % 2] for i in range(spoke_len)),
                   tuple("ba"[i % 2] for i in range(cyc_len)),
                   frozenset({"a", "b"}))
-    assert h_shape_check(h_prefix(w, (2, 3), n), {"a", "b"}, (2, 3)) is None
+    assert h_shape_check(coded_prefix(w, H23, n), {"a", "b"}, (2, 3)) is None
 
 
 @given(st.integers(1, 5), st.integers(0, 200))
 def test_phi_prefix_cadence(L, n):
-    y = phi_prefix(AB, L, n)
+    y = coded_prefix(AB, (PhiCoding(L),), n)
     for i, a in enumerate(y):
         if i % (L + 1) == L:
             assert a in {"a", "b"}
